@@ -126,39 +126,9 @@ void BM_ConstraintGen(benchmark::State &State) {
 }
 BENCHMARK(BM_ConstraintGen);
 
-void BM_AdamIteration(benchmark::State &State) {
-  BackendState &B = BackendState::get();
-  solver::Objective Obj = B.System.makeObjective(0.1);
-  std::vector<double> X = Obj.initialPoint();
-  std::vector<double> Grad;
-  for (auto _ : State) {
-    Obj.gradient(X, Grad);
-    benchmark::DoNotOptimize(Grad.data());
-  }
-  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
-                          static_cast<int64_t>(Obj.numConstraints()));
-}
-BENCHMARK(BM_AdamIteration);
-
-// The legacy solve step as the optimizer actually runs it: one gradient
-// sweep plus one value sweep per iteration. Baseline for the fused kernel.
-void BM_SolveIterationLegacy(benchmark::State &State) {
-  BackendState &B = BackendState::get();
-  solver::Objective Obj = B.System.makeObjective(0.1);
-  std::vector<double> X = Obj.initialPoint();
-  std::vector<double> Grad;
-  for (auto _ : State)
-    benchmark::DoNotOptimize(Obj.valueAndGradient(X, Grad));
-  // items = source constraints swept, so items/sec compares directly
-  // against the compiled kernel's row throughput.
-  State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
-                          static_cast<int64_t>(Obj.numConstraints()));
-  State.counters["sweeps_per_iter"] = 2;
-}
-BENCHMARK(BM_SolveIterationLegacy);
-
-// The compiled solve step: a single fused sweep over the coalesced CSR
-// rows yields both the value and the gradient.
+// The kernel's solve step: a single fused sweep over the coalesced CSR
+// rows yields both the value and the gradient, on the tier SELDON_SIMD
+// selects.
 void BM_SolveIterationCompiled(benchmark::State &State) {
   BackendState &B = BackendState::get();
   solver::CompiledObjective Obj = B.System.makeCompiledObjective(0.1);
@@ -168,15 +138,15 @@ void BM_SolveIterationCompiled(benchmark::State &State) {
     benchmark::DoNotOptimize(Obj.valueAndGradient(X, Grad));
   State.SetItemsProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(Obj.stats().RowsBefore));
-  State.counters["sweeps_per_iter"] = 1;
   State.counters["rows"] = static_cast<double>(Obj.numRows());
   State.counters["nnz"] = static_cast<double>(Obj.numNonZeros());
   State.counters["dedup_ratio"] = Obj.stats().dedupRatio();
 }
 BENCHMARK(BM_SolveIterationCompiled);
 
-// The compilation pass itself (canonicalize + coalesce + CSR layout);
-// runs once per solve, so it must stay negligible next to the sweeps.
+// The compilation pass itself (canonicalize + coalesce + CSR and blocked
+// layouts); runs once per solve, so it must stay negligible next to the
+// sweeps.
 void BM_ConstraintCompile(benchmark::State &State) {
   BackendState &B = BackendState::get();
   for (auto _ : State)

@@ -1,14 +1,15 @@
-//===- bench/solver_kernel.cpp - Solver backend bench ---------------------===//
+//===- bench/solver_kernel.cpp - Solver kernel bench ----------------------===//
 //
-// Times the solve stage on the Fig. 10 corpus across the solver backends
-// (legacy Objective, compiled fused kernel, blocked-SIMD fp64, and the
-// fp32-compute SIMD variant), each at Jobs=1 and at SELDON_JOBS threads,
-// and verifies the equivalence contracts: legacy/compiled/simd runs emit
-// byte-identical learned specifications, and simd-f32 selects the same
-// role set within its documented score tolerance. Emits a JSON summary to
-// stdout (scripts/bench_solver.sh redirects it into BENCH_solver.json)
-// and a human-readable table to stderr. Exits non-zero if any contract is
-// violated.
+// Times the solve stage on the Fig. 10 corpus with the solver kernel
+// (solver::CompiledObjective) on the host's best vector tier at Jobs=1
+// and at SELDON_JOBS threads, and on the scalar tier (SELDON_SIMD=off) at
+// Jobs=1. Reports the compile seconds and the kernel speed (CSR
+// non-zeros swept per second) from the session/solve/compile and
+// session/solve/iterate spans, and verifies the kernel's contract: all
+// three runs emit byte-identical learned specifications. Emits a JSON
+// summary to stdout (scripts/bench_solver.sh redirects it into
+// BENCH_solver.json) and a human-readable table to stderr. Exits non-zero
+// if the contract is violated.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,9 +19,9 @@
 #include "support/StrUtil.h"
 #include "support/ThreadPool.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -29,63 +30,44 @@ using namespace seldon::eval;
 
 namespace {
 
+/// One solve and the stage spans it recorded.
 struct SolveRun {
   infer::PipelineResult Result;
   std::string Spec;
+  double SolveSeconds = 0.0;
+  double CompileSeconds = 0.0;
+  double IterateSeconds = 0.0;
+
+  /// CSR non-zeros swept per second of optimizer iterations.
+  double nnzPerSecond() const {
+    return IterateSeconds > 0.0
+               ? static_cast<double>(Result.SolverStats.NonZeros) *
+                     Result.Solve.Iterations / IterateSeconds
+               : 0.0;
+  }
 };
 
-SolveRun solveWith(infer::Session &Session, solver::SolverBackend Backend,
-                   unsigned Jobs) {
-  Session.options().Solve.Backend = Backend;
+/// Solves at \p Jobs with SELDON_SIMD set to \p Tier (null: unset) and
+/// reads the stage timings back from the spans the solve recorded.
+SolveRun solveWith(infer::Session &Session, unsigned Jobs, const char *Tier) {
+  if (Tier)
+    setenv("SELDON_SIMD", Tier, 1);
+  else
+    unsetenv("SELDON_SIMD");
+  metrics::Registry &Reg = metrics::Registry::global();
+  size_t Before = Reg.spans().size();
   Session.options().Jobs = Jobs;
   SolveRun Run;
   Run.Result = Session.solve();
   Run.Spec = spec::writeLearnedSpec(Run.Result.Learned, ScoreThreshold);
+  std::vector<metrics::SpanRecord> Spans = Reg.spans();
+  std::map<std::string, double> Seconds;
+  for (size_t I = Before; I < Spans.size(); ++I)
+    Seconds[Spans[I].Path] = Spans[I].DurationSeconds;
+  Run.SolveSeconds = Seconds["session/solve"];
+  Run.CompileSeconds = Seconds["session/solve/compile"];
+  Run.IterateSeconds = Seconds["session/solve/iterate"];
   return Run;
-}
-
-/// The fp32 backend's equivalence contract (docs/architecture.md): its
-/// role selection may differ from the compiled backend only where the
-/// compiled score lies within this band of the report threshold. fp32
-/// rounding perturbs the optimizer trajectory, so scores that land close
-/// to the threshold can flip sides; scores outside the band must select
-/// identically.
-constexpr double F32ThresholdBand = 0.02;
-
-struct F32Comparison {
-  bool WithinBand = true; ///< Every selection flip is inside the band.
-  size_t Flips = 0;       ///< (rep, role) pairs whose selection differs.
-  double WorstFlipDistance = 0.0; ///< Max |compiled score − threshold|
-                                  ///< over the flips.
-};
-
-F32Comparison compareF32Roles(const spec::LearnedSpec &Compiled,
-                              const spec::LearnedSpec &F32) {
-  F32Comparison Cmp;
-  auto Check = [&](double CompiledScore, double F32Score) {
-    if ((CompiledScore >= ScoreThreshold) == (F32Score >= ScoreThreshold))
-      return;
-    ++Cmp.Flips;
-    double Distance = std::fabs(CompiledScore - ScoreThreshold);
-    Cmp.WorstFlipDistance = std::max(Cmp.WorstFlipDistance, Distance);
-    if (Distance >= F32ThresholdBand)
-      Cmp.WithinBand = false;
-  };
-  for (const auto &[Rep, Scores] : Compiled.all()) {
-    auto It = F32.all().find(Rep);
-    for (size_t I = 0; I < propgraph::NumRoles; ++I)
-      Check(Scores[static_cast<Role>(I)],
-            It == F32.all().end() ? 0.0
-                                  : It->second[static_cast<Role>(I)]);
-  }
-  // Representations only the fp32 run scored (none in practice — both
-  // solve the same system — but the contract should not silently pass on
-  // asymmetric key sets).
-  for (const auto &[Rep, Scores] : F32.all())
-    if (Compiled.all().find(Rep) == Compiled.all().end())
-      for (size_t I = 0; I < propgraph::NumRoles; ++I)
-        Check(0.0, Scores[static_cast<Role>(I)]);
-  return Cmp;
 }
 
 } // namespace
@@ -115,117 +97,40 @@ int main() {
 
   std::fprintf(stderr, "solver bench: %d project(s), %u parallel job(s)\n",
                NumProjects, Jobs);
-  using solver::SolverBackend;
-  SolveRun LegacySerial = solveWith(Session, SolverBackend::Legacy, 1);
-  SolveRun CompiledSerial = solveWith(Session, SolverBackend::Compiled, 1);
-  SolveRun SimdSerial = solveWith(Session, SolverBackend::Simd, 1);
-  SolveRun SimdF32Serial = solveWith(Session, SolverBackend::SimdF32, 1);
-  SolveRun LegacyParallel = solveWith(Session, SolverBackend::Legacy, Jobs);
-  SolveRun CompiledParallel =
-      solveWith(Session, SolverBackend::Compiled, Jobs);
-  SolveRun SimdParallel = solveWith(Session, SolverBackend::Simd, Jobs);
-  SolveRun SimdF32Parallel =
-      solveWith(Session, SolverBackend::SimdF32, Jobs);
+  // The native runs leave SELDON_SIMD unset: the caller's setting must not
+  // cap the tier being measured.
+  SolveRun Serial = solveWith(Session, 1, nullptr);
+  SolveRun Parallel = solveWith(Session, Jobs, nullptr);
+  SolveRun Scalar = solveWith(Session, 1, "off");
+  unsetenv("SELDON_SIMD");
 
-  bool Identical = LegacySerial.Spec == CompiledSerial.Spec &&
-                   LegacySerial.Spec == LegacyParallel.Spec &&
-                   LegacySerial.Spec == CompiledParallel.Spec;
-  // The fp64 SIMD backend promises byte-identical specs to the compiled
-  // kernel at any job count.
-  bool SimdIdentical = SimdSerial.Spec == CompiledSerial.Spec &&
-                       SimdParallel.Spec == CompiledSerial.Spec;
-  // The fp32 backend promises the same role selection outside the
-  // documented threshold band.
-  F32Comparison F32Serial =
-      compareF32Roles(CompiledSerial.Result.Learned,
-                      SimdF32Serial.Result.Learned);
-  F32Comparison F32Parallel =
-      compareF32Roles(CompiledSerial.Result.Learned,
-                      SimdF32Parallel.Result.Learned);
-  bool F32RolesMatch = F32Serial.WithinBand && F32Parallel.WithinBand;
-  size_t F32Flips = std::max(F32Serial.Flips, F32Parallel.Flips);
-  double F32WorstFlip =
-      std::max(F32Serial.WorstFlipDistance, F32Parallel.WorstFlipDistance);
-
-  // Consume the metrics snapshot: the eight "session/solve" spans (one
-  // per run above, in order) are the timings reported below — the same
-  // values PipelineResult::SolveSeconds carries, read back through the
-  // registry to keep the bench on the shared instrumentation source.
-  std::vector<double> SolveSpanSeconds;
-  for (const metrics::SpanRecord &Span : Reg.spans())
-    if (Span.Path == "session/solve")
-      SolveSpanSeconds.push_back(Span.DurationSeconds);
-  if (SolveSpanSeconds.size() != 8) {
-    std::fprintf(stderr,
-                 "error: expected 8 session/solve spans, found %zu\n",
-                 SolveSpanSeconds.size());
-    return 1;
-  }
-  double LegacySerialSeconds = SolveSpanSeconds[0];
-  double CompiledSerialSeconds = SolveSpanSeconds[1];
-  double SimdSerialSeconds = SolveSpanSeconds[2];
-  double SimdF32SerialSeconds = SolveSpanSeconds[3];
-  double LegacyParallelSeconds = SolveSpanSeconds[4];
-  double CompiledParallelSeconds = SolveSpanSeconds[5];
-  double SimdParallelSeconds = SolveSpanSeconds[6];
-  double SimdF32ParallelSeconds = SolveSpanSeconds[7];
-
-  const infer::PipelineResult &R = CompiledSerial.Result;
+  bool Identical = Serial.Spec == Parallel.Spec && Serial.Spec == Scalar.Spec;
+  const infer::PipelineResult &R = Serial.Result;
   const solver::CompileStats &S = R.SolverStats;
-  auto Speedup = [](double Base, double Fast) {
-    return Fast > 0.0 ? Base / Fast : 0.0;
-  };
-  double SerialSpeedup = Speedup(LegacySerialSeconds, CompiledSerialSeconds);
-  double ParallelSpeedup =
-      Speedup(LegacyParallelSeconds, CompiledParallelSeconds);
-  // SIMD speedups are measured against the compiled kernel — that is the
-  // bar the vectorized layout has to clear, not the legacy evaluator.
-  double SimdSerialSpeedup =
-      Speedup(CompiledSerialSeconds, SimdSerialSeconds);
-  double SimdParallelSpeedup =
-      Speedup(CompiledParallelSeconds, SimdParallelSeconds);
-  double SimdF32SerialSpeedup =
-      Speedup(CompiledSerialSeconds, SimdF32SerialSeconds);
-  double SimdF32ParallelSpeedup =
-      Speedup(CompiledParallelSeconds, SimdF32ParallelSeconds);
-  bool SimdActive = SimdSerial.Result.SimdActive;
+  const char *Tier = solver::kernelTierName(
+      R.SimdActive ? solver::CompiledObjective::hostTier()
+                   : solver::KernelTier::Scalar);
+  double VectorSpeedup = Serial.IterateSeconds > 0.0
+                             ? Scalar.IterateSeconds / Serial.IterateSeconds
+                             : 0.0;
 
   std::fprintf(stderr,
                "system: %zu constraints -> %zu rows (dedup %.2fx), "
                "%zu non-zeros, %d iterations\n",
                S.RowsBefore, S.RowsAfter, S.dedupRatio(), S.NonZeros,
                R.Solve.Iterations);
-  std::fprintf(stderr, "legacy   jobs=1: %.3fs   jobs=%u: %.3fs\n",
-               LegacySerialSeconds, Jobs, LegacyParallelSeconds);
-  std::fprintf(stderr, "compiled jobs=1: %.3fs   jobs=%u: %.3fs\n",
-               CompiledSerialSeconds, Jobs, CompiledParallelSeconds);
-  std::fprintf(stderr, "simd     jobs=1: %.3fs   jobs=%u: %.3fs   (%s)\n",
-               SimdSerialSeconds, Jobs, SimdParallelSeconds,
-               SimdActive ? "avx2" : "scalar fallback");
-  std::fprintf(stderr, "simd-f32 jobs=1: %.3fs   jobs=%u: %.3fs\n",
-               SimdF32SerialSeconds, Jobs, SimdF32ParallelSeconds);
+  std::fprintf(stderr, "compile: %.4fs\n", Serial.CompileSeconds);
   std::fprintf(stderr,
-               "speedup vs legacy   (compiled) jobs=1: %.2fx   jobs=%u: "
-               "%.2fx\n",
-               SerialSpeedup, Jobs, ParallelSpeedup);
-  std::fprintf(stderr,
-               "speedup vs compiled (simd)     jobs=1: %.2fx   jobs=%u: "
-               "%.2fx\n",
-               SimdSerialSpeedup, Jobs, SimdParallelSpeedup);
-  std::fprintf(stderr,
-               "speedup vs compiled (simd-f32) jobs=1: %.2fx   jobs=%u: "
-               "%.2fx\n",
-               SimdF32SerialSpeedup, Jobs, SimdF32ParallelSpeedup);
-  std::fprintf(stderr, "legacy/compiled specs byte-identical: %s\n",
+               "%s tier jobs=1: %.3fs solve, %.3g nnz/s   jobs=%u: %.3fs "
+               "solve\n",
+               Tier, Serial.SolveSeconds, Serial.nnzPerSecond(), Jobs,
+               Parallel.SolveSeconds);
+  std::fprintf(stderr, "scalar tier jobs=1: %.3fs solve, %.3g nnz/s\n",
+               Scalar.SolveSeconds, Scalar.nnzPerSecond());
+  std::fprintf(stderr, "%s tier iterates %.2fx faster than scalar\n", Tier,
+               VectorSpeedup);
+  std::fprintf(stderr, "specs byte-identical across tiers and jobs: %s\n",
                Identical ? "yes" : "NO — EQUIVALENCE BUG");
-  std::fprintf(stderr, "simd fp64 specs byte-identical to compiled: %s\n",
-               SimdIdentical ? "yes" : "NO — EQUIVALENCE BUG");
-  std::fprintf(stderr,
-               "simd-f32 roles match compiled outside ±%.3g band: %s "
-               "(%zu flip(s), worst at %.4f from threshold)\n",
-               F32ThresholdBand,
-               F32RolesMatch ? "yes" : "NO — TOLERANCE BUG", F32Flips,
-               F32WorstFlip);
 
   std::string Json = "{\n";
   Json += formatString("  \"projects\": %d,\n", NumProjects);
@@ -237,43 +142,23 @@ int main() {
   Json += formatString("  \"nonzeros\": %zu,\n", S.NonZeros);
   Json += formatString("  \"max_multiplicity\": %zu,\n", S.MaxMultiplicity);
   Json += formatString("  \"iterations\": %d,\n", R.Solve.Iterations);
+  Json += formatString("  \"tier\": \"%s\",\n", Tier);
   Json += formatString("  \"simd_active\": %s,\n",
-                       SimdActive ? "true" : "false");
-  Json += formatString("  \"legacy_serial_seconds\": %.6f,\n",
-                       LegacySerialSeconds);
-  Json += formatString("  \"compiled_serial_seconds\": %.6f,\n",
-                       CompiledSerialSeconds);
-  Json += formatString("  \"simd_serial_seconds\": %.6f,\n",
-                       SimdSerialSeconds);
-  Json += formatString("  \"simd_f32_serial_seconds\": %.6f,\n",
-                       SimdF32SerialSeconds);
-  Json += formatString("  \"legacy_parallel_seconds\": %.6f,\n",
-                       LegacyParallelSeconds);
-  Json += formatString("  \"compiled_parallel_seconds\": %.6f,\n",
-                       CompiledParallelSeconds);
-  Json += formatString("  \"simd_parallel_seconds\": %.6f,\n",
-                       SimdParallelSeconds);
-  Json += formatString("  \"simd_f32_parallel_seconds\": %.6f,\n",
-                       SimdF32ParallelSeconds);
-  Json += formatString("  \"serial_speedup\": %.4f,\n", SerialSpeedup);
-  Json += formatString("  \"parallel_speedup\": %.4f,\n", ParallelSpeedup);
-  Json += formatString("  \"simd_serial_speedup\": %.4f,\n",
-                       SimdSerialSpeedup);
-  Json += formatString("  \"simd_parallel_speedup\": %.4f,\n",
-                       SimdParallelSpeedup);
-  Json += formatString("  \"simd_f32_serial_speedup\": %.4f,\n",
-                       SimdF32SerialSpeedup);
-  Json += formatString("  \"simd_f32_parallel_speedup\": %.4f,\n",
-                       SimdF32ParallelSpeedup);
+                       R.SimdActive ? "true" : "false");
+  Json += formatString("  \"compile_seconds\": %.6f,\n",
+                       Serial.CompileSeconds);
+  Json += formatString("  \"kernel_nnz_per_second\": %.6g,\n",
+                       Serial.nnzPerSecond());
+  Json += formatString("  \"scalar_nnz_per_second\": %.6g,\n",
+                       Scalar.nnzPerSecond());
+  Json += formatString("  \"vector_speedup\": %.4f,\n", VectorSpeedup);
+  Json += formatString("  \"serial_seconds\": %.6f,\n", Serial.SolveSeconds);
+  Json += formatString("  \"parallel_seconds\": %.6f,\n",
+                       Parallel.SolveSeconds);
+  Json += formatString("  \"scalar_serial_seconds\": %.6f,\n",
+                       Scalar.SolveSeconds);
   Json += formatString("  \"byte_identical\": %s,\n",
                        Identical ? "true" : "false");
-  Json += formatString("  \"simd_byte_identical\": %s,\n",
-                       SimdIdentical ? "true" : "false");
-  Json += formatString("  \"simd_f32_roles_match\": %s,\n",
-                       F32RolesMatch ? "true" : "false");
-  Json += formatString("  \"simd_f32_role_flips\": %zu,\n", F32Flips);
-  Json += formatString("  \"simd_f32_threshold_band\": %.4f,\n",
-                       F32ThresholdBand);
   // Full registry snapshot (indented to nest under this object).
   {
     std::string Snapshot = Reg.toJson();
@@ -290,5 +175,5 @@ int main() {
   Json += "}\n";
   std::fputs(Json.c_str(), stdout);
 
-  return (Identical && SimdIdentical && F32RolesMatch) ? 0 : 1;
+  return Identical ? 0 : 1;
 }

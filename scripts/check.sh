@@ -27,25 +27,40 @@ cmake -B "$ROOT/build-tsan" -S "$ROOT" \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -g"
 cmake --build "$ROOT/build-tsan" -j "$JOBS" \
   --target threadpool_test metrics_test pipeline_parallel_test \
-           compiled_objective_test simd_objective_test cache_fault_test \
+           objective_kernel_test cache_fault_test \
            cache_pipeline_test fault_pipeline_test service_test \
            shard_fault_test shard_pipeline_test active_learning_test \
            feedback_test
 ctest --test-dir "$ROOT/build-tsan" --output-on-failure -j "$JOBS" \
-  -R 'ThreadPoolTest|MetricsTest|TraceTest|MetricsPipelineTest|PipelineParallelTest|CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|SimdF32Test|CodecFaultTest|CacheFaultTest|CachePipelineTest|CacheStalenessTest|CacheDegradedTest|CacheKeyTest|FaultPipelineTest|ServiceTest|ServiceJsonTest|ProtocolTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ActiveLearningTest|UncertaintyTest|FileOracleTest|FeedbackTest'
+  -R 'ThreadPoolTest|MetricsTest|TraceTest|MetricsPipelineTest|PipelineParallelTest|ObjectiveTest|CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|CodecFaultTest|CacheFaultTest|CachePipelineTest|CacheStalenessTest|CacheDegradedTest|CacheKeyTest|FaultPipelineTest|ServiceTest|ServiceJsonTest|ProtocolTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ActiveLearningTest|UncertaintyTest|FileOracleTest|FeedbackTest'
 
 echo
-echo "=== ubsan: solver backends under UndefinedBehaviorSanitizer ==="
-# float-cast-overflow matters here: the fp32 kernels convert doubles to
-# float, and a coefficient overflowing to inf must be a caught bug, not
-# silent UB.
+echo "=== ubsan: the solver kernel under UndefinedBehaviorSanitizer ==="
+# The kernel's compile hashes raw double bit patterns and converts row
+# multiplicities to integers, and its tiers index blocked arrays through
+# gathers and scatters: an out-of-range conversion, shift or index must
+# be a caught bug, not silent UB.
 cmake -B "$ROOT/build-ubsan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=undefined,float-cast-overflow -fno-sanitize-recover=all -g"
 cmake --build "$ROOT/build-ubsan" -j "$JOBS" \
-  --target compiled_objective_test simd_objective_test solver_test
+  --target objective_kernel_test solver_test
 ctest --test-dir "$ROOT/build-ubsan" --output-on-failure -j "$JOBS" \
-  -R 'CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|SimdF32Test|ObjectiveTest|AdamTest|ProjectedGradientTest'
+  -R 'ObjectiveTest|CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|AdamTest|ProjectedGradientTest|SlackSweepTest'
+
+echo
+echo "=== kernel tiers: the kernel test once per SELDON_SIMD setting ==="
+# Tests that do not sweep tiers themselves run on whatever SELDON_SIMD
+# selects, so each run covers one tier end to end (on hosts without
+# AVX2 or AVX-512 the capped settings fall back to a lower tier).
+for TIER in off avx2 ""; do
+  echo "--- SELDON_SIMD=${TIER:-<unset>}"
+  if [ -n "$TIER" ]; then
+    SELDON_SIMD="$TIER" "$ROOT/build/tests/objective_kernel_test" --gtest_brief=1
+  else
+    env -u SELDON_SIMD "$ROOT/build/tests/objective_kernel_test" --gtest_brief=1
+  fi
+done
 
 echo
 echo "=== asan: service + durability tests under AddressSanitizer ==="
@@ -87,9 +102,13 @@ with open(sys.argv[1]) as f:
 if not m["enabled"]:
     sys.exit("FAIL: metrics snapshot reports enabled=false")
 paths = {s["path"] for s in m["spans"]}
-for stage in ("session/parse", "session/constraints", "session/solve"):
+for stage in ("session/build", "session/constraints", "session/solve",
+              "session/solve/compile", "session/solve/iterate",
+              "session/solve/readback"):
     if stage not in paths:
         sys.exit(f"FAIL: missing {stage} span")
+if m.get("spans_dropped") != 0:
+    sys.exit(f"FAIL: a short run dropped {m.get('spans_dropped')} span(s)")
 for s in m["spans"]:
     if s["duration_seconds"] < 0:
         sys.exit(f"FAIL: span {s['path']} has negative duration")

@@ -18,9 +18,9 @@
 ///   until a budget or convergence rule stops it.
 ///
 /// Determinism contract: for a fixed oracle, the query transcript and the
-/// final learned spec are byte-identical at any Jobs value and across the
-/// compiled/simd solver backends — every solve is byte-identical, so the
-/// uncertainty ranking (and hence the pins) never diverges.
+/// final learned spec are byte-identical at any Jobs value and on every
+/// kernel tier — every solve is byte-identical, so the uncertainty ranking
+/// (and hence the pins) never diverges.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -11,8 +11,8 @@
 /// close its learned score sits to the report threshold — the variables
 /// whose role decision the next oracle answer is most likely to flip.
 /// Ties break deterministically by representation name, then role, so the
-/// proposed query order is identical across runs, job counts, and solver
-/// backends (which are themselves byte-identical).
+/// proposed query order is identical across runs, job counts, and kernel
+/// tiers (which are themselves byte-identical).
 ///
 //===----------------------------------------------------------------------===//
 

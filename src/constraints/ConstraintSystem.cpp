@@ -5,25 +5,10 @@
 using namespace seldon;
 using namespace seldon::constraints;
 
-solver::Objective ConstraintSystem::makeObjective(double Lambda) const {
-  solver::Objective Obj(Vars.numVars(), Constraints, Lambda);
-  for (const auto &[Var, Value] : Pinned)
-    Obj.pin(Var, Value);
-  return Obj;
-}
-
 solver::CompiledObjective
-ConstraintSystem::makeCompiledObjective(double Lambda) const {
-  solver::CompiledObjective Obj(Vars.numVars(), Constraints, Lambda);
-  for (const auto &[Var, Value] : Pinned)
-    Obj.pin(Var, Value);
-  return Obj;
-}
-
-solver::SimdObjective
-ConstraintSystem::makeSimdObjective(double Lambda,
-                                    solver::SimdPrecision Precision) const {
-  solver::SimdObjective Obj(Vars.numVars(), Constraints, Lambda, Precision);
+ConstraintSystem::makeCompiledObjective(double Lambda,
+                                        ThreadPool *Pool) const {
+  solver::CompiledObjective Obj(Vars.numVars(), Constraints, Lambda, Pool);
   for (const auto &[Var, Value] : Pinned)
     Obj.pin(Var, Value);
   return Obj;

@@ -18,8 +18,6 @@
 
 #include "constraints/VarTable.h"
 #include "solver/CompiledObjective.h"
-#include "solver/Objective.h"
-#include "solver/SimdObjective.h"
 
 #include <vector>
 
@@ -44,20 +42,12 @@ struct ConstraintSystem {
   /// Mean |Reps(v)| over candidates (Tab. 1 "Average # backoff options").
   double AvgBackoffOptions = 0.0;
 
-  /// Builds the solver objective (hinge relaxation + L1, Eq. 9) with the
-  /// regularization strength \p Lambda.
-  solver::Objective makeObjective(double Lambda) const;
-
-  /// Compiles the system directly into the fused CSR form (same semantics
-  /// as makeObjective; see solver/CompiledObjective.h).
-  solver::CompiledObjective makeCompiledObjective(double Lambda) const;
-
-  /// Compiles the system into the blocked SIMD form (same semantics; fp64
-  /// is bit-identical to the compiled kernel — see solver/SimdObjective.h).
-  solver::SimdObjective
-  makeSimdObjective(double Lambda,
-                    solver::SimdPrecision Precision =
-                        solver::SimdPrecision::F64) const;
+  /// Compiles the solver objective (hinge relaxation + L1, Eq. 9) with
+  /// the regularization strength \p Lambda and the seed pins applied, on
+  /// \p Pool when set (which then also runs the sweeps); see
+  /// solver/CompiledObjective.h.
+  solver::CompiledObjective
+  makeCompiledObjective(double Lambda, ThreadPool *Pool = nullptr) const;
 };
 
 } // namespace constraints

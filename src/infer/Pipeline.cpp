@@ -102,7 +102,7 @@ Session &Session::buildGraph() {
     Observer->onPhase(Phase::BuildGraph);
 
   metrics::Registry &Reg = metrics::Registry::global();
-  trace::Span BuildSpan(Reg, "session/parse");
+  trace::Span BuildSpan(Reg, "session/build");
   metrics::TimerStat *ProjectTimer =
       Reg.enabled() ? &Reg.timer("build.project_seconds") : nullptr;
   const size_t Total = Projects.size();
@@ -515,47 +515,30 @@ PipelineResult Session::solve() {
 
   metrics::Registry &Reg = metrics::Registry::global();
   trace::Span SolveSpan(Reg, "session/solve");
-  // Either evaluator runs the same optimizer loop over the same system;
-  // the learned scores are byte-identical (see docs/architecture.md).
-  auto RunSolver = [&](const auto &Obj) {
-    if (Opts.UseAdam) {
-      solver::AdamOptimizer Optimizer(SolveOpts);
-      Result.Solve = Optimizer.minimize(Obj);
-    } else {
-      solver::ProjectedGradient Optimizer(SolveOpts);
-      Result.Solve = Optimizer.minimize(Obj);
-    }
-  };
   Result.Backend = SolveOpts.Backend;
-  switch (SolveOpts.Backend) {
-  case solver::SolverBackend::Legacy: {
-    solver::Objective Obj = Result.System.makeObjective(Opts.Lambda);
-    Obj.setThreadPool(P);
-    RunSolver(Obj);
-    break;
-  }
-  case solver::SolverBackend::Compiled: {
+  {
+    // Child spans split the stage into session/solve/{compile, iterate,
+    // readback}.
+    trace::Span Compile(Reg, "compile");
     solver::CompiledObjective Obj =
-        Result.System.makeCompiledObjective(Opts.Lambda);
-    Obj.setThreadPool(P);
-    Result.UsedCompiledSolver = true;
-    Result.SolverStats = Obj.stats();
-    RunSolver(Obj);
-    break;
-  }
-  case solver::SolverBackend::Simd:
-  case solver::SolverBackend::SimdF32: {
-    solver::SimdObjective Obj = Result.System.makeSimdObjective(
-        Opts.Lambda, SolveOpts.Backend == solver::SolverBackend::SimdF32
-                         ? solver::SimdPrecision::F32
-                         : solver::SimdPrecision::F64);
-    Obj.setThreadPool(P);
-    Result.UsedCompiledSolver = true;
+        Result.System.makeCompiledObjective(Opts.Lambda, P);
     Result.SolverStats = Obj.stats();
     Result.SimdActive = Obj.simdActive();
-    RunSolver(Obj);
-    break;
+    Compile.finish();
+    trace::Span Iterate(Reg, "iterate");
+    if (Opts.UseAdam)
+      Result.Solve = solver::AdamOptimizer(SolveOpts).minimize(Obj);
+    else
+      Result.Solve = solver::ProjectedGradient(SolveOpts).minimize(Obj);
   }
+  {
+    // Read scores back: one entry per (representation, role) variable.
+    trace::Span Readback(Reg, "readback");
+    const constraints::VarTable &Vars = Result.System.Vars;
+    for (uint32_t V = 0; V < Vars.numVars(); ++V) {
+      const std::string &Rep = Result.Reps.repString(Vars.repOf(V));
+      Result.Learned.setScore(Rep, Vars.roleOf(V), Result.Solve.X[V]);
+    }
   }
   Result.SolveSeconds = SolveSpan.finish();
 
@@ -578,8 +561,6 @@ PipelineResult Session::solve() {
     Reg.gauge("solver.nonzeros").set(static_cast<double>(CS.NonZeros));
     Reg.gauge("solver.max_multiplicity")
         .set(static_cast<double>(CS.MaxMultiplicity));
-    Reg.gauge("solver.compiled")
-        .set(Result.UsedCompiledSolver ? 1.0 : 0.0);
     Reg.gauge("solver.backend")
         .set(static_cast<double>(Result.Backend));
     Reg.gauge("solver.simd_active").set(Result.SimdActive ? 1.0 : 0.0);
@@ -614,13 +595,6 @@ PipelineResult Session::solve() {
   }
   if (Observer)
     Observer->onStageFinished(Phase::Solve, Result.SolveSeconds);
-
-  // Read scores back: one entry per (representation, role) variable.
-  const constraints::VarTable &Vars = Result.System.Vars;
-  for (uint32_t V = 0; V < Vars.numVars(); ++V) {
-    const std::string &Rep = Result.Reps.repString(Vars.repOf(V));
-    Result.Learned.setScore(Rep, Vars.roleOf(V), Result.Solve.X[V]);
-  }
   return Result;
 }
 

@@ -501,8 +501,8 @@ std::string Service::opLearn(const Request &Req, Deadline &D) {
   if (const JsonValue *B = Req.Params.get("backend")) {
     if (!B->isString() ||
         !solver::parseSolverBackend(B->stringValue(), Backend))
-      badRequest(
-          "\"backend\" must be one of legacy|compiled|simd|simd-f32");
+      badRequest(std::string("\"backend\" must be ") +
+                 solver::SolverBackendChoices);
   }
 
   checkDeadline(D, Reload ? "reload" : "solve");

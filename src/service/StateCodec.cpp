@@ -136,13 +136,16 @@ JournalRecord decodeRecordPayload(ByteReader &Reader) {
     Record.Iters = Reader.getVarint("learn iters");
     Record.WarmStart = getBool(Reader, "learn warm flag") != 0;
     Record.Reload = getBool(Reader, "learn reload flag") != 0;
+    // Bytes 0-3 named the legacy, compiled, simd and simd-f32 evaluators,
+    // which have since merged into the one compiled kernel. Every one of
+    // them replays on it, so a journal written before the merge still
+    // recovers; new records write 1.
     uint8_t Backend = Reader.getByte("learn backend");
-    if (Reader.ok() &&
-        Backend > static_cast<uint8_t>(solver::SolverBackend::SimdF32)) {
+    if (Reader.ok() && Backend > 3) {
       Reader.fail(formatString("unknown solver backend %u", Backend));
       break;
     }
-    Record.Backend = static_cast<solver::SolverBackend>(Backend);
+    Record.Backend = solver::SolverBackend::Compiled;
     break;
   }
   case JournalOp::Abort:

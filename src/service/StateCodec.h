@@ -42,7 +42,7 @@
 #include "constraints/ConstraintSystem.h"
 #include "constraints/Feedback.h"
 #include "propgraph/RepTable.h"
-#include "solver/Objective.h"
+#include "solver/Problem.h"
 #include "support/IOResult.h"
 
 #include <cstdint>

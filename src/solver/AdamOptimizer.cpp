@@ -2,9 +2,7 @@
 
 #include "solver/AdamOptimizer.h"
 
-#include "solver/CompiledObjective.h"
 #include "solver/NumericGuard.h"
-#include "solver/SimdObjective.h"
 #include "solver/SolveTelemetry.h"
 #include "support/Timer.h"
 
@@ -14,8 +12,7 @@
 using namespace seldon;
 using namespace seldon::solver;
 
-template <class ObjT>
-SolveResult AdamOptimizer::minimize(const ObjT &Obj) const {
+SolveResult AdamOptimizer::minimize(const CompiledObjective &Obj) const {
   // A warm-start point for a different variable count is a caller bug
   // (stale spec mapped onto the wrong system); fall back to the exact
   // cold start rather than solving the wrong problem.
@@ -25,8 +22,7 @@ SolveResult AdamOptimizer::minimize(const ObjT &Obj) const {
   return minimize(Obj, Obj.initialPoint());
 }
 
-template <class ObjT>
-SolveResult AdamOptimizer::minimize(const ObjT &Obj,
+SolveResult AdamOptimizer::minimize(const CompiledObjective &Obj,
                                     std::vector<double> X0) const {
   SolveResult Result;
   Result.X = std::move(X0);
@@ -156,25 +152,3 @@ SolveResult AdamOptimizer::minimize(const ObjT &Obj,
     Result.FinalObjective = 0.0; // Nothing finite past the start (FellBack).
   return Result;
 }
-
-namespace seldon {
-namespace solver {
-
-template SolveResult AdamOptimizer::minimize<Objective>(const Objective &)
-    const;
-template SolveResult
-AdamOptimizer::minimize<Objective>(const Objective &,
-                                   std::vector<double>) const;
-template SolveResult
-AdamOptimizer::minimize<CompiledObjective>(const CompiledObjective &) const;
-template SolveResult
-AdamOptimizer::minimize<CompiledObjective>(const CompiledObjective &,
-                                           std::vector<double>) const;
-template SolveResult
-AdamOptimizer::minimize<SimdObjective>(const SimdObjective &) const;
-template SolveResult
-AdamOptimizer::minimize<SimdObjective>(const SimdObjective &,
-                                       std::vector<double>) const;
-
-} // namespace solver
-} // namespace seldon

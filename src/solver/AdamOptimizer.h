@@ -11,39 +11,34 @@
 /// estimates and bias correction, projecting onto [0,1] (and the pinned
 /// seed values) after every step.
 ///
-/// The loop drives any objective exposing the fused interface
-/// (numVars / project / initialPoint / valueAndGradient) and needs exactly
-/// one valueAndGradient evaluation per iteration: the objective value, the
-/// stationarity probe, best-iterate tracking, and the progress callback all
-/// derive from that single call. On a CompiledObjective that is one
-/// constraint sweep per iteration; the legacy Objective's reference
-/// implementation spends two sweeps inside valueAndGradient.
+/// The loop needs exactly one CompiledObjective::valueAndGradient
+/// evaluation — one constraint sweep — per iteration: the objective value,
+/// the stationarity probe, best-iterate tracking, and the progress callback
+/// all derive from that single call.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELDON_SOLVER_ADAMOPTIMIZER_H
 #define SELDON_SOLVER_ADAMOPTIMIZER_H
 
-#include "solver/Objective.h"
+#include "solver/CompiledObjective.h"
 
 namespace seldon {
 namespace solver {
 
-class CompiledObjective;
-
-/// Projected Adam gradient descent over Objective or CompiledObjective
-/// (explicitly instantiated for both in AdamOptimizer.cpp).
+/// Projected Adam gradient descent.
 class AdamOptimizer {
 public:
   explicit AdamOptimizer(SolveOptions Options = SolveOptions())
       : Options(Options) {}
 
-  /// Minimizes \p Obj starting from Obj.initialPoint().
-  template <class ObjT> SolveResult minimize(const ObjT &Obj) const;
+  /// Minimizes \p Obj starting from Obj.initialPoint(), or from
+  /// SolveOptions::WarmStart when its size matches.
+  SolveResult minimize(const CompiledObjective &Obj) const;
 
   /// Minimizes \p Obj starting from \p X0 (projected first).
-  template <class ObjT>
-  SolveResult minimize(const ObjT &Obj, std::vector<double> X0) const;
+  SolveResult minimize(const CompiledObjective &Obj,
+                       std::vector<double> X0) const;
 
 private:
   SolveOptions Options;

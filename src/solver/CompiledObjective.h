@@ -1,4 +1,4 @@
-//===- solver/CompiledObjective.h - Compiled fused solver kernel -*- C++ -*-===//
+//===- solver/CompiledObjective.h - The solver kernel ------------*- C++ -*-===//
 //
 // Part of seldon-cpp, a reproduction of "Scalable Taint Specification
 // Inference with Big Code" (PLDI 2019).
@@ -6,47 +6,81 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The constraint compilation pass: lowers the `LinearConstraint` list of a
-/// generated system into an immutable, flat, duplicate-coalesced form with
-/// a fused single-pass value+gradient kernel.
+/// The solver kernel: lowers the `LinearConstraint` list of a generated
+/// system into an immutable, duplicate-coalesced CSR form and evaluates the
+/// relaxed objective over it with a blocked, vectorized value sweep.
 ///
-/// Compilation performs three lowerings:
+/// Compilation performs four lowerings:
 ///
 ///  1. **Canonicalization.** Each constraint Σ Lhs ≤ Σ Rhs + C becomes one
 ///     row Σ c_i·x_i ≤ C: Rhs terms move to the Lhs with negated
 ///     coefficients, terms are sorted by variable id, duplicate variables
 ///     are merged by summing coefficients (in double precision — the sum
 ///     of the original float coefficients is exact), and exact-zero
-///     coefficients are dropped.
+///     coefficients are dropped. Constraints are canonicalized a window at
+///     a time into one reused term buffer (in parallel when a pool is
+///     given); the pass makes no per-constraint allocation.
 ///
 ///  2. **Coalescing.** Big-code corpora instantiate the same (rep, role)
 ///     inequality thousands of times across files; canonically-identical
 ///     rows collapse into one row with an integer multiplicity. This is
-///     exact: K identical hinges sum to K · max(0, V).
+///     exact: K identical hinges sum to K · max(0, V). Rows are found by a
+///     64-bit hash of the canonical (C, var, coef) image in a flat
+///     open-addressing table of row ids; equality is decided by comparing
+///     the stored CSR row bitwise, never by the hash alone. Survivors keep
+///     their first-occurrence order.
 ///
 ///  3. **CSR layout.** Survivors are stored in flat RowBegin / VarIdx /
-///     Coef / Weight / C arrays — no per-constraint heap vectors, one
-///     contiguous streaming pass per sweep.
+///     Coef / Weight / C arrays.
 ///
-/// The fused kernel valueAndGradient() computes the objective value and a
-/// subgradient in a single constraint sweep (the legacy `Objective` needs
-/// one sweep for each). Rows are sharded exactly like the legacy class —
-/// the shard structure depends only on the row count, never the thread
-/// count — and shard partials are reduced in shard order, so results are
-/// bit-identical for every Jobs setting. Pins and the L1 term are applied
-/// in a flat epilogue over a `uint8_t` mask.
+///  4. **Blocked layout.** Within each shard, rows are stably sorted by
+///     descending length and packed into SELL-C blocks of `Lanes` rows
+///     (4 for the scalar and AVX2 tiers, 8 for AVX-512). A block stores its
+///     coefficients lane-interleaved — entry (j, lane) at
+///     `Off + j·Lanes + lane` — so one vector load per j advances every
+///     lane's dot product by one term. Short lanes are padded with
+///     (VarIdx 0, Coef 0.0) entries.
 ///
-/// See docs/architecture.md ("The compiled solver kernel") for why the
-/// learned specification stays byte-identical to the legacy path.
+/// A sweep runs the value pass over the blocks, storing each row's weighted
+/// hinge H = Weight · max(V, 0), then an epilogue in the **original row
+/// order** that sums H and scatters precomputed Weight·Coef products into
+/// the gradient. The value pass is dispatched at construction to an
+/// AVX-512, AVX2 or scalar tier (SELDON_SIMD=off|avx2 caps it). Why every
+/// tier and every Jobs setting produce the same bits as a plain
+/// row-at-a-time loop over the CSR rows:
+///
+///  * Each lane accumulates **its own row's** terms in CSR order,
+///    `Acc = Acc + Coef·X` per step, with separate mul and add (no FMA —
+///    CompiledObjective.cpp is built with -ffp-contract=off). A vector
+///    add/mul rounds each lane independently, so the chain per row is the
+///    same sequence of IEEE operations as a scalar loop.
+///  * Padding appends `+ 0.0·X[0]` terms, which cannot change a finite
+///    lane value (projection keeps X in [0, 1], so the product is +0.0 and
+///    v + 0.0 == v for every finite v except -0.0 — and a row value of
+///    ±0.0 is on the satisfied side of the `V <= 0` test either way).
+///  * `max` then a separate multiply forms H; `H > 0` iff `V > 0` (weights
+///    are ≥ 1), so H alone drives the epilogue.
+///  * The epilogue accumulates H in ascending row order, skipping exact
+///    zeros, and the scatter adds the `Weight · Coef` products — formed by
+///    the same scalar multiply a row loop issues per term — to the same
+///    variables in the same order. The AVX-512 tier first compacts the
+///    violated rows with an order-preserving masked compress, which visits
+///    the same rows in the same order without the per-row branch.
+///  * Rows are sharded by a rule that depends only on the row count, and
+///    shard partials are reduced in shard order.
+///
+/// Pins and the L1 term are applied in a flat epilogue over a `uint8_t`
+/// mask.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELDON_SOLVER_COMPILEDOBJECTIVE_H
 #define SELDON_SOLVER_COMPILEDOBJECTIVE_H
 
-#include "solver/Objective.h"
+#include "solver/Problem.h"
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace seldon {
@@ -54,6 +88,12 @@ namespace seldon {
 class ThreadPool;
 
 namespace solver {
+
+/// Shard partitioning rule: shards smaller than MinShardSize are not worth
+/// a task dispatch; the cap bounds the per-shard gradient buffers
+/// (MaxShards * NumVars doubles).
+constexpr size_t MinShardSize = 1024;
+constexpr size_t MaxShards = 32;
 
 /// What the compilation pass did to the constraint system.
 struct CompileStats {
@@ -76,19 +116,27 @@ struct CompileStats {
   }
 };
 
+/// The value-pass implementation a CompiledObjective dispatched to.
+enum class KernelTier {
+  Scalar, ///< Portable loops; the only tier on non-x86 or pre-AVX2 hosts.
+  Avx2,   ///< 4 fp64 lanes per block.
+  Avx512, ///< 8 fp64 lanes per block (AVX512F + AVX512VL).
+};
+
+/// Printable tier name: "scalar" | "avx2" | "avx512".
+const char *kernelTierName(KernelTier Tier);
+
 /// The relaxed objective of paper Eq. (9) over a compiled constraint
-/// system. Immutable row data; same semantics as `Objective`, evaluated by
-/// a fused single-sweep kernel.
+/// system.
 class CompiledObjective {
 public:
-  /// Compiles \p Constraints (not retained) into CSR form.
+  /// Compiles \p Constraints (not retained), on \p Pool when set, which
+  /// then also runs the sweeps (see setThreadPool). Throws
+  /// std::runtime_error when the coalesced system overflows the 32-bit
+  /// CSR offsets.
   CompiledObjective(size_t NumVars,
                     const std::vector<LinearConstraint> &Constraints,
-                    double Lambda);
-
-  /// Compiles an existing legacy objective, copying its pins; the tests
-  /// and benches use this to compare both evaluators on one system.
-  static CompiledObjective compile(const Objective &Obj);
+                    double Lambda, ThreadPool *Pool = nullptr);
 
   /// Evaluates sweeps on \p Pool (one task per shard); null reverts to
   /// serial execution with identical arithmetic. The pool must outlive
@@ -131,36 +179,62 @@ public:
   const CompileStats &stats() const { return Stats; }
   size_t numShards() const { return Shards.size(); }
 
-  /// Read-only views of the compiled CSR arrays and pin state. The SIMD
-  /// backend builds its blocked layout from these rows and keeps this
-  /// exact layout for its original-order gradient epilogue.
+  /// The dispatched value-pass tier, fixed at construction.
+  KernelTier tier() const { return Tier; }
+  /// True when a vector tier (AVX2 or AVX-512) was dispatched.
+  bool simdActive() const { return Tier != KernelTier::Scalar; }
+  /// The best tier this host supports, capped by SELDON_SIMD
+  /// (off|0|scalar forces Scalar, avx2 caps at Avx2). Read per call.
+  static KernelTier hostTier();
+
+  /// Read-only views of the compiled CSR rows (tests and diagnostics).
   const std::vector<uint32_t> &rowBegin() const { return RowBegin; }
   const std::vector<uint32_t> &varIdx() const { return VarIdx; }
   const std::vector<double> &coef() const { return Coef; }
   const std::vector<double> &weight() const { return Weight; }
   const std::vector<double> &rowConstant() const { return C; }
-  const std::vector<uint8_t> &pinnedMask() const { return Pinned; }
-  const std::vector<double> &pinnedValues() const { return PinnedValues; }
+
+  /// Blocked-layout shape (tests and diagnostics).
+  size_t numBlocks() const { return BlockWidth.size(); }
+  size_t lanesPerBlock() const { return Lanes; }
+  /// Padded entries the blocking added on top of numNonZeros().
+  size_t paddedEntries() const { return BIdx.size() - VarIdx.size(); }
 
 private:
-  /// Half-open row range [Begin, End) accumulated serially.
+  /// Row range [Begin, End) and its block range [BlockBegin, BlockEnd).
   struct Shard {
     size_t Begin = 0;
     size_t End = 0;
+    size_t BlockBegin = 0;
+    size_t BlockEnd = 0;
   };
 
-  /// Streams shard \p S once: returns its weighted hinge loss and, when
-  /// \p GradOut is non-null, adds the weighted hinge subgradient into it.
-  double shardSweep(const Shard &S, const double *X, double *GradOut) const;
+  /// Runs \p Body(0 .. N-1) on the pool when set, else serially.
+  void forEach(size_t N, const std::function<void(size_t)> &Body) const;
 
-  /// Runs the sweep over all shards (on the pool when set) and reduces
-  /// hinge partials in shard order; per-shard gradients land in ShardGrad
-  /// when \p WithGradient is set and more than one shard exists.
+  /// Canonicalizes and coalesces \p Constraints into the CSR arrays.
+  void compileRows(const std::vector<LinearConstraint> &Constraints);
+
+  /// Builds the shards and the sliced layout from the CSR arrays.
+  void buildBlocks();
+
+  /// Runs the blocked value pass for one shard, storing each row's
+  /// weighted hinge into RowHinge (indexed by original row).
+  void valuePass(const Shard &S, const double *X) const;
+
+  /// Original-order pass over rows [Begin, End): hinge total and (when
+  /// \p GradOut is non-null) the gradient scatter.
+  double shardEpilogue(size_t Begin, size_t End, double *GradOut) const;
+
+  /// Runs every shard (on the pool when set) and reduces hinge partials
+  /// and gradient buffers in shard order.
   double sweep(const std::vector<double> &X, bool WithGradient,
                std::vector<double> *Grad) const;
 
   size_t NumVars;
   double Lambda;
+  KernelTier Tier;
+  size_t Lanes;
 
   /// CSR rows: row R spans [RowBegin[R], RowBegin[R + 1]) in VarIdx/Coef.
   std::vector<uint32_t> RowBegin;
@@ -172,6 +246,20 @@ private:
   /// Row constants (the C of Σ c_i·x_i ≤ C).
   std::vector<double> C;
 
+  /// Sliced layout. Block b covers lanes BlockRows[b·Lanes .. +Lanes)
+  /// (Sentinel = numRows marks a padding lane), has width BlockWidth[b]
+  /// and data at BlockOff[b], lane-interleaved.
+  std::vector<size_t> BlockOff;
+  std::vector<uint32_t> BlockWidth;
+  std::vector<uint32_t> BlockRows;
+  std::vector<uint32_t> BIdx;
+  std::vector<double> BVal;
+  std::vector<double> BNegC; ///< −C per lane.
+  std::vector<double> BW;    ///< Weight per lane.
+  /// Weight·Coef per CSR entry, in CSR order: the gradient scatter's
+  /// operands.
+  std::vector<double> WCoef;
+
   /// Flat pin mask (1 = pinned) and the pinned values.
   std::vector<uint8_t> Pinned;
   std::vector<double> PinnedValues;
@@ -180,8 +268,16 @@ private:
 
   std::vector<Shard> Shards;
   ThreadPool *Pool = nullptr;
-  /// Per-shard reduction buffers, reused across iterations (only
-  /// allocated when more than one shard exists).
+
+  /// Per-row weighted hinge from the value pass (original row index).
+  mutable std::vector<double> RowHinge;
+  /// Violated-row compaction scratch for the AVX-512 epilogue; each
+  /// shard writes only its own [Begin, End) subrange, so parallel sweeps
+  /// never share a region.
+  mutable std::vector<uint32_t> RScratch;
+  mutable std::vector<double> HScratch;
+  /// Per-shard reduction buffers, reused across iterations (only used
+  /// when more than one shard exists).
   mutable std::vector<std::vector<double>> ShardGrad;
   mutable std::vector<double> ShardHinge;
 };

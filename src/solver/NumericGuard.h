@@ -18,6 +18,7 @@
 #ifndef SELDON_SOLVER_NUMERICGUARD_H
 #define SELDON_SOLVER_NUMERICGUARD_H
 
+#include "solver/CompiledObjective.h"
 #include "support/FaultInjection.h"
 
 #include <cmath>
@@ -40,8 +41,8 @@ inline bool allFinite(double Value, const std::vector<double> &Grad) {
 
 /// One fused objective evaluation, poisoned to NaN when the `solver-step`
 /// fault point is armed for \p Iter.
-template <class ObjT>
-inline double guardedEval(const ObjT &Obj, const std::vector<double> &X,
+inline double guardedEval(const CompiledObjective &Obj,
+                          const std::vector<double> &X,
                           std::vector<double> &Grad, int Iter) {
   double Value = Obj.valueAndGradient(X, Grad);
   if (fault::enabled() &&

@@ -2,9 +2,7 @@
 
 #include "solver/ProjectedGradient.h"
 
-#include "solver/CompiledObjective.h"
 #include "solver/NumericGuard.h"
-#include "solver/SimdObjective.h"
 #include "solver/SolveTelemetry.h"
 #include "support/Timer.h"
 
@@ -13,8 +11,7 @@
 using namespace seldon;
 using namespace seldon::solver;
 
-template <class ObjT>
-SolveResult ProjectedGradient::minimize(const ObjT &Obj) const {
+SolveResult ProjectedGradient::minimize(const CompiledObjective &Obj) const {
   // Same contract as AdamOptimizer: a size-mismatched warm-start point is
   // ignored in favor of the exact cold start.
   if (!Options.WarmStart.empty() &&
@@ -23,8 +20,7 @@ SolveResult ProjectedGradient::minimize(const ObjT &Obj) const {
   return minimize(Obj, Obj.initialPoint());
 }
 
-template <class ObjT>
-SolveResult ProjectedGradient::minimize(const ObjT &Obj,
+SolveResult ProjectedGradient::minimize(const CompiledObjective &Obj,
                                         std::vector<double> X0) const {
   SolveResult Result;
   Result.X = std::move(X0);
@@ -114,25 +110,3 @@ SolveResult ProjectedGradient::minimize(const ObjT &Obj,
     Result.FinalObjective = 0.0; // Nothing finite past the start (FellBack).
   return Result;
 }
-
-namespace seldon {
-namespace solver {
-
-template SolveResult ProjectedGradient::minimize<Objective>(const Objective &)
-    const;
-template SolveResult
-ProjectedGradient::minimize<Objective>(const Objective &,
-                                       std::vector<double>) const;
-template SolveResult ProjectedGradient::minimize<CompiledObjective>(
-    const CompiledObjective &) const;
-template SolveResult
-ProjectedGradient::minimize<CompiledObjective>(const CompiledObjective &,
-                                               std::vector<double>) const;
-template SolveResult
-ProjectedGradient::minimize<SimdObjective>(const SimdObjective &) const;
-template SolveResult
-ProjectedGradient::minimize<SimdObjective>(const SimdObjective &,
-                                           std::vector<double>) const;
-
-} // namespace solver
-} // namespace seldon

@@ -10,34 +10,32 @@
 /// by the optimizer-choice ablation and as a sanity cross-check of Adam:
 /// both must converge to the same objective value on convex systems.
 ///
-/// Like AdamOptimizer, the loop drives any objective exposing the fused
-/// interface and performs one valueAndGradient evaluation per iteration.
+/// Like AdamOptimizer, the loop performs one valueAndGradient evaluation
+/// per iteration.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELDON_SOLVER_PROJECTEDGRADIENT_H
 #define SELDON_SOLVER_PROJECTEDGRADIENT_H
 
-#include "solver/Objective.h"
+#include "solver/CompiledObjective.h"
 
 namespace seldon {
 namespace solver {
 
-class CompiledObjective;
-
-/// Projected subgradient descent with diminishing steps, over Objective or
-/// CompiledObjective (explicitly instantiated in ProjectedGradient.cpp).
+/// Projected subgradient descent with diminishing steps.
 class ProjectedGradient {
 public:
   explicit ProjectedGradient(SolveOptions Options = SolveOptions())
       : Options(Options) {}
 
-  /// Minimizes \p Obj starting from Obj.initialPoint().
-  template <class ObjT> SolveResult minimize(const ObjT &Obj) const;
+  /// Minimizes \p Obj starting from Obj.initialPoint(), or from
+  /// SolveOptions::WarmStart when its size matches.
+  SolveResult minimize(const CompiledObjective &Obj) const;
 
   /// Minimizes starting from \p X0 (projected first).
-  template <class ObjT>
-  SolveResult minimize(const ObjT &Obj, std::vector<double> X0) const;
+  SolveResult minimize(const CompiledObjective &Obj,
+                       std::vector<double> X0) const;
 
 private:
   SolveOptions Options;

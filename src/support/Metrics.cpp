@@ -180,13 +180,32 @@ Series &Registry::series(std::string_view Name, size_t Capacity) {
 void Registry::recordSpan(std::string Path, double StartSeconds,
                           double DurationSeconds) {
   std::lock_guard<std::mutex> Lock(Mutex);
-  Spans.push_back(
-      SpanRecord{std::move(Path), StartSeconds, DurationSeconds});
+  SpanRecord Record{std::move(Path), StartSeconds, DurationSeconds};
+  if (Spans.size() < SpanCapacity) {
+    Spans.push_back(std::move(Record));
+    return;
+  }
+  Spans[SpanHead] = std::move(Record);
+  SpanHead = (SpanHead + 1) % SpanCapacity;
+  ++SpansDropped;
+}
+
+std::vector<SpanRecord> Registry::orderedSpans() const {
+  std::vector<SpanRecord> Out;
+  Out.reserve(Spans.size());
+  Out.insert(Out.end(), Spans.begin() + SpanHead, Spans.end());
+  Out.insert(Out.end(), Spans.begin(), Spans.begin() + SpanHead);
+  return Out;
 }
 
 std::vector<SpanRecord> Registry::spans() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  return Spans;
+  return orderedSpans();
+}
+
+uint64_t Registry::spansDropped() const {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return SpansDropped;
 }
 
 double Registry::now() const {
@@ -206,6 +225,8 @@ void Registry::reset() {
   for (auto &[Name, S] : AllSeries)
     S->reset();
   Spans.clear();
+  SpanHead = 0;
+  SpansDropped = 0;
 }
 
 std::string Registry::toJson() const {
@@ -270,9 +291,11 @@ std::string Registry::toJson() const {
   }
   Out += First ? "},\n" : "\n  },\n";
 
+  Out += formatString("  \"spans_dropped\": %llu,\n",
+                      static_cast<unsigned long long>(SpansDropped));
   Out += "  \"spans\": [";
   First = true;
-  for (const SpanRecord &S : Spans) {
+  for (const SpanRecord &S : orderedSpans()) {
     Out += formatString("%s\n    {\"path\": \"%s\", \"start_seconds\": %s, "
                         "\"duration_seconds\": %s}",
                         First ? "" : ",", jsonEscape(S.Path).c_str(),
@@ -291,10 +314,15 @@ std::string Registry::renderText() const {
 
   if (!Spans.empty()) {
     TablePrinter T({"span", "start s", "duration s"});
-    for (const SpanRecord &S : Spans)
+    for (const SpanRecord &S : orderedSpans())
       T.addRow({S.Path, formatString("%.3f", S.StartSeconds),
                 formatString("%.3f", S.DurationSeconds)});
     T.print(OS);
+    if (SpansDropped > 0)
+      OS << formatString("(%llu older span(s) dropped; the log keeps the "
+                         "most recent %zu)\n",
+                         static_cast<unsigned long long>(SpansDropped),
+                         SpanCapacity);
     OS << '\n';
   }
   if (!Counters.empty()) {

@@ -162,6 +162,9 @@ struct SpanRecord {
 /// Thread-safe named metric registry with a JSON / plain-text snapshot.
 class Registry {
 public:
+  /// Span records a registry keeps; see recordSpan().
+  static constexpr size_t SpanCapacity = 4096;
+
   /// A registry starts enabled unless constructed otherwise; the global()
   /// registry starts disabled so uninstrumented runs pay one relaxed load
   /// per metric site.
@@ -184,10 +187,16 @@ public:
   /// uniform); it only applies when the series is first created.
   Series &series(std::string_view Name, size_t Capacity = 512);
 
-  /// Appends a finished span (called by trace::Span).
+  /// Appends a finished span (called by trace::Span). The log is a fixed
+  /// ring of the most recent SpanCapacity records, so a long-lived process
+  /// (seldond records four per re-solve) stays bounded; each record it
+  /// overwrites is counted in spansDropped().
   void recordSpan(std::string Path, double StartSeconds,
                   double DurationSeconds);
+  /// The kept spans, oldest first (finish order).
   std::vector<SpanRecord> spans() const;
+  /// Spans overwritten by the ring since construction or reset().
+  uint64_t spansDropped() const;
 
   /// Seconds since the registry was constructed (span start offsets).
   double now() const;
@@ -198,7 +207,8 @@ public:
 
   /// Machine-readable snapshot:
   /// {"enabled":…, "counters":{…}, "gauges":{…}, "timers":{…},
-  ///  "series":{…}, "spans":[…]} — keys sorted, spans in finish order.
+  ///  "series":{…}, "spans_dropped":N, "spans":[…]} — metric names
+  /// sorted, kept spans in finish order.
   std::string toJson() const;
 
   /// Human-readable snapshot (aligned tables per metric kind; empty kinds
@@ -209,13 +219,20 @@ public:
   static Registry &global();
 
 private:
+  /// The span ring unrolled oldest first; the caller holds Mutex.
+  std::vector<SpanRecord> orderedSpans() const;
+
   std::atomic<bool> Enabled;
   mutable std::mutex Mutex;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> Counters;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> Gauges;
   std::map<std::string, std::unique_ptr<TimerStat>, std::less<>> Timers;
   std::map<std::string, std::unique_ptr<Series>, std::less<>> AllSeries;
+  /// Span ring: grows to SpanCapacity, then SpanHead marks the oldest
+  /// record, which the next recordSpan() overwrites.
   std::vector<SpanRecord> Spans;
+  size_t SpanHead = 0;
+  uint64_t SpansDropped = 0;
   std::chrono::steady_clock::time_point Epoch =
       std::chrono::steady_clock::now();
 };

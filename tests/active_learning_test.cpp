@@ -4,11 +4,12 @@
 // corpus: starting from half the hand-written seed, the loop must recover
 // full-seed passive quality with measurably fewer oracle labels than
 // pinning every candidate, the query transcript and learned spec must be
-// byte-identical at any --jobs value and across the compiled/simd
-// backends, and a replayed transcript must reproduce the run exactly.
+// byte-identical at any --jobs value and on every kernel tier, and a
+// replayed transcript must reproduce the run exactly.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ScopedEnv.h"
 #include "TestCorpus.h"
 
 #include "active/ActiveLearner.h"
@@ -31,22 +32,16 @@ constexpr uint64_t CorpusSeed = 13;
 constexpr int CorpusProjects = 8;
 constexpr int SolveIterations = 300;
 
-infer::PipelineOptions
-testPipelineOptions(unsigned Jobs = 1,
-                    solver::SolverBackend Backend =
-                        solver::SolverBackend::Compiled) {
+infer::PipelineOptions testPipelineOptions(unsigned Jobs = 1) {
   infer::PipelineOptions P;
   P.Solve.MaxIterations = SolveIterations;
   P.Jobs = Jobs;
-  P.Solve.Backend = Backend;
   return P;
 }
 
 ActiveResult runActive(const corpus::Corpus &Data, Oracle &O,
-                       const ActiveOptions &AO, unsigned Jobs = 1,
-                       solver::SolverBackend Backend =
-                           solver::SolverBackend::Compiled) {
-  infer::Session S(testPipelineOptions(Jobs, Backend));
+                       const ActiveOptions &AO, unsigned Jobs = 1) {
+  infer::Session S(testPipelineOptions(Jobs));
   S.addProjects(Data.Projects);
   return runActiveLoop(S, Data.Seed, O, AO);
 }
@@ -118,8 +113,8 @@ TEST(ActiveLearningTest, RecoversFullSeedQualityWithHalfTheLabels) {
 }
 
 //===----------------------------------------------------------------------===//
-// Determinism: byte-identical specs and transcripts across jobs, backends,
-// and repeated runs.
+// Determinism: byte-identical specs and transcripts across jobs, kernel
+// tiers, and repeated runs.
 //===----------------------------------------------------------------------===//
 
 ActiveOptions shortRun() {
@@ -140,11 +135,16 @@ TEST(ActiveLearningTest, ByteIdenticalAcrossJobs) {
 
 TEST(ActiveLearningTest, ByteIdenticalAcrossBackends) {
   corpus::Corpus Data = testutil::makeCorpus(CorpusSeed, CorpusProjects);
+  // The scalar kernel tier against the host's best vector tier.
   GroundTruthOracle OC(Data.Truth), OS(Data.Truth);
-  ActiveResult A = runActive(Data, OC, shortRun(), /*Jobs=*/2,
-                             solver::SolverBackend::Compiled);
-  ActiveResult B = runActive(Data, OS, shortRun(), /*Jobs=*/2,
-                             solver::SolverBackend::Simd);
+  ActiveResult A = [&] {
+    testutil::ScopedEnv Tier("SELDON_SIMD", "off");
+    return runActive(Data, OC, shortRun(), /*Jobs=*/2);
+  }();
+  ActiveResult B = [&] {
+    testutil::ScopedEnv Tier("SELDON_SIMD", nullptr);
+    return runActive(Data, OS, shortRun(), /*Jobs=*/2);
+  }();
   expectSameTranscript(A, B);
   EXPECT_EQ(specBytes(A.Final.Learned), specBytes(B.Final.Learned));
 }

@@ -213,10 +213,29 @@ TEST_F(CliTest, MetricsJsonOutput) {
                    std::istreambuf_iterator<char>());
   EXPECT_NE(Json.find("\"enabled\": true"), std::string::npos) << Json;
   for (const char *Key :
-       {"\"session/parse\"", "\"session/constraints\"", "\"session/solve\"",
+       {"\"session/build\"", "\"session/constraints\"", "\"session/solve\"",
+        "\"session/solve/compile\"", "\"session/solve/iterate\"",
+        "\"session/solve/readback\"", "\"spans_dropped\": 0",
         "\"parse.files\"", "\"solve.iterations\"", "\"solver.rows_after\"",
         "\"solve.objective\""})
     EXPECT_NE(Json.find(Key), std::string::npos) << "missing " << Key;
+  EXPECT_EQ(Json.find("\"session/parse\""), std::string::npos)
+      << "graph building is timed as session/build";
+}
+
+TEST_F(CliTest, RetiredSolverBackendsFailLoudly) {
+  for (const char *Name : {"legacy", "simd", "simd-f32"}) {
+    CommandResult R = runCli(std::string("learn --iters 20 --solver-backend ") +
+                             Name + " " + repo());
+    EXPECT_EQ(R.ExitCode, 1) << Name << ": " << R.Output;
+    EXPECT_NE(R.Output.find("merged into compiled"), std::string::npos)
+        << R.Output;
+  }
+  CommandResult Flag = runCli("learn --iters 20 --legacy-solver " + repo());
+  EXPECT_NE(Flag.ExitCode, 0) << Flag.Output;
+  CommandResult Ok =
+      runCli("learn --iters 20 --solver-backend compiled " + repo());
+  EXPECT_EQ(Ok.ExitCode, 0) << Ok.Output;
 }
 
 TEST_F(CliTest, MetricsTableOutput) {

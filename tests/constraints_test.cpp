@@ -208,9 +208,9 @@ TEST(ConstraintGenTest, CustomSlackConstant) {
 TEST(ConstraintGenTest, MakeObjectiveWiresPins) {
   GenFixture F("import w\nimport d\nd.snk(w.src())\n",
                "o: w.src()\n");
-  solver::Objective Obj = F.Sys.makeObjective(0.1);
+  solver::CompiledObjective Obj = F.Sys.makeCompiledObjective(0.1);
   EXPECT_EQ(Obj.numVars(), F.Sys.Vars.numVars());
-  EXPECT_EQ(Obj.numConstraints(), F.Sys.Constraints.size());
+  EXPECT_EQ(Obj.stats().RowsBefore, F.Sys.Constraints.size());
   RepId Id;
   ASSERT_TRUE(F.Reps.lookup("w.src()", Id));
   VarId V;

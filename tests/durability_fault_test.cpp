@@ -12,6 +12,7 @@
 
 #include "service/StateCodec.h"
 #include "service/StateStore.h"
+#include "support/BinaryCodec.h"
 #include "support/Metrics.h"
 
 #include <gtest/gtest.h>
@@ -79,7 +80,7 @@ JournalRecord learnRecord(uint64_t Seq) {
   R.Iters = 777;
   R.WarmStart = false;
   R.Reload = true;
-  R.Backend = solver::SolverBackend::Simd;
+  R.Backend = solver::SolverBackend::Compiled;
   return R;
 }
 
@@ -220,6 +221,42 @@ TEST(JournalCodecTest, EveryBitFlipIsRejectedOrTornNeverWrong) {
     for (size_t R = 0; R < Scan.Value.Records.size(); ++R)
       expectRecordsEqual(Scan.Value.Records[R], Records[R],
                          "flip at byte " + std::to_string(I));
+  }
+}
+
+TEST(JournalCodecTest, RetiredBackendBytesReplayOnTheCompiledKernel) {
+  // A learn record ends with its backend byte. Bytes 0, 2 and 3 named the
+  // legacy, simd and simd-f32 evaluators before they merged into the
+  // compiled kernel: a journal holding them must still replay, on that
+  // kernel, while a byte past the old range stays corrupt.
+  std::string Frame = encodeJournalRecord(learnRecord(2));
+  EXPECT_EQ(Frame.back(), 1) << "new learn records write backend byte 1";
+  // Frame = fixed64 checksum + varint length + payload; re-frame the
+  // payload with the backend byte rewritten and a matching checksum.
+  auto Reframed = [&](uint8_t Backend) {
+    std::string Payload = Frame.substr(8 + 1);
+    Payload.back() = static_cast<char>(Backend);
+    std::string Out;
+    codec::putFixed64(Out, codec::fnv1a64(Payload));
+    codec::putVarint(Out, Payload.size());
+    return journalHeader() + Out + Payload;
+  };
+  ASSERT_LT(Frame.size() - 9, 128u) << "payload length is a 1-byte varint";
+  ASSERT_EQ(journalHeader() + Frame, Reframed(1));
+
+  for (uint8_t Backend : {0, 1, 2, 3}) {
+    io::IOResult<JournalScan> Scan = scanJournal(Reframed(Backend));
+    ASSERT_TRUE(Scan.ok()) << "backend byte " << int(Backend) << ": "
+                           << Scan.Error;
+    ASSERT_EQ(Scan.Value.Records.size(), 1u);
+    expectRecordsEqual(Scan.Value.Records[0], learnRecord(2),
+                       "backend byte " + std::to_string(Backend));
+  }
+  for (uint8_t Backend : {4, 255}) {
+    io::IOResult<JournalScan> Scan = scanJournal(Reframed(Backend));
+    EXPECT_FALSE(Scan.ok()) << "backend byte " << int(Backend);
+    EXPECT_NE(Scan.Error.find("unknown solver backend"), std::string::npos)
+        << Scan.Error;
   }
 }
 

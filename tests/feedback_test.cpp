@@ -4,10 +4,11 @@
 // subgradient-level monotonicity (a reject only ever adds downward pull,
 // an accept only upward), propagation strictly along shared backoff sets,
 // byte-identity of the empty-feedback path with the passive solve, and
-// byte-identity of feedback-weighted solves across solver backends.
+// byte-identity of feedback-weighted solves across kernel tiers.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ScopedEnv.h"
 #include "TestCorpus.h"
 
 #include "constraints/Feedback.h"
@@ -196,9 +197,9 @@ TEST(FeedbackTest, SubgradientsAreMonotoneAtInteriorPoints) {
   ASSERT_EQ(applyFeedback(Rejected, S.reps(), RejectSet, Opts).Matched, 1u);
 
   const double Lambda = 0.1;
-  solver::Objective ObjP = Passive.makeObjective(Lambda);
-  solver::Objective ObjA = Accepted.makeObjective(Lambda);
-  solver::Objective ObjR = Rejected.makeObjective(Lambda);
+  solver::CompiledObjective ObjP = Passive.makeCompiledObjective(Lambda);
+  solver::CompiledObjective ObjA = Accepted.makeCompiledObjective(Lambda);
+  solver::CompiledObjective ObjR = Rejected.makeCompiledObjective(Lambda);
 
   // At any interior point the accept row adds exactly -w to the judged
   // variable's subgradient and the reject row exactly +w; every other
@@ -242,7 +243,7 @@ TEST(FeedbackTest, SubgradientsAreMonotoneAtInteriorPoints) {
 
 //===----------------------------------------------------------------------===//
 // End-to-end: solves move in the verdict's direction, the empty set is the
-// passive path byte for byte, and all backends agree.
+// passive path byte for byte, and all kernel tiers agree.
 //===----------------------------------------------------------------------===//
 
 struct SolveSetup {
@@ -251,13 +252,10 @@ struct SolveSetup {
 
   corpus::Corpus Data;
 
-  infer::PipelineResult
-  solveWith(const FeedbackSet *Set,
-            solver::SolverBackend Backend = solver::SolverBackend::Compiled,
-            double Weight = 1.0) {
+  infer::PipelineResult solveWith(const FeedbackSet *Set,
+                                  double Weight = 1.0) {
     infer::PipelineOptions P;
     P.Solve.MaxIterations = 300;
-    P.Solve.Backend = Backend;
     P.Feedback = Set;
     P.FeedbackOpts.AcceptWeight = Weight;
     P.FeedbackOpts.RejectWeight = Weight;
@@ -315,8 +313,7 @@ TEST(FeedbackTest, SolvesMoveInTheVerdictDirection) {
   FeedbackSet Accept;
   Accept.accept(Rep, Role);
   infer::PipelineResult Up =
-      Setup.solveWith(&Accept, solver::SolverBackend::Compiled,
-                      /*Weight=*/5.0);
+      Setup.solveWith(&Accept, /*Weight=*/5.0);
   EXPECT_TRUE(Up.UsedFeedback);
   EXPECT_EQ(Up.Feedback.Matched, 1u);
   EXPECT_GT(Up.Solve.X[Judged], Before)
@@ -325,8 +322,7 @@ TEST(FeedbackTest, SolvesMoveInTheVerdictDirection) {
   FeedbackSet Reject;
   Reject.reject(Rep, Role);
   infer::PipelineResult Down =
-      Setup.solveWith(&Reject, solver::SolverBackend::Compiled,
-                      /*Weight=*/5.0);
+      Setup.solveWith(&Reject, /*Weight=*/5.0);
   EXPECT_LT(Down.Solve.X[Judged], Before)
       << Rep << " score did not fall after a reject";
 }
@@ -344,15 +340,15 @@ TEST(FeedbackTest, FeedbackSolvesAreByteIdenticalAcrossBackends) {
   Set.reject(Probe.Reps.repString(Probe.System.Vars.repOf(1)),
              Probe.System.Vars.roleOf(1));
 
-  infer::PipelineResult Legacy =
-      Setup.solveWith(&Set, solver::SolverBackend::Legacy);
-  infer::PipelineResult Compiled =
-      Setup.solveWith(&Set, solver::SolverBackend::Compiled);
-  infer::PipelineResult Simd =
-      Setup.solveWith(&Set, solver::SolverBackend::Simd);
-  std::string LegacySpec = spec::writeLearnedSpec(Legacy.Learned, 0.0);
-  EXPECT_EQ(LegacySpec, spec::writeLearnedSpec(Compiled.Learned, 0.0));
-  EXPECT_EQ(LegacySpec, spec::writeLearnedSpec(Simd.Learned, 0.0));
+  // One spec per kernel tier (SELDON_SIMD=off, avx2, unset).
+  std::vector<std::string> Specs;
+  for (const char *Setting : testutil::SimdTierSettings) {
+    testutil::ScopedEnv Tier("SELDON_SIMD", Setting);
+    Specs.push_back(
+        spec::writeLearnedSpec(Setup.solveWith(&Set).Learned, 0.0));
+  }
+  EXPECT_EQ(Specs[0], Specs[1]);
+  EXPECT_EQ(Specs[0], Specs[2]);
 }
 
 } // namespace

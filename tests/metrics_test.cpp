@@ -235,16 +235,57 @@ TEST(MetricsTest, RenderTextListsEveryKind) {
   Reg.gauge("gen.vars").set(7);
   Reg.timer("parse.file_seconds").record(0.25);
   Reg.series("solve.objective").record(0.5);
-  Reg.recordSpan("session/parse", 0.0, 1.0);
+  Reg.recordSpan("session/build", 0.0, 1.0);
   std::string Text = Reg.renderText();
   EXPECT_NE(Text.find("parse.files"), std::string::npos);
   EXPECT_NE(Text.find("gen.vars"), std::string::npos);
   EXPECT_NE(Text.find("parse.file_seconds"), std::string::npos);
   EXPECT_NE(Text.find("solve.objective"), std::string::npos);
-  EXPECT_NE(Text.find("session/parse"), std::string::npos);
+  EXPECT_NE(Text.find("session/build"), std::string::npos);
+  EXPECT_EQ(Text.find("dropped"), std::string::npos)
+      << "nothing was dropped, so nothing is reported";
   // Empty kinds are omitted entirely.
   Registry Empty;
   EXPECT_TRUE(Empty.renderText().empty());
+}
+
+TEST(MetricsTest, SpanLogIsABoundedRingInFinishOrder) {
+  const size_t Cap = Registry::SpanCapacity;
+  Registry Reg;
+  for (size_t I = 0; I < Cap; ++I)
+    Reg.recordSpan("s" + std::to_string(I), static_cast<double>(I), 1.0);
+  EXPECT_EQ(Reg.spansDropped(), 0u) << "a full ring has dropped nothing";
+
+  // Two more wrap the ring: the two oldest records are overwritten.
+  Reg.recordSpan("s" + std::to_string(Cap), static_cast<double>(Cap), 1.0);
+  Reg.recordSpan("s" + std::to_string(Cap + 1), Cap + 1.0, 1.0);
+  std::vector<SpanRecord> Spans = Reg.spans();
+  ASSERT_EQ(Spans.size(), Cap);
+  EXPECT_EQ(Spans.front().Path, "s2");
+  EXPECT_DOUBLE_EQ(Spans.front().StartSeconds, 2.0);
+  EXPECT_EQ(Spans.back().Path, "s" + std::to_string(Cap + 1));
+  for (size_t I = 1; I < Spans.size(); ++I)
+    ASSERT_LT(Spans[I - 1].StartSeconds, Spans[I].StartSeconds)
+        << "kept spans must stay in finish order across the wrap point";
+  EXPECT_EQ(Reg.spansDropped(), 2u);
+
+  std::string Json = Reg.toJson();
+  EXPECT_NE(Json.find("\"spans_dropped\": 2,"), std::string::npos);
+  EXPECT_EQ(Json.find("\"s1\""), std::string::npos);
+  size_t AtOldest = Json.find("\"s2\""),
+         AtNewest = Json.find("\"s" + std::to_string(Cap + 1) + "\"");
+  ASSERT_NE(AtOldest, std::string::npos);
+  ASSERT_NE(AtNewest, std::string::npos);
+  EXPECT_LT(AtOldest, AtNewest);
+  EXPECT_NE(Reg.renderText().find("2 older span(s) dropped"),
+            std::string::npos);
+
+  Reg.reset();
+  EXPECT_TRUE(Reg.spans().empty());
+  EXPECT_EQ(Reg.spansDropped(), 0u);
+  Reg.recordSpan("fresh", 0.0, 1.0);
+  ASSERT_EQ(Reg.spans().size(), 1u);
+  EXPECT_EQ(Reg.spans()[0].Path, "fresh");
 }
 
 TEST(TraceTest, SpansNestPerThread) {
@@ -334,10 +375,16 @@ TEST(MetricsPipelineTest, EnabledMetricsKeepLearnedSpecByteIdentical) {
   // And the instrumented run actually produced telemetry.
   EXPECT_GT(Reg.counter("solve.iterations").value(), 0u);
   EXPECT_GT(Reg.series("solve.objective").total(), 0u);
-  bool SawSolveSpan = false;
+  // Stage spans carry their true names, and the solve splits into its
+  // compile, iterate and readback children.
+  std::set<std::string> Paths;
   for (const SpanRecord &S : Reg.spans())
-    SawSolveSpan |= S.Path == "session/solve";
-  EXPECT_TRUE(SawSolveSpan);
+    Paths.insert(S.Path);
+  for (const char *Path :
+       {"session/build", "session/constraints", "session/solve",
+        "session/solve/compile", "session/solve/iterate",
+        "session/solve/readback"})
+    EXPECT_TRUE(Paths.count(Path)) << "missing span " << Path;
 }
 
 } // namespace

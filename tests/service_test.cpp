@@ -622,6 +622,23 @@ TEST_F(ServiceTest, OperationErrorsAreStructured) {
   }
 }
 
+TEST_F(ServiceTest, RetiredLearnBackendsAreBadRequests) {
+  auto Svc = startService(testOptions());
+  ASSERT_TRUE(Svc);
+  for (const char *Name : {"legacy", "simd", "simd-f32"}) {
+    std::string R = Svc->serve(
+        std::string("{\"v\":1,\"id\":1,\"op\":\"learn\",\"iters\":5,"
+                    "\"backend\":\"") +
+        Name + "\"}");
+    EXPECT_NE(R.find("\"bad-request\""), std::string::npos) << R;
+    EXPECT_NE(R.find("merged into compiled"), std::string::npos) << R;
+  }
+  std::string Ok = Svc->serve("{\"v\":1,\"id\":2,\"op\":\"learn\","
+                              "\"iters\":5,\"backend\":\"compiled\"}");
+  EXPECT_NE(Ok.find("\"ok\":true"), std::string::npos) << Ok;
+  EXPECT_NE(Ok.find("\"backend\":\"compiled\""), std::string::npos) << Ok;
+}
+
 TEST_F(ServiceTest, ExpiredDeadlineIsAStructuredError) {
   auto Svc = startService(testOptions());
   ASSERT_TRUE(Svc);

@@ -1,4 +1,9 @@
 //===- tests/solver_test.cpp - Tests for the linear-relaxation solver -----===//
+//
+// Optimizer behaviour on small systems with known optima. The objective
+// itself is tested in objective_kernel_test.cpp.
+//
+//===----------------------------------------------------------------------===//
 
 #include "solver/AdamOptimizer.h"
 #include "solver/ProjectedGradient.h"
@@ -19,80 +24,24 @@ SolveOptions fastOptions(int Iters = 2000, double Lr = 0.02) {
 }
 
 //===----------------------------------------------------------------------===//
-// Objective mechanics
-//===----------------------------------------------------------------------===//
-
-TEST(ObjectiveTest, HingeLossComputation) {
-  // Constraint: x0 <= x1 + 0.5.
-  LinearConstraint C;
-  C.Lhs = {{0, 1.0f}};
-  C.Rhs = {{1, 1.0f}};
-  C.C = 0.5;
-  Objective Obj(2, {C}, 0.0);
-  EXPECT_DOUBLE_EQ(Obj.hingeLoss({1.0, 0.0}), 0.5);
-  EXPECT_DOUBLE_EQ(Obj.hingeLoss({1.0, 0.5}), 0.0);
-  EXPECT_DOUBLE_EQ(Obj.hingeLoss({0.2, 0.0}), 0.0);
-}
-
-TEST(ObjectiveTest, L1TermExcludesPinned) {
-  Objective Obj(2, {}, 0.1);
-  Obj.pin(0, 1.0);
-  std::vector<double> X{1.0, 1.0};
-  EXPECT_NEAR(Obj.value(X), 0.1, 1e-12);
-}
-
-TEST(ObjectiveTest, GradientOfViolatedConstraint) {
-  LinearConstraint C;
-  C.Lhs = {{0, 1.0f}};
-  C.Rhs = {{1, 2.0f}};
-  C.C = 0.0;
-  Objective Obj(2, {C}, 0.0);
-  std::vector<double> Grad;
-  Obj.gradient({1.0, 0.1}, Grad); // 1.0 - 0.2 > 0: violated.
-  EXPECT_DOUBLE_EQ(Grad[0], 1.0);
-  EXPECT_DOUBLE_EQ(Grad[1], -2.0);
-  Obj.gradient({0.1, 0.5}, Grad); // Satisfied: only L1 (lambda = 0).
-  EXPECT_DOUBLE_EQ(Grad[0], 0.0);
-  EXPECT_DOUBLE_EQ(Grad[1], 0.0);
-}
-
-TEST(ObjectiveTest, ProjectClampsAndRestoresPins) {
-  Objective Obj(3, {}, 0.0);
-  Obj.pin(2, 1.0);
-  std::vector<double> X{-0.5, 1.5, 0.0};
-  Obj.project(X);
-  EXPECT_DOUBLE_EQ(X[0], 0.0);
-  EXPECT_DOUBLE_EQ(X[1], 1.0);
-  EXPECT_DOUBLE_EQ(X[2], 1.0);
-}
-
-TEST(ObjectiveTest, InitialPointIsFeasible) {
-  Objective Obj(2, {}, 0.1);
-  Obj.pin(0, 1.0);
-  std::vector<double> X = Obj.initialPoint();
-  EXPECT_DOUBLE_EQ(X[0], 1.0);
-  EXPECT_DOUBLE_EQ(X[1], 0.0);
-}
-
-//===----------------------------------------------------------------------===//
 // Optimization behaviour (paper §4.4 semantics)
 //===----------------------------------------------------------------------===//
 
 /// One pinned implication: pinned(0)=1 and pinned(1)=1 force x2 up via
 /// x0 + x1 <= x2 + C. Optimum: x2 = 2 - C (clamped to <= 1).
-Objective impliedVariableSystem(double C, double Lambda) {
+CompiledObjective impliedVariableSystem(double C, double Lambda) {
   LinearConstraint LC;
   LC.Lhs = {{0, 1.0f}, {1, 1.0f}};
   LC.Rhs = {{2, 1.0f}};
   LC.C = C;
-  Objective Obj(3, {LC}, Lambda);
+  CompiledObjective Obj(3, {LC}, Lambda);
   Obj.pin(0, 1.0);
   Obj.pin(1, 1.0);
   return Obj;
 }
 
 TEST(AdamTest, RaisesImpliedVariable) {
-  Objective Obj = impliedVariableSystem(0.75, 0.1);
+  CompiledObjective Obj = impliedVariableSystem(0.75, 0.1);
   AdamOptimizer Opt(fastOptions());
   SolveResult R = Opt.minimize(Obj);
   // Violation gradient (1) beats lambda (0.1), so x2 rises to 1.25 - but
@@ -105,7 +54,7 @@ TEST(AdamTest, LambdaKeepsUnconstrainedVarsAtZero) {
   LC.Lhs = {{0, 1.0f}};
   LC.Rhs = {{1, 1.0f}};
   LC.C = 1.0;
-  Objective Obj(2, {LC}, 0.1);
+  CompiledObjective Obj(2, {LC}, 0.1);
   AdamOptimizer Opt(fastOptions());
   SolveResult R = Opt.minimize(Obj);
   EXPECT_NEAR(R.X[0], 0.0, 1e-6);
@@ -115,7 +64,7 @@ TEST(AdamTest, LambdaKeepsUnconstrainedVarsAtZero) {
 TEST(AdamTest, BalancesViolationAgainstRegularization) {
   // x0=1 pinned, x1 pinned 1; x0 + x1 <= x2 + 0.75 pushes x2 to 1;
   // with a huge lambda (2.0 > violation slope 1.0) x2 must stay 0.
-  Objective Obj = impliedVariableSystem(0.75, 2.0);
+  CompiledObjective Obj = impliedVariableSystem(0.75, 2.0);
   AdamOptimizer Opt(fastOptions());
   SolveResult R = Opt.minimize(Obj);
   EXPECT_NEAR(R.X[2], 0.0, 1e-3);
@@ -128,7 +77,7 @@ TEST(AdamTest, DistributesAcrossSum) {
   LC.Lhs = {{0, 1.0f}, {1, 1.0f}};
   LC.Rhs = {{2, 1.0f}, {3, 1.0f}};
   LC.C = 0.75;
-  Objective Obj(4, {LC}, 0.05);
+  CompiledObjective Obj(4, {LC}, 0.05);
   Obj.pin(0, 1.0);
   Obj.pin(1, 1.0);
   AdamOptimizer Opt(fastOptions());
@@ -137,7 +86,7 @@ TEST(AdamTest, DistributesAcrossSum) {
 }
 
 TEST(AdamTest, PinnedZeroStaysZero) {
-  Objective Obj = impliedVariableSystem(0.0, 0.0);
+  CompiledObjective Obj = impliedVariableSystem(0.0, 0.0);
   Obj.pin(2, 0.0);
   AdamOptimizer Opt(fastOptions(200));
   SolveResult R = Opt.minimize(Obj);
@@ -145,7 +94,7 @@ TEST(AdamTest, PinnedZeroStaysZero) {
 }
 
 TEST(AdamTest, ConvergesAndReportsIterations) {
-  Objective Obj = impliedVariableSystem(0.75, 0.1);
+  CompiledObjective Obj = impliedVariableSystem(0.75, 0.1);
   SolveOptions O = fastOptions(5000);
   O.Tolerance = 1e-9;
   AdamOptimizer Opt(O);
@@ -155,14 +104,14 @@ TEST(AdamTest, ConvergesAndReportsIterations) {
 }
 
 TEST(AdamTest, WarmStartFromGivenPoint) {
-  Objective Obj = impliedVariableSystem(0.75, 0.1);
+  CompiledObjective Obj = impliedVariableSystem(0.75, 0.1);
   AdamOptimizer Opt(fastOptions(5));
   SolveResult R = Opt.minimize(Obj, {1.0, 1.0, 0.9});
   EXPECT_GT(R.X[2], 0.8) << "warm start must be used, not reset";
 }
 
 TEST(ProjectedGradientTest, MatchesAdamOnConvexSystem) {
-  Objective Obj = impliedVariableSystem(0.75, 0.1);
+  CompiledObjective Obj = impliedVariableSystem(0.75, 0.1);
   AdamOptimizer Adam(fastOptions(4000));
   ProjectedGradient Pgd(fastOptions(4000, 0.1));
   double A = Adam.minimize(Obj).FinalObjective;
@@ -171,21 +120,21 @@ TEST(ProjectedGradientTest, MatchesAdamOnConvexSystem) {
 }
 
 TEST(ProjectedGradientTest, KeepsBestIterate) {
-  Objective Obj = impliedVariableSystem(0.75, 0.1);
+  CompiledObjective Obj = impliedVariableSystem(0.75, 0.1);
   ProjectedGradient Opt(fastOptions(50, 0.5)); // Aggressive oscillation.
   SolveResult R = Opt.minimize(Obj);
   EXPECT_LE(R.FinalObjective, Obj.value(Obj.initialPoint()) + 1e-9);
 }
 
 TEST(ProjectedGradientTest, WarmStartOverloadUsed) {
-  Objective Obj = impliedVariableSystem(0.75, 0.1);
+  CompiledObjective Obj = impliedVariableSystem(0.75, 0.1);
   ProjectedGradient Opt(fastOptions(3, 0.01)); // Tiny budget.
   SolveResult R = Opt.minimize(Obj, {1.0, 1.0, 0.95});
   EXPECT_GT(R.X[2], 0.8) << "warm start must be used, not reset";
 }
 
 TEST(ProjectedGradientTest, WarmStartProjectedFirst) {
-  Objective Obj = impliedVariableSystem(0.75, 0.1);
+  CompiledObjective Obj = impliedVariableSystem(0.75, 0.1);
   Obj.pin(2, 0.0);
   ProjectedGradient Opt(fastOptions(2));
   SolveResult R = Opt.minimize(Obj, {5.0, -3.0, 0.9});
@@ -203,7 +152,7 @@ TEST_P(SlackSweepTest, ResidualMatchesTheory) {
   LC.Lhs = {{0, 1.0f}, {1, 1.0f}};
   LC.Rhs = {{2, 1.0f}, {3, 1.0f}};
   LC.C = C;
-  Objective Obj(4, {LC}, 0.01);
+  CompiledObjective Obj(4, {LC}, 0.01);
   Obj.pin(0, 1.0);
   Obj.pin(1, 1.0);
   AdamOptimizer Opt(fastOptions(4000));

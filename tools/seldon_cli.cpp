@@ -75,7 +75,6 @@ struct CliOptions {
   std::string MetricsOut;
   bool SolverStats = false;
   std::string SolverBackend = "compiled";
-  bool LegacySolver = false; // Deprecated alias for --solver-backend=legacy.
   bool Dot = false;
   bool Dedup = true;
   bool Json = false;
@@ -90,18 +89,15 @@ struct CliOptions {
   std::vector<std::string> Paths;
 };
 
-/// Resolves --solver-backend (and the deprecated --legacy-solver alias)
-/// into a SolveOptions backend; false + stderr diagnostic on bad names.
+/// Resolves --solver-backend into a SolveOptions backend; false + stderr
+/// diagnostic on bad names.
 bool resolveBackend(const CliOptions &Opts, solver::SolverBackend &Out) {
   if (!solver::parseSolverBackend(Opts.SolverBackend, Out)) {
     std::fprintf(stderr,
-                 "error: unknown --solver-backend '%s' (expected "
-                 "legacy|compiled|simd|simd-f32)\n",
-                 Opts.SolverBackend.c_str());
+                 "error: unknown --solver-backend '%s' (expected %s)\n",
+                 Opts.SolverBackend.c_str(), solver::SolverBackendChoices);
     return false;
   }
-  if (Opts.LegacySolver)
-    Out = solver::SolverBackend::Legacy;
   return true;
 }
 
@@ -195,14 +191,9 @@ void registerFlags(ArgParser &Parser, CliOptions &Opts,
             "learn: print compiled-system statistics (rows\n"
             "before/after dedup, non-zeros, ms/iteration)")
       .string("--solver-backend", &Opts.SolverBackend, "B",
-              "learn/explain: evaluator backend —\n"
-              "legacy|compiled|simd|simd-f32 (default compiled;\n"
-              "legacy/compiled/simd learn byte-identical specs,\n"
-              "simd-f32 matches within a documented tolerance)")
-      .flag("--legacy-solver", &Opts.LegacySolver,
-            "learn/explain: solve with the uncompiled\n"
-            "reference evaluator (same learned spec, slower;\n"
-            "alias for --solver-backend=legacy)")
+              "learn/explain: evaluator backend — compiled, the\n"
+              "only one (default; SELDON_SIMD=off|avx2 caps its\n"
+              "vector tier without changing the learned spec)")
       .flag("--active", &Opts.Active,
             "learn: run the active-learning loop — rank uncertain\n"
             "scores, query the --oracle file, pin the answers, and\n"
@@ -594,18 +585,16 @@ int cmdLearn(const CliOptions &Opts) {
                  R.Feedback.Matched, R.Feedback.Unmatched,
                  R.Feedback.EvidenceRows, R.Feedback.PropagatedRows);
   if (Opts.SolverStats) {
-    if (R.UsedCompiledSolver) {
-      const solver::CompileStats &S = R.SolverStats;
-      std::fprintf(stderr,
-                   "solver: %s backend%s, %zu rows -> %zu after dedup "
-                   "(%.2fx), %zu non-zeros, max multiplicity %zu\n",
-                   solver::solverBackendName(R.Backend),
-                   R.SimdActive ? " (avx2)" : "", S.RowsBefore,
-                   S.RowsAfter, S.dedupRatio(), S.NonZeros,
-                   S.MaxMultiplicity);
-    } else {
-      std::fprintf(stderr, "solver: legacy evaluator (no compilation)\n");
-    }
+    const solver::CompileStats &S = R.SolverStats;
+    std::fprintf(stderr,
+                 "solver: %s backend (%s tier), %zu rows -> %zu after "
+                 "dedup (%.2fx), %zu non-zeros, max multiplicity %zu\n",
+                 solver::solverBackendName(R.Backend),
+                 solver::kernelTierName(
+                     R.SimdActive ? solver::CompiledObjective::hostTier()
+                                  : solver::KernelTier::Scalar),
+                 S.RowsBefore, S.RowsAfter, S.dedupRatio(), S.NonZeros,
+                 S.MaxMultiplicity);
     std::fprintf(stderr, "solver: %.3f ms/iteration over %d iteration(s)\n",
                  R.Solve.Iterations > 0
                      ? 1000.0 * R.SolveSeconds / R.Solve.Iterations

@@ -96,7 +96,6 @@ bool parseDaemonArgs(int Argc, char **Argv, DaemonOptions &Opts,
   unsigned long MaxInFlight = 64;
   unsigned long SnapshotEvery = 1;
   std::string Backend = "compiled";
-  bool LegacySolver = false;
 
   Parser.string("--socket", &Opts.SocketPath, "PATH",
                 "serve on a Unix domain socket at PATH");
@@ -137,12 +136,9 @@ bool parseDaemonArgs(int Argc, char **Argv, DaemonOptions &Opts,
               "fail startup on the first broken project instead of\n"
               "quarantining it");
   Parser.string("--solver-backend", &Backend, "B",
-                "evaluator backend: legacy|compiled|simd|simd-f32\n"
-                "(default compiled); `learn` requests may override\n"
-                "per-request with a \"backend\" param");
-  Parser.flag("--legacy-solver", &LegacySolver,
-              "solve with the uncompiled reference evaluator\n"
-              "(alias for --solver-backend=legacy)");
+                "evaluator backend: compiled, the only one (default);\n"
+                "`learn` requests may also name it in a \"backend\"\n"
+                "param");
   Parser.flag("--metrics", &Opts.Metrics,
               "print the metrics snapshot to stderr on exit");
   Parser.string("--metrics-out", &Opts.MetricsOut, "F",
@@ -183,13 +179,10 @@ bool parseDaemonArgs(int Argc, char **Argv, DaemonOptions &Opts,
   }
   if (!solver::parseSolverBackend(Backend, Opts.Svc.Backend)) {
     std::fprintf(stderr,
-                 "error: unknown --solver-backend '%s' (expected "
-                 "legacy|compiled|simd|simd-f32)\n",
-                 Backend.c_str());
+                 "error: unknown --solver-backend '%s' (expected %s)\n",
+                 Backend.c_str(), solver::SolverBackendChoices);
     return false;
   }
-  if (LegacySolver)
-    Opts.Svc.Backend = solver::SolverBackend::Legacy;
   if (Opts.ShardCache) {
     if (Opts.Svc.CacheDir.empty()) {
       std::fprintf(stderr, "error: --shard-cache requires --cache-dir\n");
