@@ -63,19 +63,24 @@ for TIER in off avx2 ""; do
 done
 
 echo
-echo "=== asan: service + durability tests under AddressSanitizer ==="
-# The durability layer is raw-fd and buffer-slicing code (journal frames,
-# snapshot decoding, torn-tail truncation) plus a daemon that dies at
-# injected crash points — exactly where a heap overrun or use-after-free
-# would hide. The recovery harness forks the asan-built seldond, so the
-# kill-and-restart sweep runs sanitized end to end.
+echo "=== asan+ubsan: service, durability and on-disk format tests ==="
+# Every test that parses bytes read from disk runs here: the shared frame
+# codec and file layer, the graph and shard codecs and caches (every
+# truncation and bit flip), the durability layer (journal frames,
+# snapshot decoding, torn-tail truncation), and a daemon that dies at
+# injected crash points — exactly where a heap overrun, use-after-free or
+# out-of-range shift would hide. The recovery harness forks the
+# sanitized seldond, so the kill-and-restart sweep runs sanitized end to
+# end.
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g"
+  -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -g"
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
-  --target service_test durability_fault_test recovery_harness_test
+  --target service_test durability_fault_test recovery_harness_test \
+           fileio_test format_golden_test graphcodec_test \
+           cache_fault_test shard_fault_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest'
+  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest'
 
 echo
 echo "=== metrics smoke: seldon learn --metrics-out on a toy repo ==="

@@ -5,9 +5,7 @@
 #include "corpus/GroundTruth.h"
 #include "service/Json.h"
 #include "service/QueryResult.h"
-
-#include <fstream>
-#include <sstream>
+#include "support/FileIO.h"
 
 using namespace seldon;
 using namespace seldon::active;
@@ -83,18 +81,12 @@ bool FileOracle::parse(const std::string &JsonText, FileOracle &Out,
 
 bool FileOracle::load(const std::string &Path, FileOracle &Out,
                       std::string &Error) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    Error = "cannot open oracle file " + Path;
+  io::IOResult<std::string> Text = io::readFile(Path);
+  if (!Text) {
+    Error = "oracle file: " + Text.Error;
     return false;
   }
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  if (In.bad()) {
-    Error = "cannot read oracle file " + Path;
-    return false;
-  }
-  if (!parse(Text.str(), Out, Error)) {
+  if (!parse(Text.Value, Out, Error)) {
     Error = Path + ": " + Error;
     return false;
   }

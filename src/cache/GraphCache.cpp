@@ -2,71 +2,13 @@
 
 #include "cache/GraphCache.h"
 
-#include "propgraph/GraphCodec.h"
 #include "support/BinaryCodec.h"
-#include "support/Metrics.h"
-#include "support/StrUtil.h"
-#include "support/Timer.h"
-
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <system_error>
 
 using namespace seldon;
 using namespace seldon::cache;
 
-namespace fs = std::filesystem;
-
-std::string CacheKey::hex() const {
-  char Buf[17];
-  std::snprintf(Buf, sizeof(Buf), "%016llx",
-                static_cast<unsigned long long>(Hash));
-  return std::string(Buf);
-}
-
-namespace {
-
-/// Entry files are the codec blob prefixed by the 8-byte little-endian
-/// key hash, so a load can verify the entry actually belongs to its key.
-constexpr size_t KeyPrefixBytes = 8;
-constexpr const char *EntrySuffix = ".spg";
-
 using codec::hashChunk;
 using codec::hashValue;
-
-} // namespace
-
-size_t seldon::cache::sweepStaleTemps(const std::string &Dir,
-                                      const char *Suffix,
-                                      unsigned MaxAgeSeconds) {
-  const std::string TempMarker = std::string(Suffix) + ".tmp";
-  const auto Now = fs::file_time_type::clock::now();
-  size_t Removed = 0;
-  std::error_code Ec;
-  for (fs::directory_iterator It(Dir, Ec), End; !Ec && It != End;
-       It.increment(Ec)) {
-    const fs::path &P = It->path();
-    const std::string Name = P.filename().string();
-    size_t At = Name.find(TempMarker);
-    // The marker must be followed by the sequence digits only — an entry
-    // legitimately named "...tmp..." earlier in the stem is not a temp.
-    if (At == std::string::npos ||
-        Name.find_first_not_of("0123456789", At + TempMarker.size()) !=
-            std::string::npos)
-      continue;
-    std::error_code FileEc;
-    fs::file_time_type Mtime = fs::last_write_time(P, FileEc);
-    if (FileEc ||
-        Now - Mtime < std::chrono::seconds(MaxAgeSeconds))
-      continue; // Possibly a live writer in another process.
-    if (fs::remove(P, FileEc) && !FileEc)
-      ++Removed;
-  }
-  return Removed;
-}
 
 CacheKey seldon::cache::projectCacheKey(const pysem::Project &Proj,
                                         const propgraph::BuildOptions &Opts) {
@@ -87,179 +29,8 @@ CacheKey seldon::cache::projectCacheKey(const pysem::Project &Proj,
     hashChunk(Hash, M.Path);
     hashChunk(Hash, M.Source);
   }
-  CacheKey Key;
-  Key.Hash = Hash;
-  return Key;
+  return CacheKey{Hash};
 }
 
-GraphCache::GraphCache(std::string Dir) : Dir(std::move(Dir)) {
-  std::error_code Ec;
-  fs::create_directories(this->Dir, Ec);
-  if (Ec) {
-    DirError = formatString("cannot create cache directory %s: %s",
-                            this->Dir.c_str(), Ec.message().c_str());
-    return;
-  }
-  if (!fs::is_directory(this->Dir, Ec)) {
-    DirError = formatString("cache path %s is not a directory",
-                            this->Dir.c_str());
-    return;
-  }
-  // A store that crashed between writing its temp and the publishing
-  // rename leaks "<entry>.spg.tmp<seq>" files; sweep the old ones now so
-  // they cannot accumulate across runs.
-  Stats.StaleTempsRemoved = sweepStaleTemps(this->Dir, EntrySuffix);
-}
-
-std::string GraphCache::entryPath(const CacheKey &Key) const {
-  return Dir + "/" + Key.hex() + EntrySuffix;
-}
-
-void GraphCache::recordError(std::string Message) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Stats.Errors.push_back(std::move(Message));
-}
-
-std::optional<propgraph::PropagationGraph>
-GraphCache::load(const CacheKey &Key) {
-  metrics::Registry &Reg = metrics::Registry::global();
-  auto Miss = [&] {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++Stats.Misses;
-  };
-  if (!valid()) {
-    Miss();
-    if (Reg.enabled())
-      Reg.counter("cache.misses").add();
-    return std::nullopt;
-  }
-
-  Timer LoadTimer;
-  std::string Path = entryPath(Key);
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    // Absent entry: a plain miss, not an error.
-    Miss();
-    if (Reg.enabled())
-      Reg.counter("cache.misses").add();
-    return std::nullopt;
-  }
-  std::string Bytes((std::istreambuf_iterator<char>(In)),
-                    std::istreambuf_iterator<char>());
-  In.close();
-
-  std::string Problem;
-  if (Bytes.size() < KeyPrefixBytes) {
-    Problem = formatString("truncated cache entry (%zu byte(s), need at "
-                           "least %zu for the key prefix)",
-                           Bytes.size(), KeyPrefixBytes);
-  } else {
-    uint64_t StoredKey = 0;
-    for (size_t I = 0; I < KeyPrefixBytes; ++I)
-      StoredKey |= static_cast<uint64_t>(
-                       static_cast<unsigned char>(Bytes[I]))
-                   << (8 * I);
-    if (StoredKey != Key.Hash) {
-      Problem = formatString(
-          "cache entry key mismatch: stored %016llx, expected %s",
-          static_cast<unsigned long long>(StoredKey), Key.hex().c_str());
-    } else {
-      io::IOResult<propgraph::PropagationGraph> Decoded =
-          propgraph::decodeGraph(
-              std::string_view(Bytes).substr(KeyPrefixBytes));
-      if (Decoded.ok()) {
-        {
-          std::lock_guard<std::mutex> Lock(Mutex);
-          ++Stats.Hits;
-          Stats.BytesRead += Bytes.size();
-        }
-        if (Reg.enabled()) {
-          Reg.counter("cache.hits").add();
-          Reg.counter("cache.bytes_read").add(Bytes.size());
-          Reg.timer("cache.load_seconds").record(LoadTimer.seconds());
-        }
-        return std::move(Decoded.Value);
-      }
-      Problem = Decoded.Error;
-    }
-  }
-
-  // Corrupt entry: evict it so the rebuild's write-back starts clean, and
-  // report a miss so the caller falls back to a cold build.
-  std::error_code Ec;
-  fs::remove(Path, Ec);
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++Stats.Misses;
-    ++Stats.Evictions;
-    Stats.Errors.push_back(formatString("evicted %s: %s", Path.c_str(),
-                                        Problem.c_str()));
-  }
-  if (Reg.enabled()) {
-    Reg.counter("cache.misses").add();
-    Reg.counter("cache.evictions").add();
-  }
-  return std::nullopt;
-}
-
-bool GraphCache::store(const CacheKey &Key,
-                       const propgraph::PropagationGraph &Graph) {
-  metrics::Registry &Reg = metrics::Registry::global();
-  if (!valid()) {
-    recordError(formatString("cannot store %s: %s", Key.hex().c_str(),
-                             DirError.c_str()));
-    return false;
-  }
-
-  Timer StoreTimer;
-  std::string Bytes;
-  Bytes.reserve(KeyPrefixBytes + 64);
-  for (size_t I = 0; I < KeyPrefixBytes; ++I)
-    Bytes.push_back(static_cast<char>((Key.Hash >> (8 * I)) & 0xff));
-  Bytes += encodeGraph(Graph);
-
-  // Unique temp name per store call: two workers may store the same key
-  // when a corpus contains byte-identical projects.
-  static std::atomic<uint64_t> StoreSeq{0};
-  std::string Path = entryPath(Key);
-  std::string TmpPath = formatString(
-      "%s.tmp%llu", Path.c_str(),
-      static_cast<unsigned long long>(
-          StoreSeq.fetch_add(1, std::memory_order_relaxed)));
-  {
-    std::ofstream Out(TmpPath, std::ios::binary | std::ios::trunc);
-    if (Out)
-      Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-    if (!Out) {
-      recordError(formatString("cannot write cache entry %s",
-                               TmpPath.c_str()));
-      std::error_code Ec;
-      fs::remove(TmpPath, Ec);
-      return false;
-    }
-  }
-  std::error_code Ec;
-  fs::rename(TmpPath, Path, Ec);
-  if (Ec) {
-    recordError(formatString("cannot publish cache entry %s: %s",
-                             Path.c_str(), Ec.message().c_str()));
-    fs::remove(TmpPath, Ec);
-    return false;
-  }
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++Stats.Stores;
-    Stats.BytesWritten += Bytes.size();
-  }
-  if (Reg.enabled()) {
-    Reg.counter("cache.stores").add();
-    Reg.counter("cache.bytes_written").add(Bytes.size());
-    Reg.timer("cache.store_seconds").record(StoreTimer.seconds());
-  }
-  return true;
-}
-
-CacheStats GraphCache::stats() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Stats;
-}
+GraphCache::GraphCache(std::string Dir)
+    : CodecStore(std::move(Dir), {".spg", "cache", "cache"}) {}

@@ -18,42 +18,25 @@
 /// any of these produces a different key, so stale entries are never *hit*
 /// — they simply become garbage that a later sweep may remove.
 ///
-/// Failure discipline: a missing entry is a miss; an unreadable, truncated,
-/// bit-flipped, version-skewed, or key-mismatched entry is *evicted* (the
-/// file is deleted, the error recorded in the stats) and reported as a
-/// miss, so the caller transparently rebuilds and re-stores it. A load
-/// never yields a partially-populated graph (see propgraph/GraphCodec.h).
-///
-/// Concurrency: load() and store() may be called concurrently from pool
-/// workers. Stores write to a unique temp file and rename it into place,
-/// so readers never observe a half-written entry even across processes.
+/// Storage, failure discipline and concurrency are cache/EntryStore.h's:
+/// a corrupt entry is evicted and reported as a miss, stores are atomic
+/// even across processes, and a load never yields a partially-populated
+/// graph (see propgraph/GraphCodec.h).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELDON_CACHE_GRAPHCACHE_H
 #define SELDON_CACHE_GRAPHCACHE_H
 
+#include "cache/EntryStore.h"
 #include "propgraph/GraphBuilder.h"
-#include "propgraph/PropagationGraph.h"
+#include "propgraph/GraphCodec.h"
 #include "pysem/Project.h"
 
-#include <cstdint>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <vector>
 
 namespace seldon {
 namespace cache {
-
-/// Content hash identifying one project's frontend output (sources +
-/// build options + codec version).
-struct CacheKey {
-  uint64_t Hash = 0;
-
-  /// 16 lowercase hex digits; the entry's file stem.
-  std::string hex() const;
-};
 
 /// Computes the cache key of \p Proj under \p Opts. Deterministic in the
 /// module list (paths + sources, in order) and every BuildOptions field;
@@ -61,70 +44,12 @@ struct CacheKey {
 CacheKey projectCacheKey(const pysem::Project &Proj,
                          const propgraph::BuildOptions &Opts);
 
-/// Counters of one cache's lifetime (monotonic; snapshot via stats()).
-struct CacheStats {
-  uint64_t Hits = 0;       ///< Entries adopted without a rebuild.
-  uint64_t Misses = 0;     ///< Absent or evicted entries.
-  uint64_t Evictions = 0;  ///< Corrupt/mismatched entries deleted on load.
-  uint64_t Stores = 0;     ///< Entries written back.
-  uint64_t BytesRead = 0;  ///< Total size of successfully loaded entries.
-  uint64_t BytesWritten = 0;
-  /// Crash-leaked "<entry>.tmp<seq>" files swept when the cache opened.
-  uint64_t StaleTempsRemoved = 0;
-  /// Descriptive messages of every rejected entry and failed store, in
-  /// occurrence order.
-  std::vector<std::string> Errors;
-};
-
-/// Removes crash-leaked store temporaries from \p Dir: files named
-/// "<stem><EntrySuffix>.tmp<seq>" (the unique-temp pattern both caches
-/// write before their publishing rename) whose mtime is at least
-/// \p MaxAgeSeconds old. The age guard keeps a concurrent process's
-/// in-flight store alive; a crashed writer's leftovers are far older by
-/// the time anything reopens the cache. Returns the number removed.
-size_t sweepStaleTemps(const std::string &Dir, const char *EntrySuffix,
-                       unsigned MaxAgeSeconds = 15 * 60);
-
-/// The on-disk store. Construction creates the directory (recursively);
-/// an unusable directory leaves the cache in a degraded valid()==false
-/// state where every load misses and every store fails with a recorded
-/// error — the pipeline still runs, just uncached.
-class GraphCache {
+/// The on-disk graph store: "<key>.spg" entries in one directory.
+class GraphCache
+    : public CodecStore<propgraph::PropagationGraph, propgraph::encodeGraph,
+                        propgraph::decodeGraph> {
 public:
   explicit GraphCache(std::string Dir);
-
-  GraphCache(const GraphCache &) = delete;
-  GraphCache &operator=(const GraphCache &) = delete;
-
-  const std::string &dir() const { return Dir; }
-
-  /// False when the cache directory could not be created/used; error()
-  /// then describes why.
-  bool valid() const { return DirError.empty(); }
-  const std::string &error() const { return DirError; }
-
-  /// Absolute-ish path of \p Key's entry file inside dir().
-  std::string entryPath(const CacheKey &Key) const;
-
-  /// Loads and decodes \p Key's entry. nullopt on miss — including every
-  /// corruption case, which additionally evicts the bad entry and records
-  /// a descriptive error in stats(). Thread-safe.
-  std::optional<propgraph::PropagationGraph> load(const CacheKey &Key);
-
-  /// Encodes and atomically writes \p Graph as \p Key's entry. Returns
-  /// false (recording an error) when the write fails. Thread-safe.
-  bool store(const CacheKey &Key, const propgraph::PropagationGraph &Graph);
-
-  /// Snapshot of the counters and recorded errors.
-  CacheStats stats() const;
-
-private:
-  void recordError(std::string Message);
-
-  std::string Dir;
-  std::string DirError;
-  mutable std::mutex Mutex;
-  CacheStats Stats;
 };
 
 } // namespace cache

@@ -2,30 +2,13 @@
 
 #include "cache/ShardCache.h"
 
-#include "constraints/ShardCodec.h"
 #include "support/BinaryCodec.h"
-#include "support/Metrics.h"
-#include "support/StrUtil.h"
-#include "support/Timer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <system_error>
 
 using namespace seldon;
 using namespace seldon::cache;
-
-namespace fs = std::filesystem;
-
-namespace {
-
-constexpr size_t KeyPrefixBytes = 8;
-constexpr const char *EntrySuffix = ".scs";
-
-} // namespace
 
 CacheKey seldon::cache::projectShardKey(const CacheKey &GraphKey,
                                         const constraints::GenOptions &Gen,
@@ -62,178 +45,8 @@ CacheKey seldon::cache::projectShardKey(const CacheKey &GraphKey,
   // touch or build-option flip invalidates the shard too.
   codec::hashValue(Hash, GraphKey.Hash);
 
-  CacheKey Key;
-  Key.Hash = Hash;
-  return Key;
+  return CacheKey{Hash};
 }
 
-ShardCache::ShardCache(std::string Dir) : Dir(std::move(Dir)) {
-  std::error_code Ec;
-  fs::create_directories(this->Dir, Ec);
-  if (Ec) {
-    DirError = formatString("cannot create shard cache directory %s: %s",
-                            this->Dir.c_str(), Ec.message().c_str());
-    return;
-  }
-  if (!fs::is_directory(this->Dir, Ec)) {
-    DirError = formatString("shard cache path %s is not a directory",
-                            this->Dir.c_str());
-    return;
-  }
-  // Same crash-leak discipline as GraphCache: sweep old
-  // "<entry>.scs.tmp<seq>" files a dead writer left behind.
-  Stats.StaleTempsRemoved = sweepStaleTemps(this->Dir, EntrySuffix);
-}
-
-std::string ShardCache::entryPath(const CacheKey &Key) const {
-  return Dir + "/" + Key.hex() + EntrySuffix;
-}
-
-void ShardCache::recordError(std::string Message) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Stats.Errors.push_back(std::move(Message));
-}
-
-std::optional<constraints::ConstraintShard>
-ShardCache::load(const CacheKey &Key) {
-  metrics::Registry &Reg = metrics::Registry::global();
-  auto Miss = [&] {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++Stats.Misses;
-  };
-  if (!valid()) {
-    Miss();
-    if (Reg.enabled())
-      Reg.counter("shard.misses").add();
-    return std::nullopt;
-  }
-
-  Timer LoadTimer;
-  std::string Path = entryPath(Key);
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    // Absent entry: a plain miss, not an error.
-    Miss();
-    if (Reg.enabled())
-      Reg.counter("shard.misses").add();
-    return std::nullopt;
-  }
-  std::string Bytes((std::istreambuf_iterator<char>(In)),
-                    std::istreambuf_iterator<char>());
-  In.close();
-
-  std::string Problem;
-  if (Bytes.size() < KeyPrefixBytes) {
-    Problem = formatString("truncated shard entry (%zu byte(s), need at "
-                           "least %zu for the key prefix)",
-                           Bytes.size(), KeyPrefixBytes);
-  } else {
-    uint64_t StoredKey = 0;
-    for (size_t I = 0; I < KeyPrefixBytes; ++I)
-      StoredKey |= static_cast<uint64_t>(
-                       static_cast<unsigned char>(Bytes[I]))
-                   << (8 * I);
-    if (StoredKey != Key.Hash) {
-      Problem = formatString(
-          "shard entry key mismatch: stored %016llx, expected %s",
-          static_cast<unsigned long long>(StoredKey), Key.hex().c_str());
-    } else {
-      io::IOResult<constraints::ConstraintShard> Decoded =
-          constraints::decodeShard(
-              std::string_view(Bytes).substr(KeyPrefixBytes));
-      if (Decoded.ok()) {
-        {
-          std::lock_guard<std::mutex> Lock(Mutex);
-          ++Stats.Hits;
-          Stats.BytesRead += Bytes.size();
-        }
-        if (Reg.enabled()) {
-          Reg.counter("shard.hits").add();
-          Reg.counter("shard.bytes_read").add(Bytes.size());
-          Reg.timer("shard.load_seconds").record(LoadTimer.seconds());
-        }
-        return std::move(Decoded.Value);
-      }
-      Problem = Decoded.Error;
-    }
-  }
-
-  // Corrupt entry: evict it so the rebuild's write-back starts clean, and
-  // report a miss so the caller falls back to fresh extraction.
-  std::error_code Ec;
-  fs::remove(Path, Ec);
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++Stats.Misses;
-    ++Stats.Evictions;
-    Stats.Errors.push_back(formatString("evicted %s: %s", Path.c_str(),
-                                        Problem.c_str()));
-  }
-  if (Reg.enabled()) {
-    Reg.counter("shard.misses").add();
-    Reg.counter("shard.evictions").add();
-  }
-  return std::nullopt;
-}
-
-bool ShardCache::store(const CacheKey &Key,
-                       const constraints::ConstraintShard &Shard) {
-  metrics::Registry &Reg = metrics::Registry::global();
-  if (!valid()) {
-    recordError(formatString("cannot store %s: %s", Key.hex().c_str(),
-                             DirError.c_str()));
-    return false;
-  }
-
-  Timer StoreTimer;
-  std::string Bytes;
-  Bytes.reserve(KeyPrefixBytes + 64);
-  for (size_t I = 0; I < KeyPrefixBytes; ++I)
-    Bytes.push_back(static_cast<char>((Key.Hash >> (8 * I)) & 0xff));
-  Bytes += constraints::encodeShard(Shard);
-
-  // Unique temp name per store call: two workers may store the same key
-  // when a corpus contains byte-identical projects.
-  static std::atomic<uint64_t> StoreSeq{0};
-  std::string Path = entryPath(Key);
-  std::string TmpPath = formatString(
-      "%s.tmp%llu", Path.c_str(),
-      static_cast<unsigned long long>(
-          StoreSeq.fetch_add(1, std::memory_order_relaxed)));
-  {
-    std::ofstream Out(TmpPath, std::ios::binary | std::ios::trunc);
-    if (Out)
-      Out.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-    if (!Out) {
-      recordError(formatString("cannot write shard entry %s",
-                               TmpPath.c_str()));
-      std::error_code Ec;
-      fs::remove(TmpPath, Ec);
-      return false;
-    }
-  }
-  std::error_code Ec;
-  fs::rename(TmpPath, Path, Ec);
-  if (Ec) {
-    recordError(formatString("cannot publish shard entry %s: %s",
-                             Path.c_str(), Ec.message().c_str()));
-    fs::remove(TmpPath, Ec);
-    return false;
-  }
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++Stats.Stores;
-    Stats.BytesWritten += Bytes.size();
-  }
-  if (Reg.enabled()) {
-    Reg.counter("shard.stores").add();
-    Reg.counter("shard.bytes_written").add(Bytes.size());
-    Reg.timer("shard.store_seconds").record(StoreTimer.seconds());
-  }
-  return true;
-}
-
-CacheStats ShardCache::stats() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Stats;
-}
+ShardCache::ShardCache(std::string Dir)
+    : CodecStore(std::move(Dir), {".scs", "shard", "shard cache"}) {}

@@ -23,10 +23,8 @@
 /// seed participate conservatively, trading spurious misses for the
 /// guarantee that a hit is always safe to replay.)
 ///
-/// Failure discipline and concurrency match GraphCache: a missing entry is
-/// a miss; a corrupt one is evicted and reported as a miss; stores go
-/// through a unique temp file + rename; an unusable directory degrades to
-/// all-miss operation. A load never yields a partial shard.
+/// Storage, failure discipline and concurrency are cache/EntryStore.h's,
+/// as for GraphCache. A load never yields a partial shard.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,9 +33,8 @@
 
 #include "cache/GraphCache.h"
 #include "constraints/ConstraintShard.h"
+#include "constraints/ShardCodec.h"
 
-#include <mutex>
-#include <optional>
 #include <string>
 
 namespace seldon {
@@ -50,45 +47,14 @@ CacheKey projectShardKey(const CacheKey &GraphKey,
                          const constraints::GenOptions &Gen,
                          const spec::SeedSpec &Seed);
 
-/// The on-disk shard store. Same lifecycle and degradation contract as
-/// GraphCache; entries use the ".scs" suffix, so both caches can share a
-/// directory without colliding.
-class ShardCache {
+/// The on-disk shard store: "<key>.scs" entries, so both caches can share
+/// a directory without colliding. Same lifecycle and degradation contract
+/// as GraphCache.
+class ShardCache
+    : public CodecStore<constraints::ConstraintShard,
+                        constraints::encodeShard, constraints::decodeShard> {
 public:
   explicit ShardCache(std::string Dir);
-
-  ShardCache(const ShardCache &) = delete;
-  ShardCache &operator=(const ShardCache &) = delete;
-
-  const std::string &dir() const { return Dir; }
-
-  /// False when the cache directory could not be created/used; error()
-  /// then describes why.
-  bool valid() const { return DirError.empty(); }
-  const std::string &error() const { return DirError; }
-
-  /// Path of \p Key's entry file inside dir().
-  std::string entryPath(const CacheKey &Key) const;
-
-  /// Loads and decodes \p Key's entry. nullopt on miss — including every
-  /// corruption case, which additionally evicts the bad entry and records
-  /// a descriptive error in stats(). Thread-safe.
-  std::optional<constraints::ConstraintShard> load(const CacheKey &Key);
-
-  /// Encodes and atomically writes \p Shard as \p Key's entry. Returns
-  /// false (recording an error) when the write fails. Thread-safe.
-  bool store(const CacheKey &Key, const constraints::ConstraintShard &Shard);
-
-  /// Snapshot of the counters and recorded errors.
-  CacheStats stats() const;
-
-private:
-  void recordError(std::string Message);
-
-  std::string Dir;
-  std::string DirError;
-  mutable std::mutex Mutex;
-  CacheStats Stats;
 };
 
 } // namespace cache

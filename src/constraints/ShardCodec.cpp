@@ -5,18 +5,16 @@
 #include "support/BinaryCodec.h"
 #include "support/StrUtil.h"
 
-#include <cstring>
-
 using namespace seldon;
 using namespace seldon::constraints;
 using codec::ByteReader;
-using codec::putFixed64;
 using codec::putString;
 using codec::putVarint;
 
 namespace {
 
-constexpr char Magic[4] = {'S', 'C', 'S', 'H'};
+constexpr codec::FrameFormat Format{"SCSH", ShardCodecVersion,
+                                   "constraint shard"};
 
 void putEventList(std::string &Out, const std::vector<ShardEventId> &Ids) {
   putVarint(Out, Ids.size());
@@ -62,7 +60,7 @@ std::string encodePayload(const ConstraintShard &Shard) {
 std::vector<ShardEventId> getEventList(ByteReader &Reader, size_t NumEvents,
                                        const char *What) {
   std::vector<ShardEventId> Out;
-  uint64_t Count = Reader.getVarint(What);
+  uint64_t Count = Reader.getCount(What);
   for (uint64_t I = 0; Reader.ok() && I < Count; ++I) {
     uint64_t Id = Reader.getVarint(What);
     if (!Reader.ok())
@@ -79,79 +77,25 @@ std::vector<ShardEventId> getEventList(ByteReader &Reader, size_t NumEvents,
   return Out;
 }
 
-} // namespace
-
-std::string seldon::constraints::encodeShard(const ConstraintShard &Shard) {
-  std::string Payload = encodePayload(Shard);
-  std::string Out;
-  Out.reserve(Payload.size() + 24);
-  Out.append(Magic, sizeof(Magic));
-  putVarint(Out, ShardCodecVersion);
-  putFixed64(Out, codec::fnv1a64(Payload));
-  putVarint(Out, Payload.size());
-  Out += Payload;
-  return Out;
-}
-
-io::IOResult<ConstraintShard>
-seldon::constraints::decodeShard(std::string_view Bytes) {
-  using Result = io::IOResult<ConstraintShard>;
-  ByteReader Reader(Bytes);
-
-  if (Bytes.size() < sizeof(Magic))
-    return Result::failure(formatString(
-        "truncated shard header: %zu byte(s), need at least %zu",
-        Bytes.size(), sizeof(Magic)));
-  if (std::memcmp(Bytes.data(), Magic, sizeof(Magic)) != 0)
-    return Result::failure("bad magic: not a serialized constraint shard");
-  for (size_t I = 0; I < sizeof(Magic); ++I)
-    Reader.getByte("magic");
-
-  uint64_t Version = Reader.getVarint("format version");
-  if (!Reader.ok())
-    return Result::failure(Reader.error());
-  if (Version != ShardCodecVersion)
-    return Result::failure(formatString(
-        "unsupported shard format version %llu (this build reads "
-        "version %u)",
-        static_cast<unsigned long long>(Version), ShardCodecVersion));
-
-  uint64_t StoredChecksum = Reader.getFixed64("payload checksum");
-  uint64_t PayloadLen = Reader.getVarint("payload length");
-  if (!Reader.ok())
-    return Result::failure(Reader.error());
-  if (PayloadLen != Reader.remaining())
-    return Result::failure(formatString(
-        "payload size mismatch: header declares %llu byte(s), %zu "
-        "follow (%s)",
-        static_cast<unsigned long long>(PayloadLen), Reader.remaining(),
-        PayloadLen > Reader.remaining() ? "truncated entry"
-                                        : "trailing garbage"));
-  uint64_t ActualChecksum = codec::fnv1a64(Bytes.substr(Reader.offset()));
-  if (ActualChecksum != StoredChecksum)
-    return Result::failure(formatString(
-        "payload checksum mismatch: stored %016llx, computed %016llx "
-        "(corrupt entry)",
-        static_cast<unsigned long long>(StoredChecksum),
-        static_cast<unsigned long long>(ActualChecksum)));
-
+/// Reads the payload encodePayload() wrote; failures land in \p Reader.
+ConstraintShard readPayload(ByteReader &Reader) {
   // Integrity-checked; remaining failures are structural (a corrupt
   // encoder or version-1 layout drift) and still reported descriptively
   // rather than trusted.
   ConstraintShard Shard;
 
-  uint64_t NumStrings = Reader.getVarint("string count");
-  Shard.Strings.reserve(Reader.ok() ? NumStrings : 0);
+  uint64_t NumStrings = Reader.getCount("string count");
+  Shard.Strings.reserve(NumStrings);
   for (uint64_t I = 0; Reader.ok() && I < NumStrings; ++I) {
     std::string_view Text = Reader.getString("representation string");
     if (Reader.ok())
       Shard.Strings.emplace_back(Text);
   }
 
-  uint64_t NumEvents = Reader.getVarint("event count");
-  Shard.Events.reserve(Reader.ok() ? NumEvents : 0);
+  uint64_t NumEvents = Reader.getCount("event count");
+  Shard.Events.reserve(NumEvents);
   for (uint64_t I = 0; Reader.ok() && I < NumEvents; ++I) {
-    uint64_t NumReps = Reader.getVarint("event rep count");
+    uint64_t NumReps = Reader.getCount("event rep count");
     if (!Reader.ok())
       break;
     if (NumReps == 0) {
@@ -186,11 +130,11 @@ seldon::constraints::decodeShard(std::string_view Bytes) {
     return false;
   };
 
-  uint64_t NumFiles = Reader.getVarint("file count");
-  Shard.Files.reserve(Reader.ok() ? NumFiles : 0);
+  uint64_t NumFiles = Reader.getCount("file count");
+  Shard.Files.reserve(NumFiles);
   for (uint64_t F = 0; Reader.ok() && F < NumFiles; ++F) {
     ShardFile File;
-    uint64_t NumSan = Reader.getVarint("sanitizer anchor count");
+    uint64_t NumSan = Reader.getCount("sanitizer anchor count");
     for (uint64_t I = 0; Reader.ok() && I < NumSan; ++I) {
       ShardSanAnchor A;
       uint64_t San = Reader.getVarint("sanitizer anchor");
@@ -209,14 +153,14 @@ seldon::constraints::decodeShard(std::string_view Bytes) {
       }
       File.SanAnchors.push_back(std::move(A));
     }
-    uint64_t NumSrc = Reader.getVarint("source anchor count");
+    uint64_t NumSrc = Reader.getCount("source anchor count");
     for (uint64_t I = 0; Reader.ok() && I < NumSrc; ++I) {
       ShardSrcAnchor A;
       uint64_t Src = Reader.getVarint("source anchor");
       if (!Reader.ok() || !CheckEvent(Src, "source anchor"))
         break;
       A.Src = static_cast<ShardEventId>(Src);
-      uint64_t NumPairs = Reader.getVarint("pair count");
+      uint64_t NumPairs = Reader.getCount("pair count");
       if (!Reader.ok())
         break;
       if (NumPairs == 0) {
@@ -239,14 +183,16 @@ seldon::constraints::decodeShard(std::string_view Bytes) {
     if (Reader.ok())
       Shard.Files.push_back(std::move(File));
   }
+  return Shard;
+}
 
-  if (Reader.ok() && Reader.remaining() != 0)
-    Reader.fail(formatString("%zu unconsumed payload byte(s)",
-                             Reader.remaining()));
-  if (!Reader.ok())
-    return Result::failure(Reader.error());
+} // namespace
 
-  Result Out;
-  Out.Value = std::move(Shard);
-  return Out;
+std::string seldon::constraints::encodeShard(const ConstraintShard &Shard) {
+  return codec::encodeFrame(Format, encodePayload(Shard));
+}
+
+io::IOResult<ConstraintShard>
+seldon::constraints::decodeShard(std::string_view Bytes) {
+  return codec::decodeFrame(Bytes, Format, readPayload);
 }

@@ -10,13 +10,10 @@
 /// constraint shards (ConstraintShard.h) — the persistence format behind
 /// cache::ShardCache, in the GraphCodec style.
 ///
-/// Layout (all integers varint-encoded unless noted):
+/// The payload travels in the shared frame of support/BinaryCodec.h
+/// (magic "SCSH", version ShardCodecVersion). Payload layout, all
+/// integers varint-encoded unless noted:
 ///
-///   magic      4 bytes  "SCSH"
-///   version    varint   ShardCodecVersion
-///   checksum   8 bytes  FNV-1a-64 of the payload, little-endian
-///   length     varint   payload size in bytes
-///   payload:
 ///     strings  count, then per string: length-prefixed bytes
 ///     events   count, then per event: rep count (>= 1), rep string ids
 ///              (most to least specific)

@@ -5,22 +5,16 @@
 #include "support/BinaryCodec.h"
 #include "support/StrUtil.h"
 
-#include <cstring>
-
 using namespace seldon;
 using namespace seldon::propgraph;
 using codec::ByteReader;
-using codec::putFixed64;
 using codec::putString;
 using codec::putVarint;
 
-uint64_t seldon::propgraph::fnv1a64(std::string_view Bytes, uint64_t Seed) {
-  return codec::fnv1a64(Bytes, Seed);
-}
-
 namespace {
 
-constexpr char Magic[4] = {'S', 'P', 'G', 'C'};
+constexpr codec::FrameFormat Format{"SPGC", GraphCodecVersion,
+                                   "propagation graph"};
 
 std::string encodePayload(const PropagationGraph &Graph) {
   std::string Payload;
@@ -49,76 +43,21 @@ std::string encodePayload(const PropagationGraph &Graph) {
   return Payload;
 }
 
-} // namespace
-
-std::string seldon::propgraph::encodeGraph(const PropagationGraph &Graph) {
-  std::string Payload = encodePayload(Graph);
-  std::string Out;
-  Out.reserve(Payload.size() + 24);
-  Out.append(Magic, sizeof(Magic));
-  putVarint(Out, GraphCodecVersion);
-  putFixed64(Out, fnv1a64(Payload));
-  putVarint(Out, Payload.size());
-  Out += Payload;
-  return Out;
-}
-
-io::IOResult<PropagationGraph>
-seldon::propgraph::decodeGraph(std::string_view Bytes) {
-  using Result = io::IOResult<PropagationGraph>;
-  ByteReader Reader(Bytes);
-
-  if (Bytes.size() < sizeof(Magic))
-    return Result::failure(formatString(
-        "truncated graph header: %zu byte(s), need at least %zu",
-        Bytes.size(), sizeof(Magic)));
-  if (std::memcmp(Bytes.data(), Magic, sizeof(Magic)) != 0)
-    return Result::failure(
-        "bad magic: not a serialized propagation graph");
-  for (size_t I = 0; I < sizeof(Magic); ++I)
-    Reader.getByte("magic");
-
-  uint64_t Version = Reader.getVarint("format version");
-  if (!Reader.ok())
-    return Result::failure(Reader.error());
-  if (Version != GraphCodecVersion)
-    return Result::failure(formatString(
-        "unsupported graph format version %llu (this build reads "
-        "version %u)",
-        static_cast<unsigned long long>(Version), GraphCodecVersion));
-
-  uint64_t StoredChecksum = Reader.getFixed64("payload checksum");
-  uint64_t PayloadLen = Reader.getVarint("payload length");
-  if (!Reader.ok())
-    return Result::failure(Reader.error());
-  if (PayloadLen != Reader.remaining())
-    return Result::failure(formatString(
-        "payload size mismatch: header declares %llu byte(s), %zu "
-        "follow (%s)",
-        static_cast<unsigned long long>(PayloadLen), Reader.remaining(),
-        PayloadLen > Reader.remaining() ? "truncated entry"
-                                        : "trailing garbage"));
-  uint64_t ActualChecksum = fnv1a64(Bytes.substr(Reader.offset()));
-  if (ActualChecksum != StoredChecksum)
-    return Result::failure(formatString(
-        "payload checksum mismatch: stored %016llx, computed %016llx "
-        "(corrupt entry)",
-        static_cast<unsigned long long>(StoredChecksum),
-        static_cast<unsigned long long>(ActualChecksum)));
-
+/// Reads the payload encodePayload() wrote; failures land in \p Reader.
+PropagationGraph readPayload(ByteReader &Reader) {
   // The payload is integrity-checked now; remaining failures are
   // structural (a corrupt encoder or version-1 layout drift) and still
   // reported descriptively rather than trusted.
   PropagationGraph Graph;
 
-  uint64_t NumFiles = Reader.getVarint("file count");
+  uint64_t NumFiles = Reader.getCount("file count");
   for (uint64_t I = 0; Reader.ok() && I < NumFiles; ++I) {
     std::string_view Path = Reader.getString("file path");
     if (Reader.ok())
       Graph.addFile(std::string(Path));
   }
 
-  uint64_t NumEvents = Reader.getVarint("event count");
+  uint64_t NumEvents = Reader.getCount("event count");
   for (uint64_t I = 0; Reader.ok() && I < NumEvents; ++I) {
     Event E;
     uint8_t Kind = Reader.getByte("event kind");
@@ -126,7 +65,7 @@ seldon::propgraph::decodeGraph(std::string_view Bytes) {
     uint64_t FileIdx = Reader.getVarint("event file index");
     uint64_t Line = Reader.getVarint("event line");
     uint64_t Col = Reader.getVarint("event column");
-    uint64_t NumReps = Reader.getVarint("representation count");
+    uint64_t NumReps = Reader.getCount("representation count");
     if (!Reader.ok())
       break;
     if (Kind > static_cast<uint8_t>(EventKind::CallArgument)) {
@@ -163,7 +102,7 @@ seldon::propgraph::decodeGraph(std::string_view Bytes) {
       Graph.addEvent(std::move(E));
   }
 
-  uint64_t NumEdges = Reader.getVarint("edge count");
+  uint64_t NumEdges = Reader.getCount("edge count");
   for (uint64_t I = 0; Reader.ok() && I < NumEdges; ++I) {
     uint64_t From = Reader.getVarint("edge source");
     uint64_t To = Reader.getVarint("edge target");
@@ -183,14 +122,16 @@ seldon::propgraph::decodeGraph(std::string_view Bytes) {
     }
     Graph.addEdge(static_cast<EventId>(From), static_cast<EventId>(To));
   }
+  return Graph;
+}
 
-  if (Reader.ok() && Reader.remaining() != 0)
-    Reader.fail(formatString("%zu unconsumed payload byte(s)",
-                             Reader.remaining()));
-  if (!Reader.ok())
-    return Result::failure(Reader.error());
+} // namespace
 
-  Result Out;
-  Out.Value = std::move(Graph);
-  return Out;
+std::string seldon::propgraph::encodeGraph(const PropagationGraph &Graph) {
+  return codec::encodeFrame(Format, encodePayload(Graph));
+}
+
+io::IOResult<PropagationGraph>
+seldon::propgraph::decodeGraph(std::string_view Bytes) {
+  return codec::decodeFrame(Bytes, Format, readPayload);
 }

@@ -11,13 +11,10 @@
 /// of §5 is deterministic per project, so a once-built graph can be stored
 /// and adopted by later runs without re-parsing.
 ///
-/// Layout (all integers varint-encoded unless noted):
+/// The payload travels in the shared frame of support/BinaryCodec.h
+/// (magic "SPGC", version GraphCodecVersion). Payload layout, all
+/// integers varint-encoded unless noted:
 ///
-///   magic      4 bytes  "SPGC"
-///   version    varint   GraphCodecVersion
-///   checksum   8 bytes  FNV-1a-64 of the payload, little-endian
-///   length     varint   payload size in bytes
-///   payload:
 ///     files    count, then per file: length-prefixed path
 ///     events   count, then per event: kind (u8), candidate mask (u8),
 ///              file index, line, column, rep count, length-prefixed reps
@@ -62,14 +59,6 @@ std::string encodeGraph(const PropagationGraph &Graph);
 /// first problem (including the byte offset where parsing stopped) and the
 /// Value is an empty graph.
 io::IOResult<PropagationGraph> decodeGraph(std::string_view Bytes);
-
-/// FNV-1a 64-bit over \p Bytes, continuing from \p Seed. The codec's
-/// payload checksum; also the building block of cache::projectCacheKey.
-/// Each step is injective in the accumulator, so two equal-length inputs
-/// differing in one byte always hash differently — a single bit flip in a
-/// stored payload is guaranteed to be detected.
-uint64_t fnv1a64(std::string_view Bytes,
-                 uint64_t Seed = 0xcbf29ce484222325ull);
 
 } // namespace propgraph
 } // namespace seldon

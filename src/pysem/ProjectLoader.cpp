@@ -2,6 +2,7 @@
 
 #include "pysem/ProjectLoader.h"
 
+#include "support/FileIO.h"
 #include "support/Metrics.h"
 #include "support/StrUtil.h"
 #include "support/ThreadPool.h"
@@ -9,24 +10,11 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 namespace fs = std::filesystem;
 
 using namespace seldon;
 using namespace seldon::pysem;
-
-std::optional<std::string> seldon::pysem::readFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return std::nullopt;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  if (In.bad())
-    return std::nullopt;
-  return Buffer.str();
-}
 
 std::optional<Project>
 seldon::pysem::loadProjectFromDir(const std::string &RootDir,
@@ -81,16 +69,16 @@ seldon::pysem::loadProjectFromDir(const std::string &RootDir,
       Reg.enabled() ? &Reg.counter("parse.files") : nullptr;
   for (const fs::path &File : Files) {
     Timer FileClock;
-    std::optional<std::string> Source = readFile(File.string());
+    io::IOResult<std::string> Source = io::readFile(File.string());
     if (!Source) {
       if (ErrorsOut)
-        ErrorsOut->push_back("failed to read " + File.string());
+        ErrorsOut->push_back(std::move(Source.Error));
       continue;
     }
     std::string Relative = fs::relative(File, Root, Ec).generic_string();
     if (Ec || Relative.empty())
       Relative = File.filename().string();
-    Proj.addModule(std::move(Relative), *Source);
+    Proj.addModule(std::move(Relative), Source.Value);
     if (FileTimer) {
       FileTimer->record(FileClock.seconds());
       FileCount->add();

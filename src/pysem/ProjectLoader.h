@@ -58,9 +58,6 @@ loadProjectsFromDirs(const std::vector<std::string> &RootDirs,
                      std::vector<std::vector<std::string>> *ErrorsOut =
                          nullptr);
 
-/// Reads a whole file into a string; returns std::nullopt on failure.
-std::optional<std::string> readFile(const std::string &Path);
-
 } // namespace pysem
 } // namespace seldon
 

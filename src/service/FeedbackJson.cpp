@@ -3,9 +3,7 @@
 #include "service/FeedbackJson.h"
 
 #include "service/QueryResult.h"
-
-#include <fstream>
-#include <sstream>
+#include "support/FileIO.h"
 
 using namespace seldon;
 using namespace seldon::service;
@@ -91,19 +89,13 @@ bool seldon::service::loadFeedbackFile(const std::string &Path,
                                        constraints::FeedbackSet &Out,
                                        std::string &Error, size_t *Accepted,
                                        size_t *Rejected) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    Error = "cannot open feedback file " + Path;
-    return false;
-  }
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  if (In.bad()) {
-    Error = "cannot read feedback file " + Path;
+  io::IOResult<std::string> Text = io::readFile(Path);
+  if (!Text) {
+    Error = "feedback file: " + Text.Error;
     return false;
   }
   JsonValue Doc;
-  if (!parseJson(Text.str(), Doc, Error) ||
+  if (!parseJson(Text.Value, Doc, Error) ||
       !feedbackFromJson(Doc, Out, Error, Accepted, Rejected)) {
     Error = Path + ": " + Error;
     return false;

@@ -16,8 +16,10 @@ using codec::putVarint;
 
 namespace {
 
-constexpr char JournalMagic[4] = {'S', 'W', 'A', 'L'};
-constexpr char SnapshotMagic[4] = {'S', 'S', 'N', 'P'};
+constexpr codec::FrameFormat JournalFormat{"SWAL", JournalCodecVersion,
+                                          "seldond write-ahead journal"};
+constexpr codec::FrameFormat SnapshotFormat{"SSNP", SnapshotCodecVersion,
+                                           "seldond state snapshot"};
 
 /// Doubles travel as their exact IEEE-754 bit pattern — a restored score
 /// vector is byte-identical to the solved one, never a decimal round trip.
@@ -46,7 +48,7 @@ void putFeedbackEntries(std::string &Out,
 std::vector<constraints::FeedbackEntry>
 getFeedbackEntries(ByteReader &Reader) {
   std::vector<constraints::FeedbackEntry> Out;
-  uint64_t Count = Reader.getVarint("feedback entry count");
+  uint64_t Count = Reader.getCount("feedback entry count");
   for (uint64_t I = 0; Reader.ok() && I < Count; ++I) {
     constraints::FeedbackEntry E;
     std::string_view Rep = Reader.getString("feedback representation");
@@ -152,29 +154,53 @@ JournalRecord decodeRecordPayload(ByteReader &Reader) {
     Record.AbortedSeq = Reader.getVarint("aborted sequence number");
     break;
   }
-  if (Reader.ok() && Reader.remaining() != 0)
-    Reader.fail(formatString("%zu unconsumed record byte(s)",
-                             Reader.remaining()));
   return Record;
+}
+
+/// Reads the payload encodeSnapshot() wrote; failures land in \p Reader.
+StateSnapshot readSnapshot(ByteReader &Reader) {
+  StateSnapshot Snapshot;
+  Snapshot.LastSeq = Reader.getVarint("covered sequence number");
+  Snapshot.Fingerprint = Reader.getFixed64("system fingerprint");
+  Snapshot.Solve.Iterations =
+      static_cast<int>(Reader.getVarint("solve iterations"));
+  Snapshot.Solve.Converged = getBool(Reader, "converged flag") != 0;
+  Snapshot.Solve.FinalObjective =
+      bitsDouble(Reader.getFixed64("final objective"));
+  Snapshot.Solve.NonFiniteSteps =
+      static_cast<int>(Reader.getVarint("non-finite steps"));
+  Snapshot.Solve.Recoveries =
+      static_cast<int>(Reader.getVarint("solver recoveries"));
+  Snapshot.Solve.FellBack = getBool(Reader, "fellback flag") != 0;
+  Snapshot.Solve.DeadlineExpired =
+      getBool(Reader, "deadline-expired flag") != 0;
+
+  uint64_t NumScores = Reader.getCount("score count", 8);
+  Snapshot.Solve.X.reserve(NumScores);
+  for (uint64_t I = 0; Reader.ok() && I < NumScores; ++I)
+    Snapshot.Solve.X.push_back(bitsDouble(Reader.getFixed64("score")));
+  Snapshot.FeedbackOpts.AcceptWeight =
+      bitsDouble(Reader.getFixed64("accept weight"));
+  Snapshot.FeedbackOpts.RejectWeight =
+      bitsDouble(Reader.getFixed64("reject weight"));
+  Snapshot.FeedbackOpts.SimilarityDecay =
+      bitsDouble(Reader.getFixed64("similarity decay"));
+  Snapshot.Feedback = getFeedbackEntries(Reader);
+  return Snapshot;
 }
 
 } // namespace
 
 std::string seldon::service::journalHeader() {
   std::string Out;
-  Out.append(JournalMagic, sizeof(JournalMagic));
-  putVarint(Out, JournalCodecVersion);
+  codec::putHeader(Out, JournalFormat);
   return Out;
 }
 
 std::string
 seldon::service::encodeJournalRecord(const JournalRecord &Record) {
-  std::string Payload = encodeRecordPayload(Record);
   std::string Out;
-  Out.reserve(Payload.size() + 16);
-  putFixed64(Out, codec::fnv1a64(Payload));
-  putVarint(Out, Payload.size());
-  Out += Payload;
+  codec::putRecord(Out, encodeRecordPayload(Record));
   return Out;
 }
 
@@ -185,61 +211,36 @@ seldon::service::scanJournal(std::string_view Bytes) {
   // The header is written whole via temp+rename (StateStore resets the
   // journal that way), so a short or wrong header is corruption, not a
   // torn append.
-  if (Bytes.size() < sizeof(JournalMagic))
-    return Result::failure(formatString(
-        "truncated journal header: %zu byte(s), need at least %zu",
-        Bytes.size(), sizeof(JournalMagic)));
-  if (std::memcmp(Bytes.data(), JournalMagic, sizeof(JournalMagic)) != 0)
-    return Result::failure("bad magic: not a seldond write-ahead journal");
-  ByteReader Header(Bytes);
-  for (size_t I = 0; I < sizeof(JournalMagic); ++I)
-    Header.getByte("magic");
-  uint64_t Version = Header.getVarint("journal format version");
-  if (!Header.ok())
-    return Result::failure(Header.error());
-  if (Version != JournalCodecVersion)
-    return Result::failure(formatString(
-        "unsupported journal format version %llu (this build reads "
-        "version %u)",
-        static_cast<unsigned long long>(Version), JournalCodecVersion));
+  io::IOResult<size_t> Header = codec::checkHeader(Bytes, JournalFormat);
+  if (!Header)
+    return Result::failure(std::move(Header.Error));
 
   JournalScan Scan;
-  size_t Off = Header.offset();
+  size_t Off = Header.Value;
   Scan.ValidBytes = Off;
   while (Off < Bytes.size()) {
-    // Frame header: fixed64 checksum + varint length. An append is one
-    // sequential write, so any incomplete frame here extends to EOF —
-    // that is the torn tail; everything before it stays valid.
-    ByteReader Frame(Bytes.substr(Off));
-    uint64_t Checksum = Frame.getFixed64("record checksum");
-    uint64_t Len = Frame.getVarint("record length");
-    if (!Frame.ok() || Len > Frame.remaining()) {
+    // An append is one sequential write, so a record that runs past the
+    // end of the file is the torn tail; everything before it stays valid.
+    size_t Size = 0;
+    io::IOResult<std::string_view> Payload =
+        codec::getRecord(Bytes, Off, Size);
+    if (Size == 0) {
       Scan.Torn = true;
       break;
     }
-    std::string_view Payload = Bytes.substr(Off + Frame.offset(), Len);
-    if (codec::fnv1a64(Payload) != Checksum)
-      return Result::failure(formatString(
-          "journal record %zu checksum mismatch at byte %zu: stored "
-          "%016llx, computed %016llx (corrupt journal)",
-          Scan.Records.size(), Off,
-          static_cast<unsigned long long>(Checksum),
-          static_cast<unsigned long long>(codec::fnv1a64(Payload))));
-
-    ByteReader Body(Payload);
-    JournalRecord Record = decodeRecordPayload(Body);
-    if (!Body.ok())
+    io::IOResult<JournalRecord> Record =
+        Payload ? codec::readWhole(Payload.Value, decodeRecordPayload)
+                : io::IOResult<JournalRecord>::failure(Payload.Error);
+    if (!Record)
       return Result::failure(formatString(
           "journal record %zu at byte %zu: %s (corrupt journal)",
-          Scan.Records.size(), Off, Body.error().c_str()));
-    Scan.Records.push_back(std::move(Record));
-    Off += Frame.offset() + Len;
+          Scan.Records.size(), Off, Record.Error.c_str()));
+    Scan.Records.push_back(std::move(Record.Value));
+    Off += Size;
     Scan.ValidBytes = Off;
   }
 
-  Result Out;
-  Out.Value = std::move(Scan);
-  return Out;
+  return Result::success(std::move(Scan));
 }
 
 std::string seldon::service::encodeSnapshot(const StateSnapshot &Snapshot) {
@@ -261,98 +262,12 @@ std::string seldon::service::encodeSnapshot(const StateSnapshot &Snapshot) {
   putFixed64(Payload, doubleBits(Snapshot.FeedbackOpts.SimilarityDecay));
   putFeedbackEntries(Payload, Snapshot.Feedback);
 
-  std::string Out;
-  Out.reserve(Payload.size() + 24);
-  Out.append(SnapshotMagic, sizeof(SnapshotMagic));
-  putVarint(Out, SnapshotCodecVersion);
-  putFixed64(Out, codec::fnv1a64(Payload));
-  putVarint(Out, Payload.size());
-  Out += Payload;
-  return Out;
+  return codec::encodeFrame(SnapshotFormat, Payload);
 }
 
 io::IOResult<StateSnapshot>
 seldon::service::decodeSnapshot(std::string_view Bytes) {
-  using Result = io::IOResult<StateSnapshot>;
-  if (Bytes.size() < sizeof(SnapshotMagic))
-    return Result::failure(formatString(
-        "truncated snapshot header: %zu byte(s), need at least %zu",
-        Bytes.size(), sizeof(SnapshotMagic)));
-  if (std::memcmp(Bytes.data(), SnapshotMagic, sizeof(SnapshotMagic)) != 0)
-    return Result::failure("bad magic: not a seldond state snapshot");
-  ByteReader Reader(Bytes);
-  for (size_t I = 0; I < sizeof(SnapshotMagic); ++I)
-    Reader.getByte("magic");
-  uint64_t Version = Reader.getVarint("snapshot format version");
-  if (!Reader.ok())
-    return Result::failure(Reader.error());
-  if (Version != SnapshotCodecVersion)
-    return Result::failure(formatString(
-        "unsupported snapshot format version %llu (this build reads "
-        "version %u)",
-        static_cast<unsigned long long>(Version), SnapshotCodecVersion));
-
-  uint64_t StoredChecksum = Reader.getFixed64("payload checksum");
-  uint64_t PayloadLen = Reader.getVarint("payload length");
-  if (!Reader.ok())
-    return Result::failure(Reader.error());
-  if (PayloadLen != Reader.remaining())
-    return Result::failure(formatString(
-        "payload size mismatch: header declares %llu byte(s), %zu "
-        "follow (%s)",
-        static_cast<unsigned long long>(PayloadLen), Reader.remaining(),
-        PayloadLen > Reader.remaining() ? "truncated snapshot"
-                                        : "trailing garbage"));
-  uint64_t ActualChecksum = codec::fnv1a64(Bytes.substr(Reader.offset()));
-  if (ActualChecksum != StoredChecksum)
-    return Result::failure(formatString(
-        "payload checksum mismatch: stored %016llx, computed %016llx "
-        "(corrupt snapshot)",
-        static_cast<unsigned long long>(StoredChecksum),
-        static_cast<unsigned long long>(ActualChecksum)));
-
-  StateSnapshot Snapshot;
-  Snapshot.LastSeq = Reader.getVarint("covered sequence number");
-  Snapshot.Fingerprint = Reader.getFixed64("system fingerprint");
-  Snapshot.Solve.Iterations =
-      static_cast<int>(Reader.getVarint("solve iterations"));
-  Snapshot.Solve.Converged = getBool(Reader, "converged flag") != 0;
-  Snapshot.Solve.FinalObjective =
-      bitsDouble(Reader.getFixed64("final objective"));
-  Snapshot.Solve.NonFiniteSteps =
-      static_cast<int>(Reader.getVarint("non-finite steps"));
-  Snapshot.Solve.Recoveries =
-      static_cast<int>(Reader.getVarint("solver recoveries"));
-  Snapshot.Solve.FellBack = getBool(Reader, "fellback flag") != 0;
-  Snapshot.Solve.DeadlineExpired =
-      getBool(Reader, "deadline-expired flag") != 0;
-
-  uint64_t NumScores = Reader.getVarint("score count");
-  if (Reader.ok() && NumScores * 8 > Reader.remaining())
-    Reader.fail(formatString("score count %llu exceeds payload",
-                             static_cast<unsigned long long>(NumScores)));
-  if (Reader.ok()) {
-    Snapshot.Solve.X.reserve(NumScores);
-    for (uint64_t I = 0; Reader.ok() && I < NumScores; ++I)
-      Snapshot.Solve.X.push_back(bitsDouble(Reader.getFixed64("score")));
-  }
-  Snapshot.FeedbackOpts.AcceptWeight =
-      bitsDouble(Reader.getFixed64("accept weight"));
-  Snapshot.FeedbackOpts.RejectWeight =
-      bitsDouble(Reader.getFixed64("reject weight"));
-  Snapshot.FeedbackOpts.SimilarityDecay =
-      bitsDouble(Reader.getFixed64("similarity decay"));
-  Snapshot.Feedback = getFeedbackEntries(Reader);
-
-  if (Reader.ok() && Reader.remaining() != 0)
-    Reader.fail(formatString("%zu unconsumed payload byte(s)",
-                             Reader.remaining()));
-  if (!Reader.ok())
-    return Result::failure(Reader.error());
-
-  Result Out;
-  Out.Value = std::move(Snapshot);
-  return Out;
+  return codec::decodeFrame(Bytes, SnapshotFormat, readSnapshot);
 }
 
 uint64_t

@@ -8,15 +8,13 @@
 /// \file
 /// The two binary formats of seldond's durability layer (see
 /// service/StateStore.h): the write-ahead journal and the state snapshot.
-/// Both follow the tree-wide codec discipline of GraphCodec/ShardCodec —
-/// magic + varint version + FNV-1a-64 payload checksum + varint length +
-/// payload, strict ByteReader decoding, io::IOResult errors, never a
-/// partially-populated value.
+/// Both use the shared frame of support/BinaryCodec.h — strict
+/// ByteReader decoding, io::IOResult errors, never a partially-populated
+/// value.
 ///
-/// Journal file ("state.wal"):
-///
-///   "SWAL" varint(version)                          — file header
-///   { fixed64(fnv1a64(payload)) varint(len) payload }*  — framed records
+/// Journal file ("state.wal"): the frame header ("SWAL", version), then
+/// one checksummed record (fixed64 FNV-1a-64, varint length, payload) per
+/// journaled op.
 ///
 /// Each record payload is varint(seq) byte(op) plus the op's parameters —
 /// everything needed to re-execute the mutating request deterministically
@@ -27,12 +25,12 @@
 /// frame that fails its checksum or structural decode as interior
 /// corruption (unrecoverable — the caller evicts the journal).
 ///
-/// Snapshot file ("state-<seq>.ssn"): one framed payload carrying the
-/// journal sequence number it covers, a fingerprint of the constraint
-/// system it was solved against, the served solver result with the raw X
-/// vector as fixed64 bit patterns (so a restored spec is byte-identical,
-/// not round-tripped through decimal), and the cumulative feedback
-/// verdict set.
+/// Snapshot file ("state-<seq>.ssn"): one frame ("SSNP") whose payload
+/// carries the journal sequence number it covers, a fingerprint of the
+/// constraint system it was solved against, the served solver result with
+/// the raw X vector as fixed64 bit patterns (so a restored spec is
+/// byte-identical, not round-tripped through decimal), and the cumulative
+/// feedback verdict set.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -2,20 +2,17 @@
 
 #include "service/StateStore.h"
 
-#include "cache/GraphCache.h"
 #include "support/FaultInjection.h"
+#include "support/FileIO.h"
 #include "support/Metrics.h"
 #include "support/StrUtil.h"
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <system_error>
 
 #include <fcntl.h>
@@ -31,36 +28,6 @@ namespace {
 constexpr const char *JournalName = "state.wal";
 constexpr const char *SnapshotSuffix = ".ssn";
 constexpr const char *JournalSuffix = ".wal";
-
-/// Writes all of \p Bytes to \p Fd, retrying short writes and EINTR.
-bool writeAll(int Fd, const char *Bytes, size_t Len, std::string &Error) {
-  size_t Off = 0;
-  while (Off < Len) {
-    ssize_t N = ::write(Fd, Bytes + Off, Len - Off);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      Error = std::strerror(errno);
-      return false;
-    }
-    Off += static_cast<size_t>(N);
-  }
-  return true;
-}
-
-/// Reads a whole file; false (with \p Error) when it cannot be read.
-bool readFile(const std::string &Path, std::string &Out,
-              std::string &Error) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    Error = formatString("cannot open %s", Path.c_str());
-    return false;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  Out = Buf.str();
-  return true;
-}
 
 /// Parses "state-<digits>.ssn" into its sequence number.
 bool parseSnapshotName(const std::string &Name, uint64_t &Seq) {
@@ -79,32 +46,21 @@ bool parseSnapshotName(const std::string &Name, uint64_t &Seq) {
 } // namespace
 
 StateStore::StateStore(std::string Dir) : Dir(std::move(Dir)) {
-  std::error_code Ec;
-  fs::create_directories(this->Dir, Ec);
-  if (Ec) {
-    DirError = formatString("cannot create state directory %s: %s",
-                            this->Dir.c_str(), Ec.message().c_str());
+  // Opening sweeps the temps of crashed publishes, as the caches do.
+  io::IOResult<size_t> Opened = io::openDirectory(
+      this->Dir, "state", {SnapshotSuffix, JournalSuffix});
+  DirError = Opened.Error;
+  Stats.StaleTempsRemoved = Opened.Value;
+  if (!valid())
     return;
-  }
-  if (!fs::is_directory(this->Dir, Ec)) {
-    DirError = formatString("state path %s is not a directory",
-                            this->Dir.c_str());
-    return;
-  }
-  // A publish that crashed between its temp write and the rename leaks
-  // "<file>.tmp<seq>"; the same age-guarded digits-only rule the caches
-  // use keeps a concurrent writer's in-flight temp alive.
-  Stats.StaleTempsRemoved =
-      cache::sweepStaleTemps(this->Dir, SnapshotSuffix) +
-      cache::sweepStaleTemps(this->Dir, JournalSuffix);
 
   std::string Error;
+  std::error_code Ec;
   if (!fs::exists(journalPath(), Ec)) {
     // A fresh journal is published whole (header via temp + rename), so
     // scanJournal() can treat a short header as corruption, never a torn
     // append.
-    if (!publishFile(journalPath(), journalHeader(), /*ArmCrash=*/false,
-                     0, Error)) {
+    if (!publish(journalPath(), journalHeader(), nullptr, Error)) {
       DirError = formatString("cannot create journal: %s", Error.c_str());
       return;
     }
@@ -143,54 +99,18 @@ void StateStore::closeJournal() {
   }
 }
 
-void StateStore::fsyncDir() {
-  // Make the rename itself durable; best-effort (some filesystems refuse
-  // directory fsync) — the file contents were already fsynced.
-  int DirFd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (DirFd >= 0) {
-    ::fsync(DirFd);
-    ::close(DirFd);
-  }
-}
-
-bool StateStore::publishFile(const std::string &Path,
-                             const std::string &Bytes, bool ArmCrash,
-                             uint64_t CrashSeq, std::string &Error) {
-  static std::atomic<uint64_t> PublishSeq{0};
-  std::string Temp = formatString(
-      "%s.tmp%llu", Path.c_str(),
-      static_cast<unsigned long long>(
-          PublishSeq.fetch_add(1, std::memory_order_relaxed)));
-  int Fd = ::open(Temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (Fd < 0) {
-    Error = formatString("cannot create %s: %s", Temp.c_str(),
-                         std::strerror(errno));
-    return false;
-  }
-  std::string WriteError;
-  bool Ok = writeAll(Fd, Bytes.data(), Bytes.size(), WriteError);
-  if (Ok && ::fsync(Fd) != 0) {
-    WriteError = std::strerror(errno);
-    Ok = false;
-  }
-  ::close(Fd);
-  if (!Ok) {
-    ::unlink(Temp.c_str());
-    Error = formatString("cannot write %s: %s", Temp.c_str(),
-                         WriteError.c_str());
-    return false;
-  }
-  ++Stats.Fsyncs;
-  if (ArmCrash)
-    fault::maybeCrash(fault::Point::SnapshotWrite, CrashSeq);
-  if (::rename(Temp.c_str(), Path.c_str()) != 0) {
-    Error = formatString("cannot rename %s to %s: %s", Temp.c_str(),
-                         Path.c_str(), std::strerror(errno));
-    ::unlink(Temp.c_str());
-    return false;
-  }
-  fsyncDir();
-  return true;
+bool StateStore::publish(const std::string &Path, const std::string &Bytes,
+                         const std::function<void()> &BeforeRename,
+                         std::string &Error) {
+  io::IOResult<size_t> Written =
+      io::publishFile(Path, Bytes, /*Fsync=*/true, [&] {
+        ++Stats.Fsyncs;
+        if (BeforeRename)
+          BeforeRename();
+      });
+  if (!Written)
+    Error = Written.Error;
+  return Written.ok();
 }
 
 bool StateStore::appendRecord(const JournalRecord &Record,
@@ -205,20 +125,16 @@ bool StateStore::appendRecord(const JournalRecord &Record,
   // exactly what a power cut mid-append leaves behind.
   if (fault::enabled() &&
       fault::crashArmed(fault::Point::JournalAppend, Record.Seq)) {
-    std::string Dummy;
-    (void)writeAll(JournalFd, Frame.data(), Frame.size() / 2, Dummy);
-    ::fsync(JournalFd);
+    (void)io::appendAndSync(
+        JournalFd, std::string_view(Frame).substr(0, Frame.size() / 2));
     fault::crashExit(fault::Point::JournalAppend, Record.Seq);
   }
 
-  std::string WriteError;
-  if (!writeAll(JournalFd, Frame.data(), Frame.size(), WriteError)) {
-    Error = formatString("journal append failed: %s", WriteError.c_str());
-    return false;
-  }
-  fault::maybeCrash(fault::Point::JournalFsync, Record.Seq);
-  if (::fsync(JournalFd) != 0) {
-    Error = formatString("journal fsync failed: %s", std::strerror(errno));
+  io::IOResult<size_t> Appended = io::appendAndSync(JournalFd, Frame, [&] {
+    fault::maybeCrash(fault::Point::JournalFsync, Record.Seq);
+  });
+  if (!Appended) {
+    Error = "journal " + Appended.Error;
     return false;
   }
   ++Stats.Fsyncs;
@@ -241,8 +157,12 @@ bool StateStore::writeSnapshot(const StateSnapshot &Snapshot,
     return false;
   }
   std::string Bytes = encodeSnapshot(Snapshot);
-  if (!publishFile(snapshotPath(Snapshot.LastSeq), Bytes,
-                   /*ArmCrash=*/true, Snapshot.LastSeq, Error))
+  if (!publish(snapshotPath(Snapshot.LastSeq), Bytes,
+               [&] {
+                 fault::maybeCrash(fault::Point::SnapshotWrite,
+                                   Snapshot.LastSeq);
+               },
+               Error))
     return false;
   ++Stats.Snapshots;
   Stats.SnapshotBytes += Bytes.size();
@@ -266,43 +186,10 @@ bool StateStore::writeSnapshot(const StateSnapshot &Snapshot,
   // skips them, so compaction is crash-safe at every instant.
   closeJournal();
   std::string ResetError;
-  bool Reset = [&]() {
-    static std::atomic<uint64_t> ResetSeq{0};
-    std::string Temp = formatString(
-        "%s.tmp%llu", journalPath().c_str(),
-        static_cast<unsigned long long>(
-            ResetSeq.fetch_add(1, std::memory_order_relaxed)));
-    int Fd = ::open(Temp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (Fd < 0) {
-      ResetError = formatString("cannot create %s: %s", Temp.c_str(),
-                                std::strerror(errno));
-      return false;
-    }
-    std::string Header = journalHeader();
-    std::string WriteError;
-    bool Ok = writeAll(Fd, Header.data(), Header.size(), WriteError);
-    if (Ok && ::fsync(Fd) != 0) {
-      WriteError = std::strerror(errno);
-      Ok = false;
-    }
-    ::close(Fd);
-    if (!Ok) {
-      ::unlink(Temp.c_str());
-      ResetError = formatString("cannot write %s: %s", Temp.c_str(),
-                                WriteError.c_str());
-      return false;
-    }
-    ++Stats.Fsyncs;
-    fault::maybeCrash(fault::Point::JournalReset, Snapshot.LastSeq);
-    if (::rename(Temp.c_str(), journalPath().c_str()) != 0) {
-      ResetError = formatString("cannot rename %s: %s", Temp.c_str(),
-                                std::strerror(errno));
-      ::unlink(Temp.c_str());
-      return false;
-    }
-    fsyncDir();
-    return true;
-  }();
+  bool Reset = publish(
+      journalPath(), journalHeader(),
+      [&] { fault::maybeCrash(fault::Point::JournalReset, Snapshot.LastSeq); },
+      ResetError);
   if (!Reset) {
     Error = formatString("journal compaction failed: %s",
                          ResetError.c_str());
@@ -344,15 +231,14 @@ io::IOResult<RecoveredState> StateStore::recover() {
   std::sort(Snapshots.begin(), Snapshots.end(),
             [](const auto &A, const auto &B) { return A.first > B.first; });
   for (const auto &[Seq, Path] : Snapshots) {
-    std::string Bytes, ReadError;
-    if (!readFile(Path, Bytes, ReadError)) {
-      Stats.Errors.push_back(formatString("snapshot %llu: %s",
-                                          static_cast<unsigned long long>(
-                                              Seq),
-                                          ReadError.c_str()));
+    io::IOResult<std::string> Bytes = io::readFile(Path);
+    if (!Bytes) {
+      Stats.Errors.push_back(formatString(
+          "snapshot %llu: %s", static_cast<unsigned long long>(Seq),
+          Bytes.Error.c_str()));
       continue;
     }
-    io::IOResult<StateSnapshot> Decoded = decodeSnapshot(Bytes);
+    io::IOResult<StateSnapshot> Decoded = decodeSnapshot(Bytes.Value);
     if (!Decoded) {
       Stats.Errors.push_back(formatString(
           "evicted snapshot %llu: %s",
@@ -371,11 +257,10 @@ io::IOResult<RecoveredState> StateStore::recover() {
   // corruption: evict the whole journal — the snapshot still restores
   // everything it covers, and starting a fresh journal beats trusting
   // bytes that failed their checksum.
-  std::string Bytes, ReadError;
-  if (!readFile(journalPath(), Bytes, ReadError))
-    return Result::failure(
-        formatString("cannot read journal: %s", ReadError.c_str()));
-  io::IOResult<JournalScan> Scan = scanJournal(Bytes);
+  io::IOResult<std::string> Journal = io::readFile(journalPath());
+  if (!Journal)
+    return Result::failure(std::move(Journal.Error));
+  io::IOResult<JournalScan> Scan = scanJournal(Journal.Value);
   std::vector<JournalRecord> Records;
   if (!Scan) {
     Stats.Errors.push_back(
@@ -383,15 +268,14 @@ io::IOResult<RecoveredState> StateStore::recover() {
     ++Stats.EvictedJournals;
     closeJournal();
     std::string Error;
-    if (!publishFile(journalPath(), journalHeader(), /*ArmCrash=*/false,
-                     0, Error) ||
+    if (!publish(journalPath(), journalHeader(), nullptr, Error) ||
         !openJournal(Error))
       return Result::failure(
           formatString("cannot rebuild journal: %s", Error.c_str()));
   } else {
     Records = std::move(Scan.Value.Records);
     if (Scan.Value.Torn) {
-      uint64_t Dropped = Bytes.size() - Scan.Value.ValidBytes;
+      uint64_t Dropped = Journal.Value.size() - Scan.Value.ValidBytes;
       Stats.TruncatedTailBytes += Dropped;
       Stats.Errors.push_back(formatString(
           "truncated torn journal tail: dropped %llu byte(s), kept %zu "
@@ -430,7 +314,5 @@ io::IOResult<RecoveredState> StateStore::recover() {
         .set(State.HasSnapshot ? 1.0 : 0.0);
   }
 
-  io::IOResult<RecoveredState> Out;
-  Out.Value = std::move(State);
-  return Out;
+  return Result::success(std::move(State));
 }

@@ -11,9 +11,9 @@
 ///
 ///   state.wal            — the append-only write-ahead journal
 ///   state-<seq>.ssn      — snapshots, newest sequence number wins
-///   *.tmp<digits>        — in-flight temp files (crash leftovers are
-///                          swept on open, same age-guarded rule as the
-///                          caches)
+///   *.tmp<digits>        — in-flight io::publishFile temps (crash
+///                          leftovers are swept on open, as the caches
+///                          sweep theirs)
 ///
 /// Protocol, enforced by Service:
 ///
@@ -48,6 +48,7 @@
 #include "support/IOResult.h"
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -130,12 +131,12 @@ public:
 private:
   bool openJournal(std::string &Error);
   void closeJournal();
-  /// Publishes \p Bytes at \p Path via "<Path>.tmp<seq>" + fsync +
-  /// rename + directory fsync. \p CrashSeq keys the snapshot-write crash
-  /// point when \p ArmCrash is set.
-  bool publishFile(const std::string &Path, const std::string &Bytes,
-                   bool ArmCrash, uint64_t CrashSeq, std::string &Error);
-  void fsyncDir();
+  /// Publishes \p Bytes at \p Path with io::publishFile's fsyncs,
+  /// running \p BeforeRename (a crash point) between the fsync and the
+  /// rename.
+  bool publish(const std::string &Path, const std::string &Bytes,
+               const std::function<void()> &BeforeRename,
+               std::string &Error);
 
   std::string Dir;
   std::string DirError;

@@ -2,42 +2,17 @@
 
 #include "spec/SpecIO.h"
 
+#include "support/FileIO.h"
 #include "support/StrUtil.h"
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 using namespace seldon;
 using namespace seldon::spec;
 using namespace seldon::propgraph;
 
 namespace {
-
-/// Reads \p Path fully; empty optional on failure.
-std::optional<std::string> slurp(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return std::nullopt;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  if (In.bad())
-    return std::nullopt;
-  return Buffer.str();
-}
-
-/// Writes \p Content to \p Path; returns an error message or empty.
-std::string spill(const std::string &Path, const std::string &Content) {
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  if (!Out)
-    return "cannot open " + Path + " for writing";
-  Out << Content;
-  Out.flush();
-  if (!Out)
-    return "write to " + Path + " failed";
-  return std::string();
-}
 
 /// Returns an error message when \p Text looks cut off mid-record: every
 /// writer in this file ends each record (and the file) with '\n', so a
@@ -66,54 +41,40 @@ std::string corruptionError(const std::string &Path,
 } // namespace
 
 IOResult<SeedSpec> seldon::spec::loadSeedSpec(const std::string &Path) {
-  std::optional<std::string> Text = slurp(Path);
+  IOResult<std::string> Text = io::readFile(Path);
   if (!Text)
-    return IOResult<SeedSpec>::failure("cannot read seed spec " + Path);
-  if (std::string Err = truncationError(Path, *Text); !Err.empty())
+    return IOResult<SeedSpec>::failure("seed spec: " + Text.Error);
+  if (std::string Err = truncationError(Path, Text.Value); !Err.empty())
     return IOResult<SeedSpec>::failure(std::move(Err));
   std::vector<std::string> Errors;
-  SeedSpec Parsed = SeedSpec::parse(*Text, &Errors);
+  SeedSpec Parsed = SeedSpec::parse(Text.Value, &Errors);
   if (std::string Err = corruptionError(Path, Errors); !Err.empty())
     return IOResult<SeedSpec>::failure(std::move(Err));
-  IOResult<SeedSpec> Result;
-  Result.Value = std::move(Parsed);
-  return Result;
+  return IOResult<SeedSpec>::success(std::move(Parsed));
 }
 
 IOResult<LearnedSpec> seldon::spec::loadLearnedSpec(const std::string &Path) {
-  std::optional<std::string> Text = slurp(Path);
+  IOResult<std::string> Text = io::readFile(Path);
   if (!Text)
-    return IOResult<LearnedSpec>::failure("cannot read spec " + Path);
-  if (std::string Err = truncationError(Path, *Text); !Err.empty())
+    return IOResult<LearnedSpec>::failure("spec: " + Text.Error);
+  if (std::string Err = truncationError(Path, Text.Value); !Err.empty())
     return IOResult<LearnedSpec>::failure(std::move(Err));
   std::vector<std::string> Errors;
-  LearnedSpec Parsed = parseLearnedSpec(*Text, &Errors);
+  LearnedSpec Parsed = parseLearnedSpec(Text.Value, &Errors);
   if (std::string Err = corruptionError(Path, Errors); !Err.empty())
     return IOResult<LearnedSpec>::failure(std::move(Err));
-  IOResult<LearnedSpec> Result;
-  Result.Value = std::move(Parsed);
-  return Result;
+  return IOResult<LearnedSpec>::success(std::move(Parsed));
 }
 
 IOResult<size_t> seldon::spec::saveSeedSpec(const SeedSpec &Seed,
                                             const std::string &Path) {
-  std::string Text = writeSeedSpec(Seed);
-  if (std::string Err = spill(Path, Text); !Err.empty())
-    return IOResult<size_t>::failure(std::move(Err));
-  IOResult<size_t> Result;
-  Result.Value = Text.size();
-  return Result;
+  return io::writeFile(Path, writeSeedSpec(Seed));
 }
 
 IOResult<size_t> seldon::spec::saveLearnedSpec(const LearnedSpec &Learned,
                                                const std::string &Path,
                                                double MinScore) {
-  std::string Text = writeLearnedSpec(Learned, MinScore);
-  if (std::string Err = spill(Path, Text); !Err.empty())
-    return IOResult<size_t>::failure(std::move(Err));
-  IOResult<size_t> Result;
-  Result.Value = Text.size();
-  return Result;
+  return io::writeFile(Path, writeLearnedSpec(Learned, MinScore));
 }
 
 std::string seldon::spec::writeSeedSpec(const SeedSpec &Seed) {

@@ -37,6 +37,12 @@ template <typename T> struct IOResult {
   bool ok() const { return Error.empty(); }
   explicit operator bool() const { return ok(); }
 
+  static IOResult success(T Value) {
+    IOResult R;
+    R.Value = std::move(Value);
+    return R;
+  }
+
   static IOResult failure(std::string Message) {
     IOResult R;
     R.Error = std::move(Message);

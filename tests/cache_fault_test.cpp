@@ -15,6 +15,7 @@
 #include "infer/Pipeline.h"
 #include "propgraph/GraphCodec.h"
 #include "spec/SpecIO.h"
+#include "support/FileIO.h"
 
 #include <gtest/gtest.h>
 
@@ -328,7 +329,7 @@ TEST(CacheFaultTest, SweepHonorsAgeThreshold) {
   std::string Tmp = Dir + "/aa.spg.tmp0";
   writeFileBytes(Tmp, "x");
   // Age 0 disables the live-writer grace period: even a fresh temp goes.
-  EXPECT_EQ(cache::sweepStaleTemps(Dir, ".spg", /*MaxAgeSeconds=*/0), 1u);
+  EXPECT_EQ(io::sweepStaleTemps(Dir, ".spg", /*MaxAgeSeconds=*/0), 1u);
   EXPECT_FALSE(fs::exists(Tmp));
   fs::remove_all(Dir);
 }

@@ -254,6 +254,33 @@ TEST_F(CliTest, MetricsOutUnwritablePathFails) {
       << R.Output;
 }
 
+// /dev/full accepts the open and fails every write, so a command that
+// reports success there never checked its output file.
+TEST_F(CliTest, OutToAFullDeviceFails) {
+  if (!fs::exists("/dev/full"))
+    GTEST_SKIP() << "no /dev/full on this host";
+  for (const std::string &Args :
+       {"analyze --out /dev/full " + repo(),
+        "graph --out /dev/full " + path("repo/app.py"),
+        "learn --cutoff 1 --iters 50 --out /dev/full " + repo()}) {
+    CommandResult R = runCli(Args);
+    EXPECT_EQ(R.ExitCode, 1) << Args << "\n" << R.Output;
+    EXPECT_NE(R.Output.find("cannot write"), std::string::npos)
+        << Args << "\n" << R.Output;
+    EXPECT_EQ(R.Output.find("wrote /dev/full"), std::string::npos)
+        << Args << "\n" << R.Output;
+  }
+}
+
+TEST_F(CliTest, MetricsOutToAFullDeviceFails) {
+  if (!fs::exists("/dev/full"))
+    GTEST_SKIP() << "no /dev/full on this host";
+  CommandResult R = runCli("analyze --metrics-out /dev/full " + repo());
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(R.Output.find("cannot write"), std::string::npos) << R.Output;
+  EXPECT_EQ(R.Output.find("wrote metrics"), std::string::npos) << R.Output;
+}
+
 TEST_F(CliTest, CustomSeedFile) {
   write("custom.seed", "o: flask.request.args.get()\n");
   // Without a sink in the seed there is nothing to report.

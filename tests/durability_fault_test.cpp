@@ -24,6 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -113,6 +114,25 @@ void expectRecordsEqual(const JournalRecord &A, const JournalRecord &B,
   EXPECT_EQ(A.Reload, B.Reload) << Where;
   EXPECT_EQ(A.Backend, B.Backend) << Where;
   EXPECT_EQ(A.AbortedSeq, B.AbortedSeq) << Where;
+}
+
+/// A checksum-valid snapshot frame whose payload declares 2^61 scores,
+/// with nothing after the count. \p ConvergedByte is the converged flag;
+/// anything but 0 or 1 makes the flag itself the first failure.
+std::string hugeScoreCountSnapshot(char ConvergedByte = 1) {
+  std::string Payload;
+  codec::putVarint(Payload, 2);       // covered sequence number
+  codec::putFixed64(Payload, 0);      // system fingerprint
+  codec::putVarint(Payload, 600);     // solve iterations
+  Payload.push_back(ConvergedByte);   // converged
+  codec::putFixed64(Payload, 0);      // final objective
+  codec::putVarint(Payload, 0);       // non-finite steps
+  codec::putVarint(Payload, 0);       // recoveries
+  Payload.push_back(0);               // fell back
+  Payload.push_back(0);               // deadline expired
+  codec::putVarint(Payload, uint64_t(1) << 61);
+  return codec::encodeFrame(
+      {"SSNP", SnapshotCodecVersion, "seldond state snapshot"}, Payload);
 }
 
 StateSnapshot sampleSnapshot() {
@@ -326,6 +346,22 @@ TEST(SnapshotCodecTest, EveryBitFlipIsRejected) {
   }
 }
 
+TEST(SnapshotCodecTest, HugeScoreCountIsAnErrorNotAThrow) {
+  // 2^61 * 8 wraps to 0 in 64 bits; the bound must not. With a bad flag
+  // byte the flag fails first, and the count read after it must not size
+  // X either.
+  const std::pair<char, const char *> Cases[] = {{1, "score count"},
+                                                 {2, "converged flag"}};
+  for (const auto &[ConvergedByte, FirstFailure] : Cases) {
+    io::IOResult<StateSnapshot> R;
+    ASSERT_NO_THROW(R = decodeSnapshot(hugeScoreCountSnapshot(ConvergedByte)))
+        << FirstFailure;
+    EXPECT_FALSE(R.ok());
+    EXPECT_NE(R.Error.find(FirstFailure), std::string::npos) << R.Error;
+    EXPECT_TRUE(R.Value.Solve.X.empty()) << FirstFailure;
+  }
+}
+
 TEST(SnapshotCodecTest, TrailingGarbageIsRejected) {
   std::string Bytes = encodeSnapshot(sampleSnapshot()) + "x";
   io::IOResult<StateSnapshot> R = decodeSnapshot(Bytes);
@@ -528,6 +564,33 @@ TEST(StateStoreTest, CorruptNewestSnapshotFallsBackToOlder) {
   EXPECT_FALSE(fs::exists(NewerPath)) << "corrupt snapshot not evicted";
   EXPECT_TRUE(fs::exists(OlderPath));
   fs::remove_all(Dir);
+}
+
+TEST(StateStoreTest, HugeCountSnapshotIsEvictedAndRecoveryFallsBack) {
+  // Converged byte 2 makes the flag the first failure, before the count.
+  for (char ConvergedByte : {1, 2}) {
+    SCOPED_TRACE(testing::Message()
+                 << "converged byte " << int(ConvergedByte));
+    std::string Dir = makeScratchDir("state-hugecount");
+    std::string HugePath;
+    {
+      StateStore Store(Dir);
+      StateSnapshot Older = sampleSnapshot();
+      Older.LastSeq = 1;
+      writeFileBytes(Store.snapshotPath(1), encodeSnapshot(Older));
+      HugePath = Store.snapshotPath(2);
+      writeFileBytes(HugePath, hugeScoreCountSnapshot(ConvergedByte));
+    }
+    StateStore Reopened(Dir);
+    io::IOResult<RecoveredState> R;
+    ASSERT_NO_THROW(R = Reopened.recover());
+    ASSERT_TRUE(R.ok()) << R.Error;
+    ASSERT_TRUE(R.Value.HasSnapshot);
+    EXPECT_EQ(R.Value.Snapshot.LastSeq, 1u) << "fell back to the older";
+    EXPECT_EQ(Reopened.stats().EvictedSnapshots, 1u);
+    EXPECT_FALSE(fs::exists(HugePath)) << "bad snapshot not evicted";
+    fs::remove_all(Dir);
+  }
 }
 
 TEST(StateStoreTest, AllSnapshotsCorruptDegradesToJournalOnly) {

@@ -1,0 +1,138 @@
+//===- tests/format_golden_test.cpp - Pinned on-disk byte formats ---------===//
+//
+// Golden hashes of every on-disk format: a graph built from one generated
+// project, that graph's constraint shard, one state snapshot, one journal
+// (header plus a record), and the cache entries both caches write for the
+// project, file name included. Cache and state directories written by an
+// earlier build stay readable only while these bytes stay the same, so a
+// failure here means a format changed: bump the codec's version constant,
+// then record the new hashes.
+//
+//===----------------------------------------------------------------------===//
+
+#include "TestCorpus.h"
+
+#include "cache/GraphCache.h"
+#include "cache/ShardCache.h"
+#include "constraints/ShardCodec.h"
+#include "propgraph/GraphCodec.h"
+#include "service/StateCodec.h"
+#include "support/BinaryCodec.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
+
+using namespace seldon;
+
+namespace {
+
+std::string hex(uint64_t Value) {
+  char Buf[19];
+  std::snprintf(Buf, sizeof(Buf), "0x%016llx",
+                static_cast<unsigned long long>(Value));
+  return Buf;
+}
+
+/// FNV-1a-64 of \p Bytes, printed as hex so a failure shows the new value.
+std::string digest(std::string_view Bytes) {
+  return hex(codec::fnv1a64(Bytes));
+}
+
+std::string slurp(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  EXPECT_TRUE(In.good()) << Path;
+  return std::string((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// The fixed inputs: the first project of the seed-4242 test corpus, its
+/// graph under default build options, and that graph's whole-file shard.
+struct Inputs {
+  corpus::Corpus Data = testutil::makeCorpus(4242, /*NumProjects=*/2);
+  const pysem::Project &Proj = Data.Projects.front();
+  propgraph::PropagationGraph Graph = propgraph::buildProjectGraph(Proj);
+  constraints::ConstraintShard Shard = constraints::extractShard(
+      Graph, 0, static_cast<uint32_t>(Graph.files().size()));
+  cache::CacheKey GraphKey =
+      cache::projectCacheKey(Proj, propgraph::BuildOptions());
+  cache::CacheKey ShardKey = cache::projectShardKey(
+      GraphKey, constraints::GenOptions(), Data.Seed);
+};
+
+service::StateSnapshot snapshot() {
+  service::StateSnapshot S;
+  S.LastSeq = 42;
+  S.Fingerprint = 0x1234'5678'9abc'def0ull;
+  S.Solve.X = {0.0, 1.0, 0.1, 1.0 / 3.0, 0.30000000000000004, -0.0};
+  S.Solve.FinalObjective = 0.0625;
+  S.Solve.Iterations = 600;
+  S.Solve.Converged = true;
+  S.Solve.NonFiniteSteps = 1;
+  S.Solve.Recoveries = 2;
+  S.FeedbackOpts.AcceptWeight = 1.5;
+  S.FeedbackOpts.RejectWeight = 0.5;
+  S.FeedbackOpts.SimilarityDecay = 0.25;
+  S.Feedback.push_back({"flask.escape()", propgraph::Role::Sanitizer, true});
+  S.Feedback.push_back({"eval()", propgraph::Role::Sink, false});
+  return S;
+}
+
+service::JournalRecord record() {
+  service::JournalRecord R;
+  R.Seq = 7;
+  R.Op = service::JournalOp::Feedback;
+  R.Entries.push_back({"flask.escape()", propgraph::Role::Sanitizer, true});
+  R.Entries.push_back({"os.system()", propgraph::Role::Sink, false});
+  R.FeedbackOpts.AcceptWeight = 2.5;
+  R.FeedbackOpts.RejectWeight = 0.75;
+  R.FeedbackOpts.SimilarityDecay = 0.125;
+  R.Iters = 321;
+  R.WarmStart = true;
+  return R;
+}
+
+TEST(FormatGoldenTest, GraphEncodingIsPinned) {
+  Inputs In;
+  EXPECT_EQ(digest(propgraph::encodeGraph(In.Graph)), "0xa6bef51c8918a74a");
+}
+
+TEST(FormatGoldenTest, ShardEncodingIsPinned) {
+  Inputs In;
+  EXPECT_EQ(digest(constraints::encodeShard(In.Shard)),
+            "0xc1f00158bda61ebe");
+}
+
+TEST(FormatGoldenTest, SnapshotEncodingIsPinned) {
+  EXPECT_EQ(digest(service::encodeSnapshot(snapshot())),
+            "0xdbf9c8faa3036085");
+}
+
+TEST(FormatGoldenTest, JournalEncodingIsPinned) {
+  EXPECT_EQ(digest(service::journalHeader() +
+                   service::encodeJournalRecord(record())),
+            "0xf5157d4cfe0bd4fd");
+}
+
+TEST(FormatGoldenTest, CacheEntriesArePinned) {
+  Inputs In;
+  std::string Dir = testutil::makeScratchDir("format-golden");
+  cache::GraphCache Graphs(Dir);
+  cache::ShardCache Shards(Dir);
+  ASSERT_TRUE(Graphs.store(In.GraphKey, In.Graph));
+  ASSERT_TRUE(Shards.store(In.ShardKey, In.Shard));
+
+  EXPECT_EQ(Graphs.entryPath(In.GraphKey), Dir + "/6d9c771ac8352f97.spg");
+  EXPECT_EQ(digest(slurp(Graphs.entryPath(In.GraphKey))),
+            "0xc42ba913da35be8d");
+  EXPECT_EQ(Shards.entryPath(In.ShardKey), Dir + "/74cae58ac2751308.scs");
+  EXPECT_EQ(digest(slurp(Shards.entryPath(In.ShardKey))),
+            "0xf49c14618fdcda97");
+  std::filesystem::remove_all(Dir);
+}
+
+} // namespace

@@ -12,6 +12,7 @@
 
 #include "constraints/ConstraintGen.h"
 #include "propgraph/GraphCodec.h"
+#include "support/BinaryCodec.h"
 
 #include <gtest/gtest.h>
 
@@ -173,12 +174,36 @@ TEST(GraphCodecTest, RejectsFutureVersion) {
   EXPECT_NE(R.Error.find("version"), std::string::npos) << R.Error;
 }
 
+TEST(GraphCodecTest, HugeCountIsAnErrorNotAThrow) {
+  // A checksum-valid frame whose one event declares 2^61 representations:
+  // the decoder must refuse the count, never reserve() for it.
+  std::string Payload;
+  codec::putVarint(Payload, 1);
+  codec::putString(Payload, "app.py");
+  codec::putVarint(Payload, 1);
+  Payload.push_back(static_cast<char>(EventKind::Call));
+  Payload.push_back(static_cast<char>(AllRolesMask));
+  codec::putVarint(Payload, 0);  // file index
+  codec::putVarint(Payload, 1);  // line
+  codec::putVarint(Payload, 1);  // column
+  codec::putVarint(Payload, uint64_t(1) << 61);
+  std::string Frame = codec::encodeFrame(
+      {"SPGC", GraphCodecVersion, "propagation graph"}, Payload);
+  io::IOResult<PropagationGraph> R;
+  ASSERT_NO_THROW(R = decodeGraph(Frame));
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("representation count"), std::string::npos)
+      << R.Error;
+  EXPECT_EQ(R.Value.numEvents(), 0u);
+}
+
 TEST(GraphCodecTest, FnvDetectsSingleByteDifference) {
   std::string A(256, 'x');
   for (size_t I = 0; I < A.size(); ++I) {
     std::string B = A;
     B[I] = 'y';
-    EXPECT_NE(fnv1a64(A), fnv1a64(B)) << "collision at byte " << I;
+    EXPECT_NE(codec::fnv1a64(A), codec::fnv1a64(B))
+        << "collision at byte " << I;
   }
 }
 

@@ -1,6 +1,7 @@
 //===- tests/projectloader_test.cpp - Tests for filesystem loading --------===//
 
 #include "pysem/ProjectLoader.h"
+#include "support/FileIO.h"
 
 #include <gtest/gtest.h>
 
@@ -126,10 +127,10 @@ TEST(ProjectLoaderTest, ParseErrorsSurfaceOnModules) {
 TEST(ReadFileTest, ReadsAndFails) {
   TempTree Tree;
   Tree.write("data.txt", "hello\nworld\n");
-  auto Content = readFile(Tree.path() + "/data.txt");
-  ASSERT_TRUE(Content.has_value());
-  EXPECT_EQ(*Content, "hello\nworld\n");
-  EXPECT_FALSE(readFile(Tree.path() + "/missing.txt").has_value());
+  io::IOResult<std::string> Content = io::readFile(Tree.path() + "/data.txt");
+  ASSERT_TRUE(Content.ok()) << Content.Error;
+  EXPECT_EQ(Content.Value, "hello\nworld\n");
+  EXPECT_FALSE(io::readFile(Tree.path() + "/missing.txt").ok());
 }
 
 } // namespace

@@ -15,11 +15,13 @@
 #include "constraints/ShardCodec.h"
 #include "infer/Pipeline.h"
 #include "spec/SpecIO.h"
+#include "support/BinaryCodec.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 using namespace seldon;
 using namespace seldon::constraints;
@@ -101,6 +103,31 @@ TEST(ShardCodecFaultTest, EveryBitFlipIsRejected) {
     EXPECT_TRUE(R.Value.Strings.empty()) << "partial shard, flip at " << I;
   }
   EXPECT_EQ(Encoded, Baseline);
+}
+
+TEST(ShardCodecFaultTest, HugeCountIsAnErrorNotAThrow) {
+  // Checksum-valid frames declaring 2^61 elements: the decoder must refuse
+  // the count, never reserve() for it — also when the count follows a
+  // failed read (here a first string whose length overruns the payload).
+  std::string HugeStrings;
+  codec::putVarint(HugeStrings, uint64_t(1) << 61);
+  std::string HugeEventsAfterOverrun;
+  codec::putVarint(HugeEventsAfterOverrun, 1);   // string count
+  codec::putVarint(HugeEventsAfterOverrun, 100); // 9 bytes follow
+  codec::putVarint(HugeEventsAfterOverrun, uint64_t(1) << 61);
+  const std::pair<std::string, const char *> Cases[] = {
+      {HugeStrings, "string count"},
+      {HugeEventsAfterOverrun, "representation string"}};
+  for (const auto &[Payload, FirstFailure] : Cases) {
+    std::string Frame = codec::encodeFrame(
+        {"SCSH", ShardCodecVersion, "constraint shard"}, Payload);
+    io::IOResult<ConstraintShard> R;
+    ASSERT_NO_THROW(R = decodeShard(Frame)) << FirstFailure;
+    EXPECT_FALSE(R.ok());
+    EXPECT_NE(R.Error.find(FirstFailure), std::string::npos) << R.Error;
+    EXPECT_TRUE(R.Value.Strings.empty()) << FirstFailure;
+    EXPECT_TRUE(R.Value.Events.empty()) << FirstFailure;
+  }
 }
 
 //===----------------------------------------------------------------------===//

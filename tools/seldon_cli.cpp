@@ -33,6 +33,7 @@
 
 #include "support/ArgParser.h"
 #include "support/FaultInjection.h"
+#include "support/FileIO.h"
 #include "support/Metrics.h"
 #include "support/StrUtil.h"
 #include "support/TablePrinter.h"
@@ -314,12 +315,11 @@ bool writeOutput(const CliOptions &Opts, const std::string &Content) {
     std::fputs(Content.c_str(), stdout);
     return true;
   }
-  std::ofstream Out(Opts.OutFile);
-  if (!Out) {
-    std::fprintf(stderr, "error: cannot write %s\n", Opts.OutFile.c_str());
+  io::IOResult<size_t> Written = io::writeFile(Opts.OutFile, Content);
+  if (!Written) {
+    std::fprintf(stderr, "error: %s\n", Written.Error.c_str());
     return false;
   }
-  Out << Content;
   std::fprintf(stderr, "wrote %s\n", Opts.OutFile.c_str());
   return true;
 }
@@ -553,13 +553,10 @@ int cmdLearn(const CliOptions &Opts) {
                  AR.TotalPinned,
                  AR.Converged ? "converged" : "budget exhausted");
     if (!Opts.OracleOut.empty()) {
-      std::ofstream Out(Opts.OracleOut,
-                        std::ios::binary | std::ios::trunc);
-      if (Out)
-        Out << active::writeOracleFile(AR.Transcript);
-      if (!Out) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     Opts.OracleOut.c_str());
+      io::IOResult<size_t> Written = io::writeFile(
+          Opts.OracleOut, active::writeOracleFile(AR.Transcript));
+      if (!Written) {
+        std::fprintf(stderr, "error: %s\n", Written.Error.c_str());
         return 1;
       }
       std::fprintf(stderr, "wrote transcript to %s (%zu exchange(s))\n",
@@ -686,9 +683,8 @@ int cmdAnalyze(const CliOptions &Opts) {
       std::vector<std::string> Lines;
       // Module paths are relative to their repository root; try each.
       for (const std::string &Dir : Opts.Paths) {
-        if (std::optional<std::string> Text =
-                pysem::readFile(Dir + "/" + File)) {
-          Lines = splitString(*Text, '\n');
+        if (io::IOResult<std::string> Text = io::readFile(Dir + "/" + File)) {
+          Lines = splitString(Text.Value, '\n');
           break;
         }
       }
@@ -844,13 +840,13 @@ int cmdGraph(const CliOptions &Opts) {
     std::fprintf(stderr, "error: graph expects exactly one .py file\n");
     return 1;
   }
-  std::optional<std::string> Source = pysem::readFile(Opts.Paths[0]);
+  io::IOResult<std::string> Source = io::readFile(Opts.Paths[0]);
   if (!Source) {
-    std::fprintf(stderr, "error: cannot read %s\n", Opts.Paths[0].c_str());
+    std::fprintf(stderr, "error: %s\n", Source.Error.c_str());
     return 1;
   }
   pysem::Project Proj("cli");
-  const pysem::ModuleInfo &M = Proj.addModule(Opts.Paths[0], *Source);
+  const pysem::ModuleInfo &M = Proj.addModule(Opts.Paths[0], Source.Value);
   for (const pyast::ParseError &E : M.Errors)
     std::fprintf(stderr, "%s:%u:%u: %s\n", Opts.Paths[0].c_str(), E.Line,
                  E.Col, E.Message.c_str());
@@ -879,12 +875,10 @@ bool emitMetrics(const CliOptions &Opts) {
   if (Opts.Metrics)
     std::fputs(Reg.renderText().c_str(), stderr);
   if (!Opts.MetricsOut.empty()) {
-    std::ofstream Out(Opts.MetricsOut, std::ios::binary | std::ios::trunc);
-    if (Out)
-      Out << Reg.toJson();
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write metrics to %s\n",
-                   Opts.MetricsOut.c_str());
+    io::IOResult<size_t> Written = io::writeFile(Opts.MetricsOut, Reg.toJson());
+    if (!Written) {
+      std::fprintf(stderr, "error: cannot write metrics: %s\n",
+                   Written.Error.c_str());
       return false;
     }
     std::fprintf(stderr, "wrote metrics to %s\n", Opts.MetricsOut.c_str());

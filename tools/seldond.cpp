@@ -21,6 +21,7 @@
 #include "service/SocketServer.h"
 #include "support/ArgParser.h"
 #include "support/FaultInjection.h"
+#include "support/FileIO.h"
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
 
@@ -28,7 +29,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -244,12 +244,10 @@ bool emitMetrics(const DaemonOptions &Opts) {
   if (Opts.Metrics)
     std::fputs(Reg.renderText().c_str(), stderr);
   if (!Opts.MetricsOut.empty()) {
-    std::ofstream Out(Opts.MetricsOut, std::ios::binary | std::ios::trunc);
-    if (Out)
-      Out << Reg.toJson();
-    if (!Out) {
-      std::fprintf(stderr, "error: cannot write metrics to %s\n",
-                   Opts.MetricsOut.c_str());
+    io::IOResult<size_t> Written = io::writeFile(Opts.MetricsOut, Reg.toJson());
+    if (!Written) {
+      std::fprintf(stderr, "error: cannot write metrics: %s\n",
+                   Written.Error.c_str());
       return false;
     }
   }
