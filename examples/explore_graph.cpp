@@ -10,6 +10,7 @@
 #include "constraints/ConstraintGen.h"
 #include "propgraph/GraphBuilder.h"
 #include "pyast/AstPrinter.h"
+#include "pyast/Parser.h"
 
 #include <cstdio>
 
@@ -35,14 +36,20 @@ int main() {
 
   std::printf("=== Source (paper Fig. 2a) ===\n%s\n", Source);
 
-  pysem::Project Proj("fig2a");
-  const pysem::ModuleInfo &Module = Proj.addModule("fig2a/app.py", Source);
-  if (!Module.Errors.empty()) {
-    std::printf("parse error: %s\n", Module.Errors.front().Message.c_str());
+  // The graph build parses the module itself; parse it here once more
+  // only to show the AST.
+  pyast::AstContext Ctx;
+  std::vector<pyast::ParseError> Errors;
+  const pyast::ModuleNode *Ast = pyast::parseSource(Ctx, Source, &Errors);
+  if (!Errors.empty()) {
+    std::printf("parse error: %s\n", Errors.front().Message.c_str());
     return 1;
   }
 
-  std::printf("=== AST ===\n%s\n", pyast::dumpAst(Module.Ast).c_str());
+  std::printf("=== AST ===\n%s\n", pyast::dumpAst(Ast).c_str());
+
+  pysem::Project Proj("fig2a");
+  const pysem::ModuleInfo &Module = Proj.addModule("fig2a/app.py", Source);
 
   propgraph::PropagationGraph Graph =
       propgraph::buildModuleGraph(Proj, Module);

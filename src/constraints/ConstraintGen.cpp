@@ -253,11 +253,7 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
   for (const Event &E : Events)
     ByFile[E.FileIdx].push_back(E.Id);
 
-  struct FileBlock {
-    VarTable Vars;
-    std::vector<solver::LinearConstraint> Constraints;
-  };
-  std::vector<FileBlock> PerFile(ByFile.size());
+  std::vector<ConstraintBlock> PerFile(ByFile.size());
   unsigned Workers = Pool ? Pool->numWorkers() : 1;
   std::vector<double> ShardSeconds(Workers, 0.0);
   auto ExtractFile = [&](size_t F, unsigned Worker) {
@@ -282,17 +278,22 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
     for (size_t F = 0; F < ByFile.size(); ++F)
       ExtractFile(F, 0);
 
-  // Deterministic merge: walk shards in file order, replay each local
-  // variable table into the global one (local ids are in first-use order,
-  // so this reproduces the exact ids a serial run assigns — including
-  // variables a serial run creates for sums that end up in no constraint),
-  // then remap and concatenate the constraint blocks.
-  size_t Total = 0;
-  for (const FileBlock &Block : PerFile)
+  mergeBlocks(PerFile, Sys);
+
+  if (ShardSecondsOut)
+    *ShardSecondsOut = std::move(ShardSeconds);
+  return Sys;
+}
+
+void seldon::constraints::mergeBlocks(std::vector<ConstraintBlock> &Blocks,
+                                      ConstraintSystem &Sys) {
+  size_t Total = Sys.Constraints.size();
+  for (const ConstraintBlock &Block : Blocks)
     Total += Block.Constraints.size();
   Sys.Constraints.reserve(Total);
-  for (FileBlock &Block : PerFile) {
-    std::vector<VarId> Map(Block.Vars.numVars());
+  std::vector<VarId> Map;
+  for (ConstraintBlock &Block : Blocks) {
+    Map.resize(Block.Vars.numVars());
     for (VarId L = 0; L < Block.Vars.numVars(); ++L)
       Map[L] = Sys.Vars.varFor(Block.Vars.repOf(L), Block.Vars.roleOf(L));
     for (solver::LinearConstraint &LC : Block.Constraints) {
@@ -302,10 +303,6 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
         T.Var = Map[T.Var];
       Sys.Constraints.push_back(std::move(LC));
     }
-    Block = FileBlock(); // Free as we go.
+    Block = ConstraintBlock(); // Free as we go.
   }
-
-  if (ShardSecondsOut)
-    *ShardSecondsOut = std::move(ShardSeconds);
-  return Sys;
 }

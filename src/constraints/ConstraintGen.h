@@ -92,6 +92,24 @@ ConstraintSystem prepareSystem(const propgraph::PropagationGraph &Graph,
                                const GenOptions &Opts = GenOptions(),
                                ThreadPool *Pool = nullptr);
 
+/// The constraints one unit of work (a file during generation, a
+/// project's shard during composition) extracted on its own, over a
+/// block-local variable table whose ids follow first use within the
+/// block.
+struct ConstraintBlock {
+  VarTable Vars;
+  std::vector<solver::LinearConstraint> Constraints;
+};
+
+/// The ordered merge behind generateConstraints and composeConstraints:
+/// walks \p Blocks in order, replays each local variable table into
+/// Sys.Vars, remaps the block's constraints to the global ids and appends
+/// them, freeing each block as it goes. Local ids are in first-use order,
+/// so this reproduces the exact ids a serial run over the same units
+/// assigns — including variables created for sums that end up in no
+/// constraint.
+void mergeBlocks(std::vector<ConstraintBlock> &Blocks, ConstraintSystem &Sys);
+
 } // namespace constraints
 } // namespace seldon
 

@@ -3,6 +3,7 @@
 #include "constraints/ConstraintShard.h"
 
 #include "support/Deadline.h"
+#include "support/ThreadPool.h"
 
 #include <array>
 
@@ -202,11 +203,17 @@ seldon::constraints::extractShard(const PropagationGraph &Graph,
   return Shard;
 }
 
-void seldon::constraints::appendShard(const ConstraintShard &Shard,
-                                      const RepTable &Reps,
-                                      const spec::SeedSpec &Seed,
-                                      const GenOptions &Opts,
-                                      ConstraintSystem &Sys) {
+namespace {
+
+/// Replays \p Shard under the current corpus state into \p Out: filters
+/// each event's options by the §4.3 cutoff (global counts in \p Reps) and
+/// the seed blacklist, skips dead anchors, caps surviving pairs per
+/// anchor, and emits the resulting constraints over Out.Vars — a
+/// shard-local table interned in the exact order serial generation would
+/// intern into the global one, so mergeBlocks() reproduces its ids.
+void replayShard(const ConstraintShard &Shard, const RepTable &Reps,
+                 const spec::SeedSpec &Seed, const GenOptions &Opts,
+                 ConstraintBlock &Out) {
   // Resolve each shard event's surviving backoff options once: global
   // frequency cutoff (§4.3) + blacklist (§7.2), preserving the stored
   // most-to-least-specific order — exactly the filter generateConstraints
@@ -239,20 +246,19 @@ void seldon::constraints::appendShard(const ConstraintShard &Shard,
 
   auto Alive = [&](ShardEventId E) { return !Kept[E].empty(); };
   auto Surviving = [&](const std::vector<ShardEventId> &Ids) {
-    std::vector<ShardEventId> Out;
+    std::vector<ShardEventId> Live;
     for (ShardEventId Id : Ids)
       if (Alive(Id))
-        Out.push_back(Id);
-    return Out;
+        Live.push_back(Id);
+    return Live;
   };
-  // Mirrors FileExtractor::appendAvgTerms, with one crucial difference:
-  // variables are interned straight into the global table. Events recur
-  // across many constraints (a source anchor's option terms appear in
-  // every pair it forms), so the term block for an (event, role) is built
-  // once and appended by copy afterwards — the build happens lazily at
-  // the block's first use, which is exactly where the uncached replay
-  // would have issued its first varFor calls, so variable interning order
-  // — and with it every id in the composed system — is unchanged.
+  // Mirrors FileExtractor::appendAvgTerms. Events recur across many
+  // constraints (a source anchor's option terms appear in every pair it
+  // forms), so the term block for an (event, role) is built once and
+  // appended by copy afterwards — the build happens lazily at the block's
+  // first use, which is exactly where an uncached replay would have issued
+  // its first varFor calls, so variable interning order — and with it
+  // every id in the composed system — is unchanged.
   std::vector<std::array<std::vector<solver::Term>, propgraph::NumRoles>>
       TermCache(Shard.Events.size());
   std::vector<std::array<bool, propgraph::NumRoles>> CacheReady(
@@ -266,7 +272,7 @@ void seldon::constraints::appendShard(const ConstraintShard &Shard,
       float Coef = 1.0f / static_cast<float>(Options.size());
       Block.reserve(Options.size());
       for (RepId Rep : Options)
-        Block.push_back({Sys.Vars.varFor(Rep, R), Coef});
+        Block.push_back({Out.Vars.varFor(Rep, R), Coef});
       CacheReady[E][RI] = true;
     }
     return Block;
@@ -306,7 +312,7 @@ void seldon::constraints::appendShard(const ConstraintShard &Shard,
         AppendAvg(LC.Lhs, Snk, Role::Sink);
         LC.Rhs = SourceSum;
         LC.C = Opts.C;
-        Sys.Constraints.push_back(std::move(LC));
+        Out.Constraints.push_back(std::move(LC));
       }
 
       std::vector<solver::Term> SinkSum = SumTerms(SinksAfter, Role::Sink);
@@ -319,7 +325,7 @@ void seldon::constraints::appendShard(const ConstraintShard &Shard,
         AppendAvg(LC.Lhs, Anchor.San, Role::Sanitizer);
         LC.Rhs = SinkSum;
         LC.C = Opts.C;
-        Sys.Constraints.push_back(std::move(LC));
+        Out.Constraints.push_back(std::move(LC));
       }
     }
 
@@ -341,11 +347,13 @@ void seldon::constraints::appendShard(const ConstraintShard &Shard,
           if (Alive(Mid))
             AppendAvg(LC.Rhs, Mid, Role::Sanitizer);
         LC.C = Opts.C;
-        Sys.Constraints.push_back(std::move(LC));
+        Out.Constraints.push_back(std::move(LC));
       }
     }
   }
 }
+
+} // namespace
 
 ConstraintSystem seldon::constraints::composeConstraints(
     const PropagationGraph &Graph, const RepTable &Reps,
@@ -353,13 +361,21 @@ ConstraintSystem seldon::constraints::composeConstraints(
     const std::vector<const ConstraintShard *> &Shards,
     const GenOptions &Opts, ThreadPool *Pool, const Deadline *StopAt) {
   ConstraintSystem Sys = prepareSystem(Graph, Reps, Seed, Opts, Pool);
-  for (const ConstraintShard *Shard : Shards) {
+  std::vector<ConstraintBlock> Blocks(Shards.size());
+  auto ReplayOne = [&](size_t I, unsigned) {
     // All-or-nothing, like generation: a truncated composition would
-    // change the learned scores silently.
+    // change the learned scores silently (parallelFor rethrows the
+    // expiry, and Sys is never returned).
     if (StopAt && StopAt->expired())
       throw DeadlineError("deadline expired during constraint composition");
-    if (Shard)
-      appendShard(*Shard, Reps, Seed, Opts, Sys);
-  }
+    if (Shards[I])
+      replayShard(*Shards[I], Reps, Seed, Opts, Blocks[I]);
+  };
+  if (Pool)
+    Pool->parallelFor(Shards.size(), ReplayOne);
+  else
+    for (size_t I = 0; I < Shards.size(); ++I)
+      ReplayOne(I, 0);
+  mergeBlocks(Blocks, Sys);
   return Sys;
 }

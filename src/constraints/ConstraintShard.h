@@ -18,13 +18,13 @@
 /// §7.2 blacklist depend on corpus-global occurrence counts and on the seed
 /// spec, so applying them at extraction time would invalidate every shard
 /// whenever any other project changes. Instead the shard stores each
-/// referenced event's full backoff option list, and appendShard() replays
-/// the shard against the *current* global RepTable, seed, and GenOptions —
-/// filtering, computing the 1/|Reps(v)| averaging coefficients, capping
-/// pairs per anchor, and interning variables in the exact order serial
-/// generation would. Composing all project shards in corpus order therefore
-/// reproduces generateConstraints() byte for byte: same variable ids, same
-/// constraint order, same coefficients (see composeConstraints).
+/// referenced event's full backoff option list, and composeConstraints()
+/// replays the shard against the *current* global RepTable, seed, and
+/// GenOptions — filtering, computing the 1/|Reps(v)| averaging
+/// coefficients, capping pairs per anchor, and interning variables in the
+/// exact order serial generation would. Composing all project shards in
+/// corpus order therefore reproduces generateConstraints() byte for byte:
+/// same variable ids, same constraint order, same coefficients.
 ///
 /// The trade-off: shards store anchor pair lists uncapped (the
 /// MaxPairsPerAnchor cap counts only *surviving* pairs, which is a merge-
@@ -113,24 +113,19 @@ struct ConstraintShard {
 ConstraintShard extractShard(const propgraph::PropagationGraph &Graph,
                              uint32_t FileBegin, uint32_t FileEnd);
 
-/// Replays \p Shard into \p Sys under the current corpus state: filters
-/// each event's options by the §4.3 cutoff (global counts in \p Reps) and
-/// the seed blacklist, skips dead anchors, caps surviving pairs per anchor,
-/// and appends the resulting constraints — interning variables into
-/// Sys.Vars in the exact order serial generation would. Must be called
-/// with shards in corpus (project) order, after seed pins were created.
-void appendShard(const ConstraintShard &Shard,
-                 const propgraph::RepTable &Reps, const spec::SeedSpec &Seed,
-                 const GenOptions &Opts, ConstraintSystem &Sys);
-
 /// Composes per-project \p Shards (in corpus order; null entries are
 /// skipped) into a full constraint system over the global \p Graph:
-/// prepareSystem() scaffolding (event filter, stats, seed pins) followed by
-/// an appendShard() replay per shard. The result is byte-identical to
-/// generateConstraints(Graph, ...) at any thread count, provided the shards
-/// were extracted from the same graph's project slices. \p StopAt (may be
-/// null) is polled at every shard boundary; expiry throws DeadlineError —
-/// composition is all-or-nothing, like generation.
+/// prepareSystem() scaffolding (event filter, stats, seed pins), then a
+/// replay of every shard under the current corpus state — §4.3 cutoff
+/// against the global counts in \p Reps, seed blacklist, dead anchors
+/// skipped, surviving pairs capped per anchor — each into its own
+/// ConstraintBlock, fanned out over \p Pool, and finally mergeBlocks() in
+/// corpus order, the merge generateConstraints uses. The result is
+/// byte-identical to generateConstraints(Graph, ...) at any thread count,
+/// provided the shards were extracted from the same graph's project
+/// slices. \p StopAt (may be null) is polled at every shard boundary;
+/// expiry throws DeadlineError — composition is all-or-nothing, like
+/// generation.
 ConstraintSystem
 composeConstraints(const propgraph::PropagationGraph &Graph,
                    const propgraph::RepTable &Reps,

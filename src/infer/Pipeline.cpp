@@ -108,6 +108,9 @@ Session &Session::buildGraph() {
   const size_t Total = Projects.size();
   std::vector<PropagationGraph> PerProject(Total);
   std::vector<cache::CacheKey> Keys(Total);
+  // Per project: parsed (a cache miss) and its diagnostics count.
+  std::vector<uint8_t> Parsed(Total, 0);
+  std::vector<size_t> ParseDiagnostics(Total, 0);
   BuildShardSeconds.assign(P ? P->numWorkers() : 1, 0.0);
 
   // Per-project isolation boundary. Failures land in per-index slots, so
@@ -164,7 +167,11 @@ Session &Session::buildGraph() {
         PerProject[I] = std::move(*FromCache);
         Loaded = true;
       } else {
-        PerProject[I] = buildProjectGraph(*Projects[I], Opts.Build);
+        std::vector<pyast::ParseError> Diagnostics;
+        PerProject[I] =
+            buildProjectGraph(*Projects[I], Opts.Build, &Diagnostics);
+        Parsed[I] = 1;
+        ParseDiagnostics[I] = Diagnostics.size();
         if (fault::enabled())
           fault::maybeThrow(fault::Point::GraphBuild, I);
         if (Cache) {
@@ -240,6 +247,10 @@ Session &Session::buildGraph() {
       continue;
     }
     NumFiles += Projects[I]->modules().size();
+    if (Parsed[I]) {
+      Incr.FilesParsed += Projects[I]->modules().size();
+      Incr.ParseDiagnostics += ParseDiagnostics[I];
+    }
     uint32_t FileBegin = static_cast<uint32_t>(Graph.files().size());
     Graph.append(PerProject[I]);
     if (SCache)
@@ -291,7 +302,8 @@ Session &Session::generateConstraints(const spec::SeedSpec &Seed) {
   // would starve the §4.3 frequency cutoff.
   Reps = RepTable();
   Reps.countOccurrences(Graph);
-  Incr = IncrStats();
+  // The parse counters stay buildGraph()'s; the shard counters restart.
+  Incr.ShardsHit = Incr.ShardsRebuilt = Incr.ShardsStored = 0;
   // The incremental path composes per-project shards; it requires the
   // per-project slices buildGraph records (adopted graphs have none) and
   // an uncollapsed learning graph — vertex contraction crosses project
@@ -402,9 +414,10 @@ Session::composeFromShards(const spec::SeedSpec &Seed, ThreadPool *P) {
     Incr.ShardsStored += Stored[I];
   }
 
-  // Deterministic delta merge: replay the shards in corpus order. The
-  // merge is serial — it is cheap relative to extraction — so the result
-  // is byte-identical to direct generation at any Jobs value.
+  // Deterministic delta merge: the shards replay in parallel into local
+  // blocks, which merge in corpus order through generation's own ordered
+  // merge, so the result is byte-identical to direct generation at any
+  // Jobs value.
   Timer MergeTimer;
   std::vector<const constraints::ConstraintShard *> Ptrs;
   Ptrs.reserve(N);

@@ -16,7 +16,7 @@
 ///
 ///   infer::Session S(Opts);
 ///   S.addProjects(Corpus);
-///   S.buildGraph();                  // parse + extract once
+///   S.buildGraph();                  // parse + extract (cache misses)
 ///   S.generateConstraints(Seed);     // re-runnable after options() change
 ///   infer::PipelineResult R = S.solve();
 ///
@@ -129,10 +129,17 @@ public:
   }
 };
 
-/// Delta statistics of one incremental run: how much of the constraint
-/// system was replayed from cached shards versus regenerated, and whether
-/// the solve was warm-started. All zero when the shard cache is off.
+/// Delta statistics of one incremental run: how many files buildGraph()
+/// parsed, how much of the constraint system was replayed from cached
+/// shards versus regenerated, and whether the solve was warm-started. The
+/// shard counters are all zero when the shard cache is off.
 struct IncrStats {
+  /// Files buildGraph() lexed and parsed: those of the projects whose
+  /// graph was built rather than served from the graph cache (every file
+  /// when the cache is off).
+  uint64_t FilesParsed = 0;
+  /// Lexer and parser diagnostics across those files.
+  uint64_t ParseDiagnostics = 0;
   /// Projects whose constraint shard was replayed from the cache.
   uint64_t ShardsHit = 0;
   /// Projects whose shard was extracted fresh (miss, eviction, or no
@@ -264,14 +271,17 @@ public:
   /// The enabled shard cache, or null. Valid for the Session's lifetime.
   const cache::ShardCache *shardCache() const { return SCache.get(); }
 
-  /// Delta statistics of the most recent generateConstraints() (all zero
-  /// without a shard cache; WarmStarted is filled in by solve()).
+  /// Delta statistics: the parse counters of buildGraph(), the shard
+  /// counters of the most recent generateConstraints() (all zero without
+  /// a shard cache), and WarmStarted, filled in by solve().
   const IncrStats &incrStats() const { return Incr; }
 
   /// Builds the global propagation graph: per-project extraction fans out
   /// over Jobs workers; the per-project graphs are merged in corpus order,
-  /// so event ids match the serial run exactly. No-op if a graph was
-  /// adopted or already built.
+  /// so event ids match the serial run exactly. A project is parsed only
+  /// when its graph is not served from the graph cache (see
+  /// incrStats().FilesParsed). No-op if a graph was adopted or already
+  /// built.
   ///
   /// Each project runs inside an isolation boundary: a throwing
   /// parse/build/cache-load quarantines that project (captured in
@@ -331,8 +341,9 @@ private:
   ThreadPool *poolFor(unsigned Jobs);
   void armDeadline();
   /// The incremental generation path: per-project shards are loaded from
-  /// the shard cache or extracted fresh (in parallel), then composed in
-  /// corpus order into a system byte-identical to direct generation.
+  /// the shard cache or extracted fresh, then replayed (both in parallel)
+  /// and merged in corpus order into a system byte-identical to direct
+  /// generation.
   constraints::ConstraintSystem
   composeFromShards(const spec::SeedSpec &Seed, ThreadPool *P);
 

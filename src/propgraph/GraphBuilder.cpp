@@ -4,7 +4,9 @@
 
 #include "pointsto/AndersenSolver.h"
 #include "pysem/ScopeBuilder.h"
+#include "support/Metrics.h"
 #include "support/StrUtil.h"
+#include "support/Timer.h"
 
 #include <algorithm>
 #include <cassert>
@@ -104,21 +106,23 @@ struct ModuleArtifacts {
 /// Per-module graph construction state.
 class ModuleGraphBuilder {
 public:
-  ModuleGraphBuilder(const pysem::ModuleInfo &Module, const BuildOptions &Opts,
+  /// \p Ast is \p Module's parsed source; it must outlive the builder.
+  ModuleGraphBuilder(const pysem::ModuleInfo &Module, const ModuleNode *Ast,
+                     const BuildOptions &Opts,
                      ModuleArtifacts *Artifacts = nullptr)
-      : Module(Module), Opts(Opts), Artifacts(Artifacts) {
-    Scope.build(Module.Ast, Module.ModuleName);
+      : Module(Module), Ast(Ast), Opts(Opts), Artifacts(Artifacts) {
+    Scope.build(Ast, Module.ModuleName);
     FileIdx = Graph.addFile(Module.Path);
   }
 
   PropagationGraph build() {
     // Pass 1: module-level statements; function bodies are processed on
     // demand when called, so module-level flow reaches them.
-    runStmts(Module.Ast->Body, ModuleEnv, /*FnCtx=*/nullptr, /*Depth=*/0);
+    runStmts(Ast->Body, ModuleEnv, /*FnCtx=*/nullptr, /*Depth=*/0);
 
     // Pass 2: functions never called from module level still contribute
     // events and intraprocedural flow.
-    processAllRemaining(Module.Ast->Body, /*EnclosingClass=*/nullptr);
+    processAllRemaining(Ast->Body, /*EnclosingClass=*/nullptr);
 
     // Resolve alias-borne field flows against the points-to solution.
     if (Opts.UsePointsTo)
@@ -1020,6 +1024,7 @@ private:
   //===--------------------------------------------------------------------===//
 
   const pysem::ModuleInfo &Module;
+  const ModuleNode *Ast;
   BuildOptions Opts;
   ModuleArtifacts *Artifacts = nullptr;
   pysem::ModuleScope Scope;
@@ -1034,26 +1039,50 @@ private:
   unsigned PtTemp = 0;
 };
 
+/// Lexes and parses \p Module into \p Ctx, timing the parse into the
+/// parse.* metrics (safe from concurrent project builds).
+const ModuleNode *parseModule(AstContext &Ctx, const pysem::ModuleInfo &Module,
+                              std::vector<ParseError> *Diagnostics) {
+  Timer Clock;
+  const ModuleNode *Ast = parseSource(Ctx, Module.Source, Diagnostics);
+  metrics::Registry &Reg = metrics::Registry::global();
+  if (Reg.enabled()) {
+    Reg.timer("parse.file_seconds").record(Clock.seconds());
+    Reg.counter("parse.files").add();
+  }
+  return Ast;
+}
+
+/// Parses and builds one module; the AST dies with this frame.
+PropagationGraph buildOne(const pysem::ModuleInfo &Module,
+                          const BuildOptions &Opts,
+                          std::vector<ParseError> *Diagnostics,
+                          ModuleArtifacts *Artifacts = nullptr) {
+  AstContext Ctx;
+  ModuleGraphBuilder Builder(Module, parseModule(Ctx, Module, Diagnostics),
+                             Opts, Artifacts);
+  return Builder.build();
+}
+
 } // namespace
 
 PropagationGraph
 seldon::propgraph::buildModuleGraph(const pysem::Project &Proj,
                                     const pysem::ModuleInfo &Module,
-                                    const BuildOptions &Opts) {
+                                    const BuildOptions &Opts,
+                                    std::vector<ParseError> *Diagnostics) {
   (void)Proj; // Cross-module resolution is per-file in this reproduction.
-  ModuleGraphBuilder Builder(Module, Opts);
-  return Builder.build();
+  return buildOne(Module, Opts, Diagnostics);
 }
 
 PropagationGraph
 seldon::propgraph::buildProjectGraph(const pysem::Project &Proj,
-                                     const BuildOptions &Opts) {
+                                     const BuildOptions &Opts,
+                                     std::vector<ParseError> *Diagnostics) {
   PropagationGraph Out;
   if (!Opts.CrossModuleFlows) {
-    for (const pysem::ModuleInfo &M : Proj.modules()) {
-      PropagationGraph G = buildModuleGraph(Proj, M, Opts);
-      Out.append(G);
-    }
+    for (const pysem::ModuleInfo &M : Proj.modules())
+      Out.append(buildOne(M, Opts, Diagnostics));
     return Out;
   }
 
@@ -1063,8 +1092,7 @@ seldon::propgraph::buildProjectGraph(const pysem::Project &Proj,
   ModuleArtifacts Linked;
   for (const pysem::ModuleInfo &M : Proj.modules()) {
     ModuleArtifacts Artifacts;
-    ModuleGraphBuilder Builder(M, Opts, &Artifacts);
-    PropagationGraph G = Builder.build();
+    PropagationGraph G = buildOne(M, Opts, Diagnostics, &Artifacts);
     Artifacts.offsetIds(static_cast<EventId>(Out.numEvents()));
     Out.append(G);
     for (auto &[Name, Fn] : Artifacts.Exports)

@@ -32,7 +32,10 @@
 #define SELDON_PROPGRAPH_GRAPHBUILDER_H
 
 #include "propgraph/PropagationGraph.h"
+#include "pyast/Parser.h"
 #include "pysem/Project.h"
+
+#include <vector>
 
 namespace seldon {
 namespace propgraph {
@@ -70,14 +73,25 @@ struct BuildOptions {
 
 /// Builds the propagation graph of one module of \p Proj. The graph
 /// contains exactly one file entry.
-PropagationGraph buildModuleGraph(const pysem::Project &Proj,
-                                  const pysem::ModuleInfo &Module,
-                                  const BuildOptions &Opts = BuildOptions());
+///
+/// The module's source is lexed and parsed into an AST that lives only
+/// for this call; this is the pipeline's one parse site, so the
+/// parse.files / parse.file_seconds metrics count real parses. Lexer and
+/// parser diagnostics are appended to \p Diagnostics (may be null).
+PropagationGraph
+buildModuleGraph(const pysem::Project &Proj, const pysem::ModuleInfo &Module,
+                 const BuildOptions &Opts = BuildOptions(),
+                 std::vector<pyast::ParseError> *Diagnostics = nullptr);
 
 /// Builds one graph covering every module of \p Proj (per-module subgraphs
-/// are disjoint, as in the paper's global graph).
-PropagationGraph buildProjectGraph(const pysem::Project &Proj,
-                                   const BuildOptions &Opts = BuildOptions());
+/// are disjoint, as in the paper's global graph). Each module is parsed as
+/// in buildModuleGraph, and its AST is freed once its graph is built; the
+/// diagnostics of every module are appended to \p Diagnostics (may be
+/// null) in module order.
+PropagationGraph
+buildProjectGraph(const pysem::Project &Proj,
+                  const BuildOptions &Opts = BuildOptions(),
+                  std::vector<pyast::ParseError> *Diagnostics = nullptr);
 
 } // namespace propgraph
 } // namespace seldon

@@ -1,4 +1,4 @@
-//===- pysem/Project.cpp - A collection of parsed Python modules ----------===//
+//===- pysem/Project.cpp - The source files of one repository -------------===//
 
 #include "pysem/Project.h"
 
@@ -23,14 +23,6 @@ const ModuleInfo &Project::addModule(std::string Path,
   Info.Path = std::move(Path);
   Info.ModuleName = moduleNameForPath(Info.Path);
   Info.Source = std::string(Source);
-  Info.Ast = pyast::parseSource(Ctx, Info.Source, &Info.Errors);
   Modules.push_back(std::move(Info));
   return Modules.back();
-}
-
-size_t Project::numErrors() const {
-  size_t N = 0;
-  for (const ModuleInfo &M : Modules)
-    N += M.Errors.size();
-  return N;
 }

@@ -1,4 +1,4 @@
-//===- pysem/Project.h - A collection of parsed Python modules ---*- C++ -*-===//
+//===- pysem/Project.h - The source files of one repository ------*- C++ -*-===//
 //
 // Part of seldon-cpp, a reproduction of "Scalable Taint Specification
 // Inference with Big Code" (PLDI 2019).
@@ -6,60 +6,52 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A Project owns the ASTs of all source files of one repository. The
-/// propagation graph builder runs per file (paper §3: per-program graphs are
-/// disjoint), but same-module function lookup and import resolution need the
-/// project-level view.
+/// A Project holds the sources of all files of one repository, each under
+/// its repository-relative path and dotted module name. It holds no ASTs:
+/// the propagation graph builder lexes and parses a module when it builds
+/// that module's graph (paper §3: per-program graphs are disjoint) and
+/// frees the AST once the graph exists, so a project whose graph comes
+/// from the graph cache is never parsed at all.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELDON_PYSEM_PROJECT_H
 #define SELDON_PYSEM_PROJECT_H
 
-#include "pyast/Ast.h"
-#include "pyast/Parser.h"
-
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace seldon {
 namespace pysem {
 
-/// One parsed source file of a project.
+/// One source file of a project.
 struct ModuleInfo {
   std::string Path;       ///< Repository-relative path, e.g. "app/views.py".
   std::string ModuleName; ///< Dotted module name, e.g. "app.views".
-  std::string Source;     ///< The original text (kept for report quoting
-                          ///< and external validation).
-  pyast::ModuleNode *Ast = nullptr;
-  std::vector<pyast::ParseError> Errors;
+  std::string Source;     ///< The original text (parsed by the graph build,
+                          ///< kept for report quoting and external
+                          ///< validation).
 };
 
-/// A set of parsed modules sharing one AstContext.
+/// The source files of one repository, in the order they were added.
 class Project {
 public:
   explicit Project(std::string Name = "project") : Name(std::move(Name)) {}
-  Project(Project &&) = default;
-  Project &operator=(Project &&) = default;
 
-  /// Parses \p Source and registers it under \p Path. The module name is
-  /// derived from the path ("a/b.py" -> "a.b"; "__init__.py" maps to the
-  /// package name). Returns the stored module.
+  /// Registers \p Source under \p Path. The module name is derived from
+  /// the path ("a/b.py" -> "a.b"; "__init__.py" maps to the package
+  /// name). Returns the stored module.
   const ModuleInfo &addModule(std::string Path, std::string_view Source);
 
   const std::vector<ModuleInfo> &modules() const { return Modules; }
   const std::string &name() const { return Name; }
-  pyast::AstContext &context() { return Ctx; }
-
-  /// Total number of parse/lex diagnostics across all modules.
-  size_t numErrors() const;
 
   /// Derives the dotted module name for a repository-relative path.
   static std::string moduleNameForPath(std::string_view Path);
 
 private:
   std::string Name;
-  pyast::AstContext Ctx;
   std::vector<ModuleInfo> Modules;
 };
 

@@ -3,10 +3,7 @@
 #include "pysem/ProjectLoader.h"
 
 #include "support/FileIO.h"
-#include "support/Metrics.h"
-#include "support/StrUtil.h"
 #include "support/ThreadPool.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <filesystem>
@@ -59,30 +56,20 @@ seldon::pysem::loadProjectFromDir(const std::string &RootDir,
   }
   std::sort(Files.begin(), Files.end());
 
-  // Per-file handles hoisted out of the loop; loadProjectFromDir runs on
-  // pool workers under parallel corpus loading, and both metrics are safe
-  // for concurrent record()/add().
-  metrics::Registry &Reg = metrics::Registry::global();
-  metrics::TimerStat *FileTimer =
-      Reg.enabled() ? &Reg.timer("parse.file_seconds") : nullptr;
-  metrics::Counter *FileCount =
-      Reg.enabled() ? &Reg.counter("parse.files") : nullptr;
   for (const fs::path &File : Files) {
-    Timer FileClock;
     io::IOResult<std::string> Source = io::readFile(File.string());
     if (!Source) {
       if (ErrorsOut)
         ErrorsOut->push_back(std::move(Source.Error));
       continue;
     }
-    std::string Relative = fs::relative(File, Root, Ec).generic_string();
-    if (Ec || Relative.empty())
+    // Every walked path starts with Root, so the relative path is a pure
+    // string operation: no per-component syscalls, and a symlinked file
+    // keeps its own path rather than its target's.
+    std::string Relative = File.lexically_relative(Root).generic_string();
+    if (Relative.empty())
       Relative = File.filename().string();
     Proj.addModule(std::move(Relative), Source.Value);
-    if (FileTimer) {
-      FileTimer->record(FileClock.seconds());
-      FileCount->add();
-    }
   }
   return Proj;
 }

@@ -7,9 +7,11 @@
 ///
 /// \file
 /// Loads real Python repositories from the filesystem: walks a directory,
-/// parses every `*.py` file, and returns a Project whose module paths are
+/// reads every `*.py` file, and returns a Project whose module paths are
 /// relative to the root (so "pkg/views.py" resolves to module
-/// "pkg.views"). Used by the CLI tool to run the pipeline on checkouts.
+/// "pkg.views"). Nothing is parsed here; the graph build parses a module
+/// only when its graph is not served from the graph cache. Used by the CLI
+/// tool to run the pipeline on checkouts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +37,10 @@ struct LoadOptions {
 };
 
 /// Loads all `*.py` files under \p RootDir into a Project named after the
-/// directory. Returns std::nullopt when \p RootDir does not exist or is
-/// not a directory; per-file read failures are reported into
+/// directory. Module paths are the files' paths below \p RootDir as
+/// walked, computed lexically: a symlinked file keeps the path of its
+/// link, not of its target. Returns std::nullopt when \p RootDir does not
+/// exist or is not a directory; per-file read failures are reported into
 /// \p ErrorsOut (may be null) and skipped.
 ///
 /// Thread-safe: concurrent calls share no mutable state, so one root can

@@ -27,8 +27,9 @@ struct Fixture {
   explicit Fixture(std::string_view Source,
                    BuildOptions Opts = BuildOptions()) {
     const pysem::ModuleInfo &M = Proj.addModule("app.py", Source);
-    EXPECT_TRUE(M.Errors.empty());
-    Graph = buildModuleGraph(Proj, M, Opts);
+    std::vector<pyast::ParseError> Errors;
+    Graph = buildModuleGraph(Proj, M, Opts, &Errors);
+    EXPECT_TRUE(Errors.empty());
   }
 
   EventId theEvent(const std::string &Rep) const {

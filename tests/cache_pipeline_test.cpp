@@ -12,6 +12,7 @@
 
 #include "infer/Pipeline.h"
 #include "spec/SpecIO.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -116,6 +117,46 @@ TEST_P(CachePipelineTest, WarmRunMatchesSerialWarmRun) {
   ASSERT_EQ(Serial.Solve.X.size(), Parallel.Solve.X.size());
   for (size_t I = 0; I < Serial.Solve.X.size(); ++I)
     EXPECT_DOUBLE_EQ(Serial.Solve.X[I], Parallel.Solve.X[I]) << "var " << I;
+  fs::remove_all(Dir);
+}
+
+/// The graph build parses only what the cache cannot serve: every file on
+/// a cold run, none on an all-hit run, and after one project is edited
+/// exactly that project's files. The parse.files metric agrees.
+TEST_P(CachePipelineTest, ParsesOnlyGraphCacheMisses) {
+  const unsigned Jobs = GetParam();
+  corpus::Corpus Data = testutil::makeCorpus(4049, /*NumProjects=*/6);
+  std::string Dir = testutil::makeScratchDir("cache-parse");
+  metrics::Registry &Reg = metrics::Registry::global();
+  auto Build = [&]() {
+    Reg.reset();
+    Reg.setEnabled(true);
+    infer::Session S(testOptions(Jobs));
+    S.enableCache(Dir);
+    S.addProjects(Data.Projects);
+    S.buildGraph();
+    Reg.setEnabled(false);
+    EXPECT_EQ(Reg.counter("parse.files").value(), S.incrStats().FilesParsed);
+    return S.incrStats();
+  };
+  size_t Files = 0;
+  for (const pysem::Project &P : Data.Projects)
+    Files += P.modules().size();
+  EXPECT_EQ(Build().FilesParsed, Files);
+
+  infer::IncrStats AllHit = Build();
+  EXPECT_EQ(AllHit.FilesParsed, 0u);
+  EXPECT_EQ(AllHit.ParseDiagnostics, 0u);
+
+  // The edit carries a syntax error, so its diagnostics surface too.
+  pysem::Project &Edited = Data.Projects[2];
+  Edited.addModule("app/extra.py", "import flask\n"
+                                   "def broken(:\n"
+                                   "    pass\n");
+  infer::IncrStats OneEdit = Build();
+  EXPECT_EQ(OneEdit.FilesParsed, Edited.modules().size());
+  EXPECT_GT(OneEdit.ParseDiagnostics, 0u);
+  Reg.reset();
   fs::remove_all(Dir);
 }
 

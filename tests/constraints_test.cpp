@@ -22,8 +22,9 @@ struct GenFixture {
   GenFixture(std::string_view Source, std::string_view SeedText,
              GenOptions Opts = lowCutoff()) {
     const pysem::ModuleInfo &M = Proj.addModule("app.py", Source);
-    EXPECT_TRUE(M.Errors.empty());
-    Graph = buildModuleGraph(Proj, M);
+    std::vector<pyast::ParseError> Errors;
+    Graph = buildModuleGraph(Proj, M, BuildOptions(), &Errors);
+    EXPECT_TRUE(Errors.empty());
     Reps.countOccurrences(Graph);
     Seed = spec::SeedSpec::parse(SeedText);
     Sys = generateConstraints(Graph, Reps, Seed, Opts);

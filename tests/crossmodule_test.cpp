@@ -26,15 +26,16 @@ struct ProjectFixture {
   PropagationGraph Graph;
 
   void add(const std::string &Path, std::string_view Source) {
-    const pysem::ModuleInfo &M = Proj.addModule(Path, Source);
-    EXPECT_TRUE(M.Errors.empty())
-        << (M.Errors.empty() ? "" : M.Errors.front().Message);
+    Proj.addModule(Path, Source);
   }
 
   void build(bool CrossModule) {
     BuildOptions Opts;
     Opts.CrossModuleFlows = CrossModule;
-    Graph = buildProjectGraph(Proj, Opts);
+    std::vector<pyast::ParseError> Errors;
+    Graph = buildProjectGraph(Proj, Opts, &Errors);
+    EXPECT_TRUE(Errors.empty())
+        << (Errors.empty() ? "" : Errors.front().Message);
   }
 
   bool flowsTo(const std::string &From, const std::string &To) const {

@@ -101,8 +101,9 @@ TEST(JsonExportTest, WellFormedReport) {
   pysem::Project Proj("p");
   const pysem::ModuleInfo &M = Proj.addModule(
       "p/app.py", "import web\nimport db\ndb.exec(web.read())\n");
-  ASSERT_TRUE(M.Errors.empty());
-  PropagationGraph G = buildModuleGraph(Proj, M);
+  std::vector<pyast::ParseError> Errors;
+  PropagationGraph G = buildModuleGraph(Proj, M, BuildOptions(), &Errors);
+  ASSERT_TRUE(Errors.empty());
   spec::SeedSpec Seed =
       spec::SeedSpec::parse("o: web.read()\ni: db.exec()\n");
   taint::RoleResolver Roles(&Seed.Spec, nullptr);

@@ -131,8 +131,10 @@ struct FlowFixture {
 
   explicit FlowFixture(std::string_view Source) {
     const pysem::ModuleInfo &M = Proj.addModule("app.py", Source);
-    EXPECT_TRUE(M.Errors.empty());
-    Graph = propgraph::buildModuleGraph(Proj, M);
+    std::vector<ParseError> Errors;
+    Graph = propgraph::buildModuleGraph(Proj, M, propgraph::BuildOptions(),
+                                        &Errors);
+    EXPECT_TRUE(Errors.empty());
   }
 
   propgraph::EventId theEvent(const std::string &Rep) const {

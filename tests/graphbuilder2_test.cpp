@@ -23,9 +23,10 @@ struct Fixture {
 
   explicit Fixture(std::string_view Source) {
     const pysem::ModuleInfo &M = Proj.addModule("app.py", Source);
-    EXPECT_TRUE(M.Errors.empty())
-        << (M.Errors.empty() ? "" : M.Errors.front().Message);
-    Graph = buildModuleGraph(Proj, M);
+    std::vector<pyast::ParseError> Errors;
+    Graph = buildModuleGraph(Proj, M, BuildOptions(), &Errors);
+    EXPECT_TRUE(Errors.empty())
+        << (Errors.empty() ? "" : Errors.front().Message);
   }
 
   EventId theEvent(const std::string &Rep) const {

@@ -19,8 +19,9 @@ struct ExportFixture {
 
   explicit ExportFixture(std::string_view Source) {
     const pysem::ModuleInfo &M = Proj.addModule("app.py", Source);
-    EXPECT_TRUE(M.Errors.empty());
-    Graph = buildModuleGraph(Proj, M);
+    std::vector<pyast::ParseError> Errors;
+    Graph = buildModuleGraph(Proj, M, BuildOptions(), &Errors);
+    EXPECT_TRUE(Errors.empty());
   }
 };
 

@@ -219,8 +219,9 @@ struct TaintFixture {
 
   explicit TaintFixture(std::string_view Source) {
     const pysem::ModuleInfo &M = Proj.addModule("p/app.py", Source);
-    EXPECT_TRUE(M.Errors.empty());
-    Graph = buildModuleGraph(Proj, M);
+    std::vector<pyast::ParseError> Errors;
+    Graph = buildModuleGraph(Proj, M, BuildOptions(), &Errors);
+    EXPECT_TRUE(Errors.empty());
   }
 };
 

@@ -141,8 +141,9 @@ struct MerlinFixture {
 
   explicit MerlinFixture(std::string_view Source) {
     const pysem::ModuleInfo &M = Proj.addModule("m/app.py", Source);
-    EXPECT_TRUE(M.Errors.empty());
-    Graph = buildModuleGraph(Proj, M);
+    std::vector<pyast::ParseError> Errors;
+    Graph = buildModuleGraph(Proj, M, BuildOptions(), &Errors);
+    EXPECT_TRUE(Errors.empty());
   }
 };
 

@@ -1,5 +1,6 @@
 //===- tests/projectloader_test.cpp - Tests for filesystem loading --------===//
 
+#include "propgraph/GraphBuilder.h"
 #include "pysem/ProjectLoader.h"
 #include "support/FileIO.h"
 
@@ -121,7 +122,30 @@ TEST(ProjectLoaderTest, ParseErrorsSurfaceOnModules) {
   Tree.write("bad.py", "def f(:\n    pass\n");
   auto Proj = loadProjectFromDir(Tree.path());
   ASSERT_TRUE(Proj.has_value());
-  EXPECT_GT(Proj->numErrors(), 0u);
+  std::vector<pyast::ParseError> Errors;
+  propgraph::buildProjectGraph(*Proj, propgraph::BuildOptions(), &Errors);
+  EXPECT_GT(Errors.size(), 0u);
+}
+
+TEST(ProjectLoaderTest, SymlinkedFileKeepsItsOwnPath) {
+  // proj/pkg/views.py -> ../../other/helper.py: the module is named after
+  // the link inside the project, not after the target outside it.
+  TempTree Tree;
+  Tree.write("other/helper.py", "x = 1\n");
+  Tree.write("proj/pkg/__init__.py", "");
+  fs::create_symlink("../../other/helper.py",
+                     fs::path(Tree.path()) / "proj/pkg/views.py");
+  auto Proj = loadProjectFromDir(Tree.path() + "/proj");
+  ASSERT_TRUE(Proj.has_value());
+  const ModuleInfo *Views = nullptr;
+  for (const ModuleInfo &M : Proj->modules())
+    if (M.Path == "pkg/views.py")
+      Views = &M;
+  ASSERT_NE(Views, nullptr);
+  EXPECT_EQ(Views->ModuleName, "pkg.views");
+  EXPECT_EQ(Views->Source, "x = 1\n");
+  for (const ModuleInfo &M : Proj->modules())
+    EXPECT_EQ(M.Path.find(".."), std::string::npos) << M.Path;
 }
 
 TEST(ReadFileTest, ReadsAndFails) {

@@ -37,8 +37,9 @@ TEST_P(CorpusSweepTest, EndToEndInvariants) {
 
   PropagationGraph Global;
   for (const pysem::Project &P : Data.Projects) {
-    EXPECT_EQ(P.numErrors(), 0u) << "corpus seed " << GetParam();
-    PropagationGraph G = buildProjectGraph(P);
+    std::vector<pyast::ParseError> Errors;
+    PropagationGraph G = buildProjectGraph(P, BuildOptions(), &Errors);
+    EXPECT_EQ(Errors.size(), 0u) << "corpus seed " << GetParam();
     EXPECT_TRUE(G.isAcyclic());
     Global.append(G);
   }

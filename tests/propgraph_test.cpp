@@ -21,10 +21,11 @@ struct GraphFixture {
                         BuildOptions Opts = BuildOptions(),
                         std::string Path = "app.py") {
     const pysem::ModuleInfo &M = Proj.addModule(std::move(Path), Source);
-    EXPECT_TRUE(M.Errors.empty())
+    std::vector<pyast::ParseError> Errors;
+    Graph = buildModuleGraph(Proj, M, Opts, &Errors);
+    EXPECT_TRUE(Errors.empty())
         << "fixture source failed to parse: "
-        << (M.Errors.empty() ? "" : M.Errors.front().Message);
-    Graph = buildModuleGraph(Proj, M, Opts);
+        << (Errors.empty() ? "" : Errors.front().Message);
   }
 
   /// Events whose primary representation equals \p Rep.

@@ -1,5 +1,6 @@
 //===- tests/pysem_test.cpp - Tests for project/scope/imports -------------===//
 
+#include "pyast/Parser.h"
 #include "pysem/Project.h"
 #include "pysem/QualifiedNames.h"
 #include "pysem/ScopeBuilder.h"
@@ -23,20 +24,35 @@ TEST(ProjectTest, ModuleNameForPath) {
   EXPECT_EQ(Project::moduleNameForPath("a/b/c.py"), "a.b.c");
 }
 
+/// Lexer and parser diagnostics across \p P's modules.
+size_t parseDiagnostics(const Project &P) {
+  size_t N = 0;
+  for (const ModuleInfo &M : P.modules()) {
+    AstContext Ctx;
+    std::vector<ParseError> Errors;
+    parseSource(Ctx, M.Source, &Errors);
+    N += Errors.size();
+  }
+  return N;
+}
+
 TEST(ProjectTest, AddModuleParses) {
   Project P("demo");
   const ModuleInfo &M = P.addModule("pkg/app.py", "x = 1\n");
   EXPECT_EQ(M.ModuleName, "pkg.app");
-  EXPECT_TRUE(M.Errors.empty());
-  ASSERT_NE(M.Ast, nullptr);
-  EXPECT_EQ(M.Ast->Body.size(), 1u);
-  EXPECT_EQ(P.numErrors(), 0u);
+  AstContext Ctx;
+  std::vector<ParseError> Errors;
+  ModuleNode *Ast = parseSource(Ctx, M.Source, &Errors);
+  EXPECT_TRUE(Errors.empty());
+  ASSERT_NE(Ast, nullptr);
+  EXPECT_EQ(Ast->Body.size(), 1u);
+  EXPECT_EQ(parseDiagnostics(P), 0u);
 }
 
 TEST(ProjectTest, ErrorsAreCounted) {
   Project P;
   P.addModule("bad.py", "def f(:\n    pass\n");
-  EXPECT_GT(P.numErrors(), 0u);
+  EXPECT_GT(parseDiagnostics(P), 0u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -46,12 +62,13 @@ TEST(ProjectTest, ErrorsAreCounted) {
 struct ImportFixture {
   Project P;
   const ModuleInfo *M = nullptr;
+  AstContext Ctx;
   ImportMap Imports;
 
   explicit ImportFixture(std::string_view Source,
                          std::string Path = "pkg/app.py") {
     M = &P.addModule(std::move(Path), Source);
-    Imports.build(M->Ast, M->ModuleName);
+    Imports.build(parseSource(Ctx, M->Source), M->ModuleName);
   }
 };
 
@@ -148,12 +165,15 @@ TEST(QualifiedNamesTest, NonDottedShapesYieldEmpty) {
 
 struct ScopeFixture {
   Project P;
+  AstContext Ctx; // Owns the AST the scope points into.
   ModuleScope Scope;
 
   explicit ScopeFixture(std::string_view Source) {
     const ModuleInfo &M = P.addModule("mod.py", Source);
-    EXPECT_TRUE(M.Errors.empty());
-    Scope.build(M.Ast, M.ModuleName);
+    std::vector<ParseError> Errors;
+    ModuleNode *Ast = parseSource(Ctx, M.Source, &Errors);
+    EXPECT_TRUE(Errors.empty());
+    Scope.build(Ast, M.ModuleName);
   }
 };
 

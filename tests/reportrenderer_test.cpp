@@ -20,8 +20,9 @@ struct RendererFixture {
   explicit RendererFixture(std::string_view Source,
                            std::string_view SeedText = "") {
     const pysem::ModuleInfo &M = Proj.addModule("p/app.py", Source);
-    EXPECT_TRUE(M.Errors.empty());
-    Graph = buildModuleGraph(Proj, M);
+    std::vector<pyast::ParseError> Errors;
+    Graph = buildModuleGraph(Proj, M, BuildOptions(), &Errors);
+    EXPECT_TRUE(Errors.empty());
     Seed = spec::SeedSpec::parse(SeedText);
   }
 

@@ -6,18 +6,24 @@
 // to direct generation, serially and in parallel. Touching one project must
 // rebuild exactly one shard; changing a generation knob or the seed must
 // miss everywhere; warm-starting the solve must converge to the same
-// learned roles; and an unusable shard directory must degrade to correct
-// all-rebuild operation.
+// learned roles; an unusable shard directory must degrade to correct
+// all-rebuild operation; and a deadline expiring mid-replay must abort
+// composition without a partial system.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestCorpus.h"
 
+#include "constraints/ConstraintShard.h"
 #include "infer/Pipeline.h"
 #include "spec/SpecIO.h"
+#include "support/Deadline.h"
+#include "support/ThreadPool.h"
+#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
@@ -49,6 +55,35 @@ std::string specOf(const infer::PipelineResult &R) {
   return spec::writeLearnedSpec(R.Learned);
 }
 
+/// \p Actual matches \p Expected variable by variable, constraint by
+/// constraint, term by term.
+void expectSameSystem(const constraints::ConstraintSystem &Expected,
+                      const constraints::ConstraintSystem &Actual) {
+  ASSERT_EQ(Actual.Vars.numVars(), Expected.Vars.numVars());
+  for (uint32_t V = 0; V < Expected.Vars.numVars(); ++V) {
+    EXPECT_EQ(Actual.Vars.repOf(V), Expected.Vars.repOf(V));
+    EXPECT_EQ(Actual.Vars.roleOf(V), Expected.Vars.roleOf(V));
+  }
+  ASSERT_EQ(Actual.Constraints.size(), Expected.Constraints.size());
+  for (size_t I = 0; I < Expected.Constraints.size(); ++I) {
+    const solver::LinearConstraint &A = Expected.Constraints[I];
+    const solver::LinearConstraint &B = Actual.Constraints[I];
+    ASSERT_EQ(A.Lhs.size(), B.Lhs.size()) << "constraint " << I;
+    ASSERT_EQ(A.Rhs.size(), B.Rhs.size()) << "constraint " << I;
+    for (size_t T = 0; T < A.Lhs.size(); ++T) {
+      EXPECT_EQ(A.Lhs[T].Var, B.Lhs[T].Var);
+      EXPECT_EQ(A.Lhs[T].Coef, B.Lhs[T].Coef);
+    }
+    for (size_t T = 0; T < A.Rhs.size(); ++T) {
+      EXPECT_EQ(A.Rhs[T].Var, B.Rhs[T].Var);
+      EXPECT_EQ(A.Rhs[T].Coef, B.Rhs[T].Coef);
+    }
+  }
+  EXPECT_EQ(Actual.Pinned, Expected.Pinned);
+  EXPECT_EQ(Actual.NumCandidates, Expected.NumCandidates);
+  EXPECT_EQ(Actual.AvgBackoffOptions, Expected.AvgBackoffOptions);
+}
+
 class ShardPipelineTest : public ::testing::TestWithParam<unsigned> {};
 
 /// Cold (all shards extracted + stored), warm (all replayed), and mixed
@@ -78,30 +113,7 @@ TEST_P(ShardPipelineTest, ComposedSystemIsByteIdenticalToDirect) {
 
   // Not just the rendered spec: the composed system itself matches the
   // directly generated one, constraint by constraint, term by term.
-  ASSERT_EQ(Warm.System.Vars.numVars(), Direct.System.Vars.numVars());
-  for (uint32_t V = 0; V < Direct.System.Vars.numVars(); ++V) {
-    EXPECT_EQ(Warm.System.Vars.repOf(V), Direct.System.Vars.repOf(V));
-    EXPECT_EQ(Warm.System.Vars.roleOf(V), Direct.System.Vars.roleOf(V));
-  }
-  ASSERT_EQ(Warm.System.Constraints.size(),
-            Direct.System.Constraints.size());
-  for (size_t I = 0; I < Direct.System.Constraints.size(); ++I) {
-    const solver::LinearConstraint &A = Direct.System.Constraints[I];
-    const solver::LinearConstraint &B = Warm.System.Constraints[I];
-    ASSERT_EQ(A.Lhs.size(), B.Lhs.size()) << "constraint " << I;
-    ASSERT_EQ(A.Rhs.size(), B.Rhs.size()) << "constraint " << I;
-    for (size_t T = 0; T < A.Lhs.size(); ++T) {
-      EXPECT_EQ(A.Lhs[T].Var, B.Lhs[T].Var);
-      EXPECT_EQ(A.Lhs[T].Coef, B.Lhs[T].Coef);
-    }
-    for (size_t T = 0; T < A.Rhs.size(); ++T) {
-      EXPECT_EQ(A.Rhs[T].Var, B.Rhs[T].Var);
-      EXPECT_EQ(A.Rhs[T].Coef, B.Rhs[T].Coef);
-    }
-  }
-  EXPECT_EQ(Warm.System.Pinned, Direct.System.Pinned);
-  EXPECT_EQ(Warm.System.NumCandidates, Direct.System.NumCandidates);
-  EXPECT_EQ(Warm.System.AvgBackoffOptions, Direct.System.AvgBackoffOptions);
+  expectSameSystem(Direct.System, Warm.System);
 
   // Mixed: delete half the shard entries; exactly those projects
   // re-extract, the rest replay.
@@ -139,7 +151,89 @@ TEST_P(ShardPipelineTest, WarmComposedRunMatchesSerial) {
   fs::remove_all(Dir);
 }
 
-INSTANTIATE_TEST_SUITE_P(Jobs, ShardPipelineTest, ::testing::Values(1u, 4u));
+/// The shards replay in parallel into local blocks merged in corpus order:
+/// with some shards replayed and some re-extracted, the composed system
+/// equals the serial direct generation at every worker count.
+TEST_P(ShardPipelineTest, MixedHitsAndMissesComposeTheDirectSystem) {
+  const unsigned Jobs = GetParam();
+  corpus::Corpus Data = testutil::makeCorpus(9191, /*NumProjects=*/7);
+  infer::Session Direct(testOptions(1));
+  Direct.addProjects(Data.Projects);
+  Direct.generateConstraints(Data.Seed);
+
+  std::string Dir = testutil::makeScratchDir("shard-mixed");
+  auto Compose = [&](infer::Session &S) {
+    S.enableShardCache(Dir);
+    S.addProjects(Data.Projects);
+    S.generateConstraints(Data.Seed);
+  };
+  infer::Session Populate(testOptions(Jobs));
+  Compose(Populate);
+  // Drop every other entry: those projects re-extract, the rest replay.
+  size_t Deleted = 0, Seen = 0;
+  for (const fs::directory_entry &E : fs::directory_iterator(Dir))
+    if (Seen++ % 2 == 0 && fs::remove(E.path()))
+      ++Deleted;
+  ASSERT_GT(Deleted, 0u);
+
+  infer::Session Mixed(testOptions(Jobs));
+  Compose(Mixed);
+  EXPECT_EQ(Mixed.incrStats().ShardsRebuilt, Deleted);
+  EXPECT_EQ(Mixed.incrStats().ShardsHit, Data.Projects.size() - Deleted);
+  expectSameSystem(Direct.system(), Mixed.system());
+  fs::remove_all(Dir);
+}
+
+/// A deadline that expires while the shards replay aborts composition with
+/// DeadlineError: composition is all-or-nothing, so no partial system
+/// escapes.
+TEST_P(ShardPipelineTest, DeadlineDuringReplayLeavesNoPartialSystem) {
+  const unsigned Jobs = GetParam();
+  corpus::Corpus Data = testutil::makeCorpus(8383, /*NumProjects=*/4);
+  propgraph::PropagationGraph Graph = testutil::buildGlobalGraph(Data);
+  propgraph::RepTable Reps;
+  Reps.countOccurrences(Graph);
+  std::vector<constraints::ConstraintShard> Shards;
+  uint32_t Begin = 0;
+  for (const pysem::Project &P : Data.Projects) {
+    uint32_t End = Begin + static_cast<uint32_t>(P.modules().size());
+    Shards.push_back(constraints::extractShard(Graph, Begin, End));
+    Begin = End;
+  }
+  ThreadPool Pool(Jobs);
+  ThreadPool *P = Jobs > 1 ? &Pool : nullptr;
+
+  // Replaying the shards over and over makes the replay long next to the
+  // scaffolding that precedes it; the deadline then expires at a quarter
+  // of the fastest unbounded composition, mid-replay.
+  std::vector<const constraints::ConstraintShard *> Replay;
+  for (const constraints::ConstraintShard &S : Shards)
+    Replay.push_back(&S);
+  double Fastest = 0.0;
+  while (Fastest < 0.05) {
+    Replay.insert(Replay.end(), Replay.begin(), Replay.end());
+    Fastest = 1e9;
+    for (int Run = 0; Run < 2; ++Run) {
+      Timer Clock;
+      constraints::composeConstraints(Graph, Reps, Data.Seed, Replay,
+                                      constraints::GenOptions(), P);
+      Fastest = std::min(Fastest, Clock.seconds());
+    }
+  }
+
+  Deadline StopAt;
+  StopAt.arm(Fastest / 4);
+  constraints::ConstraintSystem Sys;
+  EXPECT_THROW(Sys = constraints::composeConstraints(
+                   Graph, Reps, Data.Seed, Replay,
+                   constraints::GenOptions(), P, &StopAt),
+               DeadlineError);
+  EXPECT_TRUE(Sys.Constraints.empty());
+  EXPECT_EQ(Sys.Vars.numVars(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Jobs, ShardPipelineTest,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 /// Editing one project's source changes its graph key, hence its shard
 /// key: exactly one shard re-extracts, and the result equals a fresh

@@ -355,13 +355,43 @@ std::vector<pysem::Project> loadCorpus(const CliOptions &Opts, bool &Ok) {
       Ok = false;
       return Corpus;
     }
-    std::fprintf(stderr, "loaded %s: %zu Python files (%zu parse "
-                 "diagnostics)\n",
-                 Opts.Paths[I].c_str(), Loaded[I]->modules().size(),
-                 Loaded[I]->numErrors());
+    std::fprintf(stderr, "loaded %s: %zu Python files\n",
+                 Opts.Paths[I].c_str(), Loaded[I]->modules().size());
     Corpus.push_back(std::move(*Loaded[I]));
   }
   return Corpus;
+}
+
+/// Reports what a graph build parsed. Loading only reads files; the build
+/// parses each one whose project graph is not served from the cache.
+void reportParse(uint64_t Files, uint64_t Diagnostics) {
+  std::fprintf(stderr, "parsed %llu Python files (%llu parse diagnostics)\n",
+               static_cast<unsigned long long>(Files),
+               static_cast<unsigned long long>(Diagnostics));
+}
+
+/// Builds the session's graph (parsing the cache misses) and reports the
+/// parse.
+void buildSessionGraph(infer::Session &Session) {
+  Session.buildGraph();
+  reportParse(Session.incrStats().FilesParsed,
+              Session.incrStats().ParseDiagnostics);
+}
+
+/// Builds the corpus graph without a session (every file is parsed) and
+/// reports the parse.
+propgraph::PropagationGraph
+buildCorpusGraph(const std::vector<pysem::Project> &Corpus) {
+  propgraph::PropagationGraph Graph;
+  std::vector<pyast::ParseError> Diagnostics;
+  size_t Files = 0;
+  for (const pysem::Project &P : Corpus) {
+    Graph.append(propgraph::buildProjectGraph(P, propgraph::BuildOptions(),
+                                              &Diagnostics));
+    Files += P.modules().size();
+  }
+  reportParse(Files, Diagnostics.size());
+  return Graph;
 }
 
 /// Enables the graph cache on \p Session when --cache-dir was given.
@@ -532,6 +562,7 @@ int cmdLearn(const CliOptions &Opts) {
   }
 
   Session.addProjects(Corpus);
+  buildSessionGraph(Session);
   infer::PipelineResult R;
   if (Opts.Active) {
     active::FileOracle Oracle;
@@ -644,9 +675,7 @@ int cmdAnalyze(const CliOptions &Opts) {
     HaveLearned = true;
   }
 
-  propgraph::PropagationGraph Graph;
-  for (const pysem::Project &P : Corpus)
-    Graph.append(propgraph::buildProjectGraph(P));
+  propgraph::PropagationGraph Graph = buildCorpusGraph(Corpus);
 
   taint::RoleResolver Roles(&Seed.Spec, HaveLearned ? &Learned : nullptr,
                             Opts.Threshold);
@@ -763,6 +792,7 @@ int cmdExplain(const CliOptions &Opts) {
   if (!setupCache(Session, Opts))
     return 1;
   Session.addProjects(Corpus);
+  buildSessionGraph(Session);
   Session.generateConstraints(Seed);
   infer::PipelineResult R = Session.solve();
   printCacheStats(R, Opts);
@@ -795,9 +825,7 @@ int cmdStats(const CliOptions &Opts) {
     std::fprintf(stderr, "error: no input repositories\n");
     return 1;
   }
-  propgraph::PropagationGraph Graph;
-  for (const pysem::Project &P : Corpus)
-    Graph.append(propgraph::buildProjectGraph(P));
+  propgraph::PropagationGraph Graph = buildCorpusGraph(Corpus);
   return writeOutput(Opts, propgraph::renderGraphStats(
                                propgraph::computeGraphStats(Graph)))
              ? 0
@@ -847,10 +875,12 @@ int cmdGraph(const CliOptions &Opts) {
   }
   pysem::Project Proj("cli");
   const pysem::ModuleInfo &M = Proj.addModule(Opts.Paths[0], Source.Value);
-  for (const pyast::ParseError &E : M.Errors)
+  std::vector<pyast::ParseError> Diagnostics;
+  propgraph::PropagationGraph Graph = propgraph::buildModuleGraph(
+      Proj, M, propgraph::BuildOptions(), &Diagnostics);
+  for (const pyast::ParseError &E : Diagnostics)
     std::fprintf(stderr, "%s:%u:%u: %s\n", Opts.Paths[0].c_str(), E.Line,
                  E.Col, E.Message.c_str());
-  propgraph::PropagationGraph Graph = propgraph::buildModuleGraph(Proj, M);
 
   if (!Opts.Dot)
     return writeOutput(Opts, propgraph::toText(Graph)) ? 0 : 1;
