@@ -71,16 +71,19 @@ echo "=== asan+ubsan: service, durability and on-disk format tests ==="
 # injected crash points — exactly where a heap overrun, use-after-free or
 # out-of-range shift would hide. The recovery harness forks the
 # sanitized seldond, so the kill-and-restart sweep runs sanitized end to
-# end.
+# end. The constraint tests ride along: the one Fig. 4 emitter runs on
+# every generation and indexes its term caches and option lists by local
+# event ids, and the pinned-system digests (FormatGoldenTest) drive it
+# directly and through cold and warm shard replay.
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -g"
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
   --target service_test durability_fault_test recovery_harness_test \
            fileio_test format_golden_test graphcodec_test \
-           cache_fault_test shard_fault_test
+           cache_fault_test shard_fault_test constraints_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest'
+  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ConstraintGenTest'
 
 echo
 echo "=== metrics smoke: seldon learn --metrics-out on a toy repo ==="

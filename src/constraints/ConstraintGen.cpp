@@ -1,6 +1,17 @@
 //===- constraints/ConstraintGen.cpp - Fig. 4 constraint extraction -------===//
+//
+// The one implementation of the Fig. 4 templates behind ConstraintGen.h and
+// ConstraintShard.h. One per-file traversal records a file's anchors as a
+// ShardFile over local event ids; one emitter turns anchors into rows,
+// given each local event's surviving backoff options. Direct generation
+// traverses candidates only and emits from Sys.EventReps; extractShard
+// traverses unfiltered and interns representation strings; replay resolves
+// those strings against the current corpus and calls the same emitter.
+//
+//===----------------------------------------------------------------------===//
 
 #include "constraints/ConstraintGen.h"
+#include "constraints/ConstraintShard.h"
 
 #include "support/Deadline.h"
 #include "support/FaultInjection.h"
@@ -8,7 +19,8 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <cassert>
+#include <array>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -16,177 +28,213 @@ using namespace seldon;
 using namespace seldon::constraints;
 using namespace seldon::propgraph;
 
+size_t ConstraintShard::numAnchors() const {
+  size_t N = 0;
+  for (const ShardFile &F : Files)
+    N += F.SanAnchors.size() + F.SrcAnchors.size();
+  return N;
+}
+
 namespace {
 
-/// Per-file constraint extraction context. Reachability queries stay inside
-/// one file because per-file subgraphs are edge-disjoint. Reads the shared
-/// backoff options but interns variables into its own local table and
-/// writes only its own Out buffer, so one extractor per file can run
-/// concurrently with no shared mutable state. Constraints come back with
-/// file-local variable ids; the caller replays each local table into the
-/// global one (in file order) and remaps, which reproduces the exact id
-/// assignment of a serial run.
-class FileExtractor {
-public:
-  FileExtractor(const PropagationGraph &Graph,
-                const std::vector<std::vector<RepId>> &EventReps,
-                const GenOptions &Opts, const std::vector<EventId> &Local,
-                VarTable &LocalVars,
-                std::vector<solver::LinearConstraint> &Out)
-      : Graph(Graph), EventReps(EventReps), Opts(Opts), Local(Local),
-        LocalVars(LocalVars), Out(Out) {}
+/// Per local event, its surviving backoff options: the §4.3 frequency
+/// cutoff and the §7.2 blacklist applied. An event with none is dead.
+using LocalOptions = std::vector<const std::vector<RepId> *>;
 
-  void run() {
-    // Collect the file's candidates per role (events with surviving reps).
-    for (EventId Id : Local) {
-      if (EventReps[Id].empty())
-        continue;
-      RoleMask Mask = Graph.event(Id).Candidates;
-      if (maskHas(Mask, Role::Source))
-        Sources.push_back(Id);
-      if (maskHas(Mask, Role::Sanitizer))
-        Sanitizers.push_back(Id);
-      if (maskHas(Mask, Role::Sink))
-        Sinks.push_back(Id);
+/// The Fig. 4 traversal of one file. Local ids index \p Local, the file's
+/// events in id order. With \p Live, only events with surviving options are
+/// candidates (direct generation's filter); without it, every event with a
+/// candidate role is (a shard's filter-free view). Anchors and their member
+/// lists come out in candidate order: every sanitizer anchor (Fig. 4a/4b)
+/// with a source upstream or a sink downstream, then every source anchor
+/// (Fig. 4c) with a sink downstream.
+ShardFile traverseFile(const PropagationGraph &Graph,
+                       const std::vector<EventId> &Local,
+                       const LocalOptions *Live) {
+  std::vector<ShardEventId> Sources, Sanitizers, Sinks;
+  for (ShardEventId L = 0; L < Local.size(); ++L) {
+    if (Live && (*Live)[L]->empty())
+      continue;
+    RoleMask Mask = Graph.event(Local[L]).Candidates;
+    if (maskHas(Mask, Role::Source))
+      Sources.push_back(L);
+    if (maskHas(Mask, Role::Sanitizer))
+      Sanitizers.push_back(L);
+    if (maskHas(Mask, Role::Sink))
+      Sinks.push_back(L);
+  }
+
+  // A sanitizer's forward set is probed once per (source, sink) pair it
+  // might lie between, so forward sets are computed once per event.
+  std::vector<std::optional<std::unordered_set<EventId>>> Fwd(Local.size());
+  auto Forward = [&](ShardEventId L) -> const std::unordered_set<EventId> & {
+    if (!Fwd[L]) {
+      std::vector<EventId> Reach = Graph.reachableFrom(Local[L]);
+      Fwd[L].emplace(Reach.begin(), Reach.end());
     }
-    extractSanitizerAnchored();
-    extractSourceSinkPairs();
+    return *Fwd[L];
+  };
+  auto MembersOf = [&](const std::vector<ShardEventId> &Candidates,
+                       const std::unordered_set<EventId> &Set) {
+    std::vector<ShardEventId> Out;
+    for (ShardEventId L : Candidates)
+      if (Set.count(Local[L]))
+        Out.push_back(L);
+    return Out;
+  };
+
+  ShardFile File;
+  for (ShardEventId San : Sanitizers) {
+    std::vector<EventId> Upstream = Graph.reachingTo(Local[San]);
+    ShardSanAnchor Anchor;
+    Anchor.San = San;
+    Anchor.SourcesBefore = MembersOf(
+        Sources,
+        std::unordered_set<EventId>(Upstream.begin(), Upstream.end()));
+    Anchor.SinksAfter = MembersOf(Sinks, Forward(San));
+    if (!Anchor.SourcesBefore.empty() || !Anchor.SinksAfter.empty())
+      File.SanAnchors.push_back(std::move(Anchor));
+  }
+  for (ShardEventId Src : Sources) {
+    const std::unordered_set<EventId> &Reach = Forward(Src);
+    std::vector<ShardEventId> SansAfter = MembersOf(Sanitizers, Reach);
+    ShardSrcAnchor Anchor;
+    Anchor.Src = Src;
+    for (ShardEventId Snk : MembersOf(Sinks, Reach)) {
+      if (Snk == Src)
+        continue;
+      ShardSrcPair &Pair = Anchor.Pairs.emplace_back();
+      Pair.Snk = Snk;
+      for (ShardEventId Mid : SansAfter)
+        if (Mid != Snk && Mid != Src && Forward(Mid).count(Local[Snk]))
+          Pair.Mids.push_back(Mid);
+    }
+    if (!Anchor.Pairs.empty())
+      File.SrcAnchors.push_back(std::move(Anchor));
+  }
+  return File;
+}
+
+/// The rows one unit of work (a file during generation, a project's shard
+/// during composition) emitted on its own, over a block-local variable
+/// table whose ids follow first use within the block.
+struct ConstraintBlock {
+  VarTable Vars;
+  std::vector<solver::LinearConstraint> Constraints;
+};
+
+/// The Fig. 4 emitter: turns anchors over local event ids into rows over
+/// Out.Vars. A dead anchor emits nothing, and dead members are dropped
+/// before the MaxPairsPerAnchor cap counts, so the cap counts surviving
+/// pairs only. Every variable occurrence is the 1/|Reps(v)| average of the
+/// event's surviving options (§4.3).
+class RowEmitter {
+public:
+  RowEmitter(LocalOptions Options, const GenOptions &Opts,
+             ConstraintBlock &Out)
+      : Options(std::move(Options)), Opts(Opts), Out(Out),
+        BlockAt(this->Options.size(), {Unbuilt, Unbuilt, Unbuilt}) {}
+
+  void emit(const ShardFile &File) {
+    for (const ShardSanAnchor &Anchor : File.SanAnchors) {
+      if (!live(Anchor.San))
+        continue;
+      // Fig. 4a: san(v) + snk(t) <= sum of sources into v + C.
+      std::vector<solver::Term> SourceSum =
+          sumOf(Anchor.SourcesBefore, Role::Source);
+      capped(Anchor.SinksAfter, [&](ShardEventId Snk) {
+        row(Anchor.San, Role::Sanitizer, Snk, Role::Sink).Rhs = SourceSum;
+      });
+      // Fig. 4b: src(s) + san(v) <= sum of sinks after v + C.
+      std::vector<solver::Term> SinkSum = sumOf(Anchor.SinksAfter, Role::Sink);
+      capped(Anchor.SourcesBefore, [&](ShardEventId Src) {
+        row(Src, Role::Source, Anchor.San, Role::Sanitizer).Rhs = SinkSum;
+      });
+    }
+    // Fig. 4c: src(s) + snk(t) <= sum of sanitizers between s and t + C.
+    for (const ShardSrcAnchor &Anchor : File.SrcAnchors) {
+      if (!live(Anchor.Src))
+        continue;
+      capped(Anchor.Pairs, [&](const ShardSrcPair &Pair) {
+        solver::LinearConstraint &LC =
+            row(Anchor.Src, Role::Source, Pair.Snk, Role::Sink);
+        for (ShardEventId Mid : Pair.Mids)
+          if (live(Mid))
+            append(LC.Rhs, Mid, Role::Sanitizer);
+      });
+    }
   }
 
 private:
-  /// Fig. 4a and Fig. 4b share the per-sanitizer forward/backward scans.
-  void extractSanitizerAnchored() {
-    for (EventId San : Sanitizers) {
-      const std::unordered_set<EventId> &Fwd = forwardSet(San);
-      std::unordered_set<EventId> Bwd = backwardSet(San);
+  bool live(ShardEventId E) const { return !Options[E]->empty(); }
+  static ShardEventId eventOf(ShardEventId E) { return E; }
+  static ShardEventId eventOf(const ShardSrcPair &Pair) { return Pair.Snk; }
 
-      std::vector<EventId> SinksAfter = membersOf(Sinks, Fwd);
-      std::vector<EventId> SourcesBefore = membersOf(Sources, Bwd);
-      if (SinksAfter.empty() && SourcesBefore.empty())
+  /// Calls \p Emit on the live entries of \p Pairs, at most
+  /// MaxPairsPerAnchor of them.
+  template <class T, class Fn>
+  void capped(const std::vector<T> &Pairs, Fn Emit) {
+    size_t Emitted = 0;
+    for (const T &Pair : Pairs) {
+      if (!live(eventOf(Pair)))
         continue;
-
-      // Fig. 4a: san(v) + snk(t) <= sum of sources into v + C.
-      std::vector<solver::Term> SourceSum = sumTerms(SourcesBefore,
-                                                     Role::Source);
-      size_t Pairs = 0;
-      for (EventId Snk : SinksAfter) {
-        if (++Pairs > Opts.MaxPairsPerAnchor)
-          break;
-        solver::LinearConstraint LC;
-        appendAvgTerms(LC.Lhs, San, Role::Sanitizer);
-        appendAvgTerms(LC.Lhs, Snk, Role::Sink);
-        LC.Rhs = SourceSum;
-        LC.C = Opts.C;
-        Out.push_back(std::move(LC));
-      }
-
-      // Fig. 4b: src(s) + san(v) <= sum of sinks after v + C.
-      std::vector<solver::Term> SinkSum = sumTerms(SinksAfter, Role::Sink);
-      Pairs = 0;
-      for (EventId Src : SourcesBefore) {
-        if (++Pairs > Opts.MaxPairsPerAnchor)
-          break;
-        solver::LinearConstraint LC;
-        appendAvgTerms(LC.Lhs, Src, Role::Source);
-        appendAvgTerms(LC.Lhs, San, Role::Sanitizer);
-        LC.Rhs = SinkSum;
-        LC.C = Opts.C;
-        Out.push_back(std::move(LC));
-      }
+      if (++Emitted > Opts.MaxPairsPerAnchor)
+        return;
+      Emit(Pair);
     }
   }
 
-  /// Fig. 4c: src(s) + snk(t) <= sum of sanitizers between s and t + C.
-  void extractSourceSinkPairs() {
-    for (EventId Src : Sources) {
-      const std::unordered_set<EventId> &Fwd = forwardSet(Src);
-      std::vector<EventId> SinksAfter = membersOf(Sinks, Fwd);
-      std::vector<EventId> SansAfter = membersOf(Sanitizers, Fwd);
-      size_t Pairs = 0;
-      for (EventId Snk : SinksAfter) {
-        if (Snk == Src)
-          continue;
-        if (++Pairs > Opts.MaxPairsPerAnchor)
-          break;
-        solver::LinearConstraint LC;
-        appendAvgTerms(LC.Lhs, Src, Role::Source);
-        appendAvgTerms(LC.Lhs, Snk, Role::Sink);
-        for (EventId Mid : SansAfter) {
-          if (Mid == Snk || Mid == Src)
-            continue;
-          if (forwardSet(Mid).count(Snk))
-            appendAvgTerms(LC.Rhs, Mid, Role::Sanitizer);
-        }
-        LC.C = Opts.C;
-        Out.push_back(std::move(LC));
-      }
+  /// Appends the averaged terms of (\p E, \p R) to \p To. An event recurs
+  /// across many rows, so its terms are built into the pool once, at first
+  /// use — where its variables would be interned anyway, so ids keep
+  /// first-use order — and copied from there after.
+  void append(std::vector<solver::Term> &To, ShardEventId E, Role R) {
+    const std::vector<RepId> &Reps = *Options[E];
+    uint32_t &At = BlockAt[E][static_cast<size_t>(R)];
+    if (At == Unbuilt) {
+      At = static_cast<uint32_t>(Pool.size());
+      float Coef = 1.0f / static_cast<float>(Reps.size());
+      for (RepId Rep : Reps)
+        Pool.push_back({Out.Vars.varFor(Rep, R), Coef});
     }
+    To.insert(To.end(), Pool.begin() + At, Pool.begin() + At + Reps.size());
   }
 
-  /// Sorted members of \p Candidates contained in \p Set.
-  static std::vector<EventId>
-  membersOf(const std::vector<EventId> &Candidates,
-            const std::unordered_set<EventId> &Set) {
-    std::vector<EventId> Out;
-    for (EventId Id : Candidates)
-      if (Set.count(Id))
-        Out.push_back(Id);
-    return Out;
+  std::vector<solver::Term> sumOf(const std::vector<ShardEventId> &Ids,
+                                  Role R) {
+    std::vector<solver::Term> Sum;
+    for (ShardEventId E : Ids)
+      if (live(E))
+        append(Sum, E, R);
+    return Sum;
   }
 
-  const std::unordered_set<EventId> &forwardSet(EventId Id) {
-    auto It = FwdCache.find(Id);
-    if (It != FwdCache.end())
-      return It->second;
-    std::unordered_set<EventId> Set;
-    for (EventId R : Graph.reachableFrom(Id))
-      Set.insert(R);
-    return FwdCache.emplace(Id, std::move(Set)).first->second;
+  solver::LinearConstraint &row(ShardEventId A, Role RA, ShardEventId B,
+                                Role RB) {
+    solver::LinearConstraint &LC = Out.Constraints.emplace_back();
+    append(LC.Lhs, A, RA);
+    append(LC.Lhs, B, RB);
+    LC.C = Opts.C;
+    return LC;
   }
 
-  std::unordered_set<EventId> backwardSet(EventId Id) const {
-    std::unordered_set<EventId> Set;
-    for (EventId R : Graph.reachingTo(Id))
-      Set.insert(R);
-    return Set;
-  }
+  static constexpr uint32_t Unbuilt = ~uint32_t(0);
 
-  /// Appends the backoff-averaged terms of (event, role) — paper §4.3:
-  /// (1/|Reps(v)|) · Σ over the surviving options. Variables are interned
-  /// into the file-local table in first-use order, mirroring the order a
-  /// serial run would create them.
-  void appendAvgTerms(std::vector<solver::Term> &Terms, EventId Id, Role R) {
-    const std::vector<RepId> &Options = EventReps[Id];
-    float Coef = 1.0f / static_cast<float>(Options.size());
-    for (RepId Rep : Options)
-      Terms.push_back({LocalVars.varFor(Rep, R), Coef});
-  }
-
-  std::vector<solver::Term> sumTerms(const std::vector<EventId> &Ids,
-                                     Role R) {
-    std::vector<solver::Term> Terms;
-    for (EventId Id : Ids)
-      appendAvgTerms(Terms, Id, R);
-    return Terms;
-  }
-
-  const PropagationGraph &Graph;
-  const std::vector<std::vector<RepId>> &EventReps;
+  LocalOptions Options;
   const GenOptions &Opts;
-  const std::vector<EventId> &Local;
-  VarTable &LocalVars;
-  std::vector<solver::LinearConstraint> &Out;
-  std::vector<EventId> Sources, Sanitizers, Sinks;
-  std::unordered_map<EventId, std::unordered_set<EventId>> FwdCache;
+  ConstraintBlock &Out;
+  std::vector<solver::Term> Pool;
+  /// Where each (event, role) block starts in Pool, or Unbuilt.
+  std::vector<std::array<uint32_t, NumRoles>> BlockAt;
 };
 
-} // namespace
-
-ConstraintSystem
-seldon::constraints::prepareSystem(const PropagationGraph &Graph,
-                                   const RepTable &Reps,
-                                   const spec::SeedSpec &Seed,
-                                   const GenOptions &Opts, ThreadPool *Pool) {
+/// The scaffolding before any row: each event's surviving backoff options,
+/// the candidate statistics, and the seed pins (§4.1), which intern the
+/// system's first variables.
+ConstraintSystem prepareSystem(const PropagationGraph &Graph,
+                               const RepTable &Reps,
+                               const spec::SeedSpec &Seed,
+                               const GenOptions &Opts, ThreadPool *Pool) {
   ConstraintSystem Sys;
   const std::vector<Event> &Events = Graph.events();
   Sys.EventReps.resize(Events.size());
@@ -235,58 +283,12 @@ seldon::constraints::prepareSystem(const PropagationGraph &Graph,
   return Sys;
 }
 
-ConstraintSystem
-seldon::constraints::generateConstraints(const PropagationGraph &Graph,
-                                         const RepTable &Reps,
-                                         const spec::SeedSpec &Seed,
-                                         const GenOptions &Opts,
-                                         ThreadPool *Pool,
-                                         std::vector<double> *ShardSecondsOut,
-                                         const Deadline *StopAt) {
-  ConstraintSystem Sys = prepareSystem(Graph, Reps, Seed, Opts, Pool);
-  const std::vector<Event> &Events = Graph.events();
-
-  // Group events by file and extract per file into private buffers. Each
-  // shard interns variables into its own local table, so extraction
-  // touches no shared mutable state.
-  std::vector<std::vector<EventId>> ByFile(Graph.files().size());
-  for (const Event &E : Events)
-    ByFile[E.FileIdx].push_back(E.Id);
-
-  std::vector<ConstraintBlock> PerFile(ByFile.size());
-  unsigned Workers = Pool ? Pool->numWorkers() : 1;
-  std::vector<double> ShardSeconds(Workers, 0.0);
-  auto ExtractFile = [&](size_t F, unsigned Worker) {
-    if (ByFile[F].empty())
-      return;
-    // Cooperative cancellation at the shard boundary: a truncated system
-    // would silently change the learned scores, so expiry is a hard error
-    // the caller contextualizes (parallelFor rethrows it deterministically).
-    if (StopAt && StopAt->expired())
-      throw DeadlineError("deadline expired during constraint generation");
-    if (fault::enabled())
-      fault::maybeThrow(fault::Point::ConstraintGen, F);
-    Timer ShardTimer;
-    FileExtractor Extractor(Graph, Sys.EventReps, Opts, ByFile[F],
-                            PerFile[F].Vars, PerFile[F].Constraints);
-    Extractor.run();
-    ShardSeconds[Worker] += ShardTimer.seconds();
-  };
-  if (Pool)
-    Pool->parallelFor(ByFile.size(), ExtractFile);
-  else
-    for (size_t F = 0; F < ByFile.size(); ++F)
-      ExtractFile(F, 0);
-
-  mergeBlocks(PerFile, Sys);
-
-  if (ShardSecondsOut)
-    *ShardSecondsOut = std::move(ShardSeconds);
-  return Sys;
-}
-
-void seldon::constraints::mergeBlocks(std::vector<ConstraintBlock> &Blocks,
-                                      ConstraintSystem &Sys) {
+/// The ordered merge: walks \p Blocks in order, replays each local variable
+/// table into Sys.Vars, remaps the block's rows to the global ids and
+/// appends them, freeing each block as it goes. Local ids are in first-use
+/// order, so this reproduces the exact ids a serial run over the same units
+/// assigns — including variables created for sums that end up in no row.
+void mergeBlocks(std::vector<ConstraintBlock> &Blocks, ConstraintSystem &Sys) {
   size_t Total = Sys.Constraints.size();
   for (const ConstraintBlock &Block : Blocks)
     Total += Block.Constraints.size();
@@ -305,4 +307,186 @@ void seldon::constraints::mergeBlocks(std::vector<ConstraintBlock> &Blocks,
     }
     Block = ConstraintBlock(); // Free as we go.
   }
+}
+
+/// Replays \p Shard under the current corpus state into \p Out: resolves
+/// each event's surviving options against the global counts in \p Reps and
+/// the seed blacklist, then emits the shard's files in order.
+void replayShard(const ConstraintShard &Shard, const RepTable &Reps,
+                 const spec::SeedSpec &Seed, const GenOptions &Opts,
+                 ConstraintBlock &Out) {
+  // Option strings recur across events (every `flask.request.*` read in a
+  // file carries the same backoff spellings), so each distinct string is
+  // resolved once: global frequency cutoff (§4.3) + blacklist (§7.2), the
+  // stored most-to-least-specific order preserved. An unknown string
+  // (possible only with a shard/graph mismatch, which the cache key rules
+  // out) is dropped, as backoffOptions drops it.
+  std::vector<RepId> StrRep(Shard.Strings.size());
+  std::vector<uint8_t> StrKept(Shard.Strings.size(), 0);
+  for (size_t S = 0; S < Shard.Strings.size(); ++S) {
+    const std::string &Rep = Shard.Strings[S];
+    RepId Id;
+    if (!Reps.lookup(Rep, Id))
+      continue;
+    if (Reps.occurrences(Id) < Opts.RepCutoff)
+      continue;
+    if (Seed.isBlacklisted(Rep))
+      continue;
+    StrRep[S] = Id;
+    StrKept[S] = 1;
+  }
+  std::vector<std::vector<RepId>> Kept(Shard.Events.size());
+  LocalOptions Options(Shard.Events.size());
+  for (size_t E = 0; E < Shard.Events.size(); ++E) {
+    for (ShardStrId S : Shard.Events[E].Reps)
+      if (StrKept[S])
+        Kept[E].push_back(StrRep[S]);
+    Options[E] = &Kept[E];
+  }
+  RowEmitter Emitter(std::move(Options), Opts, Out);
+  for (const ShardFile &File : Shard.Files)
+    Emitter.emit(File);
+}
+
+} // namespace
+
+ConstraintSystem
+seldon::constraints::generateConstraints(const PropagationGraph &Graph,
+                                         const RepTable &Reps,
+                                         const spec::SeedSpec &Seed,
+                                         const GenOptions &Opts,
+                                         ThreadPool *Pool,
+                                         std::vector<double> *ShardSecondsOut,
+                                         const Deadline *StopAt) {
+  ConstraintSystem Sys = prepareSystem(Graph, Reps, Seed, Opts, Pool);
+
+  // Group events by file and emit each file into a private block, so
+  // extraction touches no shared mutable state.
+  std::vector<std::vector<EventId>> ByFile(Graph.files().size());
+  for (const Event &E : Graph.events())
+    ByFile[E.FileIdx].push_back(E.Id);
+
+  std::vector<ConstraintBlock> PerFile(ByFile.size());
+  unsigned Workers = Pool ? Pool->numWorkers() : 1;
+  std::vector<double> ShardSeconds(Workers, 0.0);
+  auto ExtractFile = [&](size_t F, unsigned Worker) {
+    const std::vector<EventId> &Local = ByFile[F];
+    if (Local.empty())
+      return;
+    // Cooperative cancellation at the shard boundary: a truncated system
+    // would silently change the learned scores, so expiry is a hard error
+    // the caller contextualizes (parallelFor rethrows it deterministically).
+    if (StopAt && StopAt->expired())
+      throw DeadlineError("deadline expired during constraint generation");
+    if (fault::enabled())
+      fault::maybeThrow(fault::Point::ConstraintGen, F);
+    Timer ShardTimer;
+    LocalOptions Options(Local.size());
+    for (size_t L = 0; L < Local.size(); ++L)
+      Options[L] = &Sys.EventReps[Local[L]];
+    ShardFile File = traverseFile(Graph, Local, &Options);
+    RowEmitter(std::move(Options), Opts, PerFile[F]).emit(File);
+    ShardSeconds[Worker] += ShardTimer.seconds();
+  };
+  if (Pool)
+    Pool->parallelFor(ByFile.size(), ExtractFile);
+  else
+    for (size_t F = 0; F < ByFile.size(); ++F)
+      ExtractFile(F, 0);
+
+  mergeBlocks(PerFile, Sys);
+
+  if (ShardSecondsOut)
+    *ShardSecondsOut = std::move(ShardSeconds);
+  return Sys;
+}
+
+ConstraintShard
+seldon::constraints::extractShard(const PropagationGraph &Graph,
+                                  uint32_t FileBegin, uint32_t FileEnd) {
+  ConstraintShard Shard;
+  if (FileEnd <= FileBegin)
+    return Shard;
+  Shard.Files.resize(FileEnd - FileBegin);
+
+  // Events are in file order, so the slice's events are one contiguous
+  // run: find it by binary search, then group it by file.
+  const std::vector<Event> &Events = Graph.events();
+  auto InEarlierFile = [](const Event &E, uint32_t File) {
+    return E.FileIdx < File;
+  };
+  auto First =
+      std::lower_bound(Events.begin(), Events.end(), FileBegin, InEarlierFile);
+  auto Last = std::lower_bound(First, Events.end(), FileEnd, InEarlierFile);
+  std::vector<std::vector<EventId>> ByFile(FileEnd - FileBegin);
+  for (auto It = First; It != Last; ++It)
+    ByFile[It->FileIdx - FileBegin].push_back(It->Id);
+
+  // Renumber each file's local ids shard-wide, interning events and their
+  // representation strings in the order the anchors reference them.
+  std::unordered_map<std::string, ShardStrId> StringIds;
+  for (size_t F = 0; F < ByFile.size(); ++F) {
+    const std::vector<EventId> &Local = ByFile[F];
+    if (Local.empty())
+      continue;
+    ShardFile &File = Shard.Files[F] = traverseFile(Graph, Local, nullptr);
+    constexpr ShardEventId Unseen = ~ShardEventId(0);
+    std::vector<ShardEventId> ShardIdOf(Local.size(), Unseen);
+    auto Ref = [&](ShardEventId &L) {
+      ShardEventId &Id = ShardIdOf[L];
+      if (Id == Unseen) {
+        Id = static_cast<ShardEventId>(Shard.Events.size());
+        ShardEvent &SE = Shard.Events.emplace_back();
+        for (const std::string &Rep : Graph.event(Local[L]).Reps) {
+          auto [It, Fresh] = StringIds.try_emplace(
+              Rep, static_cast<ShardStrId>(Shard.Strings.size()));
+          if (Fresh)
+            Shard.Strings.push_back(Rep);
+          SE.Reps.push_back(It->second);
+        }
+      }
+      L = Id;
+    };
+    for (ShardSanAnchor &Anchor : File.SanAnchors) {
+      Ref(Anchor.San);
+      for (ShardEventId &L : Anchor.SourcesBefore)
+        Ref(L);
+      for (ShardEventId &L : Anchor.SinksAfter)
+        Ref(L);
+    }
+    for (ShardSrcAnchor &Anchor : File.SrcAnchors) {
+      for (ShardSrcPair &Pair : Anchor.Pairs) {
+        Ref(Pair.Snk);
+        for (ShardEventId &L : Pair.Mids)
+          Ref(L);
+      }
+      Ref(Anchor.Src);
+    }
+  }
+  return Shard;
+}
+
+ConstraintSystem seldon::constraints::composeConstraints(
+    const PropagationGraph &Graph, const RepTable &Reps,
+    const spec::SeedSpec &Seed,
+    const std::vector<const ConstraintShard *> &Shards,
+    const GenOptions &Opts, ThreadPool *Pool, const Deadline *StopAt) {
+  ConstraintSystem Sys = prepareSystem(Graph, Reps, Seed, Opts, Pool);
+  std::vector<ConstraintBlock> Blocks(Shards.size());
+  auto ReplayOne = [&](size_t I, unsigned) {
+    // All-or-nothing, like generation: a truncated composition would
+    // change the learned scores silently (parallelFor rethrows the
+    // expiry, and Sys is never returned).
+    if (StopAt && StopAt->expired())
+      throw DeadlineError("deadline expired during constraint composition");
+    if (Shards[I])
+      replayShard(*Shards[I], Reps, Seed, Opts, Blocks[I]);
+  };
+  if (Pool)
+    Pool->parallelFor(Shards.size(), ReplayOne);
+  else
+    for (size_t I = 0; I < Shards.size(); ++I)
+      ReplayOne(I, 0);
+  mergeBlocks(Blocks, Sys);
+  return Sys;
 }

@@ -21,6 +21,15 @@
 /// surviving backoff options (§4.3), and seed labels pin the corresponding
 /// fully-qualified variables (§4.1).
 ///
+/// One implementation serves both ways to build the system. A per-file
+/// traversal records the file's anchors (ShardFile, ConstraintShard.h):
+/// each sanitizer with the sources upstream and the sinks downstream, each
+/// source with the sinks it reaches and the sanitizers between. One emitter
+/// turns anchors into rows. generateConstraints() traverses only events
+/// with surviving options and emits at once; the incremental path
+/// (ConstraintShard.h) stores unfiltered anchors per project and emits them
+/// later under the current corpus state.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELDON_CONSTRAINTS_CONSTRAINTGEN_H
@@ -48,7 +57,8 @@ struct GenOptions {
   /// Representation frequency cutoff (§4.3: 5 occurrences).
   size_t RepCutoff = 5;
   /// Safety cap on (pair) constraints extracted per source/sanitizer
-  /// anchor, guarding against pathological dense files.
+  /// anchor, guarding against pathological dense files. It counts only
+  /// pairs whose events both survive the cutoff and the blacklist.
   size_t MaxPairsPerAnchor = 4096;
 };
 
@@ -60,12 +70,11 @@ struct GenOptions {
 ///
 /// When \p Pool is non-null the expensive stages fan out over it: the
 /// per-event backoff filtering (disjoint writes) and the per-file template
-/// extraction, which is sharded by file into private constraint buffers.
-/// Determinism is preserved by construction: variables are pre-created in
-/// event order before any extraction runs, and the per-file buffers are
-/// concatenated in file order, so the resulting system — ids, constraint
-/// order, coefficients — is identical to the serial one. \p
-/// ShardSecondsOut (may be null) receives per-worker extraction wall time.
+/// extraction, each file into a private block over its own variable table.
+/// The blocks merge in file order, which reproduces the ids of a serial
+/// run, so the system — ids, constraint order, coefficients — is the same
+/// at any thread count. \p ShardSecondsOut (may be null) receives
+/// per-worker extraction wall time.
 ///
 /// \p StopAt (may be null) is polled at every per-file shard boundary.
 /// Constraint generation is all-or-nothing — a partial system would change
@@ -79,36 +88,6 @@ ConstraintSystem generateConstraints(const propgraph::PropagationGraph &Graph,
                                      std::vector<double> *ShardSecondsOut =
                                          nullptr,
                                      const Deadline *StopAt = nullptr);
-
-/// The pre-extraction scaffolding shared by generateConstraints and the
-/// incremental composeConstraints (ConstraintShard.h): the per-event
-/// surviving backoff options (frequency cutoff + blacklist), the candidate
-/// statistics, and the seed pins — which intern the corpus's first
-/// variables, so pins must be created before any constraint extraction
-/// replays. Returns a system with no constraints yet.
-ConstraintSystem prepareSystem(const propgraph::PropagationGraph &Graph,
-                               const propgraph::RepTable &Reps,
-                               const spec::SeedSpec &Seed,
-                               const GenOptions &Opts = GenOptions(),
-                               ThreadPool *Pool = nullptr);
-
-/// The constraints one unit of work (a file during generation, a
-/// project's shard during composition) extracted on its own, over a
-/// block-local variable table whose ids follow first use within the
-/// block.
-struct ConstraintBlock {
-  VarTable Vars;
-  std::vector<solver::LinearConstraint> Constraints;
-};
-
-/// The ordered merge behind generateConstraints and composeConstraints:
-/// walks \p Blocks in order, replays each local variable table into
-/// Sys.Vars, remaps the block's constraints to the global ids and appends
-/// them, freeing each block as it goes. Local ids are in first-use order,
-/// so this reproduces the exact ids a serial run over the same units
-/// assigns — including variables created for sums that end up in no
-/// constraint.
-void mergeBlocks(std::vector<ConstraintBlock> &Blocks, ConstraintSystem &Sys);
 
 } // namespace constraints
 } // namespace seldon

@@ -7,28 +7,28 @@
 ///
 /// \file
 /// The per-project slice of constraint generation, made persistable. A
-/// ConstraintShard captures everything the Fig. 4 templates computed from
-/// one project's propagation graph that is *expensive*: the per-file
-/// reachability structure — which sanitizer sees which sources upstream and
-/// sinks downstream (Fig. 4a/4b), which source reaches which sink through
-/// which mid-sanitizers (Fig. 4c) — with representation names kept symbolic
-/// (strings, not corpus RepIds).
+/// ConstraintShard holds what the Fig. 4 traversal (ConstraintGen.h)
+/// recorded for each of a project's files — which sanitizer sees which
+/// sources upstream and sinks downstream (Fig. 4a/4b), which source
+/// reaches which sink through which mid-sanitizers (Fig. 4c) — with
+/// representation names kept symbolic (strings, not corpus RepIds).
 ///
-/// Crucially, a shard is *filter-free*: the §4.3 frequency cutoff and the
-/// §7.2 blacklist depend on corpus-global occurrence counts and on the seed
+/// A shard is *filter-free*: the §4.3 frequency cutoff and the §7.2
+/// blacklist depend on corpus-global occurrence counts and on the seed
 /// spec, so applying them at extraction time would invalidate every shard
 /// whenever any other project changes. Instead the shard stores each
 /// referenced event's full backoff option list, and composeConstraints()
-/// replays the shard against the *current* global RepTable, seed, and
-/// GenOptions — filtering, computing the 1/|Reps(v)| averaging
-/// coefficients, capping pairs per anchor, and interning variables in the
-/// exact order serial generation would. Composing all project shards in
-/// corpus order therefore reproduces generateConstraints() byte for byte:
-/// same variable ids, same constraint order, same coefficients.
+/// resolves those lists against the *current* global RepTable, seed, and
+/// GenOptions, then hands the anchors to the same emitter direct
+/// generation uses. An event left without options drops out of every
+/// anchor, exactly as the direct path's candidate filter drops it before
+/// traversal, so composing all project shards in corpus order reproduces
+/// generateConstraints() byte for byte: same variable ids, same constraint
+/// order, same coefficients.
 ///
 /// The trade-off: shards store anchor pair lists uncapped (the
-/// MaxPairsPerAnchor cap counts only *surviving* pairs, which is a merge-
-/// time property), so a pathologically dense file costs shard bytes
+/// MaxPairsPerAnchor cap counts only *surviving* pairs, known only at
+/// emission), so a pathologically dense file costs shard bytes
 /// proportional to its uncapped pair count.
 ///
 //===----------------------------------------------------------------------===//
@@ -51,7 +51,8 @@ namespace constraints {
 
 /// Index of an interned representation string within one shard.
 using ShardStrId = uint32_t;
-/// Index of an interned event within one shard.
+/// Index of an event within one shard; during direct generation, within
+/// one file's events.
 using ShardEventId = uint32_t;
 
 /// One event referenced by a shard: its full representation option list
@@ -62,7 +63,7 @@ struct ShardEvent {
 
 /// One sanitizer anchor (Fig. 4a/4b): the sources flowing into it and the
 /// sinks reachable from it, each in candidate (event id) order. Omitted
-/// entirely when both lists are empty — serial generation skips those too.
+/// when both lists are empty.
 struct ShardSanAnchor {
   ShardEventId San = 0;
   std::vector<ShardEventId> SourcesBefore;
@@ -83,8 +84,8 @@ struct ShardSrcAnchor {
   std::vector<ShardSrcPair> Pairs;
 };
 
-/// The anchors of one file, in extraction order: all sanitizer anchors
-/// (Fig. 4a/4b), then all source anchors (Fig. 4c).
+/// The anchors of one file, as the Fig. 4 traversal records them: all
+/// sanitizer anchors (Fig. 4a/4b), then all source anchors (Fig. 4c).
 struct ShardFile {
   std::vector<ShardSanAnchor> SanAnchors;
   std::vector<ShardSrcAnchor> SrcAnchors;
@@ -105,27 +106,28 @@ struct ConstraintShard {
 
 /// Extracts the shard of the files [\p FileBegin, \p FileEnd) of \p Graph
 /// — a project's file range within the global graph, or (0, files().size())
-/// for a standalone per-project graph. Performs the full per-file BFS
-/// reachability work of generateConstraints but no filtering: the result
-/// depends only on the graph slice, never on RepTable counts, seed, or
-/// GenOptions. Deterministic (serial per project; parallelism comes from
+/// for a standalone per-project graph. Runs the Fig. 4 traversal on each
+/// file without the candidate filter, so the result depends only on the
+/// graph slice, never on RepTable counts, seed, or GenOptions. \p Graph's
+/// events must be in file order, as every graph the builder, append() and
+/// the graph codec produce is; extraction then touches only the slice's
+/// events. Deterministic (serial per project; parallelism comes from
 /// extracting different projects' shards concurrently).
 ConstraintShard extractShard(const propgraph::PropagationGraph &Graph,
                              uint32_t FileBegin, uint32_t FileEnd);
 
 /// Composes per-project \p Shards (in corpus order; null entries are
-/// skipped) into a full constraint system over the global \p Graph:
-/// prepareSystem() scaffolding (event filter, stats, seed pins), then a
-/// replay of every shard under the current corpus state — §4.3 cutoff
-/// against the global counts in \p Reps, seed blacklist, dead anchors
-/// skipped, surviving pairs capped per anchor — each into its own
-/// ConstraintBlock, fanned out over \p Pool, and finally mergeBlocks() in
-/// corpus order, the merge generateConstraints uses. The result is
-/// byte-identical to generateConstraints(Graph, ...) at any thread count,
-/// provided the shards were extracted from the same graph's project
-/// slices. \p StopAt (may be null) is polled at every shard boundary;
-/// expiry throws DeadlineError — composition is all-or-nothing, like
-/// generation.
+/// skipped) into a full constraint system over the global \p Graph. The
+/// scaffolding is generateConstraints()'s (event filter, statistics, seed
+/// pins); then every shard resolves its option strings under the current
+/// corpus state — §4.3 cutoff against the global counts in \p Reps, seed
+/// blacklist — and emits its rows into a private block, fanned out over
+/// \p Pool; the blocks merge in corpus order, as generation's per-file
+/// blocks do. The result is byte-identical to generateConstraints(Graph,
+/// ...) at any thread count, provided the shards were extracted from the
+/// same graph's project slices. \p StopAt (may be null) is polled at
+/// every shard boundary; expiry throws DeadlineError — composition is
+/// all-or-nothing, like generation.
 ConstraintSystem
 composeConstraints(const propgraph::PropagationGraph &Graph,
                    const propgraph::RepTable &Reps,

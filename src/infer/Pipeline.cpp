@@ -447,16 +447,7 @@ bool Session::pinVariable(const std::string &Rep, propgraph::Role R,
   return true;
 }
 
-PipelineResult Session::solve() {
-  assert(SystemReady &&
-         "Session::solve() requires generateConstraints() first");
-  armDeadline();
-  unsigned Jobs = resolveJobs();
-  ThreadPool *P = poolFor(Jobs);
-  JobsUsed = Jobs;
-  if (Observer)
-    Observer->onPhase(Phase::Solve);
-
+PipelineResult Session::assembleResult(unsigned Jobs) {
   PipelineResult Result;
   Result.Graph = Graph;
   Result.Reps = Reps;
@@ -474,7 +465,7 @@ PipelineResult Session::solve() {
   if (SCache)
     Result.ShardCacheStats = SCache->stats();
 
-  // Feedback reweighting: append the evidence rows to this solve's copy
+  // Feedback reweighting: append the evidence rows to this result's copy
   // of the system (the session's own System stays row-clean, so dropping
   // the feedback later needs no regeneration). The rows are ordinary
   // constraints, so every backend sees them identically; an empty set
@@ -484,7 +475,37 @@ PipelineResult Session::solve() {
     Result.Feedback = constraints::applyFeedback(
         Result.System, Result.Reps, *Opts.Feedback, Opts.FeedbackOpts);
   }
+  Incr.WarmStarted = Opts.WarmStart != nullptr;
+  Result.Incr = Incr;
+  Result.Backend = Opts.Solve.Backend;
+  return Result;
+}
 
+namespace {
+
+/// Reads the solver point back: one score per (representation, role)
+/// variable.
+void readBackScores(PipelineResult &Result) {
+  const constraints::VarTable &Vars = Result.System.Vars;
+  for (uint32_t V = 0; V < Vars.numVars(); ++V) {
+    const std::string &Rep = Result.Reps.repString(Vars.repOf(V));
+    Result.Learned.setScore(Rep, Vars.roleOf(V), Result.Solve.X[V]);
+  }
+}
+
+} // namespace
+
+PipelineResult Session::solve() {
+  assert(SystemReady &&
+         "Session::solve() requires generateConstraints() first");
+  armDeadline();
+  unsigned Jobs = resolveJobs();
+  ThreadPool *P = poolFor(Jobs);
+  JobsUsed = Jobs;
+  if (Observer)
+    Observer->onPhase(Phase::Solve);
+
+  PipelineResult Result = assembleResult(Jobs);
   solver::SolveOptions SolveOpts = Opts.Solve;
   if (Opts.WarmStart) {
     // Seed each variable with the previous run's score for its
@@ -501,8 +522,6 @@ PipelineResult Session::solve() {
     }
     SolveOpts.WarmStart = std::move(Warm);
   }
-  Incr.WarmStarted = Opts.WarmStart != nullptr;
-  Result.Incr = Incr;
   if (RunDeadline.armed()) {
     // Cap the solver's own budget by what the run budget has left, and let
     // it poll the shared deadline between iterations.
@@ -528,7 +547,6 @@ PipelineResult Session::solve() {
 
   metrics::Registry &Reg = metrics::Registry::global();
   trace::Span SolveSpan(Reg, "session/solve");
-  Result.Backend = SolveOpts.Backend;
   {
     // Child spans split the stage into session/solve/{compile, iterate,
     // readback}.
@@ -545,13 +563,8 @@ PipelineResult Session::solve() {
       Result.Solve = solver::ProjectedGradient(SolveOpts).minimize(Obj);
   }
   {
-    // Read scores back: one entry per (representation, role) variable.
     trace::Span Readback(Reg, "readback");
-    const constraints::VarTable &Vars = Result.System.Vars;
-    for (uint32_t V = 0; V < Vars.numVars(); ++V) {
-      const std::string &Rep = Result.Reps.repString(Vars.repOf(V));
-      Result.Learned.setScore(Rep, Vars.roleOf(V), Result.Solve.X[V]);
-    }
+    readBackScores(Result);
   }
   Result.SolveSeconds = SolveSpan.finish();
 
@@ -618,44 +631,12 @@ bool Session::restoreSolve(const solver::SolveResult &Restored,
   if (Restored.X.size() != System.Vars.numVars())
     return false;
 
-  // Mirror solve()'s artifact copies so a restored result is
-  // indistinguishable from a freshly solved one to every consumer.
-  PipelineResult Result;
-  Result.Graph = Graph;
-  Result.Reps = Reps;
-  Result.System = System;
-  Result.NumFiles = NumFiles;
-  Result.BuildSeconds = BuildSeconds;
-  Result.BuildShardSeconds = BuildShardSeconds;
-  Result.GenSeconds = GenSeconds;
-  Result.GenShardSeconds = GenShardSeconds;
-  Result.JobsUsed = resolveJobs();
-  Result.UsedCache = Cache != nullptr;
-  if (Cache)
-    Result.Cache = Cache->stats();
-  Result.UsedShardCache = SystemFromShards;
-  if (SCache)
-    Result.ShardCacheStats = SCache->stats();
-
-  // Feedback rows land on the result's System copy exactly as in solve():
-  // a query against the restored result sees the same rows a pre-crash
-  // query saw.
-  if (Opts.Feedback && !Opts.Feedback->empty()) {
-    Result.UsedFeedback = true;
-    Result.Feedback = constraints::applyFeedback(
-        Result.System, Result.Reps, *Opts.Feedback, Opts.FeedbackOpts);
-  }
-  Incr.WarmStarted = Opts.WarmStart != nullptr;
-  Result.Incr = Incr;
-  Result.Backend = Opts.Solve.Backend;
-  Result.Solve = Restored;
-  Result.Health = Health;
-
-  const constraints::VarTable &Vars = Result.System.Vars;
-  for (uint32_t V = 0; V < Vars.numVars(); ++V) {
-    const std::string &Rep = Result.Reps.repString(Vars.repOf(V));
-    Result.Learned.setScore(Rep, Vars.roleOf(V), Result.Solve.X[V]);
-  }
-  Out = std::move(Result);
+  // The same assembly as solve(), feedback rows included, so a restored
+  // result is indistinguishable from a freshly solved one to every
+  // consumer; the solver's guard counters stay out of the health report.
+  Out = assembleResult(resolveJobs());
+  Out.Solve = Restored;
+  Out.Health = Health;
+  readBackScores(Out);
   return true;
 }

@@ -340,6 +340,10 @@ private:
   unsigned resolveJobs() const;
   ThreadPool *poolFor(unsigned Jobs);
   void armDeadline();
+  /// The result solve() and restoreSolve() both start from: the session's
+  /// artifacts and cache statistics copied in, options().Feedback rows
+  /// applied to the System copy, and the incremental counters.
+  PipelineResult assembleResult(unsigned Jobs);
   /// The incremental generation path: per-project shards are loaded from
   /// the shard cache or extracted fresh, then replayed (both in parallel)
   /// and merged in corpus order into a system byte-identical to direct

@@ -1,6 +1,7 @@
 //===- tests/constraints_test.cpp - Tests for Fig. 4 constraint gen -------===//
 
 #include "constraints/ConstraintGen.h"
+#include "constraints/ConstraintShard.h"
 #include "propgraph/GraphBuilder.h"
 #include "pysem/Project.h"
 
@@ -218,6 +219,59 @@ TEST(ConstraintGenTest, MakeObjectiveWiresPins) {
   ASSERT_TRUE(F.Sys.Vars.lookup(Id, Role::Source, V));
   EXPECT_TRUE(Obj.isPinned(V));
   EXPECT_DOUBLE_EQ(Obj.pinnedValue(V), 1.0);
+}
+
+TEST(ConstraintGenTest, PairCapCountsSurvivingPairsOnly) {
+  // A sanitizer reaches two sinks; the first is filtered out (blacklisted,
+  // or below the cutoff). At cap 1 the single Fig. 4a row must pair the
+  // sanitizer with the second sink, directly and composed from a shard.
+  for (bool Blacklisted : {true, false}) {
+    SCOPED_TRACE(Blacklisted ? "blacklisted" : "below cutoff");
+    PropagationGraph G;
+    uint32_t File = G.addFile("f.py");
+    auto Add = [&](const char *Rep, RoleMask Mask) {
+      Event E;
+      E.Reps = {Rep};
+      E.Candidates = Mask;
+      E.FileIdx = File;
+      return G.addEvent(std::move(E));
+    };
+    EventId San = Add("s.san()", SanitizerMask);
+    EventId Dead = Add("d.dead()", SinkMask);
+    EventId Live = Add("d.live()", SinkMask);
+    G.addEdge(San, Dead);
+    G.addEdge(San, Live);
+    GenOptions Opts;
+    Opts.MaxPairsPerAnchor = 1;
+    Opts.RepCutoff = Blacklisted ? 1 : 2;
+    if (!Blacklisted) {
+      // Second occurrences lift every rep but d.dead() over the cutoff.
+      Add("s.san()", 0);
+      Add("d.live()", 0);
+    }
+    RepTable Reps;
+    Reps.countOccurrences(G);
+    spec::SeedSpec Seed =
+        spec::SeedSpec::parse(Blacklisted ? "b: d.dead*\n" : "");
+    RepId SanRep, LiveRep;
+    ASSERT_TRUE(Reps.lookup("s.san()", SanRep));
+    ASSERT_TRUE(Reps.lookup("d.live()", LiveRep));
+
+    ConstraintShard Shard = extractShard(G, 0, 1);
+    for (const ConstraintSystem &Sys :
+         {generateConstraints(G, Reps, Seed, Opts),
+          composeConstraints(G, Reps, Seed, {&Shard}, Opts)}) {
+      ASSERT_EQ(Sys.Constraints.size(), 1u);
+      const solver::LinearConstraint &Row = Sys.Constraints.front();
+      VarId SanVar, LiveVar;
+      ASSERT_TRUE(Sys.Vars.lookup(SanRep, Role::Sanitizer, SanVar));
+      ASSERT_TRUE(Sys.Vars.lookup(LiveRep, Role::Sink, LiveVar));
+      ASSERT_EQ(Row.Lhs.size(), 2u);
+      EXPECT_EQ(Row.Lhs[0].Var, SanVar);
+      EXPECT_EQ(Row.Lhs[1].Var, LiveVar);
+      EXPECT_TRUE(Row.Rhs.empty());
+    }
+  }
 }
 
 TEST(ConstraintGenTest, CrossFileRepsShareVariables) {

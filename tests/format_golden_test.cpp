@@ -8,6 +8,12 @@
 // failure here means a format changed: bump the codec's version constant,
 // then record the new hashes.
 //
+// Beside them sits the digest of the constraint system generated from a
+// fixed corpus. Direct generation and shard composition share one Fig. 4
+// emitter, so comparing them with each other cannot catch a change to
+// what both emit; this digest can. A failure there means the generated
+// system changed, and with it every learned score.
+//
 //===----------------------------------------------------------------------===//
 
 #include "TestCorpus.h"
@@ -15,6 +21,7 @@
 #include "cache/GraphCache.h"
 #include "cache/ShardCache.h"
 #include "constraints/ShardCodec.h"
+#include "infer/Pipeline.h"
 #include "propgraph/GraphCodec.h"
 #include "service/StateCodec.h"
 #include "support/BinaryCodec.h"
@@ -22,6 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -63,6 +71,60 @@ struct Inputs {
   cache::CacheKey ShardKey = cache::projectShardKey(
       GraphKey, constraints::GenOptions(), Data.Seed);
 };
+
+/// FNV-1a-64 of a constraint system: its variable table, its pins, every
+/// row's terms, coefficient bits and slack C, and the candidate statistics.
+std::string systemDigest(const constraints::ConstraintSystem &Sys) {
+  uint64_t Hash = 0xcbf29ce484222325ull;
+  auto Bits = [](auto Value) {
+    uint64_t Out = 0;
+    std::memcpy(&Out, &Value, sizeof(Value));
+    return Out;
+  };
+  auto Terms = [&](const std::vector<solver::Term> &Ts) {
+    codec::hashValue(Hash, Ts.size());
+    for (const solver::Term &T : Ts) {
+      codec::hashValue(Hash, T.Var);
+      codec::hashValue(Hash, Bits(T.Coef));
+    }
+  };
+  codec::hashValue(Hash, Sys.Vars.numVars());
+  for (uint32_t V = 0; V < Sys.Vars.numVars(); ++V) {
+    codec::hashValue(Hash, Sys.Vars.repOf(V));
+    codec::hashValue(Hash, static_cast<uint64_t>(Sys.Vars.roleOf(V)));
+  }
+  codec::hashValue(Hash, Sys.Pinned.size());
+  for (const auto &[Var, Value] : Sys.Pinned) {
+    codec::hashValue(Hash, Var);
+    codec::hashValue(Hash, Bits(Value));
+  }
+  codec::hashValue(Hash, Sys.Constraints.size());
+  for (const solver::LinearConstraint &LC : Sys.Constraints) {
+    Terms(LC.Lhs);
+    Terms(LC.Rhs);
+    codec::hashValue(Hash, Bits(LC.C));
+  }
+  codec::hashValue(Hash, Sys.NumCandidates);
+  codec::hashValue(Hash, Bits(Sys.AvgBackoffOptions));
+  return hex(Hash);
+}
+
+/// The system a session generates for \p Data: directly, or composed from
+/// the shards in \p ShardDir when it is non-empty.
+std::string generatedDigest(const corpus::Corpus &Data, unsigned Jobs,
+                            size_t MaxPairs, const std::string &ShardDir = "",
+                            bool Collapse = false) {
+  infer::PipelineOptions Opts;
+  Opts.Jobs = Jobs;
+  Opts.Gen.MaxPairsPerAnchor = MaxPairs;
+  Opts.CollapseForLearning = Collapse;
+  infer::Session S(std::move(Opts));
+  if (!ShardDir.empty())
+    S.enableShardCache(ShardDir);
+  S.addProjects(Data.Projects);
+  S.generateConstraints(Data.Seed);
+  return systemDigest(S.system());
+}
 
 service::StateSnapshot snapshot() {
   service::StateSnapshot S;
@@ -133,6 +195,30 @@ TEST(FormatGoldenTest, CacheEntriesArePinned) {
   EXPECT_EQ(digest(slurp(Shards.entryPath(In.ShardKey))),
             "0xf49c14618fdcda97");
   std::filesystem::remove_all(Dir);
+}
+
+/// The generated constraint system is pinned too: direct generation at any
+/// job count, and shard composition cold and warm, all reproduce it, at the
+/// default pair cap and at a cap of 1 that drops pairs.
+TEST(FormatGoldenTest, GeneratedSystemIsPinned) {
+  corpus::Corpus Data = testutil::makeCorpus(4242, /*NumProjects=*/6);
+  for (size_t MaxPairs : {size_t(4096), size_t(1)}) {
+    const std::string Pinned =
+        MaxPairs == 1 ? "0x4b7c0ce782d04925" : "0x699dffbc9f022def";
+    for (unsigned Jobs : {1u, 4u}) {
+      SCOPED_TRACE("cap " + std::to_string(MaxPairs) + ", jobs " +
+                   std::to_string(Jobs));
+      EXPECT_EQ(generatedDigest(Data, Jobs, MaxPairs), Pinned) << "direct";
+      std::string Dir = testutil::makeScratchDir("system-golden");
+      EXPECT_EQ(generatedDigest(Data, Jobs, MaxPairs, Dir), Pinned)
+          << "composed, cold";
+      EXPECT_EQ(generatedDigest(Data, Jobs, MaxPairs, Dir), Pinned)
+          << "composed, warm";
+      std::filesystem::remove_all(Dir);
+    }
+  }
+  EXPECT_EQ(generatedDigest(Data, 4, 4096, "", /*Collapse=*/true),
+            "0xac8dace8744e88d4");
 }
 
 } // namespace

@@ -87,7 +87,8 @@ void expectSameSystem(const constraints::ConstraintSystem &Expected,
 class ShardPipelineTest : public ::testing::TestWithParam<unsigned> {};
 
 /// Cold (all shards extracted + stored), warm (all replayed), and mixed
-/// runs all match the direct-generation reference bit for bit.
+/// runs all match the direct-generation reference bit for bit, at the
+/// default pair cap and at caps of 1 and 2.
 TEST_P(ShardPipelineTest, ComposedSystemIsByteIdenticalToDirect) {
   const unsigned Jobs = GetParam();
   corpus::Corpus Data = testutil::makeCorpus(6061, /*NumProjects=*/6);
@@ -130,6 +131,25 @@ TEST_P(ShardPipelineTest, ComposedSystemIsByteIdenticalToDirect) {
   EXPECT_EQ(Mixed.Incr.ShardsRebuilt, Deleted);
   EXPECT_EQ(specOf(Mixed), Reference);
   fs::remove_all(Dir);
+
+  // Pair caps that bite: the cap counts surviving pairs only, so the
+  // composed system still matches direct generation, cold and warm.
+  for (size_t MaxPairs : {size_t(1), size_t(2)}) {
+    SCOPED_TRACE("cap " + std::to_string(MaxPairs));
+    infer::PipelineOptions Capped = testOptions(Jobs);
+    Capped.Gen.MaxPairsPerAnchor = MaxPairs;
+    infer::PipelineResult CappedDirect = runOnce(Data, Capped);
+    EXPECT_LT(CappedDirect.System.Constraints.size(),
+              Direct.System.Constraints.size());
+    std::string CapDir = testutil::makeScratchDir("shard-diff-cap");
+    infer::PipelineResult CappedCold = runOnce(Data, Capped, CapDir);
+    infer::PipelineResult CappedWarm = runOnce(Data, Capped, CapDir);
+    EXPECT_EQ(CappedWarm.Incr.ShardsHit, N);
+    expectSameSystem(CappedDirect.System, CappedCold.System);
+    expectSameSystem(CappedDirect.System, CappedWarm.System);
+    EXPECT_EQ(specOf(CappedWarm), specOf(CappedDirect));
+    fs::remove_all(CapDir);
+  }
 }
 
 /// A warm composed run matches the serial warm composed run bit for bit —
