@@ -74,16 +74,17 @@ echo "=== asan+ubsan: service, durability and on-disk format tests ==="
 # end. The constraint tests ride along: the one Fig. 4 emitter runs on
 # every generation and indexes its term caches and option lists by local
 # event ids, and the pinned-system digests (FormatGoldenTest) drive it
-# directly and through cold and warm shard replay.
+# directly and through cold and warm shard replay. So do the explanation
+# tests: the daemon's var→rows index is addressed by variable and row ids.
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -g"
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
   --target service_test durability_fault_test recovery_harness_test \
            fileio_test format_golden_test graphcodec_test \
-           cache_fault_test shard_fault_test constraints_test
+           cache_fault_test shard_fault_test constraints_test explain_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ConstraintGenTest'
+  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ConstraintGenTest|ExplainTest'
 
 echo
 echo "=== metrics smoke: seldon learn --metrics-out on a toy repo ==="
@@ -350,17 +351,18 @@ cat > "$SMOKE/requests.txt" <<'REQ'
 {"v":1,"id":2,"op":"query","rep":"flask.escape()","role":"sanitizer"}
 {"v":1,"id":3,"op":"query","rep":"flask.escape()","role":"sanitizer"}
 {"v":1,"id":4,"op":"learn","iters":200,"warm":true}
-{"v":1,"id":5,"op":"status"}
-{"v":1,"id":6,"op":"shutdown"}
+{"v":1,"id":5,"op":"query","rep":"flask.escape()","role":"sanitizer"}
+{"v":1,"id":6,"op":"status"}
+{"v":1,"id":7,"op":"shutdown"}
 REQ
 "$ROOT/build/tools/seldond" --once --cutoff 1 --iters 200 "$SMOKE" \
   < "$SMOKE/requests.txt" > "$SMOKE/responses.txt" 2> "$SMOKE/seldond.log"
-python3 - "$SMOKE/responses.txt" "$SMOKE/cold.json" <<'EOF'
+python3 - "$SMOKE/responses.txt" "$SMOKE/cold.json" "$SMOKE/relearned.json" <<'EOF'
 import json, sys
 lines = open(sys.argv[1]).read().splitlines()
 cold = open(sys.argv[2]).read().rstrip("\n")
-if len(lines) != 6:
-    sys.exit(f"FAIL: expected 6 response lines, got {len(lines)}")
+if len(lines) != 7:
+    sys.exit(f"FAIL: expected 7 response lines, got {len(lines)}")
 for n, line in enumerate(lines, 1):
     r = json.loads(line)
     if r.get("v") != 1 or r.get("id") != n or r.get("ok") is not True:
@@ -378,9 +380,12 @@ if q2 != cold:
              f"  daemon: {q2[:200]}\n  cli:    {cold[:200]}")
 if q3 != q2:
     sys.exit("FAIL: second identical query returned different bytes")
+# The query after the learn is answered from the state the learn
+# published (and indexed); the shell cmp's it against the cold answer.
+open(sys.argv[3], "w").write(result_bytes(lines[4]) + "\n")
 # No re-parse: parse.files must not move across queries and a learn,
 # and must equal the corpus file count from the initial status.
-s1, s5 = json.loads(result_bytes(lines[0])), json.loads(result_bytes(lines[4]))
+s1, s5 = json.loads(result_bytes(lines[0])), json.loads(result_bytes(lines[5]))
 files = s1["corpus"]["files"]
 p1, p5 = s1["metrics"]["parse_files"], s5["metrics"]["parse_files"]
 if p1 != files:
@@ -389,11 +394,13 @@ if p5 != p1:
     sys.exit(f"FAIL: parse_files moved {p1} -> {p5}: the daemon re-parsed")
 if not json.loads(result_bytes(lines[3])).get("converged", False):
     sys.exit("FAIL: warm learn did not converge")
-if json.loads(result_bytes(lines[5])) != {"stopping": True}:
+if json.loads(result_bytes(lines[6])) != {"stopping": True}:
     sys.exit("FAIL: shutdown did not acknowledge")
 print(f"OK: warm daemon == cold CLI byte-for-byte, {files} file(s) "
       "parsed exactly once across queries and a learn")
 EOF
+cmp "$SMOKE/cold.json" "$SMOKE/relearned.json"
+echo "OK: the query after a learn == cold CLI byte-for-byte"
 
 # Warm restart through the graph cache: the second daemon start must
 # serve every project graph from the cache (sources are still read — they

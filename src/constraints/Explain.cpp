@@ -4,6 +4,11 @@
 
 #include "support/StrUtil.h"
 
+#include <algorithm>
+#include <cassert>
+#include <cstdint>
+#include <stdexcept>
+
 using namespace seldon;
 using namespace seldon::constraints;
 using namespace seldon::propgraph;
@@ -19,8 +24,10 @@ void renderTerms(const ConstraintSystem &Sys, const RepTable &Reps,
   for (size_t I = 0; I < Terms.size(); ++I) {
     if (I)
       Out += " + ";
-    if (Terms[I].Coef != 1.0f)
-      Out += formatString("%.3g*", Terms[I].Coef);
+    if (Terms[I].Coef != 1.0f) {
+      appendDouble(Out, Terms[I].Coef, std::chars_format::general, 3);
+      Out += '*';
+    }
     Out += Reps.repString(Sys.Vars.repOf(Terms[I].Var));
     Out += '^';
     Out += roleName(Sys.Vars.roleOf(Terms[I].Var));
@@ -52,14 +59,61 @@ seldon::constraints::renderConstraint(const ConstraintSystem &Sys,
   renderTerms(Sys, Reps, C.Lhs, Out);
   Out += " <= ";
   renderTerms(Sys, Reps, C.Rhs, Out);
-  Out += formatString(" + %.2f", C.C);
+  Out += " + ";
+  appendDouble(Out, C.C, std::chars_format::fixed, 2);
   return Out;
+}
+
+RowIndex seldon::constraints::buildRowIndex(const ConstraintSystem &Sys) {
+  const size_t NumVars = Sys.Vars.numVars();
+  const size_t NumRows = Sys.Constraints.size();
+  if (NumRows >= UINT32_MAX)
+    throw std::length_error("constraint system has too many rows to index");
+  // LastRow[V] is the last row that listed V, so a variable repeated in a
+  // row, or on both of its sides, is listed once for that row.
+  std::vector<uint32_t> LastRow(NumVars, UINT32_MAX);
+  auto ForEachMention = [&](auto &&Visit) {
+    for (uint32_t Row = 0; Row < NumRows; ++Row) {
+      const solver::LinearConstraint &C = Sys.Constraints[Row];
+      for (const std::vector<solver::Term> *Side : {&C.Lhs, &C.Rhs})
+        for (const solver::Term &T : *Side) {
+          assert(T.Var < NumVars && "row mentions an unknown variable");
+          if (LastRow[T.Var] != Row) {
+            LastRow[T.Var] = Row;
+            Visit(T.Var, Row);
+          }
+        }
+    }
+  };
+
+  // Counting pass: Begin[V + 1] counts V's rows (at most NumRows, so it
+  // cannot wrap), then a prefix sum turns the counts into offsets.
+  RowIndex Index;
+  Index.Begin.assign(NumVars + 1, 0);
+  ForEachMention([&](VarId V, uint32_t) { ++Index.Begin[V + 1]; });
+  uint64_t Total = 0;
+  for (size_t V = 0; V < NumVars; ++V) {
+    Total += Index.Begin[V + 1];
+    if (Total > UINT32_MAX)
+      throw std::length_error(
+          "constraint system has too many terms to index");
+    Index.Begin[V + 1] = static_cast<uint32_t>(Total);
+  }
+
+  // Fill pass: rows are visited in ascending order, so each variable's
+  // list comes out sorted.
+  Index.Rows.resize(Total);
+  std::vector<uint32_t> Next(Index.Begin.begin(), Index.Begin.end() - 1);
+  std::fill(LastRow.begin(), LastRow.end(), UINT32_MAX);
+  ForEachMention([&](VarId V, uint32_t Row) { Index.Rows[Next[V]++] = Row; });
+  return Index;
 }
 
 Explanation seldon::constraints::explainRep(const ConstraintSystem &Sys,
                                             const RepTable &Reps,
                                             const std::string &Rep, Role R,
-                                            const std::vector<double> &X) {
+                                            const std::vector<double> &X,
+                                            const RowIndex *Index) {
   Explanation Out;
   RepId Id;
   if (!Reps.lookup(Rep, Id))
@@ -75,17 +129,29 @@ Explanation seldon::constraints::explainRep(const ConstraintSystem &Sys,
       Out.PinnedValue = Value;
     }
 
-  for (const solver::LinearConstraint &C : Sys.Constraints) {
-    bool Lhs = mentions(C.Lhs, V);
-    bool Rhs = mentions(C.Rhs, V);
-    if (!Lhs && !Rhs)
-      continue;
+  auto Explain = [&](const solver::LinearConstraint &C, bool Lhs) {
     ExplainedConstraint EC;
     EC.Text = renderConstraint(Sys, Reps, C);
     EC.Residual = X.empty() ? 0.0
                             : evalSide(C.Lhs, X) - evalSide(C.Rhs, X) - C.C;
     EC.OnLhs = Lhs;
     Out.Constraints.push_back(std::move(EC));
+  };
+  if (Index) {
+    assert(Index->Begin.size() == Sys.Vars.numVars() + 1 &&
+           "row index built from another system");
+    std::span<const uint32_t> Rows = Index->rowsOf(V);
+    Out.Constraints.reserve(Rows.size());
+    for (uint32_t Row : Rows) {
+      const solver::LinearConstraint &C = Sys.Constraints[Row];
+      Explain(C, mentions(C.Lhs, V));
+    }
+    return Out;
+  }
+  for (const solver::LinearConstraint &C : Sys.Constraints) {
+    bool Lhs = mentions(C.Lhs, V);
+    if (Lhs || mentions(C.Rhs, V))
+      Explain(C, Lhs);
   }
   return Out;
 }

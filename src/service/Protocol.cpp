@@ -91,10 +91,14 @@ bool seldon::service::parseRequest(const std::string &Line, size_t MaxBytes,
 std::string seldon::service::renderOkResponse(const JsonValue &Id,
                                               const std::string &ResultJson) {
   // Envelope keys in fixed order; `result` last so byte-oriented consumers
-  // can splice the payload off the end of the line.
-  return formatString("{\"v\":%d,\"id\":%s,\"ok\":true,\"result\":%s}",
-                      ProtocolVersion, Id.render().c_str(),
-                      ResultJson.c_str());
+  // can splice the payload off the end of the line. The payload (megabytes
+  // for a hot representation) is copied once.
+  std::string Out = "{\"v\":" + std::to_string(ProtocolVersion) +
+                    ",\"id\":" + Id.render() + ",\"ok\":true,\"result\":";
+  Out.reserve(Out.size() + ResultJson.size() + 1);
+  Out += ResultJson;
+  Out += '}';
+  return Out;
 }
 
 std::string seldon::service::renderErrorResponse(const JsonValue &Id,

@@ -5,6 +5,8 @@
 #include "constraints/Explain.h"
 #include "support/StrUtil.h"
 
+#include <cmath>
+
 using namespace seldon;
 using namespace seldon::service;
 
@@ -25,12 +27,13 @@ QueryResult
 seldon::service::queryRep(const constraints::ConstraintSystem &System,
                           const propgraph::RepTable &Reps,
                           const std::string &Rep, propgraph::Role Role,
-                          const std::vector<double> &X) {
+                          const std::vector<double> &X,
+                          const constraints::RowIndex *Index) {
   QueryResult Q;
   Q.Rep = Rep;
   Q.Role = Role;
   constraints::Explanation E =
-      constraints::explainRep(System, Reps, Rep, Role, X);
+      constraints::explainRep(System, Reps, Rep, Role, X, Index);
   Q.Found = E.Found;
   if (!E.Found)
     return Q;
@@ -38,43 +41,78 @@ seldon::service::queryRep(const constraints::ConstraintSystem &System,
   Q.Pinned = E.Pinned;
   Q.PinnedValue = E.PinnedValue;
   Q.Constraints.reserve(E.Constraints.size());
-  for (const constraints::ExplainedConstraint &C : E.Constraints)
-    Q.Constraints.push_back({C.Text, C.Residual, C.OnLhs});
+  for (constraints::ExplainedConstraint &C : E.Constraints)
+    Q.Constraints.push_back({std::move(C.Text), C.Residual, C.OnLhs});
   return Q;
 }
 
+namespace {
+
+/// Room for a rendering of \p Q: its texts plus an allowance for the rest.
+size_t renderedSize(const QueryResult &Q) {
+  size_t Size = Q.Rep.size() + 128;
+  for (const QueryConstraint &C : Q.Constraints)
+    Size += C.Text.size() + 64;
+  return Size;
+}
+
+} // namespace
+
 std::string seldon::service::renderQueryJson(const QueryResult &Q) {
-  std::string Out = "{\"rep\":\"" + jsonEscape(Q.Rep) + "\",\"role\":\"" +
-                    propgraph::roleName(Q.Role) + "\",\"found\":" +
-                    (Q.Found ? "true" : "false");
-  Out += formatString(",\"score\":%.6f", Q.Score);
+  std::string Out;
+  Out.reserve(renderedSize(Q));
+  Out += "{\"rep\":\"";
+  appendJsonEscaped(Out, Q.Rep);
+  Out += "\",\"role\":\"";
+  Out += propgraph::roleName(Q.Role);
+  Out += Q.Found ? "\",\"found\":true" : "\",\"found\":false";
+  Out += ",\"score\":";
+  appendDouble(Out, Q.Score, std::chars_format::fixed, 6);
   Out += Q.Pinned ? ",\"pinned\":true" : ",\"pinned\":false";
-  Out += formatString(",\"pinned_value\":%.6f", Q.PinnedValue);
+  Out += ",\"pinned_value\":";
+  appendDouble(Out, Q.PinnedValue, std::chars_format::fixed, 6);
   Out += ",\"constraints\":[";
   for (size_t I = 0; I < Q.Constraints.size(); ++I) {
     const QueryConstraint &C = Q.Constraints[I];
     if (I)
-      Out += ",";
-    Out += formatString("{\"kind\":\"%s\",\"residual\":%.6f,\"text\":\"%s\"}",
-                        C.Caps ? "caps" : "demands", C.Residual,
-                        jsonEscape(C.Text).c_str());
+      Out += ',';
+    Out += C.Caps ? "{\"kind\":\"caps\",\"residual\":"
+                  : "{\"kind\":\"demands\",\"residual\":";
+    appendDouble(Out, C.Residual, std::chars_format::fixed, 6);
+    Out += ",\"text\":\"";
+    appendJsonEscaped(Out, C.Text);
+    Out += "\"}";
   }
   Out += "]}";
   return Out;
 }
 
 std::string seldon::service::renderQueryText(const QueryResult &Q) {
-  std::string Out = formatString(
-      "%s as %s: score %.3f%s\n%zu constraint(s) mention it:\n",
-      Q.Rep.c_str(), propgraph::roleName(Q.Role), Q.Score,
-      Q.Pinned
-          ? formatString(" (pinned to %.0f by the seed)", Q.PinnedValue)
-                .c_str()
-          : "",
-      Q.Constraints.size());
-  for (const QueryConstraint &C : Q.Constraints)
-    Out += formatString("  [%s, residual %+.3f] %s\n",
-                        C.Caps ? "caps it" : "demands it", C.Residual,
-                        C.Text.c_str());
+  std::string Out;
+  Out.reserve(renderedSize(Q));
+  Out += Q.Rep;
+  Out += " as ";
+  Out += propgraph::roleName(Q.Role);
+  Out += ": score ";
+  appendDouble(Out, Q.Score, std::chars_format::fixed, 3);
+  if (Q.Pinned) {
+    Out += " (pinned to ";
+    appendDouble(Out, Q.PinnedValue, std::chars_format::fixed, 0);
+    Out += " by the seed)";
+  }
+  Out += '\n';
+  Out += std::to_string(Q.Constraints.size());
+  Out += " constraint(s) mention it:\n";
+  for (const QueryConstraint &C : Q.Constraints) {
+    Out += C.Caps ? "  [caps it, residual " : "  [demands it, residual ";
+    // printf's '+' flag: a sign on every value, '-' only when the sign
+    // bit is set (so -0.0 keeps its '-').
+    if (!std::signbit(C.Residual))
+      Out += '+';
+    appendDouble(Out, C.Residual, std::chars_format::fixed, 3);
+    Out += "] ";
+    Out += C.Text;
+    Out += '\n';
+  }
   return Out;
 }

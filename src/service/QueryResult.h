@@ -13,7 +13,10 @@
 /// human-readable `seldon explain` table. Because both the CLI and the
 /// daemon render the same struct through the same functions, a warm
 /// daemon's `query` answer is byte-identical to a cold CLI run on the
-/// same corpus, and the two front-ends cannot drift.
+/// same corpus, and the two front-ends cannot drift. The daemon passes the
+/// served state's constraints::RowIndex, so its answer costs O(rows of the
+/// queried variable); the CLI scans once. Each renderer appends into one
+/// string, and no number it prints depends on the host locale.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +24,7 @@
 #define SELDON_SERVICE_QUERYRESULT_H
 
 #include "constraints/ConstraintSystem.h"
+#include "constraints/Explain.h"
 
 #include <string>
 #include <vector>
@@ -61,10 +65,13 @@ bool roleFromName(const std::string &Name, propgraph::Role &Out);
 /// Answers the point query against a solved system: looks up
 /// (\p Rep, \p Role), renders every constraint mentioning its variable,
 /// and computes residuals under \p X (the solved assignment, indexed by
-/// the system's variable ids).
+/// the system's variable ids). \p Index, when given, must be built from
+/// \p System; it changes the cost, not the answer
+/// (constraints::explainRep).
 QueryResult queryRep(const constraints::ConstraintSystem &System,
                      const propgraph::RepTable &Reps, const std::string &Rep,
-                     propgraph::Role Role, const std::vector<double> &X);
+                     propgraph::Role Role, const std::vector<double> &X,
+                     const constraints::RowIndex *Index = nullptr);
 
 /// The machine-readable rendering (single line, no trailing newline):
 ///
@@ -72,8 +79,9 @@ QueryResult queryRep(const constraints::ConstraintSystem &System,
 ///    "pinned":true,"pinned_value":1.000000,
 ///    "constraints":[{"kind":"demands","residual":-0.250000,"text":"..."}]}
 ///
-/// Scores and residuals print at fixed %.6f (the same precision as
-/// spec::writeLearnedSpec), so the output is byte-stable across runs.
+/// Scores and residuals print as %.6f does in the C locale (the same
+/// precision as spec::writeLearnedSpec), so the output is byte-stable
+/// across runs and hosts.
 std::string renderQueryJson(const QueryResult &Q);
 
 /// The human-readable rendering (the classic `seldon explain` output):

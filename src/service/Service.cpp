@@ -122,7 +122,7 @@ bool Service::start(std::string &Error) {
       if (!recoverDurableState(Error))
         return false;
     } else {
-      Warm = Session->solve();
+      publishLocked(Session->solve());
     }
   } catch (const std::exception &E) {
     Error = E.what();
@@ -160,8 +160,11 @@ bool Service::recoverDurableState(std::string &Error) {
       infer::PipelineOptions &P = Session->options();
       constraints::FeedbackOptions SavedFO = P.FeedbackOpts;
       P.FeedbackOpts = WarmFO;
-      Restored = Session->restoreSolve(RS.Snapshot.Solve, Warm);
+      infer::PipelineResult Result;
+      Restored = Session->restoreSolve(RS.Snapshot.Solve, Result);
       P.FeedbackOpts = SavedFO;
+      if (Restored)
+        publishLocked(std::move(Result));
     }
     if (!Restored)
       std::fprintf(stderr,
@@ -175,7 +178,7 @@ bool Service::recoverDurableState(std::string &Error) {
     // No (usable) snapshot: cold solve, with whatever verdicts were
     // restored above — the irreplaceable part of the state survives even
     // when the corpus changed out from under the snapshot.
-    Warm = Session->solve();
+    publishLocked(Session->solve());
     WarmFO = Session->options().FeedbackOpts;
   }
 
@@ -259,6 +262,14 @@ void Service::journalAbort(uint64_t Seq) {
   } catch (const std::exception &E) {
     std::fprintf(stderr, "state: %s\n", E.what());
   }
+}
+
+void Service::publishLocked(infer::PipelineResult R) {
+  // Build first: if it throws, the previous state and its index keep
+  // serving together.
+  constraints::RowIndex Rows = constraints::buildRowIndex(R.System);
+  Warm = std::move(R);
+  WarmRows = std::move(Rows);
 }
 
 void Service::maybeSnapshot() {
@@ -479,10 +490,13 @@ std::string Service::opQuery(const Request &Req, Deadline &D) {
     badRequest("\"role\" must be source|sanitizer|sink");
 
   checkDeadline(D, "query");
-  std::shared_lock<std::shared_mutex> Lock(WarmMutex);
-  QueryResult Q =
-      queryRep(Warm.System, Warm.Reps, Rep->stringValue(), Role,
-               Warm.Solve.X);
+  QueryResult Q;
+  {
+    std::shared_lock<std::shared_mutex> Lock(WarmMutex);
+    Q = queryRep(Warm.System, Warm.Reps, Rep->stringValue(), Role,
+                 Warm.Solve.X, &WarmRows);
+  }
+  // The answer owns its text, so it renders after the lock is released.
   return renderQueryJson(Q);
 }
 
@@ -669,7 +683,7 @@ void Service::applyLearnRecord(const JournalRecord &Rec, Deadline *D) {
     }
     Restore();
   }
-  Warm = std::move(R);
+  publishLocked(std::move(R));
   WarmFO = Session->options().FeedbackOpts;
 }
 
@@ -714,7 +728,7 @@ void Service::applyFeedbackRecord(const JournalRecord &Rec, Deadline *D) {
     throw;
   }
   Restore();
-  Warm = std::move(R);
+  publishLocked(std::move(R));
   WarmFO = Rec.FeedbackOpts;
 }
 

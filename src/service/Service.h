@@ -39,11 +39,13 @@
 ///
 /// Threading: handle() is safe to call from any number of threads. Reads
 /// (status/query/taint) share the warm state under a shared_mutex;
-/// learn/feedback take it exclusively and are the only writers. Admission is a counted
-/// gate sized by Options::MaxInFlight — the transport admits a request
-/// before handing it to the ThreadPool and releases it after the response
-/// is written, so a flood degrades into `overloaded` errors instead of an
-/// unbounded queue.
+/// learn/feedback take it exclusively and are the only writers. Every new
+/// warm state is installed by publishLocked(), which also rebuilds the
+/// state's var→rows index, so a query costs O(rows of its variable).
+/// Admission is a counted gate sized by Options::MaxInFlight — the
+/// transport admits a request before handing it to the ThreadPool and
+/// releases it after the response is written, so a flood degrades into
+/// `overloaded` errors instead of an unbounded queue.
 ///
 /// Durability: with Options::StateDir set, every accepted mutating op
 /// (feedback, learn) is journaled and fsynced *before* its re-solve runs,
@@ -69,6 +71,7 @@
 #ifndef SELDON_SERVICE_SERVICE_H
 #define SELDON_SERVICE_SERVICE_H
 
+#include "constraints/Explain.h"
 #include "infer/Pipeline.h"
 #include "pysem/Project.h"
 #include "service/Protocol.h"
@@ -208,6 +211,9 @@ private:
   void journalAppend(JournalRecord &Rec);
   /// Best-effort abort record for a journaled op that failed to apply.
   void journalAbort(uint64_t Seq);
+  /// Installs \p R as the served state together with its var→rows index.
+  /// Caller holds WarmMutex exclusively (or is single-threaded startup).
+  void publishLocked(infer::PipelineResult R);
   /// Counts one applied op and snapshots per Options::SnapshotEvery.
   void maybeSnapshot();
   /// Publishes a snapshot of the served state and compacts the journal.
@@ -231,9 +237,11 @@ private:
   constraints::FeedbackSet Feedback;
 
   /// Warm state served to query/taint/status; guarded by WarmMutex
-  /// (shared for reads, exclusive for learn).
+  /// (shared for reads, exclusive for learn). WarmRows indexes
+  /// Warm.System's rows by variable; publishLocked() keeps the two in step.
   mutable std::shared_mutex WarmMutex;
   infer::PipelineResult Warm;
+  constraints::RowIndex WarmRows;
   bool Started = false;
 
   /// Durable store (null without --state-dir) and its bookkeeping, all

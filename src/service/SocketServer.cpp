@@ -206,7 +206,8 @@ void SocketServer::serveConnection(int Fd) {
         }
         Svc.release();
       }
-      if (!writeAll(Fd, Response + "\n")) {
+      Response += '\n';
+      if (!writeAll(Fd, Response)) {
         Open = false;
         break;
       }

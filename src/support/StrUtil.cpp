@@ -2,6 +2,7 @@
 
 #include "support/StrUtil.h"
 
+#include <cassert>
 #include <cstdarg>
 #include <cstdio>
 
@@ -58,10 +59,34 @@ std::string seldon::formatString(const char *Fmt, ...) {
   return Out;
 }
 
+void seldon::appendDouble(std::string &Out, double Value,
+                          std::chars_format Format, int Precision) {
+  // Room for the widest fixed-form double (309 integral digits) plus sign,
+  // point and up to 64 fraction digits.
+  char Buf[384];
+  assert(Precision >= 0 && Precision <= 64);
+  std::to_chars_result R =
+      std::to_chars(Buf, Buf + sizeof(Buf), Value, Format, Precision);
+  Out.append(Buf, R.ptr);
+}
+
 std::string seldon::jsonEscape(std::string_view Text) {
   std::string Out;
   Out.reserve(Text.size());
-  for (char C : Text) {
+  appendJsonEscaped(Out, Text);
+  return Out;
+}
+
+void seldon::appendJsonEscaped(std::string &Out, std::string_view Text) {
+  static const char Hex[] = "0123456789abcdef";
+  // Copy runs that need no escape in one append each.
+  size_t Run = 0;
+  for (size_t I = 0; I < Text.size(); ++I) {
+    unsigned char C = static_cast<unsigned char>(Text[I]);
+    if (C >= 0x20 && C != '"' && C != '\\')
+      continue;
+    Out.append(Text, Run, I - Run);
+    Run = I + 1;
     switch (C) {
     case '"': Out += "\\\""; break;
     case '\\': Out += "\\\\"; break;
@@ -69,12 +94,11 @@ std::string seldon::jsonEscape(std::string_view Text) {
     case '\r': Out += "\\r"; break;
     case '\t': Out += "\\t"; break;
     default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += formatString("\\u%04x", C);
-      else
-        Out += C;
+      Out += "\\u00";
+      Out += Hex[C >> 4];
+      Out += Hex[C & 0xf];
       break;
     }
   }
-  return Out;
+  Out.append(Text, Run, Text.size() - Run);
 }

@@ -7,13 +7,16 @@
 ///
 /// \file
 /// String helpers shared across the project: splitting, joining, trimming,
-/// and a printf-style formatter returning std::string.
+/// a printf-style formatter returning std::string, and appending
+/// formatters for the hot rendering paths (numbers that ignore the host
+/// locale, JSON escaping without a temporary).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELDON_SUPPORT_STRUTIL_H
 #define SELDON_SUPPORT_STRUTIL_H
 
+#include <charconv>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,9 +38,19 @@ std::string_view trim(std::string_view Text);
 std::string formatString(const char *Fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/// Appends \p Value to \p Out exactly as printf's `%.<Precision>f`
+/// (Format fixed) or `%.<Precision>g` (Format general) prints it in the C
+/// locale, whatever LC_NUMERIC says — the output stays valid JSON and
+/// byte-stable across hosts.
+void appendDouble(std::string &Out, double Value, std::chars_format Format,
+                  int Precision);
+
 /// Escapes \p Text for inclusion inside a JSON string literal (quotes,
 /// backslashes, control characters).
 std::string jsonEscape(std::string_view Text);
+
+/// jsonEscape(\p Text) appended to \p Out, without the temporary.
+void appendJsonEscaped(std::string &Out, std::string_view Text);
 
 } // namespace seldon
 

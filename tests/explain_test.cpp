@@ -1,6 +1,9 @@
 //===- tests/explain_test.cpp - Constraint explanations + JSON export -----===//
 
+#include "TestCorpus.h"
+
 #include "constraints/Explain.h"
+#include "constraints/Feedback.h"
 #include "infer/Pipeline.h"
 #include "propgraph/GraphBuilder.h"
 #include "taint/JsonExport.h"
@@ -11,6 +14,7 @@
 #include "support/StrUtil.h"
 
 #include <algorithm>
+#include <span>
 
 using namespace seldon;
 using namespace seldon::propgraph;
@@ -91,6 +95,117 @@ TEST(ExplainTest, RenderConstraintShape) {
       F.Result.System, F.Result.Reps, F.Result.System.Constraints.front());
   EXPECT_NE(Text.find(" <= "), std::string::npos);
   EXPECT_NE(Text.find(" + 0.75"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// The var→rows index
+//===----------------------------------------------------------------------===//
+
+/// Equal in every field, with constraints equal in text, residual and side,
+/// in the same order.
+void expectSameExplanation(const constraints::Explanation &Indexed,
+                           const constraints::Explanation &Scanned) {
+  EXPECT_EQ(Indexed.Found, Scanned.Found);
+  EXPECT_EQ(Indexed.Score, Scanned.Score);
+  EXPECT_EQ(Indexed.Pinned, Scanned.Pinned);
+  EXPECT_EQ(Indexed.PinnedValue, Scanned.PinnedValue);
+  ASSERT_EQ(Indexed.Constraints.size(), Scanned.Constraints.size());
+  for (size_t I = 0; I < Indexed.Constraints.size(); ++I) {
+    SCOPED_TRACE("constraint " + std::to_string(I));
+    EXPECT_EQ(Indexed.Constraints[I].Text, Scanned.Constraints[I].Text);
+    EXPECT_EQ(Indexed.Constraints[I].Residual,
+              Scanned.Constraints[I].Residual);
+    EXPECT_EQ(Indexed.Constraints[I].OnLhs, Scanned.Constraints[I].OnLhs);
+  }
+}
+
+std::vector<uint32_t> listOf(std::span<const uint32_t> Rows) {
+  return std::vector<uint32_t>(Rows.begin(), Rows.end());
+}
+
+TEST(ExplainTest, IndexFindsExactlyTheScannedRows) {
+  corpus::Corpus Data = testutil::makeCorpus(5151, /*NumProjects=*/6);
+  infer::Session S;
+  S.addProjects(Data.Projects);
+  S.generateConstraints(Data.Seed);
+  constraints::ConstraintSystem Sys = S.system();
+  const RepTable &Reps = S.reps();
+  ASSERT_GT(Sys.Vars.numVars(), 2u);
+
+  // Weighted, decayed evidence rows after the generated ones.
+  constraints::FeedbackSet Verdicts;
+  Verdicts.accept(Reps.repString(Sys.Vars.repOf(0)), Sys.Vars.roleOf(0));
+  constraints::VarId Mid = static_cast<constraints::VarId>(
+      Sys.Vars.numVars() / 2);
+  Verdicts.reject(Reps.repString(Sys.Vars.repOf(Mid)), Sys.Vars.roleOf(Mid));
+  constraints::FeedbackOptions FO;
+  FO.AcceptWeight = 2.0;
+  FO.RejectWeight = 0.5;
+  FO.SimilarityDecay = 0.5;
+  size_t Generated = Sys.Constraints.size();
+  constraints::FeedbackStats Stats =
+      constraints::applyFeedback(Sys, Reps, Verdicts, FO);
+  ASSERT_EQ(Stats.EvidenceRows, 2u);
+  ASSERT_GT(Sys.Constraints.size(), Generated);
+
+  std::vector<double> X(Sys.Vars.numVars());
+  for (size_t V = 0; V < X.size(); ++V)
+    X[V] = static_cast<double>((V * 37) % 101) / 100.0;
+  constraints::RowIndex Index = constraints::buildRowIndex(Sys);
+  ASSERT_EQ(Index.Begin.size(), Sys.Vars.numVars() + 1);
+
+  size_t Listed = 0;
+  for (constraints::VarId V = 0; V < Sys.Vars.numVars(); ++V) {
+    const std::string &Rep = Reps.repString(Sys.Vars.repOf(V));
+    SCOPED_TRACE(Rep + "^" + roleName(Sys.Vars.roleOf(V)));
+    constraints::Explanation Indexed =
+        constraints::explainRep(Sys, Reps, Rep, Sys.Vars.roleOf(V), X, &Index);
+    expectSameExplanation(
+        Indexed,
+        constraints::explainRep(Sys, Reps, Rep, Sys.Vars.roleOf(V), X));
+    Listed += Indexed.Constraints.size();
+  }
+  EXPECT_EQ(Listed, Index.Rows.size());
+}
+
+TEST(ExplainTest, IndexListsEachRowOncePerVariable) {
+  RepTable Reps;
+  constraints::ConstraintSystem Sys;
+  constraints::VarId A = Sys.Vars.varFor(Reps.intern("a()"), Role::Source);
+  constraints::VarId B = Sys.Vars.varFor(Reps.intern("b()"), Role::Sink);
+  constraints::VarId Idle =
+      Sys.Vars.varFor(Reps.intern("idle()"), Role::Sanitizer);
+  // Row 0 repeats A within one side; row 1 has A on both sides; row 2
+  // mentions only B.
+  Sys.Constraints.push_back({{{A, 1.0f}, {A, 0.5f}}, {{B, 1.0f}}, 0.5});
+  Sys.Constraints.push_back({{{A, 1.0f}}, {{A, 1.0f}, {B, 2.0f}}, 0.0});
+  Sys.Constraints.push_back({{}, {{B, 1.0f}}, -1.0});
+
+  constraints::RowIndex Index = constraints::buildRowIndex(Sys);
+  ASSERT_EQ(Index.Begin.size(), 4u);
+  EXPECT_EQ(listOf(Index.rowsOf(A)), (std::vector<uint32_t>{0, 1}));
+  EXPECT_EQ(listOf(Index.rowsOf(B)), (std::vector<uint32_t>{0, 1, 2}));
+  EXPECT_TRUE(Index.rowsOf(Idle).empty());
+
+  const std::vector<double> X = {0.25, 0.5, 0.75};
+  constraints::Explanation E =
+      constraints::explainRep(Sys, Reps, "a()", Role::Source, X, &Index);
+  ASSERT_EQ(E.Constraints.size(), 2u);
+  EXPECT_EQ(E.Constraints[0].Text,
+            "a()^source + 0.5*a()^source <= b()^sink + 0.50");
+  EXPECT_DOUBLE_EQ(E.Constraints[0].Residual, -0.625);
+  EXPECT_TRUE(E.Constraints[0].OnLhs);
+  EXPECT_TRUE(E.Constraints[1].OnLhs)
+      << "a variable on both sides is listed once, as capped";
+  expectSameExplanation(
+      E, constraints::explainRep(Sys, Reps, "a()", Role::Source, X));
+
+  constraints::Explanation None = constraints::explainRep(
+      Sys, Reps, "idle()", Role::Sanitizer, X, &Index);
+  EXPECT_TRUE(None.Found);
+  EXPECT_TRUE(None.Constraints.empty());
+  expectSameExplanation(
+      None, constraints::explainRep(Sys, Reps, "idle()", Role::Sanitizer, X));
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,6 +14,13 @@
 // what both emit; this digest can. A failure there means the generated
 // system changed, and with it every learned score.
 //
+// Last, the point-query answers are pinned: the wire JSON and the text of
+// every variable's explanation under a fixed solve, passive and with
+// feedback rows. The indexed and scanned query paths share one renderer,
+// so comparing them with each other cannot catch a change to what both
+// render; this digest can. A failure there means `seldond`'s `query` and
+// `seldon explain` output changed.
+//
 //===----------------------------------------------------------------------===//
 
 #include "TestCorpus.h"
@@ -23,6 +30,7 @@
 #include "constraints/ShardCodec.h"
 #include "infer/Pipeline.h"
 #include "propgraph/GraphCodec.h"
+#include "service/QueryResult.h"
 #include "service/StateCodec.h"
 #include "support/BinaryCodec.h"
 
@@ -219,6 +227,73 @@ TEST(FormatGoldenTest, GeneratedSystemIsPinned) {
   }
   EXPECT_EQ(generatedDigest(Data, 4, 4096, "", /*Collapse=*/true),
             "0xac8dace8744e88d4");
+}
+
+/// FNV-1a-64 over the JSON and text answer to every variable of \p R's
+/// system, plus one not-found query.
+std::string queryDigest(const infer::PipelineResult &R) {
+  uint64_t Hash = 0xcbf29ce484222325ull;
+  auto Fold = [&](const service::QueryResult &Q) {
+    codec::hashChunk(Hash, service::renderQueryJson(Q));
+    codec::hashChunk(Hash, service::renderQueryText(Q));
+  };
+  const constraints::VarTable &Vars = R.System.Vars;
+  for (uint32_t V = 0; V < Vars.numVars(); ++V)
+    Fold(service::queryRep(R.System, R.Reps,
+                           R.Reps.repString(Vars.repOf(V)), Vars.roleOf(V),
+                           R.Solve.X));
+  service::QueryResult Missing = service::queryRep(
+      R.System, R.Reps, "never.seen()", propgraph::Role::Sink, R.Solve.X);
+  EXPECT_FALSE(Missing.Found);
+  Fold(Missing);
+  return hex(Hash);
+}
+
+/// Every query answer is pinned, after a passive solve and after a solve
+/// that carries weighted, decayed feedback rows.
+TEST(FormatGoldenTest, QueryAnswersArePinned) {
+  corpus::Corpus Data = testutil::makeCorpus(4242, /*NumProjects=*/6);
+  auto Solve = [&](const constraints::FeedbackSet *Feedback) {
+    infer::PipelineOptions Opts;
+    Opts.Jobs = 1;
+    Opts.Solve.MaxIterations = 300;
+    Opts.Feedback = Feedback;
+    Opts.FeedbackOpts.AcceptWeight = 2.0;
+    Opts.FeedbackOpts.RejectWeight = 1.5;
+    Opts.FeedbackOpts.SimilarityDecay = 0.25;
+    infer::Session S(std::move(Opts));
+    S.addProjects(Data.Projects);
+    S.generateConstraints(Data.Seed);
+    return S.solve();
+  };
+  infer::PipelineResult Passive = Solve(nullptr);
+  EXPECT_EQ(queryDigest(Passive), "0x6381fe8a60b1bc61") << "passive";
+
+  // One verdict per role on the most specific option of the first event
+  // whose two leading options both have a variable in that role, so the
+  // decayed similarity rows appear as well.
+  const constraints::ConstraintSystem &Sys = Passive.System;
+  constraints::FeedbackSet Verdicts;
+  for (propgraph::Role R : {propgraph::Role::Source,
+                            propgraph::Role::Sanitizer,
+                            propgraph::Role::Sink}) {
+    for (const std::vector<propgraph::RepId> &Options : Sys.EventReps) {
+      constraints::VarId V;
+      if (Options.size() < 2 || !Sys.Vars.lookup(Options[0], R, V) ||
+          !Sys.Vars.lookup(Options[1], R, V))
+        continue;
+      const std::string &Rep = Passive.Reps.repString(Options[0]);
+      if (R == propgraph::Role::Sink)
+        Verdicts.reject(Rep, R);
+      else
+        Verdicts.accept(Rep, R);
+      break;
+    }
+  }
+  infer::PipelineResult Guided = Solve(&Verdicts);
+  EXPECT_GT(Guided.Feedback.EvidenceRows, 0u);
+  EXPECT_GT(Guided.Feedback.PropagatedRows, 0u);
+  EXPECT_EQ(queryDigest(Guided), "0x5ff504a3f805ca0d") << "feedback";
 }
 
 } // namespace

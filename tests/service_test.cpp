@@ -9,11 +9,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "constraints/Explain.h"
 #include "service/Json.h"
 #include "service/Protocol.h"
 #include "service/QueryResult.h"
 #include "service/Service.h"
 #include "service/SocketServer.h"
+#include "support/StrUtil.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -104,7 +106,10 @@ public:
     Saved = Prior ? Prior : "C";
     if (const char *Env = std::getenv("LOCPATH"))
       SavedLocPath = Env;
-    Dir = fs::temp_directory_path() / "seldon_locale_test";
+    // One directory per process: two tests of this binary may run at once
+    // under `ctest -j`, and each removes its directory when done.
+    Dir = fs::temp_directory_path() /
+          ("seldon_locale_test_" + std::to_string(::getpid()));
     std::error_code Ec;
     fs::create_directories(Dir, Ec);
     std::string Cmd = "localedef -i de_DE -f UTF-8 " +
@@ -154,6 +159,33 @@ TEST(ServiceJsonTest, NumbersIgnoreNumericLocale) {
   EXPECT_EQ(V.get("score")->numberValue(), 0.125);
   EXPECT_EQ(V.get("neg")->numberValue(), -2.5);
   EXPECT_EQ(V.get("exp")->numberValue(), 150.0);
+}
+
+TEST(ServiceJsonTest, QueryJsonIgnoresNumericLocale) {
+  // One row with a non-unit coefficient, answered under an assignment that
+  // satisfies it: every number the query renderers print is fractional.
+  propgraph::RepTable Reps;
+  constraints::ConstraintSystem Sys;
+  constraints::VarId Src =
+      Sys.Vars.varFor(Reps.intern("web.read()"), propgraph::Role::Source);
+  constraints::VarId San = Sys.Vars.varFor(Reps.intern("mid.filter()"),
+                                           propgraph::Role::Sanitizer);
+  Sys.Constraints.push_back({{{Src, 0.5f}}, {{San, 1.0f}}, 0.75});
+  const std::vector<double> X = {1.0, 0.125};
+  auto Render = [&] {
+    QueryResult Q = queryRep(Sys, Reps, "mid.filter()",
+                             propgraph::Role::Sanitizer, X);
+    EXPECT_EQ(Q.Constraints.size(), 1u);
+    return renderQueryJson(Q) + "\n" + renderQueryText(Q);
+  };
+  const std::string InC = Render();
+  EXPECT_NE(InC.find("\"residual\":-0.375000"), std::string::npos) << InC;
+  EXPECT_NE(InC.find("0.5*web.read()^source"), std::string::npos) << InC;
+
+  CommaDecimalLocale Locale;
+  if (!Locale.ok())
+    GTEST_SKIP() << "no comma-decimal locale available on this host";
+  EXPECT_EQ(Render(), InC);
 }
 
 //===----------------------------------------------------------------------===//
@@ -499,6 +531,79 @@ TEST_F(ServiceTest, DurableRestartServesByteIdenticalState) {
   // counted twice.
   std::string Again = Restarted->serve(FeedbackLine);
   EXPECT_NE(Again.find("\"total_feedback\":1"), std::string::npos) << Again;
+}
+
+/// Queries every variable of \p Svc's served state over handle() and
+/// checks each wire answer against the unindexed render of the same
+/// state. Returns the answers, in variable order.
+std::vector<std::string> expectIndexedAnswersMatchScan(Service &Svc) {
+  const infer::PipelineResult &Warm = Svc.warm();
+  const constraints::VarTable &Vars = Warm.System.Vars;
+  EXPECT_GT(Vars.numVars(), 0u);
+  std::vector<std::string> Answers;
+  for (constraints::VarId V = 0; V < Vars.numVars(); ++V) {
+    const std::string &Rep = Warm.Reps.repString(Vars.repOf(V));
+    propgraph::Role Role = Vars.roleOf(V);
+    std::string R = Svc.serve(
+        "{\"v\":1,\"id\":1,\"op\":\"query\",\"rep\":\"" +
+        jsonEscape(Rep) + "\",\"role\":\"" + propgraph::roleName(Role) +
+        "\"}");
+    EXPECT_EQ(resultOf(R), renderQueryJson(queryRep(
+                               Warm.System, Warm.Reps, Rep, Role,
+                               Warm.Solve.X)))
+        << Rep << "^" << propgraph::roleName(Role);
+    Answers.push_back(std::move(R));
+  }
+  return Answers;
+}
+
+TEST_F(ServiceTest, EveryPublishServesAnIndexedState) {
+  fs::create_directories(Root / "state");
+  fs::create_directories(Root / "cache");
+  Service::Options Opts = testOptions();
+  Opts.StateDir = (Root / "state").string();
+  Opts.CacheDir = (Root / "cache").string();
+  Opts.ShardCacheDir = (Root / "cache" / "shards").string();
+
+  std::vector<std::string> BeforeRestart;
+  {
+    auto Svc = startService(Opts);
+    ASSERT_TRUE(Svc);
+    {
+      SCOPED_TRACE("start");
+      expectIndexedAnswersMatchScan(*Svc);
+    }
+    std::string R = Svc->serve(
+        "{\"v\":1,\"id\":1,\"op\":\"feedback\",\"iters\":200,"
+        "\"weight\":2,\"decay\":0.5,"
+        "\"accept\":[{\"rep\":\"flask.escape()\",\"role\":\"sanitizer\"}]}");
+    ASSERT_NE(R.find("\"ok\":true"), std::string::npos) << R;
+    {
+      SCOPED_TRACE("feedback");
+      expectIndexedAnswersMatchScan(*Svc);
+    }
+    {
+      std::ofstream Out(Root / "repo" / "extra.py");
+      Out << "import flask\n"
+             "def extra():\n"
+             "    v = flask.request.args.get('x')\n"
+             "    flask.make_response(v)\n";
+    }
+    R = Svc->serve("{\"v\":1,\"id\":2,\"op\":\"learn\",\"iters\":200,"
+                   "\"reload\":true}");
+    ASSERT_NE(R.find("\"shards_rebuilt\":1"), std::string::npos) << R;
+    {
+      SCOPED_TRACE("learn with reload");
+      BeforeRestart = expectIndexedAnswersMatchScan(*Svc);
+    }
+    Svc->persist();
+  }
+  // The restart installs the snapshot through restoreSolve: the same
+  // answers, served from a freshly indexed state.
+  auto Restarted = startService(Opts);
+  ASSERT_TRUE(Restarted);
+  SCOPED_TRACE("restart");
+  EXPECT_EQ(expectIndexedAnswersMatchScan(*Restarted), BeforeRestart);
 }
 
 TEST_F(ServiceTest, StatusReportsDurabilityCounters) {
