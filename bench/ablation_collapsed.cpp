@@ -19,6 +19,7 @@
 #include "eval/ExperimentDriver.h"
 #include "support/StrUtil.h"
 #include "support/TablePrinter.h"
+#include "support/Timer.h"
 
 #include <iostream>
 
@@ -40,8 +41,12 @@ int main() {
     Opts.CollapseForLearning = Collapse;
     infer::Session S(Opts);
     S.addProjects(Data.Projects);
+    S.buildGraph();
+    // Learning time (paper Fig. 10): constraint generation and the solve.
+    Timer Learning;
     S.generateConstraints(Data.Seed);
     infer::PipelineResult R = S.solve();
+    double LearningSeconds = Learning.seconds();
 
     size_t Predicted = 0, Correct = 0;
     for (Role Ro : {Role::Source, Role::Sanitizer, Role::Sink}) {
@@ -56,7 +61,7 @@ int main() {
                   Predicted ? percent(static_cast<double>(Correct) /
                                       Predicted)
                             : "n/a",
-                  formatString("%.2f", R.inferenceSeconds())});
+                  formatString("%.2f", LearningSeconds)});
   }
   Table.print(std::cout);
 

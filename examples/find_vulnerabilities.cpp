@@ -10,6 +10,7 @@
 
 #include "corpus/CorpusGenerator.h"
 #include "infer/Pipeline.h"
+#include "support/Timer.h"
 #include "taint/TaintAnalyzer.h"
 
 #include <cstdio>
@@ -26,12 +27,14 @@ int main() {
 
   infer::Session Learn;
   Learn.addProjects(Data.Projects);
+  Learn.buildGraph();
+  Timer Inference; // Constraint generation and the solve.
   Learn.generateConstraints(Data.Seed);
   infer::PipelineResult Result = Learn.solve();
   std::printf("Learned %zu scored representations from %zu constraints "
               "in %.2fs.\n\n",
               Result.Learned.size(), Result.System.Constraints.size(),
-              Result.inferenceSeconds());
+              Inference.seconds());
 
   // 2. A target application that uses APIs the seed does not know: take
   //    the top inferred (non-seed) source and sink and write an app that

@@ -76,15 +76,19 @@ echo "=== asan+ubsan: service, durability and on-disk format tests ==="
 # event ids, and the pinned-system digests (FormatGoldenTest) drive it
 # directly and through cold and warm shard replay. So do the explanation
 # tests: the daemon's var→rows index is addressed by variable and row ids.
+# The fault-pipeline and active-learning tests run here too:
+# infer::ScopedOptions restores the borrowed WarmStart and Feedback
+# pointers on every exit path, throws included.
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -g"
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
   --target service_test durability_fault_test recovery_harness_test \
            fileio_test format_golden_test graphcodec_test \
-           cache_fault_test shard_fault_test constraints_test explain_test
+           cache_fault_test shard_fault_test constraints_test explain_test \
+           fault_pipeline_test active_learning_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ConstraintGenTest|ExplainTest'
+  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest'
 
 echo
 echo "=== metrics smoke: seldon learn --metrics-out on a toy repo ==="
@@ -111,9 +115,9 @@ with open(sys.argv[1]) as f:
 if not m["enabled"]:
     sys.exit("FAIL: metrics snapshot reports enabled=false")
 paths = {s["path"] for s in m["spans"]}
-for stage in ("session/build", "session/constraints", "session/solve",
-              "session/solve/compile", "session/solve/iterate",
-              "session/solve/readback"):
+for stage in ("session/build", "session/constraints", "session/assemble",
+              "session/solve", "session/solve/compile",
+              "session/solve/iterate", "session/solve/readback"):
     if stage not in paths:
         sys.exit(f"FAIL: missing {stage} span")
 if m.get("spans_dropped") != 0:

@@ -3,6 +3,7 @@
 #include "active/ActiveLearner.h"
 
 #include "support/Metrics.h"
+#include "support/Timer.h"
 
 #include <algorithm>
 #include <utility>
@@ -34,9 +35,9 @@ ActiveResult seldon::active::runActiveLoop(infer::Session &S,
                                            Oracle &O,
                                            const ActiveOptions &Opts) {
   metrics::Registry &Reg = metrics::Registry::global();
+  spec::LearnedSpec WarmCopy; // Keeps the borrowed WarmStart alive.
+  infer::ScopedOptions Scope(S);
   infer::PipelineOptions &P = S.options();
-  const spec::LearnedSpec *SavedWarm = P.WarmStart;
-  int SavedIterations = P.Solve.MaxIterations;
 
   ActiveResult Result;
   S.generateConstraints(Seed);
@@ -48,7 +49,6 @@ ActiveResult seldon::active::runActiveLoop(infer::Session &S,
   std::vector<std::string> PrevRoles =
       selectedRoleKeys(Result.Final.Learned, Opts.Threshold);
   int Stable = 0;
-  spec::LearnedSpec WarmCopy; // Keeps the borrowed WarmStart alive.
 
   for (int Round = 1; Round <= Opts.MaxRounds; ++Round) {
     size_t K = Opts.QueriesPerRound;
@@ -90,8 +90,8 @@ ActiveResult seldon::active::runActiveLoop(infer::Session &S,
     P.WarmStart = &WarmCopy;
     if (Opts.RoundIterations > 0)
       P.Solve.MaxIterations = Opts.RoundIterations;
+    Timer SolveClock;
     Result.Final = S.solve();
-    RS.SolveSeconds = Result.Final.SolveSeconds;
     Result.Rounds.push_back(RS);
 
     if (Reg.enabled()) {
@@ -99,7 +99,7 @@ ActiveResult seldon::active::runActiveLoop(infer::Session &S,
       Reg.counter("active.answers").add(RS.Answered);
       Reg.counter("active.pins_true").add(RS.PinnedTrue);
       Reg.counter("active.pins_false").add(RS.PinnedFalse);
-      Reg.timer("active.round_seconds").record(RS.SolveSeconds);
+      Reg.timer("active.round_seconds").record(SolveClock.seconds());
     }
 
     std::vector<std::string> Roles =
@@ -117,8 +117,6 @@ ActiveResult seldon::active::runActiveLoop(infer::Session &S,
     }
   }
 
-  P.WarmStart = SavedWarm;
-  P.Solve.MaxIterations = SavedIterations;
   if (Reg.enabled()) {
     Reg.gauge("active.rounds").set(static_cast<double>(Result.Rounds.size()));
     Reg.gauge("active.candidates")

@@ -69,7 +69,6 @@ struct ActiveRoundStats {
   size_t Answered = 0;
   size_t PinnedTrue = 0;
   size_t PinnedFalse = 0;
-  double SolveSeconds = 0.0;
 };
 
 /// Everything an active run produced.
@@ -92,9 +91,10 @@ struct ActiveResult {
 
 /// Runs the loop on \p S, which must have its projects added (or a graph
 /// adopted); the function drives generateConstraints(\p Seed) and every
-/// solve itself. The session's WarmStart option and per-round iteration
-/// budget are restored on return. Emits `active.*` metrics when the
-/// global registry is enabled.
+/// solve itself. The session's options() are restored when it returns or
+/// throws (infer::ScopedOptions), so the per-round WarmStart and
+/// iteration budget never outlive the loop. Emits `active.*` metrics when
+/// the global registry is enabled.
 ActiveResult runActiveLoop(infer::Session &S, const spec::SeedSpec &Seed,
                            Oracle &O, const ActiveOptions &Opts);
 

@@ -16,7 +16,6 @@
 #include "support/Deadline.h"
 #include "support/FaultInjection.h"
 #include "support/ThreadPool.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <array>
@@ -356,7 +355,6 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
                                          const spec::SeedSpec &Seed,
                                          const GenOptions &Opts,
                                          ThreadPool *Pool,
-                                         std::vector<double> *ShardSecondsOut,
                                          const Deadline *StopAt) {
   ConstraintSystem Sys = prepareSystem(Graph, Reps, Seed, Opts, Pool);
 
@@ -367,9 +365,7 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
     ByFile[E.FileIdx].push_back(E.Id);
 
   std::vector<ConstraintBlock> PerFile(ByFile.size());
-  unsigned Workers = Pool ? Pool->numWorkers() : 1;
-  std::vector<double> ShardSeconds(Workers, 0.0);
-  auto ExtractFile = [&](size_t F, unsigned Worker) {
+  auto ExtractFile = [&](size_t F, unsigned) {
     const std::vector<EventId> &Local = ByFile[F];
     if (Local.empty())
       return;
@@ -380,13 +376,11 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
       throw DeadlineError("deadline expired during constraint generation");
     if (fault::enabled())
       fault::maybeThrow(fault::Point::ConstraintGen, F);
-    Timer ShardTimer;
     LocalOptions Options(Local.size());
     for (size_t L = 0; L < Local.size(); ++L)
       Options[L] = &Sys.EventReps[Local[L]];
     ShardFile File = traverseFile(Graph, Local, &Options);
     RowEmitter(std::move(Options), Opts, PerFile[F]).emit(File);
-    ShardSeconds[Worker] += ShardTimer.seconds();
   };
   if (Pool)
     Pool->parallelFor(ByFile.size(), ExtractFile);
@@ -395,9 +389,6 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
       ExtractFile(F, 0);
 
   mergeBlocks(PerFile, Sys);
-
-  if (ShardSecondsOut)
-    *ShardSecondsOut = std::move(ShardSeconds);
   return Sys;
 }
 

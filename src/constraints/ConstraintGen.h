@@ -73,8 +73,7 @@ struct GenOptions {
 /// extraction, each file into a private block over its own variable table.
 /// The blocks merge in file order, which reproduces the ids of a serial
 /// run, so the system — ids, constraint order, coefficients — is the same
-/// at any thread count. \p ShardSecondsOut (may be null) receives
-/// per-worker extraction wall time.
+/// at any thread count.
 ///
 /// \p StopAt (may be null) is polled at every per-file shard boundary.
 /// Constraint generation is all-or-nothing — a partial system would change
@@ -85,8 +84,6 @@ ConstraintSystem generateConstraints(const propgraph::PropagationGraph &Graph,
                                      const spec::SeedSpec &Seed,
                                      const GenOptions &Opts = GenOptions(),
                                      ThreadPool *Pool = nullptr,
-                                     std::vector<double> *ShardSecondsOut =
-                                         nullptr,
                                      const Deadline *StopAt = nullptr);
 
 } // namespace constraints

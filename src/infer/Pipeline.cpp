@@ -9,10 +9,8 @@
 #include "support/Timer.h"
 #include "support/Trace.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cmath>
 #include <mutex>
 
 using namespace seldon;
@@ -76,8 +74,6 @@ Session &Session::adoptGraph(PropagationGraph NewGraph) {
   Graph = std::move(NewGraph);
   GraphReady = true;
   NumFiles = Graph.files().size();
-  BuildSeconds = 0.0;
-  BuildShardSeconds.clear();
   SystemReady = false;
   // An adopted graph has no per-project structure to slice shards from;
   // generateConstraints falls back to direct generation.
@@ -97,7 +93,6 @@ Session &Session::buildGraph() {
   armDeadline();
   unsigned Jobs = resolveJobs();
   ThreadPool *P = poolFor(Jobs);
-  JobsUsed = Jobs;
   if (Observer)
     Observer->onPhase(Phase::BuildGraph);
 
@@ -111,7 +106,6 @@ Session &Session::buildGraph() {
   // Per project: parsed (a cache miss) and its diagnostics count.
   std::vector<uint8_t> Parsed(Total, 0);
   std::vector<size_t> ParseDiagnostics(Total, 0);
-  BuildShardSeconds.assign(P ? P->numWorkers() : 1, 0.0);
 
   // Per-project isolation boundary. Failures land in per-index slots, so
   // the quarantine set, its order, and (under Strict) the surfaced
@@ -124,12 +118,12 @@ Session &Session::buildGraph() {
 
   std::mutex ProgressMutex;
   size_t Done = 0;
-  auto BuildOne = [&](size_t I, unsigned Worker) {
+  auto BuildOne = [&](size_t I, unsigned) {
     // Strict fail-fast: once one project failed, skip the rest (the
     // captured exception rethrows after the join).
     if (Opts.Strict && AnyFailed.load(std::memory_order_relaxed))
       return;
-    Timer ShardTimer;
+    Timer ProjectClock;
     bool Loaded = false;
     try {
       if (RunDeadline.expired())
@@ -202,10 +196,8 @@ Session &Session::buildGraph() {
       FailedAt[I] = 1;
       AnyFailed.store(true, std::memory_order_relaxed);
     }
-    double Seconds = ShardTimer.seconds();
-    BuildShardSeconds[Worker] += Seconds;
     if (ProjectTimer && !Loaded && !FailedAt[I])
-      ProjectTimer->record(Seconds);
+      ProjectTimer->record(ProjectClock.seconds());
     if (Observer) {
       std::lock_guard<std::mutex> Lock(ProgressMutex);
       Observer->onProjectGraphBuilt(++Done, Total);
@@ -263,7 +255,7 @@ Session &Session::buildGraph() {
     Health.DeadlineExpired = true;
     Health.DeadlineStage = phaseName(Phase::BuildGraph);
   }
-  BuildSeconds = BuildSpan.finish();
+  BuildSpan.finish();
   if (Reg.enabled()) {
     Reg.gauge("build.projects").set(static_cast<double>(Total));
     Reg.gauge("build.files").set(static_cast<double>(NumFiles));
@@ -274,8 +266,6 @@ Session &Session::buildGraph() {
       Reg.counter("health.cache_incidents")
           .add(Health.CacheIncidents.size());
   }
-  if (Observer)
-    Observer->onStageFinished(Phase::BuildGraph, BuildSeconds);
   GraphReady = true;
   return *this;
 }
@@ -285,7 +275,6 @@ Session &Session::generateConstraints(const spec::SeedSpec &Seed) {
   armDeadline(); // adoptGraph() skips buildGraph's arming.
   unsigned Jobs = resolveJobs();
   ThreadPool *P = poolFor(Jobs);
-  JobsUsed = Jobs;
   if (Observer)
     Observer->onPhase(Phase::GenerateConstraints);
 
@@ -314,9 +303,7 @@ Session &Session::generateConstraints(const spec::SeedSpec &Seed) {
       System = composeFromShards(Seed, P);
     else
       System = constraints::generateConstraints(*LearnGraph, Reps, Seed,
-                                                Opts.Gen, P,
-                                                &GenShardSeconds,
-                                                &RunDeadline);
+                                                Opts.Gen, P, &RunDeadline);
   } catch (const DeadlineError &) {
     // Constraint generation is all-or-nothing (a truncated system would
     // change the learned scores silently), so expiry propagates — but the
@@ -326,7 +313,7 @@ Session &Session::generateConstraints(const spec::SeedSpec &Seed) {
     throw;
   }
   SystemFromShards = UseShards;
-  GenSeconds = GenSpan.finish();
+  GenSpan.finish();
   if (Reg.enabled()) {
     Reg.gauge("gen.constraints")
         .set(static_cast<double>(System.Constraints.size()));
@@ -344,8 +331,6 @@ Session &Session::generateConstraints(const spec::SeedSpec &Seed) {
           .set(static_cast<double>(Incr.ShardsStored));
     }
   }
-  if (Observer)
-    Observer->onStageFinished(Phase::GenerateConstraints, GenSeconds);
   SystemReady = true;
   return *this;
 }
@@ -357,19 +342,17 @@ Session::composeFromShards(const spec::SeedSpec &Seed, ThreadPool *P) {
   std::vector<constraints::ConstraintShard> Shards(N);
   std::vector<uint8_t> Hit(N, 0), Stored(N, 0);
   std::mutex HealthMutex;
-  GenShardSeconds.assign(P ? P->numWorkers() : 1, 0.0);
 
   // Load-or-extract fans out over projects; each worker touches disjoint
   // slots. Like the graph cache, a *throwing* shard cache degrades to a
   // re-extraction / skipped write-back — the cache is transparent, so the
   // composed system stays byte-identical either way.
-  auto ShardOne = [&](size_t I, unsigned Worker) {
+  auto ShardOne = [&](size_t I, unsigned) {
     // Cooperative cancellation at the project boundary: composition is
     // all-or-nothing, so expiry is a hard error (rethrown
     // deterministically by parallelFor).
     if (RunDeadline.expired())
       throw DeadlineError("deadline expired during shard extraction");
-    Timer ShardTimer;
     const ProjectSlice &Slice = Slices[I];
     cache::CacheKey Key =
         cache::projectShardKey(Slice.GraphKey, Opts.Gen, Seed);
@@ -400,7 +383,6 @@ Session::composeFromShards(const spec::SeedSpec &Seed, ThreadPool *P) {
             ": shard write skipped: " + E.what());
       }
     }
-    GenShardSeconds[Worker] += ShardTimer.seconds();
   };
   if (P)
     P->parallelFor(N, ShardOne);
@@ -448,15 +430,12 @@ bool Session::pinVariable(const std::string &Rep, propgraph::Role R,
 }
 
 PipelineResult Session::assembleResult(unsigned Jobs) {
+  trace::Span Assemble(metrics::Registry::global(), "session/assemble");
   PipelineResult Result;
   Result.Graph = Graph;
   Result.Reps = Reps;
   Result.System = System;
   Result.NumFiles = NumFiles;
-  Result.BuildSeconds = BuildSeconds;
-  Result.BuildShardSeconds = BuildShardSeconds;
-  Result.GenSeconds = GenSeconds;
-  Result.GenShardSeconds = GenShardSeconds;
   Result.JobsUsed = Jobs;
   Result.UsedCache = Cache != nullptr;
   if (Cache)
@@ -501,7 +480,6 @@ PipelineResult Session::solve() {
   armDeadline();
   unsigned Jobs = resolveJobs();
   ThreadPool *P = poolFor(Jobs);
-  JobsUsed = Jobs;
   if (Observer)
     Observer->onPhase(Phase::Solve);
 
@@ -523,25 +501,12 @@ PipelineResult Session::solve() {
     SolveOpts.WarmStart = std::move(Warm);
   }
   if (RunDeadline.armed()) {
-    // Cap the solver's own budget by what the run budget has left, and let
-    // it poll the shared deadline between iterations.
-    double Remaining = RunDeadline.remainingSeconds();
-    if (SolveOpts.BudgetSeconds <= 0.0 ||
-        Remaining < SolveOpts.BudgetSeconds)
-      SolveOpts.BudgetSeconds = std::max(Remaining, 1e-9);
+    // The solver polls the run deadline between iterations, alongside the
+    // caller's own stop condition.
     const Deadline *StopAt = &RunDeadline;
     auto UserStop = SolveOpts.ShouldStop;
     SolveOpts.ShouldStop = [StopAt, UserStop]() {
       return StopAt->expired() || (UserStop && UserStop());
-    };
-  }
-  if (Observer) {
-    ProgressObserver *Obs = Observer;
-    auto UserCallback = SolveOpts.OnIteration;
-    SolveOpts.OnIteration = [Obs, UserCallback](int Iter, double Value) {
-      if (UserCallback)
-        UserCallback(Iter, Value);
-      Obs->onSolveIteration(Iter, Value);
     };
   }
 
@@ -566,12 +531,19 @@ PipelineResult Session::solve() {
     trace::Span Readback(Reg, "readback");
     readBackScores(Result);
   }
-  Result.SolveSeconds = SolveSpan.finish();
+  SolveSpan.finish();
 
-  // Fold solver guard activity into the run health report.
+  // Fold solver guard activity into the run health report. The solver
+  // fields and a solve-stage expiry describe this solve only; an expiry
+  // in the build or constraints stage describes the session's graph or
+  // system, so it stays.
   Health.SolverNonFiniteSteps = Result.Solve.NonFiniteSteps;
   Health.SolverRecoveries = Result.Solve.Recoveries;
   Health.SolverFellBack = Result.Solve.FellBack;
+  if (Health.DeadlineStage == phaseName(Phase::Solve)) {
+    Health.DeadlineExpired = false;
+    Health.DeadlineStage.clear();
+  }
   if (Result.Solve.DeadlineExpired && !Health.DeadlineExpired) {
     Health.DeadlineExpired = true;
     Health.DeadlineStage = phaseName(Phase::Solve);
@@ -619,8 +591,6 @@ PipelineResult Session::solve() {
       Reg.gauge("health.fault_trips")
           .set(static_cast<double>(fault::totalTrips()));
   }
-  if (Observer)
-    Observer->onStageFinished(Phase::Solve, Result.SolveSeconds);
   return Result;
 }
 

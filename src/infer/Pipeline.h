@@ -98,10 +98,13 @@ enum class Phase { BuildGraph, GenerateConstraints, Solve };
 /// Printable phase name ("parse", "constraints", "solve").
 const char *phaseName(Phase P);
 
-/// Callback interface for long-running pipeline progress. All methods are
-/// invoked serialized (never concurrently), including under a parallel
-/// frontend; onProjectGraphBuilt sees a strictly increasing Done count.
-/// Implementations must be fast — they run under the progress lock.
+/// Callback interface for the progress only the Session sees as it
+/// happens. All methods are invoked serialized (never concurrently),
+/// including under a parallel frontend; onProjectGraphBuilt sees a
+/// strictly increasing Done count. Implementations must be fast — they run
+/// under the progress lock. Stage wall times are the registry's
+/// "session/..." spans, and solver iterations reach
+/// SolveOptions::OnIteration.
 class ProgressObserver {
 public:
   virtual ~ProgressObserver() = default;
@@ -109,23 +112,10 @@ public:
   /// Entering pipeline phase \p P.
   virtual void onPhase(Phase P) { (void)P; }
 
-  /// Pipeline phase \p P finished after \p Seconds of wall time (the same
-  /// duration exported as the phase's "session/..." metrics span).
-  virtual void onStageFinished(Phase P, double Seconds) {
-    (void)P;
-    (void)Seconds;
-  }
-
   /// \p Done of \p Total projects parsed into propagation graphs.
   virtual void onProjectGraphBuilt(size_t Done, size_t Total) {
     (void)Done;
     (void)Total;
-  }
-
-  /// One solver iteration finished with the current objective value.
-  virtual void onSolveIteration(int Iteration, double Objective) {
-    (void)Iteration;
-    (void)Objective;
   }
 };
 
@@ -161,9 +151,6 @@ struct PipelineResult {
   spec::LearnedSpec Learned;
 
   size_t NumFiles = 0;
-  double BuildSeconds = 0.0;
-  double GenSeconds = 0.0;
-  double SolveSeconds = 0.0;
 
   /// What the compilation pass did (rows coalesced, CSR non-zeros).
   solver::CompileStats SolverStats;
@@ -202,16 +189,6 @@ struct PipelineResult {
 
   /// Worker threads the run actually used.
   unsigned JobsUsed = 1;
-  /// Per-worker busy time inside the graph-building fan-out; sums to the
-  /// CPU time of the phase, so BuildSeconds / max(shard) approximates the
-  /// phase's parallel efficiency.
-  std::vector<double> BuildShardSeconds;
-  /// Per-worker busy time inside constraint extraction.
-  std::vector<double> GenShardSeconds;
-
-  /// Wall time of the learning part (constraint generation + solving),
-  /// the quantity plotted in paper Fig. 10.
-  double inferenceSeconds() const { return GenSeconds + SolveSeconds; }
 };
 
 /// A staged pipeline run. Construct with options, feed projects (or adopt
@@ -331,9 +308,10 @@ public:
   /// seed-only pin set.
   bool pinVariable(const std::string &Rep, propgraph::Role R, double Value);
 
-  /// The health report accumulated so far (quarantines after buildGraph,
-  /// solver fields after solve — solve() also embeds a snapshot in its
-  /// PipelineResult).
+  /// The health report so far. Quarantines, cache incidents and a
+  /// parse- or constraints-stage deadline expiry accumulate; the solver
+  /// fields and a solve-stage expiry describe the latest solve() only
+  /// (which also embeds a snapshot in its PipelineResult).
   const RunHealth &health() const { return Health; }
 
 private:
@@ -376,18 +354,35 @@ private:
   propgraph::PropagationGraph Graph;
   bool GraphReady = false;
   size_t NumFiles = 0;
-  double BuildSeconds = 0.0;
-  std::vector<double> BuildShardSeconds;
 
   propgraph::RepTable Reps;
   constraints::ConstraintSystem System;
   bool SystemReady = false;
   bool SystemFromShards = false;
-  double GenSeconds = 0.0;
-  std::vector<double> GenShardSeconds;
-  unsigned JobsUsed = 1;
 
   std::unique_ptr<ThreadPool> Pool;
+};
+
+/// Saves a Session's options() and restores them when the scope ends,
+/// including on a throw: per-solve overrides (an iteration budget, a stop
+/// condition, a borrowed WarmStart or Feedback pointer) never outlive the
+/// solve they were set for.
+///
+///   {
+///     infer::ScopedOptions Scope(S);
+///     S.options().WarmStart = &Previous;
+///     R = S.solve();
+///   } // options() as before the scope
+class ScopedOptions {
+public:
+  explicit ScopedOptions(Session &S) : S(S), Saved(S.options()) {}
+  ~ScopedOptions() { S.options() = std::move(Saved); }
+  ScopedOptions(const ScopedOptions &) = delete;
+  ScopedOptions &operator=(const ScopedOptions &) = delete;
+
+private:
+  Session &S;
+  PipelineOptions Saved;
 };
 
 } // namespace infer

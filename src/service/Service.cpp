@@ -157,12 +157,10 @@ bool Service::recoverDurableState(std::string &Error) {
     uint64_t Fingerprint =
         systemFingerprint(Session->system(), Session->reps());
     if (Fingerprint == RS.Snapshot.Fingerprint) {
-      infer::PipelineOptions &P = Session->options();
-      constraints::FeedbackOptions SavedFO = P.FeedbackOpts;
-      P.FeedbackOpts = WarmFO;
+      infer::ScopedOptions Scope(*Session);
+      Session->options().FeedbackOpts = WarmFO;
       infer::PipelineResult Result;
       Restored = Session->restoreSolve(RS.Snapshot.Solve, Result);
-      P.FeedbackOpts = SavedFO;
       if (Restored)
         publishLocked(std::move(Result));
     }
@@ -612,11 +610,30 @@ std::string Service::opFeedback(const Request &Req, Deadline &D) {
       WarmStart ? "true" : "false");
 }
 
-void Service::applyLearnRecord(const JournalRecord &Rec, Deadline *D) {
-  infer::PipelineResult R;
+infer::PipelineResult Service::solveRecord(infer::Session &S,
+                                           const JournalRecord &Rec,
+                                           Deadline *D) {
   // The warm-start spec must outlive the solve; options().WarmStart is a
-  // borrowed pointer.
+  // borrowed pointer, and the scope clears it (with every other
+  // per-request knob) before WarmCopy and D die.
   spec::LearnedSpec WarmCopy;
+  infer::ScopedOptions Scope(S);
+  infer::PipelineOptions &P = S.options();
+  P.Solve.MaxIterations = static_cast<int>(Rec.Iters);
+  if (Rec.Op == JournalOp::Learn)
+    P.Solve.Backend = Rec.Backend;
+  else
+    P.FeedbackOpts = Rec.FeedbackOpts;
+  if (D && D->armed())
+    P.Solve.ShouldStop = [D]() { return D->expired(); };
+  if (Rec.WarmStart) {
+    WarmCopy = Warm.Learned;
+    P.WarmStart = &WarmCopy;
+  }
+  return S.solve();
+}
+
+void Service::applyLearnRecord(const JournalRecord &Rec, Deadline *D) {
   if (Rec.Reload) {
     // Re-read the corpus into a *fresh* session: the served state stays
     // untouched (and keeps serving reads after we release the lock on a
@@ -629,61 +646,18 @@ void Service::applyLearnRecord(const JournalRecord &Rec, Deadline *D) {
       throw OpError(ErrorCode::Internal, Error);
     std::unique_ptr<infer::Session> NewSession = makeSession();
     NewSession->addProjects(NewCorpus);
-    solver::SolveOptions &SO = NewSession->options().Solve;
-    SO.MaxIterations = static_cast<int>(Rec.Iters);
-    SO.Backend = Rec.Backend;
-    if (D && D->armed()) {
-      SO.BudgetSeconds = D->remainingSeconds();
-      SO.ShouldStop = [D]() { return D->expired(); };
-    }
-    if (Rec.WarmStart) {
-      WarmCopy = Warm.Learned;
-      NewSession->options().WarmStart = &WarmCopy;
-    }
     NewSession->generateConstraints(Seed);
-    R = NewSession->solve();
-    // Clear the per-request knobs before the session becomes the warm
-    // one — D and WarmCopy die with this request.
-    SO.MaxIterations = Opts.Iterations;
-    SO.Backend = Opts.Backend;
-    SO.BudgetSeconds = 0.0;
-    SO.ShouldStop = nullptr;
-    NewSession->options().WarmStart = nullptr;
+    infer::PipelineResult R = solveRecord(*NewSession, Rec, D);
     // Moving the vector moves its buffer, not its elements, so the
     // Project pointers the new session borrowed stay valid.
     Corpus = std::move(NewCorpus);
     Session = std::move(NewSession);
+    publishLocked(std::move(R));
   } else {
-    solver::SolveOptions &SO = Session->options().Solve;
-    SO.MaxIterations = static_cast<int>(Rec.Iters);
-    SO.Backend = Rec.Backend;
-    if (D && D->armed()) {
-      SO.BudgetSeconds = D->remainingSeconds();
-      SO.ShouldStop = [D]() { return D->expired(); };
-    }
-    if (Rec.WarmStart) {
-      WarmCopy = Warm.Learned;
-      Session->options().WarmStart = &WarmCopy;
-    }
-    auto Restore = [&]() {
-      SO.MaxIterations = Opts.Iterations;
-      SO.Backend = Opts.Backend;
-      SO.BudgetSeconds = 0.0;
-      SO.ShouldStop = nullptr;
-      Session->options().WarmStart = nullptr;
-    };
-    try {
-      // The graph and constraint system are warm (GraphReady/SystemReady
-      // from start()); solve() alone re-optimizes — no re-parse, no
-      // re-gen.
-      R = Session->solve();
-    } catch (...) {
-      Restore();
-      throw;
-    }
-    Restore();
+    // The graph and constraint system are warm (GraphReady/SystemReady
+    // from start()); solve() alone re-optimizes — no re-parse, no re-gen.
+    publishLocked(solveRecord(*Session, Rec, D));
   }
-  publishLocked(std::move(R));
   WarmFO = Session->options().FeedbackOpts;
 }
 
@@ -697,38 +671,7 @@ void Service::applyFeedbackRecord(const JournalRecord &Rec, Deadline *D) {
     else
       Feedback.reject(E.Rep, E.R);
   }
-  infer::PipelineOptions &P = Session->options();
-  constraints::FeedbackOptions SavedFO = P.FeedbackOpts;
-  P.FeedbackOpts = Rec.FeedbackOpts;
-  solver::SolveOptions &SO = P.Solve;
-  SO.MaxIterations = static_cast<int>(Rec.Iters);
-  if (D && D->armed()) {
-    SO.BudgetSeconds = D->remainingSeconds();
-    SO.ShouldStop = [D]() { return D->expired(); };
-  }
-  // The warm-start spec must outlive the solve; options().WarmStart is a
-  // borrowed pointer.
-  spec::LearnedSpec WarmCopy;
-  if (Rec.WarmStart) {
-    WarmCopy = Warm.Learned;
-    P.WarmStart = &WarmCopy;
-  }
-  auto Restore = [&]() {
-    P.FeedbackOpts = SavedFO;
-    SO.MaxIterations = Opts.Iterations;
-    SO.BudgetSeconds = 0.0;
-    SO.ShouldStop = nullptr;
-    P.WarmStart = nullptr;
-  };
-  infer::PipelineResult R;
-  try {
-    R = Session->solve();
-  } catch (...) {
-    Restore();
-    throw;
-  }
-  Restore();
-  publishLocked(std::move(R));
+  publishLocked(solveRecord(*Session, Rec, D));
   WarmFO = Rec.FeedbackOpts;
 }
 

@@ -59,12 +59,13 @@
 /// Deadlines: each request gets a cooperative support/Deadline (server
 /// default, overridable per request via "deadline_s"). The Session's own
 /// run deadline stays disarmed — Session::armDeadline is one-shot, which
-/// is wrong for a daemon — so learn budgets flow through
-/// SolveOptions::BudgetSeconds/ShouldStop and query/taint poll at stage
-/// boundaries. An expiry is a structured `deadline` error, never a hang;
-/// a handler that throws is an `internal` error, never a crash
-/// (reusing the PR-5 failure discipline; fault injection points inside
-/// the pipeline surface the same way).
+/// is wrong for a daemon — so learn and feedback budgets flow through
+/// SolveOptions::ShouldStop and query/taint poll at stage boundaries. An
+/// expiry before the solve is a structured `deadline` error, and one
+/// during it publishes a `degraded` result that describes that solve
+/// only — never a hang; a handler that throws is an `internal` error,
+/// never a crash (the pipeline's own failure discipline; fault injection
+/// points inside the pipeline surface the same way).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -204,6 +205,12 @@ private:
   /// exclusively; \p D may be null (replay runs without a deadline).
   void applyFeedbackRecord(const JournalRecord &Rec, Deadline *D);
   void applyLearnRecord(const JournalRecord &Rec, Deadline *D);
+  /// The solve both ops share: \p S solved with \p Rec's iteration budget
+  /// and warm start (from the served spec), the learn op's backend or the
+  /// feedback op's weighting, and \p D (may be null) as the stop
+  /// condition. \p S's options() are restored on return or throw.
+  infer::PipelineResult solveRecord(infer::Session &S,
+                                    const JournalRecord &Rec, Deadline *D);
   /// Assigns the next sequence number and appends \p Rec to the journal
   /// (fsynced). Throws OpError(Internal) when the record cannot be made
   /// durable — the op must fail rather than mutate unjournaled state.

@@ -4,7 +4,6 @@
 
 #include "solver/NumericGuard.h"
 #include "solver/SolveTelemetry.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <cmath>
@@ -31,7 +30,6 @@ SolveResult AdamOptimizer::minimize(const CompiledObjective &Obj,
   const size_t N = Obj.numVars();
   std::vector<double> M(N, 0.0), V(N, 0.0), Grad, Mapped;
   SolveTelemetry Telemetry;
-  Timer Budget;
   // The only constraint evaluation per iteration: one fused call yields
   // both the objective value at the current iterate and its subgradient.
   double Value = guardedEval(Obj, Result.X, Grad, 0);
@@ -78,9 +76,7 @@ SolveResult AdamOptimizer::minimize(const CompiledObjective &Obj,
   }
 
   for (int Iter = 1; Iter <= Options.MaxIterations; ++Iter) {
-    if ((Options.ShouldStop && Options.ShouldStop()) ||
-        (Options.BudgetSeconds > 0 &&
-         Budget.seconds() >= Options.BudgetSeconds)) {
+    if (Options.ShouldStop && Options.ShouldStop()) {
       Result.DeadlineExpired = true;
       break;
     }

@@ -73,24 +73,23 @@ inline bool parseSolverBackend(const std::string &Name, SolverBackend &Out) {
 struct SolveOptions {
   int MaxIterations = 500;
   double LearningRate = 0.05;
-  /// Stop when the objective improves by less than this between iterations.
+  /// Convergence threshold. Projected gradient descent stops when the
+  /// objective changes by less than this between iterations; Adam stops
+  /// when a plain projected step would move no coordinate by this much.
   double Tolerance = 1e-7;
   /// Adam moment decay rates.
   double Beta1 = 0.9;
   double Beta2 = 0.999;
   double Epsilon = 1e-8;
-  /// Wall-clock budget for the whole minimize() call; 0 is unlimited.
-  /// Checked cooperatively once per iteration: an expired budget stops the
-  /// loop and returns the best iterate so far with DeadlineExpired set —
-  /// partial and flagged, never a hang.
-  double BudgetSeconds = 0.0;
   /// Bound on the non-finite recovery ladder (see docs/architecture.md
   /// "Failure discipline"): each recovery reverts to the best finite
   /// iterate, resets the Adam moments, and halves the step scale. Once
   /// exhausted the solve falls back to best-so-far with FellBack set.
   int MaxRecoveries = 8;
-  /// Cooperative cancellation, polled once per iteration (run-level
-  /// deadline). Returning true stops the loop like an expired budget.
+  /// The one stop condition, polled once per iteration (callers wire
+  /// their deadline in here). Returning true stops the loop and returns
+  /// the best iterate so far with DeadlineExpired set — partial and
+  /// flagged, never a hang.
   std::function<bool()> ShouldStop;
   /// Invoked after every completed iteration with (iteration, current
   /// objective value). Called from the optimizing thread; must not mutate
@@ -124,7 +123,7 @@ struct SolveResult {
   /// The ladder ran dry: the result is the best finite iterate seen (or
   /// the projected initial point when nothing ever evaluated finite).
   bool FellBack = false;
-  /// BudgetSeconds or ShouldStop ended the loop before convergence.
+  /// ShouldStop ended the loop before convergence.
   bool DeadlineExpired = false;
 };
 

@@ -4,7 +4,6 @@
 
 #include "solver/NumericGuard.h"
 #include "solver/SolveTelemetry.h"
-#include "support/Timer.h"
 
 #include <cmath>
 
@@ -28,7 +27,6 @@ SolveResult ProjectedGradient::minimize(const CompiledObjective &Obj,
 
   std::vector<double> Grad;
   SolveTelemetry Telemetry;
-  Timer Budget;
   // The fused call at the start of each step doubles as the value check of
   // the previous one: a single constraint sweep per iteration.
   double Value = guardedEval(Obj, Result.X, Grad, 0);
@@ -68,9 +66,7 @@ SolveResult ProjectedGradient::minimize(const CompiledObjective &Obj,
   }
 
   for (int Iter = 1; Iter <= Options.MaxIterations; ++Iter) {
-    if ((Options.ShouldStop && Options.ShouldStop()) ||
-        (Options.BudgetSeconds > 0 &&
-         Budget.seconds() >= Options.BudgetSeconds)) {
+    if (Options.ShouldStop && Options.ShouldStop()) {
       Result.DeadlineExpired = true;
       break;
     }

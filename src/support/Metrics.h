@@ -189,7 +189,7 @@ public:
 
   /// Appends a finished span (called by trace::Span). The log is a fixed
   /// ring of the most recent SpanCapacity records, so a long-lived process
-  /// (seldond records four per re-solve) stays bounded; each record it
+  /// (seldond records five per re-solve) stays bounded; each record it
   /// overwrites is counted in spansDropped().
   void recordSpan(std::string Path, double StartSeconds,
                   double DurationSeconds);

@@ -15,8 +15,8 @@
 /// are drained (the destructor joins after the queue empties).
 ///
 /// parallelFor hands each spawned task a stable worker index in
-/// [0, numWorkers()), so callers can keep per-worker accumulators (timing
-/// shards, gradient buffers) without locking.
+/// [0, numWorkers()), so callers can keep per-worker accumulators without
+/// locking.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,13 +7,15 @@
 ///
 /// \file
 /// RAII trace spans that nest into "parent/child" paths and record into a
-/// metrics::Registry. A span always measures wall time (seconds() is valid
-/// whether or not the registry records), so pipeline code can use one span
-/// both as its stopwatch and as its telemetry emitter:
+/// metrics::Registry. The spans are where stage wall times live; callers
+/// read them from Registry::spans() (or --metrics-out).
 ///
 ///   trace::Span Solve(metrics::Registry::global(), "solve");
 ///   ... run stage ...
-///   Stats.SolveSeconds = Solve.finish();
+///   Solve.finish(); // or let the destructor end it
+///
+/// seconds() and finish() return the elapsed time whether or not the
+/// registry records.
 ///
 /// Nesting is tracked per thread: a span constructed while another span on
 /// the same thread is open becomes its child ("session/solve"). Spans are

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -229,6 +230,46 @@ TEST(ActiveLearningTest, StableRoundsStopsEarly) {
   EXPECT_EQ(A.TotalQueries, 8u);
   EXPECT_EQ(A.TotalPinned, 0u);
   EXPECT_LT(A.TotalQueries, A.Candidates);
+}
+
+/// Answers like the ground truth until its \p FailAt-th query, which
+/// throws (an oracle backed by a service that went away).
+class FailingOracle : public Oracle {
+public:
+  FailingOracle(const corpus::GroundTruth &Truth, size_t FailAt)
+      : Truth(Truth), FailAt(FailAt) {}
+  OracleAnswer answer(const std::string &Rep, propgraph::Role R) override {
+    if (++Asked == FailAt)
+      throw std::runtime_error("oracle unavailable");
+    return Truth.answer(Rep, R);
+  }
+
+private:
+  GroundTruthOracle Truth;
+  size_t FailAt;
+  size_t Asked = 0;
+};
+
+TEST(ActiveLearningTest, ThrowingOracleLeavesSessionOptionsRestored) {
+  corpus::Corpus Data = testutil::makeCorpus(CorpusSeed, CorpusProjects);
+  infer::Session S(testPipelineOptions());
+  S.addProjects(Data.Projects);
+  // The throw lands in round 2, after round 1 pointed WarmStart at the
+  // loop's own copy of the previous spec and capped the iterations.
+  ActiveOptions AO = shortRun();
+  AO.RoundIterations = 40;
+  FailingOracle O(Data.Truth, AO.QueriesPerRound + 1);
+  EXPECT_THROW(runActiveLoop(S, Data.Seed, O, AO), std::runtime_error);
+  ASSERT_EQ(S.options().WarmStart, nullptr);
+  EXPECT_EQ(S.options().Solve.MaxIterations, SolveIterations);
+
+  // Regenerating drops round 1's pins; the session then solves exactly
+  // like one the loop never touched.
+  S.generateConstraints(Data.Seed);
+  infer::Session Fresh(testPipelineOptions());
+  Fresh.addProjects(Data.Projects);
+  Fresh.generateConstraints(Data.Seed);
+  EXPECT_EQ(specBytes(S.solve().Learned), specBytes(Fresh.solve().Learned));
 }
 
 //===----------------------------------------------------------------------===//

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -213,7 +214,8 @@ TEST_F(CliTest, MetricsJsonOutput) {
                    std::istreambuf_iterator<char>());
   EXPECT_NE(Json.find("\"enabled\": true"), std::string::npos) << Json;
   for (const char *Key :
-       {"\"session/build\"", "\"session/constraints\"", "\"session/solve\"",
+       {"\"session/build\"", "\"session/constraints\"",
+        "\"session/assemble\"", "\"session/solve\"",
         "\"session/solve/compile\"", "\"session/solve/iterate\"",
         "\"session/solve/readback\"", "\"spans_dropped\": 0",
         "\"parse.files\"", "\"solve.iterations\"", "\"solver.rows_after\"",
@@ -221,6 +223,31 @@ TEST_F(CliTest, MetricsJsonOutput) {
     EXPECT_NE(Json.find(Key), std::string::npos) << "missing " << Key;
   EXPECT_EQ(Json.find("\"session/parse\""), std::string::npos)
       << "graph building is timed as session/build";
+}
+
+TEST_F(CliTest, SolverStatsDividesTheIterateSpan) {
+  // At one iteration the compile dwarfs the loop, so dividing the whole
+  // session/solve span would overstate the per-iteration cost many times.
+  std::string Out = path("metrics.json");
+  CommandResult R = runCli("learn --cutoff 1 --iters 1 --solver-stats "
+                           "--metrics-out " + Out + " " + repo());
+  ASSERT_EQ(R.ExitCode, 0) << R.Output;
+  size_t Unit = R.Output.find(" ms/iteration over 1 iteration(s)");
+  ASSERT_NE(Unit, std::string::npos) << R.Output;
+  size_t Figure = R.Output.rfind("solver: ", Unit) + 8;
+  double PrintedMs = std::strtod(R.Output.c_str() + Figure, nullptr);
+
+  std::ifstream In(Out);
+  std::string Json((std::istreambuf_iterator<char>(In)),
+                   std::istreambuf_iterator<char>());
+  size_t Span = Json.find("\"path\": \"session/solve/iterate\"");
+  ASSERT_NE(Span, std::string::npos) << Json;
+  const std::string Key = "\"duration_seconds\": ";
+  size_t Duration = Json.find(Key, Span) + Key.size();
+  double IterateSeconds = std::strtod(Json.c_str() + Duration, nullptr);
+  // Equal to the printed precision (%.3f ms).
+  EXPECT_NEAR(PrintedMs, 1000.0 * IterateSeconds, 0.0005 + 1e-9)
+      << R.Output;
 }
 
 TEST_F(CliTest, RetiredSolverBackendsFailLoudly) {

@@ -19,6 +19,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 using namespace seldon;
@@ -308,8 +309,13 @@ TEST_F(FaultPipelineTest, CleanRunUnaffectedByGuards) {
 TEST_F(FaultPipelineTest, SolverBudgetStopsTheLoopEarly) {
   corpus::Corpus Data = makeCorpus(11);
   PipelineOptions Opts = testOptions(1);
-  Opts.Solve.BudgetSeconds = 1e-9;
-  PipelineResult R = runFull(Data, Opts);
+  Session S(Opts);
+  S.addProjects(Data.Projects);
+  S.generateConstraints(Data.Seed);
+  // Armed only now: the build and constraint stages run unbounded, and
+  // the run deadline stops the solver loop through the chained ShouldStop.
+  S.options().DeadlineSeconds = 1e-9;
+  PipelineResult R = S.solve();
 
   EXPECT_TRUE(R.Solve.DeadlineExpired);
   EXPECT_LT(R.Solve.Iterations, Opts.Solve.MaxIterations);
@@ -318,6 +324,110 @@ TEST_F(FaultPipelineTest, SolverBudgetStopsTheLoopEarly) {
   EXPECT_TRUE(R.Health.DeadlineExpired);
   EXPECT_EQ(R.Health.DeadlineStage, "solve");
   EXPECT_EQ(R.Health.status(), RunStatus::Degraded);
+}
+
+TEST_F(FaultPipelineTest, SolveDeadlineDescribesOnlyTheLatestSolve) {
+  corpus::Corpus Data = makeCorpus(11);
+  Session S(testOptions(1));
+  S.addProjects(Data.Projects);
+  S.generateConstraints(Data.Seed);
+
+  S.options().Solve.ShouldStop = [] { return true; };
+  PipelineResult Stopped = S.solve();
+  EXPECT_TRUE(Stopped.Solve.DeadlineExpired);
+  EXPECT_EQ(Stopped.Health.DeadlineStage, "solve");
+  EXPECT_EQ(Stopped.Health.status(), RunStatus::Degraded);
+
+  // A complete re-solve of the same system is clean again.
+  S.options().Solve.ShouldStop = nullptr;
+  PipelineResult Complete = S.solve();
+  EXPECT_FALSE(Complete.Solve.DeadlineExpired);
+  EXPECT_FALSE(Complete.Health.DeadlineExpired);
+  EXPECT_EQ(Complete.Health.DeadlineStage, "");
+  EXPECT_EQ(Complete.Health.status(), RunStatus::Clean);
+  EXPECT_EQ(S.health().status(), RunStatus::Clean);
+
+  // An expiry in the build stage describes the session's graph, so it
+  // stays reported through every later solve.
+  PipelineOptions Opts = testOptions(1);
+  Opts.DeadlineSeconds = 1e-9;
+  Session Expired(Opts);
+  Expired.addProjects(Data.Projects);
+  Expired.generateConstraints(Data.Seed);
+  for (int Solve = 0; Solve < 2; ++Solve) {
+    PipelineResult R = Expired.solve();
+    EXPECT_TRUE(R.Health.DeadlineExpired) << "solve " << Solve;
+    EXPECT_EQ(R.Health.DeadlineStage, "parse") << "solve " << Solve;
+    EXPECT_EQ(R.Health.status(), RunStatus::Degraded) << "solve " << Solve;
+  }
+}
+
+TEST_F(FaultPipelineTest, ScopedOptionsRestoreEveryFieldAfterAThrow) {
+  corpus::Corpus Data = makeCorpus(11);
+  Session S(testOptions(1));
+  S.addProjects(Data.Projects);
+  S.generateConstraints(Data.Seed);
+  spec::LearnedSpec Outer = S.solve().Learned;
+  S.options().WarmStart = &Outer;
+  const std::string Reference = specBytes(S.solve());
+  const PipelineOptions Before = S.options();
+
+  spec::LearnedSpec Inner;
+  constraints::FeedbackSet Verdicts;
+  Verdicts.accept("web.read()", propgraph::Role::Source);
+  int Iterations = 0;
+  try {
+    ScopedOptions Scope(S);
+    PipelineOptions &P = S.options();
+    P.Build.MaxInlineDepth = 1;
+    P.Build.UsePointsTo = false;
+    P.Gen.C = 2.0;
+    P.Gen.RepCutoff = 1;
+    P.Lambda = 0.9;
+    P.Solve.MaxIterations = 3;
+    P.Solve.LearningRate = 0.5;
+    P.Solve.OnIteration = [&Iterations](int, double) { ++Iterations; };
+    P.Solve.ShouldStop = []() -> bool {
+      throw std::runtime_error("stopped mid-solve");
+    };
+    P.UseAdam = false;
+    P.WarmStart = &Inner;
+    P.Feedback = &Verdicts;
+    P.FeedbackOpts.AcceptWeight = 4.0;
+    P.CollapseForLearning = true;
+    P.Jobs = 2;
+    P.Strict = true;
+    P.DeadlineSeconds = 3600.0;
+    S.solve();
+    FAIL() << "the stop condition throws out of solve()";
+  } catch (const std::runtime_error &E) {
+    EXPECT_STREQ(E.what(), "stopped mid-solve");
+  }
+
+  const PipelineOptions &P = S.options();
+  EXPECT_EQ(P.Build.MaxInlineDepth, Before.Build.MaxInlineDepth);
+  EXPECT_EQ(P.Build.UsePointsTo, Before.Build.UsePointsTo);
+  EXPECT_EQ(P.Gen.C, Before.Gen.C);
+  EXPECT_EQ(P.Gen.RepCutoff, Before.Gen.RepCutoff);
+  EXPECT_EQ(P.Lambda, Before.Lambda);
+  EXPECT_EQ(P.Solve.MaxIterations, Before.Solve.MaxIterations);
+  EXPECT_EQ(P.Solve.LearningRate, Before.Solve.LearningRate);
+  EXPECT_FALSE(P.Solve.OnIteration);
+  EXPECT_FALSE(P.Solve.ShouldStop);
+  EXPECT_EQ(P.UseAdam, Before.UseAdam);
+  EXPECT_EQ(P.WarmStart, &Outer);
+  EXPECT_EQ(P.Feedback, nullptr);
+  EXPECT_EQ(P.FeedbackOpts.AcceptWeight, Before.FeedbackOpts.AcceptWeight);
+  EXPECT_EQ(P.CollapseForLearning, Before.CollapseForLearning);
+  EXPECT_EQ(P.Jobs, Before.Jobs);
+  EXPECT_EQ(P.Strict, Before.Strict);
+  EXPECT_EQ(P.DeadlineSeconds, Before.DeadlineSeconds);
+
+  // The restored session solves exactly as before the scope, and the
+  // callback installed inside it never fires again.
+  Iterations = 0;
+  EXPECT_EQ(specBytes(S.solve()), Reference);
+  EXPECT_EQ(Iterations, 0);
 }
 
 TEST_F(FaultPipelineTest, RunDeadlineQuarantinesUnbuiltProjects) {

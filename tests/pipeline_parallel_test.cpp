@@ -135,18 +135,9 @@ public:
     LastTotal = Total;
   }
 
-  void onSolveIteration(int Iteration, double Objective) override {
-    ++SolveCalls;
-    LastIteration = Iteration;
-    LastObjective = Objective;
-  }
-
   std::vector<Phase> Phases;
   size_t LastDone = 0;
   size_t LastTotal = 0;
-  int SolveCalls = 0;
-  int LastIteration = -1;
-  double LastObjective = 0.0;
 };
 
 TEST(PipelineParallelTest, ObserverSeesAllPhasesUnderParallelFrontend) {
@@ -154,6 +145,10 @@ TEST(PipelineParallelTest, ObserverSeesAllPhasesUnderParallelFrontend) {
   Session S(testOptions(4));
   RecordingObserver Obs;
   S.setObserver(&Obs);
+  int SolveCalls = 0;
+  S.options().Solve.OnIteration = [&SolveCalls](int, double) {
+    ++SolveCalls;
+  };
   S.addProjects(Data.Projects);
   S.generateConstraints(Data.Seed);
   PipelineResult R = S.solve();
@@ -167,18 +162,8 @@ TEST(PipelineParallelTest, ObserverSeesAllPhasesUnderParallelFrontend) {
   EXPECT_EQ(Obs.LastDone, Data.Projects.size())
       << "every project must be reported";
 
-  EXPECT_GT(Obs.SolveCalls, 0);
-  EXPECT_EQ(Obs.SolveCalls, R.Solve.Iterations);
-}
-
-TEST(PipelineParallelTest, ShardTimingsMatchWorkerCount) {
-  corpus::Corpus Data = smallCorpus();
-  PipelineResult R = runWithJobs(Data, 4);
-  EXPECT_EQ(R.BuildShardSeconds.size(), 4u);
-  EXPECT_EQ(R.GenShardSeconds.size(), 4u);
-  PipelineResult Serial = runWithJobs(Data, 1);
-  EXPECT_EQ(Serial.BuildShardSeconds.size(), 1u);
-  EXPECT_EQ(Serial.GenShardSeconds.size(), 1u);
+  EXPECT_GT(SolveCalls, 0);
+  EXPECT_EQ(SolveCalls, R.Solve.Iterations);
 }
 
 TEST(PipelineParallelTest, JobsZeroResolvesToHardwareConcurrency) {

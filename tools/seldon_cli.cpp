@@ -38,6 +38,7 @@
 #include "support/StrUtil.h"
 #include "support/TablePrinter.h"
 #include "support/ThreadPool.h"
+#include "support/Timer.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -102,10 +103,22 @@ bool resolveBackend(const CliOptions &Opts, solver::SolverBackend &Out) {
   return true;
 }
 
-/// Renders pipeline progress to stderr. The Session serializes callbacks,
-/// so plain fprintf is safe even with a parallel frontend.
+/// Renders pipeline progress to stderr: phases and parsed projects through
+/// the Session's observer, every 50th solver iteration through
+/// SolveOptions::OnIteration. The Session serializes observer callbacks,
+/// so plain fprintf is safe even with a parallel frontend. Stage wall
+/// times are the spans --metrics prints.
 class CliProgress : public infer::ProgressObserver {
 public:
+  /// Reports \p S's progress from now on; \p S must not outlive this.
+  void attach(infer::Session &S) {
+    S.setObserver(this);
+    S.options().Solve.OnIteration = [](int Iteration, double Objective) {
+      if (Iteration % 50 == 0)
+        std::fprintf(stderr, "  iteration %d: objective %.6f\n", Iteration,
+                     Objective);
+    };
+  }
   void onPhase(infer::Phase P) override {
     std::fprintf(stderr, "[%s]\n", infer::phaseName(P));
   }
@@ -115,16 +128,17 @@ public:
     if (Done == Total || Done % Step == 0)
       std::fprintf(stderr, "  parsed %zu/%zu project(s)\n", Done, Total);
   }
-  void onSolveIteration(int Iteration, double Objective) override {
-    if (Iteration % 50 == 0)
-      std::fprintf(stderr, "  iteration %d: objective %.6f\n", Iteration,
-                   Objective);
-  }
-  void onStageFinished(infer::Phase P, double Seconds) override {
-    std::fprintf(stderr, "  [%s] finished in %.2fs\n", infer::phaseName(P),
-                 Seconds);
-  }
 };
+
+/// Wall seconds of the most recent "session/solve/iterate" span: the
+/// optimizer loop alone, without the compile or the readback.
+double lastIterateSeconds() {
+  double Seconds = 0.0;
+  for (const metrics::SpanRecord &S : metrics::Registry::global().spans())
+    if (S.Path == "session/solve/iterate")
+      Seconds = S.DurationSeconds;
+  return Seconds;
+}
 
 /// Pre-validation integer targets; parseArgs() range-checks them into
 /// CliOptions after the flag sweep.
@@ -535,7 +549,7 @@ int cmdLearn(const CliOptions &Opts) {
   infer::Session Session(PipelineOpts);
   CliProgress Progress;
   if (Opts.Progress)
-    Session.setObserver(&Progress);
+    Progress.attach(Session);
   if (!setupCache(Session, Opts))
     return 1;
 
@@ -564,6 +578,9 @@ int cmdLearn(const CliOptions &Opts) {
   Session.addProjects(Corpus);
   buildSessionGraph(Session);
   infer::PipelineResult R;
+  // The summary line times the learning step alone: constraint generation
+  // and the solve, or the whole active loop.
+  double LearnSeconds = 0.0;
   if (Opts.Active) {
     active::FileOracle Oracle;
     std::string Error;
@@ -575,8 +592,10 @@ int cmdLearn(const CliOptions &Opts) {
     AO.MaxRounds = Opts.Rounds;
     AO.QueriesPerRound = Opts.QueriesPerRound;
     AO.Threshold = Opts.Threshold;
+    Timer LearnClock;
     active::ActiveResult AR =
         active::runActiveLoop(Session, Seed, Oracle, AO);
+    LearnSeconds = LearnClock.seconds();
     std::fprintf(stderr,
                  "active: %zu round(s), %zu of %zu candidate(s) queried, "
                  "%zu pinned, %s\n",
@@ -595,17 +614,20 @@ int cmdLearn(const CliOptions &Opts) {
     }
     R = std::move(AR.Final);
   } else {
+    Timer LearnClock;
     Session.generateConstraints(Seed);
     R = Session.solve();
+    LearnSeconds = LearnClock.seconds();
   }
   printCacheStats(R, Opts);
 
   std::fprintf(stderr,
                "analyzed %zu files over %u job(s): %zu candidates, "
-               "%zu constraints, solved in %.2fs (%d iterations)\n",
+               "%zu constraints, %s in %.2fs (%d iterations)\n",
                R.NumFiles, R.JobsUsed, R.System.NumCandidates,
-               R.System.Constraints.size(), R.SolveSeconds,
-               R.Solve.Iterations);
+               R.System.Constraints.size(),
+               Opts.Active ? "ran the active loop" : "generated and solved",
+               LearnSeconds, R.Solve.Iterations);
   if (R.UsedFeedback)
     std::fprintf(stderr,
                  "feedback: %zu matched, %zu unmatched, %zu evidence "
@@ -625,7 +647,7 @@ int cmdLearn(const CliOptions &Opts) {
                  S.MaxMultiplicity);
     std::fprintf(stderr, "solver: %.3f ms/iteration over %d iteration(s)\n",
                  R.Solve.Iterations > 0
-                     ? 1000.0 * R.SolveSeconds / R.Solve.Iterations
+                     ? 1000.0 * lastIterateSeconds() / R.Solve.Iterations
                      : 0.0,
                  R.Solve.Iterations);
   }
@@ -788,7 +810,7 @@ int cmdExplain(const CliOptions &Opts) {
   infer::Session Session(PipelineOpts);
   CliProgress Progress;
   if (Opts.Progress)
-    Session.setObserver(&Progress);
+    Progress.attach(Session);
   if (!setupCache(Session, Opts))
     return 1;
   Session.addProjects(Corpus);
@@ -963,9 +985,10 @@ int main(int Argc, char **Argv) {
   }
 
   // Enable before any pipeline work so corpus loading (per-file parse
-  // timings) is captured too. Metrics are write-only: enabling them never
-  // changes any learned score or report.
-  if (Opts.Metrics || !Opts.MetricsOut.empty())
+  // timings) is captured too. --solver-stats reads the iterate span.
+  // Metrics are write-only: enabling them never changes any learned score
+  // or report.
+  if (Opts.Metrics || !Opts.MetricsOut.empty() || Opts.SolverStats)
     metrics::Registry::global().setEnabled(true);
 
   // Top-level failure boundary: anything the pipeline could not recover
