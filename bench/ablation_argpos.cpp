@@ -71,7 +71,7 @@ MatchCounts matchReports(const CorpusRun &Run,
       GenuineKeys.insert(Key);
   }
 
-  const propgraph::PropagationGraph &Graph = Run.Pipeline.Graph;
+  const propgraph::PropagationGraph &Graph = *Run.Pipeline.Graph;
   MatchCounts Out;
   Out.Total = Reports.size();
   for (const taint::Violation &V : Reports) {

@@ -45,7 +45,7 @@ RowResult runConfig(const corpus::Corpus &Data,
   S.generateConstraints(Data.Seed); // Builds the graph first.
   infer::PipelineResult R = S.solve();
   Out.Seconds = Clock.seconds();
-  Out.Edges = R.Graph.numEdges();
+  Out.Edges = R.Graph->numEdges();
 
   size_t Correct = 0;
   for (Role Ro : {Role::Source, Role::Sanitizer, Role::Sink}) {
@@ -58,7 +58,7 @@ RowResult runConfig(const corpus::Corpus &Data,
                       ? static_cast<double>(Correct) / Out.Predicted
                       : 0.0;
 
-  taint::TaintAnalyzer Analyzer(R.Graph);
+  taint::TaintAnalyzer Analyzer(*R.Graph);
   taint::RoleResolver SeedOnly(&Data.Seed.Spec, nullptr);
   taint::RoleResolver Both(&Data.Seed.Spec, &R.Learned, ScoreThreshold);
   Out.SeedReports = Analyzer.analyze(SeedOnly).size();

@@ -32,20 +32,20 @@ int main() {
   // for the paper's manual proof-of-concept exploits).
   std::vector<taint::Violation> Confirmed;
   for (const taint::Violation &V : Reports)
-    if (classifyReport(Run.Pipeline.Graph, V, Run.Data.Truth,
+    if (classifyReport(*Run.Pipeline.Graph, V, Run.Data.Truth,
                        Run.Data.Flows) ==
         ReportCategory::TrueVulnerability)
       Confirmed.push_back(V);
 
-  Confirmed = taint::dedupByRepPair(Run.Pipeline.Graph, Confirmed);
+  Confirmed = taint::dedupByRepPair(*Run.Pipeline.Graph, Confirmed);
   std::vector<double> Confidence =
-      taint::rankViolations(Run.Pipeline.Graph, Confirmed,
+      taint::rankViolations(*Run.Pipeline.Graph, Confirmed,
                             &Run.Data.Seed.Spec, &Run.Pipeline.Learned,
                             ScoreThreshold);
 
   // Vulnerability class of each confirmed report, via the sink's class.
   auto ClassOf = [&](const taint::Violation &V) -> std::string {
-    const propgraph::Event &Snk = Run.Pipeline.Graph.event(V.Sink);
+    const propgraph::Event &Snk = Run.Pipeline.Graph->event(V.Sink);
     for (const std::string &Rep : Snk.Reps) {
       const std::string &Cls = Run.Data.Truth.vulnClassOf(Rep);
       if (!Cls.empty())
@@ -58,7 +58,7 @@ int main() {
   std::unordered_set<std::string> Projects;
   for (const taint::Violation &V : Confirmed) {
     ++PerClass[ClassOf(V)];
-    const std::string &Path = Run.Pipeline.Graph.files()[V.FileIdx];
+    const std::string &Path = Run.Pipeline.Graph->files()[V.FileIdx];
     Projects.insert(Path.substr(0, Path.find('/')));
   }
 
@@ -86,7 +86,7 @@ int main() {
     std::cout << formatString("\n[%zu] confidence %.2f, class %s\n", I + 1,
                               Confidence[I],
                               ClassOf(Confirmed[I]).c_str());
-    std::cout << taint::formatViolation(Run.Pipeline.Graph, Confirmed[I]);
+    std::cout << taint::formatViolation(*Run.Pipeline.Graph, Confirmed[I]);
   }
 
   std::cout << "\nPaper reference (App. C): 49 bugs in 17 projects — 25 "

@@ -130,7 +130,8 @@ bool runCacheComparison(int MaxProjects, unsigned Jobs,
     std::ofstream Json(Out, std::ios::trunc);
     Json << "{\n";
     Json << formatString("  \"projects\": %zu,\n", Projects);
-    Json << formatString("  \"files\": %zu,\n", Uncached.Result.NumFiles);
+    Json << formatString("  \"files\": %zu,\n",
+                         Uncached.Result.Graph->files().size());
     Json << formatString("  \"jobs\": %u,\n", Jobs);
     Json << formatString("  \"uncached_parse_seconds\": %.6f,\n",
                          Uncached.BuildSeconds);
@@ -206,15 +207,15 @@ int main() {
                     spec::writeLearnedSpec(Parallel.Result.Learned);
 
     const infer::PipelineResult &R = Parallel.Result;
-    double MsPerFile = R.NumFiles == 0
-                           ? 0.0
-                           : 1000.0 * Parallel.TotalSeconds /
-                                 static_cast<double>(R.NumFiles);
+    const size_t NumFiles = R.Graph->files().size();
+    double MsPerFile = NumFiles == 0 ? 0.0
+                                     : 1000.0 * Parallel.TotalSeconds /
+                                           static_cast<double>(NumFiles);
     if (Fraction == 4)
       HalfRate = MsPerFile;
     LastRate = MsPerFile;
     LastStats = R.SolverStats;
-    Table.addRow({std::to_string(R.NumFiles),
+    Table.addRow({std::to_string(NumFiles),
                   std::to_string(R.System.Constraints.size()),
                   formatString("%.3f", Serial.TotalSeconds),
                   formatString("%.3f", Parallel.TotalSeconds),

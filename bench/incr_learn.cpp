@@ -200,7 +200,8 @@ int main() {
     std::ofstream Json(Out, std::ios::trunc);
     Json << "{\n";
     Json << formatString("  \"projects\": %zu,\n", N);
-    Json << formatString("  \"files\": %zu,\n", Fresh.Result.NumFiles);
+    Json << formatString("  \"files\": %zu,\n",
+                         Fresh.Result.Graph->files().size());
     Json << formatString("  \"jobs\": %u,\n", Jobs);
     Json << formatString("  \"cold_seconds\": %.6f,\n", Cold.TotalSeconds);
     Json << formatString("  \"fresh_seconds\": %.6f,\n", Fresh.TotalSeconds);

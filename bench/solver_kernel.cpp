@@ -134,7 +134,7 @@ int main() {
 
   std::string Json = "{\n";
   Json += formatString("  \"projects\": %d,\n", NumProjects);
-  Json += formatString("  \"files\": %zu,\n", R.NumFiles);
+  Json += formatString("  \"files\": %zu,\n", R.Graph->files().size());
   Json += formatString("  \"jobs\": %u,\n", Jobs);
   Json += formatString("  \"constraints\": %zu,\n", S.RowsBefore);
   Json += formatString("  \"rows_after_dedup\": %zu,\n", S.RowsAfter);

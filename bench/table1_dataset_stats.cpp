@@ -34,7 +34,8 @@ int main() {
                 formatString("%.2f", Run.Pipeline.System.AvgBackoffOptions)});
   Table.addRow({"# Constraints",
                 std::to_string(Run.Pipeline.System.Constraints.size())});
-  Table.addRow({"# Source files", std::to_string(Run.Pipeline.NumFiles)});
+  Table.addRow({"# Source files",
+                std::to_string(Run.Pipeline.Graph->files().size())});
   Table.print(std::cout);
 
   std::cout << "\nSupplementary corpus statistics:\n";
@@ -42,9 +43,9 @@ int main() {
   Extra.addRow({"# Projects", std::to_string(Run.Data.Projects.size())});
   Extra.addRow({"# Lines of Python", std::to_string(Run.Data.TotalLines)});
   Extra.addRow({"# Events (incl. non-candidates)",
-                std::to_string(Run.Pipeline.Graph.numEvents())});
+                std::to_string(Run.Pipeline.Graph->numEvents())});
   Extra.addRow({"# Flow edges",
-                std::to_string(Run.Pipeline.Graph.numEdges())});
+                std::to_string(Run.Pipeline.Graph->numEdges())});
   Extra.addRow({"# Seed annotations",
                 std::to_string(Run.Data.Seed.Spec.size())});
   Extra.addRow({"# Optimization variables",
@@ -53,7 +54,7 @@ int main() {
 
   std::cout << "\nGraph structure:\n"
             << propgraph::renderGraphStats(
-                   propgraph::computeGraphStats(Run.Pipeline.Graph));
+                   propgraph::computeGraphStats(*Run.Pipeline.Graph));
   std::cout << "\nPaper reference (44,250 files): 210,864 candidates, 1.73 "
                "backoff options,\n504,982 constraints.\n";
   return 0;

@@ -24,10 +24,10 @@ int main() {
   auto FullReports = analyzeCorpus(Run, /*UseLearned=*/true);
   const size_t SampleSize = 25;
   ReportBreakdown SeedB =
-      classifyReports(Run.Pipeline.Graph, SeedReports, Run.Data.Truth,
+      classifyReports(*Run.Pipeline.Graph, SeedReports, Run.Data.Truth,
                       Run.Data.Flows, SampleSize, /*SampleSeed=*/11);
   ReportBreakdown FullB =
-      classifyReports(Run.Pipeline.Graph, FullReports, Run.Data.Truth,
+      classifyReports(*Run.Pipeline.Graph, FullReports, Run.Data.Truth,
                       Run.Data.Flows, SampleSize, /*SampleSeed=*/11);
 
   std::cout << "=== Table 6: Bug-report categories, seed vs inferred "

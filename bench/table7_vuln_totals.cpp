@@ -27,9 +27,9 @@ int main() {
 
   // True-positive rate estimated exactly over ALL reports (the paper
   // extrapolates from its 25-report sample of Tab. 6).
-  ReportBreakdown SeedB = classifyReports(Run.Pipeline.Graph, SeedReports,
+  ReportBreakdown SeedB = classifyReports(*Run.Pipeline.Graph, SeedReports,
                                           Run.Data.Truth, Run.Data.Flows);
-  ReportBreakdown FullB = classifyReports(Run.Pipeline.Graph, FullReports,
+  ReportBreakdown FullB = classifyReports(*Run.Pipeline.Graph, FullReports,
                                           Run.Data.Truth, Run.Data.Flows);
 
   auto EstimatedVulns = [](const ReportBreakdown &B) {
@@ -44,9 +44,9 @@ int main() {
   Table.addRow(
       {"Number of projects affected",
        std::to_string(
-           taint::countAffectedProjects(Run.Pipeline.Graph, SeedReports)),
+           taint::countAffectedProjects(*Run.Pipeline.Graph, SeedReports)),
        std::to_string(
-           taint::countAffectedProjects(Run.Pipeline.Graph, FullReports))});
+           taint::countAffectedProjects(*Run.Pipeline.Graph, FullReports))});
   Table.addRow({"Estimated vulnerabilities",
                 std::to_string(EstimatedVulns(SeedB)),
                 std::to_string(EstimatedVulns(FullB))});

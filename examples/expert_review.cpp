@@ -28,7 +28,7 @@ int main() {
   S.generateConstraints(Data.Seed);
   infer::PipelineResult R = S.solve();
   std::printf("Learned %zu scored representations from %zu files.\n\n",
-              R.Learned.size(), R.NumFiles);
+              R.Learned.size(), R.Graph->files().size());
 
   for (Role Ro : {Role::Source, Role::Sanitizer, Role::Sink}) {
     // Review queue: non-seed predictions just above the threshold — the

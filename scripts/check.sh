@@ -78,7 +78,9 @@ echo "=== asan+ubsan: service, durability and on-disk format tests ==="
 # tests: the daemon's var→rows index is addressed by variable and row ids.
 # The fault-pipeline and active-learning tests run here too:
 # infer::ScopedOptions restores the borrowed WarmStart and Feedback
-# pointers on every exit path, throws included.
+# pointers on every exit path, throws included. So do the pipeline
+# tests: every PipelineResult shares its Session's graph, which must
+# outlive the Session that built it.
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -g"
@@ -86,9 +88,9 @@ cmake --build "$ROOT/build-asan" -j "$JOBS" \
   --target service_test durability_fault_test recovery_harness_test \
            fileio_test format_golden_test graphcodec_test \
            cache_fault_test shard_fault_test constraints_test explain_test \
-           fault_pipeline_test active_learning_test
+           fault_pipeline_test active_learning_test infer_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest'
+  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest|^PipelineTest\.'
 
 echo
 echo "=== metrics smoke: seldon learn --metrics-out on a toy repo ==="
@@ -466,6 +468,27 @@ cmp "$SMOKE/crash-ref.json" "$SMOKE/crash-recovered.json" \
   || { echo "FAIL: recovered answer differs from the reference"; exit 1; }
 echo "OK: daemon killed at the journal boundary, restart replayed the op,"
 echo "    served answer byte-identical to a never-crashed run"
+
+# A degraded solve stays degraded across a restart: every solver step is
+# poisoned, so the start-up solve falls back; the restart re-serves that
+# solve from its snapshot, without the fault, and reports its health.
+STATUS='{"v":1,"id":8,"op":"status"}'
+printf '%s\n' "$STATUS" |
+  SELDON_FAULT='solver-step:*' \
+  "$ROOT/build/tools/seldond" --once --cutoff 1 --iters 200 \
+    --state-dir "$SMOKE/dstate-degraded" "$SMOKE" 2>/dev/null |
+  tail -1 > "$SMOKE/degraded-start.json"
+printf '%s\n' "$STATUS" |
+  "$ROOT/build/tools/seldond" --once --cutoff 1 --iters 200 \
+    --state-dir "$SMOKE/dstate-degraded" "$SMOKE" 2>/dev/null |
+  tail -1 > "$SMOKE/degraded-restart.json"
+for RUN in degraded-start degraded-restart; do
+  grep -q '"health":{"status":"degraded"' "$SMOKE/$RUN.json" || {
+    echo "FAIL: $RUN status is not degraded: $(cat "$SMOKE/$RUN.json")"
+    exit 1
+  }
+done
+echo "OK: a fallen-back solve reports degraded before and after a restart"
 
 echo
 echo "all checks passed"

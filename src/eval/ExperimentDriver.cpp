@@ -47,7 +47,7 @@ seldon::eval::analyzeCorpus(const CorpusRun &Run, bool UseLearned) {
   taint::RoleResolver Roles(&Run.Data.Seed.Spec,
                             UseLearned ? &Run.Pipeline.Learned : nullptr,
                             ScoreThreshold);
-  taint::TaintAnalyzer Analyzer(Run.Pipeline.Graph);
+  taint::TaintAnalyzer Analyzer(*Run.Pipeline.Graph);
   return Analyzer.analyze(Roles);
 }
 

@@ -47,7 +47,7 @@ ThreadPool *Session::poolFor(unsigned Jobs) {
 }
 
 Session &Session::addProject(const pysem::Project &Proj) {
-  assert(!GraphReady && "cannot add projects after the graph is built");
+  assert(!Graph && "cannot add projects after the graph is built");
   Projects.push_back(&Proj);
   return *this;
 }
@@ -59,21 +59,19 @@ Session &Session::addProjects(const std::vector<pysem::Project> &Corpus) {
 }
 
 Session &Session::enableCache(const std::string &Dir) {
-  assert(!GraphReady && "enableCache must precede buildGraph");
+  assert(!Graph && "enableCache must precede buildGraph");
   Cache = std::make_unique<cache::GraphCache>(Dir);
   return *this;
 }
 
 Session &Session::enableShardCache(const std::string &Dir) {
-  assert(!GraphReady && "enableShardCache must precede buildGraph");
+  assert(!Graph && "enableShardCache must precede buildGraph");
   SCache = std::make_unique<cache::ShardCache>(Dir);
   return *this;
 }
 
 Session &Session::adoptGraph(PropagationGraph NewGraph) {
-  Graph = std::move(NewGraph);
-  GraphReady = true;
-  NumFiles = Graph.files().size();
+  Graph = std::make_shared<const PropagationGraph>(std::move(NewGraph));
   SystemReady = false;
   // An adopted graph has no per-project structure to slice shards from;
   // generateConstraints falls back to direct generation.
@@ -88,7 +86,7 @@ void Session::armDeadline() {
 }
 
 Session &Session::buildGraph() {
-  if (GraphReady)
+  if (Graph)
     return *this;
   armDeadline();
   unsigned Jobs = resolveJobs();
@@ -220,7 +218,7 @@ Session &Session::buildGraph() {
   // surviving projects — quarantined ones contribute nothing. With a
   // shard cache, each survivor's file range within the global graph is
   // recorded so generateConstraints can slice its shard back out.
-  NumFiles = 0;
+  PropagationGraph Merged;
   Slices.clear();
   bool DeadlineHit = false;
   for (size_t I = 0; I < Total; ++I) {
@@ -238,16 +236,15 @@ Session &Session::buildGraph() {
       PerProject[I] = PropagationGraph();
       continue;
     }
-    NumFiles += Projects[I]->modules().size();
     if (Parsed[I]) {
       Incr.FilesParsed += Projects[I]->modules().size();
       Incr.ParseDiagnostics += ParseDiagnostics[I];
     }
-    uint32_t FileBegin = static_cast<uint32_t>(Graph.files().size());
-    Graph.append(PerProject[I]);
+    uint32_t FileBegin = static_cast<uint32_t>(Merged.files().size());
+    Merged.append(PerProject[I]);
     if (SCache)
       Slices.push_back({I, Keys[I], FileBegin,
-                        static_cast<uint32_t>(Graph.files().size())});
+                        static_cast<uint32_t>(Merged.files().size())});
     PerProject[I] = PropagationGraph(); // Free as we go.
   }
   SlicesValid = SCache != nullptr;
@@ -258,15 +255,15 @@ Session &Session::buildGraph() {
   BuildSpan.finish();
   if (Reg.enabled()) {
     Reg.gauge("build.projects").set(static_cast<double>(Total));
-    Reg.gauge("build.files").set(static_cast<double>(NumFiles));
-    Reg.gauge("build.events").set(static_cast<double>(Graph.numEvents()));
+    Reg.gauge("build.files").set(static_cast<double>(Merged.files().size()));
+    Reg.gauge("build.events").set(static_cast<double>(Merged.numEvents()));
     if (!Health.Quarantined.empty())
       Reg.counter("health.quarantined").add(Health.Quarantined.size());
     if (!Health.CacheIncidents.empty())
       Reg.counter("health.cache_incidents")
           .add(Health.CacheIncidents.size());
   }
-  GraphReady = true;
+  Graph = std::make_shared<const PropagationGraph>(std::move(Merged));
   return *this;
 }
 
@@ -280,17 +277,17 @@ Session &Session::generateConstraints(const spec::SeedSpec &Seed) {
 
   metrics::Registry &Reg = metrics::Registry::global();
   trace::Span GenSpan(Reg, "session/constraints");
-  const PropagationGraph *LearnGraph = &Graph;
+  const PropagationGraph *LearnGraph = Graph.get();
   PropagationGraph Collapsed;
   if (Opts.CollapseForLearning) {
-    Collapsed = Graph.collapseByRep();
+    Collapsed = Graph->collapseByRep();
     LearnGraph = &Collapsed;
   }
   // Representation frequencies always come from the uncollapsed graph:
   // contraction collapses every representation to one occurrence, which
   // would starve the §4.3 frequency cutoff.
   Reps = RepTable();
-  Reps.countOccurrences(Graph);
+  Reps.countOccurrences(*Graph);
   // The parse counters stay buildGraph()'s; the shard counters restart.
   Incr.ShardsHit = Incr.ShardsRebuilt = Incr.ShardsStored = 0;
   // The incremental path composes per-project shards; it requires the
@@ -371,7 +368,7 @@ Session::composeFromShards(const spec::SeedSpec &Seed, ThreadPool *P) {
     } else {
       if (fault::enabled())
         fault::maybeThrow(fault::Point::ConstraintGen, I);
-      Shards[I] = constraints::extractShard(Graph, Slice.FileBegin,
+      Shards[I] = constraints::extractShard(*Graph, Slice.FileBegin,
                                             Slice.FileEnd);
       try {
         if (SCache->store(Key, Shards[I]))
@@ -406,7 +403,7 @@ Session::composeFromShards(const spec::SeedSpec &Seed, ThreadPool *P) {
   for (const constraints::ConstraintShard &Shard : Shards)
     Ptrs.push_back(&Shard);
   constraints::ConstraintSystem Sys = constraints::composeConstraints(
-      Graph, Reps, Seed, Ptrs, Opts.Gen, P, &RunDeadline);
+      *Graph, Reps, Seed, Ptrs, Opts.Gen, P, &RunDeadline);
   if (Reg.enabled())
     Reg.timer("incr.merge_seconds").record(MergeTimer.seconds());
   return Sys;
@@ -435,7 +432,7 @@ PipelineResult Session::assembleResult(unsigned Jobs) {
   Result.Graph = Graph;
   Result.Reps = Reps;
   Result.System = System;
-  Result.NumFiles = NumFiles;
+  Result.Health = Health;
   Result.JobsUsed = Jobs;
   Result.UsedCache = Cache != nullptr;
   if (Cache)
@@ -484,22 +481,20 @@ PipelineResult Session::solve() {
     Observer->onPhase(Phase::Solve);
 
   PipelineResult Result = assembleResult(Jobs);
+  // The starting point: zero, the cold start. A warm start seeds each
+  // variable with the previous run's score for its (representation,
+  // role); variables new to this system keep the cold init (scores for
+  // unseen representations are zero, and minimize() projects the point,
+  // re-applying the seed pins). A warm start moves only the starting
+  // iterate: the objective, its minimizers, and the convergence test are
+  // unchanged.
+  const constraints::VarTable &Vars = Result.System.Vars;
+  std::vector<double> X0(Vars.numVars(), 0.0);
+  if (Opts.WarmStart)
+    for (uint32_t V = 0; V < Vars.numVars(); ++V)
+      X0[V] = Opts.WarmStart->score(Result.Reps.repString(Vars.repOf(V)),
+                                    Vars.roleOf(V));
   solver::SolveOptions SolveOpts = Opts.Solve;
-  if (Opts.WarmStart) {
-    // Seed each variable with the previous run's score for its
-    // (representation, role); variables new to this system start at the
-    // cold init (zero — scores for unseen representations are zero, and
-    // minimize() projects the point, re-applying the seed pins). A
-    // warm start moves only the starting iterate: the objective, its
-    // minimizers, and the convergence test are unchanged.
-    const constraints::VarTable &Vars = Result.System.Vars;
-    std::vector<double> Warm(Vars.numVars(), 0.0);
-    for (uint32_t V = 0; V < Vars.numVars(); ++V) {
-      const std::string &Rep = Result.Reps.repString(Vars.repOf(V));
-      Warm[V] = Opts.WarmStart->score(Rep, Vars.roleOf(V));
-    }
-    SolveOpts.WarmStart = std::move(Warm);
-  }
   if (RunDeadline.armed()) {
     // The solver polls the run deadline between iterations, alongside the
     // caller's own stop condition.
@@ -523,32 +518,17 @@ PipelineResult Session::solve() {
     Compile.finish();
     trace::Span Iterate(Reg, "iterate");
     if (Opts.UseAdam)
-      Result.Solve = solver::AdamOptimizer(SolveOpts).minimize(Obj);
+      Result.Solve =
+          solver::AdamOptimizer(SolveOpts).minimize(Obj, std::move(X0));
     else
-      Result.Solve = solver::ProjectedGradient(SolveOpts).minimize(Obj);
+      Result.Solve =
+          solver::ProjectedGradient(SolveOpts).minimize(Obj, std::move(X0));
   }
   {
     trace::Span Readback(Reg, "readback");
     readBackScores(Result);
   }
   SolveSpan.finish();
-
-  // Fold solver guard activity into the run health report. The solver
-  // fields and a solve-stage expiry describe this solve only; an expiry
-  // in the build or constraints stage describes the session's graph or
-  // system, so it stays.
-  Health.SolverNonFiniteSteps = Result.Solve.NonFiniteSteps;
-  Health.SolverRecoveries = Result.Solve.Recoveries;
-  Health.SolverFellBack = Result.Solve.FellBack;
-  if (Health.DeadlineStage == phaseName(Phase::Solve)) {
-    Health.DeadlineExpired = false;
-    Health.DeadlineStage.clear();
-  }
-  if (Result.Solve.DeadlineExpired && !Health.DeadlineExpired) {
-    Health.DeadlineExpired = true;
-    Health.DeadlineStage = phaseName(Phase::Solve);
-  }
-  Result.Health = Health;
 
   if (Reg.enabled()) {
     const solver::CompileStats &CS = Result.SolverStats;
@@ -575,18 +555,18 @@ PipelineResult Session::solve() {
       Reg.gauge("feedback.propagated_rows")
           .set(static_cast<double>(Result.Feedback.PropagatedRows));
     }
-    if (Health.SolverNonFiniteSteps > 0)
+    const solver::SolveResult &Solve = Result.Solve;
+    if (Solve.NonFiniteSteps > 0)
       Reg.counter("health.solver_nonfinite")
-          .add(static_cast<uint64_t>(Health.SolverNonFiniteSteps));
-    if (Health.SolverRecoveries > 0)
+          .add(static_cast<uint64_t>(Solve.NonFiniteSteps));
+    if (Solve.Recoveries > 0)
       Reg.counter("health.solver_recoveries")
-          .add(static_cast<uint64_t>(Health.SolverRecoveries));
-    Reg.gauge("health.solver_fellback")
-        .set(Health.SolverFellBack ? 1.0 : 0.0);
+          .add(static_cast<uint64_t>(Solve.Recoveries));
+    Reg.gauge("health.solver_fellback").set(Solve.FellBack ? 1.0 : 0.0);
     Reg.gauge("health.deadline_expired")
-        .set(Health.DeadlineExpired ? 1.0 : 0.0);
+        .set(Health.DeadlineExpired || Solve.DeadlineExpired ? 1.0 : 0.0);
     Reg.gauge("health.status")
-        .set(static_cast<double>(Health.status()));
+        .set(static_cast<double>(Result.status()));
     if (fault::enabled())
       Reg.gauge("health.fault_trips")
           .set(static_cast<double>(fault::totalTrips()));
@@ -603,10 +583,9 @@ bool Session::restoreSolve(const solver::SolveResult &Restored,
 
   // The same assembly as solve(), feedback rows included, so a restored
   // result is indistinguishable from a freshly solved one to every
-  // consumer; the solver's guard counters stay out of the health report.
+  // consumer, its status included.
   Out = assembleResult(resolveJobs());
   Out.Solve = Restored;
-  Out.Health = Health;
   readBackScores(Out);
   return true;
 }

@@ -61,9 +61,10 @@ struct PipelineOptions {
   /// Use projected Adam (the paper's optimizer); false switches to plain
   /// projected subgradient descent (ablation).
   bool UseAdam = true;
-  /// Warm-start the optimizer from a previously learned specification
-  /// (matched by representation string): retraining after the corpus
-  /// grows converges in far fewer iterations. Null starts from zero.
+  /// Warm-start the optimizer from a previously learned specification:
+  /// solve() maps its scores (matched by representation string) onto the
+  /// starting point, so retraining after the corpus grows converges in far
+  /// fewer iterations. Null starts from zero.
   const spec::LearnedSpec *WarmStart = nullptr;
   /// User feedback applied at solve time (borrowed; keep alive through
   /// solve()). Accepted/rejected specs append weighted evidence rows to
@@ -144,13 +145,14 @@ struct IncrStats {
 /// Everything the pipeline produced, including the intermediate artifacts
 /// the evaluation and the benches inspect.
 struct PipelineResult {
-  propgraph::PropagationGraph Graph; ///< Global propagation graph.
+  /// Global propagation graph: the Session's own immutable graph, shared
+  /// by every result it returns, so a result stays self-contained after
+  /// its Session is gone without copying the graph.
+  std::shared_ptr<const propgraph::PropagationGraph> Graph;
   propgraph::RepTable Reps;
   constraints::ConstraintSystem System;
   solver::SolveResult Solve;
   spec::LearnedSpec Learned;
-
-  size_t NumFiles = 0;
 
   /// What the compilation pass did (rows coalesced, CSR non-zeros).
   solver::CompileStats SolverStats;
@@ -182,13 +184,23 @@ struct PipelineResult {
   bool UsedFeedback = false;
   constraints::FeedbackStats Feedback;
 
-  /// What the fault-tolerant runtime had to do: quarantined projects,
-  /// solver recoveries, deadline expiries, degraded cache operations.
-  /// Health.status() is Clean on an undisturbed run.
+  /// What the Session's stages had to do: quarantined projects, degraded
+  /// cache operations, a build- or constraints-stage deadline expiry. The
+  /// solve's own guard and stop facts live in Solve.
   RunHealth Health;
 
   /// Worker threads the run actually used.
   unsigned JobsUsed = 1;
+
+  /// Clean on an undisturbed run; Degraded when Health records a
+  /// degradation or the solve recovered from a non-finite step, fell back,
+  /// or was stopped before it finished.
+  RunStatus status() const {
+    bool SolveDegraded =
+        Solve.Recoveries > 0 || Solve.FellBack || Solve.DeadlineExpired;
+    return Health.degraded() || SolveDegraded ? RunStatus::Degraded
+                                              : RunStatus::Clean;
+  }
 };
 
 /// A staged pipeline run. Construct with options, feed projects (or adopt
@@ -274,24 +286,27 @@ public:
 
   /// Minimizes the relaxed objective and returns the full result.
   /// Requires generateConstraints(). Re-runnable; each call re-optimizes
-  /// with the current options and copies the shared artifacts into the
-  /// returned PipelineResult.
+  /// with the current options. The result shares the session's graph and
+  /// copies its representation table and constraint system.
   PipelineResult solve();
 
   /// Installs a previously computed solver result instead of optimizing:
   /// builds a PipelineResult from the session's artifacts exactly as
   /// solve() would — including applying options().Feedback evidence rows
   /// to the result's System copy — but adopts \p Restored wholesale in
-  /// place of running the optimizer, then extracts the LearnedSpec from
-  /// Restored.X. Requires generateConstraints(); returns false (leaving
-  /// \p Out untouched) when Restored.X does not match the system's
-  /// variable count. The seldond durability layer uses this to re-serve a
-  /// snapshot's scores byte-identically without re-solving.
+  /// place of running the optimizer (so the result's status() reports the
+  /// restored solve's own recoveries, fallback and stop), then extracts
+  /// the LearnedSpec from Restored.X. Requires generateConstraints();
+  /// returns false (leaving \p Out untouched) when Restored.X does not
+  /// match the system's variable count. The seldond durability layer uses
+  /// this to re-serve a snapshot's scores byte-identically without
+  /// re-solving.
   bool restoreSolve(const solver::SolveResult &Restored, PipelineResult &Out);
 
-  /// The built or adopted global graph (valid after buildGraph()).
-  const propgraph::PropagationGraph &graph() const { return Graph; }
-  bool hasGraph() const { return GraphReady; }
+  /// The built or adopted global graph (valid after buildGraph()). Every
+  /// PipelineResult this session returns shares it.
+  const propgraph::PropagationGraph &graph() const { return *Graph; }
+  bool hasGraph() const { return Graph != nullptr; }
 
   /// The generated constraint system (valid after generateConstraints();
   /// solve() copies it — plus any feedback rows — into its result).
@@ -308,10 +323,10 @@ public:
   /// seed-only pin set.
   bool pinVariable(const std::string &Rep, propgraph::Role R, double Value);
 
-  /// The health report so far. Quarantines, cache incidents and a
-  /// parse- or constraints-stage deadline expiry accumulate; the solver
-  /// fields and a solve-stage expiry describe the latest solve() only
-  /// (which also embeds a snapshot in its PipelineResult).
+  /// What the session's stages did so far: quarantines, cache incidents
+  /// and a parse- or constraints-stage deadline expiry accumulate. Each
+  /// PipelineResult embeds a snapshot; a solve's own facts are in its
+  /// Solve member.
   const RunHealth &health() const { return Health; }
 
 private:
@@ -319,8 +334,9 @@ private:
   ThreadPool *poolFor(unsigned Jobs);
   void armDeadline();
   /// The result solve() and restoreSolve() both start from: the session's
-  /// artifacts and cache statistics copied in, options().Feedback rows
-  /// applied to the System copy, and the incremental counters.
+  /// graph shared, its other artifacts, health and cache statistics copied
+  /// in, options().Feedback rows applied to the System copy, and the
+  /// incremental counters.
   PipelineResult assembleResult(unsigned Jobs);
   /// The incremental generation path: per-project shards are loaded from
   /// the shard cache or extracted fresh, then replayed (both in parallel)
@@ -351,9 +367,8 @@ private:
   bool SlicesValid = false;
   IncrStats Incr;
 
-  propgraph::PropagationGraph Graph;
-  bool GraphReady = false;
-  size_t NumFiles = 0;
+  /// Published once by buildGraph() or adoptGraph(); null before.
+  std::shared_ptr<const propgraph::PropagationGraph> Graph;
 
   propgraph::RepTable Reps;
   constraints::ConstraintSystem System;

@@ -6,12 +6,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// What the fault-tolerant runtime had to do to finish a run: which
-/// projects were quarantined and why, what the solver's numeric guards
-/// recovered from, whether a deadline cut the run short, and which cache
-/// operations degraded. Surfaced through PipelineResult::Health, the
-/// `health.*` metrics, and the CLI's health summary / exit code — see
-/// docs/architecture.md "Failure discipline".
+/// What the fault-tolerant runtime had to do in a Session's stages: which
+/// projects were quarantined and why, whether a deadline cut the build or
+/// constraint generation short, and which cache operations degraded. A
+/// solve's own guard and stop facts live in its solver::SolveResult;
+/// PipelineResult::status() combines the two. Surfaced through
+/// PipelineResult::Health, the `health.*` metrics, and the CLI's health
+/// summary / exit code — see docs/architecture.md "Failure discipline".
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +53,7 @@ struct QuarantinedProject {
   std::string Reason; ///< The captured diagnostic (exception what()).
 };
 
-/// The aggregated fault-tolerance report of one Session run.
+/// The aggregated fault-tolerance report of one Session's stages.
 struct RunHealth {
   /// Projects whose parse/build/cache-load threw (or that the run
   /// deadline cut off), in corpus order. The run continued over the
@@ -65,26 +66,15 @@ struct RunHealth {
   /// transparent), so incidents alone do not degrade the status.
   std::vector<std::string> CacheIncidents;
 
-  /// Solver guard activity (mirrors solver::SolveResult).
-  int SolverNonFiniteSteps = 0;
-  int SolverRecoveries = 0;
-  bool SolverFellBack = false;
-
-  /// A wall-clock budget ended a stage early; DeadlineStage names it
-  /// ("parse", "constraints", "solve").
+  /// The run deadline ended a stage early; DeadlineStage names it
+  /// ("parse" or "constraints"). A solve the deadline stopped reports it
+  /// in SolveResult::DeadlineExpired instead.
   bool DeadlineExpired = false;
   std::string DeadlineStage;
 
-  bool degraded() const {
-    return !Quarantined.empty() || SolverRecoveries > 0 || SolverFellBack ||
-           DeadlineExpired;
-  }
-
-  /// Clean or Degraded; Failed is only ever assigned by the CLI when the
-  /// pipeline threw and produced nothing.
-  RunStatus status() const {
-    return degraded() ? RunStatus::Degraded : RunStatus::Clean;
-  }
+  /// Whether the stages' output is partial: a project was quarantined or
+  /// a stage deadline expired.
+  bool degraded() const { return !Quarantined.empty() || DeadlineExpired; }
 };
 
 } // namespace infer

@@ -217,6 +217,8 @@ void Service::persist() {
 }
 
 void Service::takeSnapshotLocked() {
+  if (!Durable)
+    return;
   StateSnapshot Snapshot;
   Snapshot.LastSeq = NextSeq - 1;
   Snapshot.Fingerprint =
@@ -231,7 +233,6 @@ void Service::takeSnapshotLocked() {
     std::fprintf(stderr, "state: snapshot failed: %s\n", Error.c_str());
     return;
   }
-  OpsSinceSnapshot = 0;
   LastSnapshotSeq = Snapshot.LastSeq;
   EverSnapshotted = true;
 }
@@ -268,14 +269,6 @@ void Service::publishLocked(infer::PipelineResult R) {
   constraints::RowIndex Rows = constraints::buildRowIndex(R.System);
   Warm = std::move(R);
   WarmRows = std::move(Rows);
-}
-
-void Service::maybeSnapshot() {
-  if (!Durable)
-    return;
-  ++OpsSinceSnapshot;
-  if (Opts.SnapshotEvery > 0 && OpsSinceSnapshot >= Opts.SnapshotEvery)
-    takeSnapshotLocked();
 }
 
 bool Service::loadCorpus(std::vector<pysem::Project> &Out,
@@ -451,14 +444,13 @@ std::string Service::opStatus() {
       "\"requests\":{\"handled\":%llu,\"failed\":%llu,\"active\":%zu},"
       "\"durability\":%s,"
       "\"metrics\":{\"parse_files\":%llu,\"taint_analyses\":%llu}}",
-      ProtocolVersion, Corpus.size(), Warm.NumFiles,
-      Warm.Graph.numEvents(), Warm.Graph.numEdges(),
+      ProtocolVersion, Corpus.size(), Warm.Graph->files().size(),
+      Warm.Graph->numEvents(), Warm.Graph->numEdges(),
       Warm.System.NumCandidates, Warm.System.Constraints.size(),
       Warm.Learned.size(),
       renderJsonNumber(Opts.Threshold).c_str(), Warm.Solve.Iterations,
       Warm.Solve.Converged ? "true" : "false",
-      infer::runStatusName(Warm.Health.status()),
-      Warm.Health.Quarantined.size(),
+      infer::runStatusName(Warm.status()), Warm.Health.Quarantined.size(),
       Warm.UsedCache ? "true" : "false",
       static_cast<unsigned long long>(Warm.Cache.Hits),
       static_cast<unsigned long long>(Warm.Cache.Misses),
@@ -535,7 +527,7 @@ std::string Service::opLearn(const Request &Req, Deadline &D) {
     journalAbort(Rec.Seq);
     throw;
   }
-  maybeSnapshot();
+  takeSnapshotLocked();
   return formatString(
       "{\"iterations\":%d,\"converged\":%s,\"constraints\":%zu,"
       "\"candidates\":%zu,\"spec_size\":%zu,\"warm_started\":%s,"
@@ -551,7 +543,7 @@ std::string Service::opLearn(const Request &Req, Deadline &D) {
       static_cast<unsigned long long>(Warm.Incr.ShardsHit),
       static_cast<unsigned long long>(Warm.Incr.ShardsRebuilt),
       Warm.Incr.WarmStarted ? "true" : "false",
-      infer::runStatusName(Warm.Health.status()));
+      infer::runStatusName(Warm.status()));
 }
 
 std::string Service::opFeedback(const Request &Req, Deadline &D) {
@@ -596,7 +588,7 @@ std::string Service::opFeedback(const Request &Req, Deadline &D) {
     journalAbort(Rec.Seq);
     throw;
   }
-  maybeSnapshot();
+  takeSnapshotLocked();
   return formatString(
       "{\"accepted\":%zu,\"rejected\":%zu,\"total_feedback\":%zu,"
       "\"matched\":%zu,\"unmatched\":%zu,\"evidence_rows\":%zu,"

@@ -49,12 +49,12 @@
 ///
 /// Durability: with Options::StateDir set, every accepted mutating op
 /// (feedback, learn) is journaled and fsynced *before* its re-solve runs,
-/// the served state is snapshotted (and the journal compacted) every
-/// SnapshotEvery ops and at persist(), and start() recovers the exact
-/// pre-crash state: newest valid snapshot installed through
-/// Session::restoreSolve (byte-identical scores, no re-optimization),
-/// then the journal suffix re-executed through the same code path live
-/// requests use. See service/StateStore.h for the on-disk protocol.
+/// the served state is snapshotted (and the journal compacted) after every
+/// applied op and at persist(), and start() recovers the exact pre-crash
+/// state: newest valid snapshot installed through Session::restoreSolve
+/// (byte-identical scores and health, no re-optimization), then the
+/// journal suffix re-executed through the same code path live requests
+/// use. See service/StateStore.h for the on-disk protocol.
 ///
 /// Deadlines: each request gets a cooperative support/Deadline (server
 /// default, overridable per request via "deadline_s"). The Session's own
@@ -127,14 +127,11 @@ public:
     size_t MaxRequestBytes = DefaultMaxRequestBytes;
     /// Durable-state directory (empty = no durability). With it, every
     /// accepted mutating op is journaled + fsynced before its re-solve,
-    /// and start() recovers the exact pre-crash state from the newest
-    /// snapshot plus the journal suffix. See service/StateStore.h.
+    /// the served state is snapshotted after it, and start() recovers the
+    /// exact pre-crash state from the newest snapshot plus the journal
+    /// suffix — at most the op in flight at the crash. See
+    /// service/StateStore.h.
     std::string StateDir;
-    /// Snapshot + compact the journal after every Nth applied mutating
-    /// op (0 = only at persist()/shutdown). Default 1: the journal stays
-    /// one op deep, so recovery replays at most the op in flight at the
-    /// crash.
-    uint64_t SnapshotEvery = 1;
   };
 
   explicit Service(Options Opts);
@@ -221,10 +218,9 @@ private:
   /// Installs \p R as the served state together with its var→rows index.
   /// Caller holds WarmMutex exclusively (or is single-threaded startup).
   void publishLocked(infer::PipelineResult R);
-  /// Counts one applied op and snapshots per Options::SnapshotEvery.
-  void maybeSnapshot();
   /// Publishes a snapshot of the served state and compacts the journal.
-  /// Caller holds WarmMutex exclusively (or is single-threaded startup).
+  /// No-op without durability. Caller holds WarmMutex exclusively (or is
+  /// single-threaded startup).
   void takeSnapshotLocked();
   /// Recovers durable state after the initial generateConstraints():
   /// installs the newest valid snapshot (or degrades to a cold solve) and
@@ -256,8 +252,6 @@ private:
   std::unique_ptr<StateStore> Durable;
   /// Next journal sequence number to assign.
   uint64_t NextSeq = 1;
-  /// Applied mutating ops since the last snapshot.
-  uint64_t OpsSinceSnapshot = 0;
   /// Sequence number covered by the last snapshot (0 = none yet).
   uint64_t LastSnapshotSeq = 0;
   bool EverSnapshotted = false;

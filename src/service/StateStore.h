@@ -22,12 +22,12 @@
 ///      later point replays the op from the journal (at-least-once).
 ///   2. An op that fails after journaling appends an abort record so
 ///      replay skips it.
-///   3. After every SnapshotEvery-th applied op (and on orderly
-///      shutdown), the served state is snapshotted via temp + rename and
-///      the journal is compacted: a fresh journal is published (also
-///      temp + rename), and older snapshots are pruned. Replay skips
-///      records at or below the snapshot's sequence number, so a crash
-///      anywhere between those steps recovers exactly.
+///   3. After every applied op (and on orderly shutdown), the served
+///      state is snapshotted via temp + rename and the journal is
+///      compacted: a fresh journal is published (also temp + rename), and
+///      older snapshots are pruned. Replay skips records at or below the
+///      snapshot's sequence number, so a crash anywhere between those
+///      steps recovers exactly.
 ///
 /// recover() never yields partial state: a corrupt snapshot is evicted
 /// and the next-older one tried; a torn journal tail is truncated away; a

@@ -12,12 +12,6 @@ using namespace seldon;
 using namespace seldon::solver;
 
 SolveResult AdamOptimizer::minimize(const CompiledObjective &Obj) const {
-  // A warm-start point for a different variable count is a caller bug
-  // (stale spec mapped onto the wrong system); fall back to the exact
-  // cold start rather than solving the wrong problem.
-  if (!Options.WarmStart.empty() &&
-      Options.WarmStart.size() == Obj.numVars())
-    return minimize(Obj, Options.WarmStart);
   return minimize(Obj, Obj.initialPoint());
 }
 

@@ -32,11 +32,11 @@ public:
   explicit AdamOptimizer(SolveOptions Options = SolveOptions())
       : Options(Options) {}
 
-  /// Minimizes \p Obj starting from Obj.initialPoint(), or from
-  /// SolveOptions::WarmStart when its size matches.
+  /// Minimizes \p Obj from the cold start, Obj.initialPoint().
   SolveResult minimize(const CompiledObjective &Obj) const;
 
-  /// Minimizes \p Obj starting from \p X0 (projected first).
+  /// Minimizes \p Obj starting from \p X0 (projected first); a warm start
+  /// passes the previous solve's scores.
   SolveResult minimize(const CompiledObjective &Obj,
                        std::vector<double> X0) const;
 

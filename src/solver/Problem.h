@@ -96,13 +96,6 @@ struct SolveOptions {
   /// the objective. Never invoked with a non-finite objective value —
   /// poisoned evaluations are rolled back before any callback fires.
   std::function<void(int Iteration, double Objective)> OnIteration;
-  /// Warm-start point: the previous solve's scores mapped onto the current
-  /// variable ids, with new variables pre-filled with the cold init (the
-  /// caller builds this from a spec::LearnedSpec — see Session::solve).
-  /// Used by minimize(Obj) when its size matches the objective's variable
-  /// count; the point is projected before the first iteration. Empty (the
-  /// default) keeps the exact cold start from Obj.initialPoint().
-  std::vector<double> WarmStart;
   /// Evaluator Session::solve builds for the run.
   SolverBackend Backend = SolverBackend::Compiled;
 };

@@ -11,11 +11,6 @@ using namespace seldon;
 using namespace seldon::solver;
 
 SolveResult ProjectedGradient::minimize(const CompiledObjective &Obj) const {
-  // Same contract as AdamOptimizer: a size-mismatched warm-start point is
-  // ignored in favor of the exact cold start.
-  if (!Options.WarmStart.empty() &&
-      Options.WarmStart.size() == Obj.numVars())
-    return minimize(Obj, Options.WarmStart);
   return minimize(Obj, Obj.initialPoint());
 }
 

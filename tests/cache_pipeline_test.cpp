@@ -96,8 +96,8 @@ TEST_P(CachePipelineTest, ColdWarmMixedAreByteIdentical) {
   EXPECT_EQ(countEntries(Dir), Data.Projects.size());
 
   // The intermediate artifacts match too, not just the rendered spec.
-  EXPECT_EQ(Mixed.Graph.numEvents(), Cold.Graph.numEvents());
-  EXPECT_EQ(Mixed.Graph.numEdges(), Cold.Graph.numEdges());
+  EXPECT_EQ(Mixed.Graph->numEvents(), Cold.Graph->numEvents());
+  EXPECT_EQ(Mixed.Graph->numEdges(), Cold.Graph->numEdges());
   EXPECT_EQ(Mixed.System.Constraints.size(), Cold.System.Constraints.size());
   fs::remove_all(Dir);
 }
@@ -182,7 +182,7 @@ TEST(CacheStalenessTest, TouchedProjectRebuilds) {
   EXPECT_EQ(Warm.Cache.Hits, Data.Projects.size() - 1);
   EXPECT_EQ(Warm.Cache.Misses, 1u);
   EXPECT_EQ(Warm.Cache.Evictions, 0u) << "stale key must miss, not evict";
-  EXPECT_GT(Warm.Graph.numEvents(), Cold.Graph.numEvents())
+  EXPECT_GT(Warm.Graph->numEvents(), Cold.Graph->numEvents())
       << "cached run ignored the edited source";
 
   // The rebuilt result must equal an uncached run over the edited corpus.

@@ -150,9 +150,9 @@ TEST(PipelineTest, CollapsedLearningStillInfers) {
   Opts.CollapseForLearning = true;
   PipelineResult R = runPipeline(Corpus, Seed, Opts);
   EXPECT_GT(R.Learned.score("mystery.filter()", Role::Sanitizer), 0.3);
-  EXPECT_TRUE(R.Graph.isAcyclic())
+  EXPECT_TRUE(R.Graph->isAcyclic())
       << "the taint-analysis graph must remain uncollapsed";
-  EXPECT_EQ(R.Graph.numEvents(), 8u * 3u);
+  EXPECT_EQ(R.Graph->numEvents(), 8u * 3u);
 }
 
 TEST(PipelineTest, WarmStartPreservesSolutionUnderTinyBudget) {
@@ -185,10 +185,33 @@ TEST(PipelineTest, StatisticsPopulated) {
   auto Corpus = replicate("import web\nimport db\ndb.exec(web.read())\n", 6);
   spec::SeedSpec Seed = spec::SeedSpec::parse("o: web.read()\n");
   PipelineResult R = runPipeline(Corpus, Seed, testOptions());
-  EXPECT_EQ(R.NumFiles, 6u);
+  EXPECT_EQ(R.Graph->files().size(), 6u);
   EXPECT_GT(R.System.NumCandidates, 0u);
   EXPECT_GT(R.System.Constraints.size(), 0u);
   EXPECT_GE(R.System.AvgBackoffOptions, 1.0);
+}
+
+TEST(PipelineTest, ResultsShareTheSessionGraph) {
+  auto Corpus = replicate("import web\nimport db\ndb.exec(web.read())\n", 6);
+  spec::SeedSpec Seed =
+      spec::SeedSpec::parse("o: web.read()\ni: db.exec()\n");
+  PipelineResult Solved, Restored;
+  size_t Events = 0;
+  {
+    Session S(testOptions());
+    S.addProjects(Corpus);
+    S.generateConstraints(Seed);
+    Solved = S.solve();
+    ASSERT_TRUE(S.restoreSolve(Solved.Solve, Restored));
+    EXPECT_EQ(Solved.Graph.get(), &S.graph());
+    EXPECT_EQ(Restored.Graph.get(), &S.graph());
+    Events = S.graph().numEvents();
+  }
+  // The session is gone; the graph lives on in its results.
+  ASSERT_EQ(Solved.Graph, Restored.Graph);
+  EXPECT_EQ(Solved.Graph->numEvents(), Events);
+  taint::RoleResolver Roles(&Seed.Spec, nullptr);
+  EXPECT_EQ(taint::TaintAnalyzer(*Solved.Graph).analyze(Roles).size(), 6u);
 }
 
 TEST(PipelineTest, AdamAndPgdAgree) {
@@ -333,7 +356,7 @@ TEST(TaintAnalyzerTest, EndToEndInferThenAnalyze) {
 
   taint::RoleResolver SeedOnly(&Seed.Spec, nullptr);
   taint::RoleResolver WithLearned(&Seed.Spec, &R.Learned, 0.1);
-  taint::TaintAnalyzer Analyzer(R.Graph);
+  taint::TaintAnalyzer Analyzer(*R.Graph);
   size_t Before = Analyzer.analyze(SeedOnly).size();
   size_t After = Analyzer.analyze(WithLearned).size();
   EXPECT_EQ(Before, 0u);

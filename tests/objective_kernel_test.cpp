@@ -786,7 +786,6 @@ TEST(SimdEquivalenceTest, ProjectedGradientTrajectoryMatchesCompiled) {
 }
 
 TEST(SimdEquivalenceTest, WarmStartTrajectoryMatchesCompiled) {
-  // Both explicit-X0 and SolveOptions::WarmStart entry points.
   System Sys = randomSystem(13);
   std::mt19937 Rng(17);
   std::vector<double> X0 = randomPoint(Rng, Sys.NumVars);
@@ -795,16 +794,12 @@ TEST(SimdEquivalenceTest, WarmStartTrajectoryMatchesCompiled) {
   O.LearningRate = 0.05;
   O.Tolerance = 1e-9;
   SolveResult Reference = AdamOptimizer(O).minimize(compileAt(Sys, "off"), X0);
-  SolveOptions Warm = O;
-  Warm.WarmStart = X0;
   for (const char *Setting : TierSettings) {
     CompiledObjective Obj = compileAt(Sys, Setting);
     SolveResult R = AdamOptimizer(O).minimize(Obj, X0);
     EXPECT_EQ(R.Iterations, Reference.Iterations);
     EXPECT_TRUE(bitwiseEqual(R.X, Reference.X))
         << "SELDON_SIMD=" << settingName(Setting);
-    SolveResult RW = AdamOptimizer(Warm).minimize(Obj);
-    EXPECT_TRUE(bitwiseEqual(RW.X, Reference.X));
   }
 }
 

@@ -54,7 +54,7 @@ TEST(PipelineParallelTest, FourJobsBitIdenticalToSerial) {
   EXPECT_EQ(Parallel.JobsUsed, 4u);
 
   // Identical structure: graph, variable table, constraint system.
-  ASSERT_EQ(Serial.Graph.events().size(), Parallel.Graph.events().size());
+  ASSERT_EQ(Serial.Graph->events().size(), Parallel.Graph->events().size());
   ASSERT_EQ(Serial.System.Vars.numVars(), Parallel.System.Vars.numVars());
   for (uint32_t V = 0; V < Serial.System.Vars.numVars(); ++V) {
     EXPECT_EQ(Serial.System.Vars.repOf(V), Parallel.System.Vars.repOf(V));
@@ -107,7 +107,7 @@ TEST(PipelineParallelTest, StagedReuseSkipsReparsing) {
   PipelineResult Second = S.solve();
 
   EXPECT_EQ(S.graph().events().size(), Events);
-  EXPECT_EQ(First.Graph.events().size(), Second.Graph.events().size());
+  EXPECT_EQ(First.Graph->events().size(), Second.Graph->events().size());
   EXPECT_NE(First.System.Constraints.size(),
             Second.System.Constraints.size())
       << "raising the cutoff must change the constraint system";

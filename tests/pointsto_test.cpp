@@ -1,8 +1,6 @@
 //===- tests/pointsto_test.cpp - Tests for the Andersen solver ------------===//
 
 #include "pointsto/AndersenSolver.h"
-#include "pointsto/PointsToAnalysis.h"
-#include "pyast/Parser.h"
 
 #include <gtest/gtest.h>
 
@@ -10,10 +8,6 @@ using namespace seldon;
 using namespace seldon::pointsto;
 
 namespace {
-
-//===----------------------------------------------------------------------===//
-// Raw solver
-//===----------------------------------------------------------------------===//
 
 TEST(AndersenSolverTest, AllocAndCopy) {
   AndersenSolver S;
@@ -116,108 +110,6 @@ TEST(AndersenSolverTest, NoAliasWhenDisjoint) {
   S.addAlloc(B, S.makeObj("o2"));
   S.solve();
   EXPECT_FALSE(S.mayAlias(A, B));
-}
-
-//===----------------------------------------------------------------------===//
-// AST-driven analysis
-//===----------------------------------------------------------------------===//
-
-struct PtFixture {
-  pyast::AstContext Ctx;
-  PointsToAnalysis PTA;
-
-  explicit PtFixture(std::string_view Source) {
-    std::vector<pyast::ParseError> Errors;
-    pyast::ModuleNode *M = pyast::parseSource(Ctx, Source, &Errors);
-    EXPECT_TRUE(Errors.empty());
-    PTA.run(M);
-  }
-};
-
-TEST(PointsToAnalysisTest, DirectAlias) {
-  PtFixture F("a = make()\nb = a\nc = other()\n");
-  EXPECT_TRUE(F.PTA.mayAlias("", "a", "", "b"));
-  EXPECT_FALSE(F.PTA.mayAlias("", "a", "", "c"));
-}
-
-TEST(PointsToAnalysisTest, FieldFlowThroughAlias) {
-  PtFixture F("obj = make()\n"
-              "p = obj\n"
-              "p.f = payload()\n"
-              "r = obj.f\n"
-              "s = obj.g\n");
-  auto R = F.PTA.lookupVar("", "r");
-  auto S = F.PTA.lookupVar("", "s");
-  ASSERT_TRUE(R && S);
-  EXPECT_FALSE(F.PTA.solver().pointsTo(*R).empty());
-  EXPECT_TRUE(F.PTA.solver().pointsTo(*S).empty());
-}
-
-TEST(PointsToAnalysisTest, ContainerElementFlow) {
-  PtFixture F("x = make()\n"
-              "l = [x]\n"
-              "y = l[0]\n");
-  EXPECT_TRUE(F.PTA.mayAlias("", "x", "", "y"));
-}
-
-TEST(PointsToAnalysisTest, SubscriptStore) {
-  PtFixture F("d = {}\n"
-              "d['k'] = make()\n"
-              "v = d['other']\n");
-  // Element field is key-insensitive: any read may see any write.
-  EXPECT_TRUE(F.PTA.mayAlias("", "v", "", "v"));
-  auto V = F.PTA.lookupVar("", "v");
-  ASSERT_TRUE(V.has_value());
-  EXPECT_FALSE(F.PTA.solver().pointsTo(*V).empty());
-}
-
-TEST(PointsToAnalysisTest, BranchesMerge) {
-  PtFixture F("if cond():\n    x = a_make()\nelse:\n    x = b_make()\ny = x\n");
-  auto Y = F.PTA.lookupVar("", "y");
-  ASSERT_TRUE(Y.has_value());
-  EXPECT_EQ(F.PTA.solver().pointsTo(*Y).size(), 2u);
-}
-
-TEST(PointsToAnalysisTest, LoopSingleIterationTerminates) {
-  PtFixture F("acc = make()\n"
-              "for i in items():\n"
-              "    acc = wrap(acc)\n"
-              "out = acc\n");
-  auto Out = F.PTA.lookupVar("", "out");
-  ASSERT_TRUE(Out.has_value());
-  EXPECT_FALSE(F.PTA.solver().pointsTo(*Out).empty());
-}
-
-TEST(PointsToAnalysisTest, FunctionScopesAreSeparate) {
-  PtFixture F("x = make()\n"
-              "def f(x):\n"
-              "    y = x\n");
-  EXPECT_TRUE(F.PTA.mayAlias("f", "x", "f", "y"));
-  EXPECT_FALSE(F.PTA.mayAlias("", "x", "f", "y"));
-}
-
-TEST(PointsToAnalysisTest, TupleUnpackingSpreads) {
-  PtFixture F("a, b = pair()\nc = a\n");
-  EXPECT_TRUE(F.PTA.mayAlias("", "a", "", "c"));
-}
-
-TEST(PointsToAnalysisTest, ConditionalExprMergesBothArms) {
-  PtFixture F("x = left() if cond() else right()\n");
-  auto X = F.PTA.lookupVar("", "x");
-  ASSERT_TRUE(X.has_value());
-  EXPECT_EQ(F.PTA.solver().pointsTo(*X).size(), 2u);
-}
-
-TEST(PointsToAnalysisTest, BoolOpDefaultIdiom) {
-  PtFixture F("x = maybe() or fallback()\n");
-  auto X = F.PTA.lookupVar("", "x");
-  ASSERT_TRUE(X.has_value());
-  EXPECT_EQ(F.PTA.solver().pointsTo(*X).size(), 2u);
-}
-
-TEST(PointsToAnalysisTest, WithBinding) {
-  PtFixture F("with open_thing() as f:\n    g = f\n");
-  EXPECT_TRUE(F.PTA.mayAlias("", "f", "", "g"));
 }
 
 } // namespace

@@ -105,8 +105,8 @@ TEST(DeterminismTest, PipelineIsBitDeterministic) {
   for (size_t I = 0; I < A.Solve.X.size(); ++I)
     EXPECT_DOUBLE_EQ(A.Solve.X[I], B.Solve.X[I]) << "variable " << I;
   EXPECT_EQ(A.System.Constraints.size(), B.System.Constraints.size());
-  EXPECT_EQ(A.Graph.numEvents(), B.Graph.numEvents());
-  EXPECT_EQ(A.Graph.numEdges(), B.Graph.numEdges());
+  EXPECT_EQ(A.Graph->numEvents(), B.Graph->numEvents());
+  EXPECT_EQ(A.Graph->numEdges(), B.Graph->numEdges());
 }
 
 //===----------------------------------------------------------------------===//

@@ -376,6 +376,153 @@ TEST(GraphBuilderTest, FieldFlowRequiresPointsTo) {
   EXPECT_FALSE(F.flowsTo(F.theEvent("web.read()"), F.theEvent("db.run()")));
 }
 
+// Each case below builds an alias with one construct, stores a source
+// through one name and loads it through the other; the negative side is
+// another object, another field, or another scope.
+
+TEST(GraphBuilderTest, FieldFlowThroughDirectAlias) {
+  GraphFixture F("import web\nimport db\n"
+                 "a = make()\n"
+                 "b = a\n"
+                 "c = other()\n"
+                 "b.f = web.read()\n"
+                 "db.run(a.f)\n"
+                 "db.log(c.f)\n");
+  EventId Src = F.theEvent("web.read()");
+  EXPECT_TRUE(F.flowsTo(Src, F.theEvent("db.run()")));
+  EXPECT_FALSE(F.flowsTo(Src, F.theEvent("db.log()")));
+}
+
+TEST(GraphBuilderTest, FieldFlowKeepsFieldsApart) {
+  GraphFixture F("import web\nimport db\n"
+                 "obj = make()\n"
+                 "p = obj\n"
+                 "p.f = web.read()\n"
+                 "db.run(obj.f)\n"
+                 "db.log(obj.g)\n");
+  EventId Src = F.theEvent("web.read()");
+  EXPECT_TRUE(F.flowsTo(Src, F.theEvent("db.run()")));
+  EXPECT_FALSE(F.flowsTo(Src, F.theEvent("db.log()")));
+}
+
+TEST(GraphBuilderTest, FieldFlowThroughContainerElement) {
+  GraphFixture F("import web\nimport db\n"
+                 "obj = make()\n"
+                 "l = [obj]\n"
+                 "p = l[0]\n"
+                 "w = other()\n"
+                 "p.f = web.read()\n"
+                 "db.run(obj.f)\n"
+                 "db.log(w.f)\n");
+  EventId Src = F.theEvent("web.read()");
+  EXPECT_TRUE(F.flowsTo(Src, F.theEvent("db.run()")));
+  EXPECT_FALSE(F.flowsTo(Src, F.theEvent("db.log()")));
+}
+
+TEST(GraphBuilderTest, FieldFlowThroughSubscriptStore) {
+  // The element field is key-insensitive: any read may see any write.
+  GraphFixture F("import web\nimport db\n"
+                 "obj = make()\n"
+                 "d = {}\n"
+                 "d['k'] = obj\n"
+                 "p = d['other']\n"
+                 "w = other()\n"
+                 "p.f = web.read()\n"
+                 "db.run(obj.f)\n"
+                 "db.log(w.f)\n");
+  EventId Src = F.theEvent("web.read()");
+  EXPECT_TRUE(F.flowsTo(Src, F.theEvent("db.run()")));
+  EXPECT_FALSE(F.flowsTo(Src, F.theEvent("db.log()")));
+}
+
+TEST(GraphBuilderTest, FieldFlowThroughBranchMerge) {
+  GraphFixture F("import web\nimport db\n"
+                 "a = a_make()\n"
+                 "b = b_make()\n"
+                 "w = other()\n"
+                 "if cond():\n    p = a\nelse:\n    p = b\n"
+                 "p.f = web.read()\n"
+                 "db.run(a.f)\n"
+                 "db.put(b.f)\n"
+                 "db.log(w.f)\n");
+  EventId Src = F.theEvent("web.read()");
+  EXPECT_TRUE(F.flowsTo(Src, F.theEvent("db.run()")));
+  EXPECT_TRUE(F.flowsTo(Src, F.theEvent("db.put()")));
+  EXPECT_FALSE(F.flowsTo(Src, F.theEvent("db.log()")));
+}
+
+TEST(GraphBuilderTest, FieldFlowThroughLoopCarriedVariable) {
+  // The loop body runs once (§5.2), so the loop-carried variable ends up
+  // at wrap()'s result — and the analysis terminates.
+  GraphFixture F("import web\nimport db\n"
+                 "acc = make()\n"
+                 "for i in items():\n"
+                 "    acc = wrap(acc)\n"
+                 "out = acc\n"
+                 "w = other()\n"
+                 "out.f = web.read()\n"
+                 "db.run(acc.f)\n"
+                 "db.log(w.f)\n");
+  EventId Src = F.theEvent("web.read()");
+  EXPECT_TRUE(F.flowsTo(Src, F.theEvent("db.run()")));
+  EXPECT_FALSE(F.flowsTo(Src, F.theEvent("db.log()")));
+}
+
+TEST(GraphBuilderTest, FieldFlowKeepsFunctionScopesApart) {
+  GraphFixture F("import web\nimport db\n"
+                 "x = make()\n"
+                 "def f(x):\n"
+                 "    y = x\n"
+                 "    y.f = web.read()\n"
+                 "    db.run(x.f)\n"
+                 "db.log(x.f)\n");
+  EventId Src = F.theEvent("web.read()");
+  EXPECT_TRUE(F.flowsTo(Src, F.theEvent("db.run()")));
+  EXPECT_FALSE(F.flowsTo(Src, F.theEvent("db.log()")));
+}
+
+TEST(GraphBuilderTest, FieldFlowThroughTupleUnpacking) {
+  GraphFixture F("import web\nimport db\n"
+                 "a, b = pair()\n"
+                 "p = a\n"
+                 "w = other()\n"
+                 "p.f = web.read()\n"
+                 "db.run(a.f)\n"
+                 "db.log(w.f)\n");
+  EventId Src = F.theEvent("web.read()");
+  EXPECT_TRUE(F.flowsTo(Src, F.theEvent("db.run()")));
+  EXPECT_FALSE(F.flowsTo(Src, F.theEvent("db.log()")));
+}
+
+TEST(GraphBuilderTest, FieldFlowThroughBoolOp) {
+  GraphFixture F("import web\nimport db\n"
+                 "l = maybe()\n"
+                 "r = fallback()\n"
+                 "w = other()\n"
+                 "p = l or r\n"
+                 "p.f = web.read()\n"
+                 "db.run(l.f)\n"
+                 "db.put(r.f)\n"
+                 "db.log(w.f)\n");
+  EventId Src = F.theEvent("web.read()");
+  EXPECT_TRUE(F.flowsTo(Src, F.theEvent("db.run()")));
+  EXPECT_TRUE(F.flowsTo(Src, F.theEvent("db.put()")));
+  EXPECT_FALSE(F.flowsTo(Src, F.theEvent("db.log()")));
+}
+
+TEST(GraphBuilderTest, FieldFlowThroughWithBinding) {
+  GraphFixture F("import web\nimport db\n"
+                 "w = other()\n"
+                 "with open_thing() as h:\n"
+                 "    p = h\n"
+                 "    p.f = web.read()\n"
+                 "    db.run(h.f)\n"
+                 "db.log(w.f)\n");
+  EventId Src = F.theEvent("web.read()");
+  EXPECT_TRUE(F.flowsTo(Src, F.theEvent("db.run()")));
+  EXPECT_FALSE(F.flowsTo(Src, F.theEvent("db.log()")));
+}
+
 TEST(GraphBuilderTest, SelfFieldFlowAcrossMethods) {
   GraphFixture F("import web\nimport db\n"
                  "class Handler:\n"

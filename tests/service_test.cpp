@@ -15,6 +15,7 @@
 #include "service/QueryResult.h"
 #include "service/Service.h"
 #include "service/SocketServer.h"
+#include "support/FaultInjection.h"
 #include "support/StrUtil.h"
 #include "support/ThreadPool.h"
 
@@ -531,6 +532,30 @@ TEST_F(ServiceTest, DurableRestartServesByteIdenticalState) {
   // counted twice.
   std::string Again = Restarted->serve(FeedbackLine);
   EXPECT_NE(Again.find("\"total_feedback\":1"), std::string::npos) << Again;
+}
+
+TEST_F(ServiceTest, DurableRestartKeepsTheServedSolvesHealth) {
+  fs::create_directories(Root / "state");
+  Service::Options Opts = testOptions();
+  Opts.StateDir = (Root / "state").string();
+  const std::string StatusLine = "{\"v\":1,\"id\":1,\"op\":\"status\"}";
+  const std::string Degraded = "\"health\":{\"status\":\"degraded\"";
+  {
+    // Every solver step is poisoned: the start-up solve falls back.
+    ASSERT_TRUE(fault::configure("solver-step:*"));
+    auto Svc = startService(Opts);
+    fault::reset();
+    ASSERT_TRUE(Svc);
+    std::string R = Svc->serve(StatusLine);
+    EXPECT_NE(R.find(Degraded), std::string::npos) << R;
+    Svc->persist();
+  }
+  // The restart re-serves that same solve from the snapshot, fallback
+  // included, so it reports the same health without the fault armed.
+  auto Restarted = startService(Opts);
+  ASSERT_TRUE(Restarted);
+  std::string R = Restarted->serve(StatusLine);
+  EXPECT_NE(R.find(Degraded), std::string::npos) << R;
 }
 
 /// Queries every variable of \p Svc's served state over handle() and

@@ -471,18 +471,18 @@ void printCacheStats(const infer::PipelineResult &R,
 }
 
 /// Prints the run-health summary to stderr and returns the exit code the
-/// health implies for an otherwise-successful run: 0 clean, 2 degraded. A
-/// clean run prints nothing.
-int reportHealth(const infer::RunHealth &H) {
-  if (H.status() == infer::RunStatus::Clean) {
+/// result's status implies for an otherwise-successful run: 0 clean, 2
+/// degraded. A clean run prints nothing.
+int reportHealth(const infer::PipelineResult &R) {
+  const infer::RunHealth &H = R.Health;
+  if (R.status() == infer::RunStatus::Clean) {
     // Incidents without degradation (transparent cache failures) are still
     // worth a line each.
     for (const std::string &I : H.CacheIncidents)
       std::fprintf(stderr, "health: %s\n", I.c_str());
     return 0;
   }
-  std::fprintf(stderr, "health: %s\n",
-               infer::runStatusName(H.status()));
+  std::fprintf(stderr, "health: %s\n", infer::runStatusName(R.status()));
   if (!H.Quarantined.empty()) {
     std::fprintf(stderr, "health: quarantined %zu project(s):\n",
                  H.Quarantined.size());
@@ -495,18 +495,21 @@ int reportHealth(const infer::RunHealth &H) {
   }
   for (const std::string &I : H.CacheIncidents)
     std::fprintf(stderr, "health: %s\n", I.c_str());
-  if (H.SolverNonFiniteSteps > 0 || H.SolverRecoveries > 0)
+  const solver::SolveResult &S = R.Solve;
+  if (S.NonFiniteSteps > 0 || S.Recoveries > 0)
     std::fprintf(stderr,
                  "health: solver hit %d non-finite step(s), recovered %d "
                  "time(s)%s\n",
-                 H.SolverNonFiniteSteps, H.SolverRecoveries,
-                 H.SolverFellBack ? ", fell back to best finite iterate"
-                                  : "");
-  if (H.DeadlineExpired)
+                 S.NonFiniteSteps, S.Recoveries,
+                 S.FellBack ? ", fell back to best finite iterate" : "");
+  // One deadline line: an earlier stage's expiry takes precedence over
+  // the solve it left partial.
+  if (H.DeadlineExpired || S.DeadlineExpired)
     std::fprintf(stderr,
                  "health: run deadline expired during the %s stage; "
                  "results are partial\n",
-                 H.DeadlineStage.c_str());
+                 H.DeadlineExpired ? H.DeadlineStage.c_str()
+                                   : infer::phaseName(infer::Phase::Solve));
   return 2;
 }
 
@@ -624,7 +627,7 @@ int cmdLearn(const CliOptions &Opts) {
   std::fprintf(stderr,
                "analyzed %zu files over %u job(s): %zu candidates, "
                "%zu constraints, %s in %.2fs (%d iterations)\n",
-               R.NumFiles, R.JobsUsed, R.System.NumCandidates,
+               R.Graph->files().size(), R.JobsUsed, R.System.NumCandidates,
                R.System.Constraints.size(),
                Opts.Active ? "ran the active loop" : "generated and solved",
                LearnSeconds, R.Solve.Iterations);
@@ -654,7 +657,7 @@ int cmdLearn(const CliOptions &Opts) {
 
   // The spec is written even on a degraded run — it is valid for the
   // surviving corpus — but the exit code (2) flags the degradation.
-  int HealthRc = reportHealth(R.Health);
+  int HealthRc = reportHealth(R);
   if (Opts.OutFile.empty())
     return writeOutput(Opts,
                        spec::writeLearnedSpec(R.Learned, Opts.Threshold))
@@ -818,7 +821,7 @@ int cmdExplain(const CliOptions &Opts) {
   Session.generateConstraints(Seed);
   infer::PipelineResult R = Session.solve();
   printCacheStats(R, Opts);
-  int HealthRc = reportHealth(R.Health);
+  int HealthRc = reportHealth(R);
 
   // The same QueryResult + renderers serve the `seldond` query op, so the
   // CLI and the daemon cannot drift — a warm daemon answer is

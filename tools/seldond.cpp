@@ -94,7 +94,6 @@ bool parseDaemonArgs(int Argc, char **Argv, DaemonOptions &Opts,
   unsigned long Cutoff = 5;
   unsigned long Jobs = 0;
   unsigned long MaxInFlight = 64;
-  unsigned long SnapshotEvery = 1;
   std::string Backend = "compiled";
 
   Parser.string("--socket", &Opts.SocketPath, "PATH",
@@ -114,10 +113,6 @@ bool parseDaemonArgs(int Argc, char **Argv, DaemonOptions &Opts,
                 "durable state: journal every accepted feedback/learn op\n"
                 "(fsynced before the re-solve), snapshot the served spec,\n"
                 "and recover the exact pre-crash state on restart");
-  Parser.unsignedInt("--snapshot-every", &SnapshotEvery, "N",
-                     "with --state-dir: snapshot + compact the journal\n"
-                     "after every Nth applied op (default 1; 0 = only on\n"
-                     "orderly shutdown)");
   Parser.unsignedInt("--iters", &Iters, "N",
                      "solver iterations (default 600)");
   Parser.unsignedInt("--cutoff", &Cutoff, "N",
@@ -172,11 +167,6 @@ bool parseDaemonArgs(int Argc, char **Argv, DaemonOptions &Opts,
     return false;
   }
   Opts.Svc.MaxInFlight = static_cast<size_t>(MaxInFlight);
-  Opts.Svc.SnapshotEvery = static_cast<uint64_t>(SnapshotEvery);
-  if (SnapshotEvery != 1 && Opts.Svc.StateDir.empty()) {
-    std::fprintf(stderr, "error: --snapshot-every requires --state-dir\n");
-    return false;
-  }
   if (!solver::parseSolverBackend(Backend, Opts.Svc.Backend)) {
     std::fprintf(stderr,
                  "error: unknown --solver-backend '%s' (expected %s)\n",
@@ -301,9 +291,9 @@ int main(int Argc, char **Argv) {
   std::fprintf(stderr,
                "seldond: warm — %zu project(s), %zu file(s), %zu "
                "constraint(s), spec size %zu, health %s\n",
-               Opts.Svc.CorpusDirs.size(), Warm.NumFiles,
+               Opts.Svc.CorpusDirs.size(), Warm.Graph->files().size(),
                Warm.System.Constraints.size(), Warm.Learned.size(),
-               infer::runStatusName(Warm.Health.status()));
+               infer::runStatusName(Warm.status()));
 
   installSignalHandlers();
 
