@@ -5,18 +5,27 @@
 // generation, one optimizer iteration, and taint analysis. These quantify
 // where the per-file cost of Fig. 10's linear scaling goes.
 //
+// Two more cases time one `seldond` point-query answer (the walk over the
+// variable's indexed rows plus its JSON) on a solved corpus of
+// SELDON_PROJECTS generated projects (default 300), for a cold and a hot
+// variable. Run them alone with --benchmark_filter=QueryAnswer.
+//
 //===----------------------------------------------------------------------===//
 
 #include "constraints/ConstraintGen.h"
+#include "constraints/Explain.h"
 #include "corpus/CorpusGenerator.h"
 #include "eval/ExperimentDriver.h"
 #include "infer/Pipeline.h"
 #include "merlin/MerlinPipeline.h"
 #include "pyast/Lexer.h"
 #include "pyast/Parser.h"
+#include "service/QueryResult.h"
 #include "taint/TaintAnalyzer.h"
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 using namespace seldon;
 
@@ -185,6 +194,91 @@ void BM_MerlinBpIteration(benchmark::State &State) {
     benchmark::DoNotOptimize(Bp.run(Model.Graph));
 }
 BENCHMARK(BM_MerlinBpIteration);
+
+/// A solved corpus and the row index `seldond` serves it with, plus the
+/// variables e2ebench's serve workload queries. The hot one is mentioned
+/// by the most terms. The cold ones are the learned variables mentioned
+/// at most as often as the median learned variable; the case takes the
+/// median of those.
+struct QueryState {
+  infer::PipelineResult Result;
+  constraints::RowIndex Index;
+  constraints::VarId Cold = 0;
+  constraints::VarId Hot = 0;
+
+  QueryState() {
+    corpus::CorpusOptions Opts;
+    Opts.NumProjects = eval::envInt("SELDON_PROJECTS", 300);
+    corpus::Corpus Data = corpus::generateCorpus(Opts);
+    infer::PipelineOptions PO;
+    PO.Solve.MaxIterations = 600;
+    infer::Session S(PO);
+    S.addProjects(Data.Projects);
+    S.generateConstraints(Data.Seed);
+    Result = S.solve();
+    Index = constraints::buildRowIndex(Result.System);
+
+    const constraints::VarTable &Vars = Result.System.Vars;
+    std::vector<uint32_t> Mentions(Vars.numVars(), 0);
+    for (const solver::LinearConstraint &C : Result.System.Constraints) {
+      for (const solver::Term &T : C.Lhs)
+        ++Mentions[T.Var];
+      for (const solver::Term &T : C.Rhs)
+        ++Mentions[T.Var];
+    }
+    Hot = static_cast<constraints::VarId>(
+        std::max_element(Mentions.begin(), Mentions.end()) -
+        Mentions.begin());
+    std::vector<constraints::VarId> Learned;
+    for (constraints::VarId V = 0; V < Vars.numVars(); ++V)
+      if (V != Hot && Result.Learned.score(rep(V), Vars.roleOf(V)) >=
+                          eval::ScoreThreshold)
+        Learned.push_back(V);
+    std::stable_sort(Learned.begin(), Learned.end(),
+                     [&](constraints::VarId A, constraints::VarId B) {
+                       return Mentions[A] < Mentions[B];
+                     });
+    if (!Learned.empty())
+      Cold = Learned[(Learned.size() - 1) / 4];
+  }
+
+  const std::string &rep(constraints::VarId V) const {
+    return Result.Reps.repString(Result.System.Vars.repOf(V));
+  }
+
+  static QueryState &get() {
+    static QueryState State;
+    return State;
+  }
+};
+
+/// One `query` answer as `seldond` computes it: the indexed walk, then
+/// the JSON.
+void queryAnswer(benchmark::State &State, bool Hot) {
+  QueryState &Q = QueryState::get();
+  constraints::VarId V = Hot ? Q.Hot : Q.Cold;
+  const std::string &Rep = Q.rep(V);
+  propgraph::Role Role = Q.Result.System.Vars.roleOf(V);
+  size_t Bytes = 0;
+  for (auto _ : State) {
+    std::string Json = service::renderQueryJson(
+        service::queryRep(Q.Result.System, Q.Result.Reps, Rep, Role,
+                          Q.Result.Solve.X, &Q.Index));
+    Bytes = Json.size();
+    benchmark::DoNotOptimize(Json.data());
+    benchmark::ClobberMemory();
+  }
+  State.counters["rows"] = static_cast<double>(Q.Index.rowsOf(V).size());
+  State.counters["answer_kb"] = static_cast<double>(Bytes) / 1024.0;
+  State.counters["system_rows"] =
+      static_cast<double>(Q.Result.System.Constraints.size());
+}
+
+void BM_QueryAnswerCold(benchmark::State &State) { queryAnswer(State, false); }
+BENCHMARK(BM_QueryAnswerCold)->Unit(benchmark::kMicrosecond);
+
+void BM_QueryAnswerHot(benchmark::State &State) { queryAnswer(State, true); }
+BENCHMARK(BM_QueryAnswerHot)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

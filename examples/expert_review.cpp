@@ -9,12 +9,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "constraints/Explain.h"
 #include "corpus/CorpusGenerator.h"
 #include "infer/Pipeline.h"
+#include "service/QueryResult.h"
 
 #include <algorithm>
 #include <cstdio>
+#include <string_view>
 
 using namespace seldon;
 using propgraph::Role;
@@ -49,17 +50,18 @@ int main() {
       const auto &[Rep, Score] = Borderline[I];
       std::printf("\n%s (score %.2f) — supporting evidence:\n", Rep.c_str(),
                   Score);
-      constraints::Explanation E =
-          constraints::explainRep(R.System, R.Reps, Rep, Ro, R.Solve.X);
+      service::QueryResult Q =
+          service::queryRep(R.System, R.Reps, Rep, Ro, R.Solve.X);
       size_t Shown = 0;
-      for (const constraints::ExplainedConstraint &C : E.Constraints) {
-        if (C.OnLhs)
+      for (size_t I = 0; I < Q.Constraints.size(); ++I) {
+        if (Q.Constraints[I].Caps)
           continue; // Show the constraints that *demand* the role.
         if (++Shown > 3) {
-          std::printf("  ... %zu more\n", E.Constraints.size() - 3);
+          std::printf("  ... %zu more\n", Q.Constraints.size() - 3);
           break;
         }
-        std::printf("  %s\n", C.Text.c_str());
+        std::string_view Text = Q.text(I);
+        std::printf("  %.*s\n", static_cast<int>(Text.size()), Text.data());
       }
       if (Shown == 0)
         std::printf("  (score driven only by capping constraints)\n");

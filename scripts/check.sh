@@ -75,7 +75,10 @@ echo "=== asan+ubsan: service, durability and on-disk format tests ==="
 # every generation and indexes its term caches and option lists by local
 # event ids, and the pinned-system digests (FormatGoldenTest) drive it
 # directly and through cold and warm shard replay. So do the explanation
-# tests: the daemon's var→rows index is addressed by variable and row ids.
+# tests: the daemon's var→rows index is addressed by variable and row ids,
+# and the indexed query walk forms its prefetch addresses and its label
+# memo slots from those ids (ExplainTest, FormatGoldenTest and ServiceTest
+# all take the indexed walk).
 # The fault-pipeline and active-learning tests run here too:
 # infer::ScopedOptions restores the borrowed WarmStart and Feedback
 # pointers on every exit path, throws included. So do the pipeline
@@ -349,26 +352,41 @@ EOF
 
 echo
 echo "=== daemon smoke: seldond --once vs a cold seldon explain ==="
-# Cold reference: one-shot CLI query on the same corpus and settings.
-"$ROOT/build/tools/seldon" explain --json --rep 'flask.escape()' \
-  --role sanitizer --cutoff 1 --iters 200 "$SMOKE" > "$SMOKE/cold.json"
+# Cold references: one-shot CLI queries on the same corpus and settings,
+# for a pair its rows demand (the sanitizer), a pair its rows only cap
+# (the same rep as a sink, pinned to 0), a seed-pinned sink, and a pair
+# with no variable.
+explain_json() {
+  "$ROOT/build/tools/seldon" explain --json --rep "$1" --role "$2" \
+    --cutoff 1 --iters 200 "$SMOKE" > "$3"
+}
+explain_json 'flask.escape()' sanitizer "$SMOKE/cold.json"
+explain_json 'flask.escape()' sink "$SMOKE/cold-capped.json"
+explain_json 'flask.make_response()' sink "$SMOKE/cold-pinned.json"
+explain_json 'never.seen()' source "$SMOKE/cold-missing.json"
 cat > "$SMOKE/requests.txt" <<'REQ'
 {"v":1,"id":1,"op":"status"}
 {"v":1,"id":2,"op":"query","rep":"flask.escape()","role":"sanitizer"}
 {"v":1,"id":3,"op":"query","rep":"flask.escape()","role":"sanitizer"}
-{"v":1,"id":4,"op":"learn","iters":200,"warm":true}
-{"v":1,"id":5,"op":"query","rep":"flask.escape()","role":"sanitizer"}
-{"v":1,"id":6,"op":"status"}
-{"v":1,"id":7,"op":"shutdown"}
+{"v":1,"id":4,"op":"query","rep":"flask.escape()","role":"sink"}
+{"v":1,"id":5,"op":"query","rep":"flask.make_response()","role":"sink"}
+{"v":1,"id":6,"op":"query","rep":"never.seen()","role":"source"}
+{"v":1,"id":7,"op":"learn","iters":200,"warm":true}
+{"v":1,"id":8,"op":"query","rep":"flask.escape()","role":"sanitizer"}
+{"v":1,"id":9,"op":"status"}
+{"v":1,"id":10,"op":"shutdown"}
 REQ
 "$ROOT/build/tools/seldond" --once --cutoff 1 --iters 200 "$SMOKE" \
   < "$SMOKE/requests.txt" > "$SMOKE/responses.txt" 2> "$SMOKE/seldond.log"
-python3 - "$SMOKE/responses.txt" "$SMOKE/cold.json" "$SMOKE/relearned.json" <<'EOF'
+python3 - "$SMOKE/responses.txt" "$SMOKE/relearned.json" "$SMOKE/cold.json" \
+  "$SMOKE/cold-capped.json" "$SMOKE/cold-pinned.json" \
+  "$SMOKE/cold-missing.json" <<'EOF'
 import json, sys
 lines = open(sys.argv[1]).read().splitlines()
-cold = open(sys.argv[2]).read().rstrip("\n")
-if len(lines) != 7:
-    sys.exit(f"FAIL: expected 7 response lines, got {len(lines)}")
+cold, capped, pinned, missing = (open(p).read().rstrip("\n")
+                                 for p in sys.argv[3:7])
+if len(lines) != 10:
+    sys.exit(f"FAIL: expected 10 response lines, got {len(lines)}")
 for n, line in enumerate(lines, 1):
     r = json.loads(line)
     if r.get("v") != 1 or r.get("id") != n or r.get("ok") is not True:
@@ -378,32 +396,49 @@ for n, line in enumerate(lines, 1):
         sys.exit(f"FAIL: envelope key order broken on line {n}")
 def result_bytes(line):
     return line.split('"result":', 1)[1][:-1]
-# Warm daemon answers == cold CLI run, byte for byte; and the repeated
+# Warm daemon answers == cold CLI runs, byte for byte; and the repeated
 # query is byte-identical (nothing recomputed differently).
 q2, q3 = result_bytes(lines[1]), result_bytes(lines[2])
-if q2 != cold:
-    sys.exit(f"FAIL: warm query differs from cold explain --json:\n"
-             f"  daemon: {q2[:200]}\n  cli:    {cold[:200]}")
 if q3 != q2:
     sys.exit("FAIL: second identical query returned different bytes")
+for n, ref, what in ((2, cold, "demanded"), (4, capped, "capped"),
+                     (5, pinned, "seed-pinned"), (6, missing, "missing")):
+    warm = result_bytes(lines[n - 1])
+    if warm != ref:
+        sys.exit(f"FAIL: warm {what} query differs from cold explain "
+                 f"--json:\n  daemon: {warm[:200]}\n  cli:    {ref[:200]}")
+# Each pair is the kind it stands for.
+def kinds(answer):
+    return {c["kind"] for c in json.loads(answer)["constraints"]}
+if "demands" not in kinds(cold):
+    sys.exit("FAIL: the demanded pair lists no demanding row")
+if kinds(capped) != {"caps"}:
+    sys.exit(f"FAIL: the capped pair lists {sorted(kinds(capped))}")
+p = json.loads(pinned)
+if not (p["found"] and p["pinned"] and p["pinned_value"] == 1.0):
+    sys.exit(f"FAIL: the seed-pinned pair reads {pinned[:200]}")
+m = json.loads(missing)
+if m["found"] or m["constraints"]:
+    sys.exit(f"FAIL: the missing pair reads {missing[:200]}")
 # The query after the learn is answered from the state the learn
 # published (and indexed); the shell cmp's it against the cold answer.
-open(sys.argv[3], "w").write(result_bytes(lines[4]) + "\n")
+open(sys.argv[2], "w").write(result_bytes(lines[7]) + "\n")
 # No re-parse: parse.files must not move across queries and a learn,
 # and must equal the corpus file count from the initial status.
-s1, s5 = json.loads(result_bytes(lines[0])), json.loads(result_bytes(lines[5]))
+s1, s9 = json.loads(result_bytes(lines[0])), json.loads(result_bytes(lines[8]))
 files = s1["corpus"]["files"]
-p1, p5 = s1["metrics"]["parse_files"], s5["metrics"]["parse_files"]
+p1, p9 = s1["metrics"]["parse_files"], s9["metrics"]["parse_files"]
 if p1 != files:
     sys.exit(f"FAIL: initial parse_files {p1} != corpus files {files}")
-if p5 != p1:
-    sys.exit(f"FAIL: parse_files moved {p1} -> {p5}: the daemon re-parsed")
-if not json.loads(result_bytes(lines[3])).get("converged", False):
+if p9 != p1:
+    sys.exit(f"FAIL: parse_files moved {p1} -> {p9}: the daemon re-parsed")
+if not json.loads(result_bytes(lines[6])).get("converged", False):
     sys.exit("FAIL: warm learn did not converge")
-if json.loads(result_bytes(lines[6])) != {"stopping": True}:
+if json.loads(result_bytes(lines[9])) != {"stopping": True}:
     sys.exit("FAIL: shutdown did not acknowledge")
-print(f"OK: warm daemon == cold CLI byte-for-byte, {files} file(s) "
-      "parsed exactly once across queries and a learn")
+print(f"OK: warm daemon == cold CLI byte-for-byte for a demanded, a "
+      f"capped, a seed-pinned and a missing pair; {files} file(s) parsed "
+      "exactly once across queries and a learn")
 EOF
 cmp "$SMOKE/cold.json" "$SMOKE/relearned.json"
 echo "OK: the query after a learn == cold CLI byte-for-byte"

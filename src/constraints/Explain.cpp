@@ -1,8 +1,6 @@
-//===- constraints/Explain.cpp - Constraint-level explanations ------------===//
+//===- constraints/Explain.cpp - The var->rows index ----------------------===//
 
 #include "constraints/Explain.h"
-
-#include "support/StrUtil.h"
 
 #include <algorithm>
 #include <cassert>
@@ -11,58 +9,6 @@
 
 using namespace seldon;
 using namespace seldon::constraints;
-using namespace seldon::propgraph;
-
-namespace {
-
-void renderTerms(const ConstraintSystem &Sys, const RepTable &Reps,
-                 const std::vector<solver::Term> &Terms, std::string &Out) {
-  if (Terms.empty()) {
-    Out += "0";
-    return;
-  }
-  for (size_t I = 0; I < Terms.size(); ++I) {
-    if (I)
-      Out += " + ";
-    if (Terms[I].Coef != 1.0f) {
-      appendDouble(Out, Terms[I].Coef, std::chars_format::general, 3);
-      Out += '*';
-    }
-    Out += Reps.repString(Sys.Vars.repOf(Terms[I].Var));
-    Out += '^';
-    Out += roleName(Sys.Vars.roleOf(Terms[I].Var));
-  }
-}
-
-double evalSide(const std::vector<solver::Term> &Terms,
-                const std::vector<double> &X) {
-  double Sum = 0.0;
-  for (const solver::Term &T : Terms)
-    Sum += T.Coef * X[T.Var];
-  return Sum;
-}
-
-bool mentions(const std::vector<solver::Term> &Terms, VarId V) {
-  for (const solver::Term &T : Terms)
-    if (T.Var == V)
-      return true;
-  return false;
-}
-
-} // namespace
-
-std::string
-seldon::constraints::renderConstraint(const ConstraintSystem &Sys,
-                                      const RepTable &Reps,
-                                      const solver::LinearConstraint &C) {
-  std::string Out;
-  renderTerms(Sys, Reps, C.Lhs, Out);
-  Out += " <= ";
-  renderTerms(Sys, Reps, C.Rhs, Out);
-  Out += " + ";
-  appendDouble(Out, C.C, std::chars_format::fixed, 2);
-  return Out;
-}
 
 RowIndex seldon::constraints::buildRowIndex(const ConstraintSystem &Sys) {
   const size_t NumVars = Sys.Vars.numVars();
@@ -107,51 +53,4 @@ RowIndex seldon::constraints::buildRowIndex(const ConstraintSystem &Sys) {
   std::fill(LastRow.begin(), LastRow.end(), UINT32_MAX);
   ForEachMention([&](VarId V, uint32_t Row) { Index.Rows[Next[V]++] = Row; });
   return Index;
-}
-
-Explanation seldon::constraints::explainRep(const ConstraintSystem &Sys,
-                                            const RepTable &Reps,
-                                            const std::string &Rep, Role R,
-                                            const std::vector<double> &X,
-                                            const RowIndex *Index) {
-  Explanation Out;
-  RepId Id;
-  if (!Reps.lookup(Rep, Id))
-    return Out;
-  VarId V;
-  if (!Sys.Vars.lookup(Id, R, V))
-    return Out;
-  Out.Found = true;
-  Out.Score = V < X.size() ? X[V] : 0.0;
-  for (const auto &[PinnedVar, Value] : Sys.Pinned)
-    if (PinnedVar == V) {
-      Out.Pinned = true;
-      Out.PinnedValue = Value;
-    }
-
-  auto Explain = [&](const solver::LinearConstraint &C, bool Lhs) {
-    ExplainedConstraint EC;
-    EC.Text = renderConstraint(Sys, Reps, C);
-    EC.Residual = X.empty() ? 0.0
-                            : evalSide(C.Lhs, X) - evalSide(C.Rhs, X) - C.C;
-    EC.OnLhs = Lhs;
-    Out.Constraints.push_back(std::move(EC));
-  };
-  if (Index) {
-    assert(Index->Begin.size() == Sys.Vars.numVars() + 1 &&
-           "row index built from another system");
-    std::span<const uint32_t> Rows = Index->rowsOf(V);
-    Out.Constraints.reserve(Rows.size());
-    for (uint32_t Row : Rows) {
-      const solver::LinearConstraint &C = Sys.Constraints[Row];
-      Explain(C, mentions(C.Lhs, V));
-    }
-    return Out;
-  }
-  for (const solver::LinearConstraint &C : Sys.Constraints) {
-    bool Lhs = mentions(C.Lhs, V);
-    if (Lhs || mentions(C.Rhs, V))
-      Explain(C, Lhs);
-  }
-  return Out;
 }

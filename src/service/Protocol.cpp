@@ -92,10 +92,11 @@ std::string seldon::service::renderOkResponse(const JsonValue &Id,
                                               const std::string &ResultJson) {
   // Envelope keys in fixed order; `result` last so byte-oriented consumers
   // can splice the payload off the end of the line. The payload (megabytes
-  // for a hot representation) is copied once.
+  // for a hot representation) is copied once: the reserve covers the
+  // closing brace and the transport's newline.
   std::string Out = "{\"v\":" + std::to_string(ProtocolVersion) +
                     ",\"id\":" + Id.render() + ",\"ok\":true,\"result\":";
-  Out.reserve(Out.size() + ResultJson.size() + 1);
+  Out.reserve(Out.size() + ResultJson.size() + 1 + ResponseNewlineRoom);
   Out += ResultJson;
   Out += '}';
   return Out;

@@ -90,8 +90,13 @@ struct RequestError {
 bool parseRequest(const std::string &Line, size_t MaxBytes, Request &Out,
                   RequestError &Err);
 
+/// Room a success envelope keeps past its last byte: a transport
+/// terminates the line with '\n' in place, without copying it.
+constexpr size_t ResponseNewlineRoom = 1;
+
 /// Renders a success envelope: {"v":1,"id":<id>,"ok":true,"result":<R>}.
-/// \p ResultJson must already be rendered JSON. No trailing newline.
+/// \p ResultJson must already be rendered JSON. No trailing newline, but
+/// ResponseNewlineRoom bytes of capacity for one.
 std::string renderOkResponse(const JsonValue &Id,
                              const std::string &ResultJson);
 

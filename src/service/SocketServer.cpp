@@ -148,6 +148,9 @@ void SocketServer::stop() {
 
 void SocketServer::serveConnection(int Fd) {
   std::string Buffer;
+  // Buffer[0, Scanned) holds no newline, so each byte is searched once
+  // however many chunks its line arrives in.
+  size_t Scanned = 0;
   char Chunk[65536];
   bool Open = true;
   while (Open) {
@@ -170,15 +173,16 @@ void SocketServer::serveConnection(int Fd) {
 
     size_t Start = 0;
     while (true) {
-      size_t NL = Buffer.find('\n', Start);
+      size_t NL = Buffer.find('\n', Scanned);
       std::string Line;
       if (NL != std::string::npos) {
         Line = Buffer.substr(Start, NL - Start);
-        Start = NL + 1;
+        Start = Scanned = NL + 1;
       } else if (!Open && Start < Buffer.size()) {
         Line = Buffer.substr(Start);
-        Start = Buffer.size();
+        Start = Scanned = Buffer.size();
       } else {
+        Scanned = Buffer.size();
         break;
       }
       if (!Line.empty() && Line.back() == '\r')
@@ -220,6 +224,7 @@ void SocketServer::serveConnection(int Fd) {
       }
     }
     Buffer.erase(0, Start);
+    Scanned -= Start;
 
     // A newline-less flood must not buffer unboundedly: answer
     // `oversized` once and drop the connection (framing is lost).
@@ -273,12 +278,14 @@ bool SocketClient::recvLine(std::string &Out) {
   if (Fd < 0)
     return false;
   while (true) {
-    size_t NL = Buffer.find('\n');
+    size_t NL = Buffer.find('\n', Scanned);
     if (NL != std::string::npos) {
-      Out = Buffer.substr(0, NL);
+      Out.assign(Buffer, 0, NL);
       Buffer.erase(0, NL + 1);
+      Scanned = 0;
       return true;
     }
+    Scanned = Buffer.size();
     char Chunk[65536];
     ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
     if (N < 0 && errno == EINTR)

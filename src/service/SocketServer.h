@@ -106,6 +106,8 @@ public:
 private:
   int Fd = -1;
   std::string Buffer;
+  /// Buffer[0, Scanned) holds no newline.
+  size_t Scanned = 0;
 };
 
 } // namespace service

@@ -83,7 +83,7 @@ void seldon::appendJsonEscaped(std::string &Out, std::string_view Text) {
   size_t Run = 0;
   for (size_t I = 0; I < Text.size(); ++I) {
     unsigned char C = static_cast<unsigned char>(Text[I]);
-    if (C >= 0x20 && C != '"' && C != '\\')
+    if (!jsonNeedsEscape(C))
       continue;
     Out.append(Text, Run, I - Run);
     Run = I + 1;

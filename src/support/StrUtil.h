@@ -45,6 +45,13 @@ std::string formatString(const char *Fmt, ...)
 void appendDouble(std::string &Out, double Value, std::chars_format Format,
                   int Precision);
 
+/// True when \p C must be escaped inside a JSON string literal: a quote, a
+/// backslash or a control character. These are the bytes jsonEscape
+/// rewrites; every other byte is copied as is.
+inline bool jsonNeedsEscape(unsigned char C) {
+  return C < 0x20 || C == '"' || C == '\\';
+}
+
 /// Escapes \p Text for inclusion inside a JSON string literal (quotes,
 /// backslashes, control characters).
 std::string jsonEscape(std::string_view Text);

@@ -6,6 +6,7 @@
 #include "constraints/Feedback.h"
 #include "infer/Pipeline.h"
 #include "propgraph/GraphBuilder.h"
+#include "service/QueryResult.h"
 #include "taint/JsonExport.h"
 #include "taint/ReportRenderer.h"
 
@@ -44,9 +45,9 @@ struct ExplainFixture {
     Result = S.solve();
   }
 
-  constraints::Explanation explain(const std::string &Rep, Role R) {
-    return constraints::explainRep(Result.System, Result.Reps, Rep, R,
-                                   Result.Solve.X);
+  service::QueryResult explain(const std::string &Rep, Role R) {
+    return service::queryRep(Result.System, Result.Reps, Rep, R,
+                             Result.Solve.X);
   }
 };
 
@@ -58,10 +59,10 @@ TEST(ExplainTest, LearnedSanitizerHasDemandingConstraint) {
   EXPECT_GT(E.Score, 0.3);
   ASSERT_FALSE(E.Constraints.empty());
   bool Demanded = false;
-  for (const auto &C : E.Constraints) {
-    Demanded |= !C.OnLhs;
-    EXPECT_NE(C.Text.find("mid.filter()^sanitizer"), std::string::npos);
-    EXPECT_NE(C.Text.find("<="), std::string::npos);
+  for (size_t I = 0; I < E.Constraints.size(); ++I) {
+    Demanded |= !E.Constraints[I].Caps;
+    EXPECT_NE(E.text(I).find("mid.filter()^sanitizer"), std::string::npos);
+    EXPECT_NE(E.text(I).find("<="), std::string::npos);
   }
   EXPECT_TRUE(Demanded) << "Fig. 4c must demand the sanitizer on the RHS";
 }
@@ -90,9 +91,15 @@ TEST(ExplainTest, NonCandidateRoleNotFound) {
 
 TEST(ExplainTest, RenderConstraintShape) {
   ExplainFixture F;
-  ASSERT_FALSE(F.Result.System.Constraints.empty());
-  std::string Text = constraints::renderConstraint(
-      F.Result.System, F.Result.Reps, F.Result.System.Constraints.front());
+  const constraints::ConstraintSystem &Sys = F.Result.System;
+  ASSERT_FALSE(Sys.Constraints.empty());
+  // The first row is the first one its variables' answers list.
+  const solver::LinearConstraint &Row = Sys.Constraints.front();
+  constraints::VarId V = (Row.Lhs.empty() ? Row.Rhs : Row.Lhs).front().Var;
+  service::QueryResult Q = F.explain(
+      F.Result.Reps.repString(Sys.Vars.repOf(V)), Sys.Vars.roleOf(V));
+  ASSERT_FALSE(Q.Constraints.empty());
+  std::string_view Text = Q.text(0);
   EXPECT_NE(Text.find(" <= "), std::string::npos);
   EXPECT_NE(Text.find(" + 0.75"), std::string::npos);
 }
@@ -103,8 +110,8 @@ TEST(ExplainTest, RenderConstraintShape) {
 
 /// Equal in every field, with constraints equal in text, residual and side,
 /// in the same order.
-void expectSameExplanation(const constraints::Explanation &Indexed,
-                           const constraints::Explanation &Scanned) {
+void expectSameExplanation(const service::QueryResult &Indexed,
+                           const service::QueryResult &Scanned) {
   EXPECT_EQ(Indexed.Found, Scanned.Found);
   EXPECT_EQ(Indexed.Score, Scanned.Score);
   EXPECT_EQ(Indexed.Pinned, Scanned.Pinned);
@@ -112,10 +119,10 @@ void expectSameExplanation(const constraints::Explanation &Indexed,
   ASSERT_EQ(Indexed.Constraints.size(), Scanned.Constraints.size());
   for (size_t I = 0; I < Indexed.Constraints.size(); ++I) {
     SCOPED_TRACE("constraint " + std::to_string(I));
-    EXPECT_EQ(Indexed.Constraints[I].Text, Scanned.Constraints[I].Text);
+    EXPECT_EQ(Indexed.text(I), Scanned.text(I));
     EXPECT_EQ(Indexed.Constraints[I].Residual,
               Scanned.Constraints[I].Residual);
-    EXPECT_EQ(Indexed.Constraints[I].OnLhs, Scanned.Constraints[I].OnLhs);
+    EXPECT_EQ(Indexed.Constraints[I].Caps, Scanned.Constraints[I].Caps);
   }
 }
 
@@ -158,11 +165,10 @@ TEST(ExplainTest, IndexFindsExactlyTheScannedRows) {
   for (constraints::VarId V = 0; V < Sys.Vars.numVars(); ++V) {
     const std::string &Rep = Reps.repString(Sys.Vars.repOf(V));
     SCOPED_TRACE(Rep + "^" + roleName(Sys.Vars.roleOf(V)));
-    constraints::Explanation Indexed =
-        constraints::explainRep(Sys, Reps, Rep, Sys.Vars.roleOf(V), X, &Index);
+    service::QueryResult Indexed =
+        service::queryRep(Sys, Reps, Rep, Sys.Vars.roleOf(V), X, &Index);
     expectSameExplanation(
-        Indexed,
-        constraints::explainRep(Sys, Reps, Rep, Sys.Vars.roleOf(V), X));
+        Indexed, service::queryRep(Sys, Reps, Rep, Sys.Vars.roleOf(V), X));
     Listed += Indexed.Constraints.size();
   }
   EXPECT_EQ(Listed, Index.Rows.size());
@@ -188,24 +194,118 @@ TEST(ExplainTest, IndexListsEachRowOncePerVariable) {
   EXPECT_TRUE(Index.rowsOf(Idle).empty());
 
   const std::vector<double> X = {0.25, 0.5, 0.75};
-  constraints::Explanation E =
-      constraints::explainRep(Sys, Reps, "a()", Role::Source, X, &Index);
+  service::QueryResult E =
+      service::queryRep(Sys, Reps, "a()", Role::Source, X, &Index);
   ASSERT_EQ(E.Constraints.size(), 2u);
-  EXPECT_EQ(E.Constraints[0].Text,
-            "a()^source + 0.5*a()^source <= b()^sink + 0.50");
+  EXPECT_EQ(E.text(0), "a()^source + 0.5*a()^source <= b()^sink + 0.50");
   EXPECT_DOUBLE_EQ(E.Constraints[0].Residual, -0.625);
-  EXPECT_TRUE(E.Constraints[0].OnLhs);
-  EXPECT_TRUE(E.Constraints[1].OnLhs)
+  EXPECT_TRUE(E.Constraints[0].Caps);
+  EXPECT_TRUE(E.Constraints[1].Caps)
       << "a variable on both sides is listed once, as capped";
   expectSameExplanation(
-      E, constraints::explainRep(Sys, Reps, "a()", Role::Source, X));
+      E, service::queryRep(Sys, Reps, "a()", Role::Source, X));
 
-  constraints::Explanation None = constraints::explainRep(
-      Sys, Reps, "idle()", Role::Sanitizer, X, &Index);
+  service::QueryResult None =
+      service::queryRep(Sys, Reps, "idle()", Role::Sanitizer, X, &Index);
   EXPECT_TRUE(None.Found);
   EXPECT_TRUE(None.Constraints.empty());
   expectSameExplanation(
-      None, constraints::explainRep(Sys, Reps, "idle()", Role::Sanitizer, X));
+      None, service::queryRep(Sys, Reps, "idle()", Role::Sanitizer, X));
+}
+
+/// The JSON and text answers, byte for byte, on the scan and on the index.
+TEST(ExplainTest, AnswerBytesArePinnedOnBothPaths) {
+  RepTable Reps;
+  constraints::ConstraintSystem Sys;
+  // A rep string holding every kind of byte JSON must escape.
+  const std::string Odd = "we\"ird\\rep\x01" "()";
+  constraints::VarId A = Sys.Vars.varFor(Reps.intern(Odd), Role::Source);
+  constraints::VarId B = Sys.Vars.varFor(Reps.intern("b()"), Role::Sink);
+  Sys.Vars.varFor(Reps.intern("idle()"), Role::Sanitizer);
+  // Row 0 repeats A within a side, row 1 demands A through a non-unit
+  // coefficient, row 2 has an empty side and does not mention A.
+  Sys.Constraints.push_back({{{A, 1.0f}, {A, 0.5f}}, {{B, 1.0f}}, 0.5});
+  Sys.Constraints.push_back({{{B, 1.0f}}, {{A, 0.25f}}, 0.75});
+  Sys.Constraints.push_back({{{B, 1.0f}}, {}, 0.0});
+  Sys.Pinned.emplace_back(A, 1.0);
+  constraints::RowIndex Index = constraints::buildRowIndex(Sys);
+  const std::vector<double> X = {1.0, 0.25, 0.0};
+
+  auto Expect = [&](const std::string &Rep, Role R,
+                    const std::vector<double> &At, const std::string &Json,
+                    const std::string &Text) {
+    SCOPED_TRACE(Rep + "^" + roleName(R));
+    const constraints::RowIndex *Paths[] = {nullptr, &Index};
+    for (const constraints::RowIndex *Rows : Paths) {
+      SCOPED_TRACE(Rows ? "indexed" : "scanned");
+      service::QueryResult Q = service::queryRep(Sys, Reps, Rep, R, At, Rows);
+      EXPECT_EQ(service::renderQueryJson(Q), Json);
+      EXPECT_EQ(service::renderQueryText(Q), Text);
+    }
+  };
+
+  const std::string OddJson = "we\\\"ird\\\\rep\\u0001()";
+  const std::string Row0 = Odd + "^source + 0.5*" + Odd +
+                           "^source <= b()^sink + 0.50";
+  const std::string Row1 = "b()^sink <= 0.25*" + Odd + "^source + 0.75";
+  const std::string Row0Json = OddJson + "^source + 0.5*" + OddJson +
+                               "^source <= b()^sink + 0.50";
+  const std::string Row1Json = "b()^sink <= 0.25*" + OddJson +
+                               "^source + 0.75";
+  Expect(Odd, Role::Source, X,
+         "{\"rep\":\"" + OddJson +
+             "\",\"role\":\"source\",\"found\":true,\"score\":1.000000,"
+             "\"pinned\":true,\"pinned_value\":1.000000,\"constraints\":["
+             "{\"kind\":\"caps\",\"residual\":0.750000,\"text\":\"" +
+             Row0Json +
+             "\"},{\"kind\":\"demands\",\"residual\":-0.750000,"
+             "\"text\":\"" +
+             Row1Json + "\"}]}",
+         Odd + " as source: score 1.000 (pinned to 1 by the seed)\n"
+               "2 constraint(s) mention it:\n"
+               "  [caps it, residual +0.750] " +
+             Row0 + "\n  [demands it, residual -0.750] " + Row1 + "\n");
+  // No assignment: every score and residual reads 0.
+  Expect(Odd, Role::Source, {},
+         "{\"rep\":\"" + OddJson +
+             "\",\"role\":\"source\",\"found\":true,\"score\":0.000000,"
+             "\"pinned\":true,\"pinned_value\":1.000000,\"constraints\":["
+             "{\"kind\":\"caps\",\"residual\":0.000000,\"text\":\"" +
+             Row0Json +
+             "\"},{\"kind\":\"demands\",\"residual\":0.000000,"
+             "\"text\":\"" +
+             Row1Json + "\"}]}",
+         Odd + " as source: score 0.000 (pinned to 1 by the seed)\n"
+               "2 constraint(s) mention it:\n"
+               "  [caps it, residual +0.000] " +
+             Row0 + "\n  [demands it, residual +0.000] " + Row1 + "\n");
+  Expect("b()", Role::Sink, X,
+         "{\"rep\":\"b()\",\"role\":\"sink\",\"found\":true,"
+         "\"score\":0.250000,\"pinned\":false,\"pinned_value\":0.000000,"
+         "\"constraints\":[{\"kind\":\"demands\",\"residual\":0.750000,"
+         "\"text\":\"" +
+             Row0Json +
+             "\"},{\"kind\":\"caps\",\"residual\":-0.750000,\"text\":\"" +
+             Row1Json +
+             "\"},{\"kind\":\"caps\",\"residual\":0.250000,"
+             "\"text\":\"b()^sink <= 0 + 0.00\"}]}",
+         "b() as sink: score 0.250\n3 constraint(s) mention it:\n"
+         "  [demands it, residual +0.750] " +
+             Row0 + "\n  [caps it, residual -0.750] " + Row1 +
+             "\n  [caps it, residual +0.250] b()^sink <= 0 + 0.00\n");
+  Expect("idle()", Role::Sanitizer, X,
+         "{\"rep\":\"idle()\",\"role\":\"sanitizer\",\"found\":true,"
+         "\"score\":0.000000,\"pinned\":false,\"pinned_value\":0.000000,"
+         "\"constraints\":[]}",
+         "idle() as sanitizer: score 0.000\n0 constraint(s) mention it:\n");
+  // A rep without a variable in the role, and a rep never seen.
+  for (const std::string &Missing : {std::string("b()"), Odd + "x"})
+    Expect(Missing, Role::Source, X,
+           "{\"rep\":\"" + jsonEscape(Missing) +
+               "\",\"role\":\"source\",\"found\":false,"
+               "\"score\":0.000000,\"pinned\":false,"
+               "\"pinned_value\":0.000000,\"constraints\":[]}",
+           Missing + " as source: score 0.000\n0 constraint(s) mention it:\n");
 }
 
 //===----------------------------------------------------------------------===//

@@ -16,10 +16,10 @@
 //
 // Last, the point-query answers are pinned: the wire JSON and the text of
 // every variable's explanation under a fixed solve, passive and with
-// feedback rows. The indexed and scanned query paths share one renderer,
-// so comparing them with each other cannot catch a change to what both
-// render; this digest can. A failure there means `seldond`'s `query` and
-// `seldon explain` output changed.
+// feedback rows, on the scan and on the row index. The two paths share
+// one walk and one renderer, so comparing them with each other cannot
+// catch a change to what both render; this digest can. A failure there
+// means `seldond`'s `query` and `seldon explain` output changed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +27,7 @@
 
 #include "cache/GraphCache.h"
 #include "cache/ShardCache.h"
+#include "constraints/Explain.h"
 #include "constraints/ShardCodec.h"
 #include "infer/Pipeline.h"
 #include "propgraph/GraphCodec.h"
@@ -230,8 +231,10 @@ TEST(FormatGoldenTest, GeneratedSystemIsPinned) {
 }
 
 /// FNV-1a-64 over the JSON and text answer to every variable of \p R's
-/// system, plus one not-found query.
-std::string queryDigest(const infer::PipelineResult &R) {
+/// system, plus one not-found query, found by a scan or, with \p Index,
+/// through the daemon's row index.
+std::string queryDigest(const infer::PipelineResult &R,
+                        const constraints::RowIndex *Index = nullptr) {
   uint64_t Hash = 0xcbf29ce484222325ull;
   auto Fold = [&](const service::QueryResult &Q) {
     codec::hashChunk(Hash, service::renderQueryJson(Q));
@@ -241,16 +244,18 @@ std::string queryDigest(const infer::PipelineResult &R) {
   for (uint32_t V = 0; V < Vars.numVars(); ++V)
     Fold(service::queryRep(R.System, R.Reps,
                            R.Reps.repString(Vars.repOf(V)), Vars.roleOf(V),
-                           R.Solve.X));
-  service::QueryResult Missing = service::queryRep(
-      R.System, R.Reps, "never.seen()", propgraph::Role::Sink, R.Solve.X);
+                           R.Solve.X, Index));
+  service::QueryResult Missing =
+      service::queryRep(R.System, R.Reps, "never.seen()",
+                        propgraph::Role::Sink, R.Solve.X, Index);
   EXPECT_FALSE(Missing.Found);
   Fold(Missing);
   return hex(Hash);
 }
 
 /// Every query answer is pinned, after a passive solve and after a solve
-/// that carries weighted, decayed feedback rows.
+/// that carries weighted, decayed feedback rows, on the scan `seldon
+/// explain` takes and on the index `seldond` takes.
 TEST(FormatGoldenTest, QueryAnswersArePinned) {
   corpus::Corpus Data = testutil::makeCorpus(4242, /*NumProjects=*/6);
   auto Solve = [&](const constraints::FeedbackSet *Feedback) {
@@ -266,8 +271,14 @@ TEST(FormatGoldenTest, QueryAnswersArePinned) {
     S.generateConstraints(Data.Seed);
     return S.solve();
   };
+  auto ExpectDigest = [](const infer::PipelineResult &R,
+                         const std::string &Pinned, const char *What) {
+    constraints::RowIndex Index = constraints::buildRowIndex(R.System);
+    EXPECT_EQ(queryDigest(R), Pinned) << What << ", scanned";
+    EXPECT_EQ(queryDigest(R, &Index), Pinned) << What << ", indexed";
+  };
   infer::PipelineResult Passive = Solve(nullptr);
-  EXPECT_EQ(queryDigest(Passive), "0x6381fe8a60b1bc61") << "passive";
+  ExpectDigest(Passive, "0x6381fe8a60b1bc61", "passive");
 
   // One verdict per role on the most specific option of the first event
   // whose two leading options both have a variable in that role, so the
@@ -293,7 +304,7 @@ TEST(FormatGoldenTest, QueryAnswersArePinned) {
   infer::PipelineResult Guided = Solve(&Verdicts);
   EXPECT_GT(Guided.Feedback.EvidenceRows, 0u);
   EXPECT_GT(Guided.Feedback.PropagatedRows, 0u);
-  EXPECT_EQ(queryDigest(Guided), "0x5ff504a3f805ca0d") << "feedback";
+  ExpectDigest(Guided, "0x5ff504a3f805ca0d", "feedback");
 }
 
 } // namespace

@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <clocale>
 #include <cstdlib>
 #include <cstring>
@@ -271,6 +273,18 @@ TEST(ProtocolTest, EnvelopeKeyOrderIsFixed) {
                                 "bad \"stuff\""),
             "{\"v\":1,\"id\":null,\"ok\":false,\"error\":{\"code\":"
             "\"bad-json\",\"message\":\"bad \\\"stuff\\\"\"}}");
+}
+
+TEST(ProtocolTest, OkResponseTakesItsNewlineInPlace) {
+  // A cold query's answer is about 132 KB; the transport appends '\n' to
+  // the envelope, and that must not copy the line.
+  for (size_t Size : {size_t(0), size_t(7), size_t(132466)}) {
+    std::string Response = renderOkResponse(
+        JsonValue::makeNumber(1), "\"" + std::string(Size, 'x') + "\"");
+    const char *Before = Response.data();
+    Response += '\n';
+    EXPECT_EQ(Response.data(), Before) << "payload of " << Size << " bytes";
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -980,6 +994,137 @@ TEST_F(ServiceTest, RecvHardErrorDropsFragmentCleanEofAnswersIt) {
   EXPECT_FALSE(Svc->shuttingDown());
   ASSERT_TRUE(Client.roundTrip("{\"v\":1,\"id\":13,\"op\":\"shutdown\"}", R));
   Accept.join();
+}
+
+/// Reads from \p Fd until \p Count newline-terminated lines have arrived
+/// or the peer stops sending; returns the lines without their newlines.
+std::vector<std::string> readLines(int Fd, size_t Count) {
+  std::vector<std::string> Lines(1);
+  char Chunk[4096];
+  while (Lines.size() <= Count) {
+    ssize_t N = ::recv(Fd, Chunk, sizeof(Chunk), 0);
+    if (N <= 0)
+      break;
+    for (ssize_t I = 0; I < N; ++I) {
+      if (Chunk[I] == '\n')
+        Lines.emplace_back();
+      else
+        Lines.back() += Chunk[I];
+    }
+  }
+  Lines.pop_back();
+  return Lines;
+}
+
+TEST_F(ServiceTest, ServerFramesARequestSentInPieces) {
+  auto Svc = startService(testOptions());
+  ASSERT_TRUE(Svc);
+  ThreadPool Pool(2);
+  std::string Socket = (Root / "seldond.sock").string();
+  SocketServer Server(*Svc, Pool, Socket);
+  std::string Error;
+  ASSERT_TRUE(Server.listen(Error)) << Error;
+  std::thread Accept([&] { Server.run(); });
+
+  // Two requests, the second starting inside the piece that ends the
+  // first, sent a few bytes at a time so the server reads many chunks;
+  // then a third, shorter than the second, sent whole once both are
+  // answered.
+  const std::string First =
+      "{\"v\":1,\"id\":1,\"op\":\"query\",\"rep\":\"flask.request.args.get()"
+      "\",\"role\":\"source\"}";
+  const std::string Second =
+      "{\"v\":1,\"id\":2,\"op\":\"query\",\"rep\":\"flask.escape()\","
+      "\"role\":\"sink\"}";
+  const std::string Third = "{\"v\":1,\"id\":3,\"op\":\"query\",\"rep\":\"x()\"}";
+  const std::string Wire = First + "\n" + Second + "\n";
+  int Fd = rawConnect(Socket);
+  EXPECT_GE(Fd, 0);
+  std::vector<std::string> Lines;
+  if (Fd >= 0) {
+    // A framing bug must fail the test, not hang it.
+    timeval Timeout{10, 0};
+    ::setsockopt(Fd, SOL_SOCKET, SO_RCVTIMEO, &Timeout, sizeof(Timeout));
+    for (size_t Off = 0; Off < Wire.size(); Off += 5) {
+      size_t N = std::min<size_t>(5, Wire.size() - Off);
+      EXPECT_EQ(::send(Fd, Wire.data() + Off, N, MSG_NOSIGNAL),
+                static_cast<ssize_t>(N));
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    Lines = readLines(Fd, 2);
+    const std::string Line = Third + "\n";
+    EXPECT_EQ(::send(Fd, Line.data(), Line.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(Line.size()));
+    for (std::string &L : readLines(Fd, 1))
+      Lines.push_back(std::move(L));
+    ::close(Fd);
+  }
+  // The same requests, whole and without the socket.
+  const std::vector<std::string> Expected = {
+      Svc->serve(First), Svc->serve(Second), Svc->serve(Third)};
+  SocketClient Client;
+  std::string R;
+  ASSERT_TRUE(Client.connect(Socket, Error)) << Error;
+  ASSERT_TRUE(Client.roundTrip("{\"v\":1,\"id\":4,\"op\":\"shutdown\"}", R));
+  Accept.join();
+  EXPECT_EQ(Lines, Expected);
+  EXPECT_NE(Expected[1].find("\"found\":true"), std::string::npos)
+      << Expected[1];
+}
+
+TEST_F(ServiceTest, ClientFramesAMultiMegabyteLine) {
+  // A hot query's answer runs to megabytes and reaches the client in many
+  // chunks; it, and the line behind it, must come out exactly.
+  std::string Path = (Root / "peer.sock").string();
+  sockaddr_un Addr;
+  std::memset(&Addr, 0, sizeof(Addr));
+  Addr.sun_family = AF_UNIX;
+  ASSERT_LT(Path.size(), sizeof(Addr.sun_path));
+  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
+  int Listen = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(Listen, 0);
+  ASSERT_EQ(::bind(Listen, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)),
+            0);
+  ASSERT_EQ(::listen(Listen, 1), 0);
+
+  std::string Long(3 << 20, ' ');
+  for (size_t I = 0; I < Long.size(); ++I)
+    Long[I] = static_cast<char>('a' + I % 26);
+  const std::string Wire = Long + "\nshort\n";
+  std::thread Peer([&] {
+    int Fd = ::accept(Listen, nullptr, nullptr);
+    if (Fd < 0)
+      return;
+    // An odd piece size puts the newlines anywhere within a chunk.
+    for (size_t Off = 0; Off < Wire.size();) {
+      ssize_t Sent = ::send(Fd, Wire.data() + Off,
+                            std::min<size_t>(4099, Wire.size() - Off),
+                            MSG_NOSIGNAL);
+      if (Sent <= 0)
+        break;
+      Off += static_cast<size_t>(Sent);
+    }
+    ::close(Fd);
+  });
+
+  SocketClient Client;
+  std::string Error;
+  bool Connected = Client.connect(Path, Error);
+  if (!Connected)
+    ::shutdown(Listen, SHUT_RDWR); // Wakes the peer's accept.
+  std::string First, Second, Third;
+  bool GotFirst = Connected && Client.recvLine(First);
+  bool GotSecond = GotFirst && Client.recvLine(Second);
+  bool GotThird = GotSecond && Client.recvLine(Third);
+  Peer.join();
+  ::close(Listen);
+  ASSERT_TRUE(Connected) << Error;
+  ASSERT_TRUE(GotFirst);
+  EXPECT_EQ(First.size(), Long.size());
+  EXPECT_TRUE(First == Long);
+  ASSERT_TRUE(GotSecond);
+  EXPECT_EQ(Second, "short");
+  EXPECT_FALSE(GotThird) << "the peer closed after two lines";
 }
 
 } // namespace
