@@ -52,17 +52,18 @@ int main() {
                   Score);
       service::QueryResult Q =
           service::queryRep(R.System, R.Reps, Rep, Ro, R.Solve.X);
+      // Show the constraints that *demand* the role, at most three.
       size_t Shown = 0;
       for (size_t I = 0; I < Q.Constraints.size(); ++I) {
         if (Q.Constraints[I].Caps)
-          continue; // Show the constraints that *demand* the role.
-        if (++Shown > 3) {
-          std::printf("  ... %zu more\n", Q.Constraints.size() - 3);
-          break;
-        }
+          continue;
+        if (++Shown > 3)
+          continue;
         std::string_view Text = Q.text(I);
         std::printf("  %.*s\n", static_cast<int>(Text.size()), Text.data());
       }
+      if (Shown > 3)
+        std::printf("  ... %zu more\n", Shown - 3);
       if (Shown == 0)
         std::printf("  (score driven only by capping constraints)\n");
       bool Correct = Data.Truth.isTrue(Rep, Ro);

@@ -3,10 +3,11 @@
 // The one implementation of the Fig. 4 templates behind ConstraintGen.h and
 // ConstraintShard.h. One per-file traversal records a file's anchors as a
 // ShardFile over local event ids; one emitter turns anchors into rows,
-// given each local event's surviving backoff options. Direct generation
-// traverses candidates only and emits from Sys.EventReps; extractShard
-// traverses unfiltered and interns representation strings; replay resolves
-// those strings against the current corpus and calls the same emitter.
+// given each local event's surviving backoff options, and writes them
+// straight into a flat row store. Direct generation traverses candidates
+// only and emits from Sys.EventReps; extractShard traverses unfiltered and
+// interns representation strings; replay resolves those strings against
+// the current corpus and calls the same emitter.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +21,7 @@
 #include <algorithm>
 #include <array>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -38,7 +40,7 @@ namespace {
 
 /// Per local event, its surviving backoff options: the §4.3 frequency
 /// cutoff and the §7.2 blacklist applied. An event with none is dead.
-using LocalOptions = std::vector<const std::vector<RepId> *>;
+using LocalOptions = std::vector<std::span<const RepId>>;
 
 /// The Fig. 4 traversal of one file. Local ids index \p Local, the file's
 /// events in id order. With \p Live, only events with surviving options are
@@ -52,7 +54,7 @@ ShardFile traverseFile(const PropagationGraph &Graph,
                        const LocalOptions *Live) {
   std::vector<ShardEventId> Sources, Sanitizers, Sinks;
   for (ShardEventId L = 0; L < Local.size(); ++L) {
-    if (Live && (*Live)[L]->empty())
+    if (Live && (*Live)[L].empty())
       continue;
     RoleMask Mask = Graph.event(Local[L]).Candidates;
     if (maskHas(Mask, Role::Source))
@@ -119,14 +121,17 @@ ShardFile traverseFile(const PropagationGraph &Graph,
 /// table whose ids follow first use within the block.
 struct ConstraintBlock {
   VarTable Vars;
-  std::vector<solver::LinearConstraint> Constraints;
+  solver::ConstraintRows Constraints;
 };
 
 /// The Fig. 4 emitter: turns anchors over local event ids into rows over
-/// Out.Vars. A dead anchor emits nothing, and dead members are dropped
-/// before the MaxPairsPerAnchor cap counts, so the cap counts surviving
-/// pairs only. Every variable occurrence is the 1/|Reps(v)| average of the
-/// event's surviving options (§4.3).
+/// Out.Vars, appended to Out.Constraints. A dead anchor emits nothing, and
+/// dead members are dropped before the MaxPairsPerAnchor cap counts, so
+/// the cap counts surviving pairs only. Every variable occurrence is the
+/// 1/|Reps(v)| average of the event's surviving options (§4.3). Variables
+/// are interned in the order the terms are first needed: for Fig. 4a/4b
+/// the anchor's sum, then each row's two Lhs events; for Fig. 4c each
+/// row's two Lhs events, then its mids.
 class RowEmitter {
 public:
   RowEmitter(LocalOptions Options, const GenOptions &Opts,
@@ -135,19 +140,23 @@ public:
         BlockAt(this->Options.size(), {Unbuilt, Unbuilt, Unbuilt}) {}
 
   void emit(const ShardFile &File) {
+    solver::ConstraintRows &Rows = Out.Constraints;
     for (const ShardSanAnchor &Anchor : File.SanAnchors) {
       if (!live(Anchor.San))
         continue;
       // Fig. 4a: san(v) + snk(t) <= sum of sources into v + C.
-      std::vector<solver::Term> SourceSum =
-          sumOf(Anchor.SourcesBefore, Role::Source);
+      sumOf(Anchor.SourcesBefore, Role::Source);
       capped(Anchor.SinksAfter, [&](ShardEventId Snk) {
-        row(Anchor.San, Role::Sanitizer, Snk, Role::Sink).Rhs = SourceSum;
+        lhs(Anchor.San, Role::Sanitizer, Snk, Role::Sink);
+        Rows.push(Sum);
+        Rows.closeRow(Opts.C);
       });
       // Fig. 4b: src(s) + san(v) <= sum of sinks after v + C.
-      std::vector<solver::Term> SinkSum = sumOf(Anchor.SinksAfter, Role::Sink);
+      sumOf(Anchor.SinksAfter, Role::Sink);
       capped(Anchor.SourcesBefore, [&](ShardEventId Src) {
-        row(Src, Role::Source, Anchor.San, Role::Sanitizer).Rhs = SinkSum;
+        lhs(Src, Role::Source, Anchor.San, Role::Sanitizer);
+        Rows.push(Sum);
+        Rows.closeRow(Opts.C);
       });
     }
     // Fig. 4c: src(s) + snk(t) <= sum of sanitizers between s and t + C.
@@ -155,17 +164,17 @@ public:
       if (!live(Anchor.Src))
         continue;
       capped(Anchor.Pairs, [&](const ShardSrcPair &Pair) {
-        solver::LinearConstraint &LC =
-            row(Anchor.Src, Role::Source, Pair.Snk, Role::Sink);
+        lhs(Anchor.Src, Role::Source, Pair.Snk, Role::Sink);
         for (ShardEventId Mid : Pair.Mids)
           if (live(Mid))
-            append(LC.Rhs, Mid, Role::Sanitizer);
+            Rows.push(termsOf(Mid, Role::Sanitizer));
+        Rows.closeRow(Opts.C);
       });
     }
   }
 
 private:
-  bool live(ShardEventId E) const { return !Options[E]->empty(); }
+  bool live(ShardEventId E) const { return !Options[E].empty(); }
   static ShardEventId eventOf(ShardEventId E) { return E; }
   static ShardEventId eventOf(const ShardSrcPair &Pair) { return Pair.Snk; }
 
@@ -183,12 +192,12 @@ private:
     }
   }
 
-  /// Appends the averaged terms of (\p E, \p R) to \p To. An event recurs
-  /// across many rows, so its terms are built into the pool once, at first
-  /// use — where its variables would be interned anyway, so ids keep
-  /// first-use order — and copied from there after.
-  void append(std::vector<solver::Term> &To, ShardEventId E, Role R) {
-    const std::vector<RepId> &Reps = *Options[E];
+  /// The averaged terms of (\p E, \p R), valid until the next call. An
+  /// event recurs across many rows, so its terms are built into the pool
+  /// once, at first use — where its variables would be interned anyway, so
+  /// ids keep first-use order — and copied from there after.
+  std::span<const solver::Term> termsOf(ShardEventId E, Role R) {
+    std::span<const RepId> Reps = Options[E];
     uint32_t &At = BlockAt[E][static_cast<size_t>(R)];
     if (At == Unbuilt) {
       At = static_cast<uint32_t>(Pool.size());
@@ -196,25 +205,24 @@ private:
       for (RepId Rep : Reps)
         Pool.push_back({Out.Vars.varFor(Rep, R), Coef});
     }
-    To.insert(To.end(), Pool.begin() + At, Pool.begin() + At + Reps.size());
+    return {Pool.data() + At, Reps.size()};
   }
 
-  std::vector<solver::Term> sumOf(const std::vector<ShardEventId> &Ids,
-                                  Role R) {
-    std::vector<solver::Term> Sum;
+  /// Sets Sum to the terms of the live events of \p Ids in role \p R.
+  void sumOf(const std::vector<ShardEventId> &Ids, Role R) {
+    Sum.clear();
     for (ShardEventId E : Ids)
-      if (live(E))
-        append(Sum, E, R);
-    return Sum;
+      if (live(E)) {
+        std::span<const solver::Term> Terms = termsOf(E, R);
+        Sum.insert(Sum.end(), Terms.begin(), Terms.end());
+      }
   }
 
-  solver::LinearConstraint &row(ShardEventId A, Role RA, ShardEventId B,
-                                Role RB) {
-    solver::LinearConstraint &LC = Out.Constraints.emplace_back();
-    append(LC.Lhs, A, RA);
-    append(LC.Lhs, B, RB);
-    LC.C = Opts.C;
-    return LC;
+  /// Writes the Lhs of a row: (\p A, \p RA) + (\p B, \p RB).
+  void lhs(ShardEventId A, Role RA, ShardEventId B, Role RB) {
+    Out.Constraints.push(termsOf(A, RA));
+    Out.Constraints.push(termsOf(B, RB));
+    Out.Constraints.closeLhs();
   }
 
   static constexpr uint32_t Unbuilt = ~uint32_t(0);
@@ -225,29 +233,37 @@ private:
   std::vector<solver::Term> Pool;
   /// Where each (event, role) block starts in Pool, or Unbuilt.
   std::vector<std::array<uint32_t, NumRoles>> BlockAt;
+  /// The current anchor's sum (Fig. 4a/4b), shared by its rows' Rhs.
+  std::vector<solver::Term> Sum;
 };
 
-/// The scaffolding before any row: each event's surviving backoff options,
-/// the candidate statistics, and the seed pins (§4.1), which intern the
-/// system's first variables.
+/// The scaffolding before any row: each event's surviving backoff options
+/// under the keep verdicts \p Keep (RepTable::keepVerdicts), the candidate
+/// statistics, and the seed pins (§4.1), which intern the system's first
+/// variables.
 ConstraintSystem prepareSystem(const PropagationGraph &Graph,
                                const RepTable &Reps,
                                const spec::SeedSpec &Seed,
-                               const GenOptions &Opts, ThreadPool *Pool) {
+                               const std::vector<uint8_t> &Keep,
+                               ThreadPool *Pool) {
   ConstraintSystem Sys;
   const std::vector<Event> &Events = Graph.events();
-  Sys.EventReps.resize(Events.size());
 
-  // Surviving backoff options: frequency cutoff (§4.3) + blacklist (§7.2).
-  // Each event writes only its own slot, so the filter fans out freely.
+  // Surviving backoff options: an event's options are a subset of its
+  // representations, so each event filters into its own slot of a layout
+  // sized by representation counts (the filter fans out freely), and the
+  // slots are then packed in event order.
+  std::vector<size_t> Slot(Events.size() + 1, 0);
+  for (size_t I = 0; I < Events.size(); ++I)
+    Slot[I + 1] = Slot[I] + Events[I].Reps.size();
+  std::vector<RepId> Slots(Slot.back());
+  std::vector<uint32_t> Kept(Events.size(), 0);
   auto FilterEvent = [&](size_t I, unsigned) {
-    const Event &E = Events[I];
-    std::vector<RepId> Options = Reps.backoffOptions(E, Opts.RepCutoff);
-    std::vector<RepId> Kept;
-    for (RepId Id : Options)
-      if (!Seed.isBlacklisted(Reps.repString(Id)))
-        Kept.push_back(Id);
-    Sys.EventReps[E.Id] = std::move(Kept);
+    for (const std::string &Rep : Events[I].Reps) {
+      RepId Id;
+      if (Reps.lookup(Rep, Id) && Keep[Id])
+        Slots[Slot[I] + Kept[I]++] = Id;
+    }
   };
   if (Pool)
     Pool->parallelFor(Events.size(), FilterEvent);
@@ -256,11 +272,15 @@ ConstraintSystem prepareSystem(const PropagationGraph &Graph,
       FilterEvent(I, 0);
 
   size_t BackoffTotal = 0;
-  for (const std::vector<RepId> &Kept : Sys.EventReps) {
-    if (!Kept.empty()) {
-      ++Sys.NumCandidates;
-      BackoffTotal += Kept.size();
-    }
+  for (uint32_t N : Kept) {
+    Sys.NumCandidates += N != 0;
+    BackoffTotal += N;
+  }
+  Sys.EventReps.reserve(Events.size(), BackoffTotal);
+  for (size_t I = 0; I < Events.size(); ++I) {
+    for (uint32_t K = 0; K < Kept[I]; ++K)
+      Sys.EventReps.push(Slots[Slot[I] + K]);
+    Sys.EventReps.close();
   }
   Sys.AvgBackoffOptions =
       Sys.NumCandidates == 0
@@ -288,60 +308,48 @@ ConstraintSystem prepareSystem(const PropagationGraph &Graph,
 /// order, so this reproduces the exact ids a serial run over the same units
 /// assigns — including variables created for sums that end up in no row.
 void mergeBlocks(std::vector<ConstraintBlock> &Blocks, ConstraintSystem &Sys) {
-  size_t Total = Sys.Constraints.size();
-  for (const ConstraintBlock &Block : Blocks)
-    Total += Block.Constraints.size();
-  Sys.Constraints.reserve(Total);
+  size_t Rows = 0, Terms = 0;
+  for (const ConstraintBlock &Block : Blocks) {
+    Rows += Block.Constraints.size();
+    Terms += Block.Constraints.numTerms();
+  }
+  Sys.Constraints.reserve(Rows, Terms);
   std::vector<VarId> Map;
   for (ConstraintBlock &Block : Blocks) {
     Map.resize(Block.Vars.numVars());
     for (VarId L = 0; L < Block.Vars.numVars(); ++L)
       Map[L] = Sys.Vars.varFor(Block.Vars.repOf(L), Block.Vars.roleOf(L));
-    for (solver::LinearConstraint &LC : Block.Constraints) {
-      for (solver::Term &T : LC.Lhs)
-        T.Var = Map[T.Var];
-      for (solver::Term &T : LC.Rhs)
-        T.Var = Map[T.Var];
-      Sys.Constraints.push_back(std::move(LC));
-    }
+    Sys.Constraints.appendMapped(Block.Constraints, Map);
     Block = ConstraintBlock(); // Free as we go.
   }
 }
 
 /// Replays \p Shard under the current corpus state into \p Out: resolves
-/// each event's surviving options against the global counts in \p Reps and
-/// the seed blacklist, then emits the shard's files in order.
+/// each event's surviving options through the keep verdicts \p Keep
+/// (RepTable::keepVerdicts), then emits the shard's files in order.
 void replayShard(const ConstraintShard &Shard, const RepTable &Reps,
-                 const spec::SeedSpec &Seed, const GenOptions &Opts,
+                 const std::vector<uint8_t> &Keep, const GenOptions &Opts,
                  ConstraintBlock &Out) {
   // Option strings recur across events (every `flask.request.*` read in a
   // file carries the same backoff spellings), so each distinct string is
-  // resolved once: global frequency cutoff (§4.3) + blacklist (§7.2), the
-  // stored most-to-least-specific order preserved. An unknown string
-  // (possible only with a shard/graph mismatch, which the cache key rules
-  // out) is dropped, as backoffOptions drops it.
-  std::vector<RepId> StrRep(Shard.Strings.size());
-  std::vector<uint8_t> StrKept(Shard.Strings.size(), 0);
+  // resolved once, the stored most-to-least-specific order preserved. An
+  // unknown string (possible only with a shard/graph mismatch, which the
+  // cache key rules out) is dropped, as direct generation drops it.
+  constexpr RepId Dropped = ~RepId(0);
+  std::vector<RepId> StrRep(Shard.Strings.size(), Dropped);
   for (size_t S = 0; S < Shard.Strings.size(); ++S) {
-    const std::string &Rep = Shard.Strings[S];
     RepId Id;
-    if (!Reps.lookup(Rep, Id))
-      continue;
-    if (Reps.occurrences(Id) < Opts.RepCutoff)
-      continue;
-    if (Seed.isBlacklisted(Rep))
-      continue;
-    StrRep[S] = Id;
-    StrKept[S] = 1;
+    if (Reps.lookup(Shard.Strings[S], Id) && Keep[Id])
+      StrRep[S] = Id;
   }
-  std::vector<std::vector<RepId>> Kept(Shard.Events.size());
-  LocalOptions Options(Shard.Events.size());
-  for (size_t E = 0; E < Shard.Events.size(); ++E) {
-    for (ShardStrId S : Shard.Events[E].Reps)
-      if (StrKept[S])
-        Kept[E].push_back(StrRep[S]);
-    Options[E] = &Kept[E];
+  EventOptions Kept;
+  for (const ShardEvent &E : Shard.Events) {
+    for (ShardStrId S : E.Reps)
+      if (StrRep[S] != Dropped)
+        Kept.push(StrRep[S]);
+    Kept.close();
   }
+  LocalOptions Options(Kept.begin(), Kept.end());
   RowEmitter Emitter(std::move(Options), Opts, Out);
   for (const ShardFile &File : Shard.Files)
     Emitter.emit(File);
@@ -356,7 +364,9 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
                                          const GenOptions &Opts,
                                          ThreadPool *Pool,
                                          const Deadline *StopAt) {
-  ConstraintSystem Sys = prepareSystem(Graph, Reps, Seed, Opts, Pool);
+  ConstraintSystem Sys = prepareSystem(
+      Graph, Reps, Seed, Reps.keepVerdicts(Opts.RepCutoff, Seed.Blacklist),
+      Pool);
 
   // Group events by file and emit each file into a private block, so
   // extraction touches no shared mutable state.
@@ -378,7 +388,7 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
       fault::maybeThrow(fault::Point::ConstraintGen, F);
     LocalOptions Options(Local.size());
     for (size_t L = 0; L < Local.size(); ++L)
-      Options[L] = &Sys.EventReps[Local[L]];
+      Options[L] = Sys.EventReps[Local[L]];
     ShardFile File = traverseFile(Graph, Local, &Options);
     RowEmitter(std::move(Options), Opts, PerFile[F]).emit(File);
   };
@@ -462,7 +472,9 @@ ConstraintSystem seldon::constraints::composeConstraints(
     const spec::SeedSpec &Seed,
     const std::vector<const ConstraintShard *> &Shards,
     const GenOptions &Opts, ThreadPool *Pool, const Deadline *StopAt) {
-  ConstraintSystem Sys = prepareSystem(Graph, Reps, Seed, Opts, Pool);
+  const std::vector<uint8_t> Keep =
+      Reps.keepVerdicts(Opts.RepCutoff, Seed.Blacklist);
+  ConstraintSystem Sys = prepareSystem(Graph, Reps, Seed, Keep, Pool);
   std::vector<ConstraintBlock> Blocks(Shards.size());
   auto ReplayOne = [&](size_t I, unsigned) {
     // All-or-nothing, like generation: a truncated composition would
@@ -471,7 +483,7 @@ ConstraintSystem seldon::constraints::composeConstraints(
     if (StopAt && StopAt->expired())
       throw DeadlineError("deadline expired during constraint composition");
     if (Shards[I])
-      replayShard(*Shards[I], Reps, Seed, Opts, Blocks[I]);
+      replayShard(*Shards[I], Reps, Keep, Opts, Blocks[I]);
   };
   if (Pool)
     Pool->parallelFor(Shards.size(), ReplayOne);

@@ -20,15 +20,13 @@ RowIndex seldon::constraints::buildRowIndex(const ConstraintSystem &Sys) {
   std::vector<uint32_t> LastRow(NumVars, UINT32_MAX);
   auto ForEachMention = [&](auto &&Visit) {
     for (uint32_t Row = 0; Row < NumRows; ++Row) {
-      const solver::LinearConstraint &C = Sys.Constraints[Row];
-      for (const std::vector<solver::Term> *Side : {&C.Lhs, &C.Rhs})
-        for (const solver::Term &T : *Side) {
-          assert(T.Var < NumVars && "row mentions an unknown variable");
-          if (LastRow[T.Var] != Row) {
-            LastRow[T.Var] = Row;
-            Visit(T.Var, Row);
-          }
+      for (const solver::Term &T : Sys.Constraints.terms(Row)) {
+        assert(T.Var < NumVars && "row mentions an unknown variable");
+        if (LastRow[T.Var] != Row) {
+          LastRow[T.Var] = Row;
+          Visit(T.Var, Row);
         }
+      }
     }
   };
 

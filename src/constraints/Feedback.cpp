@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 #include <unordered_map>
 
 using namespace seldon;
@@ -28,15 +29,10 @@ void appendEvidenceRow(ConstraintSystem &Sys, VarId V, double W,
   solver::Term T;
   T.Var = V;
   T.Coef = static_cast<float>(W);
-  solver::LinearConstraint Row;
-  if (Accepted) {
-    Row.Rhs.push_back(T);
-    Row.C = -static_cast<double>(T.Coef);
-  } else {
-    Row.Lhs.push_back(T);
-    Row.C = 0.0;
-  }
-  Sys.Constraints.push_back(std::move(Row));
+  if (Accepted)
+    Sys.Constraints.add({}, {T}, -static_cast<double>(T.Coef));
+  else
+    Sys.Constraints.add({T}, {}, 0.0);
 }
 
 } // namespace
@@ -95,7 +91,7 @@ seldon::constraints::applyFeedback(ConstraintSystem &Sys,
 
   std::array<std::unordered_map<RepId, double>, NumRoles> PropAccept;
   std::array<std::unordered_map<RepId, double>, NumRoles> PropReject;
-  for (const std::vector<RepId> &Options : Sys.EventReps) {
+  for (std::span<const RepId> Options : Sys.EventReps) {
     if (Options.size() < 2)
       continue;
     for (size_t R = 0; R < NumRoles; ++R) {

@@ -14,12 +14,13 @@
 ///   accepted (rep, role), weight w:   {} <= w*x + (-w)   — hinge w*(1-x)
 ///   rejected (rep, role), weight w:   w*x <= {} + 0      — hinge w*x
 ///
-/// Both are ordinary LinearConstraints, so feedback composes with the
-/// compiled kernel at every tier byte-identically, an empty
-/// feedback set adds no rows (the passive path, byte for byte), and the
-/// effect is provably monotone: a reject row only ever adds downward
-/// subgradient (+w while x > 0) on its variable, an accept row only ever
-/// adds upward subgradient (-w while x < 1).
+/// Both are ordinary rows, appended to the system's ConstraintRows, so
+/// feedback composes with the compiled kernel at every tier
+/// byte-identically, an empty feedback set adds no rows (the passive
+/// path, byte for byte), and the effect is provably monotone: a reject
+/// row only ever adds downward subgradient (+w while x > 0) on its
+/// variable, an accept row only ever adds upward subgradient (-w while
+/// x < 1).
 ///
 /// Similar representations share evidence: two representations are
 /// similar when they appear in the same event's surviving backoff set

@@ -219,6 +219,13 @@ Session &Session::buildGraph() {
   // shard cache, each survivor's file range within the global graph is
   // recorded so generateConstraints can slice its shard back out.
   PropagationGraph Merged;
+  size_t NumEvents = 0, NumFiles = 0;
+  for (size_t I = 0; I < Total; ++I)
+    if (!FailedAt[I]) {
+      NumEvents += PerProject[I].numEvents();
+      NumFiles += PerProject[I].files().size();
+    }
+  Merged.reserve(NumEvents, NumFiles);
   Slices.clear();
   bool DeadlineHit = false;
   for (size_t I = 0; I < Total; ++I) {
@@ -241,11 +248,10 @@ Session &Session::buildGraph() {
       Incr.ParseDiagnostics += ParseDiagnostics[I];
     }
     uint32_t FileBegin = static_cast<uint32_t>(Merged.files().size());
-    Merged.append(PerProject[I]);
+    Merged.append(std::move(PerProject[I])); // Frees it as we go.
     if (SCache)
       Slices.push_back({I, Keys[I], FileBegin,
                         static_cast<uint32_t>(Merged.files().size())});
-    PerProject[I] = PropagationGraph(); // Free as we go.
   }
   SlicesValid = SCache != nullptr;
   if (DeadlineHit) {

@@ -1094,7 +1094,7 @@ seldon::propgraph::buildProjectGraph(const pysem::Project &Proj,
     ModuleArtifacts Artifacts;
     PropagationGraph G = buildOne(M, Opts, Diagnostics, &Artifacts);
     Artifacts.offsetIds(static_cast<EventId>(Out.numEvents()));
-    Out.append(G);
+    Out.append(std::move(G));
     for (auto &[Name, Fn] : Artifacts.Exports)
       Linked.Exports.emplace(Name, std::move(Fn));
     for (auto &Site : Artifacts.Calls)

@@ -37,61 +37,85 @@ void PropagationGraph::addEdge(EventId From, EventId To) {
   ++EdgeCount;
 }
 
-void PropagationGraph::append(const PropagationGraph &Other) {
-  uint32_t FileOffset = static_cast<uint32_t>(Files.size());
-  EventId IdOffset = static_cast<EventId>(Events.size());
-  for (const std::string &F : Other.Files)
-    Files.push_back(F);
-  for (const Event &E : Other.Events) {
-    Event Copy = E;
-    Copy.Id = static_cast<EventId>(Events.size());
-    Copy.FileIdx += FileOffset;
-    Events.push_back(std::move(Copy));
-    Succ.emplace_back();
-    Pred.emplace_back();
+void PropagationGraph::append(PropagationGraph Other) {
+  const uint32_t FileOffset = static_cast<uint32_t>(Files.size());
+  const EventId IdOffset = static_cast<EventId>(Events.size());
+  for (std::string &F : Other.Files)
+    Files.push_back(std::move(F));
+  for (Event &E : Other.Events) {
+    E.Id = static_cast<EventId>(Events.size());
+    E.FileIdx += FileOffset;
+    Events.push_back(std::move(E));
   }
-  for (EventId From = 0; From < Other.Events.size(); ++From)
-    for (EventId To : Other.Succ[From]) {
-      Succ[From + IdOffset].push_back(To + IdOffset);
-      Pred[To + IdOffset].push_back(From + IdOffset);
-      ++EdgeCount;
-    }
+  for (std::vector<EventId> &Out : Other.Succ) {
+    for (EventId &To : Out)
+      To += IdOffset;
+    EdgeCount += Out.size();
+    Succ.push_back(std::move(Out));
+  }
+  // Each predecessor list keeps its buffer and is refilled in From order.
+  for (std::vector<EventId> &In : Other.Pred) {
+    In.clear();
+    Pred.push_back(std::move(In));
+  }
+  for (EventId From = IdOffset; From < Events.size(); ++From)
+    for (EventId To : Succ[From])
+      Pred[To].push_back(From);
 }
 
-std::vector<EventId> PropagationGraph::reachableFrom(EventId Start) const {
-  std::vector<EventId> Out;
-  std::vector<bool> Seen(Events.size(), false);
-  std::vector<EventId> Queue{Start};
-  Seen[Start] = true;
-  for (size_t Head = 0; Head < Queue.size(); ++Head) {
-    EventId Cur = Queue[Head];
-    for (EventId Next : Succ[Cur]) {
-      if (Seen[Next])
-        continue;
-      Seen[Next] = true;
-      Out.push_back(Next);
-      Queue.push_back(Next);
-    }
+void PropagationGraph::reserve(size_t NumEvents, size_t NumFiles) {
+  Events.reserve(Events.size() + NumEvents);
+  Succ.reserve(Succ.size() + NumEvents);
+  Pred.reserve(Pred.size() + NumEvents);
+  Files.reserve(Files.size() + NumFiles);
+}
+
+namespace {
+
+/// The searches' visited marks, one array per thread, reused across calls:
+/// an event is seen in the current search iff its stamp equals the
+/// search's epoch, so no search allocates or clears a whole-graph bitmap.
+struct VisitMarks {
+  std::vector<uint32_t> Stamp;
+  uint32_t Epoch = 0;
+};
+thread_local VisitMarks Marks;
+
+/// BFS from \p Start over \p Adjacent; returns the events visited, in
+/// order, without \p Start.
+std::vector<EventId>
+search(EventId Start, const std::vector<std::vector<EventId>> &Adjacent) {
+  std::vector<uint32_t> &Stamp = Marks.Stamp;
+  if (Stamp.size() < Adjacent.size())
+    Stamp.resize(Adjacent.size(), 0);
+  if (++Marks.Epoch == 0) { // Wrapped: no stale stamp may match.
+    std::fill(Stamp.begin(), Stamp.end(), 0);
+    Marks.Epoch = 1;
   }
+  const uint32_t Epoch = Marks.Epoch;
+  std::vector<EventId> Out;
+  auto Visit = [&](EventId Cur) {
+    for (EventId Next : Adjacent[Cur])
+      if (Stamp[Next] != Epoch) {
+        Stamp[Next] = Epoch;
+        Out.push_back(Next);
+      }
+  };
+  Stamp[Start] = Epoch;
+  Visit(Start);
+  for (size_t Head = 0; Head < Out.size(); ++Head)
+    Visit(Out[Head]);
   return Out;
+}
+
+} // namespace
+
+std::vector<EventId> PropagationGraph::reachableFrom(EventId Start) const {
+  return search(Start, Succ);
 }
 
 std::vector<EventId> PropagationGraph::reachingTo(EventId Start) const {
-  std::vector<EventId> Out;
-  std::vector<bool> Seen(Events.size(), false);
-  std::vector<EventId> Queue{Start};
-  Seen[Start] = true;
-  for (size_t Head = 0; Head < Queue.size(); ++Head) {
-    EventId Cur = Queue[Head];
-    for (EventId Prev : Pred[Cur]) {
-      if (Seen[Prev])
-        continue;
-      Seen[Prev] = true;
-      Out.push_back(Prev);
-      Queue.push_back(Prev);
-    }
-  }
-  return Out;
+  return search(Start, Pred);
 }
 
 PropagationGraph PropagationGraph::collapseByRep() const {

@@ -61,13 +61,21 @@ public:
 
   /// Appends \p Other into this graph, remapping ids and file indices.
   /// The event sets stay disjoint, matching the global graph of §4.
-  void append(const PropagationGraph &Other);
+  /// Events, files and successor lists are moved, so a caller that is done
+  /// with its graph passes it with std::move; predecessor lists are
+  /// rebuilt in source-event order.
+  void append(PropagationGraph Other);
 
-  /// Forward BFS from \p Start; returns all reachable events (excluding
-  /// \p Start itself unless it lies on a cycle).
+  /// Makes room for \p NumEvents more events and \p NumFiles more files,
+  /// so a merge of known size appends without regrowing.
+  void reserve(size_t NumEvents, size_t NumFiles);
+
+  /// Forward BFS from \p Start; returns every event reachable from it in
+  /// visit order, never \p Start itself, even on a cycle.
   std::vector<EventId> reachableFrom(EventId Start) const;
 
-  /// Backward BFS from \p Start.
+  /// Backward BFS from \p Start; returns every event reaching it, as
+  /// reachableFrom does.
   std::vector<EventId> reachingTo(EventId Start) const;
 
   /// Vertex contraction: merges all events with equal primary

@@ -22,17 +22,12 @@ void RepTable::countOccurrences(const PropagationGraph &Graph) {
       ++Counts[intern(Rep)];
 }
 
-std::vector<RepId> RepTable::backoffOptions(const Event &E,
-                                            size_t Cutoff) const {
-  std::vector<RepId> Out;
-  for (const std::string &Rep : E.Reps) {
-    auto It = Ids.find(Rep);
-    if (It == Ids.end())
-      continue;
-    if (Counts[It->second] >= Cutoff)
-      Out.push_back(It->second);
-  }
-  return Out;
+std::vector<uint8_t> RepTable::keepVerdicts(size_t Cutoff,
+                                            const GlobSet &Blacklist) const {
+  std::vector<uint8_t> Keep(Strings.size());
+  for (RepId Id = 0; Id < Strings.size(); ++Id)
+    Keep[Id] = Counts[Id] >= Cutoff && !Blacklist.matches(Strings[Id]);
+  return Keep;
 }
 
 bool RepTable::lookup(const std::string &Rep, RepId &IdOut) const {

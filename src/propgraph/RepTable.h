@@ -7,10 +7,10 @@
 ///
 /// \file
 /// Interns event representations across the whole corpus, counts their
-/// occurrences, and computes each event's backoff set Reps(v) (paper §4.3):
-/// representation options that occur fewer than the cutoff number of times
-/// (5 in the paper) are dropped; an event whose every option is infrequent
-/// is ignored entirely.
+/// occurrences, and decides which representations may serve in an event's
+/// backoff set Reps(v) (paper §4.3): options that occur fewer than the
+/// cutoff number of times (5 in the paper) are dropped; an event whose
+/// every option is dropped is ignored entirely.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +18,9 @@
 #define SELDON_PROPGRAPH_REPTABLE_H
 
 #include "propgraph/PropagationGraph.h"
+#include "support/Glob.h"
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -42,10 +44,13 @@ public:
   /// Occurrences of \p Id recorded by countOccurrences.
   size_t occurrences(RepId Id) const { return Counts[Id]; }
 
-  /// The backoff set Reps(v) for \p E: ids of its representation options
-  /// whose occurrence count is at least \p Cutoff, ordered most to least
-  /// specific. Empty result means the event should be ignored (§4.3).
-  std::vector<RepId> backoffOptions(const Event &E, size_t Cutoff) const;
+  /// One keep verdict per representation, indexed by RepId: 1 when it
+  /// occurs at least \p Cutoff times (§4.3) and matches no pattern of
+  /// \p Blacklist (§7.2). An event's backoff set Reps(v) is its options
+  /// with a verdict of 1, most to least specific; an event with none is
+  /// ignored.
+  std::vector<uint8_t> keepVerdicts(size_t Cutoff,
+                                    const GlobSet &Blacklist) const;
 
   const std::string &repString(RepId Id) const { return Strings[Id]; }
   size_t size() const { return Strings.size(); }

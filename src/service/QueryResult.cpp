@@ -30,7 +30,7 @@ bool seldon::service::roleFromName(const std::string &Name,
 
 namespace {
 
-bool mentions(const std::vector<solver::Term> &Terms, constraints::VarId V) {
+bool mentions(std::span<const solver::Term> Terms, constraints::VarId V) {
   return std::any_of(Terms.begin(), Terms.end(),
                      [V](const solver::Term &T) { return T.Var == V; });
 }
@@ -97,7 +97,7 @@ public:
 private:
   /// Appends \p Terms, or `0` when there are none, and returns
   /// Σ Coef·X over them.
-  double appendSide(const std::vector<solver::Term> &Terms) {
+  double appendSide(std::span<const solver::Term> Terms) {
     if (Terms.empty()) {
       Q.Text += '0';
       return 0.0;
@@ -171,28 +171,29 @@ seldon::service::queryRep(const constraints::ConstraintSystem &System,
     }
 
   RowWriter Writer(System, Reps, X, V, Q);
-  const std::vector<solver::LinearConstraint> &Rows = System.Constraints;
+  const solver::ConstraintRows &Rows = System.Constraints;
   if (!Index) {
     // The scan reads rows in order, so the hardware prefetcher keeps up.
-    for (const solver::LinearConstraint &C : Rows)
-      if (mentions(C.Lhs, V) || mentions(C.Rhs, V))
-        Writer.append(C);
+    for (size_t R = 0; R < Rows.size(); ++R)
+      if (mentions(Rows.terms(R), V))
+        Writer.append(Rows[R]);
     return Q;
   }
 
   assert(Index->Begin.size() == System.Vars.numVars() + 1 &&
          "row index built from another system");
   // One variable's rows sit scattered through the system, and each costs
-  // dependent misses: first the row, then its term arrays. Fetch the row
-  // RowAhead rows early and, once it is in, its terms TermsAhead rows
-  // early, as CompiledObjective's row compile does for its hash table.
+  // dependent misses: first the row's record, then its terms. Fetch the
+  // record RowAhead rows early and, once it is in, the terms TermsAhead
+  // rows early, as CompiledObjective's row compile does for its hash
+  // table.
   constexpr size_t RowAhead = 16;
   constexpr size_t TermsAhead = 8;
   std::span<const uint32_t> Ids = Index->rowsOf(V);
   Q.Constraints.reserve(Ids.size());
   for (size_t I = 0; I < Ids.size(); ++I) {
     if (I + RowAhead < Ids.size())
-      __builtin_prefetch(&Rows[Ids[I + RowAhead]]);
+      Rows.prefetch(Ids[I + RowAhead]);
     if (I + TermsAhead < Ids.size()) {
       const solver::LinearConstraint &Next = Rows[Ids[I + TermsAhead]];
       __builtin_prefetch(Next.Lhs.data());

@@ -134,16 +134,16 @@ size_t SocketServer::run() {
   }
   for (std::thread &T : Connections)
     T.join();
-  ::close(ListenFd);
+  ::close(ListenFd.exchange(-1));
   ::unlink(Path.c_str());
-  ListenFd = -1;
   return Served.load(std::memory_order_relaxed);
 }
 
 void SocketServer::stop() {
   Stopping.store(true, std::memory_order_release);
-  if (ListenFd >= 0)
-    ::shutdown(ListenFd, SHUT_RDWR);
+  int Fd = ListenFd.load();
+  if (Fd >= 0)
+    ::shutdown(Fd, SHUT_RDWR);
 }
 
 void SocketServer::serveConnection(int Fd) {

@@ -69,7 +69,10 @@ private:
   Service &Svc;
   ThreadPool &Pool;
   std::string Path;
-  int ListenFd = -1;
+  /// Read by stop() from any thread while run() retires it, so atomic;
+  /// lock-free keeps stop() async-signal-safe.
+  std::atomic<int> ListenFd{-1};
+  static_assert(std::atomic<int>::is_always_lock_free);
   std::atomic<bool> Stopping{false};
   std::atomic<size_t> Served{0};
   /// Live connection fds, so a drain can shut them down: a stop() with

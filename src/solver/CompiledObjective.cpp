@@ -261,9 +261,9 @@ KernelTier CompiledObjective::hostTier() {
 #endif
 }
 
-CompiledObjective::CompiledObjective(
-    size_t NumVars, const std::vector<LinearConstraint> &Constraints,
-    double Lambda, ThreadPool *Pool)
+CompiledObjective::CompiledObjective(size_t NumVars,
+                                     const ConstraintRows &Constraints,
+                                     double Lambda, ThreadPool *Pool)
     : NumVars(NumVars), Lambda(Lambda), Tier(hostTier()),
       Lanes(Tier == KernelTier::Avx512 ? 8 : 4), Pinned(NumVars, 0),
       PinnedValues(NumVars, 0.0), Pool(Pool) {
@@ -280,8 +280,7 @@ void CompiledObjective::forEach(
       Body(I);
 }
 
-void CompiledObjective::compileRows(
-    const std::vector<LinearConstraint> &Constraints) {
+void CompiledObjective::compileRows(const ConstraintRows &Constraints) {
   Stats.RowsBefore = Constraints.size();
 
   // Open addressing over row ids, sized once for the worst case (no
@@ -307,8 +306,7 @@ void CompiledObjective::compileRows(
   // Reserving the no-duplicate bounds up front spares the appends their
   // reallocation copies; capacity the survivors never touch stays
   // unbacked.
-  for (const LinearConstraint &LC : Constraints)
-    Stats.TermsBefore += LC.Lhs.size() + LC.Rhs.size();
+  Stats.TermsBefore = Constraints.numTerms();
   VarIdx.reserve(Stats.TermsBefore);
   Coef.reserve(Stats.TermsBefore);
   RowBegin.reserve(Constraints.size() + 1);

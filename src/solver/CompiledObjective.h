@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The solver kernel: lowers the `LinearConstraint` list of a generated
-/// system into an immutable, duplicate-coalesced CSR form and evaluates the
+/// The solver kernel: lowers the ConstraintRows of a generated system
+/// into an immutable, duplicate-coalesced CSR form and evaluates the
 /// relaxed objective over it with a blocked, vectorized value sweep.
 ///
 /// Compilation performs four lowerings:
@@ -134,8 +134,7 @@ public:
   /// then also runs the sweeps (see setThreadPool). Throws
   /// std::runtime_error when the coalesced system overflows the 32-bit
   /// CSR offsets.
-  CompiledObjective(size_t NumVars,
-                    const std::vector<LinearConstraint> &Constraints,
+  CompiledObjective(size_t NumVars, const ConstraintRows &Constraints,
                     double Lambda, ThreadPool *Pool = nullptr);
 
   /// Evaluates sweeps on \p Pool (one task per shard); null reverts to
@@ -213,7 +212,7 @@ private:
   void forEach(size_t N, const std::function<void(size_t)> &Body) const;
 
   /// Canonicalizes and coalesces \p Constraints into the CSR arrays.
-  void compileRows(const std::vector<LinearConstraint> &Constraints);
+  void compileRows(const ConstraintRows &Constraints);
 
   /// Builds the shards and the sliced layout from the CSR arrays.
   void buildBlocks();

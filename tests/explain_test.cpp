@@ -183,9 +183,9 @@ TEST(ExplainTest, IndexListsEachRowOncePerVariable) {
       Sys.Vars.varFor(Reps.intern("idle()"), Role::Sanitizer);
   // Row 0 repeats A within one side; row 1 has A on both sides; row 2
   // mentions only B.
-  Sys.Constraints.push_back({{{A, 1.0f}, {A, 0.5f}}, {{B, 1.0f}}, 0.5});
-  Sys.Constraints.push_back({{{A, 1.0f}}, {{A, 1.0f}, {B, 2.0f}}, 0.0});
-  Sys.Constraints.push_back({{}, {{B, 1.0f}}, -1.0});
+  Sys.Constraints.add({{A, 1.0f}, {A, 0.5f}}, {{B, 1.0f}}, 0.5);
+  Sys.Constraints.add({{A, 1.0f}}, {{A, 1.0f}, {B, 2.0f}}, 0.0);
+  Sys.Constraints.add({}, {{B, 1.0f}}, -1.0);
 
   constraints::RowIndex Index = constraints::buildRowIndex(Sys);
   ASSERT_EQ(Index.Begin.size(), 4u);
@@ -224,9 +224,9 @@ TEST(ExplainTest, AnswerBytesArePinnedOnBothPaths) {
   Sys.Vars.varFor(Reps.intern("idle()"), Role::Sanitizer);
   // Row 0 repeats A within a side, row 1 demands A through a non-unit
   // coefficient, row 2 has an empty side and does not mention A.
-  Sys.Constraints.push_back({{{A, 1.0f}, {A, 0.5f}}, {{B, 1.0f}}, 0.5});
-  Sys.Constraints.push_back({{{B, 1.0f}}, {{A, 0.25f}}, 0.75});
-  Sys.Constraints.push_back({{{B, 1.0f}}, {}, 0.0});
+  Sys.Constraints.add({{A, 1.0f}, {A, 0.5f}}, {{B, 1.0f}}, 0.5);
+  Sys.Constraints.add({{B, 1.0f}}, {{A, 0.25f}}, 0.75);
+  Sys.Constraints.add({{B, 1.0f}}, {}, 0.0);
   Sys.Pinned.emplace_back(A, 1.0);
   constraints::RowIndex Index = constraints::buildRowIndex(Sys);
   const std::vector<double> X = {1.0, 0.25, 0.0};

@@ -42,6 +42,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 
 using namespace seldon;
@@ -90,7 +91,7 @@ std::string systemDigest(const constraints::ConstraintSystem &Sys) {
     std::memcpy(&Out, &Value, sizeof(Value));
     return Out;
   };
-  auto Terms = [&](const std::vector<solver::Term> &Ts) {
+  auto Terms = [&](std::span<const solver::Term> Ts) {
     codec::hashValue(Hash, Ts.size());
     for (const solver::Term &T : Ts) {
       codec::hashValue(Hash, T.Var);
@@ -288,7 +289,7 @@ TEST(FormatGoldenTest, QueryAnswersArePinned) {
   for (propgraph::Role R : {propgraph::Role::Source,
                             propgraph::Role::Sanitizer,
                             propgraph::Role::Sink}) {
-    for (const std::vector<propgraph::RepId> &Options : Sys.EventReps) {
+    for (std::span<const propgraph::RepId> Options : Sys.EventReps) {
       constraints::VarId V;
       if (Options.size() < 2 || !Sys.Vars.lookup(Options[0], R, V) ||
           !Sys.Vars.lookup(Options[1], R, V))

@@ -51,7 +51,7 @@ namespace {
 /// A constraint system with pins, as the generator hands it to the solver.
 struct System {
   size_t NumVars = 0;
-  std::vector<LinearConstraint> Constraints;
+  ConstraintRows Constraints;
   double Lambda = 0.1;
   std::vector<std::pair<uint32_t, double>> Pins;
 
@@ -128,7 +128,7 @@ struct Csr {
 /// The reference compile: canonicalize each constraint into its own term
 /// vector, key its byte image as a std::string, coalesce through an
 /// unordered_map, and lay survivors out in first-occurrence order.
-Csr referenceCompile(const std::vector<LinearConstraint> &Constraints) {
+Csr referenceCompile(const ConstraintRows &Constraints) {
   Csr Out;
   std::unordered_map<std::string, uint32_t> RowIndex;
   for (const LinearConstraint &LC : Constraints) {
@@ -185,22 +185,21 @@ System randomSystem(uint32_t Seed, size_t NumVars = 60,
   System Sys;
   Sys.NumVars = NumVars;
   Sys.Lambda = Lambda;
-  Sys.Constraints.reserve(NumConstraints);
   while (Sys.Constraints.size() < NumConstraints) {
-    LinearConstraint LC;
+    std::vector<Term> Lhs, Rhs;
     int NumLhs = Rand(1, 3), NumRhs = Rand(0, 3);
     for (int I = 0; I < NumLhs; ++I)
-      LC.Lhs.push_back({static_cast<uint32_t>(Rand(0, NumVars - 1)),
-                        1.0f / Rand(1, 6)});
+      Lhs.push_back({static_cast<uint32_t>(Rand(0, NumVars - 1)),
+                     1.0f / Rand(1, 6)});
     for (int I = 0; I < NumRhs; ++I)
-      LC.Rhs.push_back({static_cast<uint32_t>(Rand(0, NumVars - 1)),
-                        1.0f / Rand(1, 6)});
-    LC.C = 0.25 * Rand(0, 4);
+      Rhs.push_back({static_cast<uint32_t>(Rand(0, NumVars - 1)),
+                     1.0f / Rand(1, 6)});
+    double C = 0.25 * Rand(0, 4);
     // Duplicate some constraints, as big-code corpora do.
     int Copies = Rand(0, 4) == 0 ? Rand(2, 5) : 1;
     for (int I = 0; I < Copies && Sys.Constraints.size() < NumConstraints;
          ++I)
-      Sys.Constraints.push_back(LC);
+      Sys.Constraints.add(Lhs, Rhs, C);
   }
   for (size_t I = 0; I < NumVars / 10; ++I)
     Sys.Pins.emplace_back(Rand(0, NumVars - 1), Rand(0, 1));
@@ -266,11 +265,9 @@ CompiledObjective compileAt(const System &Sys, const char *Setting) {
 
 TEST(ObjectiveTest, HingeLossComputation) {
   // Constraint: x0 <= x1 + 0.5.
-  LinearConstraint C;
-  C.Lhs = {{0, 1.0f}};
-  C.Rhs = {{1, 1.0f}};
-  C.C = 0.5;
-  CompiledObjective Obj(2, {C}, 0.0);
+  ConstraintRows C;
+  C.add({{0, 1.0f}}, {{1, 1.0f}}, 0.5);
+  CompiledObjective Obj(2, C, 0.0);
   EXPECT_DOUBLE_EQ(Obj.hingeLoss({1.0, 0.0}), 0.5);
   EXPECT_DOUBLE_EQ(Obj.hingeLoss({1.0, 0.5}), 0.0);
   EXPECT_DOUBLE_EQ(Obj.hingeLoss({0.2, 0.0}), 0.0);
@@ -284,11 +281,9 @@ TEST(ObjectiveTest, L1TermExcludesPinned) {
 }
 
 TEST(ObjectiveTest, GradientOfViolatedConstraint) {
-  LinearConstraint C;
-  C.Lhs = {{0, 1.0f}};
-  C.Rhs = {{1, 2.0f}};
-  C.C = 0.0;
-  CompiledObjective Obj(2, {C}, 0.0);
+  ConstraintRows C;
+  C.add({{0, 1.0f}}, {{1, 2.0f}}, 0.0);
+  CompiledObjective Obj(2, C, 0.0);
   std::vector<double> Grad;
   Obj.gradient({1.0, 0.1}, Grad); // 1.0 - 0.2 > 0: violated.
   EXPECT_DOUBLE_EQ(Grad[0], 1.0);
@@ -322,10 +317,9 @@ TEST(ObjectiveTest, InitialPointIsFeasible) {
 
 TEST(CompileTest, MergesDuplicateTermsWithinASide) {
   // x0·0.5 + x0·0.25 <= 0.25 lowers to one CSR entry with coef 0.75.
-  LinearConstraint LC;
-  LC.Lhs = {{0, 0.5f}, {0, 0.25f}};
-  LC.C = 0.25;
-  CompiledObjective Obj(1, {LC}, 0.0);
+  ConstraintRows LC;
+  LC.add({{0, 0.5f}, {0, 0.25f}}, {}, 0.25);
+  CompiledObjective Obj(1, LC, 0.0);
   EXPECT_EQ(Obj.numRows(), 1u);
   EXPECT_EQ(Obj.numNonZeros(), 1u);
   EXPECT_DOUBLE_EQ(Obj.hingeLoss({1.0}), 0.5);
@@ -336,11 +330,9 @@ TEST(CompileTest, MergesDuplicateTermsWithinASide) {
 
 TEST(CompileTest, FoldsRhsWithNegatedCoefficients) {
   // x0 <= 0.5·x1 + 0.25 becomes x0 − 0.5·x1 <= 0.25.
-  LinearConstraint LC;
-  LC.Lhs = {{0, 1.0f}};
-  LC.Rhs = {{1, 0.5f}};
-  LC.C = 0.25;
-  CompiledObjective Obj(2, {LC}, 0.0);
+  ConstraintRows LC;
+  LC.add({{0, 1.0f}}, {{1, 0.5f}}, 0.25);
+  CompiledObjective Obj(2, LC, 0.0);
   EXPECT_EQ(Obj.numNonZeros(), 2u);
   EXPECT_DOUBLE_EQ(Obj.hingeLoss({1.0, 0.5}), 0.5);
   std::vector<double> Grad;
@@ -351,10 +343,9 @@ TEST(CompileTest, FoldsRhsWithNegatedCoefficients) {
 
 TEST(CompileTest, DropsTermsThatCancelAcrossSides) {
   // x0 + 0.5·x1 <= 0.5·x1: the x1 terms cancel exactly and vanish.
-  LinearConstraint LC;
-  LC.Lhs = {{0, 1.0f}, {1, 0.5f}};
-  LC.Rhs = {{1, 0.5f}};
-  CompiledObjective Obj(2, {LC}, 0.0);
+  ConstraintRows LC;
+  LC.add({{0, 1.0f}, {1, 0.5f}}, {{1, 0.5f}}, 0.0);
+  CompiledObjective Obj(2, LC, 0.0);
   EXPECT_EQ(Obj.numNonZeros(), 1u);
   std::vector<double> Grad;
   Obj.gradient({1.0, 1.0}, Grad);
@@ -363,14 +354,14 @@ TEST(CompileTest, DropsTermsThatCancelAcrossSides) {
 }
 
 TEST(CompileTest, CoalescesExactDuplicatesWithMultiplicity) {
-  LinearConstraint A;
-  A.Lhs = {{0, 1.0f}};
-  A.Rhs = {{1, 1.0f}};
-  A.C = 0.25;
-  LinearConstraint B;
-  B.Lhs = {{1, 1.0f}};
-  B.C = 0.75;
-  CompiledObjective Obj(2, {A, A, B, A}, 0.0);
+  ConstraintRows Rows;
+  auto A = [&] { Rows.add({{0, 1.0f}}, {{1, 1.0f}}, 0.25); };
+  auto B = [&] { Rows.add({{1, 1.0f}}, {}, 0.75); };
+  A();
+  A();
+  B();
+  A();
+  CompiledObjective Obj(2, Rows, 0.0);
   const CompileStats &S = Obj.stats();
   EXPECT_EQ(S.RowsBefore, 4u);
   EXPECT_EQ(S.RowsAfter, 2u);
@@ -386,24 +377,19 @@ TEST(CompileTest, CoalescesExactDuplicatesWithMultiplicity) {
 }
 
 TEST(CompileTest, CoalescesRowsThatDifferOnlyInTermOrder) {
-  LinearConstraint A;
-  A.Lhs = {{0, 0.5f}, {1, 0.25f}};
-  A.C = 0.25;
-  LinearConstraint B;
-  B.Lhs = {{1, 0.25f}, {0, 0.5f}}; // Same row, different spelling.
-  B.C = 0.25;
-  CompiledObjective Obj(2, {A, B}, 0.0);
+  ConstraintRows Rows;
+  Rows.add({{0, 0.5f}, {1, 0.25f}}, {}, 0.25);
+  Rows.add({{1, 0.25f}, {0, 0.5f}}, {}, 0.25); // Same row, different spelling.
+  CompiledObjective Obj(2, Rows, 0.0);
   EXPECT_EQ(Obj.stats().RowsAfter, 1u);
   EXPECT_EQ(Obj.stats().MaxMultiplicity, 2u);
 }
 
 TEST(CompileTest, DoesNotCoalesceDifferentConstants) {
-  LinearConstraint A;
-  A.Lhs = {{0, 1.0f}};
-  A.C = 0.25;
-  LinearConstraint B = A;
-  B.C = 0.75;
-  CompiledObjective Obj(1, {A, B}, 0.0);
+  ConstraintRows Rows;
+  Rows.add({{0, 1.0f}}, {}, 0.25);
+  Rows.add({{0, 1.0f}}, {}, 0.75);
+  CompiledObjective Obj(1, Rows, 0.0);
   EXPECT_EQ(Obj.stats().RowsAfter, 2u);
 }
 
@@ -411,19 +397,11 @@ TEST(CompileTest, CoalescesDuplicatesWithPermutedTermsAcrossSides) {
   // x0 + x2 <= 0.5·x1 + 0.25, spelled three ways: permuted Lhs, the x1
   // term split in two, and x2 moved over as a negated Rhs term plus a
   // cancelling pair. All canonicalize to one row of multiplicity 3.
-  LinearConstraint A;
-  A.Lhs = {{0, 1.0f}, {2, 1.0f}};
-  A.Rhs = {{1, 0.5f}};
-  A.C = 0.25;
-  LinearConstraint B;
-  B.Lhs = {{2, 1.0f}, {0, 1.0f}};
-  B.Rhs = {{1, 0.25f}, {1, 0.25f}};
-  B.C = 0.25;
-  LinearConstraint D;
-  D.Lhs = {{3, 0.5f}, {0, 1.0f}};
-  D.Rhs = {{1, 0.5f}, {2, -1.0f}, {3, 0.5f}};
-  D.C = 0.25;
-  CompiledObjective Obj(4, {A, B, D}, 0.0);
+  ConstraintRows Rows;
+  Rows.add({{0, 1.0f}, {2, 1.0f}}, {{1, 0.5f}}, 0.25);
+  Rows.add({{2, 1.0f}, {0, 1.0f}}, {{1, 0.25f}, {1, 0.25f}}, 0.25);
+  Rows.add({{3, 0.5f}, {0, 1.0f}}, {{1, 0.5f}, {2, -1.0f}, {3, 0.5f}}, 0.25);
+  CompiledObjective Obj(4, Rows, 0.0);
   EXPECT_EQ(Obj.stats().RowsAfter, 1u);
   EXPECT_EQ(Obj.stats().MaxMultiplicity, 3u);
   EXPECT_EQ(Obj.varIdx(), (std::vector<uint32_t>{0, 1, 2}));
@@ -433,13 +411,13 @@ TEST(CompileTest, CoalescesDuplicatesWithPermutedTermsAcrossSides) {
 TEST(CompileTest, RowWhoseTermsAllCancelStaysAnEmptyRow) {
   // x0 <= x0 − 0.5 cancels to 0 <= −0.5: no terms left, permanently
   // violated by 0.5 per copy, and it still coalesces with its twin.
-  LinearConstraint LC;
-  LC.Lhs = {{0, 1.0f}};
-  LC.Rhs = {{0, 1.0f}};
-  LC.C = -0.5;
-  LinearConstraint Other;
-  Other.Lhs = {{1, 1.0f}};
-  CompiledObjective Obj(2, {LC, Other, LC}, 0.0);
+  ConstraintRows Rows;
+  auto LC = [&] { Rows.add({{0, 1.0f}}, {{0, 1.0f}}, -0.5); };
+  auto Other = [&] { Rows.add({{1, 1.0f}}, {}, 0.0); };
+  LC();
+  Other();
+  LC();
+  CompiledObjective Obj(2, Rows, 0.0);
   EXPECT_EQ(Obj.numRows(), 2u);
   EXPECT_EQ(Obj.rowBegin(), (std::vector<uint32_t>{0, 0, 1}));
   EXPECT_EQ(Obj.weight(), (std::vector<double>{2.0, 1.0}));
@@ -453,12 +431,13 @@ TEST(CompileTest, NegativeZeroConstantIsADistinctRow) {
   // The coalescing key is the bitwise row image, so C = -0.0 and C = 0.0
   // stay two rows — the same split a byte-image key makes — while
   // evaluating identically.
-  LinearConstraint Pos;
-  Pos.Lhs = {{0, 1.0f}};
-  Pos.C = 0.0;
-  LinearConstraint Neg = Pos;
-  Neg.C = -0.0;
-  CompiledObjective Obj(1, {Pos, Neg, Pos}, 0.0);
+  ConstraintRows Rows;
+  auto Pos = [&] { Rows.add({{0, 1.0f}}, {}, 0.0); };
+  auto Neg = [&] { Rows.add({{0, 1.0f}}, {}, -0.0); };
+  Pos();
+  Neg();
+  Pos();
+  CompiledObjective Obj(1, Rows, 0.0);
   EXPECT_EQ(Obj.numRows(), 2u);
   EXPECT_EQ(Obj.weight(), (std::vector<double>{2.0, 1.0}));
   EXPECT_FALSE(std::signbit(Obj.rowConstant()[0]));
@@ -517,14 +496,11 @@ TEST(CompileTest, RejectsSystemsOverflowingThe32BitCsrLayout) {
   // can be exercised without allocating billions of entries.
   setenv("SELDON_TEST_CSR_LIMIT", "6", 1);
   // Four distinct 2-term rows = 8 non-zeros > 6: must throw, descriptively.
-  std::vector<LinearConstraint> Big;
-  for (int I = 0; I < 4; ++I) {
-    LinearConstraint LC;
-    LC.Lhs = {{static_cast<uint32_t>(2 * I), 1.0f},
-              {static_cast<uint32_t>(2 * I + 1), 0.5f}};
-    LC.C = 0.25;
-    Big.push_back(LC);
-  }
+  ConstraintRows Big;
+  for (int I = 0; I < 4; ++I)
+    Big.add({{static_cast<uint32_t>(2 * I), 1.0f},
+             {static_cast<uint32_t>(2 * I + 1), 0.5f}},
+            {}, 0.25);
   try {
     CompiledObjective Obj(8, Big, 0.1);
     unsetenv("SELDON_TEST_CSR_LIMIT");
@@ -537,17 +513,15 @@ TEST(CompileTest, RejectsSystemsOverflowingThe32BitCsrLayout) {
 
   // Rows past the limit trip the guard even when non-zeros stay under it.
   setenv("SELDON_TEST_CSR_LIMIT", "3", 1);
-  std::vector<LinearConstraint> ManyRows;
-  for (int I = 0; I < 4; ++I) {
-    LinearConstraint LC;
-    LC.Lhs = {{static_cast<uint32_t>(I), 1.0f}};
-    LC.C = 0.25;
-    ManyRows.push_back(LC);
-  }
+  ConstraintRows ManyRows;
+  for (int I = 0; I < 4; ++I)
+    ManyRows.add({{static_cast<uint32_t>(I), 1.0f}}, {}, 0.25);
   EXPECT_THROW(CompiledObjective(4, ManyRows, 0.1), std::runtime_error);
 
   // Duplicates coalesce before the check: many copies of few rows pass.
-  std::vector<LinearConstraint> Duplicates(100, ManyRows[0]);
+  ConstraintRows Duplicates;
+  for (int I = 0; I < 100; ++I)
+    Duplicates.add(ManyRows[0].Lhs, ManyRows[0].Rhs, ManyRows[0].C);
   EXPECT_NO_THROW(CompiledObjective(4, Duplicates, 0.1));
   unsetenv("SELDON_TEST_CSR_LIMIT");
 

@@ -60,6 +60,40 @@ struct GraphFixture {
   }
 };
 
+/// The breadth-first search the graph's searches must reproduce, visit
+/// order included: a fresh bitmap per call, \p Start marked up front.
+std::vector<EventId>
+referenceSearch(const PropagationGraph &G, EventId Start, bool Forward) {
+  std::vector<EventId> Out;
+  std::vector<bool> Seen(G.numEvents(), false);
+  std::vector<EventId> Queue{Start};
+  Seen[Start] = true;
+  for (size_t Head = 0; Head < Queue.size(); ++Head)
+    for (EventId Next : Forward ? G.successors(Queue[Head])
+                                : G.predecessors(Queue[Head])) {
+      if (Seen[Next])
+        continue;
+      Seen[Next] = true;
+      Out.push_back(Next);
+      Queue.push_back(Next);
+    }
+  return Out;
+}
+
+/// \p E's backoff options under \p Keep, most to least specific, as
+/// constraint generation filters them.
+std::vector<RepId> keptOptions(const RepTable &Table,
+                               const std::vector<uint8_t> &Keep,
+                               const Event &E) {
+  std::vector<RepId> Out;
+  for (const std::string &Rep : E.Reps) {
+    RepId Id;
+    if (Table.lookup(Rep, Id) && Keep[Id])
+      Out.push_back(Id);
+  }
+  return Out;
+}
+
 //===----------------------------------------------------------------------===//
 // Event creation and representations
 //===----------------------------------------------------------------------===//
@@ -591,6 +625,103 @@ TEST(GraphBuilderTest, AppendKeepsGraphsDisjoint) {
   EXPECT_EQ(G.files().size(), 2u);
 }
 
+TEST(PropagationGraphTest, AppendByMoveMatchesAppendByCopy) {
+  GraphFixture F1("import web\nimport db\n"
+                  "x = web.read()\n"
+                  "db.run(wrap(x), x)\n");
+  GraphFixture F2("from flask import request\n"
+                  "import os\n"
+                  "p = os.path.join(request.args['a'], request.args['b'])\n"
+                  "os.remove(p)\n",
+                  BuildOptions(), "views.py");
+  PropagationGraph Copied;
+  Copied.append(F1.Graph);
+  Copied.append(F2.Graph);
+  PropagationGraph First = F1.Graph, Second = F2.Graph;
+  PropagationGraph Moved;
+  Moved.reserve(First.numEvents() + Second.numEvents(), 2);
+  Moved.append(std::move(First));
+  Moved.append(std::move(Second));
+
+  ASSERT_EQ(Moved.numEvents(), Copied.numEvents());
+  EXPECT_EQ(Moved.numEdges(), Copied.numEdges());
+  EXPECT_EQ(Moved.files(), Copied.files());
+  for (EventId Id = 0; Id < Copied.numEvents(); ++Id) {
+    const Event &M = Moved.event(Id), &C = Copied.event(Id);
+    EXPECT_EQ(M.Id, Id);
+    EXPECT_EQ(M.Id, C.Id);
+    EXPECT_EQ(M.FileIdx, C.FileIdx);
+    EXPECT_EQ(M.Kind, C.Kind);
+    EXPECT_EQ(M.Candidates, C.Candidates);
+    EXPECT_EQ(M.Reps, C.Reps);
+    EXPECT_EQ(Moved.successors(Id), Copied.successors(Id));
+    EXPECT_EQ(Moved.predecessors(Id), Copied.predecessors(Id));
+    EXPECT_TRUE(std::is_sorted(Moved.predecessors(Id).begin(),
+                               Moved.predecessors(Id).end()))
+        << "predecessors are rebuilt in source-event order";
+  }
+  // The second graph's events, edges and file moved over shifted.
+  const EventId Offset = static_cast<EventId>(F1.Graph.numEvents());
+  for (EventId Id = 0; Id < F2.Graph.numEvents(); ++Id) {
+    EXPECT_EQ(Moved.event(Id + Offset).FileIdx, 1u);
+    std::vector<EventId> Shifted;
+    for (EventId To : F2.Graph.successors(Id))
+      Shifted.push_back(To + Offset);
+    EXPECT_EQ(Moved.successors(Id + Offset), Shifted);
+  }
+}
+
+TEST(PropagationGraphTest, SearchesMatchTheReferenceBfs) {
+  // A fixture graph, and a collapsed one with a cycle: one() flows m.f()
+  // into m.g(), two() flows m.g() into m.f(), and collapsing by
+  // representation joins the two pairs.
+  GraphFixture Fig2a("from flask import request\n"
+                     "from werkzeug import secure_filename\n"
+                     "import os\n"
+                     "def media(base):\n"
+                     "    name = secure_filename(request.files['f'].name)\n"
+                     "    path = os.path.join(base, name)\n"
+                     "    if not os.path.exists(path):\n"
+                     "        request.files['f'].save(path)\n");
+  GraphFixture Loop("import m\n"
+                    "def one(x):\n"
+                    "    return m.g(m.f(x))\n"
+                    "def two(w):\n"
+                    "    return m.f(m.g(w))\n");
+  PropagationGraph Cyclic = Loop.Graph.collapseByRep();
+  ASSERT_FALSE(Cyclic.isAcyclic());
+
+  // Calls alternate between the graphs, so reused marks from one search
+  // (and from a larger graph) must never leak into the next.
+  for (int Round = 0; Round < 2; ++Round)
+    for (const PropagationGraph *G : {&Fig2a.Graph, &Cyclic}) {
+      for (EventId Id = 0; Id < G->numEvents(); ++Id) {
+        EXPECT_EQ(G->reachableFrom(Id), referenceSearch(*G, Id, true));
+        EXPECT_EQ(G->reachingTo(Id), referenceSearch(*G, Id, false));
+      }
+    }
+
+  // On the cycle, every event reaches the other but never lists itself.
+  EventId F = InvalidEvent, G = InvalidEvent;
+  for (const Event &E : Cyclic.events()) {
+    if (E.primaryRep() == "m.f()")
+      F = E.Id;
+    if (E.primaryRep() == "m.g()")
+      G = E.Id;
+  }
+  ASSERT_NE(F, InvalidEvent);
+  ASSERT_NE(G, InvalidEvent);
+  for (EventId Start : {F, G}) {
+    std::vector<EventId> Fwd = Cyclic.reachableFrom(Start);
+    std::vector<EventId> Bwd = Cyclic.reachingTo(Start);
+    EventId Other = Start == F ? G : F;
+    EXPECT_EQ(std::count(Fwd.begin(), Fwd.end(), Other), 1);
+    EXPECT_EQ(std::count(Bwd.begin(), Bwd.end(), Other), 1);
+    EXPECT_EQ(std::count(Fwd.begin(), Fwd.end(), Start), 0);
+    EXPECT_EQ(std::count(Bwd.begin(), Bwd.end(), Start), 0);
+  }
+}
+
 TEST(PropagationGraphTest, CollapseByRepMergesSameRep) {
   GraphFixture F("from flask import request\n"
                  "a = request.files['f']\n"
@@ -669,12 +800,22 @@ TEST(RepTableTest, CountsAndCutoff) {
   ASSERT_TRUE(Table.lookup("web.read()", Read));
   EXPECT_EQ(Table.occurrences(Read), 6u);
 
+  const std::vector<uint8_t> AtFive = Table.keepVerdicts(5, GlobSet());
+  const std::vector<uint8_t> AtOne = Table.keepVerdicts(1, GlobSet());
+  ASSERT_EQ(AtFive.size(), Table.size());
   const Event &Frequent = F.Graph.event(F.eventsByRep("web.read()").front());
-  EXPECT_EQ(Table.backoffOptions(Frequent, 5).size(), 1u);
+  EXPECT_EQ(keptOptions(Table, AtFive, Frequent).size(), 1u);
   const Event &Rare = F.Graph.event(F.theEvent("rare.api()"));
-  EXPECT_TRUE(Table.backoffOptions(Rare, 5).empty())
+  EXPECT_TRUE(keptOptions(Table, AtFive, Rare).empty())
       << "rare events are ignored entirely (§4.3)";
-  EXPECT_EQ(Table.backoffOptions(Rare, 1).size(), 1u);
+  EXPECT_EQ(keptOptions(Table, AtOne, Rare).size(), 1u);
+
+  // The blacklist (§7.2) vetoes a representation however frequent.
+  GlobSet Blacklist;
+  Blacklist.add("web.*");
+  const std::vector<uint8_t> Vetoed = Table.keepVerdicts(1, Blacklist);
+  EXPECT_EQ(Vetoed[Read], 0);
+  EXPECT_EQ(keptOptions(Table, Vetoed, Rare).size(), 1u);
 }
 
 TEST(RepTableTest, BackoffOrderPreserved) {
@@ -684,7 +825,8 @@ TEST(RepTableTest, BackoffOrderPreserved) {
   Table.countOccurrences(F.Graph);
   const Event &Call =
       F.Graph.event(F.theEvent("media(param f).save()"));
-  std::vector<RepId> Options = Table.backoffOptions(Call, 1);
+  std::vector<RepId> Options =
+      keptOptions(Table, Table.keepVerdicts(1, GlobSet()), Call);
   ASSERT_EQ(Options.size(), 2u);
   EXPECT_EQ(Table.repString(Options[0]), "media(param f).save()");
   EXPECT_EQ(Table.repString(Options[1]), "f.save()");

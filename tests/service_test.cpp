@@ -173,7 +173,7 @@ TEST(ServiceJsonTest, QueryJsonIgnoresNumericLocale) {
       Sys.Vars.varFor(Reps.intern("web.read()"), propgraph::Role::Source);
   constraints::VarId San = Sys.Vars.varFor(Reps.intern("mid.filter()"),
                                            propgraph::Role::Sanitizer);
-  Sys.Constraints.push_back({{{Src, 0.5f}}, {{San, 1.0f}}, 0.75});
+  Sys.Constraints.add({{Src, 0.5f}}, {{San, 1.0f}}, 0.75);
   const std::vector<double> X = {1.0, 0.125};
   auto Render = [&] {
     QueryResult Q = queryRep(Sys, Reps, "mid.filter()",
@@ -919,6 +919,33 @@ TEST_F(ServiceTest, SocketRoundTripAndDrain) {
   Accept.join();
   EXPECT_TRUE(Svc->shuttingDown());
   EXPECT_FALSE(fs::exists(Socket)) << "drained server must unlink its socket";
+}
+
+TEST_F(ServiceTest, StopFromAnotherThreadDrainsTheServer) {
+  // seldond's signal handler and embedders call stop() from a thread of
+  // their own while run() retires the listener.
+  auto Svc = startService(testOptions());
+  ASSERT_TRUE(Svc);
+  ThreadPool Pool(2);
+  std::string Socket = (Root / "seldond.sock").string();
+  SocketServer Server(*Svc, Pool, Socket);
+  std::string Error;
+  ASSERT_TRUE(Server.listen(Error)) << Error;
+  size_t Served = 0;
+  std::thread Accept([&] { Served = Server.run(); });
+  {
+    SocketClient Client;
+    ASSERT_TRUE(Client.connect(Socket, Error)) << Error;
+    std::string R;
+    ASSERT_TRUE(Client.roundTrip("{\"v\":1,\"id\":1,\"op\":\"status\"}", R));
+    EXPECT_NE(R.find("\"ok\":true"), std::string::npos) << R;
+  }
+  std::thread Stopper([&] { Server.stop(); });
+  Stopper.join();
+  Accept.join();
+  EXPECT_EQ(Served, 1u);
+  EXPECT_FALSE(fs::exists(Socket)) << "drained server must unlink its socket";
+  Server.stop(); // After the drain, stop() finds no listener and is a no-op.
 }
 
 /// A raw client connection (SocketClient hides the fd, and these tests

@@ -30,11 +30,9 @@ SolveOptions fastOptions(int Iters = 2000, double Lr = 0.02) {
 /// One pinned implication: pinned(0)=1 and pinned(1)=1 force x2 up via
 /// x0 + x1 <= x2 + C. Optimum: x2 = 2 - C (clamped to <= 1).
 CompiledObjective impliedVariableSystem(double C, double Lambda) {
-  LinearConstraint LC;
-  LC.Lhs = {{0, 1.0f}, {1, 1.0f}};
-  LC.Rhs = {{2, 1.0f}};
-  LC.C = C;
-  CompiledObjective Obj(3, {LC}, Lambda);
+  ConstraintRows LC;
+  LC.add({{0, 1.0f}, {1, 1.0f}}, {{2, 1.0f}}, C);
+  CompiledObjective Obj(3, LC, Lambda);
   Obj.pin(0, 1.0);
   Obj.pin(1, 1.0);
   return Obj;
@@ -50,11 +48,9 @@ TEST(AdamTest, RaisesImpliedVariable) {
 }
 
 TEST(AdamTest, LambdaKeepsUnconstrainedVarsAtZero) {
-  LinearConstraint LC; // x0 <= x1 + 1  — never violated in the box.
-  LC.Lhs = {{0, 1.0f}};
-  LC.Rhs = {{1, 1.0f}};
-  LC.C = 1.0;
-  CompiledObjective Obj(2, {LC}, 0.1);
+  ConstraintRows LC; // x0 <= x1 + 1  — never violated in the box.
+  LC.add({{0, 1.0f}}, {{1, 1.0f}}, 1.0);
+  CompiledObjective Obj(2, LC, 0.1);
   AdamOptimizer Opt(fastOptions());
   SolveResult R = Opt.minimize(Obj);
   EXPECT_NEAR(R.X[0], 0.0, 1e-6);
@@ -73,11 +69,9 @@ TEST(AdamTest, BalancesViolationAgainstRegularization) {
 TEST(AdamTest, DistributesAcrossSum) {
   // x0 + x1 <= x2 + x3 + C with both lhs pinned at 1: the sum x2 + x3 must
   // reach 1.25; symmetric, so both rise.
-  LinearConstraint LC;
-  LC.Lhs = {{0, 1.0f}, {1, 1.0f}};
-  LC.Rhs = {{2, 1.0f}, {3, 1.0f}};
-  LC.C = 0.75;
-  CompiledObjective Obj(4, {LC}, 0.05);
+  ConstraintRows LC;
+  LC.add({{0, 1.0f}, {1, 1.0f}}, {{2, 1.0f}, {3, 1.0f}}, 0.75);
+  CompiledObjective Obj(4, LC, 0.05);
   Obj.pin(0, 1.0);
   Obj.pin(1, 1.0);
   AdamOptimizer Opt(fastOptions());
@@ -148,11 +142,9 @@ class SlackSweepTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(SlackSweepTest, ResidualMatchesTheory) {
   double C = GetParam();
-  LinearConstraint LC;
-  LC.Lhs = {{0, 1.0f}, {1, 1.0f}};
-  LC.Rhs = {{2, 1.0f}, {3, 1.0f}};
-  LC.C = C;
-  CompiledObjective Obj(4, {LC}, 0.01);
+  ConstraintRows LC;
+  LC.add({{0, 1.0f}, {1, 1.0f}}, {{2, 1.0f}, {3, 1.0f}}, C);
+  CompiledObjective Obj(4, LC, 0.01);
   Obj.pin(0, 1.0);
   Obj.pin(1, 1.0);
   AdamOptimizer Opt(fastOptions(4000));
