@@ -86,6 +86,9 @@ echo "=== asan+ubsan: service, durability and on-disk format tests ==="
 # outlive the Session that built it. So do the flat row and option store
 # tests: a system's rows and options are views into a few arrays, and a
 # view held across an append that reallocates them is a use-after-free.
+# The graph suites run for the same reason: an Event, its Reps and every
+# adjacency span read the propagation graph's flat arrays, which any
+# write (an event, an edge batch, an append) may reallocate.
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -g"
@@ -94,9 +97,9 @@ cmake --build "$ROOT/build-asan" -j "$JOBS" \
            fileio_test format_golden_test graphcodec_test \
            cache_fault_test shard_fault_test constraints_test explain_test \
            fault_pipeline_test active_learning_test infer_test \
-           constraint_rows_test
+           constraint_rows_test propgraph_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest|^PipelineTest\.|ConstraintRowsTest|EventOptionsTest'
+  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest|^PipelineTest\.|ConstraintRowsTest|EventOptionsTest|PropagationGraphTest|RepTableTest|GraphBuilderTest'
 
 echo
 echo "=== metrics smoke: seldon learn --metrics-out on a toy repo ==="

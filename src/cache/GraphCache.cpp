@@ -15,6 +15,7 @@ CacheKey seldon::cache::projectCacheKey(const pysem::Project &Proj,
   uint64_t Hash = 0xcbf29ce484222325ull;
   hashChunk(Hash, "seldon-graph-cache");
   hashValue(Hash, propgraph::GraphCodecVersion);
+  hashValue(Hash, propgraph::GraphBuilderVersion);
 
   // Every frontend knob participates: flipping any of them must rebuild.
   hashValue(Hash, static_cast<uint64_t>(Opts.MaxInlineDepth));

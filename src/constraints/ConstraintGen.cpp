@@ -21,9 +21,8 @@
 #include <algorithm>
 #include <array>
 #include <optional>
+#include <ranges>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace seldon;
 using namespace seldon::constraints;
@@ -65,39 +64,48 @@ ShardFile traverseFile(const PropagationGraph &Graph,
       Sinks.push_back(L);
   }
 
-  // A sanitizer's forward set is probed once per (source, sink) pair it
-  // might lie between, so forward sets are computed once per event.
-  std::vector<std::optional<std::unordered_set<EventId>>> Fwd(Local.size());
-  auto Forward = [&](ShardEventId L) -> const std::unordered_set<EventId> & {
-    if (!Fwd[L]) {
-      std::vector<EventId> Reach = Graph.reachableFrom(Local[L]);
-      Fwd[L].emplace(Reach.begin(), Reach.end());
-    }
+  // Reach sets are sorted vectors, sized by what they hold. Candidate lists
+  // and Local are ascending, so a set's members among candidates come out
+  // by one merge. A sanitizer's forward set is probed by binary search
+  // once per (source, sink) pair it might lie between, so forward sets are
+  // computed once per event.
+  auto Sorted = [](std::vector<EventId> Set) {
+    std::sort(Set.begin(), Set.end());
+    return Set;
+  };
+  std::vector<std::optional<std::vector<EventId>>> Fwd(Local.size());
+  auto Forward = [&](ShardEventId L) -> const std::vector<EventId> & {
+    if (!Fwd[L])
+      Fwd[L] = Sorted(Graph.reachableFrom(Local[L]));
     return *Fwd[L];
   };
   auto MembersOf = [&](const std::vector<ShardEventId> &Candidates,
-                       const std::unordered_set<EventId> &Set) {
+                       const std::vector<EventId> &Set) {
     std::vector<ShardEventId> Out;
-    for (ShardEventId L : Candidates)
-      if (Set.count(Local[L]))
+    auto It = Set.begin();
+    for (ShardEventId L : Candidates) {
+      while (It != Set.end() && *It < Local[L])
+        ++It;
+      if (It == Set.end())
+        break;
+      if (*It == Local[L])
         Out.push_back(L);
+    }
     return Out;
   };
 
   ShardFile File;
   for (ShardEventId San : Sanitizers) {
-    std::vector<EventId> Upstream = Graph.reachingTo(Local[San]);
     ShardSanAnchor Anchor;
     Anchor.San = San;
-    Anchor.SourcesBefore = MembersOf(
-        Sources,
-        std::unordered_set<EventId>(Upstream.begin(), Upstream.end()));
+    Anchor.SourcesBefore =
+        MembersOf(Sources, Sorted(Graph.reachingTo(Local[San])));
     Anchor.SinksAfter = MembersOf(Sinks, Forward(San));
     if (!Anchor.SourcesBefore.empty() || !Anchor.SinksAfter.empty())
       File.SanAnchors.push_back(std::move(Anchor));
   }
   for (ShardEventId Src : Sources) {
-    const std::unordered_set<EventId> &Reach = Forward(Src);
+    const std::vector<EventId> &Reach = Forward(Src);
     std::vector<ShardEventId> SansAfter = MembersOf(Sanitizers, Reach);
     ShardSrcAnchor Anchor;
     Anchor.Src = Src;
@@ -106,9 +114,13 @@ ShardFile traverseFile(const PropagationGraph &Graph,
         continue;
       ShardSrcPair &Pair = Anchor.Pairs.emplace_back();
       Pair.Snk = Snk;
-      for (ShardEventId Mid : SansAfter)
-        if (Mid != Snk && Mid != Src && Forward(Mid).count(Local[Snk]))
+      for (ShardEventId Mid : SansAfter) {
+        if (Mid == Snk || Mid == Src)
+          continue;
+        const std::vector<EventId> &MidReach = Forward(Mid);
+        if (std::binary_search(MidReach.begin(), MidReach.end(), Local[Snk]))
           Pair.Mids.push_back(Mid);
+      }
     }
     if (!Anchor.Pairs.empty())
       File.SrcAnchors.push_back(std::move(Anchor));
@@ -244,43 +256,33 @@ private:
 ConstraintSystem prepareSystem(const PropagationGraph &Graph,
                                const RepTable &Reps,
                                const spec::SeedSpec &Seed,
-                               const std::vector<uint8_t> &Keep,
-                               ThreadPool *Pool) {
+                               const std::vector<uint8_t> &Keep) {
   ConstraintSystem Sys;
-  const std::vector<Event> &Events = Graph.events();
 
-  // Surviving backoff options: an event's options are a subset of its
-  // representations, so each event filters into its own slot of a layout
-  // sized by representation counts (the filter fans out freely), and the
-  // slots are then packed in event order.
-  std::vector<size_t> Slot(Events.size() + 1, 0);
-  for (size_t I = 0; I < Events.size(); ++I)
-    Slot[I + 1] = Slot[I] + Events[I].Reps.size();
-  std::vector<RepId> Slots(Slot.back());
-  std::vector<uint32_t> Kept(Events.size(), 0);
-  auto FilterEvent = [&](size_t I, unsigned) {
-    for (const std::string &Rep : Events[I].Reps) {
-      RepId Id;
-      if (Reps.lookup(Rep, Id) && Keep[Id])
-        Slots[Slot[I] + Kept[I]++] = Id;
-    }
-  };
-  if (Pool)
-    Pool->parallelFor(Events.size(), FilterEvent);
-  else
-    for (size_t I = 0; I < Events.size(); ++I)
-      FilterEvent(I, 0);
-
-  size_t BackoffTotal = 0;
-  for (uint32_t N : Kept) {
-    Sys.NumCandidates += N != 0;
-    BackoffTotal += N;
+  // Surviving backoff options: each distinct string of the graph resolves
+  // once to its RepTable id, or to Dropped when that id is not kept (the
+  // learning graph may be a collapsed one, with its own table); events
+  // then filter their option ids.
+  constexpr RepId Dropped = ~RepId(0);
+  const std::vector<std::string> &Strings = Graph.repStrings();
+  std::vector<RepId> KeptAs(Strings.size(), Dropped);
+  for (RepId G = 0; G < Strings.size(); ++G) {
+    RepId Id;
+    if (Reps.lookup(Strings[G], Id) && Keep[Id])
+      KeptAs[G] = Id;
   }
-  Sys.EventReps.reserve(Events.size(), BackoffTotal);
-  for (size_t I = 0; I < Events.size(); ++I) {
-    for (uint32_t K = 0; K < Kept[I]; ++K)
-      Sys.EventReps.push(Slots[Slot[I] + K]);
+  size_t BackoffTotal = 0;
+  Sys.EventReps.reserve(Graph.numEvents(), Graph.numOptions());
+  for (const Event &E : Graph.events()) {
+    size_t Kept = 0;
+    for (RepId G : E.repIds())
+      if (KeptAs[G] != Dropped) {
+        Sys.EventReps.push(KeptAs[G]);
+        ++Kept;
+      }
     Sys.EventReps.close();
+    Sys.NumCandidates += Kept != 0;
+    BackoffTotal += Kept;
   }
   Sys.AvgBackoffOptions =
       Sys.NumCandidates == 0
@@ -365,8 +367,7 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
                                          ThreadPool *Pool,
                                          const Deadline *StopAt) {
   ConstraintSystem Sys = prepareSystem(
-      Graph, Reps, Seed, Reps.keepVerdicts(Opts.RepCutoff, Seed.Blacklist),
-      Pool);
+      Graph, Reps, Seed, Reps.keepVerdicts(Opts.RepCutoff, Seed.Blacklist));
 
   // Group events by file and emit each file into a private block, so
   // extraction touches no shared mutable state.
@@ -412,20 +413,22 @@ seldon::constraints::extractShard(const PropagationGraph &Graph,
 
   // Events are in file order, so the slice's events are one contiguous
   // run: find it by binary search, then group it by file.
-  const std::vector<Event> &Events = Graph.events();
-  auto InEarlierFile = [](const Event &E, uint32_t File) {
-    return E.FileIdx < File;
+  const auto Ids =
+      std::views::iota(EventId(0), static_cast<EventId>(Graph.numEvents()));
+  auto FirstOfFile = [&](uint32_t File) {
+    return *std::ranges::partition_point(
+        Ids, [&](EventId Id) { return Graph.event(Id).FileIdx < File; });
   };
-  auto First =
-      std::lower_bound(Events.begin(), Events.end(), FileBegin, InEarlierFile);
-  auto Last = std::lower_bound(First, Events.end(), FileEnd, InEarlierFile);
   std::vector<std::vector<EventId>> ByFile(FileEnd - FileBegin);
-  for (auto It = First; It != Last; ++It)
-    ByFile[It->FileIdx - FileBegin].push_back(It->Id);
+  for (EventId Id = FirstOfFile(FileBegin), Last = FirstOfFile(FileEnd);
+       Id < Last; ++Id)
+    ByFile[Graph.event(Id).FileIdx - FileBegin].push_back(Id);
 
   // Renumber each file's local ids shard-wide, interning events and their
-  // representation strings in the order the anchors reference them.
-  std::unordered_map<std::string, ShardStrId> StringIds;
+  // representation strings in the order the anchors reference them; a
+  // string's shard id is found through its graph id.
+  constexpr ShardStrId NoStr = ~ShardStrId(0);
+  std::vector<ShardStrId> StrOf(Graph.repStrings().size(), NoStr);
   for (size_t F = 0; F < ByFile.size(); ++F) {
     const std::vector<EventId> &Local = ByFile[F];
     if (Local.empty())
@@ -438,12 +441,13 @@ seldon::constraints::extractShard(const PropagationGraph &Graph,
       if (Id == Unseen) {
         Id = static_cast<ShardEventId>(Shard.Events.size());
         ShardEvent &SE = Shard.Events.emplace_back();
-        for (const std::string &Rep : Graph.event(Local[L]).Reps) {
-          auto [It, Fresh] = StringIds.try_emplace(
-              Rep, static_cast<ShardStrId>(Shard.Strings.size()));
-          if (Fresh)
-            Shard.Strings.push_back(Rep);
-          SE.Reps.push_back(It->second);
+        for (RepId Rep : Graph.event(Local[L]).repIds()) {
+          ShardStrId &S = StrOf[Rep];
+          if (S == NoStr) {
+            S = static_cast<ShardStrId>(Shard.Strings.size());
+            Shard.Strings.push_back(Graph.repStrings()[Rep]);
+          }
+          SE.Reps.push_back(S);
         }
       }
       L = Id;
@@ -474,7 +478,7 @@ ConstraintSystem seldon::constraints::composeConstraints(
     const GenOptions &Opts, ThreadPool *Pool, const Deadline *StopAt) {
   const std::vector<uint8_t> Keep =
       Reps.keepVerdicts(Opts.RepCutoff, Seed.Blacklist);
-  ConstraintSystem Sys = prepareSystem(Graph, Reps, Seed, Keep, Pool);
+  ConstraintSystem Sys = prepareSystem(Graph, Reps, Seed, Keep);
   std::vector<ConstraintBlock> Blocks(Shards.size());
   auto ReplayOne = [&](size_t I, unsigned) {
     // All-or-nothing, like generation: a truncated composition would

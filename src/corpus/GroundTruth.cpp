@@ -27,14 +27,6 @@ bool GroundTruth::isTrue(const std::string &Rep, Role R) const {
   return propgraph::maskHas(rolesOf(Rep), R);
 }
 
-bool GroundTruth::anyTrue(const std::vector<std::string> &RepOptions,
-                          Role R) const {
-  for (const std::string &Rep : RepOptions)
-    if (isTrue(Rep, R))
-      return true;
-  return false;
-}
-
 const std::string &GroundTruth::vulnClassOf(const std::string &Rep) const {
   auto It = Entries.find(Rep);
   return It == Entries.end() ? Empty : It->second.VulnClass;

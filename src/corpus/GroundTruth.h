@@ -20,6 +20,7 @@
 #include "propgraph/Event.h"
 
 #include <array>
+#include <initializer_list>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,8 +45,15 @@ public:
   bool isTrue(const std::string &Rep, Role R) const;
 
   /// True if any of \p RepOptions truly holds \p R (events carry several
-  /// backoff representations).
-  bool anyTrue(const std::vector<std::string> &RepOptions, Role R) const;
+  /// backoff representations): an Event's Reps, or any range of strings, a
+  /// braced list included.
+  template <class Range = std::initializer_list<std::string>>
+  bool anyTrue(const Range &RepOptions, Role R) const {
+    for (const std::string &Rep : RepOptions)
+      if (isTrue(Rep, R))
+        return true;
+    return false;
+  }
 
   /// Vulnerability class of \p Rep ("xss", "sqli", ...; empty if none).
   const std::string &vulnClassOf(const std::string &Rep) const;

@@ -219,13 +219,15 @@ Session &Session::buildGraph() {
   // shard cache, each survivor's file range within the global graph is
   // recorded so generateConstraints can slice its shard back out.
   PropagationGraph Merged;
-  size_t NumEvents = 0, NumFiles = 0;
+  size_t NumEvents = 0, NumFiles = 0, NumOptions = 0, NumEdges = 0;
   for (size_t I = 0; I < Total; ++I)
     if (!FailedAt[I]) {
       NumEvents += PerProject[I].numEvents();
       NumFiles += PerProject[I].files().size();
+      NumOptions += PerProject[I].numOptions();
+      NumEdges += PerProject[I].numEdges();
     }
-  Merged.reserve(NumEvents, NumFiles);
+  Merged.reserve(NumEvents, NumFiles, NumOptions, NumEdges);
   Slices.clear();
   bool DeadlineHit = false;
   for (size_t I = 0; I < Total; ++I) {

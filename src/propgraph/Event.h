@@ -15,6 +15,10 @@
 /// it is a candidate for (§5.1: object reads and formal parameters can only
 /// be sources; calls can be sources, sanitizers, or sinks).
 ///
+/// An Event is a view into its PropagationGraph, which stores events flat
+/// (see PropagationGraph.h): the graph returns it by value, and it lives
+/// until that graph is next written.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELDON_PROPGRAPH_EVENT_H
@@ -22,9 +26,11 @@
 
 #include "pyast/Ast.h"
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <span>
 #include <string>
-#include <vector>
 
 namespace seldon {
 namespace propgraph {
@@ -67,13 +73,70 @@ using EventId = uint32_t;
 /// Sentinel for "no event".
 inline constexpr EventId InvalidEvent = ~static_cast<EventId>(0);
 
+/// Dense id of an interned representation string: an index into a
+/// PropagationGraph's table of distinct strings, or into a RepTable (whose
+/// ids equal the table's for the graph it counted).
+using RepId = uint32_t;
+
+/// An event's representation options, most to least specific: ids into
+/// the graph's string table, read as the strings.
+class RepRange {
+public:
+  /// Yields each option's string.
+  class iterator {
+  public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = std::string;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const std::string *;
+    using reference = const std::string &;
+
+    iterator() = default;
+    iterator(const RepId *At, const std::string *Table)
+        : At(At), Table(Table) {}
+
+    const std::string &operator*() const { return Table[*At]; }
+    iterator &operator++() {
+      ++At;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator Old = *this;
+      ++At;
+      return Old;
+    }
+    bool operator==(const iterator &Other) const { return At == Other.At; }
+
+  private:
+    const RepId *At = nullptr;
+    const std::string *Table = nullptr;
+  };
+
+  RepRange() = default;
+  RepRange(std::span<const RepId> Ids, const std::string *Table)
+      : Ids(Ids), Table(Table) {}
+
+  size_t size() const { return Ids.size(); }
+  bool empty() const { return Ids.empty(); }
+  const std::string &operator[](size_t I) const { return Table[Ids[I]]; }
+  const std::string &front() const { return Table[Ids.front()]; }
+  iterator begin() const { return {Ids.data(), Table}; }
+  iterator end() const { return {Ids.data() + Ids.size(), Table}; }
+  /// The options' ids in the graph's string table.
+  std::span<const RepId> ids() const { return Ids; }
+
+private:
+  std::span<const RepId> Ids;
+  const std::string *Table = nullptr;
+};
+
 /// A node of the propagation graph.
 struct Event {
   EventId Id = InvalidEvent;
   EventKind Kind = EventKind::Call;
   /// Representation options, ordered most specific -> least specific.
   /// Always non-empty.
-  std::vector<std::string> Reps;
+  RepRange Reps;
   /// Roles this event may take (subset determined by Kind and blacklist).
   RoleMask Candidates = 0;
   /// Index into PropagationGraph::files().
@@ -82,6 +145,8 @@ struct Event {
 
   /// The most specific representation.
   const std::string &primaryRep() const { return Reps.front(); }
+  /// The options' ids in the graph's string table, most to least specific.
+  std::span<const RepId> repIds() const { return Reps.ids(); }
 };
 
 } // namespace propgraph

@@ -127,6 +127,8 @@ public:
     // Resolve alias-borne field flows against the points-to solution.
     if (Opts.UsePointsTo)
       connectFieldFlows();
+    // The module is complete: its adjacency is built once.
+    Graph.addEdges(Edges);
     return std::move(Graph);
   }
 
@@ -135,31 +137,31 @@ private:
   // Event creation helpers
   //===--------------------------------------------------------------------===//
 
-  EventId makeEvent(EventKind Kind, std::vector<std::string> Reps,
+  EventId makeEvent(EventKind Kind, const std::vector<std::string> &Reps,
                     SourceLoc Loc) {
     assert(!Reps.empty());
-    Event E;
-    E.Kind = Kind;
-    E.Reps = std::move(Reps);
+    RoleMask Candidates;
     if (Kind == EventKind::Call)
       // In argument-position mode the per-argument events own the sink
       // role exclusively; the call itself can still be a source/sanitizer
       // (its return value).
-      E.Candidates = Opts.ArgPositionReps
-                         ? (SourceMask | SanitizerMask)
-                         : AllRolesMask;
+      Candidates = Opts.ArgPositionReps ? (SourceMask | SanitizerMask)
+                                        : AllRolesMask;
     else if (Kind == EventKind::CallArgument)
-      E.Candidates = SinkMask;
+      Candidates = SinkMask;
     else
-      E.Candidates = SourceMask;
-    E.FileIdx = FileIdx;
-    E.Loc = Loc;
-    return Graph.addEvent(std::move(E));
+      Candidates = SourceMask;
+    RepViews.assign(Reps.begin(), Reps.end());
+    return Graph.addEvent(Kind, Candidates, FileIdx, Loc, RepViews);
   }
+
+  /// Records the flow edge \p From -> \p To; build() adds the module's
+  /// edges to the graph at once.
+  void addEdge(EventId From, EventId To) { Edges.push_back({From, To}); }
 
   void flowInto(const std::vector<EventId> &Sources, EventId Target) {
     for (EventId S : Sources)
-      Graph.addEdge(S, Target);
+      addEdge(S, Target);
   }
 
   /// Appends \p Link (".attr", "['k']", or "()") to every path option.
@@ -284,7 +286,7 @@ private:
       if (DV.Events.empty())
         continue;
       for (EventId R : Summary.ReturnEvents)
-        Graph.addEdge(R, DV.Events.front());
+        addEdge(R, DV.Events.front());
     }
 
     Summary.InProgress = false;
@@ -702,10 +704,29 @@ private:
     return V;
   }
 
-  /// Renders a subscript link: "['key']", "[3]", or "[]".
+  /// Renders a subscript link: "['key']", "[3]", or "[]". The key's text
+  /// is escaped so a representation stays one line of printable bytes, as
+  /// specs and graph dumps store it: a backslash doubles, newline, tab and
+  /// carriage return become \n, \t and \r, any other byte below 0x20 and
+  /// 0x7f become \xNN, and every other byte is kept.
   static std::string subscriptLink(const Expr *Index) {
-    if (const auto *S = dyn_cast<StringExpr>(Index))
-      return "['" + S->Value + "']";
+    if (const auto *S = dyn_cast<StringExpr>(Index)) {
+      std::string Link = "['";
+      for (char C : S->Value) {
+        switch (C) {
+        case '\\': Link += "\\\\"; break;
+        case '\n': Link += "\\n"; break;
+        case '\t': Link += "\\t"; break;
+        case '\r': Link += "\\r"; break;
+        default:
+          if (static_cast<unsigned char>(C) < 0x20 || C == 0x7f)
+            Link += formatString("\\x%02x", static_cast<unsigned char>(C));
+          else
+            Link += C;
+        }
+      }
+      return Link + "']";
+    }
     if (const auto *N = dyn_cast<NumberExpr>(Index))
       return "[" + N->Spelling + "]";
     return "[]";
@@ -902,7 +923,7 @@ private:
         EventId AE = makeEvent(EventKind::CallArgument,
                                extendPaths(RepOptions, Slot), C->loc());
         flowInto(Events, AE);
-        Graph.addEdge(AE, Call);
+        addEdge(AE, Call);
       };
       for (size_t I = 0; I < ArgValues.size(); ++I)
         MakeArgEvent("[arg" + std::to_string(I) + "]", ArgValues[I].Events);
@@ -971,7 +992,7 @@ private:
               flowInto(KV.Events, Summary.ParamEvents[P]);
         }
         for (EventId R : Summary.ReturnEvents)
-          Graph.addEdge(R, Call);
+          addEdge(R, Call);
       }
     }
     if (Opts.PreciseInlining && !InlinedPrecisely && DeferArgEdges &&
@@ -1029,6 +1050,10 @@ private:
   ModuleArtifacts *Artifacts = nullptr;
   pysem::ModuleScope Scope;
   PropagationGraph Graph;
+  /// The module's flow edges, in the order the walk finds them.
+  std::vector<Edge> Edges;
+  /// makeEvent()'s options as views, reused across events.
+  std::vector<std::string_view> RepViews;
   uint32_t FileIdx = 0;
   Env ModuleEnv;
   std::unordered_map<const FunctionDefStmt *, FunctionSummary> Summaries;
@@ -1101,6 +1126,7 @@ seldon::propgraph::buildProjectGraph(const pysem::Project &Proj,
       Linked.Calls.push_back(std::move(Site));
   }
 
+  std::vector<Edge> Links;
   for (const ModuleArtifacts::CallSite &Site : Linked.Calls) {
     auto It = Linked.Exports.find(Site.Target);
     if (It == Linked.Exports.end() && !Site.CallerPackage.empty())
@@ -1111,23 +1137,24 @@ seldon::propgraph::buildProjectGraph(const pysem::Project &Proj,
       // unknown-body behaviour).
       for (const auto &Events : Site.Args)
         for (EventId Arg : Events)
-          Out.addEdge(Arg, Site.Call);
+          Links.push_back({Arg, Site.Call});
       for (const auto &[Kw, Events] : Site.Kwargs)
         for (EventId Arg : Events)
-          Out.addEdge(Arg, Site.Call);
+          Links.push_back({Arg, Site.Call});
       continue;
     }
     const ModuleArtifacts::ExportedFn &Fn = It->second;
     for (size_t I = 0; I < Site.Args.size() && I < Fn.Params.size(); ++I)
       for (EventId Arg : Site.Args[I])
-        Out.addEdge(Arg, Fn.Params[I].second);
+        Links.push_back({Arg, Fn.Params[I].second});
     for (const auto &[Kw, Events] : Site.Kwargs)
       for (const auto &[ParamName, ParamEvent] : Fn.Params)
         if (ParamName == Kw)
           for (EventId Arg : Events)
-            Out.addEdge(Arg, ParamEvent);
+            Links.push_back({Arg, ParamEvent});
     for (EventId Ret : Fn.Returns)
-      Out.addEdge(Ret, Site.Call);
+      Links.push_back({Ret, Site.Call});
   }
+  Out.addEdges(Links);
   return Out;
 }

@@ -40,6 +40,13 @@
 namespace seldon {
 namespace propgraph {
 
+/// Version of the builder's rules: how events, representations and edges
+/// are derived from source. Bump it whenever a rule change alters the
+/// graph built from the same source; graph-cache keys include it, so
+/// graphs cached under the old rules miss once and are rebuilt.
+/// Version 2 escapes control bytes and backslashes in subscript keys.
+inline constexpr uint32_t GraphBuilderVersion = 2;
+
 /// Tunables of the graph construction.
 struct BuildOptions {
   /// Maximum depth of on-demand same-module inlining (paper: context bound

@@ -58,8 +58,8 @@ PropagationGraph readPayload(ByteReader &Reader) {
   }
 
   uint64_t NumEvents = Reader.getCount("event count");
+  std::vector<std::string_view> Reps; // Views into Bytes, reused.
   for (uint64_t I = 0; Reader.ok() && I < NumEvents; ++I) {
-    Event E;
     uint8_t Kind = Reader.getByte("event kind");
     uint8_t Candidates = Reader.getByte("candidate mask");
     uint64_t FileIdx = Reader.getVarint("event file index");
@@ -87,22 +87,22 @@ PropagationGraph readPayload(ByteReader &Reader) {
       Reader.fail("event with no representations");
       break;
     }
-    E.Kind = static_cast<EventKind>(Kind);
-    E.Candidates = static_cast<RoleMask>(Candidates);
-    E.FileIdx = static_cast<uint32_t>(FileIdx);
-    E.Loc.Line = static_cast<uint32_t>(Line);
-    E.Loc.Col = static_cast<uint32_t>(Col);
-    E.Reps.reserve(NumReps);
+    Reps.clear();
     for (uint64_t R = 0; Reader.ok() && R < NumReps; ++R) {
       std::string_view Rep = Reader.getString("representation");
       if (Reader.ok())
-        E.Reps.emplace_back(Rep);
+        Reps.push_back(Rep);
     }
     if (Reader.ok())
-      Graph.addEvent(std::move(E));
+      Graph.addEvent(static_cast<EventKind>(Kind),
+                     static_cast<RoleMask>(Candidates),
+                     static_cast<uint32_t>(FileIdx),
+                     {static_cast<uint32_t>(Line), static_cast<uint32_t>(Col)},
+                     Reps);
   }
 
   uint64_t NumEdges = Reader.getCount("edge count");
+  std::vector<Edge> Edges;
   for (uint64_t I = 0; Reader.ok() && I < NumEdges; ++I) {
     uint64_t From = Reader.getVarint("edge source");
     uint64_t To = Reader.getVarint("edge target");
@@ -120,8 +120,10 @@ PropagationGraph readPayload(ByteReader &Reader) {
                                static_cast<unsigned long long>(From)));
       break;
     }
-    Graph.addEdge(static_cast<EventId>(From), static_cast<EventId>(To));
+    Edges.push_back({static_cast<EventId>(From), static_cast<EventId>(To)});
   }
+  if (Reader.ok())
+    Graph.addEdges(Edges);
   return Graph;
 }
 

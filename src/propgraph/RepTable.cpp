@@ -17,9 +17,15 @@ RepId RepTable::intern(const std::string &Rep) {
 }
 
 void RepTable::countOccurrences(const PropagationGraph &Graph) {
+  // The graph's table is in first-occurrence order, so on a fresh table
+  // each string gets its graph id.
+  std::vector<RepId> Map;
+  Map.reserve(Graph.repStrings().size());
+  for (const std::string &Rep : Graph.repStrings())
+    Map.push_back(intern(Rep));
   for (const Event &E : Graph.events())
-    for (const std::string &Rep : E.Reps)
-      ++Counts[intern(Rep)];
+    for (RepId Id : E.repIds())
+      ++Counts[Map[Id]];
 }
 
 std::vector<uint8_t> RepTable::keepVerdicts(size_t Cutoff,

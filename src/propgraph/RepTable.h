@@ -28,17 +28,16 @@
 namespace seldon {
 namespace propgraph {
 
-/// Dense id of an interned representation string.
-using RepId = uint32_t;
-
 /// Corpus-wide interning and frequency table of representations.
 class RepTable {
 public:
   /// Interns \p Rep (without counting an occurrence).
   RepId intern(const std::string &Rep);
 
-  /// Counts every representation option of every event in \p Graph.
-  /// Call once per (global) graph.
+  /// Counts every representation option of every event in \p Graph,
+  /// interning the graph's distinct strings first, in its id order, so on
+  /// a fresh table every id equals the graph's. Call once per (global)
+  /// graph.
   void countOccurrences(const PropagationGraph &Graph);
 
   /// Occurrences of \p Id recorded by countOccurrences.

@@ -18,22 +18,6 @@ double LearnedSpec::score(const std::string &Rep, Role R) const {
   return It == Scores.end() ? 0.0 : It->second[R];
 }
 
-std::optional<double>
-LearnedSpec::selectRole(const std::vector<std::string> &RepOptions, Role R,
-                        double Threshold) const {
-  double Decay = 1.0;
-  for (const std::string &Rep : RepOptions) {
-    auto It = Scores.find(Rep);
-    if (It != Scores.end()) {
-      double Decayed = Decay * It->second[R];
-      if (Decayed >= Threshold)
-        return Decayed;
-    }
-    Decay *= BackoffDecay;
-  }
-  return std::nullopt;
-}
-
 TaintSpec LearnedSpec::toSpec(double Threshold) const {
   TaintSpec Out;
   for (const auto &[Rep, RS] : Scores)

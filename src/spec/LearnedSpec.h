@@ -20,6 +20,7 @@
 #include "spec/TaintSpec.h"
 
 #include <array>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -46,12 +47,25 @@ public:
   double score(const std::string &Rep, Role R) const;
   bool hasRep(const std::string &Rep) const { return Scores.count(Rep) != 0; }
 
-  /// §7.1 selection over an event's backoff options (most specific first):
+  /// §7.1 selection over an event's backoff options (most specific first;
+  /// an Event's Reps, or any range of strings, a braced list included):
   /// returns the decayed score of the first option that clears
   /// \p Threshold, or std::nullopt when no option does.
-  std::optional<double>
-  selectRole(const std::vector<std::string> &RepOptions, Role R,
-             double Threshold) const;
+  template <class Range = std::initializer_list<std::string>>
+  std::optional<double> selectRole(const Range &RepOptions, Role R,
+                                   double Threshold) const {
+    double Decay = 1.0;
+    for (const std::string &Rep : RepOptions) {
+      auto It = Scores.find(Rep);
+      if (It != Scores.end()) {
+        double Decayed = Decay * It->second[R];
+        if (Decayed >= Threshold)
+          return Decayed;
+      }
+      Decay *= BackoffDecay;
+    }
+    return std::nullopt;
+  }
 
   /// Materializes the plain per-representation spec: every representation
   /// whose own score for a role clears \p Threshold gets that role.

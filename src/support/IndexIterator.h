@@ -6,10 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The iterator of a flat store whose operator[] builds each element as a
-/// view, by value (solver::ConstraintRows, constraints::EventOptions): it
-/// holds the store and an index and yields Store[Index], so a range-for
-/// over the store reads like one over a vector of the views.
+/// The iterator of a flat store whose accessor builds each element as a
+/// view, by value (solver::ConstraintRows, constraints::EventOptions,
+/// propgraph::PropagationGraph): it holds the store and an index and yields
+/// (Store.*Get)(Index), Store[Index] by default, so a range-for over the
+/// store reads like one over a vector of the views.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,7 +22,8 @@
 
 namespace seldon {
 
-template <class Store, class View> class IndexIterator {
+template <class Store, class View, auto Get = &Store::operator[]>
+class IndexIterator {
 public:
   using iterator_category = std::forward_iterator_tag;
   using value_type = View;
@@ -32,7 +34,7 @@ public:
   IndexIterator() = default;
   IndexIterator(const Store *Of, size_t Index) : Of(Of), Index(Index) {}
 
-  View operator*() const { return (*Of)[Index]; }
+  View operator*() const { return (Of->*Get)(Index); }
   IndexIterator &operator++() {
     ++Index;
     return *this;

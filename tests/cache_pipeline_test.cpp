@@ -10,8 +10,10 @@
 
 #include "TestCorpus.h"
 
+#include "cache/GraphCache.h"
 #include "infer/Pipeline.h"
 #include "spec/SpecIO.h"
+#include "support/BinaryCodec.h"
 #include "support/Metrics.h"
 
 #include <gtest/gtest.h>
@@ -247,6 +249,38 @@ TEST(CacheKeyTest, KeyTracksContentAndOptionsNotIdentity) {
   cache::CacheKey Other =
       cache::projectCacheKey(Data.Projects[1], Build);
   EXPECT_NE(Other.Hash, Base.Hash);
+}
+
+/// The key hashes a tag, the codec version, the builder's rules version,
+/// every BuildOptions field, then each module's path and source. This
+/// reference recomputes it, so the builder version provably takes part:
+/// graphs cached under older rules miss once and are rebuilt.
+TEST(CacheKeyTest, BuilderVersionTakesPartInTheKey) {
+  corpus::Corpus Data = testutil::makeCorpus(909, /*NumProjects=*/1);
+  const pysem::Project &P = Data.Projects.front();
+  propgraph::BuildOptions Build;
+  auto Reference = [&](uint64_t BuilderVersion) {
+    uint64_t Hash = 0xcbf29ce484222325ull;
+    codec::hashChunk(Hash, "seldon-graph-cache");
+    codec::hashValue(Hash, propgraph::GraphCodecVersion);
+    codec::hashValue(Hash, BuilderVersion);
+    codec::hashValue(Hash, static_cast<uint64_t>(Build.MaxInlineDepth));
+    codec::hashValue(Hash, Build.ModelLocals);
+    codec::hashValue(Hash, Build.UsePointsTo);
+    codec::hashValue(Hash, Build.ArgPositionReps);
+    codec::hashValue(Hash, Build.PreciseInlining);
+    codec::hashValue(Hash, Build.CrossModuleFlows);
+    codec::hashValue(Hash, P.modules().size());
+    for (const pysem::ModuleInfo &M : P.modules()) {
+      codec::hashChunk(Hash, M.Path);
+      codec::hashChunk(Hash, M.Source);
+    }
+    return Hash;
+  };
+  EXPECT_EQ(cache::projectCacheKey(P, Build).Hash,
+            Reference(propgraph::GraphBuilderVersion));
+  EXPECT_NE(cache::projectCacheKey(P, Build).Hash,
+            Reference(propgraph::GraphBuilderVersion - 1));
 }
 
 } // namespace

@@ -230,11 +230,7 @@ TEST(ConstraintGenTest, PairCapCountsSurvivingPairsOnly) {
     PropagationGraph G;
     uint32_t File = G.addFile("f.py");
     auto Add = [&](const char *Rep, RoleMask Mask) {
-      Event E;
-      E.Reps = {Rep};
-      E.Candidates = Mask;
-      E.FileIdx = File;
-      return G.addEvent(std::move(E));
+      return G.addEvent(EventKind::Call, Mask, File, {}, {Rep});
     };
     EventId San = Add("s.san()", SanitizerMask);
     EventId Dead = Add("d.dead()", SinkMask);

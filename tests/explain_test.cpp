@@ -348,12 +348,8 @@ TEST(JsonExportTest, EmptyReportsAndNoConfidence) {
 TEST(JsonExportTest, EscapesSpecialCharacters) {
   PropagationGraph G;
   uint32_t File = G.addFile("dir/quote\"back\\slash.py");
-  Event E1, E2;
-  E1.Kind = E2.Kind = EventKind::Call;
-  E1.Reps = {"weird\"rep()"};
-  E2.Reps = {"snk()"};
-  E1.FileIdx = E2.FileIdx = File;
-  EventId A = G.addEvent(E1), B = G.addEvent(E2);
+  EventId A = G.addEvent(EventKind::Call, 0, File, {}, {"weird\"rep()"});
+  EventId B = G.addEvent(EventKind::Call, 0, File, {}, {"snk()"});
   G.addEdge(A, B);
   taint::Violation V;
   V.Source = A;

@@ -198,12 +198,12 @@ TEST(FormatGoldenTest, CacheEntriesArePinned) {
   ASSERT_TRUE(Graphs.store(In.GraphKey, In.Graph));
   ASSERT_TRUE(Shards.store(In.ShardKey, In.Shard));
 
-  EXPECT_EQ(Graphs.entryPath(In.GraphKey), Dir + "/6d9c771ac8352f97.spg");
+  EXPECT_EQ(Graphs.entryPath(In.GraphKey), Dir + "/74ab97268d746079.spg");
   EXPECT_EQ(digest(slurp(Graphs.entryPath(In.GraphKey))),
-            "0xc42ba913da35be8d");
-  EXPECT_EQ(Shards.entryPath(In.ShardKey), Dir + "/74cae58ac2751308.scs");
+            "0x2d9d4f4a949c6a58");
+  EXPECT_EQ(Shards.entryPath(In.ShardKey), Dir + "/c101de2bb881a4e1.scs");
   EXPECT_EQ(digest(slurp(Shards.entryPath(In.ShardKey))),
-            "0xf49c14618fdcda97");
+            "0x5d51edc8b21991c9");
   std::filesystem::remove_all(Dir);
 }
 

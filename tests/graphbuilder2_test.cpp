@@ -263,7 +263,7 @@ TEST(GraphBuilder2Test, SelfMethodChainOnBaseClassBackoff) {
       "run(param self).emit()",
       "self.emit()",
   };
-  EXPECT_EQ(E.Reps, Expected);
+  EXPECT_EQ(std::vector<std::string>(E.Reps.begin(), E.Reps.end()), Expected);
 }
 
 } // namespace

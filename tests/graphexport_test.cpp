@@ -121,12 +121,8 @@ TEST(GraphStatsTest, EmptyGraph) {
 TEST(GraphStatsTest, CyclicGraphReportsZeroChain) {
   PropagationGraph G;
   uint32_t File = G.addFile("f.py");
-  Event E1, E2;
-  E1.Kind = E2.Kind = EventKind::Call;
-  E1.Reps = {"a()"};
-  E2.Reps = {"b()"};
-  E1.FileIdx = E2.FileIdx = File;
-  EventId A = G.addEvent(E1), B = G.addEvent(E2);
+  EventId A = G.addEvent(EventKind::Call, 0, File, {}, {"a()"});
+  EventId B = G.addEvent(EventKind::Call, 0, File, {}, {"b()"});
   G.addEdge(A, B);
   G.addEdge(B, A);
   EXPECT_EQ(computeGraphStats(G).LongestChain, 0u);

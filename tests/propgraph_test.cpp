@@ -1,12 +1,14 @@
 //===- tests/propgraph_test.cpp - Tests for the propagation graph ---------===//
 
 #include "propgraph/GraphBuilder.h"
+#include "propgraph/GraphCodec.h"
 #include "propgraph/RepTable.h"
 #include "pysem/Project.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 
 using namespace seldon;
 using namespace seldon::propgraph;
@@ -59,6 +61,15 @@ struct GraphFixture {
     return std::find(R.begin(), R.end(), To) != R.end();
   }
 };
+
+/// An event's options as strings, and an adjacency list as ids, in
+/// vectors gtest compares and prints.
+std::vector<std::string> strings(const RepRange &Reps) {
+  return {Reps.begin(), Reps.end()};
+}
+std::vector<EventId> ids(std::span<const EventId> List) {
+  return {List.begin(), List.end()};
+}
 
 /// The breadth-first search the graph's searches must reproduce, visit
 /// order included: a fresh bitmap per call, \p Start marked up front.
@@ -126,6 +137,23 @@ TEST(GraphBuilderTest, SubscriptAndAttributeReads) {
   EXPECT_TRUE(F.hasEdge(Sub, Attr));
 }
 
+TEST(GraphBuilderTest, SubscriptKeysAreEscaped) {
+  // The key's newline, tab, carriage return, backslash and NUL, a raw
+  // control byte and DEL are spelled as escapes, so the representation is
+  // one printable line; every other byte (quotes included) is kept.
+  GraphFixture F("import mylib\n"
+                 "x = mylib.data['a\\nb\\\\c\\0d\\te\\rf\x01g\x7fh\"i']\n"
+                 "y = mylib.data[\"plain key\"]\n");
+  EXPECT_TRUE(F.hasEvent(
+      R"(mylib.data['a\nb\\c\x00d\te\rf\x01g\x7fh"i'])"));
+  EXPECT_TRUE(F.hasEvent("mylib.data['plain key']"));
+  for (const Event &E : F.Graph.events())
+    for (const std::string &Rep : E.Reps)
+      for (char C : Rep)
+        EXPECT_TRUE(static_cast<unsigned char>(C) >= 0x20 && C != 0x7f)
+            << "control byte in " << Rep;
+}
+
 TEST(GraphBuilderTest, ParamEventRepsWithClassBackoff) {
   GraphFixture F("from base_driver import ThreadDriver\n"
                  "class ESCPOSDriver(ThreadDriver):\n"
@@ -145,7 +173,7 @@ TEST(GraphBuilderTest, ParamEventRepsWithClassBackoff) {
       "status(param self).receipt()",
       "self.receipt()",
   };
-  EXPECT_EQ(Call.Reps, Expected);
+  EXPECT_EQ(strings(Call.Reps), Expected);
 
   // Parameter events exist for `self` and `eprint` and exclude the bare
   // variable name from their representation options.
@@ -174,7 +202,7 @@ TEST(GraphBuilderTest, PlainFunctionParamReps) {
       Calls.push_back(E.Id);
   ASSERT_EQ(Calls.size(), 1u);
   std::vector<std::string> Expected{"media(param f).save()", "f.save()"};
-  EXPECT_EQ(F.Graph.event(Calls[0]).Reps, Expected);
+  EXPECT_EQ(strings(F.Graph.event(Calls[0]).Reps), Expected);
 }
 
 TEST(GraphBuilderTest, ImportAsResolvesInReps) {
@@ -653,9 +681,9 @@ TEST(PropagationGraphTest, AppendByMoveMatchesAppendByCopy) {
     EXPECT_EQ(M.FileIdx, C.FileIdx);
     EXPECT_EQ(M.Kind, C.Kind);
     EXPECT_EQ(M.Candidates, C.Candidates);
-    EXPECT_EQ(M.Reps, C.Reps);
-    EXPECT_EQ(Moved.successors(Id), Copied.successors(Id));
-    EXPECT_EQ(Moved.predecessors(Id), Copied.predecessors(Id));
+    EXPECT_EQ(strings(M.Reps), strings(C.Reps));
+    EXPECT_EQ(ids(Moved.successors(Id)), ids(Copied.successors(Id)));
+    EXPECT_EQ(ids(Moved.predecessors(Id)), ids(Copied.predecessors(Id)));
     EXPECT_TRUE(std::is_sorted(Moved.predecessors(Id).begin(),
                                Moved.predecessors(Id).end()))
         << "predecessors are rebuilt in source-event order";
@@ -667,7 +695,7 @@ TEST(PropagationGraphTest, AppendByMoveMatchesAppendByCopy) {
     std::vector<EventId> Shifted;
     for (EventId To : F2.Graph.successors(Id))
       Shifted.push_back(To + Offset);
-    EXPECT_EQ(Moved.successors(Id + Offset), Shifted);
+    EXPECT_EQ(ids(Moved.successors(Id + Offset)), Shifted);
   }
 }
 
@@ -768,17 +796,219 @@ TEST(PropagationGraphTest, CollapseCreatesSpuriousFlow) {
 TEST(PropagationGraphTest, IsAcyclicDetectsCycles) {
   PropagationGraph G;
   uint32_t File = G.addFile("f.py");
-  Event E1, E2;
-  E1.Kind = E2.Kind = EventKind::Call;
-  E1.Reps = {"a()"};
-  E2.Reps = {"b()"};
-  E1.FileIdx = E2.FileIdx = File;
-  EventId A = G.addEvent(E1);
-  EventId B = G.addEvent(E2);
+  EventId A = G.addEvent(EventKind::Call, 0, File, {}, {"a()"});
+  EventId B = G.addEvent(EventKind::Call, 0, File, {}, {"b()"});
   G.addEdge(A, B);
   EXPECT_TRUE(G.isAcyclic());
   G.addEdge(B, A);
   EXPECT_FALSE(G.isAcyclic());
+}
+
+/// Asserts that \p G's table ids are the ids a fresh RepTable assigns.
+void expectTableMatchesRepTable(const PropagationGraph &G) {
+  RepTable Fresh;
+  Fresh.countOccurrences(G);
+  ASSERT_EQ(Fresh.size(), G.repStrings().size());
+  for (RepId Id = 0; Id < Fresh.size(); ++Id)
+    EXPECT_EQ(Fresh.repString(Id), G.repStrings()[Id]) << "id " << Id;
+  for (const Event &E : G.events())
+    for (size_t I = 0; I < E.Reps.size(); ++I)
+      EXPECT_EQ(G.repStrings()[E.repIds()[I]], E.Reps[I]);
+}
+
+/// A graph of two files written by hand: "shared()" occurs in both, and
+/// edges come in an order that is not source-event order.
+PropagationGraph handWritten() {
+  PropagationGraph G;
+  uint32_t F0 = G.addFile("a.py");
+  uint32_t F1 = G.addFile("b.py");
+  G.addEvent(EventKind::Call, AllRolesMask, F0, {1, 0}, {"x.src()", "src()"});
+  G.addEvent(EventKind::Call, AllRolesMask, F0, {2, 0}, {"shared()"});
+  G.addEvent(EventKind::ObjectRead, SourceMask, F1, {3, 4}, {"y.z", "shared()"});
+  G.addEvent(EventKind::Call, AllRolesMask, F1, {4, 0}, {"y.snk()"});
+  G.addEdges(std::vector<Edge>{{2, 3}, {0, 1}, {0, 3}, {1, 3}, {0, 1},
+                               {3, 3}, {0, 2}});
+  return G;
+}
+
+TEST(PropagationGraphTest, ViewsByIndexMatchViewsByIteration) {
+  GraphFixture F("from flask import request\n"
+                 "import os\n"
+                 "def media(f):\n"
+                 "    os.system(request.args.get('a') + f.name)\n");
+  const PropagationGraph &G = F.Graph;
+  ASSERT_GT(G.numEvents(), 3u);
+  EXPECT_EQ(G.events().size(), G.numEvents());
+  EventId Next = 0;
+  size_t Options = 0;
+  for (const Event &E : G.events()) {
+    const Event &ById = G.event(Next);
+    EXPECT_EQ(E.Id, Next);
+    EXPECT_EQ(ById.Id, Next);
+    EXPECT_EQ(E.Kind, ById.Kind);
+    EXPECT_EQ(E.Candidates, ById.Candidates);
+    EXPECT_EQ(E.FileIdx, ById.FileIdx);
+    EXPECT_EQ(E.Loc.Line, ById.Loc.Line);
+    EXPECT_EQ(E.Loc.Col, ById.Loc.Col);
+    EXPECT_EQ(strings(E.Reps), strings(ById.Reps));
+    EXPECT_EQ(E.primaryRep(), E.Reps.front());
+    EXPECT_EQ(&E.primaryRep(), &E.Reps[0]);
+    Options += E.Reps.size();
+    ++Next;
+  }
+  EXPECT_EQ(Next, G.numEvents());
+  EXPECT_EQ(Options, G.numOptions());
+
+  // A copy's views read the copy's arrays, and equal the original's.
+  PropagationGraph Copy = G;
+  for (EventId Id = 0; Id < G.numEvents(); ++Id) {
+    const Event &Orig = G.event(Id), &Copied = Copy.event(Id);
+    EXPECT_EQ(strings(Orig.Reps), strings(Copied.Reps));
+    EXPECT_EQ(&Copied.primaryRep(), &Copy.repStrings()[Copied.repIds()[0]]);
+    EXPECT_NE(&Copied.primaryRep(), &Orig.primaryRep());
+    EXPECT_NE(Copied.repIds().data(), Orig.repIds().data());
+    EXPECT_EQ(ids(Copy.successors(Id)), ids(G.successors(Id)));
+    if (!G.successors(Id).empty()) {
+      EXPECT_NE(Copy.successors(Id).data(), G.successors(Id).data());
+    }
+  }
+}
+
+TEST(PropagationGraphTest, EdgesKeepOrderAndDropDuplicates) {
+  PropagationGraph G = handWritten();
+  // The duplicate 0 -> 1 and the self-edge 3 -> 3 are dropped.
+  EXPECT_EQ(G.numEdges(), 5u);
+  // Successors in insertion order.
+  EXPECT_EQ(ids(G.successors(0)), (std::vector<EventId>{1, 3, 2}));
+  EXPECT_EQ(ids(G.successors(1)), (std::vector<EventId>{3}));
+  EXPECT_EQ(ids(G.successors(2)), (std::vector<EventId>{3}));
+  EXPECT_TRUE(G.successors(3).empty());
+  // Predecessors as written: 2 -> 3 came first.
+  EXPECT_EQ(ids(G.predecessors(3)), (std::vector<EventId>{2, 0, 1}));
+  EXPECT_EQ(ids(G.predecessors(1)), (std::vector<EventId>{0}));
+  EXPECT_TRUE(G.predecessors(0).empty());
+  // Adding an existing edge later changes nothing; a new one goes last.
+  G.addEdge(0, 3);
+  G.addEdge(1, 2);
+  EXPECT_EQ(G.numEdges(), 6u);
+  EXPECT_EQ(ids(G.successors(1)), (std::vector<EventId>{3, 2}));
+  EXPECT_EQ(ids(G.predecessors(2)), (std::vector<EventId>{0, 1}));
+
+  // Written From-ascending, as decoding does, predecessors are in
+  // source-event order; after append they always are.
+  PropagationGraph Merged;
+  Merged.append(handWritten());
+  EXPECT_EQ(ids(Merged.successors(0)), (std::vector<EventId>{1, 3, 2}));
+  EXPECT_EQ(ids(Merged.predecessors(3)), (std::vector<EventId>{0, 1, 2}));
+  for (EventId Id = 0; Id < Merged.numEvents(); ++Id) {
+    std::span<const EventId> In = Merged.predecessors(Id);
+    EXPECT_TRUE(std::is_sorted(In.begin(), In.end()));
+  }
+}
+
+TEST(PropagationGraphTest, AppendRemapsIdsFilesAndOptions) {
+  PropagationGraph First = handWritten();
+  PropagationGraph Second;
+  uint32_t File = Second.addFile("c.py");
+  Second.addEvent(EventKind::Call, AllRolesMask, File, {7, 1},
+                  {"z.new()", "shared()"});
+  Second.addEvent(EventKind::Call, AllRolesMask, File, {8, 1}, {"x.src()"});
+  Second.addEdge(1, 0);
+
+  PropagationGraph G = First;
+  G.reserve(Second.numEvents(), Second.files().size(), Second.numOptions(),
+            Second.numEdges());
+  G.append(Second);
+  ASSERT_EQ(G.numEvents(), 6u);
+  EXPECT_EQ(G.numEdges(), First.numEdges() + 1);
+  EXPECT_EQ(G.files(),
+            (std::vector<std::string>{"a.py", "b.py", "c.py"}));
+  EXPECT_EQ(G.numOptions(), First.numOptions() + Second.numOptions());
+
+  // Events 4 and 5 are Second's 0 and 1, in file 2.
+  const Event &New = G.event(4), &Src = G.event(5);
+  EXPECT_EQ(New.Id, 4u);
+  EXPECT_EQ(New.FileIdx, 2u);
+  EXPECT_EQ(New.Loc.Line, 7u);
+  EXPECT_EQ(strings(New.Reps),
+            (std::vector<std::string>{"z.new()", "shared()"}));
+  EXPECT_EQ(strings(Src.Reps), (std::vector<std::string>{"x.src()"}));
+  // Shared strings keep their ids; the unseen one joins the table last.
+  EXPECT_EQ(G.repStrings(),
+            (std::vector<std::string>{"x.src()", "src()", "shared()", "y.z",
+                                      "y.snk()", "z.new()"}));
+  EXPECT_EQ(New.repIds()[1], G.event(1).repIds()[0]);
+  EXPECT_EQ(Src.repIds()[0], G.event(0).repIds()[0]);
+  EXPECT_EQ(New.repIds()[0], 5u);
+  // Second's edge 1 -> 0 is now 5 -> 4; First's edges are untouched.
+  EXPECT_EQ(ids(G.successors(5)), (std::vector<EventId>{4}));
+  EXPECT_EQ(ids(G.predecessors(4)), (std::vector<EventId>{5}));
+  EXPECT_TRUE(G.successors(4).empty());
+  for (EventId Id = 0; Id < First.numEvents(); ++Id) {
+    EXPECT_EQ(ids(G.successors(Id)), ids(First.successors(Id)));
+    EXPECT_EQ(strings(G.event(Id).Reps), strings(First.event(Id).Reps));
+  }
+  expectTableMatchesRepTable(G);
+}
+
+TEST(PropagationGraphTest, TableIdsAreRepTableIds) {
+  GraphFixture F1("from flask import request\nimport os\n"
+                  "def media(f):\n"
+                  "    os.system(request.args.get('a') + f.name)\n");
+  GraphFixture F2("import os\nimport web\n"
+                  "os.system(web.read())\nweb.read()\n",
+                  BuildOptions(), "b.py");
+  expectTableMatchesRepTable(F1.Graph);
+  expectTableMatchesRepTable(F2.Graph);
+  expectTableMatchesRepTable(handWritten());
+
+  PropagationGraph Merged;
+  Merged.append(F1.Graph);
+  Merged.append(F2.Graph);
+  Merged.append(handWritten());
+  expectTableMatchesRepTable(Merged);
+
+  io::IOResult<PropagationGraph> Decoded = decodeGraph(encodeGraph(Merged));
+  ASSERT_TRUE(Decoded.ok()) << Decoded.Error;
+  expectTableMatchesRepTable(Decoded.Value);
+  EXPECT_EQ(Decoded.Value.repStrings(), Merged.repStrings());
+
+  // A collapsed graph has its own table, in its own first-occurrence order.
+  expectTableMatchesRepTable(Merged.collapseByRep());
+}
+
+TEST(PropagationGraphTest, DecodeGivesTheSameViewsTableAndAdjacency) {
+  GraphFixture F("from flask import request\nimport os\n"
+                 "p = os.path.join(request.args['a'], request.args['b'])\n"
+                 "os.remove(p)\n");
+  for (bool Merge : {false, true}) {
+    PropagationGraph Source = F.Graph;
+    if (Merge)
+      Source.append(handWritten());
+    io::IOResult<PropagationGraph> Decoded = decodeGraph(encodeGraph(Source));
+    ASSERT_TRUE(Decoded.ok()) << Decoded.Error;
+    const PropagationGraph &D = Decoded.Value;
+    ASSERT_EQ(D.numEvents(), Source.numEvents());
+    EXPECT_EQ(D.numEdges(), Source.numEdges());
+    EXPECT_EQ(D.numOptions(), Source.numOptions());
+    EXPECT_EQ(D.files(), Source.files());
+    EXPECT_EQ(D.repStrings(), Source.repStrings());
+    for (EventId Id = 0; Id < Source.numEvents(); ++Id) {
+      const Event &A = Source.event(Id), &B = D.event(Id);
+      EXPECT_EQ(A.Kind, B.Kind);
+      EXPECT_EQ(A.Candidates, B.Candidates);
+      EXPECT_EQ(A.FileIdx, B.FileIdx);
+      EXPECT_EQ(A.Loc.Line, B.Loc.Line);
+      EXPECT_EQ(A.Loc.Col, B.Loc.Col);
+      EXPECT_EQ(ids(A.repIds()), ids(B.repIds()));
+      EXPECT_EQ(ids(Source.successors(Id)), ids(D.successors(Id)));
+      // Decoding adds edges From-ascending, so predecessors come out in
+      // source-event order.
+      std::vector<EventId> In = ids(Source.predecessors(Id));
+      std::sort(In.begin(), In.end());
+      EXPECT_EQ(ids(D.predecessors(Id)), In);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -2,6 +2,9 @@
 
 #include "spec/SpecIO.h"
 
+#include "propgraph/GraphBuilder.h"
+#include "pysem/Project.h"
+
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -157,6 +160,32 @@ TEST(SpecIOTest, LearnedSpecRoundTrip) {
   EXPECT_NEAR(Parsed.score("os.system()", Role::Sink), 1.0, 1e-9);
   EXPECT_NEAR(Parsed.score("dual()", Role::Source), 0.3, 1e-9);
   EXPECT_NEAR(Parsed.score("dual()", Role::Sink), 0.4, 1e-9);
+}
+
+TEST(SpecIOTest, EscapedSubscriptRepRoundTrips) {
+  // A subscript key holding a newline, a backslash and a NUL: the builder
+  // escapes it, so the learned spec keeps one line per entry and reads
+  // back equal.
+  pysem::Project Proj;
+  const pysem::ModuleInfo &M =
+      Proj.addModule("app.py", "import mylib\n"
+                               "x = mylib.data['a\\nb\\\\c\\0d']\n");
+  PropagationGraph G = buildModuleGraph(Proj, M);
+  ASSERT_EQ(G.numEvents(), 1u);
+  const std::string Rep = G.event(0).primaryRep();
+  EXPECT_EQ(Rep, R"(mylib.data['a\nb\\c\x00d'])");
+
+  LearnedSpec L;
+  L.setScore(Rep, Role::Source, 0.75);
+  L.setScore("os.system()", Role::Sink, 1.0);
+  std::string Text = writeLearnedSpec(L);
+  std::vector<std::string> Errors;
+  LearnedSpec Parsed = parseLearnedSpec(Text, &Errors);
+  EXPECT_TRUE(Errors.empty());
+  EXPECT_EQ(Parsed.size(), L.size());
+  EXPECT_NEAR(Parsed.score(Rep, Role::Source), 0.75, 1e-9);
+  EXPECT_NEAR(Parsed.score("os.system()", Role::Sink), 1.0, 1e-9);
+  EXPECT_EQ(writeLearnedSpec(Parsed), Text);
 }
 
 TEST(SpecIOTest, LearnedSpecMinScoreFilter) {
