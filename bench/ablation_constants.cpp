@@ -8,9 +8,6 @@
 //  * the L1 regularizer λ (§4.4): the paper observed that dividing λ by 10
 //    roughly doubles the number of inferred specifications.
 //
-// Also compares projected Adam with plain projected subgradient descent
-// (the optimizer swap ablation).
-//
 //===----------------------------------------------------------------------===//
 
 #include "eval/ExperimentDriver.h"
@@ -99,26 +96,5 @@ int main() {
                  "specifications); λ = 1 suppresses learning.\n";
   }
 
-  std::cout << "\n=== Ablation: optimizer (projected Adam vs plain PGD) "
-               "===\n\n";
-  {
-    TablePrinter Table({"Optimizer", "# Predicted", "# Correct", "Precision",
-                        "Mean score"});
-    for (bool UseAdam : {true, false}) {
-      infer::PipelineOptions Opts = standardPipelineOptions();
-      Opts.UseAdam = UseAdam;
-      if (!UseAdam)
-        Opts.Solve.LearningRate = 0.1; // PGD needs a larger base step.
-      infer::Session S(Opts);
-      S.addProjects(Data.Projects);
-      S.generateConstraints(Data.Seed);
-      infer::PipelineResult R = S.solve();
-      addRow(Table, UseAdam ? "Adam (paper)" : "Projected subgradient",
-             evaluate(R, Data));
-    }
-    Table.print(std::cout);
-    std::cout << "\nExpected shape: both optimizers reach comparable "
-                 "predictions on the convex\nrelaxation.\n";
-  }
   return 0;
 }

@@ -5,30 +5,10 @@
 #include "support/Metrics.h"
 #include "support/Timer.h"
 
-#include <algorithm>
 #include <utility>
 
 using namespace seldon;
 using namespace seldon::active;
-
-namespace {
-
-/// The selected role set at the threshold, as a sorted key list (role
-/// stability is about selections, not raw scores).
-std::vector<std::string> selectedRoleKeys(const spec::LearnedSpec &Learned,
-                                          double Threshold) {
-  std::vector<std::string> Keys;
-  for (int R = 0; R < propgraph::NumRoles; ++R)
-    for (const auto &[Rep, Score] :
-         Learned.ranked(static_cast<propgraph::Role>(R), Threshold)) {
-      (void)Score;
-      Keys.push_back(Rep + '\x1F' + static_cast<char>('0' + R));
-    }
-  std::sort(Keys.begin(), Keys.end());
-  return Keys;
-}
-
-} // namespace
 
 ActiveResult seldon::active::runActiveLoop(infer::Session &S,
                                            const spec::SeedSpec &Seed,
@@ -46,22 +26,13 @@ ActiveResult seldon::active::runActiveLoop(infer::Session &S,
   const size_t NumVars = S.system().Vars.numVars();
   Result.Candidates = NumVars - S.system().Pinned.size();
   std::vector<uint8_t> Queried(NumVars, 0);
-  std::vector<std::string> PrevRoles =
-      selectedRoleKeys(Result.Final.Learned, Opts.Threshold);
-  int Stable = 0;
 
   for (int Round = 1; Round <= Opts.MaxRounds; ++Round) {
-    size_t K = Opts.QueriesPerRound;
-    if (Opts.MaxQueries) {
-      if (Result.TotalQueries >= Opts.MaxQueries)
-        break; // Budget stop, not convergence.
-      K = std::min(K, Opts.MaxQueries - Result.TotalQueries);
-    }
     std::vector<Candidate> Cands =
         rankUncertain(S.system(), S.reps(), Result.Final.Solve.X,
-                      Opts.Threshold, K, Opts.UncertaintyBand, Queried);
+                      Opts.Threshold, Opts.QueriesPerRound, Queried);
     if (Cands.empty()) {
-      Result.Converged = true; // Nothing uncertain left to ask about.
+      Result.Converged = true; // No unqueried candidate left to ask about.
       break;
     }
 
@@ -88,8 +59,6 @@ ActiveResult seldon::active::runActiveLoop(infer::Session &S,
     // Re-solve with the new pins, warm-started from the previous round.
     WarmCopy = std::move(Result.Final.Learned);
     P.WarmStart = &WarmCopy;
-    if (Opts.RoundIterations > 0)
-      P.Solve.MaxIterations = Opts.RoundIterations;
     Timer SolveClock;
     Result.Final = S.solve();
     Result.Rounds.push_back(RS);
@@ -102,16 +71,7 @@ ActiveResult seldon::active::runActiveLoop(infer::Session &S,
       Reg.timer("active.round_seconds").record(SolveClock.seconds());
     }
 
-    std::vector<std::string> Roles =
-        selectedRoleKeys(Result.Final.Learned, Opts.Threshold);
-    if (Opts.StableRounds > 0)
-      Stable = Roles == PrevRoles ? Stable + 1 : 0;
-    PrevRoles = std::move(Roles);
     if (Opts.StopWhen && Opts.StopWhen(Result.Final)) {
-      Result.Converged = true;
-      break;
-    }
-    if (Opts.StableRounds > 0 && Stable >= Opts.StableRounds) {
       Result.Converged = true;
       break;
     }

@@ -15,7 +15,8 @@
 ///     2. query the oracle about the top-K; pin every answered variable
 ///        to 1 (yes) or 0 (no) — the same §4.1 pin mechanism seeds use
 ///     3. re-solve, warm-started from the previous round's learned spec
-///   until a budget or convergence rule stops it.
+///   until the round budget runs out, no unqueried candidate is left, or
+///   the caller's StopWhen returns true.
 ///
 /// Determinism contract: for a fixed oracle, the query transcript and the
 /// final learned spec are byte-identical at any Jobs value and on every
@@ -43,20 +44,8 @@ struct ActiveOptions {
   int MaxRounds = 10;
   /// Oracle queries proposed per round.
   size_t QueriesPerRound = 8;
-  /// Total query budget across all rounds (0 = bounded by MaxRounds).
-  size_t MaxQueries = 0;
   /// The report threshold the uncertainty scorer centers on.
   double Threshold = 0.1;
-  /// Only scores within this distance of the threshold count as
-  /// uncertain; a round proposing no in-band candidate stops the loop.
-  /// 1.0 disables the band (every unqueried variable stays a candidate).
-  double UncertaintyBand = 1.0;
-  /// Stop once the selected role set is unchanged for this many
-  /// consecutive rounds (0 disables the rule).
-  int StableRounds = 0;
-  /// Iteration budget of each warm-started per-round re-solve (0 keeps
-  /// the session's Solve.MaxIterations).
-  int RoundIterations = 0;
   /// External stop, checked after each round's solve (e.g. "target F1
   /// reached" in the bench). Returning true ends the loop.
   std::function<bool(const infer::PipelineResult &)> StopWhen;
@@ -84,17 +73,17 @@ struct ActiveResult {
   size_t Candidates = 0;
   size_t TotalQueries = 0;
   size_t TotalPinned = 0;
-  /// True when a convergence rule (no candidates, stable roles, StopWhen)
-  /// ended the loop rather than the round/query budget.
+  /// True when running out of candidates or StopWhen ended the loop
+  /// rather than the round budget.
   bool Converged = false;
 };
 
 /// Runs the loop on \p S, which must have its projects added (or a graph
 /// adopted); the function drives generateConstraints(\p Seed) and every
 /// solve itself. The session's options() are restored when it returns or
-/// throws (infer::ScopedOptions), so the per-round WarmStart and
-/// iteration budget never outlive the loop. Emits `active.*` metrics when
-/// the global registry is enabled.
+/// throws (infer::ScopedOptions), so the per-round WarmStart never
+/// outlives the loop. Emits `active.*` metrics when the global registry
+/// is enabled.
 ActiveResult runActiveLoop(infer::Session &S, const spec::SeedSpec &Seed,
                            Oracle &O, const ActiveOptions &Opts);
 

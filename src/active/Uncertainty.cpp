@@ -14,8 +14,7 @@ std::vector<Candidate>
 seldon::active::rankUncertain(const ConstraintSystem &Sys,
                               const propgraph::RepTable &Reps,
                               const std::vector<double> &X, double Threshold,
-                              size_t K, double Band,
-                              const std::vector<uint8_t> &Exclude) {
+                              size_t K, const std::vector<uint8_t> &Exclude) {
   std::unordered_set<VarId> Pinned;
   for (const auto &[Var, Value] : Sys.Pinned)
     Pinned.insert(Var);
@@ -29,8 +28,6 @@ seldon::active::rankUncertain(const ConstraintSystem &Sys,
       continue;
     double Score = V < X.size() ? X[V] : 0.0;
     double U = std::fabs(Score - Threshold);
-    if (U > Band)
-      continue;
     Candidate C;
     C.Var = V;
     C.Rep = Reps.repString(Sys.Vars.repOf(V));

@@ -41,14 +41,12 @@ struct Candidate {
 /// Ranks the top \p K most uncertain candidates of the solved assignment
 /// \p X: skips pinned variables (seeds and previously-pinned oracle
 /// answers) and every variable marked in \p Exclude (indexed by VarId —
-/// the already-queried set), keeps scores within \p Band of \p Threshold
-/// (1.0 disables the band), and orders by (|score-threshold|, rep name,
+/// the already-queried set), and orders by (|score-threshold|, rep name,
 /// role).
 std::vector<Candidate>
 rankUncertain(const constraints::ConstraintSystem &Sys,
               const propgraph::RepTable &Reps, const std::vector<double> &X,
-              double Threshold, size_t K, double Band,
-              const std::vector<uint8_t> &Exclude);
+              double Threshold, size_t K, const std::vector<uint8_t> &Exclude);
 
 } // namespace active
 } // namespace seldon

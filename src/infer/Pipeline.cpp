@@ -525,12 +525,8 @@ PipelineResult Session::solve() {
     Result.SimdActive = Obj.simdActive();
     Compile.finish();
     trace::Span Iterate(Reg, "iterate");
-    if (Opts.UseAdam)
-      Result.Solve =
-          solver::AdamOptimizer(SolveOpts).minimize(Obj, std::move(X0));
-    else
-      Result.Solve =
-          solver::ProjectedGradient(SolveOpts).minimize(Obj, std::move(X0));
+    Result.Solve =
+        solver::AdamOptimizer(SolveOpts).minimize(Obj, std::move(X0));
   }
   {
     trace::Span Readback(Reg, "readback");

@@ -39,7 +39,6 @@
 #include "spec/SeedSpec.h"
 #include "solver/AdamOptimizer.h"
 #include "solver/CompiledObjective.h"
-#include "solver/ProjectedGradient.h"
 #include "support/Deadline.h"
 
 #include <memory>
@@ -58,9 +57,6 @@ struct PipelineOptions {
   constraints::GenOptions Gen;
   double Lambda = 0.1;
   solver::SolveOptions Solve;
-  /// Use projected Adam (the paper's optimizer); false switches to plain
-  /// projected subgradient descent (ablation).
-  bool UseAdam = true;
   /// Warm-start the optimizer from a previously learned specification:
   /// solve() maps its scores (matched by representation string) onto the
   /// starting point, so retraining after the corpus grows converges in far

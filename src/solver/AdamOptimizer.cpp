@@ -2,14 +2,96 @@
 
 #include "solver/AdamOptimizer.h"
 
-#include "solver/NumericGuard.h"
-#include "solver/SolveTelemetry.h"
+#include "support/FaultInjection.h"
+#include "support/Metrics.h"
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 using namespace seldon;
 using namespace seldon::solver;
+
+namespace {
+
+/// Adam's moment decay rates and denominator guard (Kingma & Ba's
+/// defaults).
+constexpr double Beta1 = 0.9;
+constexpr double Beta2 = 0.999;
+constexpr double Epsilon = 1e-8;
+
+/// True when the objective value and every gradient component are finite.
+bool allFinite(double Value, const std::vector<double> &Grad) {
+  if (!std::isfinite(Value))
+    return false;
+  for (double G : Grad)
+    if (!std::isfinite(G))
+      return false;
+  return true;
+}
+
+/// One fused objective evaluation, poisoned to NaN when the `solver-step`
+/// fault point is armed for \p Iter, so the recovery ladder is exercisable
+/// deterministically (by iteration number, independent of thread
+/// schedule). Unarmed, it changes no bit of the trajectory.
+double guardedEval(const CompiledObjective &Obj, const std::vector<double> &X,
+                   std::vector<double> &Grad, int Iter) {
+  double Value = Obj.valueAndGradient(X, Grad);
+  if (fault::enabled() &&
+      fault::shouldTrip(fault::Point::SolverStep,
+                        static_cast<uint64_t>(Iter)))
+    Value = std::numeric_limits<double>::quiet_NaN();
+  return Value;
+}
+
+/// Samples per-iteration solver state (objective value, gradient norm,
+/// best-iterate acceptances) into the global metrics registry. Handles are
+/// resolved once per minimize() call, so the loop pays one null check when
+/// metrics are disabled and a few relaxed atomic writes when enabled; the
+/// series self-decimate, and metrics never feed back into the trajectory.
+struct SolveTelemetry {
+  metrics::Series *Objective = nullptr;
+  metrics::Series *GradNorm = nullptr;
+  metrics::Counter *Iterations = nullptr;
+  metrics::Counter *BestUpdates = nullptr;
+
+  SolveTelemetry() {
+    metrics::Registry &Reg = metrics::Registry::global();
+    if (!Reg.enabled())
+      return;
+    Objective = &Reg.series("solve.objective");
+    GradNorm = &Reg.series("solve.grad_norm");
+    Iterations = &Reg.counter("solve.iterations");
+    BestUpdates = &Reg.counter("solve.best_updates");
+    Reg.counter("solve.runs").add();
+  }
+
+  /// Gradient norms cost an O(N) sweep, so they are only computed every
+  /// GradStride-th iteration; objective samples are a single store.
+  static constexpr int GradStride = 8;
+
+  void onIteration(int Iter, double Value, const std::vector<double> &Grad) {
+    if (!Objective)
+      return;
+    Iterations->add();
+    Objective->record(Value);
+    if (Iter % GradStride == 0 || Iter == 1) {
+      double Norm = 0.0;
+      for (double G : Grad)
+        Norm += G * G;
+      GradNorm->record(std::sqrt(Norm));
+    }
+  }
+
+  /// A step produced a new best iterate (step acceptance).
+  void onBestUpdate() {
+    if (BestUpdates)
+      BestUpdates->add();
+  }
+};
+
+} // namespace
 
 SolveResult AdamOptimizer::minimize(const CompiledObjective &Obj) const {
   return minimize(Obj, Obj.initialPoint());
@@ -46,7 +128,7 @@ SolveResult AdamOptimizer::minimize(const CompiledObjective &Obj,
     if (!std::isfinite(BestValue)) // Poisoned initial evaluation: the
       BestValue =                  // projected start is still finite.
           std::numeric_limits<double>::infinity();
-    while (Result.Recoveries < Options.MaxRecoveries) {
+    while (Result.Recoveries < MaxRecoveries) {
       ++Result.Recoveries;
       Result.X = Best;
       std::fill(M.begin(), M.end(), 0.0);
@@ -96,15 +178,15 @@ SolveResult AdamOptimizer::minimize(const CompiledObjective &Obj,
       break;
     }
 
-    Beta1T *= Options.Beta1;
-    Beta2T *= Options.Beta2;
+    Beta1T *= Beta1;
+    Beta2T *= Beta2;
     for (size_t I = 0; I < N; ++I) {
-      M[I] = Options.Beta1 * M[I] + (1.0 - Options.Beta1) * Grad[I];
-      V[I] = Options.Beta2 * V[I] + (1.0 - Options.Beta2) * Grad[I] * Grad[I];
+      M[I] = Beta1 * M[I] + (1.0 - Beta1) * Grad[I];
+      V[I] = Beta2 * V[I] + (1.0 - Beta2) * Grad[I] * Grad[I];
       double MHat = M[I] / (1.0 - Beta1T);
       double VHat = V[I] / (1.0 - Beta2T);
       Result.X[I] -= Options.LearningRate * StepScale * MHat /
-                     (std::sqrt(VHat) + Options.Epsilon);
+                     (std::sqrt(VHat) + Epsilon);
     }
     Obj.project(Result.X);
     Result.Iterations = Iter;

@@ -26,6 +26,12 @@
 namespace seldon {
 namespace solver {
 
+/// Bound on the non-finite recovery ladder (see docs/architecture.md
+/// "Failure discipline"): each recovery reverts to the best finite
+/// iterate, resets the Adam moments, and halves the step scale. Once
+/// exhausted the solve falls back to best-so-far with FellBack set.
+inline constexpr int MaxRecoveries = 8;
+
 /// Projected Adam gradient descent.
 class AdamOptimizer {
 public:

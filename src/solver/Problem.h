@@ -15,7 +15,7 @@
 /// Each soft constraint states Σ lhs ≤ Σ rhs + C; its violation
 /// max(Σ lhs − Σ rhs − C, 0) is hinge-shaped, so the objective is convex
 /// and a subgradient method converges. This header holds the problem's
-/// input (the constraint rows) and the optimizers' knobs and results; the
+/// input (the constraint rows) and the optimizer's knobs and results; the
 /// evaluator is solver::CompiledObjective.
 ///
 //===----------------------------------------------------------------------===//
@@ -166,23 +166,13 @@ inline bool parseSolverBackend(const std::string &Name, SolverBackend &Out) {
   return true;
 }
 
-/// Shared optimizer knobs and results.
+/// The optimizer's knobs and results.
 struct SolveOptions {
   int MaxIterations = 500;
   double LearningRate = 0.05;
-  /// Convergence threshold. Projected gradient descent stops when the
-  /// objective changes by less than this between iterations; Adam stops
-  /// when a plain projected step would move no coordinate by this much.
+  /// Convergence threshold: Adam stops when a plain projected step would
+  /// move no coordinate by this much.
   double Tolerance = 1e-7;
-  /// Adam moment decay rates.
-  double Beta1 = 0.9;
-  double Beta2 = 0.999;
-  double Epsilon = 1e-8;
-  /// Bound on the non-finite recovery ladder (see docs/architecture.md
-  /// "Failure discipline"): each recovery reverts to the best finite
-  /// iterate, resets the Adam moments, and halves the step scale. Once
-  /// exhausted the solve falls back to best-so-far with FellBack set.
-  int MaxRecoveries = 8;
   /// The one stop condition, polled once per iteration (callers wire
   /// their deadline in here). Returning true stops the loop and returns
   /// the best iterate so far with DeadlineExpired set — partial and

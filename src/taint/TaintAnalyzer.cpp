@@ -41,24 +41,36 @@ TaintAnalyzer::analyze(const RoleResolver &Roles) const {
   std::vector<Violation> Out;
   std::vector<RoleMask> Mask = resolveRoles(Roles);
 
+  // One search per source, over arrays allocated once per call: an event
+  // is seen in the current search iff its stamp equals the search's epoch,
+  // so no search clears a whole-graph array. Parent is written when an
+  // event is first seen, so a path walk reads only this search's entries.
+  std::vector<EventId> Parent(Graph.numEvents(), InvalidEvent);
+  std::vector<uint32_t> Stamp(Graph.numEvents(), 0);
+  std::vector<EventId> Queue;
+  uint32_t Epoch = 0;
+
   for (const Event &SrcEvent : Graph.events()) {
     if (!maskHas(Mask[SrcEvent.Id], Role::Source))
       continue;
     EventId Src = SrcEvent.Id;
+    if (++Epoch == 0) { // Wrapped: no stale stamp may match.
+      std::fill(Stamp.begin(), Stamp.end(), 0);
+      Epoch = 1;
+    }
 
     // Forward BFS that never expands *through* sanitizers: a sanitizer
     // event absorbs the taint (its output is clean).
-    std::vector<EventId> Parent(Graph.numEvents(), InvalidEvent);
-    std::vector<bool> Seen(Graph.numEvents(), false);
-    std::vector<EventId> Queue{Src};
-    Seen[Src] = true;
+    Queue.assign(1, Src);
+    Stamp[Src] = Epoch;
+    Parent[Src] = InvalidEvent;
 
     for (size_t Head = 0; Head < Queue.size(); ++Head) {
       EventId Cur = Queue[Head];
       for (EventId Next : Graph.successors(Cur)) {
-        if (Seen[Next])
+        if (Stamp[Next] == Epoch)
           continue;
-        Seen[Next] = true;
+        Stamp[Next] = Epoch;
         Parent[Next] = Cur;
         if (maskHas(Mask[Next], Role::Sanitizer))
           continue; // Taint stops here.

@@ -200,36 +200,24 @@ TEST(ActiveLearningTest, UnknownAnswersCountButNeverPin) {
 // Budget and stopping rules
 //===----------------------------------------------------------------------===//
 
-TEST(ActiveLearningTest, MaxQueriesCapsTheRun) {
+TEST(ActiveLearningTest, RoundBudgetAndExhaustedCandidatesStopTheLoop) {
   corpus::Corpus Data = testutil::makeCorpus(CorpusSeed, CorpusProjects);
-  GroundTruthOracle O(Data.Truth);
-  ActiveOptions AO;
-  AO.MaxRounds = 100;
-  AO.QueriesPerRound = 4;
-  AO.MaxQueries = 10; // Not a multiple of the round size: last round is 2.
-  ActiveResult A = runActive(Data, O, AO);
-  EXPECT_EQ(A.TotalQueries, 10u);
-  EXPECT_FALSE(A.Converged); // A budget stop is not convergence.
-  ASSERT_EQ(A.Rounds.size(), 3u);
-  EXPECT_EQ(A.Rounds.back().Queried, 2u);
-}
+  FileOracle Undecided; // Queries never pin, so every round can run.
+  // The round budget ends the loop, and that is not convergence.
+  ActiveResult Budget = runActive(Data, Undecided, shortRun());
+  EXPECT_EQ(Budget.Rounds.size(), 3u);
+  EXPECT_EQ(Budget.TotalQueries, 18u);
+  EXPECT_FALSE(Budget.Converged);
 
-TEST(ActiveLearningTest, StableRoundsStopsEarly) {
-  corpus::Corpus Data = testutil::makeCorpus(CorpusSeed, CorpusProjects);
-  // An oracle with no opinions: rounds query but never pin, so the
-  // selected role set cannot move and the stability rule must fire after
-  // exactly StableRounds rounds — well before the candidates run out.
-  FileOracle Undecided;
-  ActiveOptions AO;
-  AO.MaxRounds = 1'000'000;
-  AO.QueriesPerRound = 4;
-  AO.StableRounds = 2;
-  ActiveResult A = runActive(Data, Undecided, AO);
-  EXPECT_TRUE(A.Converged);
-  EXPECT_EQ(A.Rounds.size(), 2u);
-  EXPECT_EQ(A.TotalQueries, 8u);
-  EXPECT_EQ(A.TotalPinned, 0u);
-  EXPECT_LT(A.TotalQueries, A.Candidates);
+  // A round that asks about every candidate leaves none for the next one,
+  // which stops the loop as converged.
+  ActiveOptions AskAll;
+  AskAll.MaxRounds = 5;
+  AskAll.QueriesPerRound = Budget.Candidates;
+  ActiveResult Exhausted = runActive(Data, Undecided, AskAll);
+  EXPECT_EQ(Exhausted.Rounds.size(), 1u);
+  EXPECT_EQ(Exhausted.TotalQueries, Exhausted.Candidates);
+  EXPECT_TRUE(Exhausted.Converged);
 }
 
 /// Answers like the ground truth until its \p FailAt-th query, which
@@ -255,9 +243,8 @@ TEST(ActiveLearningTest, ThrowingOracleLeavesSessionOptionsRestored) {
   infer::Session S(testPipelineOptions());
   S.addProjects(Data.Projects);
   // The throw lands in round 2, after round 1 pointed WarmStart at the
-  // loop's own copy of the previous spec and capped the iterations.
+  // loop's own copy of the previous spec.
   ActiveOptions AO = shortRun();
-  AO.RoundIterations = 40;
   FailingOracle O(Data.Truth, AO.QueriesPerRound + 1);
   EXPECT_THROW(runActiveLoop(S, Data.Seed, O, AO), std::runtime_error);
   ASSERT_EQ(S.options().WarmStart, nullptr);
@@ -285,7 +272,7 @@ TEST(UncertaintyTest, RanksByDistanceToThresholdWithNamedTies) {
 
   std::vector<uint8_t> None(S.system().Vars.numVars(), 0);
   std::vector<Candidate> Cands = rankUncertain(
-      S.system(), S.reps(), R.Solve.X, 0.1, /*K=*/16, /*Band=*/1.0, None);
+      S.system(), S.reps(), R.Solve.X, 0.1, /*K=*/16, None);
   ASSERT_FALSE(Cands.empty());
   for (size_t I = 1; I < Cands.size(); ++I) {
     const Candidate &P = Cands[I - 1], &C = Cands[I];
@@ -314,24 +301,17 @@ TEST(UncertaintyTest, ExcludedAndBandedVariablesAreSkipped) {
 
   std::vector<uint8_t> None(S.system().Vars.numVars(), 0);
   std::vector<Candidate> All = rankUncertain(
-      S.system(), S.reps(), R.Solve.X, 0.1, /*K=*/8, /*Band=*/1.0, None);
+      S.system(), S.reps(), R.Solve.X, 0.1, /*K=*/8, None);
   ASSERT_FALSE(All.empty());
 
   // Excluding the top candidate promotes the rest.
   std::vector<uint8_t> Exclude = None;
   Exclude[All[0].Var] = 1;
   std::vector<Candidate> Rest = rankUncertain(
-      S.system(), S.reps(), R.Solve.X, 0.1, /*K=*/8, /*Band=*/1.0, Exclude);
+      S.system(), S.reps(), R.Solve.X, 0.1, /*K=*/8, Exclude);
   ASSERT_FALSE(Rest.empty());
   EXPECT_NE(Rest[0].Var, All[0].Var);
   EXPECT_EQ(Rest[0].Var, All[1].Var);
-
-  // A tight band keeps only near-threshold scores.
-  std::vector<Candidate> Tight = rankUncertain(
-      S.system(), S.reps(), R.Solve.X, 0.1, /*K=*/1000, /*Band=*/0.05,
-      None);
-  for (const Candidate &C : Tight)
-    EXPECT_LE(C.Uncertainty, 0.05);
 }
 
 //===----------------------------------------------------------------------===//

@@ -101,6 +101,39 @@ TEST_F(CliTest, AnalyzeJsonOutput) {
       << R.Output;
 }
 
+TEST_F(CliTest, AnalyzeJsonIsTheSameAtAnyJobs) {
+  // Several project dirs, so --jobs 4 builds their graphs in parallel; the
+  // merge appends them in corpus order either way. Project I's flow sits I
+  // lines lower, so its report shows where it landed in that order.
+  std::string Dirs = repo();
+  for (int I = 0; I < 5; ++I) {
+    std::string Dir = "proj" + std::to_string(I);
+    write(Dir + "/views.py", std::string(I, '\n') +
+                                 "from flask import request\n"
+                                 "import flask\n"
+                                 "q = request.args.get('q')\n"
+                                 "flask.make_response(q)\n");
+    Dirs += " " + path(Dir);
+  }
+  std::string Bytes[2];
+  for (int Jobs : {1, 4}) {
+    std::string Out = path("jobs" + std::to_string(Jobs) + ".json");
+    CommandResult R =
+        runCli("analyze --json --no-dedup --jobs " + std::to_string(Jobs) +
+               " --out " + Out + " " + Dirs);
+    ASSERT_EQ(R.ExitCode, 0) << R.Output;
+    std::ifstream In(Out);
+    Bytes[Jobs == 4] = std::string(std::istreambuf_iterator<char>(In),
+                                   std::istreambuf_iterator<char>());
+  }
+  size_t Reports = 0;
+  for (size_t At = Bytes[0].find("\"source\": "); At != std::string::npos;
+       At = Bytes[0].find("\"source\": ", At + 1))
+    ++Reports;
+  EXPECT_EQ(Reports, 6u) << Bytes[0];
+  EXPECT_EQ(Bytes[1], Bytes[0]);
+}
+
 TEST_F(CliTest, LearnWritesSpecAndAnalyzeConsumesIt) {
   std::string Spec = path("learned.spec");
   CommandResult Learn =

@@ -281,7 +281,7 @@ TEST_F(FaultPipelineTest, SolverFallsBackWhenEveryStepIsPoisoned) {
   fault::reset();
 
   EXPECT_TRUE(R.Solve.FellBack);
-  EXPECT_EQ(R.Solve.Recoveries, PipelineOptions().Solve.MaxRecoveries)
+  EXPECT_EQ(R.Solve.Recoveries, solver::MaxRecoveries)
       << "the ladder is bounded";
   for (double X : R.Solve.X)
     EXPECT_TRUE(std::isfinite(X)) << "fallback returns a finite iterate";
@@ -386,7 +386,6 @@ TEST_F(FaultPipelineTest, ScopedOptionsRestoreEveryFieldAfterAThrow) {
     P.Solve.ShouldStop = []() -> bool {
       throw std::runtime_error("stopped mid-solve");
     };
-    P.UseAdam = false;
     P.WarmStart = &Inner;
     P.Feedback = &Verdicts;
     P.FeedbackOpts.AcceptWeight = 4.0;
@@ -410,7 +409,6 @@ TEST_F(FaultPipelineTest, ScopedOptionsRestoreEveryFieldAfterAThrow) {
   EXPECT_EQ(P.Solve.LearningRate, Before.Solve.LearningRate);
   EXPECT_FALSE(P.Solve.OnIteration);
   EXPECT_FALSE(P.Solve.ShouldStop);
-  EXPECT_EQ(P.UseAdam, Before.UseAdam);
   EXPECT_EQ(P.WarmStart, &Outer);
   EXPECT_EQ(P.Feedback, nullptr);
   EXPECT_EQ(P.FeedbackOpts.AcceptWeight, Before.FeedbackOpts.AcceptWeight);

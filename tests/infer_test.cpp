@@ -8,8 +8,11 @@
 
 #include "infer/Pipeline.h"
 #include "taint/TaintAnalyzer.h"
+#include "TestCorpus.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace seldon;
 using namespace seldon::infer;
@@ -214,23 +217,6 @@ TEST(PipelineTest, ResultsShareTheSessionGraph) {
   EXPECT_EQ(taint::TaintAnalyzer(*Solved.Graph).analyze(Roles).size(), 6u);
 }
 
-TEST(PipelineTest, AdamAndPgdAgree) {
-  auto Corpus = replicate("import web\nimport clean\nimport db\n"
-                          "db.exec(clean.scrub(web.read()))\n",
-                          8);
-  spec::SeedSpec Seed =
-      spec::SeedSpec::parse("o: web.read()\ni: db.exec()\n");
-  PipelineOptions A = testOptions();
-  PipelineOptions P = testOptions();
-  P.UseAdam = false;
-  P.Solve.LearningRate = 0.1;
-  double SA = runPipeline(Corpus, Seed, A)
-                  .Learned.score("clean.scrub()", Role::Sanitizer);
-  double SP = runPipeline(Corpus, Seed, P)
-                  .Learned.score("clean.scrub()", Role::Sanitizer);
-  EXPECT_NEAR(SA, SP, 0.15);
-}
-
 //===----------------------------------------------------------------------===//
 // Taint analyzer
 //===----------------------------------------------------------------------===//
@@ -361,6 +347,108 @@ TEST(TaintAnalyzerTest, EndToEndInferThenAnalyze) {
   size_t After = Analyzer.analyze(WithLearned).size();
   EXPECT_EQ(Before, 0u);
   EXPECT_GE(After, 1u);
+}
+
+/// The search analyze() once ran per source, with whole-graph arrays
+/// allocated afresh for every source: the reference its shared,
+/// epoch-stamped search must reproduce violation for violation.
+std::vector<taint::Violation>
+perSourceReference(const PropagationGraph &G,
+                   const taint::RoleResolver &Roles) {
+  std::vector<taint::Violation> Out;
+  std::vector<RoleMask> Mask = taint::TaintAnalyzer(G).resolveRoles(Roles);
+  for (const Event &SrcEvent : G.events()) {
+    if (!maskHas(Mask[SrcEvent.Id], Role::Source))
+      continue;
+    EventId Src = SrcEvent.Id;
+    std::vector<EventId> Parent(G.numEvents(), InvalidEvent);
+    std::vector<bool> Seen(G.numEvents(), false);
+    std::vector<EventId> Queue{Src};
+    Seen[Src] = true;
+    for (size_t Head = 0; Head < Queue.size(); ++Head) {
+      EventId Cur = Queue[Head];
+      for (EventId Next : G.successors(Cur)) {
+        if (Seen[Next])
+          continue;
+        Seen[Next] = true;
+        Parent[Next] = Cur;
+        if (maskHas(Mask[Next], Role::Sanitizer))
+          continue;
+        if (maskHas(Mask[Next], Role::Sink)) {
+          taint::Violation V;
+          V.Source = Src;
+          V.Sink = Next;
+          V.FileIdx = SrcEvent.FileIdx;
+          for (EventId Walk = Next; Walk != InvalidEvent;
+               Walk = Parent[Walk])
+            V.Path.push_back(Walk);
+          std::reverse(V.Path.begin(), V.Path.end());
+          Out.push_back(std::move(V));
+        }
+        Queue.push_back(Next);
+      }
+    }
+  }
+  return Out;
+}
+
+void expectSameViolations(const std::vector<taint::Violation> &Got,
+                          const std::vector<taint::Violation> &Want) {
+  ASSERT_EQ(Got.size(), Want.size());
+  for (size_t I = 0; I < Got.size(); ++I) {
+    EXPECT_EQ(Got[I].Source, Want[I].Source) << "violation " << I;
+    EXPECT_EQ(Got[I].Sink, Want[I].Sink) << "violation " << I;
+    EXPECT_EQ(Got[I].Path, Want[I].Path) << "violation " << I;
+    EXPECT_EQ(Got[I].FileIdx, Want[I].FileIdx) << "violation " << I;
+  }
+}
+
+TEST(TaintAnalyzerTest, MatchesThePerSourceReference) {
+  // A generated multi-project corpus under its learned spec. Its sources
+  // reach shared events, so a search that mistook an earlier search's
+  // stamps for its own would lose violations.
+  corpus::Corpus Data = testutil::makeCorpus(/*Seed=*/21, /*NumProjects=*/32);
+  PipelineOptions Opts;
+  Opts.Solve.MaxIterations = 300;
+  PipelineResult R = runPipeline(Data.Projects, Data.Seed, Opts);
+  taint::RoleResolver Learned(&Data.Seed.Spec, &R.Learned, 0.1);
+  std::vector<taint::Violation> Got =
+      taint::TaintAnalyzer(*R.Graph).analyze(Learned);
+  EXPECT_GT(Got.size(), 1u);
+  expectSameViolations(Got, perSourceReference(*R.Graph, Learned));
+
+  // A hand-built graph: the sink flows back into the first source, and
+  // that source reaches the sink along a sanitized and a clean branch.
+  // The second source lies on the first one's search, so its own search
+  // must not walk the parents that search left behind.
+  PropagationGraph G;
+  uint32_t F = G.addFile("p/app.py");
+  auto Add = [&](std::string_view Rep) {
+    return G.addEvent(EventKind::Call, AllRolesMask, F, {}, {Rep});
+  };
+  EventId Src = Add("web.read()");
+  EventId Scrub = Add("clean.scrub()");
+  EventId Pass = Add("util.pass()");
+  EventId Sink = Add("db.exec()");
+  EventId Src2 = Add("web.read()");
+  EventId Sink2 = Add("db.exec()");
+  G.addEdges(std::vector<Edge>{{Src, Scrub},
+                               {Src, Pass},
+                               {Scrub, Sink},
+                               {Pass, Sink},
+                               {Scrub, Sink2},
+                               {Sink, Src},
+                               {Sink, Src2},
+                               {Src2, Sink2}});
+  spec::SeedSpec Seed = spec::SeedSpec::parse(
+      "o: web.read()\na: clean.scrub()\ni: db.exec()\n");
+  taint::RoleResolver Exact(&Seed.Spec, nullptr);
+  Got = taint::TaintAnalyzer(G).analyze(Exact);
+  ASSERT_EQ(Got.size(), 3u);
+  EXPECT_EQ(Got[0].Path, (std::vector<EventId>{Src, Pass, Sink}));
+  EXPECT_EQ(Got[1].Path, (std::vector<EventId>{Src, Pass, Sink, Src2, Sink2}));
+  EXPECT_EQ(Got[2].Path, (std::vector<EventId>{Src2, Sink2}));
+  expectSameViolations(Got, perSourceReference(G, Exact));
 }
 
 } // namespace

@@ -23,7 +23,6 @@
 
 #include "solver/AdamOptimizer.h"
 #include "solver/CompiledObjective.h"
-#include "solver/ProjectedGradient.h"
 #include "support/ThreadPool.h"
 
 #include "ScopedEnv.h"
@@ -733,28 +732,6 @@ TEST(SimdEquivalenceTest, FullAdamTrajectoryMatchesCompiledAcrossJobs) {
             << " jobs " << Jobs;
         EXPECT_TRUE(sameBits(R.FinalObjective, Reference.FinalObjective));
       }
-    }
-  }
-}
-
-TEST(SimdEquivalenceTest, ProjectedGradientTrajectoryMatchesCompiled) {
-  System Sys = randomSystem(11);
-  SolveOptions O;
-  O.MaxIterations = 80;
-  O.LearningRate = 0.05;
-  O.Tolerance = 1e-9;
-  ProjectedGradient Opt(O);
-  SolveResult Reference = Opt.minimize(compileAt(Sys, "off"));
-  for (const char *Setting : TierSettings) {
-    for (unsigned Jobs : {1u, 4u}) {
-      CompiledObjective Obj = compileAt(Sys, Setting);
-      ThreadPool Pool(Jobs);
-      if (Jobs > 1)
-        Obj.setThreadPool(&Pool);
-      SolveResult R = Opt.minimize(Obj);
-      EXPECT_EQ(R.Iterations, Reference.Iterations);
-      EXPECT_TRUE(bitwiseEqual(R.X, Reference.X))
-          << "SELDON_SIMD=" << settingName(Setting) << " jobs " << Jobs;
     }
   }
 }

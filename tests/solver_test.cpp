@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "solver/AdamOptimizer.h"
-#include "solver/ProjectedGradient.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace seldon;
 using namespace seldon::solver;
@@ -104,36 +105,52 @@ TEST(AdamTest, WarmStartFromGivenPoint) {
   EXPECT_GT(R.X[2], 0.8) << "warm start must be used, not reset";
 }
 
-TEST(ProjectedGradientTest, MatchesAdamOnConvexSystem) {
+TEST(AdamTest, ReachesTheClosedFormOptimum) {
+  // x2 clamps at 1: the hinge keeps a residual violation of 2 - 1 - 0.75
+  // = 0.25, and λ charges the one unpinned unit, 0.1 · 1.
   CompiledObjective Obj = impliedVariableSystem(0.75, 0.1);
-  AdamOptimizer Adam(fastOptions(4000));
-  ProjectedGradient Pgd(fastOptions(4000, 0.1));
-  double A = Adam.minimize(Obj).FinalObjective;
-  double P = Pgd.minimize(Obj).FinalObjective;
-  EXPECT_NEAR(A, P, 0.02) << "both optimizers must find the convex optimum";
+  SolveResult R = AdamOptimizer(fastOptions(4000)).minimize(Obj);
+  EXPECT_NEAR(R.FinalObjective, 0.35, 1e-9);
 }
 
-TEST(ProjectedGradientTest, KeepsBestIterate) {
-  CompiledObjective Obj = impliedVariableSystem(0.75, 0.1);
-  ProjectedGradient Opt(fastOptions(50, 0.5)); // Aggressive oscillation.
-  SolveResult R = Opt.minimize(Obj);
-  EXPECT_LE(R.FinalObjective, Obj.value(Obj.initialPoint()) + 1e-9);
+TEST(AdamTest, KeepsBestIterate) {
+  // Pinned x0 = 1 and x0 <= x1 + 0.5: the optimum is x1 = 0.5 (objective
+  // λ · 0.5 = 0.05), which an aggressive step overshoots and keeps
+  // circling.
+  ConstraintRows LC;
+  LC.add({{0, 1.0f}}, {{1, 1.0f}}, 0.5);
+  CompiledObjective Obj(2, LC, 0.1);
+  Obj.pin(0, 1.0);
+  SolveOptions O = fastOptions(50, 0.5);
+  double Lowest = Obj.value(Obj.initialPoint());
+  double Last = Lowest;
+  O.OnIteration = [&Lowest, &Last](int, double Value) {
+    Lowest = std::min(Lowest, Value);
+    Last = Value;
+  };
+  SolveResult R = AdamOptimizer(O).minimize(Obj);
+  ASSERT_GT(Last, Lowest) << "the last iterate must not be the best one";
+  EXPECT_NEAR(R.FinalObjective, Lowest, 1e-12)
+      << "the best iterate seen is returned";
+  EXPECT_NEAR(Obj.value(R.X), R.FinalObjective, 1e-12);
+  EXPECT_NEAR(R.X[1], 0.5, 1e-6);
 }
 
-TEST(ProjectedGradientTest, WarmStartOverloadUsed) {
-  CompiledObjective Obj = impliedVariableSystem(0.75, 0.1);
-  ProjectedGradient Opt(fastOptions(3, 0.01)); // Tiny budget.
-  SolveResult R = Opt.minimize(Obj, {1.0, 1.0, 0.95});
-  EXPECT_GT(R.X[2], 0.8) << "warm start must be used, not reset";
-}
-
-TEST(ProjectedGradientTest, WarmStartProjectedFirst) {
+TEST(AdamTest, WarmStartProjectedFirst) {
   CompiledObjective Obj = impliedVariableSystem(0.75, 0.1);
   Obj.pin(2, 0.0);
-  ProjectedGradient Opt(fastOptions(2));
-  SolveResult R = Opt.minimize(Obj, {5.0, -3.0, 0.9});
+  SolveResult R = AdamOptimizer(fastOptions(2)).minimize(Obj, {5.0, -3.0, 0.9});
   EXPECT_DOUBLE_EQ(R.X[0], 1.0) << "pinned values restored";
+  EXPECT_DOUBLE_EQ(R.X[1], 1.0) << "pinned values restored";
   EXPECT_DOUBLE_EQ(R.X[2], 0.0) << "pin overrides warm start";
+
+  ConstraintRows LC; // x0 <= x1 + 1, nothing pinned.
+  LC.add({{0, 1.0f}}, {{1, 1.0f}}, 1.0);
+  CompiledObjective Free(2, LC, 0.1);
+  SolveResult Clamped =
+      AdamOptimizer(fastOptions(0)).minimize(Free, {-3.0, 5.0});
+  EXPECT_DOUBLE_EQ(Clamped.X[0], 0.0) << "out-of-box start clamped";
+  EXPECT_DOUBLE_EQ(Clamped.X[1], 1.0) << "out-of-box start clamped";
 }
 
 // Property sweep: for every slack C, the solved system drives the sum of

@@ -392,20 +392,14 @@ void buildSessionGraph(infer::Session &Session) {
               Session.incrStats().ParseDiagnostics);
 }
 
-/// Builds the corpus graph without a session (every file is parsed) and
-/// reports the parse.
-propgraph::PropagationGraph
-buildCorpusGraph(const std::vector<pysem::Project> &Corpus) {
-  propgraph::PropagationGraph Graph;
-  std::vector<pyast::ParseError> Diagnostics;
-  size_t Files = 0;
-  for (const pysem::Project &P : Corpus) {
-    Graph.append(propgraph::buildProjectGraph(P, propgraph::BuildOptions(),
-                                              &Diagnostics));
-    Files += P.modules().size();
-  }
-  reportParse(Files, Diagnostics.size());
-  return Graph;
+/// Options of a session that only builds the corpus graph (analyze,
+/// stats): --jobs workers, and Strict, so a project whose build throws
+/// fails the command instead of being quarantined.
+infer::PipelineOptions graphOnlyOptions(const CliOptions &Opts) {
+  infer::PipelineOptions PipelineOpts;
+  PipelineOpts.Jobs = Opts.Jobs;
+  PipelineOpts.Strict = true;
+  return PipelineOpts;
 }
 
 /// Enables the graph cache on \p Session when --cache-dir was given.
@@ -700,7 +694,10 @@ int cmdAnalyze(const CliOptions &Opts) {
     HaveLearned = true;
   }
 
-  propgraph::PropagationGraph Graph = buildCorpusGraph(Corpus);
+  infer::Session Session(graphOnlyOptions(Opts));
+  Session.addProjects(Corpus);
+  buildSessionGraph(Session);
+  const propgraph::PropagationGraph &Graph = Session.graph();
 
   taint::RoleResolver Roles(&Seed.Spec, HaveLearned ? &Learned : nullptr,
                             Opts.Threshold);
@@ -850,9 +847,11 @@ int cmdStats(const CliOptions &Opts) {
     std::fprintf(stderr, "error: no input repositories\n");
     return 1;
   }
-  propgraph::PropagationGraph Graph = buildCorpusGraph(Corpus);
+  infer::Session Session(graphOnlyOptions(Opts));
+  Session.addProjects(Corpus);
+  buildSessionGraph(Session);
   return writeOutput(Opts, propgraph::renderGraphStats(
-                               propgraph::computeGraphStats(Graph)))
+                               propgraph::computeGraphStats(Session.graph())))
              ? 0
              : 1;
 }
