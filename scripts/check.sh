@@ -90,7 +90,11 @@ echo "=== asan+ubsan: service, durability and on-disk format tests ==="
 # adjacency span read the propagation graph's flat arrays, which any
 # write (an event, an edge batch, an append) may reallocate. The taint
 # analyzer's tests run too: its searches share one stamp and one parent
-# array per call, both indexed by event id.
+# array per call, both indexed by event id. So do the frontend's suites
+# (lexer, parser, f-string, scope and import resolution) and its seeded
+# mutation fuzz, short and long: tokens and AST names are views into the
+# module text or the AST arena, so a view that outlives its text (an
+# f-string field lexed from a temporary, say) is a use-after-free.
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -g"
@@ -99,9 +103,13 @@ cmake --build "$ROOT/build-asan" -j "$JOBS" \
            fileio_test format_golden_test graphcodec_test \
            cache_fault_test shard_fault_test constraints_test explain_test \
            fault_pipeline_test active_learning_test infer_test \
-           constraint_rows_test propgraph_test
+           constraint_rows_test propgraph_test lexer_test parser_test \
+           fstring_test pysem_test frontend_fuzz_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest|^PipelineTest\.|ConstraintRowsTest|EventOptionsTest|PropagationGraphTest|RepTableTest|GraphBuilderTest|TaintAnalyzerTest'
+  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest|^PipelineTest\.|ConstraintRowsTest|EventOptionsTest|PropagationGraphTest|RepTableTest|GraphBuilderTest|TaintAnalyzerTest|LexerTest|ParserTest|ParserSmokeTest|FStringLexerTest|FStringParserTest|FStringFlowTest|ImportMapTest|ModuleScopeTest|QualifiedNamesTest|FrontendFuzzTest'
+# The long fuzz run is the DISABLED_ instantiation, out of tier-1.
+"$ROOT/build-asan/tests/frontend_fuzz_test" --gtest_also_run_disabled_tests \
+  --gtest_filter='DISABLED_Long/*' --gtest_brief=1
 
 echo
 echo "=== metrics smoke: seldon learn --metrics-out on a toy repo ==="
@@ -150,7 +158,7 @@ if m["gauges"]["solver.rows_after"] > m["gauges"]["solver.rows_before"]:
 obj = m["series"].get("solve.objective", {"count": 0})
 if obj["count"] == 0 or not obj["samples"]:
     sys.exit("FAIL: no solver convergence samples")
-for t in ("parse.file_seconds", "build.project_seconds"):
+for t in ("lex.file_seconds", "parse.file_seconds", "build.project_seconds"):
     if m["timers"].get(t, {"count": 0})["count"] == 0:
         sys.exit(f"FAIL: timer {t} not populated")
 print("OK: metrics snapshot has all expected stages, counters, gauges, "

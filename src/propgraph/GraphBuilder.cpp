@@ -6,7 +6,6 @@
 #include "pysem/ScopeBuilder.h"
 #include "support/Metrics.h"
 #include "support/StrUtil.h"
-#include "support/Timer.h"
 
 #include <algorithm>
 #include <cassert>
@@ -40,7 +39,7 @@ struct Value {
 
 /// A variable environment. Function environments start as copies of the
 /// module environment (free names resolve to module globals).
-using Env = std::unordered_map<std::string, Value>;
+using Env = StringMap<Value>;
 
 /// Summary of a processed function definition.
 struct FunctionSummary {
@@ -184,10 +183,11 @@ private:
   ///   Class::fn(param p), QualifiedBase::fn(param p), ..., fn(param p), p
   std::vector<std::string> paramRootPaths(const FunctionDefStmt *Fn,
                                           const pysem::ClassInfo *Class,
-                                          const std::string &ParamName,
+                                          std::string_view ParamName,
                                           bool IncludeBareName) const {
     std::vector<std::string> Out;
-    std::string Suffix = Fn->Name + "(param " + ParamName + ")";
+    std::string Suffix =
+        std::string(Fn->Name) + "(param " + std::string(ParamName) + ")";
     if (Class) {
       Out.push_back(Class->Name + "::" + Suffix);
       for (const std::string &Base : Class->BaseQualNames)
@@ -195,7 +195,7 @@ private:
     }
     Out.push_back(Suffix);
     if (IncludeBareName)
-      Out.push_back(ParamName);
+      Out.emplace_back(ParamName);
     return Out;
   }
 
@@ -269,7 +269,7 @@ private:
       } else {
         PT.addAlloc(V.PtVar, PT.makeObj("param:" + EventReps.front()));
       }
-      FnEnv[P.Name] = std::move(V);
+      FnEnv[std::string(P.Name)] = std::move(V);
 
       if (P.Default)
         evalExpr(P.Default, FnEnv, nullptr, Depth);
@@ -299,13 +299,13 @@ private:
         Exported.Params.emplace_back(Fn->Params[I].Name,
                                      Summary.ParamEvents[I]);
       Exported.Returns = Summary.ReturnEvents;
-      Artifacts->Exports[Module.ModuleName + "." + Fn->Name] =
+      Artifacts->Exports[Module.ModuleName + "." + std::string(Fn->Name)] =
           std::move(Exported);
     }
     return Summary;
   }
 
-  void processAllRemaining(const std::vector<Stmt *> &Body,
+  void processAllRemaining(std::span<Stmt *const> Body,
                            const pysem::ClassInfo *EnclosingClass) {
     for (const Stmt *S : Body) {
       if (const auto *Fn = dyn_cast<FunctionDefStmt>(S)) {
@@ -335,10 +335,10 @@ private:
     FunctionSummary *Summary = nullptr;
     /// Names declared `global` in this function: assignments write through
     /// to the module environment.
-    std::unordered_set<std::string> Globals;
+    std::unordered_set<std::string, StringHash, std::equal_to<>> Globals;
   };
 
-  void runStmts(const std::vector<Stmt *> &Body, Env &E, FnContext *Fn,
+  void runStmts(std::span<Stmt *const> Body, Env &E, FnContext *Fn,
                 int Depth) {
     for (const Stmt *S : Body)
       runStmt(S, E, Fn, Depth);
@@ -360,7 +360,7 @@ private:
       const auto *A = cast<AugAssignStmt>(S);
       Value V = evalExpr(A->Value, E, Fn, Depth);
       if (const auto *Name = dyn_cast<NameExpr>(A->Target)) {
-        Value &Old = E[Name->Id];
+        Value &Old = E[std::string(Name->Id)];
         for (EventId Id : V.Events)
           Old.Events.push_back(Id);
         Old.Paths.clear();
@@ -453,12 +453,12 @@ private:
     case NodeKind::Delete:
       for (const Expr *T : cast<DeleteStmt>(S)->Targets)
         if (const auto *Name = dyn_cast<NameExpr>(T))
-          E.erase(Name->Id);
+          E.erase(std::string(Name->Id));
       return;
     case NodeKind::Global:
       if (Fn)
-        for (const std::string &Name : cast<GlobalStmt>(S)->Names)
-          Fn->Globals.insert(Name);
+        for (std::string_view Name : cast<GlobalStmt>(S)->Names)
+          Fn->Globals.emplace(Name);
       return;
     case NodeKind::FunctionDef:
       // Processed on demand at call sites or in pass 2; nothing flows here.
@@ -515,12 +515,12 @@ private:
                 int Depth) {
     switch (Target->kind()) {
     case NodeKind::Name: {
-      const std::string &Name = cast<NameExpr>(Target)->Id;
-      E[Name] = V;
+      std::string_view Name = cast<NameExpr>(Target)->Id;
+      E[std::string(Name)] = V;
       // `global x` makes the assignment visible at module scope, where
       // later-processed functions pick it up through their initial env.
       if (Fn && Fn->Globals.count(Name))
-        ModuleEnv[Name] = V;
+        ModuleEnv[std::string(Name)] = V;
       return;
     }
     case NodeKind::Tuple:
@@ -556,14 +556,14 @@ private:
     }
   }
 
-  void recordFieldStore(Value &Base, const std::string &Field,
+  void recordFieldStore(Value &Base, std::string_view Field,
                         const Value &V) {
     if (!Opts.UsePointsTo || V.Events.empty())
       return;
     pointsto::VarId BaseVar = ptVarOf(Base, "storebase");
-    Stores.push_back({BaseVar, Field, V.Events});
+    Stores.push_back({BaseVar, std::string(Field), V.Events});
     if (V.PtVar != InvalidPtVar)
-      PT.addStore(BaseVar, Field, V.PtVar);
+      PT.addStore(BaseVar, std::string(Field), V.PtVar);
   }
 
   //===--------------------------------------------------------------------===//
@@ -698,7 +698,7 @@ private:
       V.PureModulePath = true;
     } else {
       // Unknown free name: builtin, star import, or late-bound global.
-      V.Paths = {Name->Id};
+      V.Paths = {std::string(Name->Id)};
       V.PureModulePath = true;
     }
     return V;
@@ -728,14 +728,14 @@ private:
       return Link + "']";
     }
     if (const auto *N = dyn_cast<NumberExpr>(Index))
-      return "[" + N->Spelling + "]";
+      return "[" + std::string(N->Spelling) + "]";
     return "[]";
   }
 
   Value evalAttribute(const AttributeExpr *A, Env &E, FnContext *Fn,
                       int Depth, bool BasePosition) {
     Value Base = evalExprCtx(A->Value, E, Fn, Depth, /*BasePosition=*/true);
-    std::string Link = "." + A->Attr;
+    std::string Link = "." + std::string(A->Attr);
     Value Out;
     Out.Paths = Base.Paths.empty() ? unknownPath(Link)
                                    : extendPaths(Base.Paths, Link);
@@ -755,9 +755,9 @@ private:
     if (Opts.UsePointsTo) {
       Out.PtVar = freshPtVar("attr");
       if (Base.PtVar != InvalidPtVar)
-        PT.addLoad(Out.PtVar, Base.PtVar, A->Attr);
+        PT.addLoad(Out.PtVar, Base.PtVar, std::string(A->Attr));
       pointsto::VarId BaseVar = ptVarOf(Base, "loadbase");
-      Loads.push_back({BaseVar, A->Attr, Read});
+      Loads.push_back({BaseVar, std::string(A->Attr), Read});
     }
     return Out;
   }
@@ -841,12 +841,12 @@ private:
       if (E.find(Name->Id) == E.end()) {
         if (const FunctionDefStmt *Local = Scope.lookupFunction(Name->Id)) {
           LocalTarget = Local;
-          RepOptions = {Module.ModuleName + "." + Name->Id + "()",
-                        Name->Id + "()"};
+          RepOptions = {Module.ModuleName + "." + std::string(Name->Id) + "()",
+                        std::string(Name->Id) + "()"};
         } else if (const pysem::ClassInfo *Cls = Scope.lookupClass(Name->Id)) {
           ConstructedClass = Cls;
-          RepOptions = {Module.ModuleName + "." + Name->Id + "()",
-                        Name->Id + "()"};
+          RepOptions = {Module.ModuleName + "." + std::string(Name->Id) + "()",
+                        std::string(Name->Id) + "()"};
         } else if (std::optional<std::string> Qual =
                        Scope.imports().resolveRoot(Name->Id)) {
           RepOptions = {*Qual + "()"};
@@ -854,23 +854,24 @@ private:
         } else {
           if (Opts.ModelLocals && Name->Id == "locals")
             CalleeIsLocals = true;
-          RepOptions = {Name->Id + "()"};
+          RepOptions = {std::string(Name->Id) + "()"};
         }
       } else {
         // Calling a local variable (bound lambda / aliased function).
-        Value V = E[Name->Id];
+        Value V = E[std::string(Name->Id)];
         Receiver = V;
         RepOptions = V.Paths.empty() ? unknownPath("()")
                                      : extendPaths(V.Paths, "()");
       }
     } else if (const auto *Attr = dyn_cast<AttributeExpr>(C->Callee)) {
       Receiver = evalExprCtx(Attr->Value, E, Fn, Depth, /*BasePosition=*/true);
-      std::string Link = "." + Attr->Attr + "()";
+      std::string Link = "." + std::string(Attr->Attr) + "()";
       RepOptions = Receiver.Paths.empty()
                        ? unknownPath(Link)
                        : extendPaths(Receiver.Paths, Link);
       if (Receiver.PureModulePath && Receiver.Paths.size() == 1)
-        CrossModuleTarget = Receiver.Paths.front() + "." + Attr->Attr;
+        CrossModuleTarget =
+            Receiver.Paths.front() + "." + std::string(Attr->Attr);
       // Method call on a known same-module instance (including `self`).
       if (!Receiver.InstanceClass.empty()) {
         LocalTarget = Scope.lookupMethod(Receiver.InstanceClass, Attr->Attr);
@@ -1064,17 +1065,15 @@ private:
   unsigned PtTemp = 0;
 };
 
-/// Lexes and parses \p Module into \p Ctx, timing the parse into the
-/// parse.* metrics (safe from concurrent project builds).
+/// Lexes and parses \p Module into \p Ctx (parseSource times the two
+/// apart) and counts it in parse.files (safe from concurrent project
+/// builds).
 const ModuleNode *parseModule(AstContext &Ctx, const pysem::ModuleInfo &Module,
                               std::vector<ParseError> *Diagnostics) {
-  Timer Clock;
   const ModuleNode *Ast = parseSource(Ctx, Module.Source, Diagnostics);
   metrics::Registry &Reg = metrics::Registry::global();
-  if (Reg.enabled()) {
-    Reg.timer("parse.file_seconds").record(Clock.seconds());
+  if (Reg.enabled())
     Reg.counter("parse.files").add();
-  }
   return Ast;
 }
 

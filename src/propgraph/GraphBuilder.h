@@ -45,7 +45,10 @@ namespace propgraph {
 /// graph built from the same source; graph-cache keys include it, so
 /// graphs cached under the old rules miss once and are rebuilt.
 /// Version 2 escapes control bytes and backslashes in subscript keys.
-inline constexpr uint32_t GraphBuilderVersion = 2;
+/// Version 3 lexes a non-ASCII identifier as one name and treats a
+/// backslash before CRLF as one before LF: a line continuation, in code
+/// and inside a string literal.
+inline constexpr uint32_t GraphBuilderVersion = 3;
 
 /// Tunables of the graph construction.
 struct BuildOptions {

@@ -6,9 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// AST node hierarchy for the supported Python subset, an arena-style
-/// AstContext that owns all nodes, and LLVM-style isa/cast/dyn_cast helpers
-/// keyed on a NodeKind discriminator (no C++ RTTI).
+/// AST node hierarchy for the supported Python subset, the bump arena
+/// (AstContext) that holds all nodes, and LLVM-style isa/cast/dyn_cast
+/// helpers keyed on a NodeKind discriminator (no C++ RTTI).
+///
+/// Nodes are trivially destructible: names and literal text are
+/// std::string_views, child lists are std::spans of arena arrays, and the
+/// context frees its blocks without visiting a node. A view points into
+/// the module text the nodes were parsed from (parseSource copies that
+/// text into the context) or into text the parser wrote to the arena
+/// (decoded strings, joined dotted names), so an AST never outlives its
+/// context.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,10 +24,14 @@
 #define SELDON_PYAST_AST_H
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
+#include <cstring>
+#include <new>
+#include <span>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 
 namespace seldon {
 namespace pyast {
@@ -85,12 +97,12 @@ enum class NodeKind : uint8_t {
 };
 
 /// Base class of every AST node. Nodes are created through AstContext and
-/// referenced by raw pointer; the context owns their lifetime.
+/// referenced by raw pointer; the context owns their memory and never
+/// runs a destructor, so every node class is trivially destructible.
 class Node {
 public:
   Node(const Node &) = delete;
   Node &operator=(const Node &) = delete;
-  virtual ~Node();
 
   NodeKind kind() const { return Kind; }
   SourceLoc loc() const { return Loc; }
@@ -145,18 +157,18 @@ protected:
 /// An identifier reference, e.g. `filename`.
 class NameExpr : public Expr {
 public:
-  NameExpr(SourceLoc Loc, std::string Id)
-      : Expr(NodeKind::Name, Loc), Id(std::move(Id)) {}
-  std::string Id;
+  NameExpr(SourceLoc Loc, std::string_view Id)
+      : Expr(NodeKind::Name, Loc), Id(Id) {}
+  std::string_view Id;
   static bool classof(const Node *N) { return N->kind() == NodeKind::Name; }
 };
 
 /// A numeric literal; the spelling is kept verbatim.
 class NumberExpr : public Expr {
 public:
-  NumberExpr(SourceLoc Loc, std::string Spelling)
-      : Expr(NodeKind::NumberLit, Loc), Spelling(std::move(Spelling)) {}
-  std::string Spelling;
+  NumberExpr(SourceLoc Loc, std::string_view Spelling)
+      : Expr(NodeKind::NumberLit, Loc), Spelling(Spelling) {}
+  std::string_view Spelling;
   static bool classof(const Node *N) {
     return N->kind() == NodeKind::NumberLit;
   }
@@ -165,9 +177,9 @@ public:
 /// A string literal (escape sequences already decoded).
 class StringExpr : public Expr {
 public:
-  StringExpr(SourceLoc Loc, std::string Value)
-      : Expr(NodeKind::StringLit, Loc), Value(std::move(Value)) {}
-  std::string Value;
+  StringExpr(SourceLoc Loc, std::string_view Value)
+      : Expr(NodeKind::StringLit, Loc), Value(Value) {}
+  std::string_view Value;
   static bool classof(const Node *N) {
     return N->kind() == NodeKind::StringLit;
   }
@@ -192,10 +204,10 @@ public:
 /// Attribute access, e.g. `request.files`.
 class AttributeExpr : public Expr {
 public:
-  AttributeExpr(SourceLoc Loc, Expr *Value, std::string Attr)
-      : Expr(NodeKind::Attribute, Loc), Value(Value), Attr(std::move(Attr)) {}
+  AttributeExpr(SourceLoc Loc, Expr *Value, std::string_view Attr)
+      : Expr(NodeKind::Attribute, Loc), Value(Value), Attr(Attr) {}
   Expr *Value;
-  std::string Attr;
+  std::string_view Attr;
   static bool classof(const Node *N) {
     return N->kind() == NodeKind::Attribute;
   }
@@ -227,20 +239,20 @@ public:
 /// A keyword argument `name=value` at a call site. `Name` is empty for a
 /// `**kwargs` expansion.
 struct KeywordArg {
-  std::string Name;
+  std::string_view Name;
   Expr *Value = nullptr;
 };
 
 /// A function or method call.
 class CallExpr : public Expr {
 public:
-  CallExpr(SourceLoc Loc, Expr *Callee, std::vector<Expr *> Args,
-           std::vector<KeywordArg> Keywords)
-      : Expr(NodeKind::Call, Loc), Callee(Callee), Args(std::move(Args)),
-        Keywords(std::move(Keywords)) {}
+  CallExpr(SourceLoc Loc, Expr *Callee, std::span<Expr *> Args,
+           std::span<KeywordArg> Keywords)
+      : Expr(NodeKind::Call, Loc), Callee(Callee), Args(Args),
+        Keywords(Keywords) {}
   Expr *Callee;
-  std::vector<Expr *> Args;
-  std::vector<KeywordArg> Keywords;
+  std::span<Expr *> Args;
+  std::span<KeywordArg> Keywords;
   static bool classof(const Node *N) { return N->kind() == NodeKind::Call; }
 };
 
@@ -291,11 +303,11 @@ public:
 /// `and` / `or` over two or more operands.
 class BoolOpExpr : public Expr {
 public:
-  BoolOpExpr(SourceLoc Loc, bool IsAnd, std::vector<Expr *> Operands)
+  BoolOpExpr(SourceLoc Loc, bool IsAnd, std::span<Expr *> Operands)
       : Expr(NodeKind::BoolOp, Loc), IsAnd(IsAnd),
-        Operands(std::move(Operands)) {}
+        Operands(Operands) {}
   bool IsAnd;
-  std::vector<Expr *> Operands;
+  std::span<Expr *> Operands;
   static bool classof(const Node *N) { return N->kind() == NodeKind::BoolOp; }
 };
 
@@ -316,58 +328,58 @@ enum class CompareOp : uint8_t {
 /// A (possibly chained) comparison, e.g. `0 <= i < n`.
 class CompareExpr : public Expr {
 public:
-  CompareExpr(SourceLoc Loc, Expr *First, std::vector<CompareOp> Ops,
-              std::vector<Expr *> Comparators)
-      : Expr(NodeKind::Compare, Loc), First(First), Ops(std::move(Ops)),
-        Comparators(std::move(Comparators)) {}
+  CompareExpr(SourceLoc Loc, Expr *First, std::span<CompareOp> Ops,
+              std::span<Expr *> Comparators)
+      : Expr(NodeKind::Compare, Loc), First(First), Ops(Ops),
+        Comparators(Comparators) {}
   Expr *First;
-  std::vector<CompareOp> Ops;
-  std::vector<Expr *> Comparators;
+  std::span<CompareOp> Ops;
+  std::span<Expr *> Comparators;
   static bool classof(const Node *N) { return N->kind() == NodeKind::Compare; }
 };
 
 /// A list display `[a, b, c]`.
 class ListExpr : public Expr {
 public:
-  ListExpr(SourceLoc Loc, std::vector<Expr *> Elements)
-      : Expr(NodeKind::List, Loc), Elements(std::move(Elements)) {}
-  std::vector<Expr *> Elements;
+  ListExpr(SourceLoc Loc, std::span<Expr *> Elements)
+      : Expr(NodeKind::List, Loc), Elements(Elements) {}
+  std::span<Expr *> Elements;
   static bool classof(const Node *N) { return N->kind() == NodeKind::List; }
 };
 
 /// A tuple display `(a, b)` or bare `a, b`.
 class TupleExpr : public Expr {
 public:
-  TupleExpr(SourceLoc Loc, std::vector<Expr *> Elements)
-      : Expr(NodeKind::Tuple, Loc), Elements(std::move(Elements)) {}
-  std::vector<Expr *> Elements;
+  TupleExpr(SourceLoc Loc, std::span<Expr *> Elements)
+      : Expr(NodeKind::Tuple, Loc), Elements(Elements) {}
+  std::span<Expr *> Elements;
   static bool classof(const Node *N) { return N->kind() == NodeKind::Tuple; }
 };
 
 /// A set display `{a, b}`.
 class SetExpr : public Expr {
 public:
-  SetExpr(SourceLoc Loc, std::vector<Expr *> Elements)
-      : Expr(NodeKind::Set, Loc), Elements(std::move(Elements)) {}
-  std::vector<Expr *> Elements;
+  SetExpr(SourceLoc Loc, std::span<Expr *> Elements)
+      : Expr(NodeKind::Set, Loc), Elements(Elements) {}
+  std::span<Expr *> Elements;
   static bool classof(const Node *N) { return N->kind() == NodeKind::Set; }
 };
 
-/// A dict display `{k: v, ...}`. Keys and Values are parallel vectors; a
+/// A dict display `{k: v, ...}`. Keys and Values are parallel lists; a
 /// null key denotes a `**mapping` expansion.
 class DictExpr : public Expr {
 public:
-  DictExpr(SourceLoc Loc, std::vector<Expr *> Keys, std::vector<Expr *> Values)
-      : Expr(NodeKind::Dict, Loc), Keys(std::move(Keys)),
-        Values(std::move(Values)) {}
-  std::vector<Expr *> Keys;
-  std::vector<Expr *> Values;
+  DictExpr(SourceLoc Loc, std::span<Expr *> Keys, std::span<Expr *> Values)
+      : Expr(NodeKind::Dict, Loc), Keys(Keys),
+        Values(Values) {}
+  std::span<Expr *> Keys;
+  std::span<Expr *> Values;
   static bool classof(const Node *N) { return N->kind() == NodeKind::Dict; }
 };
 
 /// A formal parameter (of a def or a lambda).
 struct Param {
-  std::string Name;
+  std::string_view Name;
   Expr *Default = nullptr;    ///< May be null.
   Expr *Annotation = nullptr; ///< May be null; ignored by the analysis.
   bool IsVarArgs = false;     ///< `*args`
@@ -378,9 +390,9 @@ struct Param {
 /// A lambda expression.
 class LambdaExpr : public Expr {
 public:
-  LambdaExpr(SourceLoc Loc, std::vector<Param> Params, Expr *Body)
-      : Expr(NodeKind::Lambda, Loc), Params(std::move(Params)), Body(Body) {}
-  std::vector<Param> Params;
+  LambdaExpr(SourceLoc Loc, std::span<Param> Params, Expr *Body)
+      : Expr(NodeKind::Lambda, Loc), Params(Params), Body(Body) {}
+  std::span<Param> Params;
   Expr *Body;
   static bool classof(const Node *N) { return N->kind() == NodeKind::Lambda; }
 };
@@ -436,13 +448,13 @@ public:
 /// interpolation, `name`.
 class JoinedStrExpr : public Expr {
 public:
-  JoinedStrExpr(SourceLoc Loc, std::string Text,
-                std::vector<Expr *> Interpolations)
-      : Expr(NodeKind::JoinedStr, Loc), Text(std::move(Text)),
-        Interpolations(std::move(Interpolations)) {}
+  JoinedStrExpr(SourceLoc Loc, std::string_view Text,
+                std::span<Expr *> Interpolations)
+      : Expr(NodeKind::JoinedStr, Loc), Text(Text),
+        Interpolations(Interpolations) {}
   /// The raw literal text (escapes decoded, interpolations verbatim).
-  std::string Text;
-  std::vector<Expr *> Interpolations;
+  std::string_view Text;
+  std::span<Expr *> Interpolations;
   static bool classof(const Node *N) {
     return N->kind() == NodeKind::JoinedStr;
   }
@@ -486,10 +498,10 @@ public:
 /// `a = b = value` — one value, one or more targets.
 class AssignStmt : public Stmt {
 public:
-  AssignStmt(SourceLoc Loc, std::vector<Expr *> Targets, Expr *Value)
-      : Stmt(NodeKind::Assign, Loc), Targets(std::move(Targets)),
+  AssignStmt(SourceLoc Loc, std::span<Expr *> Targets, Expr *Value)
+      : Stmt(NodeKind::Assign, Loc), Targets(Targets),
         Value(Value) {}
-  std::vector<Expr *> Targets;
+  std::span<Expr *> Targets;
   Expr *Value;
   static bool classof(const Node *N) { return N->kind() == NodeKind::Assign; }
 };
@@ -524,16 +536,16 @@ public:
 /// A function (or method) definition.
 class FunctionDefStmt : public Stmt {
 public:
-  FunctionDefStmt(SourceLoc Loc, std::string Name, std::vector<Param> Params,
-                  std::vector<Stmt *> Body, std::vector<Expr *> Decorators,
+  FunctionDefStmt(SourceLoc Loc, std::string_view Name, std::span<Param> Params,
+                  std::span<Stmt *> Body, std::span<Expr *> Decorators,
                   Expr *ReturnAnnotation)
-      : Stmt(NodeKind::FunctionDef, Loc), Name(std::move(Name)),
-        Params(std::move(Params)), Body(std::move(Body)),
-        Decorators(std::move(Decorators)), ReturnAnnotation(ReturnAnnotation) {}
-  std::string Name;
-  std::vector<Param> Params;
-  std::vector<Stmt *> Body;
-  std::vector<Expr *> Decorators;
+      : Stmt(NodeKind::FunctionDef, Loc), Name(Name),
+        Params(Params), Body(Body),
+        Decorators(Decorators), ReturnAnnotation(ReturnAnnotation) {}
+  std::string_view Name;
+  std::span<Param> Params;
+  std::span<Stmt *> Body;
+  std::span<Expr *> Decorators;
   Expr *ReturnAnnotation; ///< May be null; ignored by the analysis.
   static bool classof(const Node *N) {
     return N->kind() == NodeKind::FunctionDef;
@@ -543,15 +555,15 @@ public:
 /// A class definition.
 class ClassDefStmt : public Stmt {
 public:
-  ClassDefStmt(SourceLoc Loc, std::string Name, std::vector<Expr *> Bases,
-               std::vector<Stmt *> Body, std::vector<Expr *> Decorators)
-      : Stmt(NodeKind::ClassDef, Loc), Name(std::move(Name)),
-        Bases(std::move(Bases)), Body(std::move(Body)),
-        Decorators(std::move(Decorators)) {}
-  std::string Name;
-  std::vector<Expr *> Bases;
-  std::vector<Stmt *> Body;
-  std::vector<Expr *> Decorators;
+  ClassDefStmt(SourceLoc Loc, std::string_view Name, std::span<Expr *> Bases,
+               std::span<Stmt *> Body, std::span<Expr *> Decorators)
+      : Stmt(NodeKind::ClassDef, Loc), Name(Name),
+        Bases(Bases), Body(Body),
+        Decorators(Decorators) {}
+  std::string_view Name;
+  std::span<Expr *> Bases;
+  std::span<Stmt *> Body;
+  std::span<Expr *> Decorators;
   static bool classof(const Node *N) {
     return N->kind() == NodeKind::ClassDef;
   }
@@ -569,67 +581,67 @@ public:
 /// `if`/`elif`/`else`; elif chains are nested If statements in Else.
 class IfStmt : public Stmt {
 public:
-  IfStmt(SourceLoc Loc, Expr *Cond, std::vector<Stmt *> Then,
-         std::vector<Stmt *> Else)
-      : Stmt(NodeKind::If, Loc), Cond(Cond), Then(std::move(Then)),
-        Else(std::move(Else)) {}
+  IfStmt(SourceLoc Loc, Expr *Cond, std::span<Stmt *> Then,
+         std::span<Stmt *> Else)
+      : Stmt(NodeKind::If, Loc), Cond(Cond), Then(Then),
+        Else(Else) {}
   Expr *Cond;
-  std::vector<Stmt *> Then;
-  std::vector<Stmt *> Else;
+  std::span<Stmt *> Then;
+  std::span<Stmt *> Else;
   static bool classof(const Node *N) { return N->kind() == NodeKind::If; }
 };
 
 /// `while cond:` loop. The `else` clause is folded into Body analysis-wise.
 class WhileStmt : public Stmt {
 public:
-  WhileStmt(SourceLoc Loc, Expr *Cond, std::vector<Stmt *> Body,
-            std::vector<Stmt *> Else)
-      : Stmt(NodeKind::While, Loc), Cond(Cond), Body(std::move(Body)),
-        Else(std::move(Else)) {}
+  WhileStmt(SourceLoc Loc, Expr *Cond, std::span<Stmt *> Body,
+            std::span<Stmt *> Else)
+      : Stmt(NodeKind::While, Loc), Cond(Cond), Body(Body),
+        Else(Else) {}
   Expr *Cond;
-  std::vector<Stmt *> Body;
-  std::vector<Stmt *> Else;
+  std::span<Stmt *> Body;
+  std::span<Stmt *> Else;
   static bool classof(const Node *N) { return N->kind() == NodeKind::While; }
 };
 
 /// `for target in iter:` loop.
 class ForStmt : public Stmt {
 public:
-  ForStmt(SourceLoc Loc, Expr *Target, Expr *Iter, std::vector<Stmt *> Body,
-          std::vector<Stmt *> Else)
+  ForStmt(SourceLoc Loc, Expr *Target, Expr *Iter, std::span<Stmt *> Body,
+          std::span<Stmt *> Else)
       : Stmt(NodeKind::For, Loc), Target(Target), Iter(Iter),
-        Body(std::move(Body)), Else(std::move(Else)) {}
+        Body(Body), Else(Else) {}
   Expr *Target;
   Expr *Iter;
-  std::vector<Stmt *> Body;
-  std::vector<Stmt *> Else;
+  std::span<Stmt *> Body;
+  std::span<Stmt *> Else;
   static bool classof(const Node *N) { return N->kind() == NodeKind::For; }
 };
 
 /// One `module [as name]` clause of an import statement.
 struct ImportAlias {
-  std::string Module; ///< Dotted module path, e.g. "os.path".
-  std::string AsName; ///< Empty when there is no `as` clause.
+  std::string_view Module; ///< Dotted module path, e.g. "os.path".
+  std::string_view AsName; ///< Empty when there is no `as` clause.
 };
 
 /// `import a.b, c as d`.
 class ImportStmt : public Stmt {
 public:
-  ImportStmt(SourceLoc Loc, std::vector<ImportAlias> Names)
-      : Stmt(NodeKind::Import, Loc), Names(std::move(Names)) {}
-  std::vector<ImportAlias> Names;
+  ImportStmt(SourceLoc Loc, std::span<ImportAlias> Names)
+      : Stmt(NodeKind::Import, Loc), Names(Names) {}
+  std::span<ImportAlias> Names;
   static bool classof(const Node *N) { return N->kind() == NodeKind::Import; }
 };
 
 /// `from module import a as b, c` (`Level` counts leading dots).
 class ImportFromStmt : public Stmt {
 public:
-  ImportFromStmt(SourceLoc Loc, std::string Module,
-                 std::vector<ImportAlias> Names, unsigned Level)
-      : Stmt(NodeKind::ImportFrom, Loc), Module(std::move(Module)),
-        Names(std::move(Names)), Level(Level) {}
-  std::string Module;
-  std::vector<ImportAlias> Names; ///< Name "*" denotes a star import.
+  ImportFromStmt(SourceLoc Loc, std::string_view Module,
+                 std::span<ImportAlias> Names, unsigned Level)
+      : Stmt(NodeKind::ImportFrom, Loc), Module(Module),
+        Names(Names), Level(Level) {}
+  std::string_view Module;
+  std::span<ImportAlias> Names; ///< Name "*" denotes a star import.
   unsigned Level;
   static bool classof(const Node *N) {
     return N->kind() == NodeKind::ImportFrom;
@@ -668,34 +680,34 @@ struct WithItem {
 /// `with a as b, c:`.
 class WithStmt : public Stmt {
 public:
-  WithStmt(SourceLoc Loc, std::vector<WithItem> Items, std::vector<Stmt *> Body)
-      : Stmt(NodeKind::With, Loc), Items(std::move(Items)),
-        Body(std::move(Body)) {}
-  std::vector<WithItem> Items;
-  std::vector<Stmt *> Body;
+  WithStmt(SourceLoc Loc, std::span<WithItem> Items, std::span<Stmt *> Body)
+      : Stmt(NodeKind::With, Loc), Items(Items),
+        Body(Body) {}
+  std::span<WithItem> Items;
+  std::span<Stmt *> Body;
   static bool classof(const Node *N) { return N->kind() == NodeKind::With; }
 };
 
 /// One `except [type [as name]]:` handler.
 struct ExceptHandler {
   Expr *Type = nullptr; ///< May be null (bare except).
-  std::string Name;     ///< Empty when there is no `as` clause.
-  std::vector<Stmt *> Body;
+  std::string_view Name;     ///< Empty when there is no `as` clause.
+  std::span<Stmt *> Body;
 };
 
 /// `try`/`except`/`else`/`finally`.
 class TryStmt : public Stmt {
 public:
-  TryStmt(SourceLoc Loc, std::vector<Stmt *> Body,
-          std::vector<ExceptHandler> Handlers, std::vector<Stmt *> OrElse,
-          std::vector<Stmt *> Finally)
-      : Stmt(NodeKind::Try, Loc), Body(std::move(Body)),
-        Handlers(std::move(Handlers)), OrElse(std::move(OrElse)),
-        Finally(std::move(Finally)) {}
-  std::vector<Stmt *> Body;
-  std::vector<ExceptHandler> Handlers;
-  std::vector<Stmt *> OrElse;
-  std::vector<Stmt *> Finally;
+  TryStmt(SourceLoc Loc, std::span<Stmt *> Body,
+          std::span<ExceptHandler> Handlers, std::span<Stmt *> OrElse,
+          std::span<Stmt *> Finally)
+      : Stmt(NodeKind::Try, Loc), Body(Body),
+        Handlers(Handlers), OrElse(OrElse),
+        Finally(Finally) {}
+  std::span<Stmt *> Body;
+  std::span<ExceptHandler> Handlers;
+  std::span<Stmt *> OrElse;
+  std::span<Stmt *> Finally;
   static bool classof(const Node *N) { return N->kind() == NodeKind::Try; }
 };
 
@@ -712,18 +724,18 @@ public:
 /// `global a, b` (also used for `nonlocal`, which we treat identically).
 class GlobalStmt : public Stmt {
 public:
-  GlobalStmt(SourceLoc Loc, std::vector<std::string> Names)
-      : Stmt(NodeKind::Global, Loc), Names(std::move(Names)) {}
-  std::vector<std::string> Names;
+  GlobalStmt(SourceLoc Loc, std::span<std::string_view> Names)
+      : Stmt(NodeKind::Global, Loc), Names(Names) {}
+  std::span<std::string_view> Names;
   static bool classof(const Node *N) { return N->kind() == NodeKind::Global; }
 };
 
 /// `del a, b`.
 class DeleteStmt : public Stmt {
 public:
-  DeleteStmt(SourceLoc Loc, std::vector<Expr *> Targets)
-      : Stmt(NodeKind::Delete, Loc), Targets(std::move(Targets)) {}
-  std::vector<Expr *> Targets;
+  DeleteStmt(SourceLoc Loc, std::span<Expr *> Targets)
+      : Stmt(NodeKind::Delete, Loc), Targets(Targets) {}
+  std::span<Expr *> Targets;
   static bool classof(const Node *N) { return N->kind() == NodeKind::Delete; }
 };
 
@@ -744,34 +756,79 @@ public:
 /// A parsed source file.
 class ModuleNode : public Node {
 public:
-  ModuleNode(SourceLoc Loc, std::vector<Stmt *> Body)
-      : Node(NodeKind::Module, Loc), Body(std::move(Body)) {}
-  std::vector<Stmt *> Body;
+  ModuleNode(SourceLoc Loc, std::span<Stmt *> Body)
+      : Node(NodeKind::Module, Loc), Body(Body) {}
+  std::span<Stmt *> Body;
   static bool classof(const Node *N) { return N->kind() == NodeKind::Module; }
 };
 
-/// Arena owner for AST nodes. All nodes created through a context stay
-/// valid for the context's lifetime; node pointers never own memory.
+/// The arena behind an AST: nodes, child lists and parser-written text
+/// are bumped out of chunked blocks, and destroying the context frees the
+/// blocks without visiting a node. Everything created through a context
+/// stays valid for the context's lifetime.
 class AstContext {
 public:
   AstContext() = default;
   AstContext(const AstContext &) = delete;
   AstContext &operator=(const AstContext &) = delete;
-  AstContext(AstContext &&) = default;
-  AstContext &operator=(AstContext &&) = default;
+  AstContext(AstContext &&Other) noexcept { *this = std::move(Other); }
+  AstContext &operator=(AstContext &&Other) noexcept;
+  ~AstContext() { release(); }
 
   /// Allocates a node of type \p T.
   template <typename T, typename... Args> T *create(Args &&...CtorArgs) {
-    auto Owner = std::make_unique<T>(std::forward<Args>(CtorArgs)...);
-    T *Ptr = Owner.get();
-    Nodes.push_back(std::move(Owner));
-    return Ptr;
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "the arena never runs a node's destructor");
+    ++NumNodes;
+    return new (allocate(sizeof(T), alignof(T)))
+        T(std::forward<Args>(CtorArgs)...);
   }
 
-  size_t numNodes() const { return Nodes.size(); }
+  /// Returns \p Size bytes aligned to \p Align (a power of two).
+  void *allocate(size_t Size, size_t Align) {
+    uintptr_t At = (reinterpret_cast<uintptr_t>(Cur) + Align - 1) &
+                   ~static_cast<uintptr_t>(Align - 1);
+    if (At + Size > reinterpret_cast<uintptr_t>(End))
+      return allocateSlow(Size, Align);
+    Cur = reinterpret_cast<char *>(At + Size);
+    return reinterpret_cast<void *>(At);
+  }
+
+  /// Copies \p Items into the arena.
+  template <typename T> std::span<T> copyArray(std::span<const T> Items) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (Items.empty())
+      return {};
+    T *Out = static_cast<T *>(allocate(Items.size_bytes(), alignof(T)));
+    std::memcpy(Out, Items.data(), Items.size_bytes());
+    return {Out, Items.size()};
+  }
+
+  /// Copies \p Text into the arena.
+  std::string_view copyText(std::string_view Text) {
+    std::span<const char> Copy = copyArray(std::span(Text));
+    return {Copy.data(), Copy.size()};
+  }
+
+  size_t numNodes() const { return NumNodes; }
+  /// Heap blocks the arena holds; the only allocations a parse makes.
+  size_t numBlocks() const { return NumBlocks; }
+  /// True if \p P points into memory this context allocated.
+  bool contains(const void *P) const;
 
 private:
-  std::vector<std::unique_ptr<Node>> Nodes;
+  struct Block {
+    Block *Prev;
+    size_t Bytes;
+  };
+  void *allocateSlow(size_t Size, size_t Align);
+  void release();
+
+  char *Cur = nullptr;
+  char *End = nullptr;
+  Block *Last = nullptr;
+  size_t NumNodes = 0;
+  size_t NumBlocks = 0;
 };
 
 } // namespace pyast

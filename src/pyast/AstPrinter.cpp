@@ -11,6 +11,15 @@ using namespace seldon::pyast;
 
 namespace {
 
+/// Appends ` module [as name]` for each of \p Aliases.
+void appendAliases(std::string &Text, std::span<const ImportAlias> Aliases) {
+  for (const ImportAlias &A : Aliases) {
+    Text.append(" ").append(A.Module);
+    if (!A.AsName.empty())
+      Text.append(" as ").append(A.AsName);
+  }
+}
+
 /// Indented tree dumper over the node hierarchy.
 class Dumper {
 public:
@@ -48,7 +57,7 @@ private:
     OS << Text << '\n';
   }
 
-  void dumpBody(const char *Label, const std::vector<Stmt *> &Body) {
+  void dumpBody(const char *Label, std::span<Stmt *const> Body) {
     if (Body.empty())
       return;
     line(Label);
@@ -99,7 +108,9 @@ private:
     }
     case NodeKind::FunctionDef: {
       const auto *F = cast<FunctionDefStmt>(S);
-      std::string Header = "FunctionDef " + F->Name + "(";
+      std::string Header = "FunctionDef ";
+      Header += F->Name;
+      Header += "(";
       for (size_t I = 0; I < F->Params.size(); ++I) {
         if (I)
           Header += ", ";
@@ -122,7 +133,7 @@ private:
     }
     case NodeKind::ClassDef: {
       const auto *C = cast<ClassDefStmt>(S);
-      line("ClassDef " + C->Name);
+      line(std::string("ClassDef ").append(C->Name));
       Indented In(*this);
       for (const Expr *B : C->Bases) {
         line("base:");
@@ -174,22 +185,16 @@ private:
     case NodeKind::Import: {
       const auto *I = cast<ImportStmt>(S);
       std::string Text = "Import";
-      for (const ImportAlias &A : I->Names) {
-        Text += " " + A.Module;
-        if (!A.AsName.empty())
-          Text += " as " + A.AsName;
-      }
+      appendAliases(Text, I->Names);
       line(Text);
       return;
     }
     case NodeKind::ImportFrom: {
       const auto *I = cast<ImportFromStmt>(S);
-      std::string Text = "ImportFrom " + I->Module + ":";
-      for (const ImportAlias &A : I->Names) {
-        Text += " " + A.Module;
-        if (!A.AsName.empty())
-          Text += " as " + A.AsName;
-      }
+      std::string Text = "ImportFrom ";
+      Text += I->Module;
+      Text += ':';
+      appendAliases(Text, I->Names);
       line(Text);
       return;
     }
@@ -223,7 +228,10 @@ private:
       Indented In(*this);
       dumpBody("body:", T->Body);
       for (const ExceptHandler &H : T->Handlers) {
-        line("except" + (H.Name.empty() ? "" : " as " + H.Name) + ":");
+        std::string Header = "except";
+        if (!H.Name.empty())
+          Header.append(" as ").append(H.Name);
+        line(Header + ":");
         Indented In2(*this);
         if (H.Type)
           dump(H.Type);
@@ -243,8 +251,8 @@ private:
       return;
     case NodeKind::Global: {
       std::string Text = "Global";
-      for (const std::string &N : cast<GlobalStmt>(S)->Names)
-        Text += " " + N;
+      for (std::string_view N : cast<GlobalStmt>(S)->Names)
+        Text.append(" ").append(N);
       line(Text);
       return;
     }
@@ -405,26 +413,26 @@ void renderExpr(const Expr *E, std::string &Out) {
   case NodeKind::List:
   case NodeKind::Tuple:
   case NodeKind::Set: {
-    const std::vector<Expr *> *Elements;
+    std::span<Expr *> Elements;
     char Open, Close;
     if (const auto *L = dyn_cast<ListExpr>(E)) {
-      Elements = &L->Elements;
+      Elements = L->Elements;
       Open = '[';
       Close = ']';
     } else if (const auto *T = dyn_cast<TupleExpr>(E)) {
-      Elements = &T->Elements;
+      Elements = T->Elements;
       Open = '(';
       Close = ')';
     } else {
-      Elements = &cast<SetExpr>(E)->Elements;
+      Elements = cast<SetExpr>(E)->Elements;
       Open = '{';
       Close = '}';
     }
     Out += Open;
-    for (size_t I = 0; I < Elements->size(); ++I) {
+    for (size_t I = 0; I < Elements.size(); ++I) {
       if (I)
         Out += ", ";
-      renderExpr((*Elements)[I], Out);
+      renderExpr(Elements[I], Out);
     }
     Out += Close;
     return;

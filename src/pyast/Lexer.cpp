@@ -2,93 +2,110 @@
 
 #include "pyast/Lexer.h"
 
-#include <cassert>
-#include <cctype>
+#include <array>
 
 using namespace seldon;
 using namespace seldon::pyast;
 
-Lexer::Lexer(std::string_view Source) : Source(Source) {}
+namespace {
 
-char Lexer::peek(size_t Ahead) const {
-  return Pos + Ahead < Source.size() ? Source[Pos + Ahead] : '\0';
+/// Character classes, one bit each, looked up through CharClass.
+enum : uint8_t {
+  IdentStart = 1 << 0, ///< Starts an identifier: a letter, `_` or >= 0x80.
+  IdentCont = 1 << 1,  ///< Continues one: a letter, digit, `_` or >= 0x80.
+  Digit = 1 << 2,      ///< 0-9.
+  HexRun = 1 << 3,     ///< Continues a 0x/0o/0b literal: a hex digit or `_`.
+  PrefixChar = 1 << 4, ///< May appear in a string prefix: r b u f, any case.
+};
+
+constexpr std::array<uint8_t, 256> makeCharClass() {
+  std::array<uint8_t, 256> T{};
+  for (int C = 'a'; C <= 'z'; ++C)
+    T[C] |= IdentStart | IdentCont;
+  for (int C = 'A'; C <= 'Z'; ++C)
+    T[C] |= IdentStart | IdentCont;
+  T['_'] |= IdentStart | IdentCont | HexRun;
+  // Bytes of a UTF-8 sequence: a non-ASCII name is one identifier.
+  for (int C = 0x80; C <= 0xff; ++C)
+    T[C] |= IdentStart | IdentCont;
+  for (int C = '0'; C <= '9'; ++C)
+    T[C] |= IdentCont | Digit | HexRun;
+  for (int C = 'a'; C <= 'f'; ++C)
+    T[C] |= HexRun;
+  for (int C = 'A'; C <= 'F'; ++C)
+    T[C] |= HexRun;
+  for (char C : {'r', 'R', 'b', 'B', 'u', 'U', 'f', 'F'})
+    T[static_cast<unsigned char>(C)] |= PrefixChar;
+  return T;
 }
 
-char Lexer::advance() {
-  assert(!atEnd() && "advance past end of input");
-  char C = Source[Pos++];
-  if (C == '\n') {
-    ++Line;
-    Col = 1;
-  } else {
-    ++Col;
-  }
-  return C;
+constexpr std::array<uint8_t, 256> CharClass = makeCharClass();
+
+bool is(char C, uint8_t Class) {
+  return CharClass[static_cast<unsigned char>(C)] & Class;
 }
 
-void Lexer::error(const std::string &Message) {
-  Errors.push_back({TokLine, TokCol, Message});
-}
-
-Token Lexer::makeToken(TokenKind Kind, std::string Text) const {
-  return {Kind, std::move(Text), TokLine, TokCol};
-}
-
-static bool isIdentStart(char C) {
-  return std::isalpha(static_cast<unsigned char>(C)) || C == '_';
-}
-
-static bool isIdentCont(char C) {
-  return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
-}
-
-static bool isStringPrefix(const std::string &Ident) {
+bool isStringPrefix(std::string_view Ident) {
   if (Ident.empty() || Ident.size() > 3)
     return false;
-  for (char C : Ident) {
-    char L = static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
-    if (L != 'r' && L != 'b' && L != 'u' && L != 'f')
+  for (char C : Ident)
+    if (!is(C, PrefixChar))
       return false;
-  }
   return true;
+}
+
+} // namespace
+
+Lexer::Lexer(std::string_view Source)
+    : Cur(Source.data()), End(Source.data() + Source.size()),
+      LineStart(Source.data()) {}
+
+void Lexer::error(std::string Message) {
+  Errors.push_back({TokLine, TokCol, std::move(Message)});
+}
+
+void Lexer::pushIndent(int Width) {
+  // One block for the usual nesting depths.
+  if (Indents.capacity() == 0)
+    Indents.reserve(16);
+  Indents.push_back(Width);
 }
 
 bool Lexer::handleIndentation(std::vector<Token> &Out) {
   for (;;) {
     int Width = 0;
-    while (!atEnd() && (peek() == ' ' || peek() == '\t')) {
-      Width = peek() == '\t' ? (Width / 8 + 1) * 8 : Width + 1;
-      advance();
+    while (!atEnd() && (*Cur == ' ' || *Cur == '\t')) {
+      Width = *Cur == '\t' ? (Width / 8 + 1) * 8 : Width + 1;
+      ++Cur;
     }
     if (atEnd())
       return false;
-    if (peek() == '\r') {
-      advance();
+    if (*Cur == '\r') {
+      ++Cur;
       continue;
     }
     // Blank lines and comment-only lines carry no indentation information.
-    if (peek() == '\n') {
-      advance();
+    if (*Cur == '\n') {
+      newline();
       continue;
     }
-    if (peek() == '#') {
-      while (!atEnd() && peek() != '\n')
-        advance();
+    if (*Cur == '#') {
+      while (!atEnd() && *Cur != '\n')
+        ++Cur;
       continue;
     }
-    TokLine = Line;
-    TokCol = Col;
-    if (Width > IndentStack.back()) {
-      IndentStack.push_back(Width);
-      Out.push_back(makeToken(TokenKind::Indent));
+    startToken();
+    if (Width > indentTop()) {
+      pushIndent(Width);
+      push(Out, TokenKind::Indent, Cur);
       return true;
     }
-    while (Width < IndentStack.back()) {
-      IndentStack.pop_back();
-      Out.push_back(makeToken(TokenKind::Dedent));
-      if (Width > IndentStack.back()) {
+    while (Width < indentTop()) {
+      Indents.pop_back();
+      push(Out, TokenKind::Dedent, Cur);
+      if (Width > indentTop()) {
         error("unindent does not match any outer indentation level");
-        IndentStack.push_back(Width);
+        pushIndent(Width);
         break;
       }
     }
@@ -97,198 +114,215 @@ bool Lexer::handleIndentation(std::vector<Token> &Out) {
 }
 
 void Lexer::lexNumber(std::vector<Token> &Out) {
-  std::string Text;
-  auto TakeWhile = [&](auto Pred) {
-    while (!atEnd() && Pred(peek()))
-      Text += advance();
-  };
-  auto IsDigitOrUnderscore = [](char C) {
-    return std::isdigit(static_cast<unsigned char>(C)) || C == '_';
-  };
-
+  const char *Begin = Cur;
   if (peek() == '0' && (peek(1) == 'x' || peek(1) == 'X' || peek(1) == 'o' ||
                         peek(1) == 'O' || peek(1) == 'b' || peek(1) == 'B')) {
-    Text += advance();
-    Text += advance();
-    TakeWhile([](char C) {
-      return std::isxdigit(static_cast<unsigned char>(C)) || C == '_';
-    });
-    Out.push_back(makeToken(TokenKind::Number, Text));
+    Cur += 2;
+    while (!atEnd() && is(*Cur, HexRun))
+      ++Cur;
+    push(Out, TokenKind::Number, Begin);
     return;
   }
 
-  TakeWhile(IsDigitOrUnderscore);
-  if (peek() == '.' && std::isdigit(static_cast<unsigned char>(peek(1)))) {
-    Text += advance();
-    TakeWhile(IsDigitOrUnderscore);
-  } else if (peek() == '.' && !Text.empty() && !isIdentStart(peek(1)) &&
+  auto IsDigitOrUnderscore = [](char C) { return is(C, Digit) || C == '_'; };
+  while (!atEnd() && IsDigitOrUnderscore(*Cur))
+    ++Cur;
+  if (peek() == '.' && is(peek(1), Digit)) {
+    ++Cur;
+    while (!atEnd() && IsDigitOrUnderscore(*Cur))
+      ++Cur;
+  } else if (peek() == '.' && Cur != Begin && !is(peek(1), IdentStart) &&
              peek(1) != '.') {
     // Trailing-dot float like `1.` — but not `1..attr` or `1.foo`.
-    Text += advance();
+    ++Cur;
   }
   if (peek() == 'e' || peek() == 'E') {
     char Sign = peek(1);
-    if (std::isdigit(static_cast<unsigned char>(Sign)) ||
-        ((Sign == '+' || Sign == '-') &&
-         std::isdigit(static_cast<unsigned char>(peek(2))))) {
-      Text += advance();
-      if (peek() == '+' || peek() == '-')
-        Text += advance();
-      TakeWhile(IsDigitOrUnderscore);
+    if (is(Sign, Digit) ||
+        ((Sign == '+' || Sign == '-') && is(peek(2), Digit))) {
+      Cur += Sign == '+' || Sign == '-' ? 2 : 1;
+      while (!atEnd() && IsDigitOrUnderscore(*Cur))
+        ++Cur;
     }
   }
   if (peek() == 'j' || peek() == 'J')
-    Text += advance();
-  Out.push_back(makeToken(TokenKind::Number, Text));
+    ++Cur;
+  push(Out, TokenKind::Number, Begin);
 }
 
-void Lexer::lexString(std::vector<Token> &Out, std::string Prefix) {
+void Lexer::lexString(std::vector<Token> &Out, std::string_view Prefix) {
   bool Raw = false, FString = false;
   for (char C : Prefix) {
-    if (C == 'r' || C == 'R')
-      Raw = true;
-    if (C == 'f' || C == 'F')
-      FString = true;
+    Raw |= C == 'r' || C == 'R';
+    FString |= C == 'f' || C == 'F';
   }
 
-  char Quote = advance();
+  char Quote = *Cur++;
   bool Triple = false;
   if (peek() == Quote && peek(1) == Quote) {
-    advance();
-    advance();
+    Cur += 2;
     Triple = true;
   }
 
-  std::string Text;
+  // Walk to the closing quote, stepping over each escape as a pair; the
+  // body is decoded later, by whoever needs its value.
+  const char *Body = Cur;
+  const char *BodyEnd;
+  bool SawEscape = false;
   for (;;) {
-    if (atEnd() || (!Triple && peek() == '\n')) {
+    if (atEnd() || (!Triple && *Cur == '\n')) {
       error("unterminated string literal");
+      BodyEnd = Cur;
       break;
     }
-    char C = advance();
+    char C = *Cur;
     if (C == Quote) {
-      if (!Triple)
-        break;
-      if (peek() == Quote && peek(1) == Quote) {
-        advance();
-        advance();
+      if (!Triple) {
+        BodyEnd = Cur++;
         break;
       }
-      Text += C;
-      continue;
-    }
-    if (C == '\\' && !Raw && !atEnd()) {
-      char E = advance();
-      switch (E) {
-      case 'n': Text += '\n'; break;
-      case 't': Text += '\t'; break;
-      case 'r': Text += '\r'; break;
-      case '0': Text += '\0'; break;
-      case '\\': Text += '\\'; break;
-      case '\'': Text += '\''; break;
-      case '"': Text += '"'; break;
-      case '\n': break; // Line continuation inside a string.
-      default:
-        Text += '\\';
-        Text += E;
+      if (peek(1) == Quote && peek(2) == Quote) {
+        BodyEnd = Cur;
+        Cur += 3;
         break;
       }
+      ++Cur;
       continue;
     }
-    Text += C;
+    if (C == '\\' && !Raw && End - Cur > 1) {
+      SawEscape = true;
+      ++Cur;
+      // A backslash before CRLF continues the line, as before LF.
+      if (*Cur == '\r' && peek(1) == '\n')
+        ++Cur;
+    }
+    if (*Cur == '\n')
+      newline();
+    else
+      ++Cur;
   }
-  Token Tok = makeToken(TokenKind::String, Text);
-  Tok.IsFString = FString;
-  Out.push_back(Tok);
+  Out.push_back({std::string_view(Body, static_cast<size_t>(BodyEnd - Body)),
+                 TokLine, TokCol, TokenKind::String, FString, SawEscape});
 }
 
 void Lexer::lexOperator(std::vector<Token> &Out) {
-  struct OpEntry {
-    const char *Spelling;
-    TokenKind Kind;
+  const char *Begin = Cur;
+  char C = *Cur;
+  // The longest operator starting with C; `Eq` is the kind of C followed
+  // by `=`, `Double` of C doubled, and `DoubleEq` of C doubled then `=`
+  // (Absent where Python has no such operator).
+  auto Longest = [&](TokenKind Single, TokenKind Eq, TokenKind Double,
+                     TokenKind DoubleEq) {
+    if (peek(1) == C && Double != TokenKind::Error) {
+      if (peek(2) == '=' && DoubleEq != TokenKind::Error) {
+        Cur += 3;
+        return DoubleEq;
+      }
+      Cur += 2;
+      return Double;
+    }
+    if (peek(1) == '=' && Eq != TokenKind::Error) {
+      Cur += 2;
+      return Eq;
+    }
+    ++Cur;
+    return Single;
   };
-  // Ordered longest-first so the first prefix match is the longest match.
-  static const OpEntry Ops[] = {
-      {"**=", TokenKind::DoubleStarEq},
-      {"//=", TokenKind::DoubleSlashEq},
-      {"<<=", TokenKind::LShiftEq},
-      {">>=", TokenKind::RShiftEq},
-      {"->", TokenKind::Arrow},
-      {":=", TokenKind::Walrus},
-      {"**", TokenKind::DoubleStar},
-      {"//", TokenKind::DoubleSlash},
-      {"<<", TokenKind::LShift},
-      {">>", TokenKind::RShift},
-      {"==", TokenKind::EqEq},
-      {"!=", TokenKind::NotEq},
-      {"<=", TokenKind::LessEq},
-      {">=", TokenKind::GreaterEq},
-      {"+=", TokenKind::PlusEq},
-      {"-=", TokenKind::MinusEq},
-      {"*=", TokenKind::StarEq},
-      {"/=", TokenKind::SlashEq},
-      {"%=", TokenKind::PercentEq},
-      {"&=", TokenKind::AmpEq},
-      {"|=", TokenKind::PipeEq},
-      {"^=", TokenKind::CaretEq},
-      {"@=", TokenKind::AtEq},
-      {"(", TokenKind::LParen},
-      {")", TokenKind::RParen},
-      {"[", TokenKind::LBracket},
-      {"]", TokenKind::RBracket},
-      {"{", TokenKind::LBrace},
-      {"}", TokenKind::RBrace},
-      {",", TokenKind::Comma},
-      {":", TokenKind::Colon},
-      {";", TokenKind::Semicolon},
-      {".", TokenKind::Dot},
-      {"@", TokenKind::At},
-      {"=", TokenKind::Equal},
-      {"+", TokenKind::Plus},
-      {"-", TokenKind::Minus},
-      {"*", TokenKind::Star},
-      {"/", TokenKind::Slash},
-      {"%", TokenKind::Percent},
-      {"&", TokenKind::Amp},
-      {"|", TokenKind::Pipe},
-      {"^", TokenKind::Caret},
-      {"~", TokenKind::Tilde},
-      {"<", TokenKind::Less},
-      {">", TokenKind::Greater},
-  };
-
-  for (const OpEntry &Op : Ops) {
-    size_t Len = std::char_traits<char>::length(Op.Spelling);
-    if (Source.compare(Pos, Len, Op.Spelling) != 0)
-      continue;
-    for (size_t I = 0; I < Len; ++I)
-      advance();
-    switch (Op.Kind) {
-    case TokenKind::LParen:
-    case TokenKind::LBracket:
-    case TokenKind::LBrace:
-      ++BracketDepth;
-      break;
-    case TokenKind::RParen:
-    case TokenKind::RBracket:
-    case TokenKind::RBrace:
-      if (BracketDepth > 0)
-        --BracketDepth;
-      break;
-    default:
+  constexpr TokenKind Absent = TokenKind::Error;
+  TokenKind Kind;
+  switch (C) {
+  case '(': case '[': case '{':
+    ++Cur;
+    ++BracketDepth;
+    Kind = C == '(' ? TokenKind::LParen
+                    : C == '[' ? TokenKind::LBracket : TokenKind::LBrace;
+    break;
+  case ')': case ']': case '}':
+    ++Cur;
+    if (BracketDepth > 0)
+      --BracketDepth;
+    Kind = C == ')' ? TokenKind::RParen
+                    : C == ']' ? TokenKind::RBracket : TokenKind::RBrace;
+    break;
+  case ',': ++Cur; Kind = TokenKind::Comma; break;
+  case ';': ++Cur; Kind = TokenKind::Semicolon; break;
+  case '.': ++Cur; Kind = TokenKind::Dot; break;
+  case '~': ++Cur; Kind = TokenKind::Tilde; break;
+  case '*':
+    Kind = Longest(TokenKind::Star, TokenKind::StarEq, TokenKind::DoubleStar,
+                   TokenKind::DoubleStarEq);
+    break;
+  case '/':
+    Kind = Longest(TokenKind::Slash, TokenKind::SlashEq,
+                   TokenKind::DoubleSlash, TokenKind::DoubleSlashEq);
+    break;
+  case '<':
+    Kind = Longest(TokenKind::Less, TokenKind::LessEq, TokenKind::LShift,
+                   TokenKind::LShiftEq);
+    break;
+  case '>':
+    Kind = Longest(TokenKind::Greater, TokenKind::GreaterEq,
+                   TokenKind::RShift, TokenKind::RShiftEq);
+    break;
+  case '=':
+    Kind = Longest(TokenKind::Equal, TokenKind::EqEq, Absent, Absent);
+    break;
+  case '+':
+    Kind = Longest(TokenKind::Plus, TokenKind::PlusEq, Absent, Absent);
+    break;
+  case '%':
+    Kind = Longest(TokenKind::Percent, TokenKind::PercentEq, Absent, Absent);
+    break;
+  case '&':
+    Kind = Longest(TokenKind::Amp, TokenKind::AmpEq, Absent, Absent);
+    break;
+  case '|':
+    Kind = Longest(TokenKind::Pipe, TokenKind::PipeEq, Absent, Absent);
+    break;
+  case '^':
+    Kind = Longest(TokenKind::Caret, TokenKind::CaretEq, Absent, Absent);
+    break;
+  case '@':
+    Kind = Longest(TokenKind::At, TokenKind::AtEq, Absent, Absent);
+    break;
+  case '-':
+    if (peek(1) == '>') {
+      Cur += 2;
+      Kind = TokenKind::Arrow;
+    } else {
+      Kind = Longest(TokenKind::Minus, TokenKind::MinusEq, Absent, Absent);
+    }
+    break;
+  case ':':
+    Kind = Longest(TokenKind::Colon, TokenKind::Walrus, Absent, Absent);
+    break;
+  case '!':
+    if (peek(1) == '=') {
+      Cur += 2;
+      Kind = TokenKind::NotEq;
       break;
     }
-    Out.push_back(makeToken(Op.Kind));
-    return;
+    [[fallthrough]];
+  default:
+    error(std::string("unexpected character '") + C + "'");
+    ++Cur;
+    Kind = TokenKind::Error;
+    break;
   }
-
-  error(std::string("unexpected character '") + peek() + "'");
-  advance();
-  Out.push_back(makeToken(TokenKind::Error));
+  push(Out, Kind, Begin);
 }
 
 std::vector<Token> Lexer::lexAll() {
   std::vector<Token> Out;
+  lexAll(Out);
+  return Out;
+}
+
+void Lexer::lexAll(std::vector<Token> &Out) {
+  Out.clear();
+  // About one token per four bytes of real code; reserving a third of the
+  // size makes growth rare.
+  Out.reserve(static_cast<size_t>(End - Cur) / 3 + 8);
   bool AtLineStart = true;
   while (!atEnd()) {
     if (AtLineStart && BracketDepth == 0) {
@@ -297,70 +331,68 @@ std::vector<Token> Lexer::lexAll() {
       AtLineStart = false;
       continue;
     }
-    char C = peek();
+    char C = *Cur;
     if (C == '#') {
-      while (!atEnd() && peek() != '\n')
-        advance();
+      while (!atEnd() && *Cur != '\n')
+        ++Cur;
       continue;
     }
     if (C == '\n') {
-      TokLine = Line;
-      TokCol = Col;
-      advance();
+      startToken();
+      newline();
       if (BracketDepth == 0) {
-        Out.push_back(makeToken(TokenKind::Newline));
+        push(Out, TokenKind::Newline, Cur);
         AtLineStart = true;
       }
       continue;
     }
-    if (C == '\\' && peek(1) == '\n') {
-      advance();
-      advance();
+    // A backslash ending a line (LF or CRLF) joins it with the next.
+    size_t Join = C != '\\'        ? 0
+                  : peek(1) == '\n' ? 1
+                  : peek(1) == '\r' && peek(2) == '\n' ? 2
+                                                      : 0;
+    if (Join) {
+      Cur += Join;
+      newline();
       continue;
     }
     if (C == ' ' || C == '\t' || C == '\r') {
-      advance();
+      ++Cur;
       continue;
     }
 
-    TokLine = Line;
-    TokCol = Col;
-    if (isIdentStart(C)) {
-      std::string Ident;
-      while (!atEnd() && isIdentCont(peek()))
-        Ident += advance();
-      if (isStringPrefix(Ident) && (peek() == '"' || peek() == '\'')) {
+    startToken();
+    if (is(C, IdentStart)) {
+      const char *Begin = Cur;
+      while (!atEnd() && is(*Cur, IdentCont))
+        ++Cur;
+      std::string_view Ident(Begin, static_cast<size_t>(Cur - Begin));
+      if ((peek() == '"' || peek() == '\'') && isStringPrefix(Ident)) {
         lexString(Out, Ident);
         continue;
       }
-      TokenKind Kind = classifyIdentifier(Ident);
-      Out.push_back(makeToken(Kind, Kind == TokenKind::Name
-                                        ? std::move(Ident)
-                                        : std::string()));
+      push(Out, classifyIdentifier(Ident), Begin);
       continue;
     }
-    if (std::isdigit(static_cast<unsigned char>(C)) ||
-        (C == '.' && std::isdigit(static_cast<unsigned char>(peek(1))))) {
+    if (is(C, Digit) || (C == '.' && is(peek(1), Digit))) {
       lexNumber(Out);
       continue;
     }
     if (C == '"' || C == '\'') {
-      lexString(Out, "");
+      lexString(Out, {});
       continue;
     }
     lexOperator(Out);
   }
 
-  TokLine = Line;
-  TokCol = Col;
+  startToken();
   // Close the final logical line if the file does not end with a newline.
   if (!Out.empty() && Out.back().isNot(TokenKind::Newline) &&
       Out.back().isNot(TokenKind::Dedent))
-    Out.push_back(makeToken(TokenKind::Newline));
-  while (IndentStack.back() > 0) {
-    IndentStack.pop_back();
-    Out.push_back(makeToken(TokenKind::Dedent));
+    push(Out, TokenKind::Newline, Cur);
+  while (!Indents.empty()) {
+    Indents.pop_back();
+    push(Out, TokenKind::Dedent, Cur);
   }
-  Out.push_back(makeToken(TokenKind::EndOfFile));
-  return Out;
+  push(Out, TokenKind::EndOfFile, Cur);
 }

@@ -3,11 +3,54 @@
 #include "pyast/Parser.h"
 
 #include "pyast/Lexer.h"
+#include "support/Metrics.h"
+#include "support/Timer.h"
 
 #include <cassert>
+#include <cstring>
 
 using namespace seldon;
 using namespace seldon::pyast;
+
+/// A list under construction, grown in the arena: when full it moves to an
+/// arena buffer twice its size (the old buffer is left to the arena), so
+/// building a list allocates no heap memory, and finish() hands out the
+/// buffer itself.
+template <typename T> class Parser::ListBuilder {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "the arena never runs an element's destructor");
+
+public:
+  explicit ListBuilder(AstContext &Ctx) : Ctx(Ctx) {}
+
+  void push_back(const T &Item) {
+    if (Size == Capacity)
+      grow();
+    Data[Size++] = Item;
+  }
+  void pop_back() { --Size; }
+  bool empty() const { return Size == 0; }
+  size_t size() const { return Size; }
+  T &front() { return Data[0]; }
+  T &back() { return Data[Size - 1]; }
+  std::span<T> finish() const { return {Data, Size}; }
+
+private:
+  void grow() {
+    size_t NewCapacity = Capacity ? Capacity * 2 : 1;
+    T *NewData = static_cast<T *>(
+        Ctx.allocate(NewCapacity * sizeof(T), alignof(T)));
+    if (Size)
+      std::memcpy(NewData, Data, Size * sizeof(T));
+    Data = NewData;
+    Capacity = NewCapacity;
+  }
+
+  AstContext &Ctx;
+  T *Data = nullptr;
+  size_t Size = 0;
+  size_t Capacity = 0;
+};
 
 Parser::Parser(AstContext &Ctx, std::vector<Token> Tokens)
     : Ctx(Ctx), Tokens(std::move(Tokens)) {
@@ -23,8 +66,8 @@ const Token &Parser::peek(size_t Ahead) const {
   return Tokens[Idx];
 }
 
-Token Parser::advance() {
-  Token Tok = current();
+const Token &Parser::advance() {
+  const Token &Tok = Tokens[Pos];
   if (Pos + 1 < Tokens.size())
     ++Pos;
   return Tok;
@@ -45,8 +88,8 @@ bool Parser::expect(TokenKind Kind, const char *Context) {
   return false;
 }
 
-void Parser::errorHere(const std::string &Message) {
-  Errors.push_back({current().Line, current().Col, Message});
+void Parser::errorHere(std::string Message) {
+  Errors.push_back({current().Line, current().Col, std::move(Message)});
 }
 
 void Parser::synchronizeToLineEnd() {
@@ -69,6 +112,26 @@ struct DepthScope {
   int &Depth;
 };
 
+/// The operator of augmented-assignment token \p Kind, if it is one.
+bool augmentedOp(TokenKind Kind, BinaryOp &Op) {
+  switch (Kind) {
+  case TokenKind::PlusEq: Op = BinaryOp::Add; return true;
+  case TokenKind::MinusEq: Op = BinaryOp::Sub; return true;
+  case TokenKind::StarEq: Op = BinaryOp::Mul; return true;
+  case TokenKind::SlashEq: Op = BinaryOp::Div; return true;
+  case TokenKind::DoubleSlashEq: Op = BinaryOp::FloorDiv; return true;
+  case TokenKind::PercentEq: Op = BinaryOp::Mod; return true;
+  case TokenKind::DoubleStarEq: Op = BinaryOp::Pow; return true;
+  case TokenKind::AmpEq: Op = BinaryOp::BitAnd; return true;
+  case TokenKind::PipeEq: Op = BinaryOp::BitOr; return true;
+  case TokenKind::CaretEq: Op = BinaryOp::BitXor; return true;
+  case TokenKind::LShiftEq: Op = BinaryOp::LShift; return true;
+  case TokenKind::RShiftEq: Op = BinaryOp::RShift; return true;
+  case TokenKind::AtEq: Op = BinaryOp::MatMul; return true;
+  default: return false;
+  }
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -77,12 +140,12 @@ struct DepthScope {
 
 ModuleNode *Parser::parseModule() {
   SourceLoc Loc{1, 1};
-  std::vector<Stmt *> Body = parseStatementsUntil(TokenKind::EndOfFile);
-  return Ctx.create<ModuleNode>(Loc, std::move(Body));
+  std::span<Stmt *> Body = parseStatementsUntil(TokenKind::EndOfFile);
+  return Ctx.create<ModuleNode>(Loc, Body);
 }
 
-std::vector<Stmt *> Parser::parseStatementsUntil(TokenKind Terminator) {
-  std::vector<Stmt *> Out;
+std::span<Stmt *> Parser::parseStatementsUntil(TokenKind Terminator) {
+  ListBuilder<Stmt *> Out(Ctx);
   while (!check(Terminator) && !check(TokenKind::EndOfFile)) {
     if (accept(TokenKind::Newline))
       continue;
@@ -102,7 +165,7 @@ std::vector<Stmt *> Parser::parseStatementsUntil(TokenKind Terminator) {
     if (Pos == Before)
       advance(); // Guarantee progress even on a parse failure.
   }
-  return Out;
+  return Out.finish();
 }
 
 Stmt *Parser::parseStatement() {
@@ -130,7 +193,7 @@ Stmt *Parser::parseStatement() {
   case TokenKind::KwTry:
     return parseTry();
   default: {
-    std::vector<Stmt *> Line;
+    ListBuilder<Stmt *> Line(Ctx);
     parseSimpleStatementLine(Line);
     if (Line.size() == 1)
       return Line.front();
@@ -140,13 +203,12 @@ Stmt *Parser::parseStatement() {
     // one; wrap them in an always-taken If so execution order is preserved.
     SourceLoc Loc = Line.front()->loc();
     Expr *True = Ctx.create<BoolExpr>(Loc, true);
-    return Ctx.create<IfStmt>(Loc, True, std::move(Line),
-                              std::vector<Stmt *>{});
+    return Ctx.create<IfStmt>(Loc, True, Line.finish(), std::span<Stmt *>());
   }
   }
 }
 
-void Parser::parseSimpleStatementLine(std::vector<Stmt *> &Out) {
+void Parser::parseSimpleStatementLine(ListBuilder<Stmt *> &Out) {
   for (;;) {
     if (Stmt *S = parseSmallStatement())
       Out.push_back(S);
@@ -205,22 +267,22 @@ Stmt *Parser::parseSmallStatement() {
   case TokenKind::KwGlobal:
   case TokenKind::KwNonlocal: {
     advance();
-    std::vector<std::string> Names;
+    ListBuilder<std::string_view> Names(Ctx);
     do {
       if (check(TokenKind::Name))
         Names.push_back(advance().Text);
       else
         errorHere("expected identifier in global/nonlocal statement");
     } while (accept(TokenKind::Comma));
-    return Ctx.create<GlobalStmt>(Loc, std::move(Names));
+    return Ctx.create<GlobalStmt>(Loc, Names.finish());
   }
   case TokenKind::KwDel: {
     advance();
-    std::vector<Expr *> Targets;
+    ListBuilder<Expr *> Targets(Ctx);
     do {
       Targets.push_back(parseTest());
     } while (accept(TokenKind::Comma));
-    return Ctx.create<DeleteStmt>(Loc, std::move(Targets));
+    return Ctx.create<DeleteStmt>(Loc, Targets.finish());
   }
   case TokenKind::KwAssert: {
     advance();
@@ -253,90 +315,70 @@ Stmt *Parser::parseExprLikeStatement() {
   }
 
   // Augmented assignment.
-  struct AugEntry {
-    TokenKind Kind;
-    BinaryOp Op;
-  };
-  static const AugEntry AugOps[] = {
-      {TokenKind::PlusEq, BinaryOp::Add},
-      {TokenKind::MinusEq, BinaryOp::Sub},
-      {TokenKind::StarEq, BinaryOp::Mul},
-      {TokenKind::SlashEq, BinaryOp::Div},
-      {TokenKind::DoubleSlashEq, BinaryOp::FloorDiv},
-      {TokenKind::PercentEq, BinaryOp::Mod},
-      {TokenKind::DoubleStarEq, BinaryOp::Pow},
-      {TokenKind::AmpEq, BinaryOp::BitAnd},
-      {TokenKind::PipeEq, BinaryOp::BitOr},
-      {TokenKind::CaretEq, BinaryOp::BitXor},
-      {TokenKind::LShiftEq, BinaryOp::LShift},
-      {TokenKind::RShiftEq, BinaryOp::RShift},
-      {TokenKind::AtEq, BinaryOp::MatMul},
-  };
-  for (const AugEntry &E : AugOps) {
-    if (!check(E.Kind))
-      continue;
+  BinaryOp Op;
+  if (augmentedOp(current().Kind, Op)) {
     advance();
     Expr *Value = parseExprOrTupleNoAssign();
-    return Ctx.create<AugAssignStmt>(Loc, First, E.Op, Value);
+    return Ctx.create<AugAssignStmt>(Loc, First, Op, Value);
   }
 
   // Chained assignment `a = b = value`.
   if (check(TokenKind::Equal)) {
-    std::vector<Expr *> Chain{First};
+    ListBuilder<Expr *> Chain(Ctx);
+    Chain.push_back(First);
     while (accept(TokenKind::Equal))
       Chain.push_back(parseExprOrTupleNoAssign());
     Expr *Value = Chain.back();
     Chain.pop_back();
-    return Ctx.create<AssignStmt>(Loc, std::move(Chain), Value);
+    return Ctx.create<AssignStmt>(Loc, Chain.finish(), Value);
   }
 
   return Ctx.create<ExprStmt>(Loc, First);
 }
 
-std::vector<Stmt *> Parser::parseBlock() {
+std::span<Stmt *> Parser::parseBlock() {
   expect(TokenKind::Colon, "to introduce a block");
   if (accept(TokenKind::Newline)) {
     if (!expect(TokenKind::Indent, "to start an indented block"))
       return {};
-    std::vector<Stmt *> Body = parseStatementsUntil(TokenKind::Dedent);
+    std::span<Stmt *> Body = parseStatementsUntil(TokenKind::Dedent);
     expect(TokenKind::Dedent, "to end an indented block");
     return Body;
   }
   // Inline suite: `if x: do(); done()`.
-  std::vector<Stmt *> Body;
+  ListBuilder<Stmt *> Body(Ctx);
   parseSimpleStatementLine(Body);
-  return Body;
+  return Body.finish();
 }
 
-Stmt *Parser::parseFunctionDef(std::vector<Expr *> Decorators) {
+Stmt *Parser::parseFunctionDef(std::span<Expr *> Decorators) {
   SourceLoc Loc = locHere();
   expect(TokenKind::KwDef, "to start a function definition");
-  std::string Name;
+  std::string_view Name;
   if (check(TokenKind::Name))
     Name = advance().Text;
   else
     errorHere("expected function name after 'def'");
   expect(TokenKind::LParen, "after function name");
-  std::vector<Param> Params = parseParamList(TokenKind::RParen);
+  std::span<Param> Params = parseParamList(TokenKind::RParen);
   expect(TokenKind::RParen, "after parameter list");
   Expr *ReturnAnnotation = nullptr;
   if (accept(TokenKind::Arrow))
     ReturnAnnotation = parseTest();
-  std::vector<Stmt *> Body = parseBlock();
-  return Ctx.create<FunctionDefStmt>(Loc, std::move(Name), std::move(Params),
-                                     std::move(Body), std::move(Decorators),
+  std::span<Stmt *> Body = parseBlock();
+  return Ctx.create<FunctionDefStmt>(Loc, Name, Params, Body, Decorators,
                                      ReturnAnnotation);
 }
 
-Stmt *Parser::parseClassDef(std::vector<Expr *> Decorators) {
+Stmt *Parser::parseClassDef(std::span<Expr *> Decorators) {
   SourceLoc Loc = locHere();
   expect(TokenKind::KwClass, "to start a class definition");
-  std::string Name;
+  std::string_view Name;
   if (check(TokenKind::Name))
     Name = advance().Text;
   else
     errorHere("expected class name after 'class'");
-  std::vector<Expr *> Bases;
+  ListBuilder<Expr *> Bases(Ctx);
   if (accept(TokenKind::LParen)) {
     if (!check(TokenKind::RParen)) {
       do {
@@ -352,22 +394,22 @@ Stmt *Parser::parseClassDef(std::vector<Expr *> Decorators) {
     }
     expect(TokenKind::RParen, "after base class list");
   }
-  std::vector<Stmt *> Body = parseBlock();
-  return Ctx.create<ClassDefStmt>(Loc, std::move(Name), std::move(Bases),
-                                  std::move(Body), std::move(Decorators));
+  std::span<Stmt *> Body = parseBlock();
+  return Ctx.create<ClassDefStmt>(Loc, Name, Bases.finish(), Body,
+                                  Decorators);
 }
 
 Stmt *Parser::parseDecorated() {
-  std::vector<Expr *> Decorators;
+  ListBuilder<Expr *> Decorators(Ctx);
   while (check(TokenKind::At)) {
     advance();
     Decorators.push_back(parseAtomWithTrailers());
     accept(TokenKind::Newline);
   }
   if (check(TokenKind::KwDef))
-    return parseFunctionDef(std::move(Decorators));
+    return parseFunctionDef(Decorators.finish());
   if (check(TokenKind::KwClass))
-    return parseClassDef(std::move(Decorators));
+    return parseClassDef(Decorators.finish());
   errorHere("expected 'def' or 'class' after decorators");
   synchronizeToLineEnd();
   return nullptr;
@@ -377,26 +419,26 @@ Stmt *Parser::parseIf() {
   SourceLoc Loc = locHere();
   advance(); // if / elif
   Expr *Cond = parseTest();
-  std::vector<Stmt *> Then = parseBlock();
-  std::vector<Stmt *> Else;
+  std::span<Stmt *> Then = parseBlock();
+  std::span<Stmt *> Else;
   if (check(TokenKind::KwElif)) {
-    if (Stmt *Nested = parseIf())
-      Else.push_back(Nested);
+    Stmt *Nested = parseIf();
+    Else = Ctx.copyArray(std::span<Stmt *const>(&Nested, 1));
   } else if (accept(TokenKind::KwElse)) {
     Else = parseBlock();
   }
-  return Ctx.create<IfStmt>(Loc, Cond, std::move(Then), std::move(Else));
+  return Ctx.create<IfStmt>(Loc, Cond, Then, Else);
 }
 
 Stmt *Parser::parseWhile() {
   SourceLoc Loc = locHere();
   advance();
   Expr *Cond = parseTest();
-  std::vector<Stmt *> Body = parseBlock();
-  std::vector<Stmt *> Else;
+  std::span<Stmt *> Body = parseBlock();
+  std::span<Stmt *> Else;
   if (accept(TokenKind::KwElse))
     Else = parseBlock();
-  return Ctx.create<WhileStmt>(Loc, Cond, std::move(Body), std::move(Else));
+  return Ctx.create<WhileStmt>(Loc, Cond, Body, Else);
 }
 
 Stmt *Parser::parseFor() {
@@ -405,18 +447,17 @@ Stmt *Parser::parseFor() {
   Expr *Target = parseTargetList();
   expect(TokenKind::KwIn, "in for statement");
   Expr *Iter = parseExprOrTupleNoAssign();
-  std::vector<Stmt *> Body = parseBlock();
-  std::vector<Stmt *> Else;
+  std::span<Stmt *> Body = parseBlock();
+  std::span<Stmt *> Else;
   if (accept(TokenKind::KwElse))
     Else = parseBlock();
-  return Ctx.create<ForStmt>(Loc, Target, Iter, std::move(Body),
-                             std::move(Else));
+  return Ctx.create<ForStmt>(Loc, Target, Iter, Body, Else);
 }
 
 Stmt *Parser::parseWith() {
   SourceLoc Loc = locHere();
   advance();
-  std::vector<WithItem> Items;
+  ListBuilder<WithItem> Items(Ctx);
   do {
     WithItem Item;
     Item.ContextExpr = parseTest();
@@ -424,16 +465,16 @@ Stmt *Parser::parseWith() {
       Item.OptionalVars = parseAtomWithTrailers();
     Items.push_back(Item);
   } while (accept(TokenKind::Comma));
-  std::vector<Stmt *> Body = parseBlock();
-  return Ctx.create<WithStmt>(Loc, std::move(Items), std::move(Body));
+  std::span<Stmt *> Body = parseBlock();
+  return Ctx.create<WithStmt>(Loc, Items.finish(), Body);
 }
 
 Stmt *Parser::parseTry() {
   SourceLoc Loc = locHere();
   advance();
-  std::vector<Stmt *> Body = parseBlock();
-  std::vector<ExceptHandler> Handlers;
-  std::vector<Stmt *> OrElse, Finally;
+  std::span<Stmt *> Body = parseBlock();
+  ListBuilder<ExceptHandler> Handlers(Ctx);
+  std::span<Stmt *> OrElse, Finally;
   while (check(TokenKind::KwExcept)) {
     advance();
     ExceptHandler Handler;
@@ -443,7 +484,7 @@ Stmt *Parser::parseTry() {
         Handler.Name = advance().Text;
     }
     Handler.Body = parseBlock();
-    Handlers.push_back(std::move(Handler));
+    Handlers.push_back(Handler);
   }
   if (accept(TokenKind::KwElse))
     OrElse = parseBlock();
@@ -451,30 +492,52 @@ Stmt *Parser::parseTry() {
     Finally = parseBlock();
   if (Handlers.empty() && Finally.empty())
     errorHere("try statement must have an except or finally clause");
-  return Ctx.create<TryStmt>(Loc, std::move(Body), std::move(Handlers),
-                             std::move(OrElse), std::move(Finally));
+  return Ctx.create<TryStmt>(Loc, Body, Handlers.finish(), OrElse, Finally);
+}
+
+std::string_view Parser::parseDottedName() {
+  // `a.b.c`: names joined by dots. When the source spells the name with
+  // nothing between its parts, the result is a view of the source;
+  // otherwise (`a . b`, a line join) the parts are joined in the arena.
+  size_t First = Pos, Parts = 0, Joined = 0;
+  while (check(TokenKind::Name)) {
+    Joined += advance().Text.size() + (Parts ? 1 : 0);
+    ++Parts;
+    if (!accept(TokenKind::Dot))
+      break;
+  }
+  if (Parts == 0)
+    return {};
+  std::string_view Head = Tokens[First].Text;
+  std::string_view Tail = Tokens[First + 2 * (Parts - 1)].Text;
+  if (static_cast<size_t>(Tail.data() + Tail.size() - Head.data()) == Joined)
+    return {Head.data(), Joined};
+  char *Out = static_cast<char *>(Ctx.allocate(Joined, 1));
+  size_t At = 0;
+  for (size_t I = 0; I < Parts; ++I) {
+    if (I)
+      Out[At++] = '.';
+    std::string_view Part = Tokens[First + 2 * I].Text;
+    std::memcpy(Out + At, Part.data(), Part.size());
+    At += Part.size();
+  }
+  return {Out, Joined};
 }
 
 Stmt *Parser::parseImport() {
   SourceLoc Loc = locHere();
   advance();
-  std::vector<ImportAlias> Names;
+  ListBuilder<ImportAlias> Names(Ctx);
   do {
     ImportAlias Alias;
-    while (check(TokenKind::Name)) {
-      if (!Alias.Module.empty())
-        Alias.Module += '.';
-      Alias.Module += advance().Text;
-      if (!accept(TokenKind::Dot))
-        break;
-    }
+    Alias.Module = parseDottedName();
     if (Alias.Module.empty())
       errorHere("expected module name after 'import'");
     if (accept(TokenKind::KwAs) && check(TokenKind::Name))
       Alias.AsName = advance().Text;
-    Names.push_back(std::move(Alias));
+    Names.push_back(Alias);
   } while (accept(TokenKind::Comma));
-  return Ctx.create<ImportStmt>(Loc, std::move(Names));
+  return Ctx.create<ImportStmt>(Loc, Names.finish());
 }
 
 Stmt *Parser::parseImportFrom() {
@@ -483,18 +546,11 @@ Stmt *Parser::parseImportFrom() {
   unsigned Level = 0;
   while (accept(TokenKind::Dot))
     ++Level;
-  std::string Module;
-  while (check(TokenKind::Name)) {
-    if (!Module.empty())
-      Module += '.';
-    Module += advance().Text;
-    if (!accept(TokenKind::Dot))
-      break;
-  }
+  std::string_view Module = parseDottedName();
   expect(TokenKind::KwImport, "in from-import statement");
-  std::vector<ImportAlias> Names;
-  if (accept(TokenKind::Star)) {
-    Names.push_back({"*", ""});
+  ListBuilder<ImportAlias> Names(Ctx);
+  if (check(TokenKind::Star)) {
+    Names.push_back({advance().Text, {}}); // Module "*": a star import.
   } else {
     bool Paren = accept(TokenKind::LParen);
     do {
@@ -507,17 +563,16 @@ Stmt *Parser::parseImportFrom() {
         errorHere("expected imported name");
       if (accept(TokenKind::KwAs) && check(TokenKind::Name))
         Alias.AsName = advance().Text;
-      Names.push_back(std::move(Alias));
+      Names.push_back(Alias);
     } while (accept(TokenKind::Comma));
     if (Paren)
       expect(TokenKind::RParen, "after import list");
   }
-  return Ctx.create<ImportFromStmt>(Loc, std::move(Module), std::move(Names),
-                                    Level);
+  return Ctx.create<ImportFromStmt>(Loc, Module, Names.finish(), Level);
 }
 
-std::vector<Param> Parser::parseParamList(TokenKind Terminator) {
-  std::vector<Param> Params;
+std::span<Param> Parser::parseParamList(TokenKind Terminator) {
+  ListBuilder<Param> Params(Ctx);
   while (!check(Terminator) && !check(TokenKind::EndOfFile)) {
     Param P;
     P.Loc = locHere();
@@ -544,11 +599,11 @@ std::vector<Param> Parser::parseParamList(TokenKind Terminator) {
       P.Annotation = parseTest();
     if (accept(TokenKind::Equal))
       P.Default = parseTest();
-    Params.push_back(std::move(P));
+    Params.push_back(P);
     if (!accept(TokenKind::Comma))
       break;
   }
-  return Params;
+  return Params.finish();
 }
 
 //===----------------------------------------------------------------------===//
@@ -571,7 +626,8 @@ Expr *Parser::parseTargetList() {
   Expr *First = ParseOne();
   if (!check(TokenKind::Comma))
     return First;
-  std::vector<Expr *> Elements{First};
+  ListBuilder<Expr *> Elements(Ctx);
+  Elements.push_back(First);
   while (accept(TokenKind::Comma)) {
     if (check(TokenKind::KwIn) || check(TokenKind::Equal) ||
         check(TokenKind::Colon) || check(TokenKind::Newline) ||
@@ -579,7 +635,7 @@ Expr *Parser::parseTargetList() {
       break;
     Elements.push_back(ParseOne());
   }
-  return Ctx.create<TupleExpr>(Loc, std::move(Elements));
+  return Ctx.create<TupleExpr>(Loc, Elements.finish());
 }
 
 Expr *Parser::parseExprOrTupleNoAssign() {
@@ -587,7 +643,8 @@ Expr *Parser::parseExprOrTupleNoAssign() {
   Expr *First = parseStarOrTest();
   if (!check(TokenKind::Comma))
     return First;
-  std::vector<Expr *> Elements{First};
+  ListBuilder<Expr *> Elements(Ctx);
+  Elements.push_back(First);
   while (accept(TokenKind::Comma)) {
     // A trailing comma still makes a tuple: `x, = f()`.
     if (check(TokenKind::Newline) || check(TokenKind::Equal) ||
@@ -597,7 +654,7 @@ Expr *Parser::parseExprOrTupleNoAssign() {
       break;
     Elements.push_back(parseStarOrTest());
   }
-  return Ctx.create<TupleExpr>(Loc, std::move(Elements));
+  return Ctx.create<TupleExpr>(Loc, Elements.finish());
 }
 
 Expr *Parser::parseStarOrTest() {
@@ -625,10 +682,10 @@ Expr *Parser::parseTest() {
 Expr *Parser::parseLambda() {
   SourceLoc Loc = locHere();
   expect(TokenKind::KwLambda, "to start a lambda");
-  std::vector<Param> Params = parseParamList(TokenKind::Colon);
+  std::span<Param> Params = parseParamList(TokenKind::Colon);
   expect(TokenKind::Colon, "after lambda parameters");
   Expr *Body = parseTest();
-  return Ctx.create<LambdaExpr>(Loc, std::move(Params), Body);
+  return Ctx.create<LambdaExpr>(Loc, Params, Body);
 }
 
 Expr *Parser::parseOrTest() {
@@ -636,10 +693,11 @@ Expr *Parser::parseOrTest() {
   Expr *First = parseAndTest();
   if (!check(TokenKind::KwOr))
     return First;
-  std::vector<Expr *> Operands{First};
+  ListBuilder<Expr *> Operands(Ctx);
+  Operands.push_back(First);
   while (accept(TokenKind::KwOr))
     Operands.push_back(parseAndTest());
-  return Ctx.create<BoolOpExpr>(Loc, /*IsAnd=*/false, std::move(Operands));
+  return Ctx.create<BoolOpExpr>(Loc, /*IsAnd=*/false, Operands.finish());
 }
 
 Expr *Parser::parseAndTest() {
@@ -647,10 +705,11 @@ Expr *Parser::parseAndTest() {
   Expr *First = parseNotTest();
   if (!check(TokenKind::KwAnd))
     return First;
-  std::vector<Expr *> Operands{First};
+  ListBuilder<Expr *> Operands(Ctx);
+  Operands.push_back(First);
   while (accept(TokenKind::KwAnd))
     Operands.push_back(parseNotTest());
-  return Ctx.create<BoolOpExpr>(Loc, /*IsAnd=*/true, std::move(Operands));
+  return Ctx.create<BoolOpExpr>(Loc, /*IsAnd=*/true, Operands.finish());
 }
 
 Expr *Parser::parseNotTest() {
@@ -665,8 +724,8 @@ Expr *Parser::parseNotTest() {
 Expr *Parser::parseComparison() {
   SourceLoc Loc = locHere();
   Expr *First = parseBitOr();
-  std::vector<CompareOp> Ops;
-  std::vector<Expr *> Comparators;
+  ListBuilder<CompareOp> Ops(Ctx);
+  ListBuilder<Expr *> Comparators(Ctx);
   for (;;) {
     CompareOp Op;
     if (accept(TokenKind::EqEq))
@@ -697,8 +756,8 @@ Expr *Parser::parseComparison() {
   }
   if (Ops.empty())
     return First;
-  return Ctx.create<CompareExpr>(Loc, First, std::move(Ops),
-                                 std::move(Comparators));
+  return Ctx.create<CompareExpr>(Loc, First, Ops.finish(),
+                                 Comparators.finish());
 }
 
 Expr *Parser::parseBitOr() {
@@ -805,11 +864,7 @@ Expr *Parser::parseAtomWithTrailers() {
       continue;
     }
     if (accept(TokenKind::LParen)) {
-      std::vector<Expr *> Args;
-      std::vector<KeywordArg> Keywords;
-      parseCallArgs(Args, Keywords);
-      expect(TokenKind::RParen, "after call arguments");
-      E = Ctx.create<CallExpr>(Loc, E, std::move(Args), std::move(Keywords));
+      E = parseCall(Loc, E);
       continue;
     }
     if (accept(TokenKind::LBracket)) {
@@ -845,52 +900,57 @@ Expr *Parser::parseSubscriptIndex() {
   Expr *First = ParseItem();
   if (!check(TokenKind::Comma))
     return First;
-  std::vector<Expr *> Items{First};
+  ListBuilder<Expr *> Items(Ctx);
+  Items.push_back(First);
   while (accept(TokenKind::Comma)) {
     if (check(TokenKind::RBracket))
       break;
     Items.push_back(ParseItem());
   }
-  return Ctx.create<TupleExpr>(Loc, std::move(Items));
+  return Ctx.create<TupleExpr>(Loc, Items.finish());
 }
 
-void Parser::parseCallArgs(std::vector<Expr *> &Args,
-                           std::vector<KeywordArg> &Keywords) {
-  if (check(TokenKind::RParen))
-    return;
-  do {
-    if (check(TokenKind::RParen))
-      break; // Trailing comma.
-    SourceLoc Loc = locHere();
-    if (accept(TokenKind::Star)) {
-      Args.push_back(Ctx.create<StarredExpr>(Loc, parseTest()));
-      continue;
-    }
-    if (accept(TokenKind::DoubleStar)) {
-      Keywords.push_back({"", parseTest()});
-      continue;
-    }
-    if (check(TokenKind::Name) && peek(1).is(TokenKind::Equal)) {
-      std::string Name = advance().Text;
-      advance(); // '='
-      Keywords.push_back({std::move(Name), parseTest()});
-      continue;
-    }
-    Expr *Arg = parseTest();
-    // Generator expression as sole call argument: f(x for x in xs).
-    if (check(TokenKind::KwFor)) {
-      advance();
-      Expr *Target = parseTargetList();
-      expect(TokenKind::KwIn, "in generator expression");
-      Expr *Iter = parseOrTest();
-      Expr *Cond = nullptr;
-      if (accept(TokenKind::KwIf))
-        Cond = parseOrTest();
-      Arg = Ctx.create<ComprehensionExpr>(Loc, ComprehensionKind::Generator,
-                                          Arg, nullptr, Target, Iter, Cond);
-    }
-    Args.push_back(Arg);
-  } while (accept(TokenKind::Comma));
+Expr *Parser::parseCall(SourceLoc Loc, Expr *Callee) {
+  ListBuilder<Expr *> Args(Ctx);
+  ListBuilder<KeywordArg> Keywords(Ctx);
+  if (!check(TokenKind::RParen)) {
+    do {
+      if (check(TokenKind::RParen))
+        break; // Trailing comma.
+      SourceLoc ArgLoc = locHere();
+      if (accept(TokenKind::Star)) {
+        Args.push_back(Ctx.create<StarredExpr>(ArgLoc, parseTest()));
+        continue;
+      }
+      if (accept(TokenKind::DoubleStar)) {
+        Keywords.push_back({{}, parseTest()});
+        continue;
+      }
+      if (check(TokenKind::Name) && peek(1).is(TokenKind::Equal)) {
+        std::string_view Name = advance().Text;
+        advance(); // '='
+        Keywords.push_back({Name, parseTest()});
+        continue;
+      }
+      Expr *Arg = parseTest();
+      // Generator expression as sole call argument: f(x for x in xs).
+      if (check(TokenKind::KwFor)) {
+        advance();
+        Expr *Target = parseTargetList();
+        expect(TokenKind::KwIn, "in generator expression");
+        Expr *Iter = parseOrTest();
+        Expr *Cond = nullptr;
+        if (accept(TokenKind::KwIf))
+          Cond = parseOrTest();
+        Arg = Ctx.create<ComprehensionExpr>(ArgLoc,
+                                            ComprehensionKind::Generator, Arg,
+                                            nullptr, Target, Iter, Cond);
+      }
+      Args.push_back(Arg);
+    } while (accept(TokenKind::Comma));
+  }
+  expect(TokenKind::RParen, "after call arguments");
+  return Ctx.create<CallExpr>(Loc, Callee, Args.finish(), Keywords.finish());
 }
 
 Expr *Parser::parseAtom() {
@@ -903,7 +963,7 @@ Expr *Parser::parseAtom() {
   DepthScope Scope(Depth);
   switch (current().Kind) {
   case TokenKind::Name: {
-    Token Tok = advance();
+    const Token &Tok = advance();
     // Walrus `name := value` appears in conditions; model as the value.
     if (accept(TokenKind::Walrus)) {
       Expr *Value = parseTest();
@@ -913,25 +973,8 @@ Expr *Parser::parseAtom() {
   }
   case TokenKind::Number:
     return Ctx.create<NumberExpr>(Loc, advance().Text);
-  case TokenKind::String: {
-    // Adjacent string literals concatenate; the result is an f-string if
-    // any piece is one.
-    std::string Value;
-    std::vector<Expr *> Interpolations;
-    bool AnyFString = false;
-    do {
-      Token Piece = advance();
-      if (Piece.IsFString) {
-        AnyFString = true;
-        parseFStringInterpolations(Piece.Text, Loc, Interpolations);
-      }
-      Value += Piece.Text;
-    } while (check(TokenKind::String));
-    if (AnyFString)
-      return Ctx.create<JoinedStrExpr>(Loc, std::move(Value),
-                                       std::move(Interpolations));
-    return Ctx.create<StringExpr>(Loc, std::move(Value));
-  }
+  case TokenKind::String:
+    return parseStrings();
   case TokenKind::KwTrue:
     advance();
     return Ctx.create<BoolExpr>(Loc, true);
@@ -957,7 +1000,7 @@ Expr *Parser::parseAtom() {
   case TokenKind::LParen: {
     advance();
     if (accept(TokenKind::RParen))
-      return Ctx.create<TupleExpr>(Loc, std::vector<Expr *>{});
+      return Ctx.create<TupleExpr>(Loc, std::span<Expr *>());
     Expr *First = parseStarOrTest();
     if (check(TokenKind::KwFor)) {
       advance();
@@ -972,14 +1015,15 @@ Expr *Parser::parseAtom() {
                                            First, nullptr, Target, Iter, Cond);
     }
     if (check(TokenKind::Comma)) {
-      std::vector<Expr *> Elements{First};
+      ListBuilder<Expr *> Elements(Ctx);
+      Elements.push_back(First);
       while (accept(TokenKind::Comma)) {
         if (check(TokenKind::RParen))
           break;
         Elements.push_back(parseStarOrTest());
       }
       expect(TokenKind::RParen, "after tuple display");
-      return Ctx.create<TupleExpr>(Loc, std::move(Elements));
+      return Ctx.create<TupleExpr>(Loc, Elements.finish());
     }
     expect(TokenKind::RParen, "after parenthesized expression");
     return First;
@@ -987,7 +1031,7 @@ Expr *Parser::parseAtom() {
   case TokenKind::LBracket: {
     advance();
     if (accept(TokenKind::RBracket))
-      return Ctx.create<ListExpr>(Loc, std::vector<Expr *>{});
+      return Ctx.create<ListExpr>(Loc, std::span<Expr *>());
     Expr *First = parseStarOrTest();
     if (check(TokenKind::KwFor)) {
       advance();
@@ -1001,24 +1045,24 @@ Expr *Parser::parseAtom() {
       return Ctx.create<ComprehensionExpr>(Loc, ComprehensionKind::List, First,
                                            nullptr, Target, Iter, Cond);
     }
-    std::vector<Expr *> Elements{First};
+    ListBuilder<Expr *> Elements(Ctx);
+    Elements.push_back(First);
     while (accept(TokenKind::Comma)) {
       if (check(TokenKind::RBracket))
         break;
       Elements.push_back(parseStarOrTest());
     }
     expect(TokenKind::RBracket, "after list display");
-    return Ctx.create<ListExpr>(Loc, std::move(Elements));
+    return Ctx.create<ListExpr>(Loc, Elements.finish());
   }
   case TokenKind::LBrace: {
     advance();
     if (accept(TokenKind::RBrace))
-      return Ctx.create<DictExpr>(Loc, std::vector<Expr *>{},
-                                  std::vector<Expr *>{});
-    // `**mapping` can only start a dict display.
-    if (accept(TokenKind::DoubleStar)) {
-      std::vector<Expr *> Keys{nullptr};
-      std::vector<Expr *> Values{parseTest()};
+      return Ctx.create<DictExpr>(Loc, std::span<Expr *>(),
+                                  std::span<Expr *>());
+    ListBuilder<Expr *> Keys(Ctx), Values(Ctx);
+    // The rest of a dict display, after its first entry.
+    auto DictTail = [&]() -> Expr * {
       while (accept(TokenKind::Comma)) {
         if (check(TokenKind::RBrace))
           break;
@@ -1032,7 +1076,13 @@ Expr *Parser::parseAtom() {
         Values.push_back(parseTest());
       }
       expect(TokenKind::RBrace, "after dict display");
-      return Ctx.create<DictExpr>(Loc, std::move(Keys), std::move(Values));
+      return Ctx.create<DictExpr>(Loc, Keys.finish(), Values.finish());
+    };
+    // `**mapping` can only start a dict display.
+    if (accept(TokenKind::DoubleStar)) {
+      Keys.push_back(nullptr);
+      Values.push_back(parseTest());
+      return DictTail();
     }
     Expr *First = parseTest();
     if (accept(TokenKind::Colon)) {
@@ -1050,22 +1100,9 @@ Expr *Parser::parseAtom() {
                                              FirstValue, First, Target, Iter,
                                              Cond);
       }
-      std::vector<Expr *> Keys{First};
-      std::vector<Expr *> Values{FirstValue};
-      while (accept(TokenKind::Comma)) {
-        if (check(TokenKind::RBrace))
-          break;
-        if (accept(TokenKind::DoubleStar)) {
-          Keys.push_back(nullptr);
-          Values.push_back(parseTest());
-          continue;
-        }
-        Keys.push_back(parseTest());
-        expect(TokenKind::Colon, "in dict display");
-        Values.push_back(parseTest());
-      }
-      expect(TokenKind::RBrace, "after dict display");
-      return Ctx.create<DictExpr>(Loc, std::move(Keys), std::move(Values));
+      Keys.push_back(First);
+      Values.push_back(FirstValue);
+      return DictTail();
     }
     if (check(TokenKind::KwFor)) {
       advance();
@@ -1079,14 +1116,15 @@ Expr *Parser::parseAtom() {
       return Ctx.create<ComprehensionExpr>(Loc, ComprehensionKind::Set, First,
                                            nullptr, Target, Iter, Cond);
     }
-    std::vector<Expr *> Elements{First};
+    ListBuilder<Expr *> Elements(Ctx);
+    Elements.push_back(First);
     while (accept(TokenKind::Comma)) {
       if (check(TokenKind::RBrace))
         break;
       Elements.push_back(parseTest());
     }
     expect(TokenKind::RBrace, "after set display");
-    return Ctx.create<SetExpr>(Loc, std::move(Elements));
+    return Ctx.create<SetExpr>(Loc, Elements.finish());
   }
   default:
     errorHere(std::string("unexpected token '") +
@@ -1099,11 +1137,56 @@ Expr *Parser::parseAtom() {
   }
 }
 
-void Parser::parseFStringInterpolations(const std::string &Text,
-                                        SourceLoc Loc,
-                                        std::vector<Expr *> &Out) {
+Expr *Parser::parseStrings() {
+  // Adjacent string literals concatenate; the result is an f-string if any
+  // piece is one. A lone literal with nothing to decode is its token's
+  // view of the source; otherwise the pieces are decoded and joined into
+  // one arena buffer, and each f-string piece's fields are parsed out of
+  // its part of that buffer.
+  SourceLoc Loc = locHere();
+  size_t First = Pos, Last = Pos, Bytes = 0;
+  bool Copy = false, AnyFString = false;
+  for (; Tokens[Last].is(TokenKind::String); ++Last) {
+    Bytes += Tokens[Last].Text.size();
+    Copy |= Tokens[Last].NeedsDecode;
+    AnyFString |= Tokens[Last].IsFString;
+  }
+  Copy |= Last - First > 1;
+  Pos = Last; // The stream ends with EndOfFile, so Last is in range.
+
+  char *Buf = Copy ? static_cast<char *>(Ctx.allocate(Bytes, 1)) : nullptr;
+  char *At = Buf;
+  ListBuilder<Expr *> Interpolations(Ctx);
+  for (size_t I = First; I < Last; ++I) {
+    const Token &Piece = Tokens[I];
+    std::string_view Text = Piece.Text;
+    if (Copy) {
+      char *PieceBegin = At;
+      if (Piece.NeedsDecode) {
+        At = decodeBody(Piece.Text, At);
+      } else if (!Piece.Text.empty()) {
+        std::memcpy(At, Piece.Text.data(), Piece.Text.size());
+        At += Piece.Text.size();
+      }
+      Text = {PieceBegin, static_cast<size_t>(At - PieceBegin)};
+    }
+    if (Piece.IsFString)
+      parseFStringInterpolations(Text, Loc, Interpolations);
+  }
+  std::string_view Value =
+      Copy ? std::string_view(Buf, static_cast<size_t>(At - Buf))
+           : Tokens[First].Text;
+  if (AnyFString)
+    return Ctx.create<JoinedStrExpr>(Loc, Value, Interpolations.finish());
+  return Ctx.create<StringExpr>(Loc, Value);
+}
+
+void Parser::parseFStringInterpolations(std::string_view Text, SourceLoc Loc,
+                                        ListBuilder<Expr *> &Out) {
   // Scan for `{expr[!conv][:format][=]}` fields; `{{`/`}}` are literal
   // braces. Quoted spans inside a field are skipped so `{d['k']}` works.
+  // Text lives in the source or the arena, so the names parsed out of a
+  // field can view it.
   for (size_t I = 0; I < Text.size(); ++I) {
     char C = Text[I];
     if (C == '}') {
@@ -1120,8 +1203,8 @@ void Parser::parseFStringInterpolations(const std::string &Text,
     // Find the matching close brace and the end of the expression part
     // (the first `:` or `!conv` at depth 0 starts the format spec).
     size_t Depth = 1;
-    size_t ExprEnd = std::string::npos;
-    size_t FieldEnd = std::string::npos;
+    size_t ExprEnd = std::string_view::npos;
+    size_t FieldEnd = std::string_view::npos;
     char Quote = '\0';
     for (size_t J = I + 1; J < Text.size(); ++J) {
       char D = Text[J];
@@ -1139,7 +1222,7 @@ void Parser::parseFStringInterpolations(const std::string &Text,
       if (D == '}' || D == ']' || D == ')') {
         if (D == '}' && Depth == 1) {
           FieldEnd = J;
-          if (ExprEnd == std::string::npos)
+          if (ExprEnd == std::string_view::npos)
             ExprEnd = J;
           break;
         }
@@ -1147,32 +1230,34 @@ void Parser::parseFStringInterpolations(const std::string &Text,
           --Depth;
         continue;
       }
-      if (Depth == 1 && ExprEnd == std::string::npos) {
+      if (Depth == 1 && ExprEnd == std::string_view::npos) {
         if (D == ':')
           ExprEnd = J;
         else if (D == '!' && J + 1 < Text.size() && Text[J + 1] != '=')
           ExprEnd = J;
       }
     }
-    if (FieldEnd == std::string::npos) {
+    if (FieldEnd == std::string_view::npos) {
       Errors.push_back({Loc.Line, Loc.Col,
                         "unterminated interpolation in f-string"});
       return;
     }
-    std::string ExprText = Text.substr(I + 1, ExprEnd - I - 1);
+    std::string_view ExprText = Text.substr(I + 1, ExprEnd - I - 1);
     // f"{x=}" debug form: the trailing '=' is display sugar.
     while (!ExprText.empty() && ExprText.back() == '=')
-      ExprText.pop_back();
+      ExprText.remove_suffix(1);
     if (!ExprText.empty()) {
-      Lexer SubLexer(ExprText);
-      Parser SubParser(Ctx, SubLexer.lexAll());
-      ModuleNode *Sub = SubParser.parseModule();
-      for (const ParseError &E : SubParser.errors())
+      Lexer FieldLexer(ExprText);
+      FieldLexer.lexAll(FieldTokens);
+      Parser Field(Ctx, std::move(FieldTokens));
+      ModuleNode *Sub = Field.parseModule();
+      for (const ParseError &E : Field.errors())
         Errors.push_back({Loc.Line, Loc.Col,
                           "in f-string interpolation: " + E.Message});
       if (Sub->Body.size() == 1)
         if (const auto *ES = dyn_cast<ExprStmt>(Sub->Body.front()))
           Out.push_back(ES->Value);
+      FieldTokens = std::move(Field.Tokens);
     }
     I = FieldEnd;
   }
@@ -1181,15 +1266,26 @@ void Parser::parseFStringInterpolations(const std::string &Text,
 ModuleNode *seldon::pyast::parseSource(AstContext &Ctx,
                                        std::string_view Source,
                                        std::vector<ParseError> *ErrorsOut) {
-  Lexer Lex(Source);
+  // The AST views the text it was parsed from, so that text moves into the
+  // context first.
+  Timer LexClock;
+  Lexer Lex(Ctx.copyText(Source));
   std::vector<Token> Tokens = Lex.lexAll();
+  double LexSeconds = LexClock.seconds();
   if (ErrorsOut)
     for (const LexError &E : Lex.errors())
       ErrorsOut->push_back({E.Line, E.Col, E.Message});
+  Timer ParseClock;
   Parser P(Ctx, std::move(Tokens));
   ModuleNode *M = P.parseModule();
+  double ParseSeconds = ParseClock.seconds();
   if (ErrorsOut)
     for (const ParseError &E : P.errors())
       ErrorsOut->push_back(E);
+  metrics::Registry &Reg = metrics::Registry::global();
+  if (Reg.enabled()) {
+    Reg.timer("lex.file_seconds").record(LexSeconds);
+    Reg.timer("parse.file_seconds").record(ParseSeconds);
+  }
   return M;
 }

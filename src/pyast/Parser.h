@@ -9,6 +9,12 @@
 /// A recursive-descent parser for the Python subset used by the propagation
 /// graph builder. Produces an AST allocated in a caller-provided AstContext.
 ///
+/// The AST's names and literals are views into the text the tokens were
+/// lexed from, so that text must outlive the AST. parseSource() meets this
+/// by copying the text into the context first; a caller that lexes its
+/// own text and hands the tokens to a Parser must keep the text alive
+/// while it uses the AST.
+///
 /// On syntax errors the parser records a diagnostic, skips to the end of the
 /// current logical line, and continues, so one malformed statement does not
 /// discard a whole file (important when analyzing big code).
@@ -21,7 +27,9 @@
 #include "pyast/Ast.h"
 #include "pyast/Token.h"
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace seldon {
@@ -37,6 +45,8 @@ struct ParseError {
 /// Parses a token stream (as produced by Lexer::lexAll) into a ModuleNode.
 class Parser {
 public:
+  /// Parses \p Tokens, whose text must outlive the AST (see the file
+  /// comment).
   Parser(AstContext &Ctx, std::vector<Token> Tokens);
 
   /// Parses the whole token stream. Never returns null; a file that fails
@@ -47,26 +57,28 @@ public:
   const std::vector<ParseError> &errors() const { return Errors; }
 
 private:
+  template <typename T> class ListBuilder;
+
   // Token-stream helpers.
   const Token &peek(size_t Ahead = 0) const;
-  const Token &current() const { return peek(0); }
-  Token advance();
+  const Token &current() const { return Tokens[Pos]; }
+  const Token &advance();
   bool check(TokenKind Kind) const { return current().is(Kind); }
   bool accept(TokenKind Kind);
   bool expect(TokenKind Kind, const char *Context);
-  void errorHere(const std::string &Message);
+  void errorHere(std::string Message);
   void synchronizeToLineEnd();
   SourceLoc locHere() const;
 
   // Statements.
-  std::vector<Stmt *> parseStatementsUntil(TokenKind Terminator);
+  std::span<Stmt *> parseStatementsUntil(TokenKind Terminator);
   Stmt *parseStatement();
-  void parseSimpleStatementLine(std::vector<Stmt *> &Out);
+  void parseSimpleStatementLine(ListBuilder<Stmt *> &Out);
   Stmt *parseSmallStatement();
   Stmt *parseExprLikeStatement();
-  std::vector<Stmt *> parseBlock();
-  Stmt *parseFunctionDef(std::vector<Expr *> Decorators);
-  Stmt *parseClassDef(std::vector<Expr *> Decorators);
+  std::span<Stmt *> parseBlock();
+  Stmt *parseFunctionDef(std::span<Expr *> Decorators);
+  Stmt *parseClassDef(std::span<Expr *> Decorators);
   Stmt *parseDecorated();
   Stmt *parseIf();
   Stmt *parseWhile();
@@ -75,7 +87,8 @@ private:
   Stmt *parseTry();
   Stmt *parseImport();
   Stmt *parseImportFrom();
-  std::vector<Param> parseParamList(TokenKind Terminator);
+  std::string_view parseDottedName();
+  std::span<Param> parseParamList(TokenKind Terminator);
 
   // Expressions (precedence-ordered).
   Expr *parseTargetList();
@@ -97,16 +110,19 @@ private:
   Expr *parsePower();
   Expr *parseAtomWithTrailers();
   Expr *parseAtom();
+  Expr *parseStrings();
   Expr *parseSubscriptIndex();
-  void parseCallArgs(std::vector<Expr *> &Args,
-                     std::vector<KeywordArg> &Keywords);
-  void parseFStringInterpolations(const std::string &Text, SourceLoc Loc,
-                                  std::vector<Expr *> &Out);
+  Expr *parseCall(SourceLoc Loc, Expr *Callee);
+  void parseFStringInterpolations(std::string_view Text, SourceLoc Loc,
+                                  ListBuilder<Expr *> &Out);
 
   AstContext &Ctx;
   std::vector<Token> Tokens;
   size_t Pos = 0;
   std::vector<ParseError> Errors;
+  /// The tokens of the f-string field being parsed, kept across fields so
+  /// their capacity is reused.
+  std::vector<Token> FieldTokens;
 
   /// Recursion-depth ceiling for the descent (statements and expressions
   /// share it). Pathologically nested input — e.g. ten thousand opening
@@ -119,7 +135,10 @@ private:
 };
 
 /// Convenience: lex and parse \p Source into \p Ctx, appending any lexer and
-/// parser diagnostics to \p ErrorsOut (may be null to ignore).
+/// parser diagnostics to \p ErrorsOut (may be null to ignore). The text is
+/// copied into \p Ctx first, so the AST does not depend on \p Source
+/// staying alive. When the global metrics registry is enabled, the lex and
+/// the parse are timed apart into lex.file_seconds and parse.file_seconds.
 ModuleNode *parseSource(AstContext &Ctx, std::string_view Source,
                         std::vector<ParseError> *ErrorsOut = nullptr);
 

@@ -2,7 +2,8 @@
 
 #include "pyast/Token.h"
 
-#include <unordered_map>
+#include <cstring>
+#include <span>
 
 using namespace seldon;
 using namespace seldon::pyast;
@@ -100,26 +101,99 @@ const char *seldon::pyast::tokenKindName(TokenKind Kind) {
   return "unknown";
 }
 
-TokenKind seldon::pyast::classifyIdentifier(const std::string &Ident) {
-  static const std::unordered_map<std::string, TokenKind> Keywords = {
-      {"and", TokenKind::KwAnd},           {"as", TokenKind::KwAs},
-      {"assert", TokenKind::KwAssert},     {"break", TokenKind::KwBreak},
-      {"class", TokenKind::KwClass},       {"continue", TokenKind::KwContinue},
-      {"def", TokenKind::KwDef},           {"del", TokenKind::KwDel},
-      {"elif", TokenKind::KwElif},         {"else", TokenKind::KwElse},
-      {"except", TokenKind::KwExcept},     {"False", TokenKind::KwFalse},
-      {"finally", TokenKind::KwFinally},   {"for", TokenKind::KwFor},
-      {"from", TokenKind::KwFrom},         {"global", TokenKind::KwGlobal},
-      {"if", TokenKind::KwIf},             {"import", TokenKind::KwImport},
-      {"in", TokenKind::KwIn},             {"is", TokenKind::KwIs},
-      {"lambda", TokenKind::KwLambda},     {"None", TokenKind::KwNone},
-      {"nonlocal", TokenKind::KwNonlocal}, {"not", TokenKind::KwNot},
-      {"or", TokenKind::KwOr},             {"pass", TokenKind::KwPass},
-      {"raise", TokenKind::KwRaise},       {"return", TokenKind::KwReturn},
-      {"True", TokenKind::KwTrue},         {"try", TokenKind::KwTry},
-      {"while", TokenKind::KwWhile},       {"with", TokenKind::KwWith},
-      {"yield", TokenKind::KwYield},
+TokenKind seldon::pyast::classifyIdentifier(std::string_view Ident) {
+  struct Keyword {
+    const char *Spelling;
+    TokenKind Kind;
   };
-  auto It = Keywords.find(Ident);
-  return It == Keywords.end() ? TokenKind::Name : It->second;
+  // Keywords bucketed by length (2 to 8), so a name is compared against
+  // at most eight spellings of its own length.
+  static const Keyword Len2[] = {{"as", TokenKind::KwAs},
+                                 {"if", TokenKind::KwIf},
+                                 {"in", TokenKind::KwIn},
+                                 {"is", TokenKind::KwIs},
+                                 {"or", TokenKind::KwOr}};
+  static const Keyword Len3[] = {{"and", TokenKind::KwAnd},
+                                 {"def", TokenKind::KwDef},
+                                 {"del", TokenKind::KwDel},
+                                 {"for", TokenKind::KwFor},
+                                 {"not", TokenKind::KwNot},
+                                 {"try", TokenKind::KwTry}};
+  static const Keyword Len4[] = {{"elif", TokenKind::KwElif},
+                                 {"else", TokenKind::KwElse},
+                                 {"from", TokenKind::KwFrom},
+                                 {"None", TokenKind::KwNone},
+                                 {"pass", TokenKind::KwPass},
+                                 {"True", TokenKind::KwTrue},
+                                 {"with", TokenKind::KwWith}};
+  static const Keyword Len5[] = {{"break", TokenKind::KwBreak},
+                                 {"class", TokenKind::KwClass},
+                                 {"False", TokenKind::KwFalse},
+                                 {"raise", TokenKind::KwRaise},
+                                 {"while", TokenKind::KwWhile},
+                                 {"yield", TokenKind::KwYield}};
+  static const Keyword Len6[] = {{"assert", TokenKind::KwAssert},
+                                 {"except", TokenKind::KwExcept},
+                                 {"global", TokenKind::KwGlobal},
+                                 {"import", TokenKind::KwImport},
+                                 {"lambda", TokenKind::KwLambda},
+                                 {"return", TokenKind::KwReturn}};
+  static const Keyword Len7[] = {{"finally", TokenKind::KwFinally}};
+  static const Keyword Len8[] = {{"continue", TokenKind::KwContinue},
+                                 {"nonlocal", TokenKind::KwNonlocal}};
+  std::span<const Keyword> Bucket;
+  switch (Ident.size()) {
+  case 2: Bucket = Len2; break;
+  case 3: Bucket = Len3; break;
+  case 4: Bucket = Len4; break;
+  case 5: Bucket = Len5; break;
+  case 6: Bucket = Len6; break;
+  case 7: Bucket = Len7; break;
+  case 8: Bucket = Len8; break;
+  default: return TokenKind::Name;
+  }
+  for (const Keyword &K : Bucket)
+    if (std::memcmp(K.Spelling, Ident.data(), Ident.size()) == 0)
+      return K.Kind;
+  return TokenKind::Name;
+}
+
+char *seldon::pyast::decodeBody(std::string_view Body, char *Out) {
+  const char *Cur = Body.data(), *End = Cur + Body.size();
+  while (Cur != End) {
+    char C = *Cur++;
+    if (C != '\\' || Cur == End) { // A trailing backslash stays.
+      *Out++ = C;
+      continue;
+    }
+    switch (char E = *Cur++) {
+    case 'n': *Out++ = '\n'; break;
+    case 't': *Out++ = '\t'; break;
+    case 'r': *Out++ = '\r'; break;
+    case '0': *Out++ = '\0'; break;
+    case '\\':
+    case '\'':
+    case '"': *Out++ = E; break;
+    case '\n': break; // Line continuation inside a string.
+    case '\r':
+      if (Cur != End && *Cur == '\n') { // The same, before CRLF.
+        ++Cur;
+        break;
+      }
+      [[fallthrough]];
+    default:
+      *Out++ = '\\';
+      *Out++ = E;
+      break;
+    }
+  }
+  return Out;
+}
+
+std::string seldon::pyast::decodedText(const Token &T) {
+  if (!T.NeedsDecode)
+    return std::string(T.Text);
+  std::string Out(T.Text.size(), '\0');
+  Out.resize(static_cast<size_t>(decodeBody(T.Text, Out.data()) - Out.data()));
+  return Out;
 }

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace seldon {
 namespace pyast {
@@ -125,23 +126,41 @@ const char *tokenKindName(TokenKind Kind);
 
 /// If \p Ident is a Python keyword in our subset, returns its TokenKind;
 /// otherwise returns TokenKind::Name.
-TokenKind classifyIdentifier(const std::string &Ident);
+TokenKind classifyIdentifier(std::string_view Ident);
 
-/// A single lexed token. \c Text carries the identifier spelling, the
-/// decoded string-literal contents, or the number spelling; it is empty for
-/// punctuation.
+/// A single lexed token: its kind, its position, and \c Text, a view into
+/// the lexed text. \c Text is the spelling of a name, keyword, number or
+/// operator, the offending byte of an Error, and empty for the layout
+/// tokens. For a string literal it is the raw body: the bytes between the
+/// quotes, prefix and quotes stripped, escapes not yet decoded (see
+/// decodedText()). A token never owns memory; it is valid while the text
+/// it was lexed from is.
 struct Token {
-  TokenKind Kind = TokenKind::EndOfFile;
-  std::string Text;
+  std::string_view Text;
   uint32_t Line = 0; ///< 1-based line number.
   uint32_t Col = 0;  ///< 1-based column number.
+  TokenKind Kind = TokenKind::EndOfFile;
   /// True for string literals lexed from an f-string prefix; the parser
-  /// then parses `{...}` interpolations out of Text.
+  /// then parses `{...}` interpolations out of the decoded text.
   bool IsFString = false;
+  /// True for a string whose body needs decoding: a non-raw body that
+  /// holds a backslash. Otherwise the body is the literal's value.
+  bool NeedsDecode = false;
 
   bool is(TokenKind K) const { return Kind == K; }
   bool isNot(TokenKind K) const { return Kind != K; }
 };
+
+/// Writes the value of the non-raw string body \p Body to \p Out, which
+/// has room for Body.size() bytes, and returns the end of what it wrote.
+/// `\n`, `\t`, `\r`, `\\`, `\'` and `\"` decode to their character, `\0` to
+/// a NUL byte, a backslash before a newline (LF or CRLF) vanishes, and any
+/// other escape keeps its backslash, as does a backslash that ends the body.
+char *decodeBody(std::string_view Body, char *Out);
+
+/// The value of string token \p T (its body, decoded if it needs it), or
+/// the spelling of any other token.
+std::string decodedText(const Token &T);
 
 } // namespace pyast
 } // namespace seldon

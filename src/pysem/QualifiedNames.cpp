@@ -24,7 +24,7 @@ void ImportMap::bind(std::string LocalName, std::string QualifiedPrefix) {
 }
 
 std::optional<std::string>
-ImportMap::resolveRoot(const std::string &LocalName) const {
+ImportMap::resolveRoot(std::string_view LocalName) const {
   auto It = Bindings.find(LocalName);
   if (It == Bindings.end())
     return std::nullopt;
@@ -35,7 +35,7 @@ void ImportMap::build(const ModuleNode *Module, const std::string &ModuleName) {
   scanStatements(Module->Body, ModuleName);
 }
 
-void ImportMap::scanStatements(const std::vector<Stmt *> &Body,
+void ImportMap::scanStatements(std::span<Stmt *const> Body,
                                const std::string &ModuleName) {
   for (const Stmt *S : Body) {
     switch (S->kind()) {
@@ -44,7 +44,7 @@ void ImportMap::scanStatements(const std::vector<Stmt *> &Body,
         if (A.Module.empty())
           continue;
         if (!A.AsName.empty()) {
-          bind(A.AsName, A.Module);
+          bind(std::string(A.AsName), std::string(A.Module));
         } else {
           // `import os.path` binds the name `os`; deeper components resolve
           // through attribute chains.
@@ -67,8 +67,11 @@ void ImportMap::scanStatements(const std::vector<Stmt *> &Body,
       for (const ImportAlias &A : I->Names) {
         if (A.Module == "*")
           continue; // Star imports bind unknown names.
-        std::string Qualified = Base.empty() ? A.Module : Base + "." + A.Module;
-        bind(A.AsName.empty() ? A.Module : A.AsName, std::move(Qualified));
+        std::string Qualified = Base.empty()
+                                    ? std::string(A.Module)
+                                    : Base + "." + std::string(A.Module);
+        bind(std::string(A.AsName.empty() ? A.Module : A.AsName),
+             std::move(Qualified));
       }
       break;
     }
@@ -113,10 +116,10 @@ void ImportMap::scanStatements(const std::vector<Stmt *> &Body,
 std::string seldon::pysem::resolveDottedName(const ImportMap &Imports,
                                              const Expr *E) {
   // Collect the attribute chain bottom-up, then resolve the root.
-  std::vector<const std::string *> Attrs;
+  std::vector<std::string_view> Attrs;
   const Expr *Cur = E;
   while (const auto *A = dyn_cast<AttributeExpr>(Cur)) {
-    Attrs.push_back(&A->Attr);
+    Attrs.push_back(A->Attr);
     Cur = A->Value;
   }
   const auto *Root = dyn_cast<NameExpr>(Cur);
@@ -127,10 +130,10 @@ std::string seldon::pysem::resolveDottedName(const ImportMap &Imports,
   if (std::optional<std::string> Resolved = Imports.resolveRoot(Root->Id))
     Out = *Resolved;
   else
-    Out = Root->Id;
+    Out = std::string(Root->Id);
   for (auto It = Attrs.rbegin(); It != Attrs.rend(); ++It) {
     Out += '.';
-    Out += **It;
+    Out += *It;
   }
   return Out;
 }

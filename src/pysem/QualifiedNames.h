@@ -17,10 +17,11 @@
 #define SELDON_PYSEM_QUALIFIEDNAMES_H
 
 #include "pyast/Ast.h"
+#include "support/StrUtil.h"
 
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 
 namespace seldon {
 namespace pysem {
@@ -38,15 +39,15 @@ public:
   /// Resolves the root identifier of a dotted expression: returns the
   /// qualified prefix bound to \p LocalName, or std::nullopt if the name is
   /// not import-bound.
-  std::optional<std::string> resolveRoot(const std::string &LocalName) const;
+  std::optional<std::string> resolveRoot(std::string_view LocalName) const;
 
   size_t size() const { return Bindings.size(); }
 
 private:
-  void scanStatements(const std::vector<pyast::Stmt *> &Body,
+  void scanStatements(std::span<pyast::Stmt *const> Body,
                       const std::string &ModuleName);
 
-  std::unordered_map<std::string, std::string> Bindings;
+  StringMap<std::string> Bindings;
 };
 
 /// Renders \p E as a dotted path if it is a pure chain of names and

@@ -15,7 +15,7 @@ void ModuleScope::build(const ModuleNode *Module,
 
   for (const Stmt *S : Module->Body) {
     if (const auto *F = dyn_cast<FunctionDefStmt>(S)) {
-      Functions[F->Name] = F;
+      Functions[std::string(F->Name)] = F;
       continue;
     }
     const auto *C = dyn_cast<ClassDefStmt>(S);
@@ -23,7 +23,7 @@ void ModuleScope::build(const ModuleNode *Module,
       continue;
     ClassInfo Info;
     Info.Def = C;
-    Info.Name = C->Name;
+    Info.Name = std::string(C->Name);
     for (const Expr *Base : C->Bases) {
       std::string Qual = resolveDottedName(Imports, Base);
       if (Qual.empty())
@@ -33,29 +33,29 @@ void ModuleScope::build(const ModuleNode *Module,
       // in this module.
       if (const auto *Name = dyn_cast<NameExpr>(Base))
         if (!Imports.resolveRoot(Name->Id))
-          Info.LocalBases.push_back(Name->Id);
+          Info.LocalBases.emplace_back(Name->Id);
     }
     for (const Stmt *Member : C->Body)
       if (const auto *M = dyn_cast<FunctionDefStmt>(Member))
-        Info.Methods[M->Name] = M;
-    Classes[C->Name] = std::move(Info);
+        Info.Methods[std::string(M->Name)] = M;
+    Classes[std::string(C->Name)] = std::move(Info);
   }
 }
 
 const FunctionDefStmt *
-ModuleScope::lookupFunction(const std::string &Name) const {
+ModuleScope::lookupFunction(std::string_view Name) const {
   auto It = Functions.find(Name);
   return It == Functions.end() ? nullptr : It->second;
 }
 
-const ClassInfo *ModuleScope::lookupClass(const std::string &Name) const {
+const ClassInfo *ModuleScope::lookupClass(std::string_view Name) const {
   auto It = Classes.find(Name);
   return It == Classes.end() ? nullptr : &It->second;
 }
 
 const FunctionDefStmt *
-ModuleScope::lookupMethod(const std::string &ClassName,
-                          const std::string &MethodName) const {
+ModuleScope::lookupMethod(std::string_view ClassName,
+                          std::string_view MethodName) const {
   // Walk the same-module inheritance chain breadth-first; a visited set
   // guards against inheritance cycles in malformed inputs.
   std::vector<const ClassInfo *> Worklist;

@@ -33,7 +33,7 @@ struct ClassInfo {
   std::vector<std::string> BaseQualNames;
   /// Base classes defined in this same module, by local name.
   std::vector<std::string> LocalBases;
-  std::unordered_map<std::string, const pyast::FunctionDefStmt *> Methods;
+  StringMap<const pyast::FunctionDefStmt *> Methods;
 };
 
 /// Scope information for one module.
@@ -43,32 +43,29 @@ public:
   void build(const pyast::ModuleNode *Module, const std::string &ModuleName);
 
   /// Top-level function with local name \p Name, or null.
-  const pyast::FunctionDefStmt *lookupFunction(const std::string &Name) const;
+  const pyast::FunctionDefStmt *lookupFunction(std::string_view Name) const;
 
   /// Class with local name \p Name, or null.
-  const ClassInfo *lookupClass(const std::string &Name) const;
+  const ClassInfo *lookupClass(std::string_view Name) const;
 
   /// Method \p MethodName on class \p ClassName, searching same-module base
   /// classes transitively. Returns null when the method is not found or the
   /// class is unknown.
-  const pyast::FunctionDefStmt *lookupMethod(const std::string &ClassName,
-                                             const std::string &MethodName) const;
+  const pyast::FunctionDefStmt *lookupMethod(std::string_view ClassName,
+                                             std::string_view MethodName) const;
 
   const ImportMap &imports() const { return Imports; }
   const std::string &moduleName() const { return ModuleName; }
-  const std::unordered_map<std::string, ClassInfo> &classes() const {
-    return Classes;
-  }
-  const std::unordered_map<std::string, const pyast::FunctionDefStmt *> &
-  functions() const {
+  const StringMap<ClassInfo> &classes() const { return Classes; }
+  const StringMap<const pyast::FunctionDefStmt *> &functions() const {
     return Functions;
   }
 
 private:
   std::string ModuleName;
   ImportMap Imports;
-  std::unordered_map<std::string, const pyast::FunctionDefStmt *> Functions;
-  std::unordered_map<std::string, ClassInfo> Classes;
+  StringMap<const pyast::FunctionDefStmt *> Functions;
+  StringMap<ClassInfo> Classes;
 };
 
 } // namespace pysem

@@ -304,6 +304,8 @@ TEST_F(CliTest, MetricsTableOutput) {
   EXPECT_NE(R.Output.find("taint.analyses"), std::string::npos) << R.Output;
   EXPECT_NE(R.Output.find("parse.file_seconds"), std::string::npos)
       << R.Output;
+  EXPECT_NE(R.Output.find("lex.file_seconds"), std::string::npos)
+      << R.Output;
 }
 
 TEST_F(CliTest, MetricsOutUnwritablePathFails) {

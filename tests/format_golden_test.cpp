@@ -21,6 +21,13 @@
 // catch a change to what both render; this digest can. A failure there
 // means `seldond`'s `query` and `seldon explain` output changed.
 //
+// The frontend's output is pinned too: the tokens, diagnostics, AST dump
+// and module graph of one hand-written source that holds every token
+// kind, number form, string prefix, escape and indentation case the lexer
+// knows, and the AST dumps and diagnostics of a generated corpus. The
+// lexer and parser may be rewritten for speed; these digests say whether
+// what they produce moved.
+//
 //===----------------------------------------------------------------------===//
 
 #include "TestCorpus.h"
@@ -31,6 +38,9 @@
 #include "constraints/ShardCodec.h"
 #include "infer/Pipeline.h"
 #include "propgraph/GraphCodec.h"
+#include "pyast/AstPrinter.h"
+#include "pyast/Lexer.h"
+#include "pyast/Parser.h"
 #include "service/QueryResult.h"
 #include "service/StateCodec.h"
 #include "support/BinaryCodec.h"
@@ -198,12 +208,12 @@ TEST(FormatGoldenTest, CacheEntriesArePinned) {
   ASSERT_TRUE(Graphs.store(In.GraphKey, In.Graph));
   ASSERT_TRUE(Shards.store(In.ShardKey, In.Shard));
 
-  EXPECT_EQ(Graphs.entryPath(In.GraphKey), Dir + "/74ab97268d746079.spg");
+  EXPECT_EQ(Graphs.entryPath(In.GraphKey), Dir + "/b36fe2db0dc314ae.spg");
   EXPECT_EQ(digest(slurp(Graphs.entryPath(In.GraphKey))),
-            "0x2d9d4f4a949c6a58");
-  EXPECT_EQ(Shards.entryPath(In.ShardKey), Dir + "/c101de2bb881a4e1.scs");
+            "0xe062eba9e98a1c9f");
+  EXPECT_EQ(Shards.entryPath(In.ShardKey), Dir + "/ad2cadf010de0872.scs");
   EXPECT_EQ(digest(slurp(Shards.entryPath(In.ShardKey))),
-            "0x5d51edc8b21991c9");
+            "0xed2c70aeea993fa6");
   std::filesystem::remove_all(Dir);
 }
 
@@ -306,6 +316,225 @@ TEST(FormatGoldenTest, QueryAnswersArePinned) {
   EXPECT_GT(Guided.Feedback.EvidenceRows, 0u);
   EXPECT_GT(Guided.Feedback.PropagatedRows, 0u);
   ExpectDigest(Guided, "0x5ff504a3f805ca0d", "feedback");
+}
+
+/// A source holding every token kind, every number form, every string
+/// prefix in both cases with all four quote styles, every escape the
+/// lexer decodes plus unknown ones, f-string fields (nested, `=` debug,
+/// `{{`/`}}`, unterminated), line continuations, tabs, mixed indentation,
+/// an inconsistent dedent, comments, whitespace-only lines, recoverable
+/// syntax errors, and a backslash at end of input.
+std::string everyConstructSource() {
+  std::string S = R"py(# Every construct the frontend knows; statements need not make sense.
+import os.path, sys as system
+from . import sibling
+from ..pkg.mod import (a as b, c,)
+from x import *
+import flask
+
+@flask.route('/r', methods=['GET', "POST"])
+@decor
+def handler(p, q=1, *args, k: int = 2, **kw) -> str:
+    global g1, g2
+    nonlocal n1
+    r = p if q else not q
+    r += 1; r -= 2; r *= 3; r /= 4; r //= 5; r %= 6; r **= 7
+    r &= 8; r |= 9; r ^= 10; r <<= 11; r >>= 12; r @= m
+    t: int = r
+    u: str
+    v = w = (r + q - 1) * 2 / 3 // 4 % 5 ** -6 @ m
+    x = (a | b) ^ (c & d) << 1 >> 2
+    y = ~a, +b, -c
+    z = a < b <= c > d >= e == f != g
+    i = a is b, a is not b, a in b, a not in b
+    j = a and b or not c
+    k = None if False else True
+    lst = [1, *rest]; tup = (); st = {1, 2}; dct = {'k': v, **extra}; emp = {}
+    comp = [e for e in lst if e], {e for e in lst}, {k: v for k, v in dct}
+    gen = (e for e in lst), call(e for e in lst), {**base}
+    sl = lst[1:2], lst[::2], lst[:], lst[1:2:3], lst[a, b:c], lst[-1]
+    lam = lambda a, b=1, *c, **d: a + b
+    if (n := len(lst)) > 10:
+        pass
+    elif n:
+        return
+    else:
+        yield r
+        yield from lst
+        yield
+    while True:
+        break
+    else:
+        continue
+    for a, *b in lst:
+        del a, b
+    else:
+        assert a, 'msg'
+    with open(p) as fh, lock:
+        fh.read()
+    try:
+        raise ValueError('x') from err
+    except (TypeError, KeyError) as e:
+        raise
+    except:
+        pass
+    else:
+        x = 1
+    finally:
+        x = 2
+    return r.attr[0].meth(1, *a, k=2, **kw)
+
+class Base(object, metaclass=Meta):
+    attr = 1
+    def m(self): return self.attr
+    def n(self, v):
+        self.f = os.environ.get('A')
+        os.system(self.f)
+
+class Bare: pass
+
+n = 0x1F, 0XFF, 0o17, 0O7, 0b1010, 0B1, 0b102, 0x_ff
+f = 3.14, 10., 1.e5, .5, 1e10, 1E-5, 2.5e+3, 1e, 3j, 4.5J, 5.j, 1_000_000
+g = 1__2, 007, 1.real, 1..real, x[0].y, 0.0, 00
+e1 = 'n\n t\t r\r z\0 z\012 bs\\ sq\' dq\" x\x41 u\u00e9 N\N{DASH} a\a b\b f\f v\v d\d 1\1 q\q'
+e2 = "cont\
+inued"
+e3 = '''tri'ple "q" ''x'' \''' end'''
+e4 = """a "b" ""c"" \""" d"""
+e5 = b'\n' B"\t" u'\\' '' "" '''''' """"""
+e6 = 'adj' "acent" f'{e1}'
+e7 = r'\'' R"\\" rb'\n'
+u1 = 'unterminated
+u2 = "also unterminated
+f1 = f'{x!r:>{width}} {y=} {z = } {{literal}} {d["k"]} {f"{nested}"} {a!=b} {o.attr[0]:x}'
+f2 = f"{"
+f3 = F'''multi
+{line}'''
+f4 = rf'{raw}\n' fR"{x}" f'{{}}' f'}}{{' f'{a}{b}' f'{}'
+rb = 1; f = 2; rbuf'x'; ur'y'
+cont = 1 + \
+    2
+)py";
+  // Every string prefix, lower and upper case, with each quote style.
+  for (const char *Prefix :
+       {"", "r", "R", "b", "B", "u", "U", "f", "F", "rb", "Rb", "rB", "RB",
+        "br", "bR", "Br", "BR", "fr", "Fr", "fR", "FR", "rf", "rF", "Rf",
+        "RF"})
+    for (const char *Quote : {"'", "\"", "'''", "\"\"\""})
+      S += std::string("s_") + Prefix + " = " + Prefix + Quote +
+           "a{x}\\tb{{c}}" + Quote + "\n";
+  S += "if tabbed:\n"
+       "\tt1 = 1\n"
+       "        t2 = 2  # eight spaces, the tab's level\n"
+       "\tif deeper:\n"
+       "\t    t3 = 3\n"
+       "   \n"
+       "\t\n"
+       "  \t  \n"
+       "    # an indented comment\n"
+       "  \t t4 = 4\n"
+       "crlf = 1\r\n"
+       "cr = 1 \r+ 2\n"
+       "bad = 1 $ 2 ? 3 ! 4 ` 5 \\ 6\n"
+       "def ():\n"
+       "    pass\n"
+       "x = = 1\n"
+       "try:\n"
+       "    pass\n"
+       "class :\n"
+       "    pass\n"
+       "import\n"
+       "from import x\n"
+       "@dec\n"
+       "x = 1\n"
+       "a = 1;\n"
+       "tail = 'ends in a backslash\\";
+  return S;
+}
+
+/// The text of \p T as the frontend's consumers see it: the spelling of a
+/// name or number, the decoded body of a string, and nothing otherwise.
+std::string tokenText(const pyast::Token &T) {
+  if (T.is(pyast::TokenKind::String))
+    return pyast::decodedText(T);
+  if (T.is(pyast::TokenKind::Name) || T.is(pyast::TokenKind::Number))
+    return std::string(T.Text);
+  return {};
+}
+
+/// FNV-1a-64 over every token of \p Source: kind, text, line, column and
+/// f-string flag.
+std::string tokenDigest(std::string_view Source) {
+  pyast::Lexer Lex(Source);
+  uint64_t Hash = 0xcbf29ce484222325ull;
+  for (const pyast::Token &T : Lex.lexAll()) {
+    codec::hashValue(Hash, static_cast<uint64_t>(T.Kind));
+    codec::hashChunk(Hash, tokenText(T));
+    codec::hashValue(Hash, T.Line);
+    codec::hashValue(Hash, T.Col);
+    codec::hashValue(Hash, T.IsFString);
+  }
+  return hex(Hash);
+}
+
+/// Folds \p Source's lexer and parser diagnostics into \p DiagHash and its
+/// AST dump into \p AstHash.
+void foldParse(std::string_view Source, uint64_t &DiagHash,
+               uint64_t &AstHash) {
+  pyast::AstContext Ctx;
+  std::vector<pyast::ParseError> Errors;
+  const pyast::ModuleNode *M = pyast::parseSource(Ctx, Source, &Errors);
+  codec::hashValue(DiagHash, Errors.size());
+  for (const pyast::ParseError &E : Errors) {
+    codec::hashValue(DiagHash, E.Line);
+    codec::hashValue(DiagHash, E.Col);
+    codec::hashChunk(DiagHash, E.Message);
+  }
+  codec::hashChunk(AstHash, pyast::dumpAst(M));
+}
+
+TEST(FormatGoldenTest, EveryConstructFrontendIsPinned) {
+  const std::string Source = everyConstructSource();
+  ASSERT_EQ(Source.find("\\\r\n"), std::string::npos);
+  for (char C : Source)
+    ASSERT_LT(static_cast<unsigned char>(C), 0x80);
+
+  // The source really holds every token kind.
+  std::vector<bool> Seen(static_cast<size_t>(pyast::TokenKind::Error) + 1);
+  pyast::Lexer Lex(Source);
+  for (const pyast::Token &T : Lex.lexAll())
+    Seen[static_cast<size_t>(T.Kind)] = true;
+  for (size_t K = 0; K < Seen.size(); ++K)
+    EXPECT_TRUE(Seen[K]) << pyast::tokenKindName(
+        static_cast<pyast::TokenKind>(K));
+
+  EXPECT_EQ(tokenDigest(Source), "0x03b808736478892c");
+  uint64_t DiagHash = 0xcbf29ce484222325ull, AstHash = DiagHash;
+  foldParse(Source, DiagHash, AstHash);
+  EXPECT_EQ(hex(DiagHash), "0xd973d36d89f993ba");
+  EXPECT_EQ(hex(AstHash), "0x74dff47b5b44506c");
+
+  pysem::Project Proj("every-construct");
+  const pysem::ModuleInfo &M = Proj.addModule("pkg/every.py", Source);
+  EXPECT_EQ(digest(propgraph::encodeGraph(
+                propgraph::buildModuleGraph(Proj, M))),
+            "0x1d9f2d953949d66f");
+}
+
+/// Every module of a generated corpus parses to the same dump with the
+/// same diagnostics.
+TEST(FormatGoldenTest, GeneratedCorpusFrontendIsPinned) {
+  corpus::Corpus Data = testutil::makeCorpus(4242, /*NumProjects=*/6);
+  uint64_t DiagHash = 0xcbf29ce484222325ull, AstHash = DiagHash;
+  size_t Modules = 0;
+  for (const pysem::Project &P : Data.Projects)
+    for (const pysem::ModuleInfo &M : P.modules()) {
+      foldParse(M.Source, DiagHash, AstHash);
+      ++Modules;
+    }
+  EXPECT_GT(Modules, 6u);
+  EXPECT_EQ(hex(DiagHash), "0xad7f8afd9dfb20e5");
+  EXPECT_EQ(hex(AstHash), "0x53479329aa5d77b4");
 }
 
 } // namespace

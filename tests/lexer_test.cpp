@@ -99,28 +99,88 @@ TEST(LexerTest, ExplicitLineJoin) {
   EXPECT_EQ(Kinds, Expected);
 }
 
+TEST(LexerTest, BackslashCrlfJoinsLines) {
+  Lexer L("x = a + \\\r\n    b\r\n");
+  auto Tokens = L.lexAll();
+  EXPECT_TRUE(L.errors().empty());
+  std::vector<TokenKind> Kinds;
+  for (const Token &T : Tokens)
+    Kinds.push_back(T.Kind);
+  std::vector<TokenKind> Expected{TokenKind::Name,    TokenKind::Equal,
+                                  TokenKind::Name,    TokenKind::Plus,
+                                  TokenKind::Name,    TokenKind::Newline,
+                                  TokenKind::EndOfFile};
+  EXPECT_EQ(Kinds, Expected);
+  EXPECT_EQ(Tokens[4].Line, 2u);
+  EXPECT_EQ(Tokens[4].Col, 5u);
+}
+
+TEST(LexerTest, BackslashCrlfContinuesSingleQuotedString) {
+  // The CRLF form of 'abc\<newline>def': one literal, "abcdef".
+  Lexer L("s = 'abc\\\r\ndef'\r\nt = 1\r\n");
+  auto Tokens = L.lexAll();
+  EXPECT_TRUE(L.errors().empty());
+  ASSERT_EQ(Tokens.size(), 9u);
+  EXPECT_EQ(Tokens[2].Kind, TokenKind::String);
+  EXPECT_EQ(decodedText(Tokens[2]), "abcdef");
+  EXPECT_EQ(Tokens[4].Kind, TokenKind::Name);
+  EXPECT_EQ(Tokens[4].Text, "t");
+  EXPECT_EQ(Tokens[4].Line, 3u);
+}
+
+TEST(LexerTest, BackslashCrlfContinuesTripleQuotedString) {
+  Lexer L("s = '''abc\\\r\ndef'''\r\n");
+  auto Tokens = L.lexAll();
+  EXPECT_TRUE(L.errors().empty());
+  ASSERT_EQ(Tokens.size(), 5u);
+  EXPECT_EQ(Tokens[2].Kind, TokenKind::String);
+  EXPECT_EQ(decodedText(Tokens[2]), "abcdef");
+  // The same value as the LF file's.
+  Lexer Lf("s = '''abc\\\ndef'''\n");
+  EXPECT_EQ(decodedText(Lf.lexAll()[2]), "abcdef");
+}
+
+TEST(LexerTest, NonAsciiIdentifierIsOneName) {
+  // "café = os.environ.get('A'); os.system(café)", and a name that starts
+  // with a non-ASCII letter ("λ").
+  Lexer L("caf\xc3\xa9 = os.environ.get('A'); os.system(caf\xc3\xa9)\n"
+          "\xce\xbb = 1\n");
+  auto Tokens = L.lexAll();
+  EXPECT_TRUE(L.errors().empty());
+  std::vector<std::string> Names;
+  for (const Token &T : Tokens) {
+    EXPECT_FALSE(T.is(TokenKind::Error));
+    if (T.is(TokenKind::Name))
+      Names.push_back(std::string(T.Text));
+  }
+  std::vector<std::string> Expected{"caf\xc3\xa9", "os",    "environ",
+                                    "get",          "os",    "system",
+                                    "caf\xc3\xa9", "\xce\xbb"};
+  EXPECT_EQ(Names, Expected);
+}
+
 TEST(LexerTest, StringEscapes) {
   auto Tokens = lex("s = 'a\\nb\\'c'\n");
   ASSERT_GE(Tokens.size(), 3u);
   EXPECT_EQ(Tokens[2].Kind, TokenKind::String);
-  EXPECT_EQ(Tokens[2].Text, "a\nb'c");
+  EXPECT_EQ(decodedText(Tokens[2]), "a\nb'c");
 }
 
 TEST(LexerTest, RawStringKeepsBackslash) {
   auto Tokens = lex("s = r'a\\nb'\n");
-  EXPECT_EQ(Tokens[2].Text, "a\\nb");
+  EXPECT_EQ(decodedText(Tokens[2]), "a\\nb");
 }
 
 TEST(LexerTest, TripleQuotedString) {
   auto Tokens = lex("s = \"\"\"line1\nline2\"\"\"\n");
   EXPECT_EQ(Tokens[2].Kind, TokenKind::String);
-  EXPECT_EQ(Tokens[2].Text, "line1\nline2");
+  EXPECT_EQ(decodedText(Tokens[2]), "line1\nline2");
 }
 
 TEST(LexerTest, FStringLexedAsString) {
   auto Tokens = lex("s = f'hello {name}'\n");
   EXPECT_EQ(Tokens[2].Kind, TokenKind::String);
-  EXPECT_EQ(Tokens[2].Text, "hello {name}");
+  EXPECT_EQ(decodedText(Tokens[2]), "hello {name}");
 }
 
 TEST(LexerTest, UnterminatedStringIsError) {
@@ -135,7 +195,7 @@ TEST(LexerTest, Numbers) {
   std::vector<std::string> Got;
   for (const Token &T : Tokens)
     if (T.is(TokenKind::Number))
-      Got.push_back(T.Text);
+      Got.push_back(std::string(T.Text));
   EXPECT_EQ(Got, Expected);
 }
 

@@ -263,6 +263,29 @@ TEST(GraphBuilderTest, BinaryOperatorsPropagate) {
   EXPECT_TRUE(F.hasEdge(F.theEvent("web.read()"), F.theEvent("db.run()")));
 }
 
+TEST(GraphBuilderTest, NonAsciiNamesAndCrlfLineJoinsKeepTheirFlow) {
+  // A non-ASCII identifier ("café") is one name, so the flow through it
+  // survives.
+  GraphFixture Name("import os\n"
+                    "caf\xc3\xa9 = os.environ.get('A'); os.system(caf\xc3\xa9)\n");
+  EXPECT_TRUE(Name.hasEdge(Name.theEvent("os.environ.get()"),
+                           Name.theEvent("os.system()")));
+  // In a CRLF file a backslash ending a line joins it with the next.
+  GraphFixture Crlf("import os\r\n"
+                    "x = os.environ.get('A') + \\\r\n"
+                    "    'suffix'\r\n"
+                    "os.system(x)\r\n");
+  EXPECT_TRUE(Crlf.hasEdge(Crlf.theEvent("os.environ.get()"),
+                           Crlf.theEvent("os.system()")));
+  // So does one ending a line inside a string literal.
+  GraphFixture InString("import os\r\n"
+                        "x = 'abc\\\r\n"
+                        "def' + os.environ.get('A')\r\n"
+                        "os.system(x)\r\n");
+  EXPECT_TRUE(InString.hasEdge(InString.theEvent("os.environ.get()"),
+                               InString.theEvent("os.system()")));
+}
+
 TEST(GraphBuilderTest, StringFormattingPropagates) {
   GraphFixture F("import web\nimport db\n"
                  "db.run('SELECT %s' % web.read())\n");
