@@ -74,11 +74,14 @@ echo "=== asan+ubsan: service, durability and on-disk format tests ==="
 # end. The constraint tests ride along: the one Fig. 4 emitter runs on
 # every generation and indexes its term caches and option lists by local
 # event ids, and the pinned-system digests (FormatGoldenTest) drive it
-# directly and through cold and warm shard replay. So do the explanation
-# tests: the daemon's var→rows index is addressed by variable and row ids,
-# and the indexed query walk forms its prefetch addresses and its label
-# memo slots from those ids (ExplainTest, FormatGoldenTest and ServiceTest
-# all take the indexed walk).
+# from traversed and from cached anchors, cold and warm. So do the shard
+# pipeline suites: a cached shard's anchor ids index its files' option
+# spans in the graph directly, so an id out of range (a shard that does
+# not fit the graph it is used on) would be a heap overrun. So do the
+# explanation tests: the daemon's var→rows index is addressed by variable
+# and row ids, and the indexed query walk forms its prefetch addresses and
+# its label memo slots from those ids (ExplainTest, FormatGoldenTest and
+# ServiceTest all take the indexed walk).
 # The fault-pipeline and active-learning tests run here too:
 # infer::ScopedOptions restores the borrowed WarmStart and Feedback
 # pointers on every exit path, throws included. So do the pipeline
@@ -101,12 +104,13 @@ cmake -B "$ROOT/build-asan" -S "$ROOT" \
 cmake --build "$ROOT/build-asan" -j "$JOBS" \
   --target service_test durability_fault_test recovery_harness_test \
            fileio_test format_golden_test graphcodec_test \
-           cache_fault_test shard_fault_test constraints_test explain_test \
+           cache_fault_test shard_fault_test shard_pipeline_test \
+           constraints_test explain_test \
            fault_pipeline_test active_learning_test infer_test \
            constraint_rows_test propgraph_test lexer_test parser_test \
            fstring_test pysem_test frontend_fuzz_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest|^PipelineTest\.|ConstraintRowsTest|EventOptionsTest|PropagationGraphTest|RepTableTest|GraphBuilderTest|TaintAnalyzerTest|LexerTest|ParserTest|ParserSmokeTest|FStringLexerTest|FStringParserTest|FStringFlowTest|ImportMapTest|ModuleScopeTest|QualifiedNamesTest|FrontendFuzzTest'
+  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest|^PipelineTest\.|ConstraintRowsTest|EventOptionsTest|PropagationGraphTest|RepTableTest|GraphBuilderTest|TaintAnalyzerTest|LexerTest|ParserTest|ParserSmokeTest|FStringLexerTest|FStringParserTest|FStringFlowTest|ImportMapTest|ModuleScopeTest|QualifiedNamesTest|FrontendFuzzTest'
 # The long fuzz run is the DISABLED_ instantiation, out of tier-1.
 "$ROOT/build-asan/tests/frontend_fuzz_test" --gtest_also_run_disabled_tests \
   --gtest_filter='DISABLED_Long/*' --gtest_brief=1

@@ -17,8 +17,9 @@ CacheKey seldon::cache::projectCacheKey(const pysem::Project &Proj,
   hashValue(Hash, propgraph::GraphCodecVersion);
   hashValue(Hash, propgraph::GraphBuilderVersion);
 
-  // Every frontend knob participates: flipping any of them must rebuild.
-  hashValue(Hash, static_cast<uint64_t>(Opts.MaxInlineDepth));
+  // The inlining bound and every frontend knob participate: changing any
+  // of them must rebuild.
+  hashValue(Hash, static_cast<uint64_t>(propgraph::MaxInlineDepth));
   hashValue(Hash, Opts.ModelLocals);
   hashValue(Hash, Opts.UsePointsTo);
   hashValue(Hash, Opts.ArgPositionReps);

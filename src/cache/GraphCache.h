@@ -14,8 +14,9 @@
 ///
 /// Keying / invalidation: an entry is addressed by a 64-bit FNV-1a hash of
 /// the codec format version, the builder's rules version
-/// (propgraph::GraphBuilderVersion), every propgraph::BuildOptions field,
-/// and each module's path and full source text (all length-prefixed). Any
+/// (propgraph::GraphBuilderVersion), the inlining bound
+/// (propgraph::MaxInlineDepth), every propgraph::BuildOptions field, and
+/// each module's path and full source text (all length-prefixed). Any
 /// change to any of these produces a different key, so stale entries are
 /// never *hit* — they simply become garbage that a later sweep may remove.
 ///
@@ -40,9 +41,9 @@ namespace seldon {
 namespace cache {
 
 /// Computes the cache key of \p Proj under \p Opts. Deterministic in the
-/// module list (paths + sources, in order), the codec and builder versions
-/// and every BuildOptions field; independent of the project's display name
-/// and on-disk location.
+/// module list (paths + sources, in order), the codec and builder versions,
+/// the inlining bound and every BuildOptions field; independent of the
+/// project's display name and on-disk location.
 CacheKey projectCacheKey(const pysem::Project &Proj,
                          const propgraph::BuildOptions &Opts);
 

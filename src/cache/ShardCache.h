@@ -8,20 +8,22 @@
 /// \file
 /// An on-disk cache of per-project constraint shards
 /// (constraints/ConstraintShard.h), next to GraphCache: where the graph
-/// cache makes parse+build O(delta), the shard cache makes constraint
-/// *extraction* O(delta) — re-learning after touching one project replays
-/// every other project's cached reachability structure instead of redoing
-/// its per-file BFS sweeps.
+/// cache makes parse+build O(delta), the shard cache keeps each project's
+/// Fig. 4 anchors, so re-learning after touching one project emits every
+/// other project's cached anchors instead of redoing its per-file BFS
+/// sweeps. A shard holds anchors over file-local event ids and each file's
+/// event count, nothing the graph already holds.
 ///
 /// Keying / invalidation: an entry is addressed by a 64-bit FNV-1a content
 /// hash of the shard codec version, every constraints::GenOptions field,
 /// the full seed spec (entries sorted by representation, plus the blacklist
 /// patterns in order), and the project's *graph* cache key — which already
 /// covers the sources and every frontend knob. Any change to any input of
-/// constraint generation produces a different key, so stale entries are
-/// never hit. (Shard *content* only depends on the graph; the options and
-/// seed participate conservatively, trading spurious misses for the
-/// guarantee that a hit is always safe to replay.)
+/// constraint generation produces a different key. (Shard *content* only
+/// depends on the graph; the options and seed participate conservatively,
+/// at the cost of spurious misses when they change.) A loaded shard is
+/// still checked against the graph slice it is used on (shardFits());
+/// infer::Session treats a shard that does not fit as a miss.
 ///
 /// Storage, failure discipline and concurrency are cache/EntryStore.h's,
 /// as for GraphCache. A load never yields a partial shard.
@@ -32,6 +34,7 @@
 #define SELDON_CACHE_SHARDCACHE_H
 
 #include "cache/GraphCache.h"
+#include "constraints/ConstraintGen.h"
 #include "constraints/ConstraintShard.h"
 #include "constraints/ShardCodec.h"
 

@@ -2,12 +2,12 @@
 //
 // The one implementation of the Fig. 4 templates behind ConstraintGen.h and
 // ConstraintShard.h. One per-file traversal records a file's anchors as a
-// ShardFile over local event ids; one emitter turns anchors into rows,
+// ShardFile over file-local event ids; one emitter turns anchors into rows,
 // given each local event's surviving backoff options, and writes them
-// straight into a flat row store. Direct generation traverses candidates
-// only and emits from Sys.EventReps; extractShard traverses unfiltered and
-// interns representation strings; replay resolves those strings against
-// the current corpus and calls the same emitter.
+// straight into a flat row store. generateConstraints() is the only
+// builder of a system: each file emits its cached anchors or traverses its
+// candidates, and either way emits from Sys.EventReps. extractShard() runs
+// the traversal unfiltered, so its anchors stay valid under any corpus.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <optional>
 #include <ranges>
 #include <span>
@@ -95,6 +96,7 @@ ShardFile traverseFile(const PropagationGraph &Graph,
   };
 
   ShardFile File;
+  File.NumEvents = static_cast<uint32_t>(Local.size());
   for (ShardEventId San : Sanitizers) {
     ShardSanAnchor Anchor;
     Anchor.San = San;
@@ -128,9 +130,8 @@ ShardFile traverseFile(const PropagationGraph &Graph,
   return File;
 }
 
-/// The rows one unit of work (a file during generation, a project's shard
-/// during composition) emitted on its own, over a block-local variable
-/// table whose ids follow first use within the block.
+/// The rows one file emitted on its own, over a block-local variable table
+/// whose ids follow first use within the block.
 struct ConstraintBlock {
   VarTable Vars;
   solver::ConstraintRows Constraints;
@@ -326,46 +327,24 @@ void mergeBlocks(std::vector<ConstraintBlock> &Blocks, ConstraintSystem &Sys) {
   }
 }
 
-/// Replays \p Shard under the current corpus state into \p Out: resolves
-/// each event's surviving options through the keep verdicts \p Keep
-/// (RepTable::keepVerdicts), then emits the shard's files in order.
-void replayShard(const ConstraintShard &Shard, const RepTable &Reps,
-                 const std::vector<uint8_t> &Keep, const GenOptions &Opts,
-                 ConstraintBlock &Out) {
-  // Option strings recur across events (every `flask.request.*` read in a
-  // file carries the same backoff spellings), so each distinct string is
-  // resolved once, the stored most-to-least-specific order preserved. An
-  // unknown string (possible only with a shard/graph mismatch, which the
-  // cache key rules out) is dropped, as direct generation drops it.
-  constexpr RepId Dropped = ~RepId(0);
-  std::vector<RepId> StrRep(Shard.Strings.size(), Dropped);
-  for (size_t S = 0; S < Shard.Strings.size(); ++S) {
-    RepId Id;
-    if (Reps.lookup(Shard.Strings[S], Id) && Keep[Id])
-      StrRep[S] = Id;
-  }
-  EventOptions Kept;
-  for (const ShardEvent &E : Shard.Events) {
-    for (ShardStrId S : E.Reps)
-      if (StrRep[S] != Dropped)
-        Kept.push(StrRep[S]);
-    Kept.close();
-  }
-  LocalOptions Options(Kept.begin(), Kept.end());
-  RowEmitter Emitter(std::move(Options), Opts, Out);
-  for (const ShardFile &File : Shard.Files)
-    Emitter.emit(File);
+/// The first event of file \p File, or numEvents() when no event lies in
+/// it or after it. \p Graph's events are in file order, so a binary search
+/// finds it.
+EventId firstEventOf(const PropagationGraph &Graph, uint32_t File) {
+  const auto Ids =
+      std::views::iota(EventId(0), static_cast<EventId>(Graph.numEvents()));
+  return *std::ranges::partition_point(
+      Ids, [&](EventId Id) { return Graph.event(Id).FileIdx < File; });
 }
 
 } // namespace
 
-ConstraintSystem
-seldon::constraints::generateConstraints(const PropagationGraph &Graph,
-                                         const RepTable &Reps,
-                                         const spec::SeedSpec &Seed,
-                                         const GenOptions &Opts,
-                                         ThreadPool *Pool,
-                                         const Deadline *StopAt) {
+ConstraintSystem seldon::constraints::generateConstraints(
+    const PropagationGraph &Graph, const RepTable &Reps,
+    const spec::SeedSpec &Seed, const GenOptions &Opts, ThreadPool *Pool,
+    const Deadline *StopAt, std::span<const ShardFile *const> Cached) {
+  assert((Cached.empty() || Cached.size() == Graph.files().size()) &&
+         "one cached entry per file");
   ConstraintSystem Sys = prepareSystem(
       Graph, Reps, Seed, Reps.keepVerdicts(Opts.RepCutoff, Seed.Blacklist));
 
@@ -390,8 +369,17 @@ seldon::constraints::generateConstraints(const PropagationGraph &Graph,
     LocalOptions Options(Local.size());
     for (size_t L = 0; L < Local.size(); ++L)
       Options[L] = Sys.EventReps[Local[L]];
-    ShardFile File = traverseFile(Graph, Local, &Options);
-    RowEmitter(std::move(Options), Opts, PerFile[F]).emit(File);
+    // Cached anchors were traversed without the candidate filter; the
+    // emitter drops the dead events they hold.
+    const ShardFile *Anchors = Cached.empty() ? nullptr : Cached[F];
+    ShardFile Traversed;
+    if (!Anchors) {
+      Traversed = traverseFile(Graph, Local, &Options);
+      Anchors = &Traversed;
+    }
+    assert(Anchors->NumEvents == Local.size() &&
+           "cached anchors must fit their file");
+    RowEmitter(std::move(Options), Opts, PerFile[F]).emit(*Anchors);
   };
   if (Pool)
     Pool->parallelFor(ByFile.size(), ExtractFile);
@@ -412,88 +400,30 @@ seldon::constraints::extractShard(const PropagationGraph &Graph,
   Shard.Files.resize(FileEnd - FileBegin);
 
   // Events are in file order, so the slice's events are one contiguous
-  // run: find it by binary search, then group it by file.
-  const auto Ids =
-      std::views::iota(EventId(0), static_cast<EventId>(Graph.numEvents()));
-  auto FirstOfFile = [&](uint32_t File) {
-    return *std::ranges::partition_point(
-        Ids, [&](EventId Id) { return Graph.event(Id).FileIdx < File; });
-  };
-  std::vector<std::vector<EventId>> ByFile(FileEnd - FileBegin);
-  for (EventId Id = FirstOfFile(FileBegin), Last = FirstOfFile(FileEnd);
-       Id < Last; ++Id)
-    ByFile[Graph.event(Id).FileIdx - FileBegin].push_back(Id);
-
-  // Renumber each file's local ids shard-wide, interning events and their
-  // representation strings in the order the anchors reference them; a
-  // string's shard id is found through its graph id.
-  constexpr ShardStrId NoStr = ~ShardStrId(0);
-  std::vector<ShardStrId> StrOf(Graph.repStrings().size(), NoStr);
-  for (size_t F = 0; F < ByFile.size(); ++F) {
-    const std::vector<EventId> &Local = ByFile[F];
-    if (Local.empty())
-      continue;
-    ShardFile &File = Shard.Files[F] = traverseFile(Graph, Local, nullptr);
-    constexpr ShardEventId Unseen = ~ShardEventId(0);
-    std::vector<ShardEventId> ShardIdOf(Local.size(), Unseen);
-    auto Ref = [&](ShardEventId &L) {
-      ShardEventId &Id = ShardIdOf[L];
-      if (Id == Unseen) {
-        Id = static_cast<ShardEventId>(Shard.Events.size());
-        ShardEvent &SE = Shard.Events.emplace_back();
-        for (RepId Rep : Graph.event(Local[L]).repIds()) {
-          ShardStrId &S = StrOf[Rep];
-          if (S == NoStr) {
-            S = static_cast<ShardStrId>(Shard.Strings.size());
-            Shard.Strings.push_back(Graph.repStrings()[Rep]);
-          }
-          SE.Reps.push_back(S);
-        }
-      }
-      L = Id;
-    };
-    for (ShardSanAnchor &Anchor : File.SanAnchors) {
-      Ref(Anchor.San);
-      for (ShardEventId &L : Anchor.SourcesBefore)
-        Ref(L);
-      for (ShardEventId &L : Anchor.SinksAfter)
-        Ref(L);
-    }
-    for (ShardSrcAnchor &Anchor : File.SrcAnchors) {
-      for (ShardSrcPair &Pair : Anchor.Pairs) {
-        Ref(Pair.Snk);
-        for (ShardEventId &L : Pair.Mids)
-          Ref(L);
-      }
-      Ref(Anchor.Src);
-    }
+  // run, and each file's events a contiguous run within it.
+  std::vector<EventId> Local;
+  const EventId Last = firstEventOf(Graph, FileEnd);
+  for (EventId Id = firstEventOf(Graph, FileBegin); Id < Last;) {
+    const uint32_t File = Graph.event(Id).FileIdx;
+    Local.clear();
+    for (; Id < Last && Graph.event(Id).FileIdx == File; ++Id)
+      Local.push_back(Id);
+    Shard.Files[File - FileBegin] = traverseFile(Graph, Local, nullptr);
   }
   return Shard;
 }
 
-ConstraintSystem seldon::constraints::composeConstraints(
-    const PropagationGraph &Graph, const RepTable &Reps,
-    const spec::SeedSpec &Seed,
-    const std::vector<const ConstraintShard *> &Shards,
-    const GenOptions &Opts, ThreadPool *Pool, const Deadline *StopAt) {
-  const std::vector<uint8_t> Keep =
-      Reps.keepVerdicts(Opts.RepCutoff, Seed.Blacklist);
-  ConstraintSystem Sys = prepareSystem(Graph, Reps, Seed, Keep);
-  std::vector<ConstraintBlock> Blocks(Shards.size());
-  auto ReplayOne = [&](size_t I, unsigned) {
-    // All-or-nothing, like generation: a truncated composition would
-    // change the learned scores silently (parallelFor rethrows the
-    // expiry, and Sys is never returned).
-    if (StopAt && StopAt->expired())
-      throw DeadlineError("deadline expired during constraint composition");
-    if (Shards[I])
-      replayShard(*Shards[I], Reps, Keep, Opts, Blocks[I]);
-  };
-  if (Pool)
-    Pool->parallelFor(Shards.size(), ReplayOne);
-  else
-    for (size_t I = 0; I < Shards.size(); ++I)
-      ReplayOne(I, 0);
-  mergeBlocks(Blocks, Sys);
-  return Sys;
+bool seldon::constraints::shardFits(const ConstraintShard &Shard,
+                                    const PropagationGraph &Graph,
+                                    uint32_t FileBegin, uint32_t FileEnd) {
+  if (FileEnd < FileBegin || Shard.Files.size() != FileEnd - FileBegin)
+    return false;
+  EventId Begin = firstEventOf(Graph, FileBegin);
+  for (uint32_t F = FileBegin; F < FileEnd; ++F) {
+    const EventId End = firstEventOf(Graph, F + 1);
+    if (Shard.Files[F - FileBegin].NumEvents != End - Begin)
+      return false;
+    Begin = End;
+  }
+  return true;
 }

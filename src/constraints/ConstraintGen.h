@@ -21,14 +21,14 @@
 /// surviving backoff options (§4.3), and seed labels pin the corresponding
 /// fully-qualified variables (§4.1).
 ///
-/// One implementation serves both ways to build the system. A per-file
-/// traversal records the file's anchors (ShardFile, ConstraintShard.h):
-/// each sanitizer with the sources upstream and the sinks downstream, each
-/// source with the sinks it reaches and the sanitizers between. One emitter
-/// turns anchors into rows. generateConstraints() traverses only events
-/// with surviving options and emits at once; the incremental path
-/// (ConstraintShard.h) stores unfiltered anchors per project and emits them
-/// later under the current corpus state.
+/// One implementation builds every system. A per-file traversal records
+/// the file's anchors (ShardFile, ConstraintShard.h): each sanitizer with
+/// the sources upstream and the sinks downstream, each source with the
+/// sinks it reaches and the sanitizers between. One emitter turns anchors
+/// into rows. generateConstraints() gets each file's anchors either from
+/// the traversal, filtered to events with surviving options, or from a
+/// shard cached by an earlier run (unfiltered, ConstraintShard.h), and
+/// emits both the same way under the current corpus state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +40,7 @@
 #include "propgraph/RepTable.h"
 #include "spec/SeedSpec.h"
 
-#include <vector>
+#include <span>
 
 namespace seldon {
 
@@ -48,6 +48,8 @@ class Deadline;
 class ThreadPool;
 
 namespace constraints {
+
+struct ShardFile;
 
 /// Generation knobs.
 struct GenOptions {
@@ -68,23 +70,30 @@ struct GenOptions {
 /// Blacklisted representation options never receive variables; events
 /// whose every option is blacklisted or infrequent are ignored (§4.3).
 ///
+/// \p Cached, when not empty, holds one entry per file of \p Graph: a
+/// file with a non-null entry emits those anchors instead of traversing
+/// its events. Each entry's NumEvents must equal its file's event count
+/// (shardFits() checks a shard against its slice), so its ids index the
+/// file's events; the system is the same as without it.
+///
 /// When \p Pool is non-null the expensive stages fan out over it: the
-/// per-event backoff filtering (disjoint writes) and the per-file template
-/// extraction, each file into a private block over its own variable table.
-/// The blocks merge in file order, which reproduces the ids of a serial
-/// run, so the system — ids, constraint order, coefficients — is the same
-/// at any thread count.
+/// per-file template extraction, each file into a private block over its
+/// own variable table. The blocks merge in file order, which reproduces
+/// the ids of a serial run, so the system — ids, constraint order,
+/// coefficients — is the same at any thread count.
 ///
 /// \p StopAt (may be null) is polled at every per-file shard boundary.
 /// Constraint generation is all-or-nothing — a partial system would change
 /// the learned scores silently — so an expired deadline throws
 /// DeadlineError rather than returning a truncated system.
-ConstraintSystem generateConstraints(const propgraph::PropagationGraph &Graph,
-                                     const propgraph::RepTable &Reps,
-                                     const spec::SeedSpec &Seed,
-                                     const GenOptions &Opts = GenOptions(),
-                                     ThreadPool *Pool = nullptr,
-                                     const Deadline *StopAt = nullptr);
+ConstraintSystem
+generateConstraints(const propgraph::PropagationGraph &Graph,
+                    const propgraph::RepTable &Reps,
+                    const spec::SeedSpec &Seed,
+                    const GenOptions &Opts = GenOptions(),
+                    ThreadPool *Pool = nullptr,
+                    const Deadline *StopAt = nullptr,
+                    std::span<const ShardFile *const> Cached = {});
 
 } // namespace constraints
 } // namespace seldon

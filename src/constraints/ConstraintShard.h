@@ -6,25 +6,30 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The per-project slice of constraint generation, made persistable. A
-/// ConstraintShard holds what the Fig. 4 traversal (ConstraintGen.h)
-/// recorded for each of a project's files — which sanitizer sees which
-/// sources upstream and sinks downstream (Fig. 4a/4b), which source
-/// reaches which sink through which mid-sanitizers (Fig. 4c) — with
-/// representation names kept symbolic (strings, not corpus RepIds).
+/// A project's Fig. 4 anchors, made persistable. A ConstraintShard holds
+/// what the Fig. 4 traversal (ConstraintGen.h) computes for each of a
+/// project's files — which sanitizer sees which sources upstream and sinks
+/// downstream (Fig. 4a/4b), which source reaches which sink through which
+/// mid-sanitizers (Fig. 4c) — over file-local event ids (an event's index
+/// among its file's events, in id order), plus the file's event count.
+/// Nothing else: the events' representation options stay in the graph, and
+/// generation reads them there.
 ///
 /// A shard is *filter-free*: the §4.3 frequency cutoff and the §7.2
 /// blacklist depend on corpus-global occurrence counts and on the seed
 /// spec, so applying them at extraction time would invalidate every shard
-/// whenever any other project changes. Instead the shard stores each
-/// referenced event's full backoff option list, and composeConstraints()
-/// resolves those lists against the *current* global RepTable, seed, and
-/// GenOptions, then hands the anchors to the same emitter direct
-/// generation uses. An event left without options drops out of every
-/// anchor, exactly as the direct path's candidate filter drops it before
-/// traversal, so composing all project shards in corpus order reproduces
-/// generateConstraints() byte for byte: same variable ids, same constraint
-/// order, same coefficients.
+/// whenever any other project changes. Instead the traversal runs without
+/// the candidate filter, and generateConstraints() hands a cached file's
+/// anchors to the same emitter that emits a traversed file's, over the
+/// same surviving options. An event left without options drops out of
+/// every anchor, exactly as the traversal's candidate filter drops it, so
+/// a system built from cached anchors is the directly generated one byte
+/// for byte: same variable ids, same constraint order, same coefficients.
+///
+/// Cached ids index a file's option spans directly, so a shard may only be
+/// used on the graph slice it fits (shardFits()): one block per file, each
+/// with its file's event count. The codec bounds every id by its file's
+/// count; the count is checked against the graph before use.
 ///
 /// The trade-off: shards store anchor pair lists uncapped (the
 /// MaxPairsPerAnchor cap counts only *surviving* pairs, known only at
@@ -36,30 +41,16 @@
 #ifndef SELDON_CONSTRAINTS_CONSTRAINTSHARD_H
 #define SELDON_CONSTRAINTS_CONSTRAINTSHARD_H
 
-#include "constraints/ConstraintGen.h"
+#include "propgraph/PropagationGraph.h"
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace seldon {
-
-class Deadline;
-class ThreadPool;
-
 namespace constraints {
 
-/// Index of an interned representation string within one shard.
-using ShardStrId = uint32_t;
-/// Index of an event within one shard; during direct generation, within
-/// one file's events.
+/// Index of an event among its file's events, in id order.
 using ShardEventId = uint32_t;
-
-/// One event referenced by a shard: its full representation option list
-/// (most to least specific), as indices into ConstraintShard::Strings.
-struct ShardEvent {
-  std::vector<ShardStrId> Reps;
-};
 
 /// One sanitizer anchor (Fig. 4a/4b): the sources flowing into it and the
 /// sinks reachable from it, each in candidate (event id) order. Omitted
@@ -87,17 +78,16 @@ struct ShardSrcAnchor {
 /// The anchors of one file, as the Fig. 4 traversal records them: all
 /// sanitizer anchors (Fig. 4a/4b), then all source anchors (Fig. 4c).
 struct ShardFile {
+  /// The file's event count; every id above is below it.
+  uint32_t NumEvents = 0;
   std::vector<ShardSanAnchor> SanAnchors;
   std::vector<ShardSrcAnchor> SrcAnchors;
 };
 
-/// The persistable per-project slice of constraint generation. Strings and
-/// events are interned shard-locally in first-reference order; Files holds
-/// one block per project file (empty blocks included, so blocks align with
-/// the project's file list).
+/// The persistable per-project slice of constraint generation: one block
+/// per project file (empty blocks included, so blocks align with the
+/// project's file list).
 struct ConstraintShard {
-  std::vector<std::string> Strings;
-  std::vector<ShardEvent> Events;
   std::vector<ShardFile> Files;
 
   /// Total anchors across all files (shard-size diagnostics).
@@ -116,26 +106,13 @@ struct ConstraintShard {
 ConstraintShard extractShard(const propgraph::PropagationGraph &Graph,
                              uint32_t FileBegin, uint32_t FileEnd);
 
-/// Composes per-project \p Shards (in corpus order; null entries are
-/// skipped) into a full constraint system over the global \p Graph. The
-/// scaffolding is generateConstraints()'s (event filter, statistics, seed
-/// pins); then every shard resolves its option strings under the current
-/// corpus state — §4.3 cutoff against the global counts in \p Reps, seed
-/// blacklist — and emits its rows into a private block, fanned out over
-/// \p Pool; the blocks merge in corpus order, as generation's per-file
-/// blocks do. The result is byte-identical to generateConstraints(Graph,
-/// ...) at any thread count, provided the shards were extracted from the
-/// same graph's project slices. \p StopAt (may be null) is polled at
-/// every shard boundary; expiry throws DeadlineError — composition is
-/// all-or-nothing, like generation.
-ConstraintSystem
-composeConstraints(const propgraph::PropagationGraph &Graph,
-                   const propgraph::RepTable &Reps,
-                   const spec::SeedSpec &Seed,
-                   const std::vector<const ConstraintShard *> &Shards,
-                   const GenOptions &Opts = GenOptions(),
-                   ThreadPool *Pool = nullptr,
-                   const Deadline *StopAt = nullptr);
+/// True when \p Shard may stand in for the traversal of the files
+/// [\p FileBegin, \p FileEnd) of \p Graph: it has one block per file, and
+/// each block's event count is its file's. \p Graph's events must be in
+/// file order, as for extractShard().
+bool shardFits(const ConstraintShard &Shard,
+               const propgraph::PropagationGraph &Graph, uint32_t FileBegin,
+               uint32_t FileEnd);
 
 } // namespace constraints
 } // namespace seldon

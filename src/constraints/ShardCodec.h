@@ -12,12 +12,10 @@
 ///
 /// The payload travels in the shared frame of support/BinaryCodec.h
 /// (magic "SCSH", version ShardCodecVersion). Payload layout, all
-/// integers varint-encoded unless noted:
+/// integers varint-encoded:
 ///
-///     strings  count, then per string: length-prefixed bytes
-///     events   count, then per event: rep count (>= 1), rep string ids
-///              (most to least specific)
-///     files    count, then per file:
+///     files  count, then per file:
+///       event count  the file's events (every id below is less)
 ///       san anchors  count, then per anchor: san event id,
 ///                    |sources before| + ids, |sinks after| + ids
 ///                    (at least one of the two lists non-empty)
@@ -25,13 +23,18 @@
 ///                    pair count (>= 1), per pair: sink event id,
 ///                    mid count + mid event ids
 ///
+/// Event ids are file-local (ConstraintShard.h). The shard holds no
+/// representation strings: generation reads each event's options from the
+/// graph the shard is used on, after checking that the shard fits it.
+///
 /// The encoding is *canonical*: encode(decode(encode(S))) == encode(S)
-/// byte for byte, so a cache-hit shard replays into exactly the same
-/// constraint system as the freshly extracted one.
+/// byte for byte, so a cache-hit shard emits exactly the same constraint
+/// system as the freshly extracted one.
 ///
 /// Decoding is *strict* in the GraphCodec sense: any truncation, bit flip,
-/// version skew, or out-of-range reference yields a descriptive
-/// io::IOResult error with an empty shard — never a partial one.
+/// version skew, or event id not below its file's event count yields a
+/// descriptive io::IOResult error with an empty shard — never a partial
+/// one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,8 +52,10 @@ namespace seldon {
 namespace constraints {
 
 /// Current shard format version. Bump on any layout change; the decoder
-/// rejects every other version (the shard cache then rebuilds).
-inline constexpr uint32_t ShardCodecVersion = 1;
+/// rejects every other version (the shard cache then rebuilds). Version 2
+/// dropped the string table and the per-event option lists for per-file
+/// event counts.
+inline constexpr uint32_t ShardCodecVersion = 2;
 
 /// Serializes \p Shard into the format described above.
 std::string encodeShard(const ConstraintShard &Shard);

@@ -347,13 +347,18 @@ Session::composeFromShards(const spec::SeedSpec &Seed, ThreadPool *P) {
   std::vector<constraints::ConstraintShard> Shards(N);
   std::vector<uint8_t> Hit(N, 0), Stored(N, 0);
   std::mutex HealthMutex;
+  auto Incident = [&](const ProjectSlice &Slice, const std::string &What) {
+    std::lock_guard<std::mutex> Lock(HealthMutex);
+    Health.CacheIncidents.push_back(
+        "project " + Projects[Slice.ProjectIndex]->name() + ": " + What);
+  };
 
   // Load-or-extract fans out over projects; each worker touches disjoint
   // slots. Like the graph cache, a *throwing* shard cache degrades to a
   // re-extraction / skipped write-back — the cache is transparent, so the
-  // composed system stays byte-identical either way.
+  // system stays byte-identical either way.
   auto ShardOne = [&](size_t I, unsigned) {
-    // Cooperative cancellation at the project boundary: composition is
+    // Cooperative cancellation at the project boundary: generation is
     // all-or-nothing, so expiry is a hard error (rethrown
     // deterministically by parallelFor).
     if (RunDeadline.expired())
@@ -365,28 +370,29 @@ Session::composeFromShards(const spec::SeedSpec &Seed, ThreadPool *P) {
     try {
       FromCache = SCache->load(Key);
     } catch (const std::exception &E) {
-      std::lock_guard<std::mutex> Lock(HealthMutex);
-      Health.CacheIncidents.push_back(
-          "project " + Projects[Slice.ProjectIndex]->name() +
-          ": shard read degraded to re-extraction: " + E.what());
+      Incident(Slice, std::string("shard read degraded to re-extraction: ") +
+                          E.what());
+    }
+    // Cached ids index the slice's events directly, so a shard that does
+    // not fit them is never used.
+    if (FromCache && !constraints::shardFits(*FromCache, *Graph,
+                                             Slice.FileBegin, Slice.FileEnd)) {
+      Incident(Slice, "cached shard does not fit the project's graph; "
+                      "re-extracted");
+      FromCache.reset();
     }
     if (FromCache) {
       Shards[I] = std::move(*FromCache);
       Hit[I] = 1;
-    } else {
-      if (fault::enabled())
-        fault::maybeThrow(fault::Point::ConstraintGen, I);
-      Shards[I] = constraints::extractShard(*Graph, Slice.FileBegin,
-                                            Slice.FileEnd);
-      try {
-        if (SCache->store(Key, Shards[I]))
-          Stored[I] = 1;
-      } catch (const std::exception &E) {
-        std::lock_guard<std::mutex> Lock(HealthMutex);
-        Health.CacheIncidents.push_back(
-            "project " + Projects[Slice.ProjectIndex]->name() +
-            ": shard write skipped: " + E.what());
-      }
+      return;
+    }
+    Shards[I] =
+        constraints::extractShard(*Graph, Slice.FileBegin, Slice.FileEnd);
+    try {
+      if (SCache->store(Key, Shards[I]))
+        Stored[I] = 1;
+    } catch (const std::exception &E) {
+      Incident(Slice, std::string("shard write skipped: ") + E.what());
     }
   };
   if (P)
@@ -401,17 +407,17 @@ Session::composeFromShards(const spec::SeedSpec &Seed, ThreadPool *P) {
     Incr.ShardsStored += Stored[I];
   }
 
-  // Deterministic delta merge: the shards replay in parallel into local
-  // blocks, which merge in corpus order through generation's own ordered
-  // merge, so the result is byte-identical to direct generation at any
-  // Jobs value.
+  // One generation over the graph, each project file emitting its shard's
+  // anchors: the per-file blocks merge in file order, so the system is
+  // byte-identical to direct generation at any Jobs value.
   Timer MergeTimer;
-  std::vector<const constraints::ConstraintShard *> Ptrs;
-  Ptrs.reserve(N);
-  for (const constraints::ConstraintShard &Shard : Shards)
-    Ptrs.push_back(&Shard);
-  constraints::ConstraintSystem Sys = constraints::composeConstraints(
-      *Graph, Reps, Seed, Ptrs, Opts.Gen, P, &RunDeadline);
+  std::vector<const constraints::ShardFile *> Cached(Graph->files().size(),
+                                                     nullptr);
+  for (size_t I = 0; I < N; ++I)
+    for (uint32_t F = Slices[I].FileBegin; F < Slices[I].FileEnd; ++F)
+      Cached[F] = &Shards[I].Files[F - Slices[I].FileBegin];
+  constraints::ConstraintSystem Sys = constraints::generateConstraints(
+      *Graph, Reps, Seed, Opts.Gen, P, &RunDeadline, Cached);
   if (Reg.enabled())
     Reg.timer("incr.merge_seconds").record(MergeTimer.seconds());
   return Sys;

@@ -117,8 +117,8 @@ public:
 };
 
 /// Delta statistics of one incremental run: how many files buildGraph()
-/// parsed, how much of the constraint system was replayed from cached
-/// shards versus regenerated, and whether the solve was warm-started. The
+/// parsed, how many projects' anchors came from cached shards versus a
+/// fresh extraction, and whether the solve was warm-started. The
 /// shard counters are all zero when the shard cache is off.
 struct IncrStats {
   /// Files buildGraph() lexed and parsed: those of the projects whose
@@ -127,10 +127,10 @@ struct IncrStats {
   uint64_t FilesParsed = 0;
   /// Lexer and parser diagnostics across those files.
   uint64_t ParseDiagnostics = 0;
-  /// Projects whose constraint shard was replayed from the cache.
+  /// Projects whose cached constraint shard was loaded and used.
   uint64_t ShardsHit = 0;
-  /// Projects whose shard was extracted fresh (miss, eviction, or no
-  /// usable cache entry).
+  /// Projects whose shard was extracted fresh (miss, eviction, a shard
+  /// that did not fit the project's graph, or no usable cache).
   uint64_t ShardsRebuilt = 0;
   /// Freshly extracted shards written back to the cache.
   uint64_t ShardsStored = 0;
@@ -244,8 +244,8 @@ public:
 
   /// Enables the persistent constraint-shard cache rooted at \p Dir
   /// (created if missing). Must be called before buildGraph(). With it,
-  /// generateConstraints() replays cached per-project shards and extracts
-  /// only the projects whose shard key changed; the composed system is
+  /// generateConstraints() emits cached per-project anchors and extracts
+  /// only the projects whose shard key changed; the system is
   /// byte-identical to uncached generation. Ignored (with a plain
   /// regeneration) when the graph was adopted rather than built from
   /// projects, or when CollapseForLearning is set — vertex contraction
@@ -335,8 +335,10 @@ private:
   /// incremental counters.
   PipelineResult assembleResult(unsigned Jobs);
   /// The incremental generation path: per-project shards are loaded from
-  /// the shard cache or extracted fresh, then replayed (both in parallel)
-  /// and merged in corpus order into a system byte-identical to direct
+  /// the shard cache (a shard that does not fit its graph slice is a miss,
+  /// reported in Health.CacheIncidents) or extracted and stored, in
+  /// parallel; then one constraints::generateConstraints() call emits
+  /// every file's anchors into a system byte-identical to direct
   /// generation.
   constraints::ConstraintSystem
   composeFromShards(const spec::SeedSpec &Seed, ThreadPool *P);

@@ -62,7 +62,8 @@ struct RunHealth {
   std::vector<QuarantinedProject> Quarantined;
 
   /// Cache reads/writes that threw and were degraded to a rebuild or a
-  /// skipped write-back. Results are unaffected (the cache is
+  /// skipped write-back, and cached shards that did not fit their graph
+  /// slice and were re-extracted. Results are unaffected (the cache is
   /// transparent), so incidents alone do not degrade the status.
   std::vector<std::string> CacheIncidents;
 

@@ -11,23 +11,20 @@ using namespace seldon::pointsto;
 
 const std::set<ObjId> AndersenSolver::EmptySet;
 
-VarId AndersenSolver::makeVar(std::string Name) {
-  Vars.push_back(VarNode{std::move(Name), {}, {}, {}, {}});
+VarId AndersenSolver::makeVar() {
+  Vars.emplace_back();
   Dispatched.emplace_back();
   return static_cast<VarId>(Vars.size() - 1);
 }
 
-ObjId AndersenSolver::makeObj(std::string Label) {
-  ObjLabels.push_back(std::move(Label));
-  return static_cast<ObjId>(ObjLabels.size() - 1);
-}
+ObjId AndersenSolver::makeObj() { return NumObjs++; }
 
 VarId AndersenSolver::fieldVar(ObjId O, const std::string &Field) {
   auto Key = std::make_pair(O, Field);
   auto It = FieldVars.find(Key);
   if (It != FieldVars.end())
     return It->second;
-  VarId V = makeVar(ObjLabels[O] + "." + Field);
+  VarId V = makeVar();
   FieldVars.emplace(Key, V);
   return V;
 }
@@ -38,7 +35,7 @@ void AndersenSolver::addToPts(VarId V, ObjId O) {
 }
 
 void AndersenSolver::addAlloc(VarId V, ObjId O) {
-  assert(V < Vars.size() && O < ObjLabels.size());
+  assert(V < Vars.size() && O < NumObjs);
   addToPts(V, O);
 }
 

@@ -38,11 +38,11 @@ using ObjId = uint32_t;
 /// Inclusion-based points-to constraint solver.
 class AndersenSolver {
 public:
-  /// Creates a fresh variable node. \p Name is kept for debugging only.
-  VarId makeVar(std::string Name);
+  /// Creates a fresh variable node.
+  VarId makeVar();
 
   /// Creates a fresh abstract object (allocation site).
-  ObjId makeObj(std::string Label);
+  ObjId makeObj();
 
   /// Constraint: \p V may point to \p O.
   void addAlloc(VarId V, ObjId O);
@@ -71,13 +71,10 @@ public:
   bool mayAlias(VarId A, VarId B) const;
 
   size_t numVars() const { return Vars.size(); }
-  size_t numObjs() const { return ObjLabels.size(); }
-  const std::string &varName(VarId V) const { return Vars[V].Name; }
-  const std::string &objLabel(ObjId O) const { return ObjLabels[O]; }
+  size_t numObjs() const { return NumObjs; }
 
 private:
   struct VarNode {
-    std::string Name;
     std::set<ObjId> Pts;
     std::set<VarId> CopyTo; ///< Subset edges out of this node.
     /// Pending complex constraints keyed by field name.
@@ -93,7 +90,7 @@ private:
   void addToPts(VarId V, ObjId O);
 
   std::vector<VarNode> Vars;
-  std::vector<std::string> ObjLabels;
+  ObjId NumObjs = 0;
   std::map<std::pair<ObjId, std::string>, VarId> FieldVars;
   std::vector<VarId> Worklist;
   /// Tracks which (object) entries each var already dispatched complex

@@ -203,23 +203,19 @@ private:
   // Points-to plumbing
   //===--------------------------------------------------------------------===//
 
-  pointsto::VarId freshPtVar(const char *Tag) {
-    return PT.makeVar(std::string(Tag) + "#" + std::to_string(PtTemp++));
-  }
-
   /// The shared abstract instance object of a same-module class.
   pointsto::ObjId classInstanceObj(const std::string &ClassName) {
     auto It = ClassInstanceObjs.find(ClassName);
     if (It != ClassInstanceObjs.end())
       return It->second;
-    pointsto::ObjId O = PT.makeObj("instance:" + ClassName);
+    pointsto::ObjId O = PT.makeObj();
     ClassInstanceObjs.emplace(ClassName, O);
     return O;
   }
 
-  pointsto::VarId ptVarOf(Value &V, const char *Tag) {
+  pointsto::VarId ptVarOf(Value &V) {
     if (V.PtVar == InvalidPtVar)
-      V.PtVar = freshPtVar(Tag);
+      V.PtVar = PT.makeVar();
     return V.PtVar;
   }
 
@@ -260,14 +256,14 @@ private:
       Value V;
       V.Events.push_back(PE);
       V.Paths = paramRootPaths(Fn, Class, P.Name, /*IncludeBareName=*/true);
-      V.PtVar = freshPtVar("param");
+      V.PtVar = PT.makeVar();
       if (Class && &P == &Fn->Params.front()) {
         // Every method's `self` denotes the same abstract instance, so
         // fields written in one method are visible in another.
         V.InstanceClass = Class->Name;
         PT.addAlloc(V.PtVar, classInstanceObj(Class->Name));
       } else {
-        PT.addAlloc(V.PtVar, PT.makeObj("param:" + EventReps.front()));
+        PT.addAlloc(V.PtVar, PT.makeObj());
       }
       FnEnv[std::string(P.Name)] = std::move(V);
 
@@ -410,7 +406,7 @@ private:
       Value Elem;
       Elem.Events = Iter.Events; // Reading an element of a tainted
                                  // collection yields tainted data.
-      Elem.PtVar = freshPtVar("iter");
+      Elem.PtVar = PT.makeVar();
       if (Iter.PtVar != InvalidPtVar)
         PT.addLoad(Elem.PtVar, Iter.PtVar, "$elem");
       assignTo(F->Target, Elem, E, Fn, Depth);
@@ -502,7 +498,7 @@ private:
       if (VA.PtVar == InvalidPtVar)
         VA.PtVar = VB.PtVar;
       else if (VB.PtVar != InvalidPtVar && VB.PtVar != VA.PtVar) {
-        pointsto::VarId Merged = freshPtVar("phi");
+        pointsto::VarId Merged = PT.makeVar();
         PT.addCopy(Merged, VA.PtVar);
         PT.addCopy(Merged, VB.PtVar);
         VA.PtVar = Merged;
@@ -560,7 +556,7 @@ private:
                         const Value &V) {
     if (!Opts.UsePointsTo || V.Events.empty())
       return;
-    pointsto::VarId BaseVar = ptVarOf(Base, "storebase");
+    pointsto::VarId BaseVar = ptVarOf(Base);
     Stores.push_back({BaseVar, std::string(Field), V.Events});
     if (V.PtVar != InvalidPtVar)
       PT.addStore(BaseVar, std::string(Field), V.PtVar);
@@ -601,7 +597,7 @@ private:
       return evalExpr(cast<UnaryExpr>(Ex)->Operand, E, Fn, Depth);
     case NodeKind::BoolOp: {
       Value Out;
-      Out.PtVar = freshPtVar("boolop");
+      Out.PtVar = PT.makeVar();
       for (const Expr *Op : cast<BoolOpExpr>(Ex)->Operands) {
         Value V = evalExpr(Op, E, Fn, Depth);
         Out.Events = unionEvents(Out.Events, V.Events);
@@ -753,10 +749,10 @@ private:
     Out.PureModulePath = false;
     Out.InstanceClass.clear();
     if (Opts.UsePointsTo) {
-      Out.PtVar = freshPtVar("attr");
+      Out.PtVar = PT.makeVar();
       if (Base.PtVar != InvalidPtVar)
         PT.addLoad(Out.PtVar, Base.PtVar, std::string(A->Attr));
-      pointsto::VarId BaseVar = ptVarOf(Base, "loadbase");
+      pointsto::VarId BaseVar = ptVarOf(Base);
       Loads.push_back({BaseVar, std::string(A->Attr), Read});
     }
     return Out;
@@ -775,10 +771,10 @@ private:
     flowInto(Base.Events, Read);
     Out.Events = {Read};
     if (Opts.UsePointsTo) {
-      Out.PtVar = freshPtVar("subscript");
+      Out.PtVar = PT.makeVar();
       if (Base.PtVar != InvalidPtVar)
         PT.addLoad(Out.PtVar, Base.PtVar, "$elem");
-      pointsto::VarId BaseVar = ptVarOf(Base, "loadbase");
+      pointsto::VarId BaseVar = ptVarOf(Base);
       Loads.push_back({BaseVar, "$elem", Read});
     }
     return Out;
@@ -806,9 +802,8 @@ private:
     }
     Value Out;
     if (Opts.UsePointsTo) {
-      Out.PtVar = freshPtVar("container");
-      PT.addAlloc(Out.PtVar, PT.makeObj("container@" +
-                                        std::to_string(Ex->loc().Line)));
+      Out.PtVar = PT.makeVar();
+      PT.addAlloc(Out.PtVar, PT.makeObj());
     }
     for (const Expr *P : Parts) {
       Value V = evalExpr(P, E, Fn, Depth);
@@ -895,7 +890,7 @@ private:
     // Precise inlining: a successfully inlined same-module call likewise
     // routes flow only through the callee's body.
     if (Opts.PreciseInlining && !Opts.ArgPositionReps &&
-        Depth < Opts.MaxInlineDepth) {
+        Depth < MaxInlineDepth) {
       const FunctionDefStmt *Probe = LocalTarget;
       if (!Probe && ConstructedClass) {
         auto It = ConstructedClass->Methods.find("__init__");
@@ -972,7 +967,7 @@ private:
       }
     }
     bool InlinedPrecisely = false;
-    if (InlineFn && Depth < Opts.MaxInlineDepth) {
+    if (InlineFn && Depth < MaxInlineDepth) {
       FunctionSummary &Summary =
           processFunction(InlineFn, InlineClass, Depth + 1);
       if (Summary.Processed) {
@@ -1014,13 +1009,11 @@ private:
     if (Opts.UsePointsTo) {
       // Calls with unknown bodies are allocation sites (§5.2); local
       // constructors yield the class's shared abstract instance.
-      Out.PtVar = freshPtVar("call");
+      Out.PtVar = PT.makeVar();
       if (ConstructedClass)
         PT.addAlloc(Out.PtVar, classInstanceObj(ConstructedClass->Name));
       else
-        PT.addAlloc(Out.PtVar,
-                    PT.makeObj("call:" + RepOptions.front() + "@" +
-                               std::to_string(C->loc().Line)));
+        PT.addAlloc(Out.PtVar, PT.makeObj());
     }
     return Out;
   }
@@ -1062,7 +1055,6 @@ private:
   std::unordered_map<std::string, pointsto::ObjId> ClassInstanceObjs;
   std::vector<FieldStore> Stores;
   std::vector<FieldLoad> Loads;
-  unsigned PtTemp = 0;
 };
 
 /// Lexes and parses \p Module into \p Ctx (parseSource times the two

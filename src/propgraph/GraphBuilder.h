@@ -47,14 +47,17 @@ namespace propgraph {
 /// Version 2 escapes control bytes and backslashes in subscript keys.
 /// Version 3 lexes a non-ASCII identifier as one name and treats a
 /// backslash before CRLF as one before LF: a line continuation, in code
-/// and inside a string literal.
-inline constexpr uint32_t GraphBuilderVersion = 3;
+/// and inside a string literal. Version 4 keeps a backslash-escaped quote
+/// inside a raw string, and reads an f-string `=` debug field with
+/// whitespace after the `=` (`f'{x = }'`).
+inline constexpr uint32_t GraphBuilderVersion = 4;
+
+/// Maximum depth of on-demand same-module inlining (paper: context bound of
+/// 8 method calls).
+inline constexpr int MaxInlineDepth = 8;
 
 /// Tunables of the graph construction.
 struct BuildOptions {
-  /// Maximum depth of on-demand same-module inlining (paper: context bound
-  /// of 8 method calls).
-  int MaxInlineDepth = 8;
   /// Model the `locals()` builtin (§5.2).
   bool ModelLocals = true;
   /// Run the Andersen points-to pass to connect field stores to aliasing

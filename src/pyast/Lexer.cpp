@@ -165,7 +165,9 @@ void Lexer::lexString(std::vector<Token> &Out, std::string_view Prefix) {
   }
 
   // Walk to the closing quote, stepping over each escape as a pair; the
-  // body is decoded later, by whoever needs its value.
+  // body is decoded later, by whoever needs its value. In a raw string a
+  // backslash still keeps the next character (a quote included) inside the
+  // literal, but both stay in the body as written.
   const char *Body = Cur;
   const char *BodyEnd;
   bool SawEscape = false;
@@ -189,8 +191,8 @@ void Lexer::lexString(std::vector<Token> &Out, std::string_view Prefix) {
       ++Cur;
       continue;
     }
-    if (C == '\\' && !Raw && End - Cur > 1) {
-      SawEscape = true;
+    if (C == '\\' && End - Cur > 1) {
+      SawEscape |= !Raw;
       ++Cur;
       // A backslash before CRLF continues the line, as before LF.
       if (*Cur == '\r' && peek(1) == '\n')

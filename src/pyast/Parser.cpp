@@ -1243,9 +1243,11 @@ void Parser::parseFStringInterpolations(std::string_view Text, SourceLoc Loc,
       return;
     }
     std::string_view ExprText = Text.substr(I + 1, ExprEnd - I - 1);
-    // f"{x=}" debug form: the trailing '=' is display sugar.
-    while (!ExprText.empty() && ExprText.back() == '=')
-      ExprText.remove_suffix(1);
+    // f"{x=}" debug form, whitespace allowed after the '=' (f"{x = }"): the
+    // trailing '=' is display sugar.
+    size_t Last = ExprText.find_last_not_of(" \t\r\n\f");
+    if (Last != std::string_view::npos && ExprText[Last] == '=')
+      ExprText = ExprText.substr(0, ExprText.find_last_not_of('=', Last) + 1);
     if (!ExprText.empty()) {
       Lexer FieldLexer(ExprText);
       FieldLexer.lexAll(FieldTokens);

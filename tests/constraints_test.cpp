@@ -224,7 +224,7 @@ TEST(ConstraintGenTest, MakeObjectiveWiresPins) {
 TEST(ConstraintGenTest, PairCapCountsSurvivingPairsOnly) {
   // A sanitizer reaches two sinks; the first is filtered out (blacklisted,
   // or below the cutoff). At cap 1 the single Fig. 4a row must pair the
-  // sanitizer with the second sink, directly and composed from a shard.
+  // sanitizer with the second sink, traversed and from a shard's anchors.
   for (bool Blacklisted : {true, false}) {
     SCOPED_TRACE(Blacklisted ? "blacklisted" : "below cutoff");
     PropagationGraph G;
@@ -254,9 +254,11 @@ TEST(ConstraintGenTest, PairCapCountsSurvivingPairsOnly) {
     ASSERT_TRUE(Reps.lookup("d.live()", LiveRep));
 
     ConstraintShard Shard = extractShard(G, 0, 1);
+    const ShardFile *Cached[] = {&Shard.Files[0]};
     for (const ConstraintSystem &Sys :
          {generateConstraints(G, Reps, Seed, Opts),
-          composeConstraints(G, Reps, Seed, {&Shard}, Opts)}) {
+          generateConstraints(G, Reps, Seed, Opts, nullptr, nullptr,
+                              Cached)}) {
       ASSERT_EQ(Sys.Constraints.size(), 1u);
       const solver::LinearConstraint &Row = Sys.Constraints.front();
       VarId SanVar, LiveVar;

@@ -375,7 +375,6 @@ TEST_F(FaultPipelineTest, ScopedOptionsRestoreEveryFieldAfterAThrow) {
   try {
     ScopedOptions Scope(S);
     PipelineOptions &P = S.options();
-    P.Build.MaxInlineDepth = 1;
     P.Build.UsePointsTo = false;
     P.Gen.C = 2.0;
     P.Gen.RepCutoff = 1;
@@ -400,7 +399,6 @@ TEST_F(FaultPipelineTest, ScopedOptionsRestoreEveryFieldAfterAThrow) {
   }
 
   const PipelineOptions &P = S.options();
-  EXPECT_EQ(P.Build.MaxInlineDepth, Before.Build.MaxInlineDepth);
   EXPECT_EQ(P.Build.UsePointsTo, Before.Build.UsePointsTo);
   EXPECT_EQ(P.Gen.C, Before.Gen.C);
   EXPECT_EQ(P.Gen.RepCutoff, Before.Gen.RepCutoff);

@@ -185,4 +185,30 @@ TEST(FStringFlowTest, CallInsideInterpolationBecomesEvent) {
                         F.theEvent("db.exec()")) != Reach.end());
 }
 
+/// The `=` debug form with whitespace after the `=` (Python 3.8): each
+/// field is the expression `z`, so the read reaches the sink.
+TEST(FStringFlowTest, DebugFieldWithSpacesCarriesFlow) {
+  for (const char *Field :
+       {"{z=}", "{z =}", "{z = }", "{z= }", "{z = !r}", "{z = :>8}"}) {
+    SCOPED_TRACE(Field);
+    FlowFixture F(std::string("import web\nimport db\n"
+                              "z = web.read()\n"
+                              "db.exec(f'") +
+                  Field + "')\n");
+    auto Reach = F.Graph.reachableFrom(F.theEvent("web.read()"));
+    EXPECT_TRUE(std::find(Reach.begin(), Reach.end(),
+                          F.theEvent("db.exec()")) != Reach.end());
+  }
+}
+
+/// `==` inside a field is a comparison, not a debug `=`.
+TEST(FStringFlowTest, EqualityInFieldStaysAComparison) {
+  ParsedExpr P("x = f'{a == b}'\n");
+  EXPECT_TRUE(P.Errors.empty());
+  const auto *J = dyn_cast<JoinedStrExpr>(P.E);
+  ASSERT_NE(J, nullptr);
+  ASSERT_EQ(J->Interpolations.size(), 1u);
+  EXPECT_TRUE(isa<CompareExpr>(J->Interpolations[0]));
+}
+
 } // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 using namespace seldon;
 using namespace seldon::pyast;
 
@@ -169,6 +171,32 @@ TEST(LexerTest, StringEscapes) {
 TEST(LexerTest, RawStringKeepsBackslash) {
   auto Tokens = lex("s = r'a\\nb'\n");
   EXPECT_EQ(decodedText(Tokens[2]), "a\\nb");
+}
+
+TEST(LexerTest, RawStringKeepsEscapedQuote) {
+  // In a raw string a backslash keeps the next character (a quote
+  // included) inside the literal, and both stay in the body.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"r'\\''", "\\'"},   {"r\"\\\"\"", "\\\""}, {"rb'\\''", "\\'"},
+      {"R'a\\'b'", "a\\'b"}, {"r'\\\\'", "\\\\"},
+  };
+  for (const auto &[Literal, Body] : Cases) {
+    SCOPED_TRACE(Literal);
+    std::string Source = std::string("x = ") + Literal + "\ny = 1\n";
+    Lexer L(Source);
+    std::vector<Token> Tokens = L.lexAll();
+    EXPECT_TRUE(L.errors().empty());
+    size_t Strings = 0;
+    for (const Token &T : Tokens)
+      Strings += T.is(TokenKind::String);
+    EXPECT_EQ(Strings, 1u);
+    ASSERT_GE(Tokens.size(), 8u);
+    EXPECT_EQ(Tokens[2].Kind, TokenKind::String);
+    EXPECT_EQ(Tokens[2].Text, Body);
+    EXPECT_FALSE(Tokens[2].NeedsDecode);
+    EXPECT_EQ(Tokens[3].Kind, TokenKind::Newline);
+    EXPECT_EQ(Tokens[4].Text, "y");
+  }
 }
 
 TEST(LexerTest, TripleQuotedString) {

@@ -11,8 +11,8 @@ namespace {
 
 TEST(AndersenSolverTest, AllocAndCopy) {
   AndersenSolver S;
-  VarId A = S.makeVar("a"), B = S.makeVar("b");
-  ObjId O = S.makeObj("o");
+  VarId A = S.makeVar(), B = S.makeVar();
+  ObjId O = S.makeObj();
   S.addAlloc(A, O);
   S.addCopy(B, A);
   S.solve();
@@ -24,8 +24,8 @@ TEST(AndersenSolverTest, CopyChain) {
   AndersenSolver S;
   VarId V[5];
   for (int I = 0; I < 5; ++I)
-    V[I] = S.makeVar("v" + std::to_string(I));
-  ObjId O = S.makeObj("o");
+    V[I] = S.makeVar();
+  ObjId O = S.makeObj();
   S.addAlloc(V[0], O);
   for (int I = 1; I < 5; ++I)
     S.addCopy(V[I], V[I - 1]);
@@ -35,8 +35,8 @@ TEST(AndersenSolverTest, CopyChain) {
 
 TEST(AndersenSolverTest, CopyCycleTerminates) {
   AndersenSolver S;
-  VarId A = S.makeVar("a"), B = S.makeVar("b");
-  ObjId O = S.makeObj("o");
+  VarId A = S.makeVar(), B = S.makeVar();
+  ObjId O = S.makeObj();
   S.addAlloc(A, O);
   S.addCopy(B, A);
   S.addCopy(A, B);
@@ -48,9 +48,9 @@ TEST(AndersenSolverTest, CopyCycleTerminates) {
 TEST(AndersenSolverTest, FieldStoreLoad) {
   // p = obj; p.f = q; r = obj.f  =>  r points to what q points to.
   AndersenSolver S;
-  VarId Obj = S.makeVar("obj"), P = S.makeVar("p"), Q = S.makeVar("q"),
-        R = S.makeVar("r");
-  ObjId Heap = S.makeObj("heap"), Payload = S.makeObj("payload");
+  VarId Obj = S.makeVar(), P = S.makeVar(), Q = S.makeVar(),
+        R = S.makeVar();
+  ObjId Heap = S.makeObj(), Payload = S.makeObj();
   S.addAlloc(Obj, Heap);
   S.addCopy(P, Obj);
   S.addAlloc(Q, Payload);
@@ -63,8 +63,8 @@ TEST(AndersenSolverTest, FieldStoreLoad) {
 
 TEST(AndersenSolverTest, FieldsAreSeparate) {
   AndersenSolver S;
-  VarId Obj = S.makeVar("obj"), Q = S.makeVar("q"), R = S.makeVar("r");
-  ObjId Heap = S.makeObj("heap"), Payload = S.makeObj("payload");
+  VarId Obj = S.makeVar(), Q = S.makeVar(), R = S.makeVar();
+  ObjId Heap = S.makeObj(), Payload = S.makeObj();
   S.addAlloc(Obj, Heap);
   S.addAlloc(Q, Payload);
   S.addStore(Obj, "f", Q);
@@ -77,9 +77,9 @@ TEST(AndersenSolverTest, StoreBeforeBasePopulated) {
   // The store is registered before `base` points anywhere; the worklist
   // must dispatch it when the object arrives.
   AndersenSolver S;
-  VarId Base = S.makeVar("base"), Src = S.makeVar("src"),
-        Pre = S.makeVar("pre"), Dst = S.makeVar("dst");
-  ObjId Heap = S.makeObj("heap"), Payload = S.makeObj("payload");
+  VarId Base = S.makeVar(), Src = S.makeVar(),
+        Pre = S.makeVar(), Dst = S.makeVar();
+  ObjId Heap = S.makeObj(), Payload = S.makeObj();
   S.addStore(Base, "f", Src);
   S.addLoad(Dst, Base, "f");
   S.addAlloc(Src, Payload);
@@ -91,12 +91,12 @@ TEST(AndersenSolverTest, StoreBeforeBasePopulated) {
 
 TEST(AndersenSolverTest, IncrementalResolve) {
   AndersenSolver S;
-  VarId A = S.makeVar("a"), B = S.makeVar("b");
-  ObjId O1 = S.makeObj("o1");
+  VarId A = S.makeVar(), B = S.makeVar();
+  ObjId O1 = S.makeObj();
   S.addAlloc(A, O1);
   S.solve();
   // Add constraints after a solve; a second solve must pick them up.
-  ObjId O2 = S.makeObj("o2");
+  ObjId O2 = S.makeObj();
   S.addAlloc(A, O2);
   S.addCopy(B, A);
   S.solve();
@@ -105,9 +105,9 @@ TEST(AndersenSolverTest, IncrementalResolve) {
 
 TEST(AndersenSolverTest, NoAliasWhenDisjoint) {
   AndersenSolver S;
-  VarId A = S.makeVar("a"), B = S.makeVar("b");
-  S.addAlloc(A, S.makeObj("o1"));
-  S.addAlloc(B, S.makeObj("o2"));
+  VarId A = S.makeVar(), B = S.makeVar();
+  S.addAlloc(A, S.makeObj());
+  S.addAlloc(B, S.makeObj());
   S.solve();
   EXPECT_FALSE(S.mayAlias(A, B));
 }

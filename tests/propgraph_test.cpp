@@ -286,6 +286,16 @@ TEST(GraphBuilderTest, NonAsciiNamesAndCrlfLineJoinsKeepTheirFlow) {
                                InString.theEvent("os.system()")));
 }
 
+TEST(GraphBuilderTest, RawStringWithEscapedQuoteKeepsNextLinesFlow) {
+  // The raw string ends at its closing quote, not at the escaped one, so
+  // the next line lexes on its own and keeps its edge.
+  GraphFixture F("import os\nimport re\n"
+                 "x = re.compile(r'\\'')\n"
+                 "os.system(os.environ.get('A'))\n");
+  EXPECT_TRUE(F.hasEdge(F.theEvent("os.environ.get()"),
+                        F.theEvent("os.system()")));
+}
+
 TEST(GraphBuilderTest, StringFormattingPropagates) {
   GraphFixture F("import web\nimport db\n"
                  "db.run('SELECT %s' % web.read())\n");

@@ -66,9 +66,9 @@ TEST(ShardCodecTest, RoundTripIsCanonical) {
   std::string Encoded = encodeShard(F.Shard);
   io::IOResult<ConstraintShard> R = decodeShard(Encoded);
   ASSERT_TRUE(R.ok()) << R.Error;
-  EXPECT_EQ(R.Value.Strings, F.Shard.Strings);
-  EXPECT_EQ(R.Value.Events.size(), F.Shard.Events.size());
-  EXPECT_EQ(R.Value.Files.size(), F.Shard.Files.size());
+  ASSERT_EQ(R.Value.Files.size(), F.Shard.Files.size());
+  for (size_t I = 0; I < F.Shard.Files.size(); ++I)
+    EXPECT_EQ(R.Value.Files[I].NumEvents, F.Shard.Files[I].NumEvents);
   EXPECT_EQ(R.Value.numAnchors(), F.Shard.numAnchors());
   // Canonical: re-encoding the decoded shard reproduces the bytes.
   EXPECT_EQ(encodeShard(R.Value), Encoded);
@@ -85,8 +85,7 @@ TEST(ShardCodecFaultTest, EveryTruncationIsRejected) {
                          << " byte(s) decoded successfully";
     EXPECT_FALSE(R.Error.empty());
     // Strictness: the value is never partially populated.
-    EXPECT_TRUE(R.Value.Strings.empty()) << "partial shard at " << Len;
-    EXPECT_TRUE(R.Value.Files.empty());
+    EXPECT_TRUE(R.Value.Files.empty()) << "partial shard at " << Len;
   }
 }
 
@@ -100,7 +99,7 @@ TEST(ShardCodecFaultTest, EveryBitFlipIsRejected) {
     io::IOResult<ConstraintShard> R = decodeShard(Mutated);
     EXPECT_FALSE(R.ok()) << "flip at byte " << I << " decoded successfully";
     EXPECT_FALSE(R.Error.empty()) << "flip at byte " << I;
-    EXPECT_TRUE(R.Value.Strings.empty()) << "partial shard, flip at " << I;
+    EXPECT_TRUE(R.Value.Files.empty()) << "partial shard, flip at " << I;
   }
   EXPECT_EQ(Encoded, Baseline);
 }
@@ -108,16 +107,17 @@ TEST(ShardCodecFaultTest, EveryBitFlipIsRejected) {
 TEST(ShardCodecFaultTest, HugeCountIsAnErrorNotAThrow) {
   // Checksum-valid frames declaring 2^61 elements: the decoder must refuse
   // the count, never reserve() for it — also when the count follows a
-  // failed read (here a first string whose length overruns the payload).
-  std::string HugeStrings;
-  codec::putVarint(HugeStrings, uint64_t(1) << 61);
-  std::string HugeEventsAfterOverrun;
-  codec::putVarint(HugeEventsAfterOverrun, 1);   // string count
-  codec::putVarint(HugeEventsAfterOverrun, 100); // 9 bytes follow
-  codec::putVarint(HugeEventsAfterOverrun, uint64_t(1) << 61);
+  // failed read (here a sanitizer anchor id beyond its file's events).
+  std::string HugeFiles;
+  codec::putVarint(HugeFiles, uint64_t(1) << 61);
+  std::string HugeListAfterBadId;
+  codec::putVarint(HugeListAfterBadId, 1); // file count
+  codec::putVarint(HugeListAfterBadId, 2); // events in the file
+  codec::putVarint(HugeListAfterBadId, 1); // sanitizer anchor count
+  codec::putVarint(HugeListAfterBadId, 5); // sanitizer id, out of range
+  codec::putVarint(HugeListAfterBadId, uint64_t(1) << 61);
   const std::pair<std::string, const char *> Cases[] = {
-      {HugeStrings, "string count"},
-      {HugeEventsAfterOverrun, "representation string"}};
+      {HugeFiles, "file count"}, {HugeListAfterBadId, "sanitizer anchor"}};
   for (const auto &[Payload, FirstFailure] : Cases) {
     std::string Frame = codec::encodeFrame(
         {"SCSH", ShardCodecVersion, "constraint shard"}, Payload);
@@ -125,8 +125,7 @@ TEST(ShardCodecFaultTest, HugeCountIsAnErrorNotAThrow) {
     ASSERT_NO_THROW(R = decodeShard(Frame)) << FirstFailure;
     EXPECT_FALSE(R.ok());
     EXPECT_NE(R.Error.find(FirstFailure), std::string::npos) << R.Error;
-    EXPECT_TRUE(R.Value.Strings.empty()) << FirstFailure;
-    EXPECT_TRUE(R.Value.Events.empty()) << FirstFailure;
+    EXPECT_TRUE(R.Value.Files.empty()) << FirstFailure;
   }
 }
 
@@ -150,16 +149,16 @@ TEST(ShardCacheFaultTest, FlippedRegionsAreEvictedThenRestored) {
   ASSERT_GT(Valid.size(), 32u);
 
   // Offsets: key prefix [0,8), magic [8,12), version [12,13), checksum
-  // [13,21), payload length varint [21,...), then payload (strings first,
-  // events midway, file anchors near the end).
+  // [13,21), payload length varint [21,...), then payload (the file count
+  // and the first file's event count first, anchors after).
   const Region Regions[] = {
       {"key prefix", 0},
       {"magic", 8},
       {"format version", 12},
       {"checksum", 13},
       {"payload length", 21},
-      {"payload head (strings)", 24},
-      {"payload middle (events)", Valid.size() / 2},
+      {"payload head (counts)", 24},
+      {"payload middle (anchors)", Valid.size() / 2},
       {"payload tail (anchors)", Valid.size() - 1},
   };
 

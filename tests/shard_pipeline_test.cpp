@@ -6,14 +6,16 @@
 // to direct generation, serially and in parallel. Touching one project must
 // rebuild exactly one shard; changing a generation knob or the seed must
 // miss everywhere; warm-starting the solve must converge to the same
-// learned roles; an unusable shard directory must degrade to correct
-// all-rebuild operation; and a deadline expiring mid-replay must abort
-// composition without a partial system.
+// learned roles; a cached shard that does not fit its project's files must
+// be re-extracted, never used; an unusable shard directory must degrade to
+// correct all-rebuild operation; and a deadline expiring while cached
+// anchors are emitted must abort generation without a partial system.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestCorpus.h"
 
+#include "cache/ShardCache.h"
 #include "constraints/ConstraintShard.h"
 #include "infer/Pipeline.h"
 #include "spec/SpecIO.h"
@@ -171,8 +173,8 @@ TEST_P(ShardPipelineTest, WarmComposedRunMatchesSerial) {
   fs::remove_all(Dir);
 }
 
-/// The shards replay in parallel into local blocks merged in corpus order:
-/// with some shards replayed and some re-extracted, the composed system
+/// Every file emits into a local block, and the blocks merge in file order:
+/// with some shards loaded and some re-extracted, the composed system
 /// equals the serial direct generation at every worker count.
 TEST_P(ShardPipelineTest, MixedHitsAndMissesComposeTheDirectSystem) {
   const unsigned Jobs = GetParam();
@@ -204,39 +206,38 @@ TEST_P(ShardPipelineTest, MixedHitsAndMissesComposeTheDirectSystem) {
   fs::remove_all(Dir);
 }
 
-/// A deadline that expires while the shards replay aborts composition with
-/// DeadlineError: composition is all-or-nothing, so no partial system
-/// escapes.
+/// A deadline that expires while cached anchors are emitted aborts
+/// generation with DeadlineError: generation is all-or-nothing, so no
+/// partial system escapes.
 TEST_P(ShardPipelineTest, DeadlineDuringReplayLeavesNoPartialSystem) {
   const unsigned Jobs = GetParam();
   corpus::Corpus Data = testutil::makeCorpus(8383, /*NumProjects=*/4);
   propgraph::PropagationGraph Graph = testutil::buildGlobalGraph(Data);
-  propgraph::RepTable Reps;
-  Reps.countOccurrences(Graph);
-  std::vector<constraints::ConstraintShard> Shards;
-  uint32_t Begin = 0;
-  for (const pysem::Project &P : Data.Projects) {
-    uint32_t End = Begin + static_cast<uint32_t>(P.modules().size());
-    Shards.push_back(constraints::extractShard(Graph, Begin, End));
-    Begin = End;
-  }
   ThreadPool Pool(Jobs);
   ThreadPool *P = Jobs > 1 ? &Pool : nullptr;
 
-  // Replaying the shards over and over makes the replay long next to the
-  // scaffolding that precedes it; the deadline then expires at a quarter
-  // of the fastest unbounded composition, mid-replay.
-  std::vector<const constraints::ConstraintShard *> Replay;
-  for (const constraints::ConstraintShard &S : Shards)
-    Replay.push_back(&S);
+  // The graph is appended to itself until an unbounded generation from its
+  // cached anchors takes 50 ms; the deadline then expires at a quarter of
+  // the fastest such generation.
+  propgraph::RepTable Reps;
+  constraints::ConstraintShard Shard;
+  std::vector<const constraints::ShardFile *> Cached;
   double Fastest = 0.0;
   while (Fastest < 0.05) {
-    Replay.insert(Replay.end(), Replay.begin(), Replay.end());
+    Graph.append(propgraph::PropagationGraph(Graph));
+    Reps = propgraph::RepTable();
+    Reps.countOccurrences(Graph);
+    Shard = constraints::extractShard(
+        Graph, 0, static_cast<uint32_t>(Graph.files().size()));
+    Cached.clear();
+    for (const constraints::ShardFile &File : Shard.Files)
+      Cached.push_back(&File);
     Fastest = 1e9;
     for (int Run = 0; Run < 2; ++Run) {
       Timer Clock;
-      constraints::composeConstraints(Graph, Reps, Data.Seed, Replay,
-                                      constraints::GenOptions(), P);
+      constraints::generateConstraints(Graph, Reps, Data.Seed,
+                                       constraints::GenOptions(), P,
+                                       nullptr, Cached);
       Fastest = std::min(Fastest, Clock.seconds());
     }
   }
@@ -244,9 +245,9 @@ TEST_P(ShardPipelineTest, DeadlineDuringReplayLeavesNoPartialSystem) {
   Deadline StopAt;
   StopAt.arm(Fastest / 4);
   constraints::ConstraintSystem Sys;
-  EXPECT_THROW(Sys = constraints::composeConstraints(
-                   Graph, Reps, Data.Seed, Replay,
-                   constraints::GenOptions(), P, &StopAt),
+  EXPECT_THROW(Sys = constraints::generateConstraints(
+                   Graph, Reps, Data.Seed, constraints::GenOptions(), P,
+                   &StopAt, Cached),
                DeadlineError);
   EXPECT_TRUE(Sys.Constraints.empty());
   EXPECT_EQ(Sys.Vars.numVars(), 0u);
@@ -274,6 +275,66 @@ TEST(ShardStalenessTest, TouchedProjectRebuildsExactlyOneShard) {
   EXPECT_EQ(Incr.Incr.ShardsHit, Data.Projects.size() - 1);
   EXPECT_EQ(Incr.Incr.ShardsRebuilt, 1u);
   EXPECT_EQ(specOf(Incr), specOf(runOnce(Data, testOptions(2))));
+  fs::remove_all(Dir);
+}
+
+/// A well-formed shard stored under another project's key does not fit
+/// that project's files: it is re-extracted and re-stored, never used, and
+/// the run reports it. The system still equals direct generation.
+TEST(ShardStalenessTest, MisfitShardIsReextractedNotReplayed) {
+  corpus::Corpus Data = testutil::makeCorpus(2943, /*NumProjects=*/4);
+  const size_t N = Data.Projects.size();
+  const infer::PipelineOptions Opts = testOptions(2);
+  infer::Session Direct(Opts);
+  Direct.addProjects(Data.Projects);
+  Direct.generateConstraints(Data.Seed);
+
+  // Project 1's shard, stored under project 0's key. Their files differ in
+  // count or in events per file.
+  auto EventsPerFile = [](const propgraph::PropagationGraph &G) {
+    std::vector<size_t> Count(G.files().size(), 0);
+    for (const propgraph::Event &E : G.events())
+      ++Count[E.FileIdx];
+    return Count;
+  };
+  propgraph::PropagationGraph Victim =
+      propgraph::buildProjectGraph(Data.Projects[0]);
+  propgraph::PropagationGraph Donor =
+      propgraph::buildProjectGraph(Data.Projects[1]);
+  ASSERT_NE(EventsPerFile(Victim), EventsPerFile(Donor));
+  std::string Dir = testutil::makeScratchDir("shard-misfit");
+  {
+    cache::ShardCache Store(Dir);
+    ASSERT_TRUE(Store.store(
+        cache::projectShardKey(
+            cache::projectCacheKey(Data.Projects[0], Opts.Build), Opts.Gen,
+            Data.Seed),
+        constraints::extractShard(
+            Donor, 0, static_cast<uint32_t>(Donor.files().size()))));
+  }
+
+  auto Compose = [&](infer::Session &S) {
+    S.enableShardCache(Dir);
+    S.addProjects(Data.Projects);
+    S.generateConstraints(Data.Seed);
+  };
+  infer::Session Misfit(Opts);
+  Compose(Misfit);
+  expectSameSystem(Direct.system(), Misfit.system());
+  EXPECT_EQ(Misfit.incrStats().ShardsHit, 0u);
+  EXPECT_EQ(Misfit.incrStats().ShardsRebuilt, N);
+  EXPECT_EQ(Misfit.incrStats().ShardsStored, N);
+  ASSERT_EQ(Misfit.health().CacheIncidents.size(), 1u);
+  EXPECT_NE(Misfit.health().CacheIncidents[0].find(Data.Projects[0].name()),
+            std::string::npos)
+      << Misfit.health().CacheIncidents[0];
+
+  // The re-stored entry fits: the next run uses every shard.
+  infer::Session Warm(Opts);
+  Compose(Warm);
+  EXPECT_EQ(Warm.incrStats().ShardsHit, N);
+  EXPECT_TRUE(Warm.health().CacheIncidents.empty());
+  expectSameSystem(Direct.system(), Warm.system());
   fs::remove_all(Dir);
 }
 
