@@ -97,7 +97,11 @@ echo "=== asan+ubsan: service, durability and on-disk format tests ==="
 # (lexer, parser, f-string, scope and import resolution) and its seeded
 # mutation fuzz, short and long: tokens and AST names are views into the
 # module text or the AST arena, so a view that outlives its text (an
-# f-string field lexed from a temporary, say) is a use-after-free.
+# f-string field lexed from a temporary, say) is a use-after-free. The
+# protocol and input-file fuzz suites run here too, short and long: they
+# feed mutated request lines to a started service and mutated seed specs,
+# learned specs, feedback files and oracle files to their loaders, and
+# every one of those parsers reads untrusted bytes.
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -g"
@@ -108,12 +112,15 @@ cmake --build "$ROOT/build-asan" -j "$JOBS" \
            constraints_test explain_test \
            fault_pipeline_test active_learning_test infer_test \
            constraint_rows_test propgraph_test lexer_test parser_test \
-           fstring_test pysem_test frontend_fuzz_test
+           fstring_test pysem_test frontend_fuzz_test protocol_fuzz_test \
+           file_fuzz_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest|^PipelineTest\.|ConstraintRowsTest|EventOptionsTest|PropagationGraphTest|RepTableTest|GraphBuilderTest|TaintAnalyzerTest|LexerTest|ParserTest|ParserSmokeTest|FStringLexerTest|FStringParserTest|FStringFlowTest|ImportMapTest|ModuleScopeTest|QualifiedNamesTest|FrontendFuzzTest'
-# The long fuzz run is the DISABLED_ instantiation, out of tier-1.
-"$ROOT/build-asan/tests/frontend_fuzz_test" --gtest_also_run_disabled_tests \
-  --gtest_filter='DISABLED_Long/*' --gtest_brief=1
+  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest|^PipelineTest\.|ConstraintRowsTest|EventOptionsTest|PropagationGraphTest|RepTableTest|GraphBuilderTest|TaintAnalyzerTest|LexerTest|ParserTest|ParserSmokeTest|FStringLexerTest|FStringParserTest|FStringFlowTest|ImportMapTest|ModuleScopeTest|QualifiedNamesTest|FrontendFuzzTest|ProtocolFuzzTest|FileFuzzTest'
+# The long fuzz runs are the DISABLED_ instantiations, out of tier-1.
+for FUZZ in frontend_fuzz_test protocol_fuzz_test file_fuzz_test; do
+  "$ROOT/build-asan/tests/$FUZZ" --gtest_also_run_disabled_tests \
+    --gtest_filter='DISABLED_Long/*' --gtest_brief=1
+done
 
 echo
 echo "=== metrics smoke: seldon learn --metrics-out on a toy repo ==="

@@ -26,14 +26,7 @@ MerlinResult seldon::merlin::runMerlin(const PropagationGraph &Graph,
   Result.NumCandidates = Model.NumCandidates;
   Result.NumFactors = Model.Graph.numFactors();
 
-  InferenceResult Inference;
-  if (Opts.Method == InferenceMethod::BeliefPropagation) {
-    LoopyBeliefPropagation Bp(Opts.Bp);
-    Inference = Bp.run(Model.Graph);
-  } else {
-    GibbsSampler Gibbs(Opts.Gibbs);
-    Inference = Gibbs.run(Model.Graph);
-  }
+  InferenceResult Inference = LoopyBeliefPropagation(Opts.Bp).run(Model.Graph);
   Result.TimedOut = Inference.TimedOut;
   Result.Converged = Inference.Converged;
   Result.Iterations = Inference.Iterations;

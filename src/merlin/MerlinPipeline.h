@@ -8,33 +8,28 @@
 /// \file
 /// Runs the full Merlin baseline (paper §6/§7.4): optionally collapse the
 /// propagation graph (§6.4), build the Fig. 6 factor graph, run loopy BP
-/// (standing in for Infer.NET's EP) with an optional Gibbs-sampling
-/// fallback, and read marginals back as a LearnedSpec.
+/// (standing in for Infer.NET's EP), and read marginals back as a
+/// LearnedSpec.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELDON_MERLIN_MERLINPIPELINE_H
 #define SELDON_MERLIN_MERLINPIPELINE_H
 
-#include "merlin/GibbsSampler.h"
+#include "merlin/LoopyBeliefPropagation.h"
 #include "merlin/MerlinConstraints.h"
 #include "spec/LearnedSpec.h"
 
 namespace seldon {
 namespace merlin {
 
-/// Which inference engine to run.
-enum class InferenceMethod { BeliefPropagation, Gibbs };
-
 /// End-to-end Merlin knobs.
 struct MerlinOptions {
   /// Collapse events with equal representation first (Merlin's original
   /// graph granularity, §6.4).
   bool Collapsed = true;
-  InferenceMethod Method = InferenceMethod::BeliefPropagation;
   MerlinGenOptions Gen;
   BpOptions Bp;
-  GibbsOptions Gibbs;
 };
 
 /// Merlin's output and run metadata (Tab. 2 columns).

@@ -521,13 +521,10 @@ private:
     }
     case NodeKind::Tuple:
     case NodeKind::List: {
-      const auto &Elements = Target->kind() == NodeKind::Tuple
-                                 ? cast<TupleExpr>(Target)->Elements
-                                 : cast<ListExpr>(Target)->Elements;
       Value Elem;
       Elem.Events = V.Events; // Unpacking spreads the flow (over-approx).
       Elem.PtVar = V.PtVar;
-      for (const Expr *T : Elements)
+      for (const Expr *T : cast<SequenceExpr>(Target)->Elements)
         assignTo(T, Elem, E, Fn, Depth);
       return;
     }
@@ -784,15 +781,8 @@ private:
     // Containers: information flows from every entry to the container
     // (§5.2, Data Structures).
     std::vector<const Expr *> Parts;
-    if (const auto *L = dyn_cast<ListExpr>(Ex))
-      for (const Expr *El : L->Elements)
-        Parts.push_back(El);
-    if (const auto *T = dyn_cast<TupleExpr>(Ex))
-      for (const Expr *El : T->Elements)
-        Parts.push_back(El);
-    if (const auto *S = dyn_cast<SetExpr>(Ex))
-      for (const Expr *El : S->Elements)
-        Parts.push_back(El);
+    if (const auto *S = dyn_cast<SequenceExpr>(Ex))
+      Parts.assign(S->Elements.begin(), S->Elements.end());
     if (const auto *D = dyn_cast<DictExpr>(Ex)) {
       for (const Expr *K : D->Keys)
         if (K)

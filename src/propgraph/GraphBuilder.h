@@ -49,8 +49,10 @@ namespace propgraph {
 /// backslash before CRLF as one before LF: a line continuation, in code
 /// and inside a string literal. Version 4 keeps a backslash-escaped quote
 /// inside a raw string, and reads an f-string `=` debug field with
-/// whitespace after the `=` (`f'{x = }'`).
-inline constexpr uint32_t GraphBuilderVersion = 4;
+/// whitespace after the `=` (`f'{x = }'`). Version 5 parses `async def`,
+/// `async for`, `async with` and `await E` as their plain forms, and a
+/// comprehension with several `for` and `if` clauses.
+inline constexpr uint32_t GraphBuilderVersion = 5;
 
 /// Maximum depth of on-demand same-module inlining (paper: context bound of
 /// 8 method calls).

@@ -338,31 +338,18 @@ public:
   static bool classof(const Node *N) { return N->kind() == NodeKind::Compare; }
 };
 
-/// A list display `[a, b, c]`.
-class ListExpr : public Expr {
+/// A list display `[a, b]` (kind List), a tuple display `(a, b)` or bare
+/// `a, b` (Tuple), or a set display `{a, b}` (Set).
+class SequenceExpr : public Expr {
 public:
-  ListExpr(SourceLoc Loc, std::span<Expr *> Elements)
-      : Expr(NodeKind::List, Loc), Elements(Elements) {}
+  SequenceExpr(NodeKind Kind, SourceLoc Loc, std::span<Expr *> Elements)
+      : Expr(Kind, Loc), Elements(Elements) {
+    assert(classof(this) && "not a list, tuple or set kind");
+  }
   std::span<Expr *> Elements;
-  static bool classof(const Node *N) { return N->kind() == NodeKind::List; }
-};
-
-/// A tuple display `(a, b)` or bare `a, b`.
-class TupleExpr : public Expr {
-public:
-  TupleExpr(SourceLoc Loc, std::span<Expr *> Elements)
-      : Expr(NodeKind::Tuple, Loc), Elements(Elements) {}
-  std::span<Expr *> Elements;
-  static bool classof(const Node *N) { return N->kind() == NodeKind::Tuple; }
-};
-
-/// A set display `{a, b}`.
-class SetExpr : public Expr {
-public:
-  SetExpr(SourceLoc Loc, std::span<Expr *> Elements)
-      : Expr(NodeKind::Set, Loc), Elements(Elements) {}
-  std::span<Expr *> Elements;
-  static bool classof(const Node *N) { return N->kind() == NodeKind::Set; }
+  static bool classof(const Node *N) {
+    return N->kind() >= NodeKind::List && N->kind() <= NodeKind::Set;
+  }
 };
 
 /// A dict display `{k: v, ...}`. Keys and Values are parallel lists; a
@@ -420,21 +407,18 @@ public:
   static bool classof(const Node *N) { return N->kind() == NodeKind::Starred; }
 };
 
-/// Flavour of a comprehension display.
-enum class ComprehensionKind : uint8_t { List, Set, Dict, Generator };
-
-/// A single-`for` comprehension, e.g. `[f(x) for x in xs if p(x)]`.
-/// For dict comprehensions, \c Element is the value and \c KeyElement the key.
+/// One `for` clause of a comprehension of any display, e.g. `[f(x) for x
+/// in xs if p(x)]`. A further clause is an inner comprehension held in \c
+/// Element, and several `if`s are one `and`. For dict comprehensions, \c
+/// Element is the value and \c KeyElement the key.
 class ComprehensionExpr : public Expr {
 public:
-  ComprehensionExpr(SourceLoc Loc, ComprehensionKind CompKind, Expr *Element,
-                    Expr *KeyElement, Expr *Target, Expr *Iter, Expr *Cond)
-      : Expr(NodeKind::Comprehension, Loc), CompKind(CompKind),
-        Element(Element), KeyElement(KeyElement), Target(Target), Iter(Iter),
-        Cond(Cond) {}
-  ComprehensionKind CompKind;
+  ComprehensionExpr(SourceLoc Loc, Expr *Element, Expr *KeyElement,
+                    Expr *Target, Expr *Iter, Expr *Cond)
+      : Expr(NodeKind::Comprehension, Loc), Element(Element),
+        KeyElement(KeyElement), Target(Target), Iter(Iter), Cond(Cond) {}
   Expr *Element;
-  Expr *KeyElement; ///< Null unless CompKind == Dict.
+  Expr *KeyElement; ///< Null unless a dict comprehension.
   Expr *Target;
   Expr *Iter;
   Expr *Cond; ///< May be null.

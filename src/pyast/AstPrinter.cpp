@@ -413,28 +413,17 @@ void renderExpr(const Expr *E, std::string &Out) {
   case NodeKind::List:
   case NodeKind::Tuple:
   case NodeKind::Set: {
-    std::span<Expr *> Elements;
-    char Open, Close;
-    if (const auto *L = dyn_cast<ListExpr>(E)) {
-      Elements = L->Elements;
-      Open = '[';
-      Close = ']';
-    } else if (const auto *T = dyn_cast<TupleExpr>(E)) {
-      Elements = T->Elements;
-      Open = '(';
-      Close = ')';
-    } else {
-      Elements = cast<SetExpr>(E)->Elements;
-      Open = '{';
-      Close = '}';
-    }
-    Out += Open;
+    static const char Brackets[][3] = {"[]", "()", "{}"}; // List, Tuple, Set.
+    const char *Pair = Brackets[static_cast<size_t>(E->kind()) -
+                                static_cast<size_t>(NodeKind::List)];
+    std::span<Expr *> Elements = cast<SequenceExpr>(E)->Elements;
+    Out += Pair[0];
     for (size_t I = 0; I < Elements.size(); ++I) {
       if (I)
         Out += ", ";
       renderExpr(Elements[I], Out);
     }
-    Out += Close;
+    Out += Pair[1];
     return;
   }
   case NodeKind::Dict: {

@@ -6,6 +6,7 @@
 #include "support/Metrics.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -101,6 +102,18 @@ void Parser::synchronizeToLineEnd() {
 
 SourceLoc Parser::locHere() const { return {current().Line, current().Col}; }
 
+bool Parser::atAsync() const {
+  if (!check(TokenKind::Name) || current().Text != "async")
+    return false;
+  TokenKind Next = peek(1).Kind;
+  return Next == TokenKind::KwDef || Next == TokenKind::KwFor ||
+         Next == TokenKind::KwWith;
+}
+
+TokenKind Parser::kindPastAsync() const {
+  return atAsync() ? peek(1).Kind : current().Kind;
+}
+
 namespace {
 
 /// RAII recursion counter for the descent; paired with the MaxNestingDepth
@@ -129,6 +142,46 @@ bool augmentedOp(TokenKind Kind, BinaryOp &Op) {
   case TokenKind::RShiftEq: Op = BinaryOp::RShift; return true;
   case TokenKind::AtEq: Op = BinaryOp::MatMul; return true;
   default: return false;
+  }
+}
+
+/// True if a token of kind \p Kind can start a primary: an atom, which
+/// trailers may follow.
+bool startsPrimary(TokenKind Kind) {
+  switch (Kind) {
+  case TokenKind::Name:
+  case TokenKind::Number:
+  case TokenKind::String:
+  case TokenKind::KwTrue:
+  case TokenKind::KwFalse:
+  case TokenKind::KwNone:
+  case TokenKind::LParen:
+  case TokenKind::LBracket:
+  case TokenKind::LBrace:
+    return true;
+  default:
+    return false;
+  }
+}
+
+/// The precedence of binary operator token \p Kind, from `|` (1) up to the
+/// multiplicative operators (6), with its operator in \p Op; 0 if \p Kind
+/// is not one. `**` binds tighter than unary minus and has its own rule.
+int binaryPrecedence(TokenKind Kind, BinaryOp &Op) {
+  switch (Kind) {
+  case TokenKind::Pipe: Op = BinaryOp::BitOr; return 1;
+  case TokenKind::Caret: Op = BinaryOp::BitXor; return 2;
+  case TokenKind::Amp: Op = BinaryOp::BitAnd; return 3;
+  case TokenKind::LShift: Op = BinaryOp::LShift; return 4;
+  case TokenKind::RShift: Op = BinaryOp::RShift; return 4;
+  case TokenKind::Plus: Op = BinaryOp::Add; return 5;
+  case TokenKind::Minus: Op = BinaryOp::Sub; return 5;
+  case TokenKind::Star: Op = BinaryOp::Mul; return 6;
+  case TokenKind::Slash: Op = BinaryOp::Div; return 6;
+  case TokenKind::DoubleSlash: Op = BinaryOp::FloorDiv; return 6;
+  case TokenKind::Percent: Op = BinaryOp::Mod; return 6;
+  case TokenKind::At: Op = BinaryOp::MatMul; return 6;
+  default: return 0;
   }
 }
 
@@ -175,7 +228,7 @@ Stmt *Parser::parseStatement() {
     return nullptr;
   }
   DepthScope Scope(Depth);
-  switch (current().Kind) {
+  switch (kindPastAsync()) {
   case TokenKind::KwDef:
     return parseFunctionDef({});
   case TokenKind::KwClass:
@@ -353,6 +406,8 @@ std::span<Stmt *> Parser::parseBlock() {
 
 Stmt *Parser::parseFunctionDef(std::span<Expr *> Decorators) {
   SourceLoc Loc = locHere();
+  if (atAsync())
+    advance();
   expect(TokenKind::KwDef, "to start a function definition");
   std::string_view Name;
   if (check(TokenKind::Name))
@@ -406,7 +461,7 @@ Stmt *Parser::parseDecorated() {
     Decorators.push_back(parseAtomWithTrailers());
     accept(TokenKind::Newline);
   }
-  if (check(TokenKind::KwDef))
+  if (kindPastAsync() == TokenKind::KwDef)
     return parseFunctionDef(Decorators.finish());
   if (check(TokenKind::KwClass))
     return parseClassDef(Decorators.finish());
@@ -443,6 +498,8 @@ Stmt *Parser::parseWhile() {
 
 Stmt *Parser::parseFor() {
   SourceLoc Loc = locHere();
+  if (atAsync())
+    advance();
   advance();
   Expr *Target = parseTargetList();
   expect(TokenKind::KwIn, "in for statement");
@@ -456,6 +513,8 @@ Stmt *Parser::parseFor() {
 
 Stmt *Parser::parseWith() {
   SourceLoc Loc = locHere();
+  if (atAsync())
+    advance();
   advance();
   ListBuilder<WithItem> Items(Ctx);
   do {
@@ -626,16 +685,11 @@ Expr *Parser::parseTargetList() {
   Expr *First = ParseOne();
   if (!check(TokenKind::Comma))
     return First;
-  ListBuilder<Expr *> Elements(Ctx);
-  Elements.push_back(First);
-  while (accept(TokenKind::Comma)) {
-    if (check(TokenKind::KwIn) || check(TokenKind::Equal) ||
-        check(TokenKind::Colon) || check(TokenKind::Newline) ||
-        check(TokenKind::EndOfFile))
-      break;
-    Elements.push_back(ParseOne());
-  }
-  return Ctx.create<TupleExpr>(Loc, Elements.finish());
+  return Ctx.create<SequenceExpr>(
+      NodeKind::Tuple, Loc,
+      parseCommaList(First, ParseOne,
+                     {TokenKind::KwIn, TokenKind::Equal, TokenKind::Colon,
+                      TokenKind::Newline, TokenKind::EndOfFile}));
 }
 
 Expr *Parser::parseExprOrTupleNoAssign() {
@@ -643,18 +697,29 @@ Expr *Parser::parseExprOrTupleNoAssign() {
   Expr *First = parseStarOrTest();
   if (!check(TokenKind::Comma))
     return First;
-  ListBuilder<Expr *> Elements(Ctx);
-  Elements.push_back(First);
-  while (accept(TokenKind::Comma)) {
-    // A trailing comma still makes a tuple: `x, = f()`.
-    if (check(TokenKind::Newline) || check(TokenKind::Equal) ||
-        check(TokenKind::EndOfFile) || check(TokenKind::RParen) ||
-        check(TokenKind::Semicolon) || check(TokenKind::Colon) ||
-        check(TokenKind::KwIn) || check(TokenKind::Dedent))
-      break;
-    Elements.push_back(parseStarOrTest());
-  }
-  return Ctx.create<TupleExpr>(Loc, Elements.finish());
+  // A trailing comma still makes a tuple: `x, = f()`.
+  return Ctx.create<SequenceExpr>(
+      NodeKind::Tuple, Loc,
+      parseCommaList(First, [&] { return parseStarOrTest(); },
+                     {TokenKind::Newline, TokenKind::Equal,
+                      TokenKind::EndOfFile, TokenKind::RParen,
+                      TokenKind::Semicolon, TokenKind::Colon, TokenKind::KwIn,
+                      TokenKind::Dedent}));
+}
+
+template <typename ItemFn>
+std::span<Expr *>
+Parser::parseCommaList(Expr *First, ItemFn ParseItem,
+                       std::initializer_list<TokenKind> Stops) {
+  // `First, item, item`: after each comma, one of Stops ends the list (the
+  // comma was a trailing one); any other token starts the next item.
+  ListBuilder<Expr *> Items(Ctx);
+  Items.push_back(First);
+  while (accept(TokenKind::Comma) &&
+         std::none_of(Stops.begin(), Stops.end(),
+                      [&](TokenKind Kind) { return check(Kind); }))
+    Items.push_back(ParseItem());
+  return Items.finish();
 }
 
 Expr *Parser::parseStarOrTest() {
@@ -723,7 +788,7 @@ Expr *Parser::parseNotTest() {
 
 Expr *Parser::parseComparison() {
   SourceLoc Loc = locHere();
-  Expr *First = parseBitOr();
+  Expr *First = parseBinary(1);
   ListBuilder<CompareOp> Ops(Ctx);
   ListBuilder<Expr *> Comparators(Ctx);
   for (;;) {
@@ -752,7 +817,7 @@ Expr *Parser::parseComparison() {
     } else
       break;
     Ops.push_back(Op);
-    Comparators.push_back(parseBitOr());
+    Comparators.push_back(parseBinary(1));
   }
   if (Ops.empty())
     return First;
@@ -760,74 +825,20 @@ Expr *Parser::parseComparison() {
                                  Comparators.finish());
 }
 
-Expr *Parser::parseBitOr() {
-  SourceLoc Loc = locHere();
-  Expr *Lhs = parseBitXor();
-  while (accept(TokenKind::Pipe))
-    Lhs = Ctx.create<BinaryExpr>(Loc, BinaryOp::BitOr, Lhs, parseBitXor());
-  return Lhs;
-}
-
-Expr *Parser::parseBitXor() {
-  SourceLoc Loc = locHere();
-  Expr *Lhs = parseBitAnd();
-  while (accept(TokenKind::Caret))
-    Lhs = Ctx.create<BinaryExpr>(Loc, BinaryOp::BitXor, Lhs, parseBitAnd());
-  return Lhs;
-}
-
-Expr *Parser::parseBitAnd() {
-  SourceLoc Loc = locHere();
-  Expr *Lhs = parseShift();
-  while (accept(TokenKind::Amp))
-    Lhs = Ctx.create<BinaryExpr>(Loc, BinaryOp::BitAnd, Lhs, parseShift());
-  return Lhs;
-}
-
-Expr *Parser::parseShift() {
-  SourceLoc Loc = locHere();
-  Expr *Lhs = parseArith();
-  for (;;) {
-    if (accept(TokenKind::LShift))
-      Lhs = Ctx.create<BinaryExpr>(Loc, BinaryOp::LShift, Lhs, parseArith());
-    else if (accept(TokenKind::RShift))
-      Lhs = Ctx.create<BinaryExpr>(Loc, BinaryOp::RShift, Lhs, parseArith());
-    else
-      return Lhs;
-  }
-}
-
-Expr *Parser::parseArith() {
-  SourceLoc Loc = locHere();
-  Expr *Lhs = parseTerm();
-  for (;;) {
-    if (accept(TokenKind::Plus))
-      Lhs = Ctx.create<BinaryExpr>(Loc, BinaryOp::Add, Lhs, parseTerm());
-    else if (accept(TokenKind::Minus))
-      Lhs = Ctx.create<BinaryExpr>(Loc, BinaryOp::Sub, Lhs, parseTerm());
-    else
-      return Lhs;
-  }
-}
-
-Expr *Parser::parseTerm() {
+Expr *Parser::parseBinary(int MinPrec) {
+  // Precedence climbing over the left-associative binary operators: the
+  // right operand of an operator at precedence P binds only operators
+  // above P. Every node takes the location of its left operand's first
+  // token.
   SourceLoc Loc = locHere();
   Expr *Lhs = parseFactor();
   for (;;) {
     BinaryOp Op;
-    if (accept(TokenKind::Star))
-      Op = BinaryOp::Mul;
-    else if (accept(TokenKind::Slash))
-      Op = BinaryOp::Div;
-    else if (accept(TokenKind::DoubleSlash))
-      Op = BinaryOp::FloorDiv;
-    else if (accept(TokenKind::Percent))
-      Op = BinaryOp::Mod;
-    else if (accept(TokenKind::At))
-      Op = BinaryOp::MatMul;
-    else
+    int Prec = binaryPrecedence(current().Kind, Op);
+    if (Prec < MinPrec) // MinPrec >= 1, so a non-operator (0) stops too.
       return Lhs;
-    Lhs = Ctx.create<BinaryExpr>(Loc, Op, Lhs, parseFactor());
+    advance();
+    Lhs = Ctx.create<BinaryExpr>(Loc, Op, Lhs, parseBinary(Prec + 1));
   }
 }
 
@@ -844,6 +855,11 @@ Expr *Parser::parseFactor() {
 
 Expr *Parser::parsePower() {
   SourceLoc Loc = locHere();
+  // `await E` parses as E. Before anything that cannot start a primary,
+  // `await` is a name (`await = 1` in code older than the keyword).
+  if (check(TokenKind::Name) && current().Text == "await" &&
+      startsPrimary(peek(1).Kind))
+    advance();
   Expr *Base = parseAtomWithTrailers();
   if (accept(TokenKind::DoubleStar))
     return Ctx.create<BinaryExpr>(Loc, BinaryOp::Pow, Base, parseFactor());
@@ -900,14 +916,9 @@ Expr *Parser::parseSubscriptIndex() {
   Expr *First = ParseItem();
   if (!check(TokenKind::Comma))
     return First;
-  ListBuilder<Expr *> Items(Ctx);
-  Items.push_back(First);
-  while (accept(TokenKind::Comma)) {
-    if (check(TokenKind::RBracket))
-      break;
-    Items.push_back(ParseItem());
-  }
-  return Ctx.create<TupleExpr>(Loc, Items.finish());
+  return Ctx.create<SequenceExpr>(
+      NodeKind::Tuple, Loc,
+      parseCommaList(First, ParseItem, {TokenKind::RBracket}));
 }
 
 Expr *Parser::parseCall(SourceLoc Loc, Expr *Callee) {
@@ -934,23 +945,54 @@ Expr *Parser::parseCall(SourceLoc Loc, Expr *Callee) {
       }
       Expr *Arg = parseTest();
       // Generator expression as sole call argument: f(x for x in xs).
-      if (check(TokenKind::KwFor)) {
-        advance();
-        Expr *Target = parseTargetList();
-        expect(TokenKind::KwIn, "in generator expression");
-        Expr *Iter = parseOrTest();
-        Expr *Cond = nullptr;
-        if (accept(TokenKind::KwIf))
-          Cond = parseOrTest();
-        Arg = Ctx.create<ComprehensionExpr>(ArgLoc,
-                                            ComprehensionKind::Generator, Arg,
-                                            nullptr, Target, Iter, Cond);
-      }
+      if (kindPastAsync() == TokenKind::KwFor)
+        Arg = parseComprehension(ArgLoc, nullptr, Arg,
+                                 "in generator expression");
       Args.push_back(Arg);
     } while (accept(TokenKind::Comma));
   }
   expect(TokenKind::RParen, "after call arguments");
   return Ctx.create<CallExpr>(Loc, Callee, Args.finish(), Keywords.finish());
+}
+
+Expr *Parser::parseComprehension(SourceLoc Loc, Expr *Key, Expr *Element,
+                                 const char *InContext) {
+  // The clauses after a display's element (a dict comprehension's Key is
+  // its key). Each clause is `[async] for target in or_test`, then any
+  // number of `if or_test`, joined with `and`. A further clause nests: it
+  // becomes the element of the one before it, and the innermost clause
+  // holds the display's element.
+  ComprehensionExpr *Outer = nullptr, *Inner = nullptr;
+  do {
+    if (atAsync())
+      advance();
+    advance(); // 'for'
+    Expr *Target = parseTargetList();
+    expect(TokenKind::KwIn, InContext);
+    Expr *Iter = parseOrTest();
+    Expr *Cond = nullptr;
+    if (accept(TokenKind::KwIf)) {
+      SourceLoc CondLoc = locHere();
+      Cond = parseOrTest();
+      if (check(TokenKind::KwIf)) {
+        ListBuilder<Expr *> Conds(Ctx);
+        Conds.push_back(Cond);
+        while (accept(TokenKind::KwIf))
+          Conds.push_back(parseOrTest());
+        Cond = Ctx.create<BoolOpExpr>(CondLoc, /*IsAnd=*/true, Conds.finish());
+      }
+    }
+    auto *Clause = Ctx.create<ComprehensionExpr>(Loc, Element, Key, Target,
+                                                 Iter, Cond);
+    if (Inner) {
+      Inner->Element = Clause;
+      Inner->KeyElement = nullptr;
+    } else {
+      Outer = Clause;
+    }
+    Inner = Clause;
+  } while (kindPastAsync() == TokenKind::KwFor);
+  return Outer;
 }
 
 Expr *Parser::parseAtom() {
@@ -1000,30 +1042,20 @@ Expr *Parser::parseAtom() {
   case TokenKind::LParen: {
     advance();
     if (accept(TokenKind::RParen))
-      return Ctx.create<TupleExpr>(Loc, std::span<Expr *>());
+      return Ctx.create<SequenceExpr>(NodeKind::Tuple, Loc,
+                                      std::span<Expr *>());
     Expr *First = parseStarOrTest();
-    if (check(TokenKind::KwFor)) {
-      advance();
-      Expr *Target = parseTargetList();
-      expect(TokenKind::KwIn, "in generator expression");
-      Expr *Iter = parseOrTest();
-      Expr *Cond = nullptr;
-      if (accept(TokenKind::KwIf))
-        Cond = parseOrTest();
+    if (kindPastAsync() == TokenKind::KwFor) {
+      Expr *Gen =
+          parseComprehension(Loc, nullptr, First, "in generator expression");
       expect(TokenKind::RParen, "after generator expression");
-      return Ctx.create<ComprehensionExpr>(Loc, ComprehensionKind::Generator,
-                                           First, nullptr, Target, Iter, Cond);
+      return Gen;
     }
     if (check(TokenKind::Comma)) {
-      ListBuilder<Expr *> Elements(Ctx);
-      Elements.push_back(First);
-      while (accept(TokenKind::Comma)) {
-        if (check(TokenKind::RParen))
-          break;
-        Elements.push_back(parseStarOrTest());
-      }
+      std::span<Expr *> Elements = parseCommaList(
+          First, [&] { return parseStarOrTest(); }, {TokenKind::RParen});
       expect(TokenKind::RParen, "after tuple display");
-      return Ctx.create<TupleExpr>(Loc, Elements.finish());
+      return Ctx.create<SequenceExpr>(NodeKind::Tuple, Loc, Elements);
     }
     expect(TokenKind::RParen, "after parenthesized expression");
     return First;
@@ -1031,29 +1063,19 @@ Expr *Parser::parseAtom() {
   case TokenKind::LBracket: {
     advance();
     if (accept(TokenKind::RBracket))
-      return Ctx.create<ListExpr>(Loc, std::span<Expr *>());
+      return Ctx.create<SequenceExpr>(NodeKind::List, Loc,
+                                      std::span<Expr *>());
     Expr *First = parseStarOrTest();
-    if (check(TokenKind::KwFor)) {
-      advance();
-      Expr *Target = parseTargetList();
-      expect(TokenKind::KwIn, "in list comprehension");
-      Expr *Iter = parseOrTest();
-      Expr *Cond = nullptr;
-      if (accept(TokenKind::KwIf))
-        Cond = parseOrTest();
+    if (kindPastAsync() == TokenKind::KwFor) {
+      Expr *Comp =
+          parseComprehension(Loc, nullptr, First, "in list comprehension");
       expect(TokenKind::RBracket, "after list comprehension");
-      return Ctx.create<ComprehensionExpr>(Loc, ComprehensionKind::List, First,
-                                           nullptr, Target, Iter, Cond);
+      return Comp;
     }
-    ListBuilder<Expr *> Elements(Ctx);
-    Elements.push_back(First);
-    while (accept(TokenKind::Comma)) {
-      if (check(TokenKind::RBracket))
-        break;
-      Elements.push_back(parseStarOrTest());
-    }
+    std::span<Expr *> Elements = parseCommaList(
+        First, [&] { return parseStarOrTest(); }, {TokenKind::RBracket});
     expect(TokenKind::RBracket, "after list display");
-    return Ctx.create<ListExpr>(Loc, Elements.finish());
+    return Ctx.create<SequenceExpr>(NodeKind::List, Loc, Elements);
   }
   case TokenKind::LBrace: {
     advance();
@@ -1087,44 +1109,26 @@ Expr *Parser::parseAtom() {
     Expr *First = parseTest();
     if (accept(TokenKind::Colon)) {
       Expr *FirstValue = parseTest();
-      if (check(TokenKind::KwFor)) {
-        advance();
-        Expr *Target = parseTargetList();
-        expect(TokenKind::KwIn, "in dict comprehension");
-        Expr *Iter = parseOrTest();
-        Expr *Cond = nullptr;
-        if (accept(TokenKind::KwIf))
-          Cond = parseOrTest();
+      if (kindPastAsync() == TokenKind::KwFor) {
+        Expr *Comp = parseComprehension(Loc, First, FirstValue,
+                                        "in dict comprehension");
         expect(TokenKind::RBrace, "after dict comprehension");
-        return Ctx.create<ComprehensionExpr>(Loc, ComprehensionKind::Dict,
-                                             FirstValue, First, Target, Iter,
-                                             Cond);
+        return Comp;
       }
       Keys.push_back(First);
       Values.push_back(FirstValue);
       return DictTail();
     }
-    if (check(TokenKind::KwFor)) {
-      advance();
-      Expr *Target = parseTargetList();
-      expect(TokenKind::KwIn, "in set comprehension");
-      Expr *Iter = parseOrTest();
-      Expr *Cond = nullptr;
-      if (accept(TokenKind::KwIf))
-        Cond = parseOrTest();
+    if (kindPastAsync() == TokenKind::KwFor) {
+      Expr *Comp =
+          parseComprehension(Loc, nullptr, First, "in set comprehension");
       expect(TokenKind::RBrace, "after set comprehension");
-      return Ctx.create<ComprehensionExpr>(Loc, ComprehensionKind::Set, First,
-                                           nullptr, Target, Iter, Cond);
+      return Comp;
     }
-    ListBuilder<Expr *> Elements(Ctx);
-    Elements.push_back(First);
-    while (accept(TokenKind::Comma)) {
-      if (check(TokenKind::RBrace))
-        break;
-      Elements.push_back(parseTest());
-    }
+    std::span<Expr *> Elements = parseCommaList(
+        First, [&] { return parseTest(); }, {TokenKind::RBrace});
     expect(TokenKind::RBrace, "after set display");
-    return Ctx.create<SetExpr>(Loc, Elements.finish());
+    return Ctx.create<SequenceExpr>(NodeKind::Set, Loc, Elements);
   }
   default:
     errorHere(std::string("unexpected token '") +

@@ -27,6 +27,7 @@
 #include "pyast/Ast.h"
 #include "pyast/Token.h"
 
+#include <initializer_list>
 #include <span>
 #include <string>
 #include <string_view>
@@ -69,6 +70,13 @@ private:
   void errorHere(std::string Message);
   void synchronizeToLineEnd();
   SourceLoc locHere() const;
+  /// True if the current token is `async` read as a keyword: a name right
+  /// before `def`, `for` or `with`. Elsewhere `async` is a name.
+  bool atAsync() const;
+  /// The current token's kind, or the kind of the token after a keyword
+  /// `async`: `async def`, `async for` and `async with` parse as their
+  /// plain forms, located at the `async`.
+  TokenKind kindPastAsync() const;
 
   // Statements.
   std::span<Stmt *> parseStatementsUntil(TokenKind Terminator);
@@ -100,12 +108,7 @@ private:
   Expr *parseAndTest();
   Expr *parseNotTest();
   Expr *parseComparison();
-  Expr *parseBitOr();
-  Expr *parseBitXor();
-  Expr *parseBitAnd();
-  Expr *parseShift();
-  Expr *parseArith();
-  Expr *parseTerm();
+  Expr *parseBinary(int MinPrec);
   Expr *parseFactor();
   Expr *parsePower();
   Expr *parseAtomWithTrailers();
@@ -113,6 +116,11 @@ private:
   Expr *parseStrings();
   Expr *parseSubscriptIndex();
   Expr *parseCall(SourceLoc Loc, Expr *Callee);
+  Expr *parseComprehension(SourceLoc Loc, Expr *Key, Expr *Element,
+                           const char *InContext);
+  template <typename ItemFn>
+  std::span<Expr *> parseCommaList(Expr *First, ItemFn ParseItem,
+                                   std::initializer_list<TokenKind> Stops);
   void parseFStringInterpolations(std::string_view Text, SourceLoc Loc,
                                   ListBuilder<Expr *> &Out);
 

@@ -208,12 +208,12 @@ TEST(FormatGoldenTest, CacheEntriesArePinned) {
   ASSERT_TRUE(Graphs.store(In.GraphKey, In.Graph));
   ASSERT_TRUE(Shards.store(In.ShardKey, In.Shard));
 
-  EXPECT_EQ(Graphs.entryPath(In.GraphKey), Dir + "/f9b1a518d0f60603.spg");
+  EXPECT_EQ(Graphs.entryPath(In.GraphKey), Dir + "/eb5581d3e1b6f508.spg");
   EXPECT_EQ(digest(slurp(Graphs.entryPath(In.GraphKey))),
-            "0x4320edc9270e42b0");
-  EXPECT_EQ(Shards.entryPath(In.ShardKey), Dir + "/6f827066375123fe.scs");
+            "0x33db170b53642e28");
+  EXPECT_EQ(Shards.entryPath(In.ShardKey), Dir + "/b4cd158dab1f3c76.scs");
   EXPECT_EQ(digest(slurp(Shards.entryPath(In.ShardKey))),
-            "0xbbbefb6bde722575");
+            "0x5f8f13378e1f65d8");
   std::filesystem::remove_all(Dir);
 }
 

@@ -1,10 +1,8 @@
 //===- tests/frontend_fuzz_test.cpp - Seeded mutation fuzz of the frontend ===//
 //
-// Mutates generated Python modules (byte flips, range deletes and
-// duplicates, truncation, and insertion of quotes, brackets, backslashes,
-// colons, braces, newlines, carriage returns, tabs and bytes >= 0x80) and
-// runs each mutant through lex -> parse -> buildModuleGraph. Whatever the
-// bytes, the frontend must return; the token stream must end with
+// Mutates generated Python modules with the shared mutator (Mutator.h)
+// and runs each mutant through lex -> parse -> buildModuleGraph. Whatever
+// the bytes, the frontend must return; the token stream must end with
 // EndOfFile and never step backwards; every token must view the text it
 // was lexed from and every name in the AST the context's arena; two
 // builds of one mutant must encode to the same graph bytes; and the
@@ -17,12 +15,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "Mutator.h"
 #include "TestCorpus.h"
 
 #include "propgraph/GraphCodec.h"
 #include "pyast/AstPrinter.h"
 #include "pyast/Lexer.h"
-#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -33,50 +31,6 @@ using namespace seldon;
 using namespace seldon::pyast;
 
 namespace {
-
-/// One run of the harness: mutants drawn from the modules of the corpus
-/// generated at \c Seed, with the mutation stream seeded by \c Seed too.
-struct FuzzRun {
-  uint64_t Seed;
-  size_t Mutants;
-};
-
-void PrintTo(const FuzzRun &Run, std::ostream *OS) {
-  *OS << "seed " << Run.Seed << ", " << Run.Mutants << " mutants";
-}
-
-/// Applies one to four random mutations to \p Text.
-std::string mutate(std::string Text, Rng &Random) {
-  static const char *const Inserts[] = {
-      "'",  "\"", "'''", "\"\"\"", "(", ")",    "[",    "]",
-      "{",  "}",  "\\",  ":",      "\n", "\r",  "\t",   "\\\n",
-      "f'", "{{", "}}",  "\xc3\xa9", "\xff", "\x80", "\r\n", "\\\r\n"};
-  size_t Steps = 1 + Random.nextBelow(4);
-  for (size_t S = 0; S < Steps; ++S) {
-    size_t At = Text.empty() ? 0 : Random.nextBelow(Text.size() + 1);
-    size_t Len = 1 + Random.nextBelow(16);
-    switch (Random.nextBelow(5)) {
-    case 0: // Flip one byte.
-      if (!Text.empty())
-        Text[std::min(At, Text.size() - 1)] ^=
-            static_cast<char>(1 + Random.nextBelow(255));
-      break;
-    case 1: // Delete a range.
-      Text.erase(At, Len);
-      break;
-    case 2: // Duplicate a range in place.
-      Text.insert(At, Text.substr(At, Len));
-      break;
-    case 3: // Truncate.
-      Text.resize(At);
-      break;
-    default: // Insert a structural fragment.
-      Text.insert(At, Inserts[Random.nextBelow(std::size(Inserts))]);
-      break;
-    }
-  }
-  return Text;
-}
 
 /// True if \p View lies inside \p Text (an empty view may sit at its end).
 bool inside(std::string_view View, std::string_view Text) {
@@ -156,9 +110,9 @@ private:
     case NodeKind::Compare:
       node(cast<CompareExpr>(E)->First);
       return exprs(cast<CompareExpr>(E)->Comparators);
-    case NodeKind::List: return exprs(cast<ListExpr>(E)->Elements);
-    case NodeKind::Tuple: return exprs(cast<TupleExpr>(E)->Elements);
-    case NodeKind::Set: return exprs(cast<SetExpr>(E)->Elements);
+    case NodeKind::List:
+    case NodeKind::Tuple:
+    case NodeKind::Set: return exprs(cast<SequenceExpr>(E)->Elements);
     case NodeKind::Dict:
       exprs(cast<DictExpr>(E)->Keys);
       return exprs(cast<DictExpr>(E)->Values);
@@ -316,10 +270,13 @@ void checkMutant(const std::string &Text) {
   EXPECT_FALSE(dumpAst(Module).empty());
 }
 
-class FrontendFuzzTest : public ::testing::TestWithParam<FuzzRun> {};
+/// Mutants are drawn from the modules of the corpus generated at the
+/// run's seed.
+class FrontendFuzzTest
+    : public ::testing::TestWithParam<testutil::FuzzRun> {};
 
 TEST_P(FrontendFuzzTest, MutantsKeepTheFrontendInvariants) {
-  const FuzzRun Run = GetParam();
+  const testutil::FuzzRun Run = GetParam();
   corpus::Corpus Data = testutil::makeCorpus(Run.Seed, /*NumProjects=*/4);
   std::vector<const std::string *> Bases;
   for (const pysem::Project &P : Data.Projects)
@@ -328,7 +285,7 @@ TEST_P(FrontendFuzzTest, MutantsKeepTheFrontendInvariants) {
   ASSERT_FALSE(Bases.empty());
   Rng Random(Run.Seed);
   for (size_t I = 0; I < Run.Mutants; ++I) {
-    std::string Text = mutate(*Bases[I % Bases.size()], Random);
+    std::string Text = testutil::mutate(*Bases[I % Bases.size()], Random);
     checkMutant(Text);
     if (HasFailure()) {
       // Enough to rebuild the mutant as a regression case.
@@ -341,9 +298,9 @@ TEST_P(FrontendFuzzTest, MutantsKeepTheFrontendInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Budget, FrontendFuzzTest,
-                         ::testing::Values(FuzzRun{7, 400}));
+                         ::testing::Values(testutil::FuzzRun{7, 400}));
 INSTANTIATE_TEST_SUITE_P(DISABLED_Long, FrontendFuzzTest,
-                         ::testing::Values(FuzzRun{1001, 20000},
-                                           FuzzRun{1002, 20000}));
+                         ::testing::Values(testutil::FuzzRun{1001, 20000},
+                                           testutil::FuzzRun{1002, 20000}));
 
 } // namespace

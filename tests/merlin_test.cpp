@@ -188,18 +188,6 @@ TEST(MerlinPipelineTest, CollapsedVsUncollapsedCandidates) {
   EXPECT_GE(RU.NumFactors, RC.NumFactors);
 }
 
-TEST(MerlinPipelineTest, GibbsMethodRuns) {
-  MerlinFixture F("import web\nimport mid\nimport db\n"
-                  "db.exec(mid.filter(web.read()))\n");
-  spec::SeedSpec Seed =
-      spec::SeedSpec::parse("o: web.read()\ni: db.exec()\n");
-  MerlinOptions Opts;
-  Opts.Method = InferenceMethod::Gibbs;
-  Opts.Gibbs.Samples = 800;
-  MerlinResult R = runMerlin(F.Graph, Seed, Opts);
-  EXPECT_GT(R.Learned.score("mid.filter()", Role::Sanitizer), 0.5);
-}
-
 TEST(MerlinPipelineTest, BlacklistExcludesCandidates) {
   MerlinFixture F("import web\nimport db\n"
                   "db.exec(web.read().strip())\n");

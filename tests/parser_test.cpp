@@ -1,6 +1,7 @@
 //===- tests/parser_test.cpp - Tests for the Python parser ----------------===//
 
 #include "pyast/AstPrinter.h"
+#include "pyast/Lexer.h"
 #include "pyast/Parser.h"
 
 #include <gtest/gtest.h>
@@ -161,7 +162,7 @@ TEST(ParserTest, WhileAndForLoops) {
 TEST(ParserTest, ForWithTupleTarget) {
   auto P = parseClean("for k, v in d.items():\n    use(k, v)\n");
   auto *F = cast<ForStmt>(P->Module->Body[0]);
-  EXPECT_TRUE(isa<TupleExpr>(F->Target));
+  EXPECT_EQ(F->Target->kind(), NodeKind::Tuple);
 }
 
 TEST(ParserTest, Imports) {
@@ -250,20 +251,23 @@ TEST(ParserTest, LambdaExpression) {
 TEST(ParserTest, Displays) {
   auto P = parseClean("l = [a, b]\nt = (a, b)\ns = {a, b}\nd = {k: v}\n"
                       "e = []\net = ()\ned = {}\n");
-  EXPECT_TRUE(isa<ListExpr>(cast<AssignStmt>(P->Module->Body[0])->Value));
-  EXPECT_TRUE(isa<TupleExpr>(cast<AssignStmt>(P->Module->Body[1])->Value));
-  EXPECT_TRUE(isa<SetExpr>(cast<AssignStmt>(P->Module->Body[2])->Value));
-  EXPECT_TRUE(isa<DictExpr>(cast<AssignStmt>(P->Module->Body[3])->Value));
-  EXPECT_TRUE(isa<ListExpr>(cast<AssignStmt>(P->Module->Body[4])->Value));
-  EXPECT_TRUE(isa<TupleExpr>(cast<AssignStmt>(P->Module->Body[5])->Value));
-  EXPECT_TRUE(isa<DictExpr>(cast<AssignStmt>(P->Module->Body[6])->Value));
+  auto ValueOf = [&](size_t I) {
+    return cast<AssignStmt>(P->Module->Body[I])->Value;
+  };
+  EXPECT_EQ(ValueOf(0)->kind(), NodeKind::List);
+  EXPECT_EQ(ValueOf(1)->kind(), NodeKind::Tuple);
+  EXPECT_EQ(ValueOf(2)->kind(), NodeKind::Set);
+  EXPECT_TRUE(isa<DictExpr>(ValueOf(3)));
+  EXPECT_EQ(ValueOf(4)->kind(), NodeKind::List);
+  EXPECT_EQ(ValueOf(5)->kind(), NodeKind::Tuple);
+  EXPECT_TRUE(isa<DictExpr>(ValueOf(6)));
 }
 
 TEST(ParserTest, BareTupleAndUnpacking) {
   auto P = parseClean("a, b = 1, 2\n");
   auto *A = cast<AssignStmt>(P->Module->Body[0]);
-  EXPECT_TRUE(isa<TupleExpr>(A->Targets[0]));
-  EXPECT_TRUE(isa<TupleExpr>(A->Value));
+  EXPECT_EQ(A->Targets[0]->kind(), NodeKind::Tuple);
+  EXPECT_EQ(A->Value->kind(), NodeKind::Tuple);
 }
 
 TEST(ParserTest, Comprehensions) {
@@ -281,12 +285,136 @@ TEST(ParserTest, Comprehensions) {
   EXPECT_TRUE(isa<ComprehensionExpr>(Sum->Args[0]));
 }
 
+TEST(ParserTest, ComprehensionClausesNestAndJoin) {
+  // A further `for` clause nests as an inner comprehension that is the
+  // outer one's element; several `if` clauses join with `and`.
+  auto P = parseClean("a = [x for row in grid for x in row]\n"
+                      "b = [x for x in grid if x if y]\n"
+                      "c = {k: v for d in ds if d for k, v in d}\n"
+                      "e = f(x for a in b for x in a)\n");
+  auto ValueOf = [&](size_t I) {
+    return cast<AssignStmt>(P->Module->Body[I])->Value;
+  };
+  auto *Outer = cast<ComprehensionExpr>(ValueOf(0));
+  EXPECT_EQ(exprToString(Outer->Iter), "grid");
+  auto *Inner = dyn_cast<ComprehensionExpr>(Outer->Element);
+  ASSERT_NE(Inner, nullptr);
+  EXPECT_EQ(exprToString(Inner->Iter), "row");
+  EXPECT_EQ(exprToString(Inner->Element), "x");
+
+  auto *Joined = cast<ComprehensionExpr>(ValueOf(1));
+  EXPECT_EQ(exprToString(Joined->Cond), "(x and y)");
+
+  auto *Dict = cast<ComprehensionExpr>(ValueOf(2));
+  EXPECT_EQ(Dict->KeyElement, nullptr);
+  EXPECT_EQ(exprToString(Dict->Cond), "d");
+  auto *DictInner = cast<ComprehensionExpr>(Dict->Element);
+  EXPECT_EQ(exprToString(DictInner->KeyElement), "k");
+  EXPECT_EQ(exprToString(DictInner->Element), "v");
+
+  auto *Gen = cast<CallExpr>(ValueOf(3));
+  ASSERT_EQ(Gen->Args.size(), 1u);
+  EXPECT_TRUE(isa<ComprehensionExpr>(
+      cast<ComprehensionExpr>(Gen->Args[0])->Element));
+
+  // One clause parses as it always has: `if a and b` and `if a if b` dump
+  // alike.
+  EXPECT_EQ(dumpAst(parseClean("[x for x in g if a and b]\n")->Module),
+            dumpAst(parseClean("[x for x in g if a if b]\n")->Module));
+}
+
+TEST(ParserTest, BinaryOperatorsNestByPrecedence) {
+  auto P = parseClean("x = a | b ^ c & d << e + f * g\n"
+                      "y = a * b + c << d & e ^ f | g\n"
+                      "z = a - b - c // d % e @ f\n");
+  auto ValueOf = [&](size_t I) {
+    return cast<AssignStmt>(P->Module->Body[I])->Value;
+  };
+  EXPECT_EQ(exprToString(ValueOf(0)),
+            "(a | (b ^ (c & (d << (e + (f * g))))))");
+  EXPECT_EQ(exprToString(ValueOf(1)),
+            "((((((a * b) + c) << d) & e) ^ f) | g)");
+  EXPECT_EQ(exprToString(ValueOf(2)), "((a - b) - (((c // d) % e) @ f))");
+  // Each node sits at its left operand's first token.
+  auto *Or = cast<BinaryExpr>(ValueOf(0));
+  EXPECT_EQ(Or->loc().Col, 5u);
+  EXPECT_EQ(cast<BinaryExpr>(Or->Rhs)->loc().Col, 9u);
+  auto *Sub = cast<BinaryExpr>(ValueOf(2));
+  EXPECT_EQ(cast<BinaryExpr>(Sub->Rhs)->loc().Col, 13u);
+}
+
+TEST(ParserTest, AsyncFormsParseAsTheirPlainForms) {
+  auto Async = parseClean("@app.get('/items')\n"
+                          "async def handler(req):\n"
+                          "    data = await web.read()\n"
+                          "    async with db.tx() as t, lock:\n"
+                          "        t.run(await t.fetch(data) ** 2)\n"
+                          "    async for row in db.rows():\n"
+                          "        sink(row)\n"
+                          "    return [x async for x in aiter()]\n"
+                          "async def bare(): return -await f()\n");
+  auto Plain = parseClean("@app.get('/items')\n"
+                          "def handler(req):\n"
+                          "    data = web.read()\n"
+                          "    with db.tx() as t, lock:\n"
+                          "        t.run(t.fetch(data) ** 2)\n"
+                          "    for row in db.rows():\n"
+                          "        sink(row)\n"
+                          "    return [x for x in aiter()]\n"
+                          "def bare(): return -f()\n");
+  EXPECT_EQ(dumpAst(Async->Module), dumpAst(Plain->Module));
+  // The statement sits at its `async`, as in Python's own AST.
+  EXPECT_EQ(Async->Module->Body[1]->loc().Col, 1u);
+  EXPECT_EQ(cast<FunctionDefStmt>(Async->Module->Body[0])->Decorators.size(),
+            1u);
+}
+
+TEST(ParserTest, AsyncAndAwaitStayNamesElsewhere) {
+  // Older code uses both words as names; only the positions above read
+  // them as keywords, and the lexer never does.
+  const char *Source = "async = 1\n"
+                       "await = async + 1\n"
+                       "f(await, async)\n"
+                       "await.x = async.run()\n"
+                       "y = [await for await in async]\n";
+  auto P = parseClean(Source);
+  EXPECT_EQ(dumpAst(P->Module), "Module\n"
+                                "  Assign\n"
+                                "    target:\n"
+                                "      async\n"
+                                "    value:\n"
+                                "      1\n"
+                                "  Assign\n"
+                                "    target:\n"
+                                "      await\n"
+                                "    value:\n"
+                                "      (async + 1)\n"
+                                "  ExprStmt\n"
+                                "    f(await, async)\n"
+                                "  Assign\n"
+                                "    target:\n"
+                                "      await.x\n"
+                                "    value:\n"
+                                "      async.run()\n"
+                                "  Assign\n"
+                                "    target:\n"
+                                "      y\n"
+                                "    value:\n"
+                                "      [await for await in async]\n");
+  Lexer Lex(Source);
+  for (const Token &T : Lex.lexAll()) {
+    if (T.Text == "async" || T.Text == "await") {
+      EXPECT_TRUE(T.is(TokenKind::Name)) << T.Line << ":" << T.Col;
+    }
+  }
+}
+
 TEST(ParserTest, SubscriptSlices) {
   auto P = parseClean("a = x[1:2]\nb = x[:]\nc = x[::2]\nd = x[i, j]\n");
   auto *A = cast<AssignStmt>(P->Module->Body[0]);
   EXPECT_TRUE(isa<SliceExpr>(cast<SubscriptExpr>(A->Value)->Index));
   auto *D = cast<AssignStmt>(P->Module->Body[3]);
-  EXPECT_TRUE(isa<TupleExpr>(cast<SubscriptExpr>(D->Value)->Index));
+  EXPECT_EQ(cast<SubscriptExpr>(D->Value)->Index->kind(), NodeKind::Tuple);
 }
 
 TEST(ParserTest, SemicolonSeparatedStatements) {

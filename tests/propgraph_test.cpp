@@ -345,6 +345,49 @@ TEST(GraphBuilderTest, ComprehensionPropagates) {
   EXPECT_TRUE(F.flowsTo(F.theEvent("web.rows()"), F.theEvent("db.run()")));
 }
 
+TEST(GraphBuilderTest, ComprehensionClausesKeepTheirFlow) {
+  // A second `for` clause and a second `if` clause each keep the flow.
+  GraphFixture Nested("import web\nimport db\n"
+                      "grid = web.read()\n"
+                      "db.run([x for row in grid for x in row])\n");
+  EXPECT_TRUE(Nested.hasEdge(Nested.theEvent("web.read()"),
+                             Nested.theEvent("db.run()")));
+  GraphFixture Joined("import web\nimport db\n"
+                      "grid = web.read()\n"
+                      "db.run([x for x in grid if x if x])\n");
+  EXPECT_TRUE(Joined.hasEdge(Joined.theEvent("web.read()"),
+                             Joined.theEvent("db.run()")));
+}
+
+TEST(GraphBuilderTest, AsyncHandlerBuildsThePlainFormsGraph) {
+  // The plain module leaves blank the columns `async ` and `await ` take,
+  // so every event sits where it sits in the async one: the two graphs
+  // encode to the same bytes.
+  GraphFixture Async("import web\nimport db\n"
+                     "@app.get('/items')\n"
+                     "async def handler(req):\n"
+                     "    data = await web.read()\n"
+                     "    db.run(data)\n"
+                     "    async with db.tx() as t:\n"
+                     "        t.send(data)\n"
+                     "    async for row in db.rows(data):\n"
+                     "        db.log([x async for x in row])\n");
+  GraphFixture Plain("import web\nimport db\n"
+                     "@app.get('/items')\n"
+                     "def       handler(req):\n"
+                     "    data =       web.read()\n"
+                     "    db.run(data)\n"
+                     "    with       db.tx() as t:\n"
+                     "        t.send(data)\n"
+                     "    for       row in db.rows(data):\n"
+                     "        db.log([x       for x in row])\n");
+  EXPECT_EQ(encodeGraph(Async.Graph), encodeGraph(Plain.Graph));
+  EXPECT_TRUE(Async.hasEdge(Async.theEvent("web.read()"),
+                            Async.theEvent("db.run()")));
+  EXPECT_TRUE(Async.flowsTo(Async.theEvent("web.read()"),
+                            Async.theEvent("db.log()")));
+}
+
 TEST(GraphBuilderTest, LocalsModeled) {
   GraphFixture F("import web\n"
                  "def view():\n"
