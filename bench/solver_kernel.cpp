@@ -145,6 +145,8 @@ int main() {
   Json += formatString("  \"tier\": \"%s\",\n", Tier);
   Json += formatString("  \"simd_active\": %s,\n",
                        R.SimdActive ? "true" : "false");
+  Json += formatString("  \"narrow_operands\": %s,\n",
+                       R.NarrowOperands ? "true" : "false");
   Json += formatString("  \"compile_seconds\": %.6f,\n",
                        Serial.CompileSeconds);
   Json += formatString("  \"kernel_nnz_per_second\": %.6g,\n",

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Times the solve stage with the solver kernel on the Fig. 10 corpus
 # (bench/solver_kernel: the host's vector tier at Jobs=1 and Jobs=N, the
-# scalar tier at Jobs=1), plus a cold-vs-warm graph-cache comparison
+# scalar tier at Jobs=1), once at SELDON_PROJECTS (default 300) and once
+# at 3,000 projects under "kernel_3000", plus a cold-vs-warm graph-cache
+# comparison
 # (bench/fig10_scaling in cache-only mode), and writes both to
 # BENCH_solver.json (in the repo root, or $1 if given). The kernel rows
 # are the compile seconds and the kernel speed (non-zeros swept per
@@ -39,12 +41,16 @@ cmake --build "$ROOT/build" -j "$JOBS" \
 
 "$ROOT/build/bench/solver_kernel" > "$OUT"
 
-# Cache-only fig10 run: SELDON_FIG10_SWEEP=0 skips the scaling sweep, and
-# fig10_scaling halves SELDON_PROJECTS' doubling, so pass the size as-is.
+# The kernel rows again at 3,000 projects, so scaling is visible.
+LARGE_JSON="$(mktemp)"
 CACHE_JSON="$(mktemp)"
 INCR_JSON="$(mktemp)"
 ACTIVE_JSON="$(mktemp)"
-trap 'rm -f "$CACHE_JSON" "$INCR_JSON" "$ACTIVE_JSON"' EXIT
+trap 'rm -f "$LARGE_JSON" "$CACHE_JSON" "$INCR_JSON" "$ACTIVE_JSON"' EXIT
+SELDON_PROJECTS=3000 "$ROOT/build/bench/solver_kernel" > "$LARGE_JSON"
+
+# Cache-only fig10 run: SELDON_FIG10_SWEEP=0 skips the scaling sweep, and
+# fig10_scaling halves SELDON_PROJECTS' doubling, so pass the size as-is.
 SELDON_FIG10_SWEEP=0 SELDON_CACHE_OUT="$CACHE_JSON" \
   SELDON_PROJECTS="$(( ${SELDON_CACHE_PROJECTS:-60} / 2 ))" \
   "$ROOT/build/bench/fig10_scaling" >&2
@@ -59,17 +65,20 @@ SELDON_ACTIVE_OUT="$ACTIVE_JSON" \
   SELDON_PROJECTS="${SELDON_ACTIVE_PROJECTS:-60}" \
   "$ROOT/build/bench/active_learn" >&2
 
-# Merge {"cache": ...}, {"incr": ...}, and {"active": ...} into the
-# solver summary.
-python3 - "$OUT" "$CACHE_JSON" "$INCR_JSON" "$ACTIVE_JSON" <<'EOF'
+# Merge {"kernel_3000": ...} (without its metrics snapshot), {"cache":
+# ...}, {"incr": ...}, and {"active": ...} into the solver summary.
+python3 - "$OUT" "$LARGE_JSON" "$CACHE_JSON" "$INCR_JSON" "$ACTIVE_JSON" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     summary = json.load(f)
 with open(sys.argv[2]) as f:
-    summary["cache"] = json.load(f)
+    summary["kernel_3000"] = json.load(f)
+    del summary["kernel_3000"]["metrics"]
 with open(sys.argv[3]) as f:
-    summary["incr"] = json.load(f)
+    summary["cache"] = json.load(f)
 with open(sys.argv[4]) as f:
+    summary["incr"] = json.load(f)
+with open(sys.argv[5]) as f:
     summary["active"] = json.load(f)
 with open(sys.argv[1], "w") as f:
     json.dump(summary, f, indent=2)
@@ -81,13 +90,17 @@ python3 - "$OUT" <<'EOF'
 import json, sys
 with open(sys.argv[1]) as f:
     r = json.load(f)
-# The kernel: every tier and job count must learn the same spec byte for
-# byte, and the compile must stay a small share of the solve it serves.
-if not r["byte_identical"]:
-    sys.exit("FAIL: specs differ across kernel tiers or job counts")
-if r["compile_seconds"] > 0.25 * r["serial_seconds"]:
-    sys.exit(f"FAIL: compile {r['compile_seconds']:.4f}s is over a quarter "
-             f"of the {r['serial_seconds']:.4f}s solve")
+# The kernel, at both sizes: every tier and job count must learn the same
+# spec byte for byte, and the compile must stay a small share of the
+# solve it serves.
+for k in (r, r["kernel_3000"]):
+    if not k["byte_identical"]:
+        sys.exit(f"FAIL: specs differ across kernel tiers or job counts "
+                 f"at {k['projects']} projects")
+    if k["compile_seconds"] > 0.25 * k["serial_seconds"]:
+        sys.exit(f"FAIL: compile {k['compile_seconds']:.4f}s is over a "
+                 f"quarter of the {k['serial_seconds']:.4f}s solve at "
+                 f"{k['projects']} projects")
 
 # The embedded metrics snapshot must agree with the bench's own numbers:
 # stage spans for the three solves (vector tier serial and parallel, then

@@ -101,7 +101,11 @@ echo "=== asan+ubsan: service, durability and on-disk format tests ==="
 # protocol and input-file fuzz suites run here too, short and long: they
 # feed mutated request lines to a started service and mutated seed specs,
 # learned specs, feedback files and oracle files to their loaders, and
-# every one of those parsers reads untrusted bytes.
+# every one of those parsers reads untrusted bytes. The thread pool and
+# solver kernel suites run here too: a parallelFor's worker shares read
+# the loop state on the caller's stack, and the kernel's half-width
+# operand loads read 16-bit ids and float coefficients up to each block's
+# last entry.
 cmake -B "$ROOT/build-asan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -fno-omit-frame-pointer -g"
@@ -113,9 +117,9 @@ cmake --build "$ROOT/build-asan" -j "$JOBS" \
            fault_pipeline_test active_learning_test infer_test \
            constraint_rows_test propgraph_test lexer_test parser_test \
            fstring_test pysem_test frontend_fuzz_test protocol_fuzz_test \
-           file_fuzz_test
+           file_fuzz_test threadpool_test objective_kernel_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-  -R 'ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest|^PipelineTest\.|ConstraintRowsTest|EventOptionsTest|PropagationGraphTest|RepTableTest|GraphBuilderTest|TaintAnalyzerTest|LexerTest|ParserTest|ParserSmokeTest|FStringLexerTest|FStringParserTest|FStringFlowTest|ImportMapTest|ModuleScopeTest|QualifiedNamesTest|FrontendFuzzTest|ProtocolFuzzTest|FileFuzzTest'
+  -R 'ThreadPoolTest|ObjectiveTest|CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest|^PipelineTest\.|ConstraintRowsTest|EventOptionsTest|PropagationGraphTest|RepTableTest|GraphBuilderTest|TaintAnalyzerTest|LexerTest|ParserTest|ParserSmokeTest|FStringLexerTest|FStringParserTest|FStringFlowTest|ImportMapTest|ModuleScopeTest|QualifiedNamesTest|FrontendFuzzTest|ProtocolFuzzTest|FileFuzzTest'
 # The long fuzz runs are the DISABLED_ instantiations, out of tier-1.
 for FUZZ in frontend_fuzz_test protocol_fuzz_test file_fuzz_test; do
   "$ROOT/build-asan/tests/$FUZZ" --gtest_also_run_disabled_tests \

@@ -41,8 +41,10 @@ unsigned Session::resolveJobs() const {
 ThreadPool *Session::poolFor(unsigned Jobs) {
   if (Jobs <= 1)
     return nullptr;
-  if (!Pool || Pool->numWorkers() != Jobs)
-    Pool = std::make_unique<ThreadPool>(Jobs);
+  // A loop runs a share on its caller, so Jobs threads are the caller and
+  // Jobs - 1 workers.
+  if (!Pool || Pool->numWorkers() != Jobs - 1)
+    Pool = std::make_unique<ThreadPool>(Jobs - 1);
   return Pool.get();
 }
 
@@ -529,6 +531,7 @@ PipelineResult Session::solve() {
         Result.System.makeCompiledObjective(Opts.Lambda, P);
     Result.SolverStats = Obj.stats();
     Result.SimdActive = Obj.simdActive();
+    Result.NarrowOperands = Obj.narrowOperands();
     Compile.finish();
     trace::Span Iterate(Reg, "iterate");
     Result.Solve =

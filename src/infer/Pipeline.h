@@ -73,8 +73,9 @@ struct PipelineOptions {
   /// specification learning). The result's Graph member stays uncollapsed
   /// so the taint client remains sound.
   bool CollapseForLearning = false;
-  /// Worker threads for graph building, constraint generation, and
-  /// gradient evaluation. 0 = hardware concurrency, 1 = fully serial.
+  /// Threads for graph building, constraint generation, and gradient
+  /// evaluation: the calling thread and Jobs - 1 pool workers. 0 =
+  /// hardware concurrency, 1 = fully serial.
   /// The learned scores are bit-identical for every value.
   unsigned Jobs = 0;
   /// Fail fast instead of quarantining: the first project whose
@@ -157,6 +158,9 @@ struct PipelineResult {
   /// bit-identical results).
   solver::SolverBackend Backend = solver::SolverBackend::Compiled;
   bool SimdActive = false;
+  /// Whether the value pass read half-width operands (the system's
+  /// choice; bit-identical to full width).
+  bool NarrowOperands = false;
 
   /// Whether a graph cache was enabled, and its counters at solve() time
   /// (hits + misses == project count when the cache was active during
@@ -262,7 +266,7 @@ public:
   const IncrStats &incrStats() const { return Incr; }
 
   /// Builds the global propagation graph: per-project extraction fans out
-  /// over Jobs workers; the per-project graphs are merged in corpus order,
+  /// over Jobs threads; the per-project graphs are merged in corpus order,
   /// so event ids match the serial run exactly. A project is parsed only
   /// when its graph is not served from the graph cache (see
   /// incrStats().FilesParsed). No-op if a graph was adopted or already

@@ -611,12 +611,18 @@ private:
       return Value{}; // Comparisons yield booleans; no taint propagation.
     }
     case NodeKind::Conditional: {
+      // Either arm may be the value: like BoolOp, the result may point to
+      // whatever either arm points to.
       const auto *C = cast<ConditionalExpr>(Ex);
       evalExpr(C->Cond, E, Fn, Depth);
-      Value A = evalExpr(C->Body, E, Fn, Depth);
-      Value B = evalExpr(C->OrElse, E, Fn, Depth);
       Value Out;
-      Out.Events = unionEvents(A.Events, B.Events);
+      Out.PtVar = PT.makeVar();
+      for (const Expr *Arm : {C->Body, C->OrElse}) {
+        Value V = evalExpr(Arm, E, Fn, Depth);
+        Out.Events = unionEvents(Out.Events, V.Events);
+        if (V.PtVar != InvalidPtVar)
+          PT.addCopy(Out.PtVar, V.PtVar);
+      }
       return Out;
     }
     case NodeKind::List:

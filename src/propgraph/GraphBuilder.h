@@ -51,8 +51,9 @@ namespace propgraph {
 /// inside a raw string, and reads an f-string `=` debug field with
 /// whitespace after the `=` (`f'{x = }'`). Version 5 parses `async def`,
 /// `async for`, `async with` and `await E` as their plain forms, and a
-/// comprehension with several `for` and `if` clauses.
-inline constexpr uint32_t GraphBuilderVersion = 5;
+/// comprehension with several `for` and `if` clauses. Version 6 gives a
+/// conditional expression the points-to targets of both its arms.
+inline constexpr uint32_t GraphBuilderVersion = 6;
 
 /// Maximum depth of on-demand same-module inlining (paper: context bound of
 /// 8 method calls).

@@ -471,8 +471,9 @@ void renderExpr(const Expr *E, std::string &Out) {
     renderExpr(cast<StarredExpr>(E)->Value, Out);
     return;
   case NodeKind::Comprehension: {
+    // A dict comprehension prints in braces; the others in brackets.
     const auto *C = cast<ComprehensionExpr>(E);
-    Out += '[';
+    Out += C->KeyElement ? '{' : '[';
     if (C->KeyElement) {
       renderExpr(C->KeyElement, Out);
       Out += ": ";
@@ -486,7 +487,7 @@ void renderExpr(const Expr *E, std::string &Out) {
       Out += " if ";
       renderExpr(C->Cond, Out);
     }
-    Out += ']';
+    Out += C->KeyElement ? '}' : ']';
     return;
   }
   case NodeKind::JoinedStr: {

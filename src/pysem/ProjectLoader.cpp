@@ -93,7 +93,9 @@ std::vector<std::optional<Project>> seldon::pysem::loadProjectsFromDirs(
       LoadOne(I, 0);
     return Out;
   }
-  ThreadPool Pool(static_cast<unsigned>(std::min<size_t>(Jobs, RootDirs.size())));
+  // The calling thread loads too, beside Jobs - 1 workers.
+  ThreadPool Pool(
+      static_cast<unsigned>(std::min<size_t>(Jobs, RootDirs.size())) - 1);
   Pool.parallelFor(RootDirs.size(), LoadOne);
   return Out;
 }

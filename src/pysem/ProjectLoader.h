@@ -50,11 +50,11 @@ loadProjectFromDir(const std::string &RootDir,
                    const LoadOptions &Opts = LoadOptions(),
                    std::vector<std::string> *ErrorsOut = nullptr);
 
-/// Loads several roots concurrently over \p Jobs worker threads (0 =
-/// hardware concurrency, 1 = serial). Results — including the per-root
-/// error lists in \p ErrorsOut, resized to RootDirs.size() — come back
-/// indexed in RootDirs order, so the output is deterministic regardless
-/// of the thread count.
+/// Loads several roots concurrently over \p Jobs threads, the caller's
+/// included (0 = hardware concurrency, 1 = serial). Results — including
+/// the per-root error lists in \p ErrorsOut, resized to RootDirs.size() —
+/// come back indexed in RootDirs order, so the output is deterministic
+/// regardless of the thread count.
 std::vector<std::optional<Project>>
 loadProjectsFromDirs(const std::vector<std::string> &RootDirs,
                      const LoadOptions &Opts = LoadOptions(),

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -101,25 +102,46 @@ uint64_t csrIndexLimit() {
   return std::numeric_limits<uint32_t>::max();
 }
 
-// The value-pass tiers. Each accumulates a lane's row in CSR term order
-// with separate mul and add, then forms the weighted hinge
-// Weight·max(V, 0) — a max followed by a separate multiply — so all three
-// store bit-identical per-row values.
+/// True when the blocked operands can be half-width without moving a bit:
+/// every variable id fits 16 bits and every coefficient is a float. (The
+/// range test comes first: narrowing a double past float's range is
+/// undefined.)
+bool fitsHalfWidth(size_t NumVars, const std::vector<double> &Coef) {
+  if (NumVars > size_t(std::numeric_limits<uint16_t>::max()) + 1)
+    return false;
+  return std::all_of(Coef.begin(), Coef.end(), [](double V) {
+    return std::fabs(V) <= std::numeric_limits<float>::max() &&
+           bitsOf(static_cast<double>(static_cast<float>(V))) == bitsOf(V);
+  });
+}
 
+// The value-pass tiers, each one template over the operand widths
+// (uint32_t ids with double coefficients, or uint16_t with float). Each
+// widens its operands to 32-bit indices and doubles, accumulates a lane's
+// row in CSR term order with separate mul and add, then forms the
+// weighted hinge Weight·max(V, 0) — a max followed by a separate
+// multiply — so every tier at either width stores bit-identical per-row
+// values.
+
+template <class IdxT, class ValT>
 void valuePassScalar(size_t BlockBegin, size_t BlockEnd, const size_t *Off,
                      const uint32_t *Width, const uint32_t *Rows,
-                     const double *NegC, const double *Wt,
-                     const uint32_t *Idx, const double *Val, const double *X,
-                     uint32_t Sentinel, double *RowHinge) {
+                     const double *NegC, const double *Wt, const IdxT *Idx,
+                     const ValT *Val, const double *X, uint32_t Sentinel,
+                     double *RowHinge) {
   for (size_t B = BlockBegin; B < BlockEnd; ++B) {
     const size_t O = Off[B];
     const uint32_t W = Width[B];
     double Acc[4];
     for (int L = 0; L < 4; ++L)
       Acc[L] = NegC[4 * B + L];
+    // Unrolled, so the four accumulators stay in registers at either
+    // width.
     for (uint32_t J = 0; J < W; ++J)
+#pragma GCC unroll 4
       for (int L = 0; L < 4; ++L)
-        Acc[L] += Val[O + 4 * J + L] * X[Idx[O + 4 * J + L]];
+        Acc[L] += static_cast<double>(Val[O + 4 * J + L]) *
+                  X[Idx[O + 4 * J + L]];
     for (int L = 0; L < 4; ++L) {
       const uint32_t R = Rows[4 * B + L];
       // (Acc > 0 ? Acc : +0.0) mirrors vmaxpd's exact zero handling.
@@ -131,22 +153,37 @@ void valuePassScalar(size_t BlockBegin, size_t BlockEnd, const size_t *Off,
 
 #if SELDON_X86
 
+// Four lanes' operands for the AVX2 tier: ids as 32-bit lanes (a 16-bit
+// id zero-extends), coefficients as doubles (a float converts exactly).
+__attribute__((target("avx2"))) inline __m128i loadIdx4(const uint32_t *P) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i *>(P));
+}
+__attribute__((target("avx2"))) inline __m128i loadIdx4(const uint16_t *P) {
+  return _mm_cvtepu16_epi32(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i *>(P)));
+}
+__attribute__((target("avx2"))) inline __m256d loadVal4(const double *P) {
+  return _mm256_loadu_pd(P);
+}
+__attribute__((target("avx2"))) inline __m256d loadVal4(const float *P) {
+  return _mm256_cvtps_pd(_mm_loadu_ps(P));
+}
+
+template <class IdxT, class ValT>
 __attribute__((target("avx2")))
 void valuePassAvx2(size_t BlockBegin, size_t BlockEnd, const size_t *Off,
                    const uint32_t *Width, const uint32_t *Rows,
-                   const double *NegC, const double *Wt, const uint32_t *Idx,
-                   const double *Val, const double *X, uint32_t Sentinel,
+                   const double *NegC, const double *Wt, const IdxT *Idx,
+                   const ValT *Val, const double *X, uint32_t Sentinel,
                    double *RowHinge) {
   for (size_t B = BlockBegin; B < BlockEnd; ++B) {
     const uint32_t W = Width[B];
-    const uint32_t *IdxP = Idx + Off[B];
-    const double *ValP = Val + Off[B];
+    const IdxT *IdxP = Idx + Off[B];
+    const ValT *ValP = Val + Off[B];
     __m256d Acc = _mm256_loadu_pd(NegC + 4 * B);
     for (uint32_t J = 0; J < W; ++J) {
-      __m128i I = _mm_loadu_si128(
-          reinterpret_cast<const __m128i *>(IdxP + 4 * J));
-      __m256d Xv = _mm256_i32gather_pd(X, I, 8);
-      __m256d Cv = _mm256_loadu_pd(ValP + 4 * J);
+      __m256d Xv = _mm256_i32gather_pd(X, loadIdx4(IdxP + 4 * J), 8);
+      __m256d Cv = loadVal4(ValP + 4 * J);
       Acc = _mm256_add_pd(Acc, _mm256_mul_pd(Cv, Xv));
     }
     __m256d Wv = _mm256_loadu_pd(Wt + 4 * B);
@@ -162,26 +199,45 @@ void valuePassAvx2(size_t BlockBegin, size_t BlockEnd, const size_t *Off,
   }
 }
 
+// Eight lanes' operands for the AVX-512 tier, widened as loadIdx4 and
+// loadVal4 do.
+__attribute__((target("avx512f,avx512vl"))) inline __m256i
+loadIdx8(const uint32_t *P) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(P));
+}
+__attribute__((target("avx512f,avx512vl"))) inline __m256i
+loadIdx8(const uint16_t *P) {
+  return _mm256_cvtepu16_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i *>(P)));
+}
+__attribute__((target("avx512f,avx512vl"))) inline __m512d
+loadVal8(const double *P) {
+  return _mm512_loadu_pd(P);
+}
+__attribute__((target("avx512f,avx512vl"))) inline __m512d
+loadVal8(const float *P) {
+  return _mm512_cvtps_pd(_mm256_loadu_ps(P));
+}
+
 // The AVX-512 tier: the same per-lane arithmetic at twice the width, with
 // masked scatter stores replacing the scalar sentinel branch. Rows within
 // a block are distinct, so the scatter never conflicts.
+template <class IdxT, class ValT>
 __attribute__((target("avx512f,avx512vl")))
 void valuePassAvx512(size_t BlockBegin, size_t BlockEnd, const size_t *Off,
                      const uint32_t *Width, const uint32_t *Rows,
-                     const double *NegC, const double *Wt,
-                     const uint32_t *Idx, const double *Val, const double *X,
-                     uint32_t Sentinel, double *RowHinge) {
+                     const double *NegC, const double *Wt, const IdxT *Idx,
+                     const ValT *Val, const double *X, uint32_t Sentinel,
+                     double *RowHinge) {
   const __m256i Sent = _mm256_set1_epi32(static_cast<int>(Sentinel));
   for (size_t B = BlockBegin; B < BlockEnd; ++B) {
     const uint32_t W = Width[B];
-    const uint32_t *IdxP = Idx + Off[B];
-    const double *ValP = Val + Off[B];
+    const IdxT *IdxP = Idx + Off[B];
+    const ValT *ValP = Val + Off[B];
     __m512d Acc = _mm512_loadu_pd(NegC + 8 * B);
     for (uint32_t J = 0; J < W; ++J) {
-      __m256i I = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i *>(IdxP + 8 * J));
-      __m512d Xv = _mm512_i32gather_pd(I, X, 8);
-      __m512d Cv = _mm512_loadu_pd(ValP + 8 * J);
+      __m512d Xv = _mm512_i32gather_pd(loadIdx8(IdxP + 8 * J), X, 8);
+      __m512d Cv = loadVal8(ValP + 8 * J);
       Acc = _mm512_add_pd(Acc, _mm512_mul_pd(Cv, Xv));
     }
     __m512d Wv = _mm512_loadu_pd(Wt + 8 * B);
@@ -268,6 +324,7 @@ CompiledObjective::CompiledObjective(size_t NumVars,
       Lanes(Tier == KernelTier::Avx512 ? 8 : 4), Pinned(NumVars, 0),
       PinnedValues(NumVars, 0.0), Pool(Pool) {
   compileRows(Constraints);
+  Narrow = fitsHalfWidth(NumVars, Coef);
   buildBlocks();
 }
 
@@ -457,33 +514,44 @@ void CompiledObjective::buildBlocks() {
   BlockRows.assign(NumBlocks * L, Sentinel);
   BNegC.assign(NumBlocks * L, 0.0);
   BW.assign(NumBlocks * L, 0.0);
-  BIdx.assign(NumEntries, 0);
-  BVal.assign(NumEntries, 0.0);
 
   // Pass 2, per shard: block b stores entry (j, lane) at
   // BlockOff[b] + j·Lanes + lane; short and empty lanes keep the padding
   // (VarIdx 0, Coef 0.0, Sentinel row, zero −C and weight).
-  forEach(Shards.size(), [&](size_t SI) {
-    const Shard &S = Shards[SI];
-    size_t Off = EntryBegin[SI];
-    for (size_t B = S.BlockBegin; B < S.BlockEnd; ++B) {
-      const size_t First = S.Begin + (B - S.BlockBegin) * L;
-      const uint32_t W = RowBegin[Order[First] + 1] - RowBegin[Order[First]];
-      BlockOff[B] = Off;
-      BlockWidth[B] = W;
-      for (size_t Lane = 0; Lane < L && First + Lane < S.End; ++Lane) {
-        const uint32_t Row = Order[First + Lane];
-        BlockRows[B * L + Lane] = Row;
-        BNegC[B * L + Lane] = -C[Row];
-        BW[B * L + Lane] = Weight[Row];
-        for (uint32_t J = 0; J < RowBegin[Row + 1] - RowBegin[Row]; ++J) {
-          BIdx[Off + J * L + Lane] = VarIdx[RowBegin[Row] + J];
-          BVal[Off + J * L + Lane] = Coef[RowBegin[Row] + J];
+  auto Lay = [&](auto &Ops) {
+    using IdxT = typename decltype(Ops.Idx)::value_type;
+    using ValT = typename decltype(Ops.Val)::value_type;
+    Ops.Idx.assign(NumEntries, 0);
+    Ops.Val.assign(NumEntries, 0);
+    forEach(Shards.size(), [&](size_t SI) {
+      const Shard &S = Shards[SI];
+      size_t Off = EntryBegin[SI];
+      for (size_t B = S.BlockBegin; B < S.BlockEnd; ++B) {
+        const size_t First = S.Begin + (B - S.BlockBegin) * L;
+        const uint32_t W =
+            RowBegin[Order[First] + 1] - RowBegin[Order[First]];
+        BlockOff[B] = Off;
+        BlockWidth[B] = W;
+        for (size_t Lane = 0; Lane < L && First + Lane < S.End; ++Lane) {
+          const uint32_t Row = Order[First + Lane];
+          BlockRows[B * L + Lane] = Row;
+          BNegC[B * L + Lane] = -C[Row];
+          BW[B * L + Lane] = Weight[Row];
+          for (uint32_t J = 0; J < RowBegin[Row + 1] - RowBegin[Row]; ++J) {
+            Ops.Idx[Off + J * L + Lane] =
+                static_cast<IdxT>(VarIdx[RowBegin[Row] + J]);
+            Ops.Val[Off + J * L + Lane] =
+                static_cast<ValT>(Coef[RowBegin[Row] + J]);
+          }
         }
+        Off += static_cast<size_t>(W) * L;
       }
-      Off += static_cast<size_t>(W) * L;
-    }
-  });
+    });
+  };
+  if (Narrow)
+    Lay(Half);
+  else
+    Lay(Full);
 }
 
 void CompiledObjective::pin(uint32_t Var, double Value) {
@@ -501,26 +569,28 @@ std::vector<double> CompiledObjective::initialPoint() const {
 
 void CompiledObjective::valuePass(const Shard &S, const double *X) const {
   const uint32_t Sentinel = static_cast<uint32_t>(numRows());
+  auto Run = [&](const auto &Ops) {
 #if SELDON_X86
-  if (Tier == KernelTier::Avx512) {
-    valuePassAvx512(S.BlockBegin, S.BlockEnd, BlockOff.data(),
-                    BlockWidth.data(), BlockRows.data(), BNegC.data(),
-                    BW.data(), BIdx.data(), BVal.data(), X, Sentinel,
-                    RowHinge.data());
-    return;
-  }
-  if (Tier == KernelTier::Avx2) {
-    valuePassAvx2(S.BlockBegin, S.BlockEnd, BlockOff.data(),
-                  BlockWidth.data(), BlockRows.data(), BNegC.data(),
-                  BW.data(), BIdx.data(), BVal.data(), X, Sentinel,
-                  RowHinge.data());
-    return;
-  }
+    if (Tier == KernelTier::Avx512)
+      return valuePassAvx512(S.BlockBegin, S.BlockEnd, BlockOff.data(),
+                             BlockWidth.data(), BlockRows.data(),
+                             BNegC.data(), BW.data(), Ops.Idx.data(),
+                             Ops.Val.data(), X, Sentinel, RowHinge.data());
+    if (Tier == KernelTier::Avx2)
+      return valuePassAvx2(S.BlockBegin, S.BlockEnd, BlockOff.data(),
+                           BlockWidth.data(), BlockRows.data(), BNegC.data(),
+                           BW.data(), Ops.Idx.data(), Ops.Val.data(), X,
+                           Sentinel, RowHinge.data());
 #endif
-  valuePassScalar(S.BlockBegin, S.BlockEnd, BlockOff.data(),
-                  BlockWidth.data(), BlockRows.data(), BNegC.data(),
-                  BW.data(), BIdx.data(), BVal.data(), X, Sentinel,
-                  RowHinge.data());
+    valuePassScalar(S.BlockBegin, S.BlockEnd, BlockOff.data(),
+                    BlockWidth.data(), BlockRows.data(), BNegC.data(),
+                    BW.data(), Ops.Idx.data(), Ops.Val.data(), X, Sentinel,
+                    RowHinge.data());
+  };
+  if (Narrow)
+    Run(Half);
+  else
+    Run(Full);
 }
 
 double CompiledObjective::shardEpilogue(size_t Begin, size_t End,
@@ -614,8 +684,9 @@ double CompiledObjective::sweep(const std::vector<double> &X,
         Out[V] += Buf[V];
   };
   if (Pool && NumVars >= 4096) {
-    unsigned Workers = Pool->numWorkers();
-    size_t Chunk = (NumVars + Workers - 1) / Workers;
+    // One chunk per thread: the caller and the pool's workers.
+    unsigned Threads = Pool->numWorkers() + 1;
+    size_t Chunk = (NumVars + Threads - 1) / Threads;
     forEach((NumVars + Chunk - 1) / Chunk, [&](size_t Ch) {
       ReduceRange(Ch * Chunk, std::min(NumVars, (Ch + 1) * Chunk));
     });

@@ -39,7 +39,12 @@
 ///     coefficients lane-interleaved — entry (j, lane) at
 ///     `Off + j·Lanes + lane` — so one vector load per j advances every
 ///     lane's dot product by one term. Short lanes are padded with
-///     (VarIdx 0, Coef 0.0) entries.
+///     (VarIdx 0, Coef 0.0) entries. The blocked operands are half-width
+///     (16-bit variable ids, `float` coefficients) when the system has at
+///     most 65,536 variables and every coefficient converts to `float` and
+///     back unchanged, and full-width (32-bit ids, `double` coefficients)
+///     otherwise. The compile picks the width once; the CSR arrays keep
+///     full width either way.
 ///
 /// A sweep runs the value pass over the blocks, storing each row's weighted
 /// hinge H = Weight · max(V, 0), then an epilogue in the **original row
@@ -54,6 +59,10 @@
 ///    CompiledObjective.cpp is built with -ffp-contract=off). A vector
 ///    add/mul rounds each lane independently, so the chain per row is the
 ///    same sequence of IEEE operations as a scalar loop.
+///  * Half-width operands widen in-register before the same mul and add:
+///    a zero-extended 16-bit id is the same index, and a `float`
+///    coefficient converts to exactly the `double` it was narrowed from,
+///    so every lane multiplies the same two doubles at either width.
 ///  * Padding appends `+ 0.0·X[0]` terms, which cannot change a finite
 ///    lane value (projection keeps X in [0, 1], so the product is +0.0 and
 ///    v + 0.0 == v for every finite v except -0.0 — and a row value of
@@ -182,6 +191,9 @@ public:
   KernelTier tier() const { return Tier; }
   /// True when a vector tier (AVX2 or AVX-512) was dispatched.
   bool simdActive() const { return Tier != KernelTier::Scalar; }
+  /// True when the value pass reads half-width operands (16-bit ids and
+  /// float coefficients), fixed at construction.
+  bool narrowOperands() const { return Narrow; }
   /// The best tier this host supports, capped by SELDON_SIMD
   /// (off|0|scalar forces Scalar, avx2 caps at Avx2). Read per call.
   static KernelTier hostTier();
@@ -197,9 +209,17 @@ public:
   size_t numBlocks() const { return BlockWidth.size(); }
   size_t lanesPerBlock() const { return Lanes; }
   /// Padded entries the blocking added on top of numNonZeros().
-  size_t paddedEntries() const { return BIdx.size() - VarIdx.size(); }
+  size_t paddedEntries() const {
+    return (Narrow ? Half.Idx.size() : Full.Idx.size()) - VarIdx.size();
+  }
 
 private:
+  /// The blocked variable ids and coefficients at one operand width.
+  template <class IdxT, class ValT> struct Operands {
+    std::vector<IdxT> Idx;
+    std::vector<ValT> Val;
+  };
+
   /// Row range [Begin, End) and its block range [BlockBegin, BlockEnd).
   struct Shard {
     size_t Begin = 0;
@@ -234,6 +254,7 @@ private:
   double Lambda;
   KernelTier Tier;
   size_t Lanes;
+  bool Narrow = false;
 
   /// CSR rows: row R spans [RowBegin[R], RowBegin[R + 1]) in VarIdx/Coef.
   std::vector<uint32_t> RowBegin;
@@ -247,12 +268,13 @@ private:
 
   /// Sliced layout. Block b covers lanes BlockRows[b·Lanes .. +Lanes)
   /// (Sentinel = numRows marks a padding lane), has width BlockWidth[b]
-  /// and data at BlockOff[b], lane-interleaved.
+  /// and operands at BlockOff[b], lane-interleaved, in Half when Narrow
+  /// and in Full otherwise (the other pair stays empty).
   std::vector<size_t> BlockOff;
   std::vector<uint32_t> BlockWidth;
   std::vector<uint32_t> BlockRows;
-  std::vector<uint32_t> BIdx;
-  std::vector<double> BVal;
+  Operands<uint32_t, double> Full;
+  Operands<uint16_t, float> Half;
   std::vector<double> BNegC; ///< −C per lane.
   std::vector<double> BW;    ///< Weight per lane.
   /// Weight·Coef per CSR entry, in CSR order: the gradient scatter's

@@ -14,9 +14,11 @@
 /// a deterministic order by the caller. Tasks submitted before destruction
 /// are drained (the destructor joins after the queue empties).
 ///
-/// parallelFor hands each spawned task a stable worker index in
-/// [0, numWorkers()), so callers can keep per-worker accumulators without
-/// locking.
+/// parallelFor runs one share of the loop on the calling thread beside the
+/// pool's workers, so a loop on ThreadPool(N) runs on N + 1 threads; a
+/// fan-out over J threads builds ThreadPool(J - 1). Each participant gets
+/// a stable id in [0, numWorkers()], the caller being 0, so callers can
+/// keep per-participant accumulators without locking.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,15 +55,16 @@ public:
   std::future<void> submit(std::function<void()> Task);
 
   /// Runs Body(Index, Worker) for every Index in [0, N), distributing
-  /// indices dynamically over min(numWorkers(), N) tasks. Worker is the
-  /// task's dense id, stable for the duration of the loop. Blocks until all
-  /// indices ran; the first exception thrown by any Body is rethrown here
-  /// (remaining indices are skipped once a Body has thrown).
+  /// indices dynamically over the calling thread (Worker 0) and up to
+  /// min(numWorkers(), N - 1) workers (Workers 1, 2, ...). Worker is the
+  /// participant's id, stable for the duration of the loop. Blocks until
+  /// all indices ran; the first exception thrown by any Body, in
+  /// participant order, is rethrown here (remaining indices are skipped
+  /// once a Body has thrown).
   ///
-  /// Safe to call from inside a task of this pool: re-entrant calls are
-  /// detected and run inline on the calling worker (serially, with
-  /// Worker == 0), since blocking a worker on futures only its own pool
-  /// can run would deadlock.
+  /// Safe to call from a participant of a loop on this pool, the caller's
+  /// own share included, and from a task of this pool: such calls run
+  /// inline on the calling thread (serially, with Worker == 0).
   void parallelFor(size_t N,
                    const std::function<void(size_t Index, unsigned Worker)>
                        &Body);
@@ -70,12 +73,24 @@ public:
   static unsigned hardwareConcurrency();
 
 private:
+  struct Loop;
+
+  /// A queued unit of work: a submitted task, or a worker's share of a
+  /// parallelFor loop.
+  struct Job {
+    std::packaged_task<void()> Task;
+    Loop *Shares = nullptr;
+    unsigned Worker = 0;
+  };
+
   void workerLoop();
 
   std::vector<std::thread> Workers;
-  std::deque<std::packaged_task<void()>> Queue;
+  std::deque<Job> Queue;
   std::mutex Mutex;
   std::condition_variable WakeWorkers;
+  /// Signalled when the last running worker share of a loop finishes.
+  std::condition_variable SharesDone;
   bool Stopping = false;
 };
 

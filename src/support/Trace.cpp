@@ -2,6 +2,8 @@
 
 #include "support/Trace.h"
 
+#include <utility>
+
 using namespace seldon;
 using namespace seldon::trace;
 
@@ -45,3 +47,7 @@ double Span::finish() {
     Reg.recordSpan(Path, StartSeconds, DurationSeconds);
   return DurationSeconds;
 }
+
+RootScope::RootScope() : Hidden(std::exchange(CurrentSpan, nullptr)) {}
+
+RootScope::~RootScope() { CurrentSpan = Hidden; }

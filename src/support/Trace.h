@@ -64,6 +64,22 @@ private:
   Span *Parent;                  ///< Enclosing span on this thread, if any.
 };
 
+/// Hides this thread's open spans while it lives: spans opened meanwhile
+/// are roots, as on a thread with none open. A parallelFor caller runs its
+/// own share under one, so a loop body's span paths do not depend on which
+/// participant ran it.
+class RootScope {
+public:
+  RootScope();
+  ~RootScope();
+
+  RootScope(const RootScope &) = delete;
+  RootScope &operator=(const RootScope &) = delete;
+
+private:
+  Span *Hidden;
+};
+
 } // namespace trace
 } // namespace seldon
 

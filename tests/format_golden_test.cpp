@@ -208,12 +208,12 @@ TEST(FormatGoldenTest, CacheEntriesArePinned) {
   ASSERT_TRUE(Graphs.store(In.GraphKey, In.Graph));
   ASSERT_TRUE(Shards.store(In.ShardKey, In.Shard));
 
-  EXPECT_EQ(Graphs.entryPath(In.GraphKey), Dir + "/eb5581d3e1b6f508.spg");
+  EXPECT_EQ(Graphs.entryPath(In.GraphKey), Dir + "/5d6c9faec19d2c25.spg");
   EXPECT_EQ(digest(slurp(Graphs.entryPath(In.GraphKey))),
-            "0x33db170b53642e28");
-  EXPECT_EQ(Shards.entryPath(In.ShardKey), Dir + "/b4cd158dab1f3c76.scs");
+            "0x491bedde28787ae1");
+  EXPECT_EQ(Shards.entryPath(In.ShardKey), Dir + "/26f2ccfb8e6766cb.scs");
   EXPECT_EQ(digest(slurp(Shards.entryPath(In.ShardKey))),
-            "0x5f8f13378e1f65d8");
+            "0x04458864421643a0");
   std::filesystem::remove_all(Dir);
 }
 
@@ -512,7 +512,7 @@ TEST(FormatGoldenTest, EveryConstructFrontendIsPinned) {
   uint64_t DiagHash = 0xcbf29ce484222325ull, AstHash = DiagHash;
   foldParse(Source, DiagHash, AstHash);
   EXPECT_EQ(hex(DiagHash), "0xe6f4da4d786fd230");
-  EXPECT_EQ(hex(AstHash), "0xee90b53460868021");
+  EXPECT_EQ(hex(AstHash), "0xe243f788f1d26c21");
 
   pysem::Project Proj("every-construct");
   const pysem::ModuleInfo &M = Proj.addModule("pkg/every.py", Source);

@@ -16,6 +16,10 @@
 //    optimizer trajectories at arbitrary points. Each lane accumulates its
 //    row in CSR order with separate mul/add, so this holds off the grid.
 //
+// The oracle and tier checks also run on systems of either value-pass
+// operand width (widthCases()): half-width and full-width operands must
+// give the same bits.
+//
 // Tests that do not sweep tiers run on whatever SELDON_SIMD selects, so
 // running the binary once per setting covers each tier.
 //
@@ -33,6 +37,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -174,9 +180,11 @@ Csr referenceCompile(const ConstraintRows &Constraints) {
 /// A random system in the shape the generator emits: averaging
 /// coefficients 1/n, constants that are multiples of 0.25, seed pins, and
 /// a healthy fraction of exact duplicates. Large enough (3k constraints)
-/// to span multiple shards.
+/// to span multiple shards. With \p DistinctVars no constraint names a
+/// variable twice, so every compiled coefficient stays a float.
 System randomSystem(uint32_t Seed, size_t NumVars = 60,
-                    size_t NumConstraints = 3000, double Lambda = 0.1) {
+                    size_t NumConstraints = 3000, double Lambda = 0.1,
+                    bool DistinctVars = false) {
   std::mt19937 Rng(Seed);
   auto Rand = [&](int Lo, int Hi) {
     return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
@@ -186,13 +194,21 @@ System randomSystem(uint32_t Seed, size_t NumVars = 60,
   Sys.Lambda = Lambda;
   while (Sys.Constraints.size() < NumConstraints) {
     std::vector<Term> Lhs, Rhs;
+    std::vector<uint32_t> Used;
+    auto PickVar = [&] {
+      uint32_t Var;
+      do
+        Var = static_cast<uint32_t>(Rand(0, NumVars - 1));
+      while (DistinctVars &&
+             std::find(Used.begin(), Used.end(), Var) != Used.end());
+      Used.push_back(Var);
+      return Var;
+    };
     int NumLhs = Rand(1, 3), NumRhs = Rand(0, 3);
     for (int I = 0; I < NumLhs; ++I)
-      Lhs.push_back({static_cast<uint32_t>(Rand(0, NumVars - 1)),
-                     1.0f / Rand(1, 6)});
+      Lhs.push_back({PickVar(), 1.0f / Rand(1, 6)});
     for (int I = 0; I < NumRhs; ++I)
-      Rhs.push_back({static_cast<uint32_t>(Rand(0, NumVars - 1)),
-                     1.0f / Rand(1, 6)});
+      Rhs.push_back({PickVar(), 1.0f / Rand(1, 6)});
     double C = 0.25 * Rand(0, 4);
     // Duplicate some constraints, as big-code corpora do.
     int Copies = Rand(0, 4) == 0 ? Rand(2, 5) : 1;
@@ -203,6 +219,44 @@ System randomSystem(uint32_t Seed, size_t NumVars = 60,
   for (size_t I = 0; I < NumVars / 10; ++I)
     Sys.Pins.emplace_back(Rand(0, NumVars - 1), Rand(0, 1));
   return Sys;
+}
+
+/// A system per value-pass operand width, with the width its compile must
+/// pick.
+struct WidthCase {
+  const char *Name;
+  System Sys;
+  bool Narrow;
+};
+
+/// Float coefficients over distinct variables compile half-width, up to
+/// 65,536 variables (ids past 32,767 must zero-extend); one coefficient
+/// merged from 1/3 + 1/5, which no float holds, or 70,000 variables,
+/// which 16-bit ids cannot name, keep full width.
+std::vector<WidthCase> widthCases() {
+  System Floats = randomSystem(31, 60, 3000, 0.1, /*DistinctVars=*/true);
+  System Merged = Floats;
+  Merged.Constraints.add({{5, 1.0f / 3}, {5, 1.0f / 5}}, {}, 0.25);
+  std::vector<WidthCase> Cases;
+  Cases.push_back({"float coefficients", std::move(Floats), true});
+  Cases.push_back({"65,536 variables",
+                   randomSystem(41, 65536, 3000, 0.1, /*DistinctVars=*/true),
+                   true});
+  Cases.push_back({"merged 1/3 + 1/5", std::move(Merged), false});
+  Cases.push_back({"70,000 variables",
+                   randomSystem(37, 70000, 3000, 0.1, /*DistinctVars=*/true),
+                   false});
+  return Cases;
+}
+
+/// The systems the oracle and tier checks sweep: three random systems
+/// (whose merged coefficients compile full-width) and the width cases.
+std::vector<System> sweptSystems() {
+  std::vector<System> Out = {randomSystem(1), randomSystem(2),
+                             randomSystem(3)};
+  for (WidthCase &Case : widthCases())
+    Out.push_back(std::move(Case.Sys));
+  return Out;
 }
 
 /// A random point on the 2^-8 grid: every product with a coefficient is
@@ -533,8 +587,9 @@ TEST(CompileTest, RejectsSystemsOverflowingThe32BitCsrLayout) {
 //===----------------------------------------------------------------------===//
 
 TEST(CompiledEquivalenceTest, ValuesAndGradientsBitwiseEqualOnGridPoints) {
-  for (uint32_t Seed : {1u, 2u, 3u}) {
-    System Sys = randomSystem(Seed);
+  std::vector<System> Systems = sweptSystems();
+  for (uint32_t Seed = 1; Seed <= Systems.size(); ++Seed) {
+    const System &Sys = Systems[Seed - 1];
     NaiveObjective Oracle{Sys};
     for (const char *Setting : TierSettings) {
       CompiledObjective Obj = compileAt(Sys, Setting);
@@ -615,16 +670,28 @@ TEST(CompiledEquivalenceTest, CallbackSeesEveryIteration) {
 //===----------------------------------------------------------------------===//
 
 TEST(SimdLayoutTest, BlocksCoverEveryRowOnce) {
-  System Sys = randomSystem(3);
-  for (const char *Setting : TierSettings) {
-    CompiledObjective Obj = compileAt(Sys, Setting);
-    // At least ceil(rows/lanes) blocks, padding bounded by the per-block
-    // spread (at most (lanes-1)·width per block).
-    EXPECT_EQ(Obj.lanesPerBlock(),
-              Obj.tier() == KernelTier::Avx512 ? 8u : 4u);
-    EXPECT_GE(Obj.numBlocks() * Obj.lanesPerBlock(), Obj.numRows());
-    EXPECT_LT(Obj.numBlocks(), Obj.numRows());
-    EXPECT_GT(Obj.paddedEntries(), 0u) << "variable-length rows must pad";
+  std::vector<WidthCase> Cases = widthCases();
+  for (uint32_t Seed : {1u, 2u, 3u})
+    Cases.push_back({"random system", randomSystem(Seed), false});
+  // A merged coefficient past float's range keeps full width.
+  System Huge = randomSystem(43, 60, 3000, 0.1, /*DistinctVars=*/true);
+  const float Max = std::numeric_limits<float>::max();
+  Huge.Constraints.add({{7, Max}, {7, Max}}, {}, 0.0);
+  Cases.push_back({"merged past float range", std::move(Huge), false});
+  for (const WidthCase &Case : Cases) {
+    for (const char *Setting : TierSettings) {
+      CompiledObjective Obj = compileAt(Case.Sys, Setting);
+      // At least ceil(rows/lanes) blocks, padding bounded by the per-block
+      // spread (at most (lanes-1)·width per block).
+      EXPECT_EQ(Obj.lanesPerBlock(),
+                Obj.tier() == KernelTier::Avx512 ? 8u : 4u);
+      EXPECT_GE(Obj.numBlocks() * Obj.lanesPerBlock(), Obj.numRows());
+      EXPECT_LT(Obj.numBlocks(), Obj.numRows());
+      EXPECT_GT(Obj.paddedEntries(), 0u) << "variable-length rows must pad";
+      // The width is the system's, whatever the tier.
+      EXPECT_EQ(Obj.narrowOperands(), Case.Narrow)
+          << Case.Name << ", SELDON_SIMD=" << settingName(Setting);
+    }
   }
 }
 
@@ -664,8 +731,9 @@ TEST(SimdLayoutTest, EmptySystemEvaluatesToZero) {
 //===----------------------------------------------------------------------===//
 
 TEST(SimdEquivalenceTest, ValuesAndGradientsBitwiseEqualAtArbitraryPoints) {
-  for (uint32_t Seed : {1u, 2u, 3u}) {
-    System Sys = randomSystem(Seed);
+  std::vector<System> Systems = sweptSystems();
+  for (uint32_t Seed = 1; Seed <= Systems.size(); ++Seed) {
+    const System &Sys = Systems[Seed - 1];
     CompiledObjective Scalar = compileAt(Sys, "off");
     ASSERT_EQ(Scalar.tier(), KernelTier::Scalar);
     for (const char *Setting : {"avx2", static_cast<const char *>(nullptr)}) {
@@ -714,21 +782,25 @@ TEST(SimdEquivalenceTest, ParallelSweepsBitwiseEqualSerial) {
 TEST(SimdEquivalenceTest, FullAdamTrajectoryMatchesCompiledAcrossJobs) {
   // Every tier is bit-identical to the scalar tier at every iterate, so
   // the whole trajectory — iterate values, iteration count, convergence —
-  // matches byte for byte, serial and parallel.
-  for (uint32_t Seed : {5u, 7u}) {
-    System Sys = randomSystem(Seed);
+  // matches byte for byte, serial and parallel, at either operand width.
+  std::vector<System> Systems = {randomSystem(5), randomSystem(7)};
+  for (WidthCase &Case : widthCases())
+    Systems.push_back(std::move(Case.Sys));
+  for (size_t SI = 0; SI < Systems.size(); ++SI) {
+    const System &Sys = Systems[SI];
     SolveResult Reference = runAdam(compileAt(Sys, "off"));
     for (const char *Setting : TierSettings) {
       for (unsigned Jobs : {1u, 4u}) {
         CompiledObjective Obj = compileAt(Sys, Setting);
-        ThreadPool Pool(Jobs);
+        // Jobs threads: the caller and Jobs - 1 workers.
+        std::optional<ThreadPool> Pool;
         if (Jobs > 1)
-          Obj.setThreadPool(&Pool);
+          Obj.setThreadPool(&Pool.emplace(Jobs - 1));
         SolveResult R = runAdam(Obj);
         EXPECT_EQ(R.Iterations, Reference.Iterations);
         EXPECT_EQ(R.Converged, Reference.Converged);
         EXPECT_TRUE(bitwiseEqual(R.X, Reference.X))
-            << "seed " << Seed << " SELDON_SIMD=" << settingName(Setting)
+            << "system " << SI << " SELDON_SIMD=" << settingName(Setting)
             << " jobs " << Jobs;
         EXPECT_TRUE(sameBits(R.FinalObjective, Reference.FinalObjective));
       }

@@ -285,6 +285,17 @@ TEST(ParserTest, Comprehensions) {
   EXPECT_TRUE(isa<ComprehensionExpr>(Sum->Args[0]));
 }
 
+TEST(ParserTest, DictComprehensionPrintsInBracesAndReparses) {
+  // parse, print, parse: the printed dict comprehension parses with no
+  // diagnostic to the same dump.
+  auto First = parseClean("d = {k: v for k, v in items if k}\n");
+  std::string Printed =
+      exprToString(cast<AssignStmt>(First->Module->Body[0])->Value);
+  EXPECT_EQ(Printed, "{k: v for (k, v) in items if k}");
+  auto Second = parseClean("d = " + Printed + "\n");
+  EXPECT_EQ(dumpAst(Second->Module), dumpAst(First->Module));
+}
+
 TEST(ParserTest, ComprehensionClausesNestAndJoin) {
   // A further `for` clause nests as an inner comprehension that is the
   // outer one's element; several `if` clauses join with `and`.

@@ -648,6 +648,22 @@ TEST(GraphBuilderTest, FieldFlowThroughBoolOp) {
   EXPECT_FALSE(F.flowsTo(Src, F.theEvent("db.log()")));
 }
 
+TEST(GraphBuilderTest, FieldFlowThroughConditionalExpr) {
+  GraphFixture F("import web\nimport db\n"
+                 "l = maybe()\n"
+                 "r = fallback()\n"
+                 "o = other()\n"
+                 "p = l if web.flag() else r\n"
+                 "p.f = web.read()\n"
+                 "db.run(l.f)\n"
+                 "db.put(r.f)\n"
+                 "db.log(o.f)\n");
+  EventId Src = F.theEvent("web.read()");
+  EXPECT_TRUE(F.flowsTo(Src, F.theEvent("db.run()")));
+  EXPECT_TRUE(F.flowsTo(Src, F.theEvent("db.put()")));
+  EXPECT_FALSE(F.flowsTo(Src, F.theEvent("db.log()")));
+}
+
 TEST(GraphBuilderTest, FieldFlowThroughWithBinding) {
   GraphFixture F("import web\nimport db\n"
                  "w = other()\n"

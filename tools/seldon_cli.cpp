@@ -634,12 +634,14 @@ int cmdLearn(const CliOptions &Opts) {
   if (Opts.SolverStats) {
     const solver::CompileStats &S = R.SolverStats;
     std::fprintf(stderr,
-                 "solver: %s backend (%s tier), %zu rows -> %zu after "
-                 "dedup (%.2fx), %zu non-zeros, max multiplicity %zu\n",
+                 "solver: %s backend (%s tier, %s-width operands), %zu rows "
+                 "-> %zu after dedup (%.2fx), %zu non-zeros, max "
+                 "multiplicity %zu\n",
                  solver::solverBackendName(R.Backend),
                  solver::kernelTierName(
                      R.SimdActive ? solver::CompiledObjective::hostTier()
                                   : solver::KernelTier::Scalar),
+                 R.NarrowOperands ? "half" : "full",
                  S.RowsBefore, S.RowsAfter, S.dedupRatio(), S.NonZeros,
                  S.MaxMultiplicity);
     std::fprintf(stderr, "solver: %.3f ms/iteration over %d iteration(s)\n",
