@@ -75,36 +75,24 @@ Service::Service(Options Opts) : Opts(std::move(Opts)) {}
 Service::~Service() = default;
 
 bool Service::start(std::string &Error) {
-  if (Opts.SeedFile.empty()) {
-    Seed = spec::SeedSpec::parse(spec::paperSeedSpecText());
-  } else {
-    spec::IOResult<spec::SeedSpec> Loaded =
-        spec::loadSeedSpec(Opts.SeedFile);
-    for (const std::string &W : Loaded.Warnings)
-      std::fprintf(stderr, "seed: %s\n", W.c_str());
-    if (!Loaded) {
-      Error = Loaded.Error;
-      return false;
-    }
-    Seed = std::move(Loaded.Value);
+  io::IOResult<spec::SeedSpec> LoadedSeed = infer::loadRunSeed(Opts);
+  for (const std::string &W : LoadedSeed.Warnings)
+    std::fprintf(stderr, "seed: %s\n", W.c_str());
+  if (!LoadedSeed) {
+    Error = LoadedSeed.Error;
+    return false;
   }
+  Seed = std::move(LoadedSeed.Value);
 
   if (Opts.CorpusDirs.empty()) {
     Error = "no corpus directories to serve";
     return false;
   }
-  if (!loadCorpus(Corpus, Error))
+  // Refuse to start on an unusable cache directory rather than silently
+  // running uncached.
+  Session = openSession(Corpus, Error);
+  if (!Session || !Error.empty())
     return false;
-
-  Session = makeSession();
-  if (!Opts.CacheDir.empty() && !Session->graphCache()->valid()) {
-    Error = Session->graphCache()->error();
-    return false;
-  }
-  if (!Opts.ShardCacheDir.empty() && !Session->shardCache()->valid()) {
-    Error = Session->shardCache()->error();
-    return false;
-  }
   if (!Opts.StateDir.empty()) {
     Durable = std::make_unique<StateStore>(Opts.StateDir);
     if (!Durable->valid()) {
@@ -115,7 +103,6 @@ bool Service::start(std::string &Error) {
     }
   }
 
-  Session->addProjects(Corpus);
   try {
     Session->generateConstraints(Seed);
     if (Durable) {
@@ -271,44 +258,27 @@ void Service::publishLocked(infer::PipelineResult R) {
   WarmRows = std::move(Rows);
 }
 
-bool Service::loadCorpus(std::vector<pysem::Project> &Out,
-                         std::string &Error) {
-  std::vector<std::vector<std::string>> LoadErrors;
-  std::vector<std::optional<pysem::Project>> Loaded =
-      pysem::loadProjectsFromDirs(Opts.CorpusDirs, pysem::LoadOptions(),
-                                  Opts.Jobs, &LoadErrors);
-  for (size_t I = 0; I < Loaded.size(); ++I) {
-    for (const std::string &E : LoadErrors[I])
-      std::fprintf(stderr, "warning: %s\n", E.c_str());
-    if (!Loaded[I]) {
-      Error = Opts.CorpusDirs[I] + " is not a directory";
-      return false;
-    }
-    Out.push_back(std::move(*Loaded[I]));
+std::unique_ptr<infer::Session>
+Service::openSession(std::vector<pysem::Project> &Corpus,
+                     std::string &Error) {
+  infer::RunCorpus Loaded = infer::loadRunCorpus(Opts);
+  for (const std::vector<std::string> &Dir : Loaded.Warnings)
+    for (const std::string &W : Dir)
+      std::fprintf(stderr, "warning: %s\n", W.c_str());
+  if (!Loaded.Error.empty()) {
+    Error = Loaded.Error;
+    return nullptr;
   }
-  return true;
-}
-
-std::unique_ptr<infer::Session> Service::makeSession() {
-  infer::PipelineOptions P;
-  P.Solve.MaxIterations = Opts.Iterations;
-  P.Gen.RepCutoff = Opts.RepCutoff;
-  P.Jobs = Opts.Jobs;
-  P.Solve.Backend = Opts.Backend;
-  P.Strict = Opts.Strict;
-  // Session::armDeadline is one-shot, which is wrong for a daemon: the
-  // run deadline stays disarmed forever and per-request budgets flow
+  Corpus = std::move(Loaded.Projects);
+  // The session's run deadline stays disarmed: Session::armDeadline is
+  // one-shot, which is wrong for a daemon, so per-request budgets flow
   // through SolveOptions (learn) or per-stage polls (query/taint).
-  P.DeadlineSeconds = 0.0;
+  std::unique_ptr<infer::Session> S =
+      infer::makeRunSession(Opts, Corpus, Error);
   // Every session solves against the service's cumulative feedback set;
   // while it is empty applyFeedback never runs and the solve is
   // byte-identical to the passive path.
-  P.Feedback = &Feedback;
-  auto S = std::make_unique<infer::Session>(P);
-  if (!Opts.CacheDir.empty())
-    S->enableCache(Opts.CacheDir);
-  if (!Opts.ShardCacheDir.empty())
-    S->enableShardCache(Opts.ShardCacheDir);
+  S->options().Feedback = &Feedback;
   return S;
 }
 
@@ -338,7 +308,7 @@ std::string Service::overloadedResponse(const std::string &Line) const {
   // parses as an object, even when validation fails afterwards.
   Request Req;
   RequestError Err;
-  (void)parseRequest(Line, Opts.MaxRequestBytes, Req, Err);
+  (void)parseRequest(Line, DefaultMaxRequestBytes, Req, Err);
   return renderErrorResponse(
       Req.Id, ErrorCode::Overloaded,
       formatString("%zu request(s) already in flight; retry later",
@@ -349,7 +319,7 @@ std::string Service::handle(const std::string &Line) {
   Handled.fetch_add(1, std::memory_order_relaxed);
   Request Req;
   RequestError Err;
-  if (!parseRequest(Line, Opts.MaxRequestBytes, Req, Err)) {
+  if (!parseRequest(Line, DefaultMaxRequestBytes, Req, Err)) {
     Failed.fetch_add(1, std::memory_order_relaxed);
     return renderErrorResponse(Req.Id, Err.Code, Err.Message);
   }
@@ -499,15 +469,6 @@ std::string Service::opLearn(const Request &Req, Deadline &D) {
   // stays cold by default so differential clients get the exact
   // reference trajectory.
   bool WarmStart = readBoolParam(Req, "warm", Reload);
-  // Optional per-request evaluator override; the daemon default is
-  // restored once the solve finishes (or throws).
-  solver::SolverBackend Backend = Opts.Backend;
-  if (const JsonValue *B = Req.Params.get("backend")) {
-    if (!B->isString() ||
-        !solver::parseSolverBackend(B->stringValue(), Backend))
-      badRequest(std::string("\"backend\" must be ") +
-                 solver::SolverBackendChoices);
-  }
 
   checkDeadline(D, Reload ? "reload" : "solve");
   JournalRecord Rec;
@@ -515,7 +476,6 @@ std::string Service::opLearn(const Request &Req, Deadline &D) {
   Rec.Iters = static_cast<uint64_t>(Iters);
   Rec.WarmStart = WarmStart;
   Rec.Reload = Reload;
-  Rec.Backend = Backend;
 
   std::unique_lock<std::shared_mutex> Lock(WarmMutex);
   // Journal + fsync *before* the solve mutates anything: a crash at any
@@ -612,9 +572,7 @@ infer::PipelineResult Service::solveRecord(infer::Session &S,
   infer::ScopedOptions Scope(S);
   infer::PipelineOptions &P = S.options();
   P.Solve.MaxIterations = static_cast<int>(Rec.Iters);
-  if (Rec.Op == JournalOp::Learn)
-    P.Solve.Backend = Rec.Backend;
-  else
+  if (Rec.Op == JournalOp::Feedback)
     P.FeedbackOpts = Rec.FeedbackOpts;
   if (D && D->armed())
     P.Solve.ShouldStop = [D]() { return D->expired(); };
@@ -634,10 +592,11 @@ void Service::applyLearnRecord(const JournalRecord &Rec, Deadline *D) {
     // and constraint shard — only the delta re-parses and re-extracts.
     std::vector<pysem::Project> NewCorpus;
     std::string Error;
-    if (!loadCorpus(NewCorpus, Error))
+    // A cache directory gone bad since start() only costs the cache's
+    // hits: the graph and constraint system are the same either way.
+    std::unique_ptr<infer::Session> NewSession = openSession(NewCorpus, Error);
+    if (!NewSession)
       throw OpError(ErrorCode::Internal, Error);
-    std::unique_ptr<infer::Session> NewSession = makeSession();
-    NewSession->addProjects(NewCorpus);
     NewSession->generateConstraints(Seed);
     infer::PipelineResult R = solveRecord(*NewSession, Rec, D);
     // Moving the vector moves its buffer, not its elements, so the

@@ -74,6 +74,7 @@
 
 #include "constraints/Explain.h"
 #include "infer/Pipeline.h"
+#include "infer/RunConfig.h"
 #include "pysem/Project.h"
 #include "service/Protocol.h"
 #include "service/StateStore.h"
@@ -92,39 +93,19 @@ namespace service {
 /// The long-lived inference service behind `seldond`.
 class Service {
 public:
-  struct Options {
-    /// Seed specification file (App. B format); empty = built-in seed.
-    std::string SeedFile;
-    /// Repositories to load at start() and keep warm.
-    std::vector<std::string> CorpusDirs;
-    /// Persistent propagation-graph cache directory (empty = no cache).
-    std::string CacheDir;
-    /// Persistent constraint-shard cache directory (empty = no shard
-    /// cache). With it, a `learn` request with "reload" re-generates
-    /// constraints only for projects whose sources changed; everything
-    /// else replays its cached shard. See cache/ShardCache.h.
-    std::string ShardCacheDir;
-    /// Solver iterations for the initial solve and the `learn` default.
-    int Iterations = 600;
-    size_t RepCutoff = 5;
-    /// Threshold used for spec sizing in status and as the `taint`
-    /// default.
-    double Threshold = 0.1;
-    unsigned Jobs = 0;
-    /// Default evaluator backend for the initial solve and `learn`
-    /// requests (which may override it per-request with a "backend"
-    /// param). See solver::SolverBackend.
+  /// The run set-up `seldon` shares (seed, corpus, caches, iterations,
+  /// cutoff, jobs, strict, and the threshold used for spec sizing in
+  /// status and as the `taint` default), plus the daemon's own knobs.
+  struct Options : infer::RunConfig {
+    /// The evaluator every solve runs on; it has one value. Kept for the
+    /// end-to-end benchmark, which sets it.
     solver::SolverBackend Backend = solver::SolverBackend::Compiled;
-    /// Fail start() on the first broken project instead of quarantining.
-    bool Strict = false;
     /// Default per-request wall-clock budget (0 = unlimited). Requests
     /// may override with a "deadline_s" member.
     double RequestDeadlineSeconds = 0.0;
     /// Admission slots: requests admitted beyond this count are answered
     /// with `overloaded`.
     size_t MaxInFlight = 64;
-    /// Request frame cap in bytes.
-    size_t MaxRequestBytes = DefaultMaxRequestBytes;
     /// Durable-state directory (empty = no durability). With it, every
     /// accepted mutating op is journaled + fsynced before its re-solve,
     /// the served state is snapshotted after it, and start() recovers the
@@ -185,11 +166,13 @@ public:
 
 private:
   std::string dispatch(const Request &Req, Deadline &D);
-  /// Loads the configured corpus directories into \p Out; false with a
-  /// diagnostic in \p Error when a directory is unreadable.
-  bool loadCorpus(std::vector<pysem::Project> &Out, std::string &Error);
-  /// A fresh Session wired to the configured options and caches.
-  std::unique_ptr<infer::Session> makeSession();
+  /// The configured corpus in \p Corpus and a fresh Session over it,
+  /// through the shared run set-up (infer/RunConfig.h), solving against
+  /// the cumulative feedback set. Prints the loader's warnings. Null, with
+  /// the diagnostic in \p Error, when a directory cannot be loaded; an
+  /// unusable cache directory sets \p Error beside an all-miss session.
+  std::unique_ptr<infer::Session>
+  openSession(std::vector<pysem::Project> &Corpus, std::string &Error);
   std::string opStatus();
   std::string opQuery(const Request &Req, Deadline &D);
   std::string opLearn(const Request &Req, Deadline &D);
@@ -203,9 +186,9 @@ private:
   void applyFeedbackRecord(const JournalRecord &Rec, Deadline *D);
   void applyLearnRecord(const JournalRecord &Rec, Deadline *D);
   /// The solve both ops share: \p S solved with \p Rec's iteration budget
-  /// and warm start (from the served spec), the learn op's backend or the
-  /// feedback op's weighting, and \p D (may be null) as the stop
-  /// condition. \p S's options() are restored on return or throw.
+  /// and warm start (from the served spec), the feedback op's weighting,
+  /// and \p D (may be null) as the stop condition. \p S's options() are
+  /// restored on return or throw.
   infer::PipelineResult solveRecord(infer::Session &S,
                                     const JournalRecord &Rec, Deadline *D);
   /// Assigns the next sequence number and appends \p Rec to the journal

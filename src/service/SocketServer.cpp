@@ -228,7 +228,7 @@ void SocketServer::serveConnection(int Fd) {
 
     // A newline-less flood must not buffer unboundedly: answer
     // `oversized` once and drop the connection (framing is lost).
-    if (Open && Buffer.size() > Svc.options().MaxRequestBytes) {
+    if (Open && Buffer.size() > DefaultMaxRequestBytes) {
       writeAll(Fd, renderErrorResponse(
                        JsonValue::makeNull(), ErrorCode::Oversized,
                        "unterminated request exceeds the frame cap") +

@@ -101,7 +101,9 @@ std::string encodeRecordPayload(const JournalRecord &Record) {
     putVarint(Payload, Record.Iters);
     Payload.push_back(Record.WarmStart ? 1 : 0);
     Payload.push_back(Record.Reload ? 1 : 0);
-    Payload.push_back(static_cast<char>(Record.Backend));
+    // The retired backend byte: 1 named the compiled kernel, the one
+    // every solve runs on.
+    Payload.push_back(1);
     break;
   case JournalOp::Abort:
     putVarint(Payload, Record.AbortedSeq);
@@ -143,11 +145,8 @@ JournalRecord decodeRecordPayload(ByteReader &Reader) {
     // them replays on it, so a journal written before the merge still
     // recovers; new records write 1.
     uint8_t Backend = Reader.getByte("learn backend");
-    if (Reader.ok() && Backend > 3) {
+    if (Reader.ok() && Backend > 3)
       Reader.fail(formatString("unknown solver backend %u", Backend));
-      break;
-    }
-    Record.Backend = solver::SolverBackend::Compiled;
     break;
   }
   case JournalOp::Abort:

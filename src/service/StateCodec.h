@@ -78,7 +78,6 @@ struct JournalRecord {
 
   // Learn op.
   bool Reload = false;
-  solver::SolverBackend Backend = solver::SolverBackend::Compiled;
 
   // Abort op: the journaled sequence number that must not be replayed.
   uint64_t AbortedSeq = 0;

@@ -144,27 +144,14 @@ private:
 
 /// Which evaluator a solve runs on. One kernel remains: the compiled CSR
 /// objective with its blocked scalar/AVX2/AVX-512 sweep. The enumerator
-/// keeps the value 1 it had when four backends existed, because seldond's
-/// journal stores it as a byte.
+/// keeps the value 1 it had when four backends existed, which the
+/// `solver.backend` gauge reports.
 enum class SolverBackend : uint8_t {
   Compiled = 1, ///< solver::CompiledObjective.
 };
 
-/// CLI/wire name of \p Backend: "compiled".
+/// Wire name of \p Backend: "compiled".
 inline const char *solverBackendName(SolverBackend) { return "compiled"; }
-
-/// What a backend flag or field accepts, for error messages.
-inline constexpr const char *SolverBackendChoices =
-    "compiled (legacy, simd and simd-f32 were merged into compiled)";
-
-/// Parses a CLI/wire backend name; returns false on any name but
-/// "compiled" without touching \p Out.
-inline bool parseSolverBackend(const std::string &Name, SolverBackend &Out) {
-  if (Name != "compiled")
-    return false;
-  Out = SolverBackend::Compiled;
-  return true;
-}
 
 /// The optimizer's knobs and results.
 struct SolveOptions {

@@ -6,9 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small declarative flag parser shared by the `seldon` CLI and the
-/// `seldond` daemon, so the two binaries keep one flag vocabulary. Flags
-/// are registered with a typed target and a help line; parse() then
+/// A small declarative flag parser used by the `seldon` CLI and the
+/// `seldond` daemon. The flags the two share are registered once, by
+/// tools/SharedFlags, on either binary's parser. Flags are registered
+/// with a typed target and a help line; parse() then
 /// accepts both `--name value` and `--name=value`, applies the same strict
 /// numeric rules everywhere (`--jobs=-1` and `--jobs banana` are errors,
 /// never garbage through atoi), collects non-flag operands as positional

@@ -81,7 +81,8 @@ seldon::taint::dedupByRepPair(const PropagationGraph &Graph,
 }
 
 std::string seldon::taint::formatViolation(const PropagationGraph &Graph,
-                                           const Violation &V) {
+                                           const Violation &V,
+                                           const LineQuoter &Quote) {
   const Event &Src = Graph.event(V.Source);
   const Event &Snk = Graph.event(V.Sink);
   std::string Out = formatString(
@@ -93,6 +94,9 @@ std::string seldon::taint::formatViolation(const PropagationGraph &Graph,
     const Event &E = Graph.event(Id);
     Out += formatString("    %s (line %u)\n", E.primaryRep().c_str(),
                         E.Loc.Line);
+    std::string Quoted = Quote ? Quote(E.FileIdx, E.Loc.Line) : "";
+    if (!Quoted.empty())
+      Out += formatString("        | %s\n", Quoted.c_str());
   }
   return Out;
 }

@@ -24,6 +24,8 @@
 
 #include "taint/TaintAnalyzer.h"
 
+#include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -56,9 +58,14 @@ std::vector<Violation>
 dedupByRepPair(const PropagationGraph &Graph,
                const std::vector<Violation> &Reports);
 
-/// Multi-line human-readable rendering of one report.
-std::string formatViolation(const PropagationGraph &Graph,
-                            const Violation &V);
+/// The source text of line \p Line of file \p FileIdx (an index into
+/// PropagationGraph::files()), or empty when there is none to show.
+using LineQuoter = std::function<std::string(uint32_t FileIdx, uint32_t Line)>;
+
+/// Multi-line human-readable rendering of one report. With \p Quote, each
+/// path step is followed by its quoted source line, when it has one.
+std::string formatViolation(const PropagationGraph &Graph, const Violation &V,
+                            const LineQuoter &Quote = nullptr);
 
 } // namespace taint
 } // namespace seldon

@@ -2,7 +2,8 @@
 //
 // Drives the built `seldon` binary end-to-end on throwaway directories:
 // learn -> spec file -> analyze -> JSON, graph dumps, explain, and the
-// error paths. The binary path is injected by CMake.
+// error paths; and `seldon` beside `seldond` on the flags they share. The
+// binary paths are injected by CMake.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,8 +20,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-#ifndef SELDON_CLI_PATH
-#error "SELDON_CLI_PATH must be defined by the build"
+#if !defined(SELDON_CLI_PATH) || !defined(SELDOND_PATH)
+#error "SELDON_CLI_PATH and SELDOND_PATH must be defined by the build"
 #endif
 
 struct CommandResult {
@@ -28,8 +29,7 @@ struct CommandResult {
   std::string Output; // stdout + stderr combined.
 };
 
-CommandResult runCli(const std::string &Args) {
-  std::string Command = std::string(SELDON_CLI_PATH) + " " + Args + " 2>&1";
+CommandResult run(const std::string &Command) {
   std::array<char, 4096> Buffer;
   CommandResult Result;
   FILE *Pipe = popen(Command.c_str(), "r");
@@ -41,6 +41,16 @@ CommandResult runCli(const std::string &Args) {
   int Status = pclose(Pipe);
   Result.ExitCode = WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
   return Result;
+}
+
+CommandResult runCli(const std::string &Args) {
+  return run(std::string(SELDON_CLI_PATH) + " " + Args + " 2>&1");
+}
+
+/// Runs `seldond` with stdin at EOF: an --once daemon starts, serves
+/// nothing and shuts down.
+CommandResult runDaemon(const std::string &Args) {
+  return run(std::string(SELDOND_PATH) + " " + Args + " < /dev/null 2>&1");
 }
 
 class CliTest : public ::testing::Test {
@@ -284,18 +294,92 @@ TEST_F(CliTest, SolverStatsDividesTheIterateSpan) {
 }
 
 TEST_F(CliTest, RetiredSolverBackendsFailLoudly) {
-  for (const char *Name : {"legacy", "simd", "simd-f32"}) {
+  // One evaluator is left, so --solver-backend is gone: every value,
+  // `compiled` included, is an unknown option.
+  for (const char *Name : {"compiled", "legacy", "simd", "simd-f32"}) {
     CommandResult R = runCli(std::string("learn --iters 20 --solver-backend ") +
                              Name + " " + repo());
     EXPECT_EQ(R.ExitCode, 1) << Name << ": " << R.Output;
-    EXPECT_NE(R.Output.find("merged into compiled"), std::string::npos)
+    EXPECT_NE(R.Output.find("error: unknown option --solver-backend"),
+              std::string::npos)
         << R.Output;
   }
   CommandResult Flag = runCli("learn --iters 20 --legacy-solver " + repo());
   EXPECT_NE(Flag.ExitCode, 0) << Flag.Output;
-  CommandResult Ok =
-      runCli("learn --iters 20 --solver-backend compiled " + repo());
-  EXPECT_EQ(Ok.ExitCode, 0) << Ok.Output;
+}
+
+TEST_F(CliTest, MissingCorpusDirIsOneError) {
+  CommandResult R = runCli("analyze " + repo() + " " + path("missing"));
+  EXPECT_EQ(R.ExitCode, 1) << R.Output;
+  EXPECT_NE(R.Output.find("loaded " + repo() + ": 1 Python files\n"
+                          "error: " + path("missing") +
+                          " is not a directory\n"),
+            std::string::npos)
+      << R.Output;
+  EXPECT_EQ(R.Output.find("error:"), R.Output.rfind("error:")) << R.Output;
+}
+
+// The shared flags are one table compiled into both binaries, so the same
+// bad value gets the same answer from each.
+TEST_F(CliTest, SharedFlagsFailAlikeInBothBinaries) {
+  struct Case {
+    std::string Flags;
+    int ExitCode;
+    const char *Says;
+  };
+  const Case Cases[] = {
+      {"--iters 0", 1, "error: --iters must be in [1, 10000000], got 0\n"},
+      {"--jobs=-1", 1, "error: --jobs expects a non-negative integer"},
+      {"--jobs 1000000", 0, "warning: --jobs 1000000 exceeds"},
+      {"--shard-cache", 1, "error: --shard-cache requires --cache-dir\n"},
+      {"--solver-backend compiled", 1,
+       "error: unknown option --solver-backend\n"},
+      {"--metrics-out /definitely/not/a/dir/m.json", 1,
+       "error: cannot write metrics"},
+      {"--metrics-out " + path("m.json"),
+       0, "wrote metrics to "},
+  };
+  for (const Case &C : Cases) {
+    CommandResult Cli =
+        runCli("learn --cutoff 1 --iters 20 " + C.Flags + " " + repo());
+    CommandResult Daemon =
+        runDaemon("--once --cutoff 1 --iters 20 " + C.Flags + " " + repo());
+    for (const CommandResult *R : {&Cli, &Daemon}) {
+      const char *Who = R == &Cli ? "seldon " : "seldond ";
+      EXPECT_EQ(R->ExitCode, C.ExitCode) << Who << C.Flags << "\n"
+                                         << R->Output;
+      EXPECT_NE(R->Output.find(C.Says), std::string::npos)
+          << Who << C.Flags << "\n"
+          << R->Output;
+    }
+  }
+}
+
+TEST_F(CliTest, UsageScreensShareEachFlagLine) {
+  CommandResult Cli = runCli("--help");
+  CommandResult Daemon = runDaemon("--help");
+  ASSERT_EQ(Cli.ExitCode, 0) << Cli.Output;
+  ASSERT_EQ(Daemon.ExitCode, 0) << Daemon.Output;
+  // The shared block closes both screens, byte for byte the same.
+  const std::string Heading = "run options (shared by seldon and seldond):\n";
+  size_t CliAt = Cli.Output.find(Heading);
+  size_t DaemonAt = Daemon.Output.find(Heading);
+  ASSERT_NE(CliAt, std::string::npos) << Cli.Output;
+  ASSERT_NE(DaemonAt, std::string::npos) << Daemon.Output;
+  EXPECT_EQ(Cli.Output.substr(CliAt), Daemon.Output.substr(DaemonAt));
+  for (const char *Flag :
+       {"--seed ", "--cache-dir ", "--shard-cache ", "--iters ", "--cutoff ",
+        "--jobs ", "--threshold ", "--strict ", "--metrics ",
+        "--metrics-out "}) {
+    std::string Line = std::string("\n  ") + Flag;
+    for (const std::string *Screen : {&Cli.Output, &Daemon.Output}) {
+      size_t At = Screen->find(Line);
+      EXPECT_GT(At, Screen == &Cli.Output ? CliAt : DaemonAt)
+          << Flag << " is listed outside the shared block";
+      EXPECT_EQ(Screen->find(Line, At + 1), std::string::npos)
+          << Flag << " is listed twice";
+    }
+  }
 }
 
 TEST_F(CliTest, MetricsTableOutput) {

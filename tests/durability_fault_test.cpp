@@ -81,7 +81,6 @@ JournalRecord learnRecord(uint64_t Seq) {
   R.Iters = 777;
   R.WarmStart = false;
   R.Reload = true;
-  R.Backend = solver::SolverBackend::Compiled;
   return R;
 }
 
@@ -112,7 +111,6 @@ void expectRecordsEqual(const JournalRecord &A, const JournalRecord &B,
   EXPECT_EQ(A.Iters, B.Iters) << Where;
   EXPECT_EQ(A.WarmStart, B.WarmStart) << Where;
   EXPECT_EQ(A.Reload, B.Reload) << Where;
-  EXPECT_EQ(A.Backend, B.Backend) << Where;
   EXPECT_EQ(A.AbortedSeq, B.AbortedSeq) << Where;
 }
 

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 using namespace seldon;
 using namespace seldon::taint;
 using namespace seldon::propgraph;
@@ -106,6 +109,29 @@ TEST(ReportRendererTest, FormatContainsEndpointsAndPath) {
   EXPECT_NE(Text.find("sink   db.run()"), std::string::npos);
   EXPECT_NE(Text.find("line 3"), std::string::npos);
   EXPECT_NE(Text.find("path:"), std::string::npos);
+}
+
+TEST(ReportRendererTest, FormatQuotesEachStepThroughTheCallback) {
+  RendererFixture F("import web\nimport db\ndb.run(web.read())\n",
+                    "o: web.read()\ni: db.run()\n");
+  auto Reports = F.analyze();
+  ASSERT_EQ(Reports.size(), 1u);
+  std::string Plain = formatViolation(F.Graph, Reports[0]);
+  std::vector<uint32_t> Asked;
+  std::string Quoted = formatViolation(
+      F.Graph, Reports[0], [&](uint32_t FileIdx, uint32_t Line) {
+        EXPECT_EQ(F.Graph.files()[FileIdx], "p/app.py");
+        Asked.push_back(Line);
+        // An empty quote adds no line: only the first step is quoted.
+        return Asked.size() == 1 ? std::string("db.run(web.read())")
+                                 : std::string();
+      });
+  ASSERT_EQ(Asked.size(), Reports[0].Path.size());
+  EXPECT_EQ(Asked.front(), 3u);
+  // The quote follows its step's line; everything else is the plain text.
+  size_t Step = Plain.find("(line 3)\n", Plain.find("path:")) + 9;
+  EXPECT_EQ(Quoted, Plain.substr(0, Step) + "        | db.run(web.read())\n" +
+                        Plain.substr(Step));
 }
 
 TEST(ReportRendererTest, RankingStableOnTies) {

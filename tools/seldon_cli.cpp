@@ -19,11 +19,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SharedFlags.h"
+
 #include "active/ActiveLearner.h"
-#include "infer/Pipeline.h"
+#include "infer/RunConfig.h"
 #include "propgraph/GraphExport.h"
 #include "propgraph/GraphStats.h"
-#include "pysem/ProjectLoader.h"
 #include "service/FeedbackJson.h"
 #include "service/QueryResult.h"
 #include "spec/SpecIO.h"
@@ -31,22 +32,17 @@
 #include "taint/ReportRenderer.h"
 #include "taint/TaintAnalyzer.h"
 
-#include "support/ArgParser.h"
-#include "support/FaultInjection.h"
 #include "support/FileIO.h"
 #include "support/Metrics.h"
 #include "support/StrUtil.h"
 #include "support/TablePrinter.h"
-#include "support/ThreadPool.h"
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -58,25 +54,18 @@ using seldon::formatString;
 namespace {
 
 struct CliOptions {
-  std::string SeedFile;
+  /// The set-up the shared flags fill. Its CorpusDirs holds every
+  /// positional operand: the project dirs, diff's two spec files, or
+  /// graph's one source file.
+  infer::RunConfig Run;
   std::string SpecFile;
   std::string OutFile;
-  double Threshold = 0.1;
-  int Iterations = 600;
-  size_t RepCutoff = 5;
   size_t Top = 25;
-  unsigned Jobs = 0; // 0 = all hardware threads.
-  bool Strict = false;
   double DeadlineSeconds = 0.0;
-  std::string CacheDir;
-  bool ShardCache = false;
   bool NoWarmStart = false;
   bool CacheStats = false;
   bool Progress = false;
-  bool Metrics = false;
-  std::string MetricsOut;
   bool SolverStats = false;
-  std::string SolverBackend = "compiled";
   bool Dot = false;
   bool Dedup = true;
   bool Json = false;
@@ -88,20 +77,7 @@ struct CliOptions {
   std::string FeedbackFile;
   std::string ExplainRep;
   std::string ExplainRole = "source";
-  std::vector<std::string> Paths;
 };
-
-/// Resolves --solver-backend into a SolveOptions backend; false + stderr
-/// diagnostic on bad names.
-bool resolveBackend(const CliOptions &Opts, solver::SolverBackend &Out) {
-  if (!solver::parseSolverBackend(Opts.SolverBackend, Out)) {
-    std::fprintf(stderr,
-                 "error: unknown --solver-backend '%s' (expected %s)\n",
-                 Opts.SolverBackend.c_str(), solver::SolverBackendChoices);
-    return false;
-  }
-  return true;
-}
 
 /// Renders pipeline progress to stderr: phases and parsed projects through
 /// the Session's observer, every 50th solver iteration through
@@ -143,54 +119,28 @@ double lastIterateSeconds() {
 /// Pre-validation integer targets; parseArgs() range-checks them into
 /// CliOptions after the flag sweep.
 struct RawCliOptions {
-  unsigned long Iters = 600;
-  unsigned long Cutoff = 5;
   unsigned long Top = 25;
-  unsigned long Jobs = 0;
   unsigned long Rounds = 10;
   unsigned long QueriesPerRound = 8;
   bool NoDedup = false;
 };
 
-/// Registers the shared flag vocabulary on \p Parser. The usage screen is
-/// generated from this same table, so help and behavior cannot drift.
+/// Registers seldon's own flags on \p Parser; SharedFlags registers the
+/// ones it shares with `seldond`. The usage screen is generated from the
+/// same tables, so help and behavior cannot drift.
 void registerFlags(ArgParser &Parser, CliOptions &Opts,
                    RawCliOptions &Raw) {
   Parser
-      .string("--seed", &Opts.SeedFile, "FILE",
-              "seed specification (App. B format; default: built-in)")
       .string("--spec", &Opts.SpecFile, "FILE",
               "learned specification to analyze with")
       .string("--out", &Opts.OutFile, "FILE",
               "output file (default: stdout)")
-      .decimal("--threshold", &Opts.Threshold, "T",
-               "score threshold (default 0.1)")
-      .unsignedInt("--iters", &Raw.Iters, "N",
-                   "solver iterations (default 600)")
-      .unsignedInt("--cutoff", &Raw.Cutoff, "N",
-                   "representation frequency cutoff (default 5)")
       .unsignedInt("--top", &Raw.Top, "N",
                    "max reports to print (default 25)")
-      .unsignedInt("--jobs", &Raw.Jobs, "N",
-                   "worker threads for parsing/learning (default: all\n"
-                   "hardware threads; results are identical for any N)")
-      .flag("--strict", &Opts.Strict,
-            "learn/explain: fail on the first broken project\n"
-            "instead of quarantining it and continuing")
       .decimal("--deadline-s", &Opts.DeadlineSeconds, "S",
                "learn/explain: whole-run wall-clock budget in\n"
                "seconds; an expiring run ends with partial,\n"
                "clearly-flagged results (exit code 2)")
-      .string("--cache-dir", &Opts.CacheDir, "DIR",
-              "learn/explain: persistent propagation-graph\n"
-              "cache; projects whose sources are unchanged\n"
-              "skip parsing (identical learned specs)")
-      .flag("--shard-cache", &Opts.ShardCache,
-            "learn: also cache per-project constraint shards\n"
-            "under DIR/shards (requires --cache-dir); re-learns\n"
-            "re-extract only changed projects and warm-start\n"
-            "from the existing --out spec (identical specs when\n"
-            "warm start is off)")
       .flag("--no-warm-start", &Opts.NoWarmStart,
             "learn: start the solve cold even when --shard-cache\n"
             "could seed it from the existing --out spec")
@@ -198,17 +148,9 @@ void registerFlags(ArgParser &Parser, CliOptions &Opts,
             "print cache hit/miss/eviction counts to stderr")
       .flag("--progress", &Opts.Progress,
             "learn/explain: print phase progress to stderr")
-      .flag("--metrics", &Opts.Metrics,
-            "print pipeline metrics tables to stderr on exit")
-      .string("--metrics-out", &Opts.MetricsOut, "F",
-              "write the metrics snapshot as JSON to F")
       .flag("--solver-stats", &Opts.SolverStats,
             "learn: print compiled-system statistics (rows\n"
             "before/after dedup, non-zeros, ms/iteration)")
-      .string("--solver-backend", &Opts.SolverBackend, "B",
-              "learn/explain: evaluator backend — compiled, the\n"
-              "only one (default; SELDON_SIMD=off|avx2 caps its\n"
-              "vector tier without changing the learned spec)")
       .flag("--active", &Opts.Active,
             "learn: run the active-learning loop — rank uncertain\n"
             "scores, query the --oracle file, pin the answers, and\n"
@@ -259,25 +201,20 @@ void usage() {
       "  stats     propagation-graph statistics for repositories\n"
       "  seed      print the built-in seed specification\n"
       "\n"
-      "options:\n%s",
-      Parser.usage().c_str());
+      "options:\n%s\n%s",
+      Parser.usage().c_str(), SharedFlags::usage().c_str());
 }
 
-bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
+/// Parses the command line into \p Opts: the shared flags through
+/// \p Shared (registered on \p Parser), then seldon's own. False after
+/// printing the error.
+bool parseArgs(int Argc, char **Argv, ArgParser &Parser, SharedFlags &Shared,
+               CliOptions &Opts) {
   RawCliOptions Raw;
-  ArgParser Parser;
   registerFlags(Parser, Opts, Raw);
-  if (!Parser.parse(Argc, Argv, 2, &Opts.Paths))
+  if (!Parser.parse(Argc, Argv, 2, &Opts.Run.CorpusDirs) || !Shared.check())
     return false;
 
-  if (Raw.Iters == 0 || Raw.Iters > 10'000'000) {
-    std::fprintf(stderr,
-                 "error: --iters must be in [1, 10000000], got %lu\n",
-                 Raw.Iters);
-    return false;
-  }
-  Opts.Iterations = static_cast<int>(Raw.Iters);
-  Opts.RepCutoff = static_cast<size_t>(Raw.Cutoff);
   Opts.Top = static_cast<size_t>(Raw.Top);
   if (Opts.DeadlineSeconds < 0.0) {
     std::fprintf(stderr,
@@ -285,23 +222,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
                  Opts.DeadlineSeconds);
     return false;
   }
-  // 0 means "all hardware threads"; anything above a generous
-  // oversubscription cap is almost certainly a typo (or an unchecked
-  // negative) and would only thrash, so clamp it loudly.
-  unsigned long Cap = 8ul * ThreadPool::hardwareConcurrency();
-  if (Raw.Jobs > Cap) {
-    std::fprintf(stderr,
-                 "warning: --jobs %lu exceeds %lu (8x hardware "
-                 "threads); clamping to %lu\n",
-                 Raw.Jobs, Cap, Cap);
-    Raw.Jobs = Cap;
-  }
-  Opts.Jobs = static_cast<unsigned>(Raw.Jobs);
   Opts.Dedup = !Raw.NoDedup;
-  if (Opts.ShardCache && Opts.CacheDir.empty()) {
-    std::fprintf(stderr, "error: --shard-cache requires --cache-dir\n");
-    return false;
-  }
   if (Raw.Rounds == 0 || Raw.Rounds > 1'000'000) {
     std::fprintf(stderr, "error: --rounds must be in [1, 1000000], got %lu\n",
                  Raw.Rounds);
@@ -338,42 +259,63 @@ bool writeOutput(const CliOptions &Opts, const std::string &Content) {
   return true;
 }
 
-spec::SeedSpec loadSeed(const CliOptions &Opts, bool &Ok) {
-  Ok = true;
-  if (Opts.SeedFile.empty())
-    return spec::SeedSpec::parse(spec::paperSeedSpecText());
-  spec::IOResult<spec::SeedSpec> Seed = spec::loadSeedSpec(Opts.SeedFile);
+/// \p Run's seed through the shared loader (infer/RunConfig.h), with its
+/// warnings and any error printed. False when it did not load.
+bool loadSeed(const infer::RunConfig &Run, spec::SeedSpec &Out) {
+  io::IOResult<spec::SeedSpec> Seed = infer::loadRunSeed(Run);
   for (const std::string &W : Seed.Warnings)
     std::fprintf(stderr, "seed: %s\n", W.c_str());
   if (!Seed) {
     std::fprintf(stderr, "error: %s\n", Seed.Error.c_str());
-    Ok = false;
-    return spec::SeedSpec();
+    return false;
   }
-  return std::move(Seed.Value);
+  Out = std::move(Seed.Value);
+  return true;
 }
 
-std::vector<pysem::Project> loadCorpus(const CliOptions &Opts, bool &Ok) {
-  Ok = true;
+/// What a corpus command runs on.
+struct CorpusRun {
+  spec::SeedSpec Seed;
   std::vector<pysem::Project> Corpus;
-  std::vector<std::vector<std::string>> Errors;
-  std::vector<std::optional<pysem::Project>> Loaded =
-      pysem::loadProjectsFromDirs(Opts.Paths, pysem::LoadOptions(),
-                                  Opts.Jobs, &Errors);
-  for (size_t I = 0; I < Loaded.size(); ++I) {
-    for (const std::string &E : Errors[I])
-      std::fprintf(stderr, "warning: %s\n", E.c_str());
-    if (!Loaded[I]) {
-      std::fprintf(stderr, "error: %s is not a directory\n",
-                   Opts.Paths[I].c_str());
-      Ok = false;
-      return Corpus;
-    }
-    std::fprintf(stderr, "loaded %s: %zu Python files\n",
-                 Opts.Paths[I].c_str(), Loaded[I]->modules().size());
-    Corpus.push_back(std::move(*Loaded[I]));
+  std::unique_ptr<infer::Session> Session;
+};
+
+/// Sets \p Out up from \p Run through the shared set-up
+/// (infer/RunConfig.h), the seed only \p WithSeed, printing the warnings,
+/// a `loaded` line per directory and any error. False on error.
+bool openRun(const infer::RunConfig &Run, bool WithSeed, CorpusRun &Out) {
+  if (WithSeed && !loadSeed(Run, Out.Seed))
+    return false;
+  infer::RunCorpus Loaded = infer::loadRunCorpus(Run);
+  for (size_t I = 0; I < Loaded.Warnings.size(); ++I) {
+    for (const std::string &W : Loaded.Warnings[I])
+      std::fprintf(stderr, "warning: %s\n", W.c_str());
+    if (I < Loaded.Projects.size())
+      std::fprintf(stderr, "loaded %s: %zu Python files\n",
+                   Run.CorpusDirs[I].c_str(),
+                   Loaded.Projects[I].modules().size());
   }
-  return Corpus;
+  std::string Error = Loaded.Error;
+  if (Error.empty() && Loaded.Projects.empty())
+    Error = "no input repositories";
+  if (Error.empty()) {
+    Out.Corpus = std::move(Loaded.Projects);
+    Out.Session = infer::makeRunSession(Run, Out.Corpus, Error);
+  }
+  if (Error.empty())
+    return true;
+  std::fprintf(stderr, "error: %s\n", Error.c_str());
+  return false;
+}
+
+/// \p Run as the commands that only build the corpus graph (analyze,
+/// stats) set it up: strict, so a project whose build throws fails the
+/// command instead of being quarantined, and uncached.
+infer::RunConfig graphOnly(infer::RunConfig Run) {
+  Run.Strict = true;
+  Run.CacheDir.clear();
+  Run.ShardCache = false;
+  return Run;
 }
 
 /// Reports what a graph build parsed. Loading only reads files; the build
@@ -390,40 +332,6 @@ void buildSessionGraph(infer::Session &Session) {
   Session.buildGraph();
   reportParse(Session.incrStats().FilesParsed,
               Session.incrStats().ParseDiagnostics);
-}
-
-/// Options of a session that only builds the corpus graph (analyze,
-/// stats): --jobs workers, and Strict, so a project whose build throws
-/// fails the command instead of being quarantined.
-infer::PipelineOptions graphOnlyOptions(const CliOptions &Opts) {
-  infer::PipelineOptions PipelineOpts;
-  PipelineOpts.Jobs = Opts.Jobs;
-  PipelineOpts.Strict = true;
-  return PipelineOpts;
-}
-
-/// Enables the graph cache on \p Session when --cache-dir was given.
-/// Returns false (after printing the reason) when the directory is
-/// unusable — a misspelled --cache-dir should be a CLI error, not a
-/// silently uncached run.
-bool setupCache(infer::Session &Session, const CliOptions &Opts) {
-  if (Opts.CacheDir.empty())
-    return true;
-  Session.enableCache(Opts.CacheDir);
-  if (!Session.graphCache()->valid()) {
-    std::fprintf(stderr, "error: %s\n",
-                 Session.graphCache()->error().c_str());
-    return false;
-  }
-  if (Opts.ShardCache) {
-    Session.enableShardCache(Opts.CacheDir + "/shards");
-    if (!Session.shardCache()->valid()) {
-      std::fprintf(stderr, "error: %s\n",
-                   Session.shardCache()->error().c_str());
-      return false;
-    }
-  }
-  return true;
 }
 
 /// Prints the run's cache counters (and any eviction diagnostics) when
@@ -508,24 +416,11 @@ int reportHealth(const infer::PipelineResult &R) {
 }
 
 int cmdLearn(const CliOptions &Opts) {
-  bool Ok = false;
-  spec::SeedSpec Seed = loadSeed(Opts, Ok);
-  if (!Ok)
+  CorpusRun C;
+  if (!openRun(Opts.Run, /*WithSeed=*/true, C))
     return 1;
-  std::vector<pysem::Project> Corpus = loadCorpus(Opts, Ok);
-  if (!Ok || Corpus.empty()) {
-    std::fprintf(stderr, "error: no input repositories\n");
-    return 1;
-  }
-
-  infer::PipelineOptions PipelineOpts;
-  PipelineOpts.Solve.MaxIterations = Opts.Iterations;
-  PipelineOpts.Gen.RepCutoff = Opts.RepCutoff;
-  PipelineOpts.Jobs = Opts.Jobs;
-  if (!resolveBackend(Opts, PipelineOpts.Solve.Backend))
-    return 1;
-  PipelineOpts.Strict = Opts.Strict;
-  PipelineOpts.DeadlineSeconds = Opts.DeadlineSeconds;
+  infer::Session &Session = *C.Session;
+  Session.options().DeadlineSeconds = Opts.DeadlineSeconds;
 
   // A --feedback verdict file reweights the constraint system on every
   // solve; the set is borrowed by the options, so it lives here.
@@ -540,22 +435,19 @@ int cmdLearn(const CliOptions &Opts) {
     }
     std::fprintf(stderr, "feedback: %zu accepted, %zu rejected from %s\n",
                  Accepted, Rejected, Opts.FeedbackFile.c_str());
-    PipelineOpts.Feedback = &Verdicts;
+    Session.options().Feedback = &Verdicts;
   }
 
-  infer::Session Session(PipelineOpts);
   CliProgress Progress;
   if (Opts.Progress)
     Progress.attach(Session);
-  if (!setupCache(Session, Opts))
-    return 1;
 
   // Incremental re-learns warm-start from the spec the previous run wrote
   // to --out (kept alive here; options().WarmStart borrows). The cold
   // start stays the default everywhere else so differential runs see the
   // exact reference trajectory.
   spec::LearnedSpec PreviousSpec;
-  if (Opts.ShardCache && !Opts.NoWarmStart && !Opts.OutFile.empty() &&
+  if (Opts.Run.ShardCache && !Opts.NoWarmStart && !Opts.OutFile.empty() &&
       std::ifstream(Opts.OutFile).good()) {
     spec::IOResult<spec::LearnedSpec> Previous =
         spec::loadLearnedSpec(Opts.OutFile);
@@ -572,7 +464,6 @@ int cmdLearn(const CliOptions &Opts) {
     }
   }
 
-  Session.addProjects(Corpus);
   buildSessionGraph(Session);
   infer::PipelineResult R;
   // The summary line times the learning step alone: constraint generation
@@ -588,10 +479,10 @@ int cmdLearn(const CliOptions &Opts) {
     active::ActiveOptions AO;
     AO.MaxRounds = Opts.Rounds;
     AO.QueriesPerRound = Opts.QueriesPerRound;
-    AO.Threshold = Opts.Threshold;
+    AO.Threshold = Opts.Run.Threshold;
     Timer LearnClock;
     active::ActiveResult AR =
-        active::runActiveLoop(Session, Seed, Oracle, AO);
+        active::runActiveLoop(Session, C.Seed, Oracle, AO);
     LearnSeconds = LearnClock.seconds();
     std::fprintf(stderr,
                  "active: %zu round(s), %zu of %zu candidate(s) queried, "
@@ -612,7 +503,7 @@ int cmdLearn(const CliOptions &Opts) {
     R = std::move(AR.Final);
   } else {
     Timer LearnClock;
-    Session.generateConstraints(Seed);
+    Session.generateConstraints(C.Seed);
     R = Session.solve();
     LearnSeconds = LearnClock.seconds();
   }
@@ -656,11 +547,11 @@ int cmdLearn(const CliOptions &Opts) {
   int HealthRc = reportHealth(R);
   if (Opts.OutFile.empty())
     return writeOutput(Opts,
-                       spec::writeLearnedSpec(R.Learned, Opts.Threshold))
+                       spec::writeLearnedSpec(R.Learned, Opts.Run.Threshold))
                ? HealthRc
                : 1;
   spec::IOResult<size_t> Saved =
-      spec::saveLearnedSpec(R.Learned, Opts.OutFile, Opts.Threshold);
+      spec::saveLearnedSpec(R.Learned, Opts.OutFile, Opts.Run.Threshold);
   if (!Saved) {
     std::fprintf(stderr, "error: %s\n", Saved.Error.c_str());
     return 1;
@@ -671,15 +562,9 @@ int cmdLearn(const CliOptions &Opts) {
 }
 
 int cmdAnalyze(const CliOptions &Opts) {
-  bool Ok = false;
-  spec::SeedSpec Seed = loadSeed(Opts, Ok);
-  if (!Ok)
+  CorpusRun C;
+  if (!openRun(graphOnly(Opts.Run), /*WithSeed=*/true, C))
     return 1;
-  std::vector<pysem::Project> Corpus = loadCorpus(Opts, Ok);
-  if (!Ok || Corpus.empty()) {
-    std::fprintf(stderr, "error: no input repositories\n");
-    return 1;
-  }
 
   spec::LearnedSpec Learned;
   bool HaveLearned = false;
@@ -696,13 +581,11 @@ int cmdAnalyze(const CliOptions &Opts) {
     HaveLearned = true;
   }
 
-  infer::Session Session(graphOnlyOptions(Opts));
-  Session.addProjects(Corpus);
-  buildSessionGraph(Session);
-  const propgraph::PropagationGraph &Graph = Session.graph();
+  buildSessionGraph(*C.Session);
+  const propgraph::PropagationGraph &Graph = C.Session->graph();
 
-  taint::RoleResolver Roles(&Seed.Spec, HaveLearned ? &Learned : nullptr,
-                            Opts.Threshold);
+  taint::RoleResolver Roles(&C.Seed.Spec, HaveLearned ? &Learned : nullptr,
+                            Opts.Run.Threshold);
   taint::TaintAnalyzer Analyzer(Graph);
   std::vector<taint::Violation> Reports = Analyzer.analyze(Roles);
   size_t Raw = Reports.size();
@@ -717,8 +600,8 @@ int cmdAnalyze(const CliOptions &Opts) {
     }
   }
   std::vector<double> Confidence = taint::rankViolations(
-      Graph, Reports, &Seed.Spec, HaveLearned ? &Learned : nullptr,
-      Opts.Threshold);
+      Graph, Reports, &C.Seed.Spec, HaveLearned ? &Learned : nullptr,
+      Opts.Run.Threshold);
 
   if (Opts.Json)
     return writeOutput(Opts,
@@ -729,13 +612,13 @@ int cmdAnalyze(const CliOptions &Opts) {
 
   // Quote the source line of each path step, re-reading files on demand.
   std::unordered_map<std::string, std::vector<std::string>> FileLines;
-  auto QuoteLine = [&](uint32_t FileIdx, uint32_t Line) -> std::string {
+  taint::LineQuoter QuoteLine = [&](uint32_t FileIdx, uint32_t Line) {
     const std::string &File = Graph.files()[FileIdx];
     auto It = FileLines.find(File);
     if (It == FileLines.end()) {
       std::vector<std::string> Lines;
       // Module paths are relative to their repository root; try each.
-      for (const std::string &Dir : Opts.Paths) {
+      for (const std::string &Dir : Opts.Run.CorpusDirs) {
         if (io::IOResult<std::string> Text = io::readFile(Dir + "/" + File)) {
           Lines = splitString(Text.Value, '\n');
           break;
@@ -753,24 +636,7 @@ int cmdAnalyze(const CliOptions &Opts) {
                    Reports.size());
   for (size_t I = 0; I < Reports.size() && I < Opts.Top; ++I) {
     Out += formatString("[%zu] confidence %.2f\n", I + 1, Confidence[I]);
-    const taint::Violation &V = Reports[I];
-    const propgraph::Event &Src = Graph.event(V.Source);
-    const propgraph::Event &Snk = Graph.event(V.Sink);
-    Out += formatString("unsanitized flow in %s:\n",
-                        Graph.files()[V.FileIdx].c_str());
-    Out += formatString("  source %s (line %u)\n", Src.primaryRep().c_str(),
-                        Src.Loc.Line);
-    Out += formatString("  sink   %s (line %u)\n", Snk.primaryRep().c_str(),
-                        Snk.Loc.Line);
-    Out += "  path:\n";
-    for (propgraph::EventId Id : V.Path) {
-      const propgraph::Event &E = Graph.event(Id);
-      Out += formatString("    %s (line %u)\n", E.primaryRep().c_str(),
-                          E.Loc.Line);
-      std::string Quoted = QuoteLine(E.FileIdx, E.Loc.Line);
-      if (!Quoted.empty())
-        Out += formatString("        | %s\n", Quoted.c_str());
-    }
+    Out += taint::formatViolation(Graph, Reports[I], QuoteLine);
     Out += '\n';
   }
   if (Reports.size() > Opts.Top)
@@ -790,34 +656,16 @@ int cmdExplain(const CliOptions &Opts) {
     return 1;
   }
 
-  bool Ok = false;
-  spec::SeedSpec Seed = loadSeed(Opts, Ok);
-  if (!Ok)
+  CorpusRun C;
+  if (!openRun(Opts.Run, /*WithSeed=*/true, C))
     return 1;
-  std::vector<pysem::Project> Corpus = loadCorpus(Opts, Ok);
-  if (!Ok || Corpus.empty()) {
-    std::fprintf(stderr, "error: no input repositories\n");
-    return 1;
-  }
-
-  infer::PipelineOptions PipelineOpts;
-  PipelineOpts.Solve.MaxIterations = Opts.Iterations;
-  PipelineOpts.Gen.RepCutoff = Opts.RepCutoff;
-  PipelineOpts.Jobs = Opts.Jobs;
-  if (!resolveBackend(Opts, PipelineOpts.Solve.Backend))
-    return 1;
-  PipelineOpts.Strict = Opts.Strict;
-  PipelineOpts.DeadlineSeconds = Opts.DeadlineSeconds;
-
-  infer::Session Session(PipelineOpts);
+  infer::Session &Session = *C.Session;
+  Session.options().DeadlineSeconds = Opts.DeadlineSeconds;
   CliProgress Progress;
   if (Opts.Progress)
     Progress.attach(Session);
-  if (!setupCache(Session, Opts))
-    return 1;
-  Session.addProjects(Corpus);
   buildSessionGraph(Session);
-  Session.generateConstraints(Seed);
+  Session.generateConstraints(C.Seed);
   infer::PipelineResult R = Session.solve();
   printCacheStats(R, Opts);
   int HealthRc = reportHealth(R);
@@ -843,32 +691,29 @@ int cmdExplain(const CliOptions &Opts) {
 }
 
 int cmdStats(const CliOptions &Opts) {
-  bool Ok = false;
-  std::vector<pysem::Project> Corpus = loadCorpus(Opts, Ok);
-  if (!Ok || Corpus.empty()) {
-    std::fprintf(stderr, "error: no input repositories\n");
+  CorpusRun C;
+  if (!openRun(graphOnly(Opts.Run), /*WithSeed=*/false, C))
     return 1;
-  }
-  infer::Session Session(graphOnlyOptions(Opts));
-  Session.addProjects(Corpus);
-  buildSessionGraph(Session);
-  return writeOutput(Opts, propgraph::renderGraphStats(
-                               propgraph::computeGraphStats(Session.graph())))
+  buildSessionGraph(*C.Session);
+  return writeOutput(Opts,
+                     propgraph::renderGraphStats(
+                         propgraph::computeGraphStats(C.Session->graph())))
              ? 0
              : 1;
 }
 
 int cmdDiff(const CliOptions &Opts) {
-  if (Opts.Paths.size() != 2) {
+  const std::vector<std::string> &Paths = Opts.Run.CorpusDirs;
+  if (Paths.size() != 2) {
     std::fprintf(stderr, "error: diff expects OLD.spec NEW.spec\n");
     return 1;
   }
   spec::LearnedSpec Specs[2];
   for (int I = 0; I < 2; ++I) {
     spec::IOResult<spec::LearnedSpec> Loaded =
-        spec::loadLearnedSpec(Opts.Paths[I]);
+        spec::loadLearnedSpec(Paths[I]);
     for (const std::string &W : Loaded.Warnings)
-      std::fprintf(stderr, "%s: %s\n", Opts.Paths[I].c_str(), W.c_str());
+      std::fprintf(stderr, "%s: %s\n", Paths[I].c_str(), W.c_str());
     if (!Loaded) {
       std::fprintf(stderr, "error: %s\n", Loaded.Error.c_str());
       return 1;
@@ -876,11 +721,11 @@ int cmdDiff(const CliOptions &Opts) {
     Specs[I] = std::move(Loaded.Value);
   }
   spec::SpecDiff Diff =
-      spec::diffLearnedSpecs(Specs[0], Specs[1], Opts.Threshold);
+      spec::diffLearnedSpecs(Specs[0], Specs[1], Opts.Run.Threshold);
   std::string Out = spec::renderSpecDiff(Diff);
   if (Out.empty()) {
     std::fprintf(stderr, "specifications agree at threshold %.2f\n",
-                 Opts.Threshold);
+                 Opts.Run.Threshold);
     return 0;
   }
   if (!writeOutput(Opts, Out))
@@ -890,56 +735,36 @@ int cmdDiff(const CliOptions &Opts) {
 }
 
 int cmdGraph(const CliOptions &Opts) {
-  if (Opts.Paths.size() != 1) {
+  const std::vector<std::string> &Paths = Opts.Run.CorpusDirs;
+  if (Paths.size() != 1) {
     std::fprintf(stderr, "error: graph expects exactly one .py file\n");
     return 1;
   }
-  io::IOResult<std::string> Source = io::readFile(Opts.Paths[0]);
+  io::IOResult<std::string> Source = io::readFile(Paths[0]);
   if (!Source) {
     std::fprintf(stderr, "error: %s\n", Source.Error.c_str());
     return 1;
   }
   pysem::Project Proj("cli");
-  const pysem::ModuleInfo &M = Proj.addModule(Opts.Paths[0], Source.Value);
+  const pysem::ModuleInfo &M = Proj.addModule(Paths[0], Source.Value);
   std::vector<pyast::ParseError> Diagnostics;
   propgraph::PropagationGraph Graph = propgraph::buildModuleGraph(
       Proj, M, propgraph::BuildOptions(), &Diagnostics);
   for (const pyast::ParseError &E : Diagnostics)
-    std::fprintf(stderr, "%s:%u:%u: %s\n", Opts.Paths[0].c_str(), E.Line,
+    std::fprintf(stderr, "%s:%u:%u: %s\n", Paths[0].c_str(), E.Line,
                  E.Col, E.Message.c_str());
 
   if (!Opts.Dot)
     return writeOutput(Opts, propgraph::toText(Graph)) ? 0 : 1;
 
-  bool SeedOk = false;
-  spec::SeedSpec Seed = loadSeed(Opts, SeedOk);
+  spec::SeedSpec Seed;
   propgraph::DotOptions DotOpts;
-  if (SeedOk) {
-    taint::RoleResolver Roles(&Seed.Spec, nullptr, Opts.Threshold);
+  if (loadSeed(Opts.Run, Seed)) {
+    taint::RoleResolver Roles(&Seed.Spec, nullptr, Opts.Run.Threshold);
     taint::TaintAnalyzer Analyzer(Graph);
     DotOpts.Roles = Analyzer.resolveRoles(Roles);
   }
   return writeOutput(Opts, propgraph::toDot(Graph, DotOpts)) ? 0 : 1;
-}
-
-/// Renders / writes the metrics snapshot after a command ran. Returns
-/// false if --metrics-out could not be written.
-bool emitMetrics(const CliOptions &Opts) {
-  if (!Opts.Metrics && Opts.MetricsOut.empty())
-    return true;
-  metrics::Registry &Reg = metrics::Registry::global();
-  if (Opts.Metrics)
-    std::fputs(Reg.renderText().c_str(), stderr);
-  if (!Opts.MetricsOut.empty()) {
-    io::IOResult<size_t> Written = io::writeFile(Opts.MetricsOut, Reg.toJson());
-    if (!Written) {
-      std::fprintf(stderr, "error: cannot write metrics: %s\n",
-                   Written.Error.c_str());
-      return false;
-    }
-    std::fprintf(stderr, "wrote metrics to %s\n", Opts.MetricsOut.c_str());
-  }
-  return true;
 }
 
 int runCommand(const std::string &Command, const CliOptions &Opts) {
@@ -977,22 +802,18 @@ int main(int Argc, char **Argv) {
   }
   std::string Command = Argv[1];
   CliOptions Opts;
-  if (!parseArgs(Argc, Argv, Opts))
-    return 1;
-
+  ArgParser Parser;
+  SharedFlags Shared(Parser, Opts.Run);
   // SELDON_FAULT arms the deterministic fault-injection points (testing
   // the degraded paths end to end); a malformed spec is a CLI error.
-  std::string FaultError;
-  if (!fault::configureFromEnv(&FaultError)) {
-    std::fprintf(stderr, "error: SELDON_FAULT: %s\n", FaultError.c_str());
+  if (!parseArgs(Argc, Argv, Parser, Shared, Opts) || !configureFaults())
     return 1;
-  }
 
   // Enable before any pipeline work so corpus loading (per-file parse
   // timings) is captured too. --solver-stats reads the iterate span.
   // Metrics are write-only: enabling them never changes any learned score
   // or report.
-  if (Opts.Metrics || !Opts.MetricsOut.empty() || Opts.SolverStats)
+  if (Shared.wantsMetrics() || Opts.SolverStats)
     metrics::Registry::global().setEnabled(true);
 
   // Top-level failure boundary: anything the pipeline could not recover
@@ -1009,7 +830,7 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: unknown exception\n");
     Rc = 1;
   }
-  if (!emitMetrics(Opts) && Rc == 0)
+  if (!Shared.emitMetrics() && Rc == 0)
     Rc = 1;
   return Rc;
 }

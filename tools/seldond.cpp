@@ -17,11 +17,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SharedFlags.h"
+
 #include "service/Service.h"
 #include "service/SocketServer.h"
-#include "support/ArgParser.h"
-#include "support/FaultInjection.h"
-#include "support/FileIO.h"
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
 
@@ -68,13 +67,35 @@ struct DaemonOptions {
   service::Service::Options Svc;
   std::string SocketPath;
   bool Once = false;
-  bool ShardCache = false;
-  bool Metrics = false;
-  std::string MetricsOut;
+  unsigned long MaxInFlight = 64;
   bool Help = false;
 };
 
-void usage(const ArgParser &Parser) {
+/// Registers seldond's own flags; SharedFlags registers the ones it
+/// shares with `seldon`.
+void registerFlags(ArgParser &Parser, DaemonOptions &Opts) {
+  Parser
+      .string("--socket", &Opts.SocketPath, "PATH",
+              "serve on a Unix domain socket at PATH")
+      .flag("--once", &Opts.Once,
+            "serve stdin/stdout serially instead of a socket")
+      .string("--state-dir", &Opts.Svc.StateDir, "DIR",
+              "durable state: journal every accepted feedback/learn op\n"
+              "(fsynced before the re-solve), snapshot the served spec,\n"
+              "and recover the exact pre-crash state on restart")
+      .decimal("--deadline-s", &Opts.Svc.RequestDeadlineSeconds, "S",
+               "default per-request wall-clock budget in seconds\n"
+               "(0 = unlimited; requests may override via deadline_s)")
+      .unsignedInt("--max-inflight", &Opts.MaxInFlight, "N",
+                   "admission slots; excess requests get a structured\n"
+                   "`overloaded` error (default 64)")
+      .flag("--help", &Opts.Help, "show this help");
+}
+
+void usage() {
+  DaemonOptions Opts;
+  ArgParser Parser;
+  registerFlags(Parser, Opts);
   std::fprintf(stderr,
                "usage: seldond (--socket PATH | --once) [options] DIR...\n"
                "\n"
@@ -84,102 +105,21 @@ void usage(const ArgParser &Parser) {
                "query,\n"
                "learn, feedback, taint, shutdown.\n"
                "\n"
-               "options:\n%s",
-               Parser.usage().c_str());
+               "options:\n%s\n%s",
+               Parser.usage().c_str(), SharedFlags::usage().c_str());
 }
 
-bool parseDaemonArgs(int Argc, char **Argv, DaemonOptions &Opts,
-                     ArgParser &Parser) {
-  unsigned long Iters = 600;
-  unsigned long Cutoff = 5;
-  unsigned long Jobs = 0;
-  unsigned long MaxInFlight = 64;
-  std::string Backend = "compiled";
-
-  Parser.string("--socket", &Opts.SocketPath, "PATH",
-                "serve on a Unix domain socket at PATH");
-  Parser.flag("--once", &Opts.Once,
-              "serve stdin/stdout serially instead of a socket");
-  Parser.string("--seed", &Opts.Svc.SeedFile, "FILE",
-                "seed specification (App. B format; default: built-in)");
-  Parser.string("--cache-dir", &Opts.Svc.CacheDir, "DIR",
-                "persistent propagation-graph cache; unchanged projects\n"
-                "skip parsing on restart");
-  Parser.flag("--shard-cache", &Opts.ShardCache,
-              "also cache per-project constraint shards under\n"
-              "DIR/shards (requires --cache-dir); a `learn` with\n"
-              "\"reload\" then re-extracts only changed projects");
-  Parser.string("--state-dir", &Opts.Svc.StateDir, "DIR",
-                "durable state: journal every accepted feedback/learn op\n"
-                "(fsynced before the re-solve), snapshot the served spec,\n"
-                "and recover the exact pre-crash state on restart");
-  Parser.unsignedInt("--iters", &Iters, "N",
-                     "solver iterations (default 600)");
-  Parser.unsignedInt("--cutoff", &Cutoff, "N",
-                     "representation frequency cutoff (default 5)");
-  Parser.unsignedInt("--jobs", &Jobs, "N",
-                     "worker threads (default: all hardware threads)");
-  Parser.decimal("--threshold", &Opts.Svc.Threshold, "T",
-                 "score threshold for taint/status (default 0.1)");
-  Parser.decimal("--deadline-s", &Opts.Svc.RequestDeadlineSeconds, "S",
-                 "default per-request wall-clock budget in seconds\n"
-                 "(0 = unlimited; requests may override via deadline_s)");
-  Parser.unsignedInt("--max-inflight", &MaxInFlight, "N",
-                     "admission slots; excess requests get a structured\n"
-                     "`overloaded` error (default 64)");
-  Parser.flag("--strict", &Opts.Svc.Strict,
-              "fail startup on the first broken project instead of\n"
-              "quarantining it");
-  Parser.string("--solver-backend", &Backend, "B",
-                "evaluator backend: compiled, the only one (default);\n"
-                "`learn` requests may also name it in a \"backend\"\n"
-                "param");
-  Parser.flag("--metrics", &Opts.Metrics,
-              "print the metrics snapshot to stderr on exit");
-  Parser.string("--metrics-out", &Opts.MetricsOut, "F",
-                "write the metrics snapshot as JSON to F on exit");
-  Parser.flag("--help", &Opts.Help, "show this help");
-
-  if (!Parser.parse(Argc, Argv, 1, &Opts.Svc.CorpusDirs))
-    return false;
-
-  if (Iters == 0 || Iters > 10'000'000) {
-    std::fprintf(stderr, "error: --iters must be in [1, 10000000]\n");
-    return false;
-  }
-  Opts.Svc.Iterations = static_cast<int>(Iters);
-  Opts.Svc.RepCutoff = static_cast<size_t>(Cutoff);
+/// Checks seldond's own flags; false after printing the error.
+bool checkDaemonArgs(DaemonOptions &Opts) {
   if (Opts.Svc.RequestDeadlineSeconds < 0.0) {
     std::fprintf(stderr, "error: --deadline-s must be non-negative\n");
     return false;
   }
-  unsigned long JobCap = 8ul * ThreadPool::hardwareConcurrency();
-  if (Jobs > JobCap) {
-    std::fprintf(stderr,
-                 "warning: --jobs %lu exceeds %lu (8x hardware threads); "
-                 "clamping to %lu\n",
-                 Jobs, JobCap, JobCap);
-    Jobs = JobCap;
-  }
-  Opts.Svc.Jobs = static_cast<unsigned>(Jobs);
-  if (MaxInFlight == 0) {
+  if (Opts.MaxInFlight == 0) {
     std::fprintf(stderr, "error: --max-inflight must be positive\n");
     return false;
   }
-  Opts.Svc.MaxInFlight = static_cast<size_t>(MaxInFlight);
-  if (!solver::parseSolverBackend(Backend, Opts.Svc.Backend)) {
-    std::fprintf(stderr,
-                 "error: unknown --solver-backend '%s' (expected %s)\n",
-                 Backend.c_str(), solver::SolverBackendChoices);
-    return false;
-  }
-  if (Opts.ShardCache) {
-    if (Opts.Svc.CacheDir.empty()) {
-      std::fprintf(stderr, "error: --shard-cache requires --cache-dir\n");
-      return false;
-    }
-    Opts.Svc.ShardCacheDir = Opts.Svc.CacheDir + "/shards";
-  }
+  Opts.Svc.MaxInFlight = static_cast<size_t>(Opts.MaxInFlight);
   return true;
 }
 
@@ -227,37 +167,23 @@ int runSocket(service::Service &Svc, const std::string &SocketPath) {
   return 0;
 }
 
-bool emitMetrics(const DaemonOptions &Opts) {
-  if (!Opts.Metrics && Opts.MetricsOut.empty())
-    return true;
-  metrics::Registry &Reg = metrics::Registry::global();
-  if (Opts.Metrics)
-    std::fputs(Reg.renderText().c_str(), stderr);
-  if (!Opts.MetricsOut.empty()) {
-    io::IOResult<size_t> Written = io::writeFile(Opts.MetricsOut, Reg.toJson());
-    if (!Written) {
-      std::fprintf(stderr, "error: cannot write metrics: %s\n",
-                   Written.Error.c_str());
-      return false;
-    }
-  }
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
   DaemonOptions Opts;
   ArgParser Parser;
-  if (!parseDaemonArgs(Argc, Argv, Opts, Parser))
+  SharedFlags Shared(Parser, Opts.Svc);
+  registerFlags(Parser, Opts);
+  if (!Parser.parse(Argc, Argv, 1, &Opts.Svc.CorpusDirs) || !Shared.check() ||
+      !checkDaemonArgs(Opts))
     return 1;
   if (Opts.Help) {
-    usage(Parser);
+    usage();
     return 0;
   }
   if (!Opts.Once && Opts.SocketPath.empty()) {
     std::fprintf(stderr, "error: need --socket PATH or --once\n");
-    usage(Parser);
+    usage();
     return 1;
   }
   if (Opts.Once && !Opts.SocketPath.empty()) {
@@ -266,15 +192,11 @@ int main(int Argc, char **Argv) {
   }
   if (Opts.Svc.CorpusDirs.empty()) {
     std::fprintf(stderr, "error: no corpus directories\n");
-    usage(Parser);
+    usage();
     return 1;
   }
-
-  std::string FaultError;
-  if (!fault::configureFromEnv(&FaultError)) {
-    std::fprintf(stderr, "error: SELDON_FAULT: %s\n", FaultError.c_str());
+  if (!configureFaults())
     return 1;
-  }
 
   // Always on: metrics are write-only (they never change an answer) and
   // the `status` op reports parse/cache counters from this registry —
@@ -309,7 +231,7 @@ int main(int Argc, char **Argv) {
   Svc.persist();
   if (SignalStop.load(std::memory_order_acquire))
     std::fprintf(stderr, "seldond: terminated by signal, state persisted\n");
-  if (!emitMetrics(Opts) && Rc == 0)
+  if (!Shared.emitMetrics() && Rc == 0)
     Rc = 1;
   return Rc;
 }
