@@ -67,18 +67,19 @@ const std::string &sampleSource() {
 /// A small prebuilt corpus shared by the backend benchmarks.
 struct BackendState {
   corpus::Corpus Data;
-  propgraph::PropagationGraph Graph;
-  propgraph::RepTable Reps;
+  propgraph::RepTable Reps; // Over the corpus graph, Reps.graph().
   constraints::ConstraintSystem System;
 
   BackendState() {
     corpus::CorpusOptions Opts;
     Opts.NumProjects = 40;
     Data = corpus::generateCorpus(Opts);
+    propgraph::PropagationGraph Graph;
     for (const pysem::Project &P : Data.Projects)
       Graph.append(propgraph::buildProjectGraph(P));
-    Reps.countOccurrences(Graph);
-    System = constraints::generateConstraints(Graph, Reps, Data.Seed);
+    Reps = propgraph::RepTable(
+        std::make_shared<const propgraph::PropagationGraph>(std::move(Graph)));
+    System = constraints::generateConstraints(Reps.graph(), Reps, Data.Seed);
   }
 
   static BackendState &get() {
@@ -131,7 +132,8 @@ void BM_ConstraintGen(benchmark::State &State) {
   BackendState &B = BackendState::get();
   for (auto _ : State)
     benchmark::DoNotOptimize(
-        constraints::generateConstraints(B.Graph, B.Reps, B.Data.Seed));
+        constraints::generateConstraints(B.Reps.graph(), B.Reps,
+                                         B.Data.Seed));
 }
 BENCHMARK(BM_ConstraintGen);
 
@@ -168,7 +170,7 @@ BENCHMARK(BM_ConstraintCompile);
 void BM_TaintAnalysis(benchmark::State &State) {
   BackendState &B = BackendState::get();
   taint::RoleResolver Roles(&B.Data.Seed.Spec, nullptr);
-  taint::TaintAnalyzer Analyzer(B.Graph);
+  taint::TaintAnalyzer Analyzer(B.Reps.graph());
   for (auto _ : State)
     benchmark::DoNotOptimize(Analyzer.analyze(Roles));
 }
@@ -177,7 +179,7 @@ BENCHMARK(BM_TaintAnalysis);
 void BM_GraphCollapse(benchmark::State &State) {
   BackendState &B = BackendState::get();
   for (auto _ : State)
-    benchmark::DoNotOptimize(B.Graph.collapseByRep());
+    benchmark::DoNotOptimize(B.Reps.graph().collapseByRep());
 }
 BENCHMARK(BM_GraphCollapse);
 

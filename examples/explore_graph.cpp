@@ -69,8 +69,8 @@ int main() {
   // Seeds as in the paper's example: the sanitizer is known.
   spec::SeedSpec Seed =
       spec::SeedSpec::parse("a: werkzeug.secure_filename()\n");
-  propgraph::RepTable Reps;
-  Reps.countOccurrences(Graph);
+  propgraph::RepTable Reps(
+      std::make_shared<const propgraph::PropagationGraph>(Graph));
   constraints::GenOptions Opts;
   Opts.RepCutoff = 1; // Single file: keep every representation.
   constraints::ConstraintSystem Sys =

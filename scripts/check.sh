@@ -86,9 +86,14 @@ echo "=== asan+ubsan: service, durability and on-disk format tests ==="
 # infer::ScopedOptions restores the borrowed WarmStart and Feedback
 # pointers on every exit path, throws included. So do the pipeline
 # tests: every PipelineResult shares its Session's graph, which must
-# outlive the Session that built it. So do the flat row and option store
-# tests: a system's rows and options are views into a few arrays, and a
-# view held across an append that reallocates them is a use-after-free.
+# outlive the Session that built it, and every representation table
+# reads its strings from that graph. So do the feedback and uncertainty
+# tests: propagated feedback rows hold pointers into the graph's string
+# table and uncertainty candidates copy from it, both reached through the
+# result's shared pointer. So do the flat row store and keep-verdict
+# tests: a system's rows are views into a few arrays, and a view held
+# across an append that reallocates them is a use-after-free; each file's
+# surviving options are spans over a buffer its generation task owns.
 # The graph suites run for the same reason: an Event, its Reps and every
 # adjacency span read the propagation graph's flat arrays, which any
 # write (an event, an edge batch, an append) may reallocate. The taint
@@ -115,14 +120,14 @@ cmake --build "$ROOT/build-asan" -j "$JOBS" \
   --target service_test durability_fault_test recovery_harness_test \
            fileio_test format_golden_test graphcodec_test \
            cache_fault_test shard_fault_test shard_pipeline_test \
-           constraints_test explain_test \
+           constraints_test explain_test feedback_test \
            fault_pipeline_test active_learning_test infer_test \
            constraint_rows_test propgraph_test lexer_test parser_test \
            fstring_test pysem_test frontend_fuzz_test protocol_fuzz_test \
            file_fuzz_test threadpool_test objective_kernel_test \
            argparser_test shared_flags_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-  -R 'ThreadPoolTest|ObjectiveTest|CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest|^PipelineTest\.|ConstraintRowsTest|EventOptionsTest|PropagationGraphTest|RepTableTest|GraphBuilderTest|TaintAnalyzerTest|LexerTest|ParserTest|ParserSmokeTest|FStringLexerTest|FStringParserTest|FStringFlowTest|ImportMapTest|ModuleScopeTest|QualifiedNamesTest|FrontendFuzzTest|ProtocolFuzzTest|FileFuzzTest|ArgParserTest|SharedFlagsTest'
+  -R 'ThreadPoolTest|ObjectiveTest|CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest|FeedbackTest|UncertaintyTest|^PipelineTest\.|ConstraintRowsTest|KeepVerdictTest|PropagationGraphTest|RepTableTest|GraphBuilderTest|TaintAnalyzerTest|LexerTest|ParserTest|ParserSmokeTest|FStringLexerTest|FStringParserTest|FStringFlowTest|ImportMapTest|ModuleScopeTest|QualifiedNamesTest|FrontendFuzzTest|ProtocolFuzzTest|FileFuzzTest|ArgParserTest|SharedFlagsTest'
 # The long fuzz runs are the DISABLED_ instantiations, out of tier-1.
 for FUZZ in frontend_fuzz_test protocol_fuzz_test file_fuzz_test; do
   "$ROOT/build-asan/tests/$FUZZ" --gtest_also_run_disabled_tests \

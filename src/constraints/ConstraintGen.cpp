@@ -5,9 +5,10 @@
 // ShardFile over file-local event ids; one emitter turns anchors into rows,
 // given each local event's surviving backoff options, and writes them
 // straight into a flat row store. generateConstraints() is the only
-// builder of a system: each file emits its cached anchors or traverses its
-// candidates, and either way emits from Sys.EventReps. extractShard() runs
-// the traversal unfiltered, so its anchors stay valid under any corpus.
+// builder of a system: each file filters its events' option ids through
+// the system's keep verdicts, then emits its cached anchors or traverses
+// its candidates. extractShard() runs the traversal unfiltered, so its
+// anchors stay valid under any corpus.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,7 @@
 #include <optional>
 #include <ranges>
 #include <span>
+#include <stdexcept>
 
 using namespace seldon;
 using namespace seldon::constraints;
@@ -41,6 +43,27 @@ namespace {
 /// Per local event, its surviving backoff options: the §4.3 frequency
 /// cutoff and the §7.2 blacklist applied. An event with none is dead.
 using LocalOptions = std::vector<std::span<const RepId>>;
+
+/// The surviving backoff options of each event of \p Local: its option
+/// ids that \p Kept keeps, most to least specific, held in \p Store.
+LocalOptions survivingOptions(const PropagationGraph &Graph,
+                              const std::vector<EventId> &Local,
+                              const std::vector<uint8_t> &Kept,
+                              std::vector<RepId> &Store) {
+  std::vector<uint32_t> Begin;
+  Begin.reserve(Local.size() + 1);
+  for (EventId Id : Local) {
+    Begin.push_back(static_cast<uint32_t>(Store.size()));
+    for (RepId Rep : Graph.event(Id).repIds())
+      if (Kept[Rep])
+        Store.push_back(Rep);
+  }
+  Begin.push_back(static_cast<uint32_t>(Store.size()));
+  LocalOptions Options(Local.size());
+  for (size_t L = 0; L < Local.size(); ++L)
+    Options[L] = {Store.data() + Begin[L], Store.data() + Begin[L + 1]};
+  return Options;
+}
 
 /// The Fig. 4 traversal of one file. Local ids index \p Local, the file's
 /// events in id order. With \p Live, only events with surviving options are
@@ -250,40 +273,22 @@ private:
   std::vector<solver::Term> Sum;
 };
 
-/// The scaffolding before any row: each event's surviving backoff options
-/// under the keep verdicts \p Keep (RepTable::keepVerdicts), the candidate
-/// statistics, and the seed pins (§4.1), which intern the system's first
-/// variables.
+/// The scaffolding before any row: the keep verdicts \p Kept
+/// (RepTable::keepVerdicts), the candidate statistics, and the seed pins
+/// (§4.1), which intern the system's first variables.
 ConstraintSystem prepareSystem(const PropagationGraph &Graph,
                                const RepTable &Reps,
                                const spec::SeedSpec &Seed,
-                               const std::vector<uint8_t> &Keep) {
+                               std::vector<uint8_t> Kept) {
   ConstraintSystem Sys;
-
-  // Surviving backoff options: each distinct string of the graph resolves
-  // once to its RepTable id, or to Dropped when that id is not kept (the
-  // learning graph may be a collapsed one, with its own table); events
-  // then filter their option ids.
-  constexpr RepId Dropped = ~RepId(0);
-  const std::vector<std::string> &Strings = Graph.repStrings();
-  std::vector<RepId> KeptAs(Strings.size(), Dropped);
-  for (RepId G = 0; G < Strings.size(); ++G) {
-    RepId Id;
-    if (Reps.lookup(Strings[G], Id) && Keep[Id])
-      KeptAs[G] = Id;
-  }
+  Sys.Kept = std::move(Kept);
   size_t BackoffTotal = 0;
-  Sys.EventReps.reserve(Graph.numEvents(), Graph.numOptions());
   for (const Event &E : Graph.events()) {
-    size_t Kept = 0;
-    for (RepId G : E.repIds())
-      if (KeptAs[G] != Dropped) {
-        Sys.EventReps.push(KeptAs[G]);
-        ++Kept;
-      }
-    Sys.EventReps.close();
-    Sys.NumCandidates += Kept != 0;
-    BackoffTotal += Kept;
+    size_t Survivors = 0;
+    for (RepId Id : E.repIds())
+      Survivors += Sys.Kept[Id];
+    Sys.NumCandidates += Survivors != 0;
+    BackoffTotal += Survivors;
   }
   Sys.AvgBackoffOptions =
       Sys.NumCandidates == 0
@@ -345,6 +350,9 @@ ConstraintSystem seldon::constraints::generateConstraints(
     const Deadline *StopAt, std::span<const ShardFile *const> Cached) {
   assert((Cached.empty() || Cached.size() == Graph.files().size()) &&
          "one cached entry per file");
+  if (!Reps.sharesTableWith(Graph))
+    throw std::invalid_argument("generateConstraints: the graph's string "
+                                "table is not its RepTable's");
   ConstraintSystem Sys = prepareSystem(
       Graph, Reps, Seed, Reps.keepVerdicts(Opts.RepCutoff, Seed.Blacklist));
 
@@ -366,9 +374,9 @@ ConstraintSystem seldon::constraints::generateConstraints(
       throw DeadlineError("deadline expired during constraint generation");
     if (fault::enabled())
       fault::maybeThrow(fault::Point::ConstraintGen, F);
-    LocalOptions Options(Local.size());
-    for (size_t L = 0; L < Local.size(); ++L)
-      Options[L] = Sys.EventReps[Local[L]];
+    std::vector<RepId> Survivors;
+    LocalOptions Options =
+        survivingOptions(Graph, Local, Sys.Kept, Survivors);
     // Cached anchors were traversed without the candidate filter; the
     // emitter drops the dead events they hold.
     const ShardFile *Anchors = Cached.empty() ? nullptr : Cached[F];

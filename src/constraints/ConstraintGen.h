@@ -66,7 +66,8 @@ struct GenOptions {
 
 /// Extracts the full constraint system from \p Graph.
 ///
-/// \p Reps must already have counted occurrences over \p Graph.
+/// \p Graph must be the graph \p Reps counted, or its collapseByRep(): a
+/// graph with another string table throws std::invalid_argument.
 /// Blacklisted representation options never receive variables; events
 /// whose every option is blacklisted or infrequent are ignored (§4.3).
 ///

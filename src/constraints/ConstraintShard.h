@@ -98,7 +98,7 @@ struct ConstraintShard {
 /// — a project's file range within the global graph, or (0, files().size())
 /// for a standalone per-project graph. Runs the Fig. 4 traversal on each
 /// file without the candidate filter, so the result depends only on the
-/// graph slice, never on RepTable counts, seed, or GenOptions. \p Graph's
+/// graph slice, never on the keep verdicts, seed, or GenOptions. \p Graph's
 /// events must be in file order, as every graph the builder, append() and
 /// the graph codec produce is; extraction then touches only the slice's
 /// events. Deterministic (serial per project; parallelism comes from

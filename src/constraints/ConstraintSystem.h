@@ -8,8 +8,8 @@
 /// \file
 /// The output of constraint generation: the soft information-flow
 /// constraints (paper §4.2/§4.3), the variable table, the pinned seed
-/// variables (§4.1), and per-event candidate bookkeeping used by the
-/// evaluation (Tab. 1 statistics and precision sampling).
+/// variables (§4.1), the keep verdicts that give each event its backoff
+/// set, and the candidate statistics of the evaluation (Tab. 1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,48 +18,12 @@
 
 #include "constraints/VarTable.h"
 #include "solver/CompiledObjective.h"
-#include "support/IndexIterator.h"
 
-#include <initializer_list>
-#include <span>
+#include <cstdint>
 #include <vector>
 
 namespace seldon {
 namespace constraints {
-
-/// Each event's surviving backoff options Reps(v), flat: entry E is
-/// Options[Begin[E] .. Begin[E + 1]), ids most to least specific. Reading
-/// yields spans, which stay valid until the next push() or close().
-class EventOptions {
-public:
-  EventOptions() = default;
-  /// One entry per inner list, in order (hand-built systems and tests).
-  EventOptions(std::initializer_list<std::initializer_list<RepId>> Lists);
-
-  size_t size() const { return Begin.size() - !Begin.empty(); }
-
-  std::span<const RepId> operator[](size_t E) const {
-    return {Options.data() + Begin[E], Options.data() + Begin[E + 1]};
-  }
-
-  /// Yields each entry's span, by value, in entry order.
-  using const_iterator = IndexIterator<EventOptions, std::span<const RepId>>;
-  const_iterator begin() const { return {this, 0}; }
-  const_iterator end() const { return {this, size()}; }
-
-  /// Writing, one entry at a time: push() its options, then close() it.
-  void push(RepId Id) { Options.push_back(Id); }
-  void close();
-  /// Makes room for \p NumEntries more entries holding \p NumOptions more
-  /// options.
-  void reserve(size_t NumEntries, size_t NumOptions);
-
-private:
-  /// Where each entry starts, then where the next one will. Empty until
-  /// the first entry closes.
-  std::vector<uint32_t> Begin;
-  std::vector<RepId> Options;
-};
 
 /// A generated constraint system ready for the solver.
 struct ConstraintSystem {
@@ -70,9 +34,11 @@ struct ConstraintSystem {
   /// Seed pins: (variable, value in {0, 1}).
   std::vector<std::pair<VarId, double>> Pinned;
 
-  /// Per-event surviving backoff options Reps(v) (after the frequency
-  /// cutoff and the blacklist); empty entries mean the event is ignored.
-  EventOptions EventReps;
+  /// One keep verdict per representation of the RepTable the system was
+  /// generated against, indexed by RepId (RepTable::keepVerdicts: the
+  /// frequency cutoff and the blacklist). An event's backoff set Reps(v)
+  /// is its options with a verdict of 1; an event with none is ignored.
+  std::vector<uint8_t> Kept;
 
   /// Number of events with a non-empty backoff set (Tab. 1 "# Candidates").
   size_t NumCandidates = 0;
@@ -84,7 +50,12 @@ struct ConstraintSystem {
   /// \p Pool when set (which then also runs the sweeps); see
   /// solver/CompiledObjective.h.
   solver::CompiledObjective
-  makeCompiledObjective(double Lambda, ThreadPool *Pool = nullptr) const;
+  makeCompiledObjective(double Lambda, ThreadPool *Pool = nullptr) const {
+    solver::CompiledObjective Obj(Vars.numVars(), Constraints, Lambda, Pool);
+    for (const auto &[Var, Value] : Pinned)
+      Obj.pin(Var, Value);
+    return Obj;
+  }
 };
 
 } // namespace constraints

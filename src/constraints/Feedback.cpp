@@ -4,8 +4,7 @@
 
 #include <algorithm>
 #include <array>
-#include <span>
-#include <unordered_map>
+#include <cassert>
 
 using namespace seldon;
 using namespace seldon::constraints;
@@ -76,47 +75,49 @@ seldon::constraints::applyFeedback(ConstraintSystem &Sys,
   // that share an event's surviving backoff set with the judged one.
   // Targets keep the strongest decayed accept and/or reject evidence over
   // all shared events; max() is order-independent, so the result does not
-  // depend on event order.
-  std::array<std::unordered_map<RepId, double>, NumRoles> DirectAccept;
-  std::array<std::unordered_map<RepId, double>, NumRoles> DirectReject;
-  std::array<std::unordered_map<RepId, char>, NumRoles> HasDirect;
+  // depend on event order. Weights are per role and representation,
+  // indexed by RepId: 0 is no direct verdict, -1 no propagated evidence.
+  using Weights = std::array<std::vector<double>, NumRoles>;
+  Weights DirectAccept, DirectReject, PropAccept, PropReject;
+  for (Weights *W : {&DirectAccept, &DirectReject})
+    W->fill(std::vector<double>(Reps.size(), 0.0));
+  for (Weights *W : {&PropAccept, &PropReject})
+    W->fill(std::vector<double>(Reps.size(), -1.0));
+  std::array<std::vector<uint8_t>, NumRoles> HasDirect;
+  HasDirect.fill(std::vector<uint8_t>(Reps.size(), 0));
   for (const Direct &D : Directs) {
     size_t R = static_cast<size_t>(D.R);
     HasDirect[R][D.Rep] = 1;
-    auto &Map = D.Accepted ? DirectAccept[R] : DirectReject[R];
-    double W = D.Accepted ? Opts.AcceptWeight : Opts.RejectWeight;
-    double &Slot = Map[D.Rep];
-    Slot = std::max(Slot, W);
+    double &Slot = (D.Accepted ? DirectAccept : DirectReject)[R][D.Rep];
+    Slot = std::max(Slot, D.Accepted ? Opts.AcceptWeight : Opts.RejectWeight);
   }
 
-  std::array<std::unordered_map<RepId, double>, NumRoles> PropAccept;
-  std::array<std::unordered_map<RepId, double>, NumRoles> PropReject;
-  for (std::span<const RepId> Options : Sys.EventReps) {
+  assert(Sys.Kept.size() == Reps.size() && "system generated against Reps");
+  std::vector<RepId> Options; // The event's surviving backoff set.
+  for (const Event &E : Reps.graph().events()) {
+    Options.clear();
+    for (RepId Id : E.repIds())
+      if (Sys.Kept[Id])
+        Options.push_back(Id);
     if (Options.size() < 2)
       continue;
     for (size_t R = 0; R < NumRoles; ++R) {
       double MaxAcc = 0.0, MaxRej = 0.0;
       for (RepId Id : Options) {
-        auto AccIt = DirectAccept[R].find(Id);
-        if (AccIt != DirectAccept[R].end())
-          MaxAcc = std::max(MaxAcc, AccIt->second);
-        auto RejIt = DirectReject[R].find(Id);
-        if (RejIt != DirectReject[R].end())
-          MaxRej = std::max(MaxRej, RejIt->second);
+        MaxAcc = std::max(MaxAcc, DirectAccept[R][Id]);
+        MaxRej = std::max(MaxRej, DirectReject[R][Id]);
       }
       if (MaxAcc <= 0.0 && MaxRej <= 0.0)
         continue;
       for (RepId Id : Options) {
-        if (HasDirect[R].count(Id))
+        if (HasDirect[R][Id])
           continue; // A direct verdict overrides propagation.
-        if (MaxAcc > 0.0) {
-          double &Slot = PropAccept[R][Id];
-          Slot = std::max(Slot, MaxAcc * Opts.SimilarityDecay);
-        }
-        if (MaxRej > 0.0) {
-          double &Slot = PropReject[R][Id];
-          Slot = std::max(Slot, MaxRej * Opts.SimilarityDecay);
-        }
+        if (MaxAcc > 0.0)
+          PropAccept[R][Id] =
+              std::max(PropAccept[R][Id], MaxAcc * Opts.SimilarityDecay);
+        if (MaxRej > 0.0)
+          PropReject[R][Id] =
+              std::max(PropReject[R][Id], MaxRej * Opts.SimilarityDecay);
       }
     }
   }
@@ -130,20 +131,15 @@ seldon::constraints::applyFeedback(ConstraintSystem &Sys,
     bool Accepted;
   };
   std::vector<Prop> Props;
-  for (size_t R = 0; R < NumRoles; ++R) {
-    auto Collect = [&](const std::unordered_map<RepId, double> &Map,
-                       bool Accepted) {
-      for (const auto &[Id, W] : Map) {
+  for (size_t R = 0; R < NumRoles; ++R)
+    for (RepId Id = 0; Id < Reps.size(); ++Id)
+      for (bool Accepted : {true, false}) {
+        const double W = (Accepted ? PropAccept : PropReject)[R][Id];
         VarId V;
-        if (!Sys.Vars.lookup(Id, static_cast<Role>(R), V))
-          continue;
-        Props.push_back({&Reps.repString(Id), V, static_cast<Role>(R), W,
-                         Accepted});
+        if (W >= 0.0 && Sys.Vars.lookup(Id, static_cast<Role>(R), V))
+          Props.push_back({&Reps.repString(Id), V, static_cast<Role>(R), W,
+                           Accepted});
       }
-    };
-    Collect(PropAccept[R], /*Accepted=*/true);
-    Collect(PropReject[R], /*Accepted=*/false);
-  }
   std::sort(Props.begin(), Props.end(), [](const Prop &A, const Prop &B) {
     if (*A.Rep != *B.Rep)
       return *A.Rep < *B.Rep;

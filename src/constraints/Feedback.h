@@ -24,9 +24,11 @@
 ///
 /// Similar representations share evidence: two representations are
 /// similar when they appear in the same event's surviving backoff set
-/// (shared backoff prefixes — ConstraintSystem::EventReps, the product of
-/// the shard merge). A deterministic propagation pass forwards each direct
-/// verdict to its co-backoff representations at a decayed weight.
+/// (shared backoff prefixes: an event's options that the system's keep
+/// verdicts keep). Similarity is taken over the events of the corpus graph
+/// the RepTable counted, even for a system learned over its collapsed
+/// graph. A deterministic propagation pass forwards each direct verdict to
+/// its co-backoff representations at a decayed weight.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,9 +103,10 @@ struct FeedbackStats {
   size_t PropagatedRows = 0;
 };
 
-/// Appends the evidence rows of \p Set to \p Sys: direct rows first, in
-/// (rep, role) order, then propagated rows in (rep, role) order. A
-/// propagated representation takes the strongest decayed accept and/or
+/// Appends the evidence rows of \p Set to \p Sys, which was generated
+/// against \p Reps (its keep verdicts index Reps's ids): direct rows
+/// first, in (rep, role) order, then propagated rows in (rep, role) order.
+/// A propagated representation takes the strongest decayed accept and/or
 /// reject evidence over all events it shares with a directly-judged
 /// representation (max over events — order-independent); representations
 /// with a direct verdict never receive propagated rows. Deterministic:

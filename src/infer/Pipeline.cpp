@@ -72,8 +72,13 @@ Session &Session::enableShardCache(const std::string &Dir) {
   return *this;
 }
 
+void Session::publish(PropagationGraph Built) {
+  Graph = std::make_shared<const PropagationGraph>(std::move(Built));
+  Reps = RepTable(Graph);
+}
+
 Session &Session::adoptGraph(PropagationGraph NewGraph) {
-  Graph = std::make_shared<const PropagationGraph>(std::move(NewGraph));
+  publish(std::move(NewGraph));
   SystemReady = false;
   // An adopted graph has no per-project structure to slice shards from;
   // generateConstraints falls back to direct generation.
@@ -273,7 +278,7 @@ Session &Session::buildGraph() {
       Reg.counter("health.cache_incidents")
           .add(Health.CacheIncidents.size());
   }
-  Graph = std::make_shared<const PropagationGraph>(std::move(Merged));
+  publish(std::move(Merged));
   return *this;
 }
 
@@ -293,11 +298,9 @@ Session &Session::generateConstraints(const spec::SeedSpec &Seed) {
     Collapsed = Graph->collapseByRep();
     LearnGraph = &Collapsed;
   }
-  // Representation frequencies always come from the uncollapsed graph:
-  // contraction collapses every representation to one occurrence, which
-  // would starve the §4.3 frequency cutoff.
-  Reps = RepTable();
-  Reps.countOccurrences(*Graph);
+  // Representation frequencies always come from the uncollapsed graph
+  // (Reps): contraction collapses every representation to one occurrence,
+  // which would starve the §4.3 frequency cutoff.
   // The parse counters stay buildGraph()'s; the shard counters restart.
   Incr.ShardsHit = Incr.ShardsRebuilt = Incr.ShardsStored = 0;
   // The incremental path composes per-project shards; it requires the

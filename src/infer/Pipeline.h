@@ -146,6 +146,7 @@ struct PipelineResult {
   /// by every result it returns, so a result stays self-contained after
   /// its Session is gone without copying the graph.
   std::shared_ptr<const propgraph::PropagationGraph> Graph;
+  /// Graph's representation counts; its strings are Graph's.
   propgraph::RepTable Reps;
   constraints::ConstraintSystem System;
   solver::SolveResult Solve;
@@ -280,14 +281,14 @@ public:
   /// Strict restores fail-fast.
   Session &buildGraph();
 
-  /// Counts representations and generates the constraint system for
-  /// \p Seed (runs buildGraph() first if needed). Re-runnable.
+  /// Generates the constraint system for \p Seed (runs buildGraph() first
+  /// if needed). Re-runnable.
   Session &generateConstraints(const spec::SeedSpec &Seed);
 
   /// Minimizes the relaxed objective and returns the full result.
   /// Requires generateConstraints(). Re-runnable; each call re-optimizes
   /// with the current options. The result shares the session's graph and
-  /// copies its representation table and constraint system.
+  /// copies its representation counts and constraint system.
   PipelineResult solve();
 
   /// Installs a previously computed solver result instead of optimizing:
@@ -311,7 +312,7 @@ public:
   /// The generated constraint system (valid after generateConstraints();
   /// solve() copies it — plus any feedback rows — into its result).
   const constraints::ConstraintSystem &system() const { return System; }
-  /// The corpus representation table (valid after generateConstraints()).
+  /// The corpus representation table (valid after buildGraph()).
   const propgraph::RepTable &reps() const { return Reps; }
 
   /// Pins the (\p Rep, \p R) score variable to \p Value for every
@@ -332,6 +333,8 @@ public:
 private:
   unsigned resolveJobs() const;
   ThreadPool *poolFor(unsigned Jobs);
+  /// Publishes \p Built as the graph, together with its RepTable.
+  void publish(propgraph::PropagationGraph Built);
   void armDeadline();
   /// The result solve() and restoreSolve() both start from: the session's
   /// graph shared, its other artifacts, health and cache statistics copied

@@ -74,8 +74,8 @@ using EventId = uint32_t;
 inline constexpr EventId InvalidEvent = ~static_cast<EventId>(0);
 
 /// Dense id of an interned representation string: an index into a
-/// PropagationGraph's table of distinct strings, or into a RepTable (whose
-/// ids equal the table's for the graph it counted).
+/// PropagationGraph's table of distinct strings, which a RepTable counts
+/// over with the same ids.
 using RepId = uint32_t;
 
 /// An event's representation options, most to least specific: ids into

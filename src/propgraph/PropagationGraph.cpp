@@ -12,6 +12,9 @@ using namespace seldon::propgraph;
 
 namespace {
 
+/// An empty slot of the string table's index.
+constexpr RepId NoSlot = ~RepId(0);
+
 /// \p Size as a 32-bit array offset; throws std::length_error past 32 bits.
 uint32_t offsetOf(size_t Size) {
   if (Size > UINT32_MAX)
@@ -26,48 +29,59 @@ uint32_t PropagationGraph::addFile(std::string Path) {
   return static_cast<uint32_t>(Files.size() - 1);
 }
 
-RepId PropagationGraph::intern(std::string_view Rep) {
-  constexpr RepId NoSlot = ~RepId(0);
-  if (Slots.size() < 2 * (Table.size() + 1)) {
-    Slots.assign(std::max<size_t>(16, 2 * Slots.size()), NoSlot);
-    const size_t Mask = Slots.size() - 1;
-    for (RepId Id = 0; Id < Table.size(); ++Id) {
-      size_t At = std::hash<std::string_view>{}(Table[Id]) & Mask;
-      while (Slots[At] != NoSlot)
-        At = (At + 1) & Mask;
-      Slots[At] = Id;
-    }
-  }
+size_t PropagationGraph::probe(std::string_view Rep) const {
   const size_t Mask = Slots.size() - 1;
-  for (size_t At = std::hash<std::string_view>{}(Rep) & Mask;;
-       At = (At + 1) & Mask) {
-    if (Slots[At] == NoSlot) {
-      Slots[At] = offsetOf(Table.size());
-      Table.emplace_back(Rep);
-      return Slots[At];
-    }
-    if (Table[Slots[At]] == Rep)
-      return Slots[At];
-  }
+  size_t At = std::hash<std::string_view>{}(Rep) & Mask;
+  while (Slots[At] != NoSlot && Table[Slots[At]] != Rep)
+    At = (At + 1) & Mask;
+  return At;
 }
 
-EventId PropagationGraph::addEvent(EventKind Kind, RoleMask Candidates,
-                                   uint32_t FileIdx, pyast::SourceLoc Loc,
-                                   std::span<const std::string_view> Reps) {
-  assert(!Reps.empty() && "events must carry at least one representation");
+bool PropagationGraph::lookup(std::string_view Rep, RepId &IdOut) const {
+  const RepId Id = Slots.empty() ? NoSlot : Slots[probe(Rep)];
+  if (Id != NoSlot)
+    IdOut = Id;
+  return Id != NoSlot;
+}
+
+RepId PropagationGraph::intern(std::string_view Rep) {
+  if (Slots.size() < 2 * (Table.size() + 1)) {
+    Slots.assign(std::max<size_t>(16, 2 * Slots.size()), NoSlot);
+    for (RepId Id = 0; Id < Table.size(); ++Id)
+      Slots[probe(Table[Id])] = Id;
+  }
+  RepId &Slot = Slots[probe(Rep)];
+  if (Slot == NoSlot) {
+    Slot = offsetOf(Table.size());
+    Table.emplace_back(Rep);
+  }
+  return Slot;
+}
+
+EventId PropagationGraph::openEvent(EventKind Kind, RoleMask Candidates,
+                                    uint32_t FileIdx, pyast::SourceLoc Loc,
+                                    size_t NumOptions) {
+  assert(NumOptions != 0 && "events must carry at least one representation");
   assert(FileIdx < Files.size() && "event references unregistered file");
   const EventId Id = offsetOf(Records.size());
-  offsetOf(Options.size() + Reps.size()); // Offsets stay 32-bit.
+  offsetOf(Options.size() + NumOptions); // Offsets stay 32-bit.
   Records.push_back(
       {Kind, Candidates, FileIdx, Loc, static_cast<uint32_t>(Options.size())});
-  for (std::string_view Rep : Reps)
-    Options.push_back(intern(Rep));
   if (SuccBegin.empty()) {
     SuccBegin.push_back(0);
     PredBegin.push_back(0);
   }
   SuccBegin.push_back(SuccBegin.back());
   PredBegin.push_back(PredBegin.back());
+  return Id;
+}
+
+EventId PropagationGraph::addEvent(EventKind Kind, RoleMask Candidates,
+                                   uint32_t FileIdx, pyast::SourceLoc Loc,
+                                   std::span<const std::string_view> Reps) {
+  const EventId Id = openEvent(Kind, Candidates, FileIdx, Loc, Reps.size());
+  for (std::string_view Rep : Reps)
+    Options.push_back(intern(Rep));
   return Id;
 }
 
@@ -275,17 +289,19 @@ PropagationGraph PropagationGraph::collapseByRep() const {
         Merged.Options.push_back(R);
   }
 
+  // The nodes' options are ids into this graph's table, which the
+  // collapsed graph keeps.
   PropagationGraph Out;
+  Out.Table = Table;
+  Out.Slots = Slots;
   // All merged events nominally live in one synthetic file; per-file
   // provenance is meaningless after contraction.
   const uint32_t FileIdx = Out.addFile("<collapsed>");
-  std::vector<std::string_view> Reps;
   for (const Node &N : Nodes) {
-    Reps.clear();
-    for (RepId R : N.Options)
-      Reps.push_back(Table[R]);
-    Out.addEvent(Records[N.First].Kind, N.Candidates, FileIdx,
-                 Records[N.First].Loc, Reps);
+    Out.openEvent(Records[N.First].Kind, N.Candidates, FileIdx,
+                  Records[N.First].Loc, N.Options.size());
+    Out.Options.insert(Out.Options.end(), N.Options.begin(),
+                       N.Options.end());
   }
   std::vector<Edge> Edges;
   Edges.reserve(numEdges());

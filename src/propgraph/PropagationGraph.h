@@ -17,9 +17,10 @@
 ///  * one record per event (kind, candidate mask, file index, location and
 ///    where its options start);
 ///  * every event's options as RepIds over one table of the distinct
-///    option strings, in first-occurrence order (event order, then option
-///    order) — the order RepTable::countOccurrences interns in, so on any
-///    graph the two agree id for id;
+///    option strings. Built, appended and decoded graphs keep the table in
+///    first-occurrence order (event order, then option order); a collapsed
+///    graph keeps its source's table, so its option ids are its source's.
+///    A RepTable counts over this table and has no ids of its own;
 ///  * successors and predecessors in CSR form (offsets plus ids).
 ///    Successors keep insertion order. Predecessors keep insertion order
 ///    too, which after append() and decodeGraph() is source-event order.
@@ -120,9 +121,12 @@ public:
   const std::vector<std::string> &files() const { return Files; }
   const std::string &fileOf(const Event &E) const { return Files[E.FileIdx]; }
 
-  /// The distinct representation strings, indexed by RepId, in
-  /// first-occurrence order.
+  /// The distinct representation strings, indexed by RepId (see the file
+  /// comment for their order).
   const std::vector<std::string> &repStrings() const { return Table; }
+  /// Looks \p Rep up in the table; returns true and sets \p IdOut when it
+  /// is there.
+  bool lookup(std::string_view Rep, RepId &IdOut) const;
   /// Option slots over all events (the sum of every event's Reps.size()).
   size_t numOptions() const { return Options.size(); }
 
@@ -163,7 +167,9 @@ public:
   /// Vertex contraction: merges all events with equal primary
   /// representation into one node (Merlin's collapsed graph, §6.4).
   /// Candidate masks are unioned; the merged node keeps the union of all
-  /// members' representation option lists (first occurrence order).
+  /// members' representation option lists (first occurrence order). The
+  /// collapsed graph keeps this graph's string table, so each option id
+  /// names the same string in both.
   PropagationGraph collapseByRep() const;
 
   /// True if the graph contains no directed cycle (the builder's output is
@@ -184,6 +190,13 @@ private:
 
   /// Table id of \p Rep, adding it to the table when unseen.
   RepId intern(std::string_view Rep);
+  /// The slot holding \p Rep's id, or the free slot that ends its probe.
+  /// Slots must not be empty.
+  size_t probe(std::string_view Rep) const;
+  /// Appends the record of an event whose \p NumOptions options the caller
+  /// then pushes onto Options, and returns its id.
+  EventId openEvent(EventKind Kind, RoleMask Candidates, uint32_t FileIdx,
+                    pyast::SourceLoc Loc, size_t NumOptions);
 
   std::vector<Record> Records;
   std::vector<RepId> Options;

@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Interns event representations across the whole corpus, counts their
-/// occurrences, and decides which representations may serve in an event's
-/// backoff set Reps(v) (paper §4.3): options that occur fewer than the
-/// cutoff number of times (5 in the paper) are dropped; an event whose
-/// every option is dropped is ignored entirely.
+/// Counts the occurrences of every representation of the corpus graph, and
+/// decides which representations may serve in an event's backoff set
+/// Reps(v) (paper §4.3): options that occur fewer than the cutoff number of
+/// times (5 in the paper) are dropped; an event whose every option is
+/// dropped is ignored entirely.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,26 +21,33 @@
 #include "support/Glob.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace seldon {
 namespace propgraph {
 
-/// Corpus-wide interning and frequency table of representations.
+/// Corpus-wide frequency table of representations. It holds no string: it
+/// shares the graph it counted, and its ids are that graph's table ids. A
+/// default-constructed table is empty.
 class RepTable {
 public:
-  /// Interns \p Rep (without counting an occurrence).
-  RepId intern(const std::string &Rep);
+  RepTable() = default;
+  /// Counts every representation option of every event of \p Graph,
+  /// which the table then shares.
+  explicit RepTable(std::shared_ptr<const PropagationGraph> Graph);
 
-  /// Counts every representation option of every event in \p Graph,
-  /// interning the graph's distinct strings first, in its id order, so on
-  /// a fresh table every id equals the graph's. Call once per (global)
-  /// graph.
-  void countOccurrences(const PropagationGraph &Graph);
+  /// The counted graph. The table must not be empty.
+  const PropagationGraph &graph() const { return *Graph; }
 
-  /// Occurrences of \p Id recorded by countOccurrences.
+  /// True when \p Other's option ids are this table's: \p Other is the
+  /// counted graph, or has an equal string table (as its collapsed graph
+  /// does). Never true of an empty table.
+  bool sharesTableWith(const PropagationGraph &Other) const;
+
+  /// Occurrences of \p Id over the counted graph's events.
   size_t occurrences(RepId Id) const { return Counts[Id]; }
 
   /// One keep verdict per representation, indexed by RepId: 1 when it
@@ -51,16 +58,18 @@ public:
   std::vector<uint8_t> keepVerdicts(size_t Cutoff,
                                     const GlobSet &Blacklist) const;
 
-  const std::string &repString(RepId Id) const { return Strings[Id]; }
-  size_t size() const { return Strings.size(); }
+  const std::string &repString(RepId Id) const {
+    return Graph->repStrings()[Id];
+  }
+  size_t size() const { return Counts.size(); }
 
-  /// Looks up an already-interned representation; returns true and sets
-  /// \p IdOut on success.
-  bool lookup(const std::string &Rep, RepId &IdOut) const;
+  /// Looks up a representation; returns true and sets \p IdOut on success.
+  bool lookup(std::string_view Rep, RepId &IdOut) const {
+    return Graph && Graph->lookup(Rep, IdOut);
+  }
 
 private:
-  std::unordered_map<std::string, RepId> Ids;
-  std::vector<std::string> Strings;
+  std::shared_ptr<const PropagationGraph> Graph;
   std::vector<size_t> Counts;
 };
 

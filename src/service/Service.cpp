@@ -106,6 +106,8 @@ bool Service::start(std::string &Error) {
   try {
     Session->generateConstraints(Seed);
     if (Durable) {
+      SessionFingerprint =
+          systemFingerprint(Session->system(), Session->reps());
       if (!recoverDurableState(Error))
         return false;
     } else {
@@ -141,9 +143,7 @@ bool Service::recoverDurableState(std::string &Error) {
         Feedback.reject(E.Rep, E.R);
     }
     WarmFO = RS.Snapshot.FeedbackOpts;
-    uint64_t Fingerprint =
-        systemFingerprint(Session->system(), Session->reps());
-    if (Fingerprint == RS.Snapshot.Fingerprint) {
+    if (SessionFingerprint == RS.Snapshot.Fingerprint) {
       infer::ScopedOptions Scope(*Session);
       Session->options().FeedbackOpts = WarmFO;
       infer::PipelineResult Result;
@@ -208,8 +208,7 @@ void Service::takeSnapshotLocked() {
     return;
   StateSnapshot Snapshot;
   Snapshot.LastSeq = NextSeq - 1;
-  Snapshot.Fingerprint =
-      systemFingerprint(Session->system(), Session->reps());
+  Snapshot.Fingerprint = SessionFingerprint;
   Snapshot.Solve = Warm.Solve;
   Snapshot.FeedbackOpts = WarmFO;
   Snapshot.Feedback = Feedback.entries();
@@ -598,15 +597,19 @@ void Service::applyLearnRecord(const JournalRecord &Rec, Deadline *D) {
     if (!NewSession)
       throw OpError(ErrorCode::Internal, Error);
     NewSession->generateConstraints(Seed);
+    const uint64_t NewFingerprint =
+        Durable ? systemFingerprint(NewSession->system(), NewSession->reps())
+                : 0;
     infer::PipelineResult R = solveRecord(*NewSession, Rec, D);
     // Moving the vector moves its buffer, not its elements, so the
     // Project pointers the new session borrowed stay valid.
     Corpus = std::move(NewCorpus);
     Session = std::move(NewSession);
+    SessionFingerprint = NewFingerprint;
     publishLocked(std::move(R));
   } else {
-    // The graph and constraint system are warm (GraphReady/SystemReady
-    // from start()); solve() alone re-optimizes — no re-parse, no re-gen.
+    // The graph and constraint system are warm (from start() or the last
+    // reload); solve() alone re-optimizes — no re-parse, no re-gen.
     publishLocked(solveRecord(*Session, Rec, D));
   }
   WarmFO = Session->options().FeedbackOpts;

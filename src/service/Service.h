@@ -238,6 +238,9 @@ private:
   /// Sequence number covered by the last snapshot (0 = none yet).
   uint64_t LastSnapshotSeq = 0;
   bool EverSnapshotted = false;
+  /// systemFingerprint() of Session's system, computed once per session
+  /// (at start and after a reload's generation) when durability is on.
+  uint64_t SessionFingerprint = 0;
   /// The FeedbackOptions the solve that produced Warm applied its
   /// evidence rows with; snapshotted so recovery re-applies identically.
   constraints::FeedbackOptions WarmFO;

@@ -279,7 +279,24 @@ seldon::service::systemFingerprint(const constraints::ConstraintSystem &Sys,
     codec::hashChunk(Hash, Reps.repString(Vars.repOf(V)));
     codec::hashValue(Hash, static_cast<uint64_t>(Vars.roleOf(V)));
   }
+  // Each row's sides as the bytes of their terms (variable and
+  // coefficient bits), then its slack.
+  static_assert(sizeof(solver::Term) == 8, "a term has no padding");
+  auto Bytes = [](std::span<const solver::Term> Terms) {
+    return std::string_view(reinterpret_cast<const char *>(Terms.data()),
+                            Terms.size_bytes());
+  };
   codec::hashValue(Hash, Sys.Constraints.size());
+  for (const solver::LinearConstraint &Row : Sys.Constraints) {
+    codec::hashChunk(Hash, Bytes(Row.Lhs));
+    codec::hashChunk(Hash, Bytes(Row.Rhs));
+    codec::hashValue(Hash, doubleBits(Row.C));
+  }
+  codec::hashValue(Hash, Sys.Pinned.size());
+  for (const auto &[Var, Value] : Sys.Pinned) {
+    codec::hashValue(Hash, Var);
+    codec::hashValue(Hash, doubleBits(Value));
+  }
   codec::hashValue(Hash, Sys.NumCandidates);
   return Hash;
 }

@@ -133,12 +133,14 @@ std::string encodeSnapshot(const StateSnapshot &Snapshot);
 /// descriptive error with an empty value.
 io::IOResult<StateSnapshot> decodeSnapshot(std::string_view Bytes);
 
-/// Content fingerprint of the constraint system a solve ran against:
-/// variable count, each variable's (representation string, role) in
-/// variable order, constraint-row count, and candidate count. Two runs
-/// over the same corpus/seed produce the same fingerprint at any --jobs;
-/// a changed corpus (different variables) changes it, which recovery uses
-/// to detect that a snapshot's X vector no longer matches the system.
+/// Content fingerprint of the constraint system a solve ran against: each
+/// variable's (representation string, role) in variable order, every
+/// row's terms (variable and coefficient bits) and slack, every seed pin,
+/// and the candidate count. Two runs over the same corpus/seed produce the
+/// same fingerprint at any --jobs; a changed corpus or seed (a different
+/// variable, row or pin) changes it, which recovery uses to detect that a
+/// snapshot's X vector no longer solves the system. Hashes every term, so
+/// a caller computes it once per generated system.
 uint64_t systemFingerprint(const constraints::ConstraintSystem &Sys,
                            const propgraph::RepTable &Reps);
 

@@ -7,10 +7,10 @@
 ///
 /// \file
 /// The iterator of a flat store whose accessor builds each element as a
-/// view, by value (solver::ConstraintRows, constraints::EventOptions,
-/// propgraph::PropagationGraph): it holds the store and an index and yields
-/// (Store.*Get)(Index), Store[Index] by default, so a range-for over the
-/// store reads like one over a vector of the views.
+/// view, by value (solver::ConstraintRows, propgraph::PropagationGraph):
+/// it holds the store and an index and yields (Store.*Get)(Index),
+/// Store[Index] by default, so a range-for over the store reads like one
+/// over a vector of the views.
 ///
 //===----------------------------------------------------------------------===//
 

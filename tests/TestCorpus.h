@@ -7,10 +7,11 @@
 ///
 /// \file
 /// The one place tests configure corpus::CorpusGenerator: a seeded corpus
-/// of a given size, the corpus-order global graph, and a unique scratch
-/// directory helper for cache tests. Property, codec, and cache tests all
-/// draw their randomized inputs from here so "the corpus at seed S" means
-/// the same thing in every suite.
+/// of a given size, the corpus-order global graph, the representation
+/// table of a hand-written graph, and a unique scratch directory helper
+/// for cache tests. Property, codec, and cache tests all draw their
+/// randomized inputs from here so "the corpus at seed S" means the same
+/// thing in every suite.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,13 +20,17 @@
 
 #include "corpus/CorpusGenerator.h"
 #include "propgraph/GraphBuilder.h"
+#include "propgraph/RepTable.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <initializer_list>
+#include <memory>
 #include <string>
+#include <string_view>
 
 #include <unistd.h>
 
@@ -53,6 +58,29 @@ buildGlobalGraph(const corpus::Corpus &Data,
   for (const pysem::Project &P : Data.Projects)
     Global.append(propgraph::buildProjectGraph(P, Opts));
   return Global;
+}
+
+/// The representation table of a one-file graph with one event per entry
+/// of \p Events, each carrying that entry's options, most to least
+/// specific. Ids follow first occurrence. Hand-built constraint systems
+/// take their RepIds from it, and keep every one of them.
+inline propgraph::RepTable repTableOf(
+    std::initializer_list<std::initializer_list<std::string_view>> Events) {
+  propgraph::PropagationGraph Graph;
+  const uint32_t File = Graph.addFile("hand.py");
+  for (std::initializer_list<std::string_view> Options : Events)
+    Graph.addEvent(propgraph::EventKind::Call, propgraph::AllRolesMask, File,
+                   {}, Options);
+  return propgraph::RepTable(
+      std::make_shared<const propgraph::PropagationGraph>(std::move(Graph)));
+}
+
+/// The id of \p Rep in \p Reps, which must hold it.
+inline propgraph::RepId repIdOf(const propgraph::RepTable &Reps,
+                                std::string_view Rep) {
+  propgraph::RepId Id = 0;
+  EXPECT_TRUE(Reps.lookup(Rep, Id)) << Rep;
+  return Id;
 }
 
 /// Adds every project of \p Data except the corpus indices in \p Skip to

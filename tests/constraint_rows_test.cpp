@@ -169,8 +169,7 @@ TEST(ConstraintRowsTest, AppendMappedRemapsVariablesAndShiftsOffsets) {
 
 struct Generated {
   pysem::Project Proj;
-  propgraph::PropagationGraph Graph;
-  propgraph::RepTable Reps;
+  propgraph::RepTable Reps; // Over the module's graph, Reps.graph().
   constraints::ConstraintSystem Sys;
 
   Generated() {
@@ -180,14 +179,15 @@ struct Generated {
                                  "    f.save(d.snk(s.san(w.src())))\n"
                                  "    y = x.split()\n");
     std::vector<pyast::ParseError> Errors;
-    Graph = propgraph::buildModuleGraph(Proj, M, propgraph::BuildOptions(),
-                                        &Errors);
+    Reps = propgraph::RepTable(
+        std::make_shared<const propgraph::PropagationGraph>(
+            propgraph::buildModuleGraph(Proj, M, propgraph::BuildOptions(),
+                                        &Errors)));
     EXPECT_TRUE(Errors.empty());
-    Reps.countOccurrences(Graph);
     constraints::GenOptions Opts;
     Opts.RepCutoff = 1;
     Sys = constraints::generateConstraints(
-        Graph, Reps, spec::SeedSpec::parse("b: *.split()*\n"), Opts);
+        Reps.graph(), Reps, spec::SeedSpec::parse("b: *.split()*\n"), Opts);
   }
 };
 
@@ -215,55 +215,42 @@ TEST(ConstraintRowsTest, FeedbackRowsAppendAfterGeneration) {
   EXPECT_EQ(G.Sys.Constraints[Rows + 1].Rhs.size(), 1u);
 }
 
-TEST(EventOptionsTest, BuiltFromListsAndByTheGenerator) {
-  constraints::EventOptions Lists = {{4, 2}, {}, {7}};
-  ASSERT_EQ(Lists.size(), 3u);
-  EXPECT_EQ(std::vector<propgraph::RepId>(Lists[0].begin(), Lists[0].end()),
-            (std::vector<propgraph::RepId>{4, 2}));
-  EXPECT_TRUE(Lists[1].empty());
-  EXPECT_EQ(Lists[2].size(), 1u);
-  size_t E = 0;
-  for (std::span<const propgraph::RepId> Options : Lists) {
-    EXPECT_EQ(Options.data(), Lists[E].data());
-    EXPECT_EQ(Options.size(), Lists[E].size());
-    ++E;
-  }
-  EXPECT_EQ(E, 3u);
-  EXPECT_EQ(constraints::EventOptions().size(), 0u);
-
-  // One entry per event: its options most to least specific, empty for an
-  // event whose every option is blacklisted.
+TEST(KeepVerdictTest, GeneratorKeepsOneVerdictPerRepresentation) {
+  // One verdict per representation of the table: the blacklisted split()
+  // is vetoed, every other option is kept at cutoff 1.
   Generated G;
-  const constraints::EventOptions &Options = G.Sys.EventReps;
-  ASSERT_EQ(Options.size(), G.Graph.numEvents());
-  size_t Empty = 0, Candidates = 0;
-  for (const propgraph::Event &Ev : G.Graph.events()) {
-    std::vector<propgraph::RepId> Want;
-    for (const std::string &Rep : Ev.Reps) {
-      propgraph::RepId Id;
-      if (Rep.find(".split()") == std::string::npos &&
-          G.Reps.lookup(Rep, Id))
-        Want.push_back(Id);
-    }
-    std::span<const propgraph::RepId> Got = Options[Ev.Id];
-    EXPECT_EQ(std::vector<propgraph::RepId>(Got.begin(), Got.end()), Want)
-        << Ev.primaryRep();
-    Empty += Got.empty();
-    Candidates += !Got.empty();
+  ASSERT_EQ(G.Sys.Kept.size(), G.Reps.size());
+  for (propgraph::RepId Id = 0; Id < G.Reps.size(); ++Id)
+    EXPECT_EQ(G.Sys.Kept[Id],
+              G.Reps.repString(Id).find(".split()") == std::string::npos)
+        << G.Reps.repString(Id);
+
+  // An event is a candidate iff a verdict keeps one of its options; the
+  // blacklisted split() call has none.
+  size_t Candidates = 0, Dead = 0;
+  for (const propgraph::Event &Ev : G.Reps.graph().events()) {
+    size_t Kept = 0;
+    for (propgraph::RepId Id : Ev.repIds())
+      Kept += G.Sys.Kept[Id];
+    Candidates += Kept != 0;
+    Dead += Kept == 0;
   }
-  EXPECT_GT(Empty, 0u) << "the blacklisted split() leaves an empty entry";
+  EXPECT_GT(Dead, 0u) << "the blacklisted split() call is ignored";
   EXPECT_EQ(Candidates, G.Sys.NumCandidates);
 
+  // The save() call keeps both options, most to least specific.
   propgraph::RepId Specific, General;
   ASSERT_TRUE(G.Reps.lookup("media(param f).save()", Specific));
   ASSERT_TRUE(G.Reps.lookup("f.save()", General));
+  EXPECT_TRUE(G.Sys.Kept[Specific]);
+  EXPECT_TRUE(G.Sys.Kept[General]);
   bool Found = false;
-  for (std::span<const propgraph::RepId> Entry : Options)
-    if (Entry.size() == 2 && Entry[0] == Specific) {
-      EXPECT_EQ(Entry[1], General);
+  for (const propgraph::Event &Ev : G.Reps.graph().events())
+    if (Ev.repIds().size() == 2 && Ev.repIds()[0] == Specific) {
+      EXPECT_EQ(Ev.repIds()[1], General);
       Found = true;
     }
-  EXPECT_TRUE(Found) << "the save() call keeps both options, in order";
+  EXPECT_TRUE(Found);
 }
 
 } // namespace

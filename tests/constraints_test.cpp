@@ -7,15 +7,24 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string_view>
+#include <vector>
+
 using namespace seldon;
 using namespace seldon::constraints;
 using namespace seldon::propgraph;
 
 namespace {
 
+/// A representation table over \p Graph, which it takes over.
+RepTable countedTable(PropagationGraph Graph) {
+  return RepTable(std::make_shared<const PropagationGraph>(std::move(Graph)));
+}
+
 struct GenFixture {
   pysem::Project Proj;
-  PropagationGraph Graph;
   RepTable Reps;
   spec::SeedSpec Seed;
   ConstraintSystem Sys;
@@ -24,11 +33,10 @@ struct GenFixture {
              GenOptions Opts = lowCutoff()) {
     const pysem::ModuleInfo &M = Proj.addModule("app.py", Source);
     std::vector<pyast::ParseError> Errors;
-    Graph = buildModuleGraph(Proj, M, BuildOptions(), &Errors);
+    Reps = countedTable(buildModuleGraph(Proj, M, BuildOptions(), &Errors));
     EXPECT_TRUE(Errors.empty());
-    Reps.countOccurrences(Graph);
     Seed = spec::SeedSpec::parse(SeedText);
-    Sys = generateConstraints(Graph, Reps, Seed, Opts);
+    Sys = generateConstraints(Reps.graph(), Reps, Seed, Opts);
   }
 
   static GenOptions lowCutoff() {
@@ -245,8 +253,7 @@ TEST(ConstraintGenTest, PairCapCountsSurvivingPairsOnly) {
       Add("s.san()", 0);
       Add("d.live()", 0);
     }
-    RepTable Reps;
-    Reps.countOccurrences(G);
+    const RepTable Reps = countedTable(G);
     spec::SeedSpec Seed =
         spec::SeedSpec::parse(Blacklisted ? "b: d.dead*\n" : "");
     RepId SanRep, LiveRep;
@@ -256,9 +263,9 @@ TEST(ConstraintGenTest, PairCapCountsSurvivingPairsOnly) {
     ConstraintShard Shard = extractShard(G, 0, 1);
     const ShardFile *Cached[] = {&Shard.Files[0]};
     for (const ConstraintSystem &Sys :
-         {generateConstraints(G, Reps, Seed, Opts),
-          generateConstraints(G, Reps, Seed, Opts, nullptr, nullptr,
-                              Cached)}) {
+         {generateConstraints(Reps.graph(), Reps, Seed, Opts),
+          generateConstraints(Reps.graph(), Reps, Seed, Opts, nullptr,
+                              nullptr, Cached)}) {
       ASSERT_EQ(Sys.Constraints.size(), 1u);
       const solver::LinearConstraint &Row = Sys.Constraints.front();
       VarId SanVar, LiveVar;
@@ -279,12 +286,35 @@ TEST(ConstraintGenTest, CrossFileRepsShareVariables) {
   const auto &M2 = Proj.addModule("p/b.py", "import w\ny = w.api()\n");
   (void)M1;
   (void)M2;
-  PropagationGraph G = buildProjectGraph(Proj);
-  RepTable Reps;
-  Reps.countOccurrences(G);
+  const RepTable Reps = countedTable(buildProjectGraph(Proj));
   RepId Id;
   ASSERT_TRUE(Reps.lookup("w.api()", Id));
   EXPECT_EQ(Reps.occurrences(Id), 2u);
+}
+
+TEST(ConstraintGenTest, ThrowsOnAGraphWithAnotherTable) {
+  // Ids index one string table: a graph whose table differs from the one
+  // the RepTable counted would map every option to another string, so
+  // generation refuses it. The counted graph and its collapsed graph,
+  // which keeps the table, are accepted.
+  GenFixture F("import w\nimport d\nd.snk(w.src())\n", "");
+  const PropagationGraph &Counted = F.Reps.graph();
+  EXPECT_NO_THROW(generateConstraints(Counted, F.Reps, F.Seed));
+  EXPECT_NO_THROW(generateConstraints(Counted.collapseByRep(), F.Reps,
+                                      F.Seed));
+
+  PropagationGraph Reordered;
+  const uint32_t File = Reordered.addFile("app.py");
+  for (EventId Id = Counted.numEvents(); Id-- > 0;) {
+    const Event E = Counted.event(Id);
+    std::vector<std::string_view> Options(E.Reps.begin(), E.Reps.end());
+    Reordered.addEvent(E.Kind, E.Candidates, File, E.Loc, Options);
+  }
+  ASSERT_NE(Reordered.repStrings(), Counted.repStrings());
+  EXPECT_THROW(generateConstraints(Reordered, F.Reps, F.Seed),
+               std::invalid_argument);
+  EXPECT_THROW(generateConstraints(Counted, RepTable(), F.Seed),
+               std::invalid_argument);
 }
 
 } // namespace

@@ -10,6 +10,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestCorpus.h"
+
 #include "service/StateCodec.h"
 #include "service/StateStore.h"
 #include "support/BinaryCodec.h"
@@ -365,6 +367,41 @@ TEST(SnapshotCodecTest, TrailingGarbageIsRejected) {
   io::IOResult<StateSnapshot> R = decodeSnapshot(Bytes);
   EXPECT_FALSE(R.ok());
   EXPECT_FALSE(R.Error.empty());
+}
+
+/// The fingerprint covers the whole system a snapshot's scores solve:
+/// systems that agree on their variables, row count and candidate count
+/// still differ in it when one term, slack or pin value differs, and the
+/// same system always gets the same fingerprint.
+TEST(SnapshotCodecTest, FingerprintCoversEveryTermAndPin) {
+  const propgraph::RepTable Reps = testutil::repTableOf(
+      {{"web.read()"}, {"db.run()"}, {"mid.filter()"}});
+  // Variables 0, 1 and 2: web.read()^source, db.run()^sink and
+  // mid.filter()^sanitizer. The second row and the pin vary.
+  auto Fingerprint = [&](std::vector<solver::Term> Lhs,
+                         std::vector<solver::Term> Rhs, double C,
+                         double Pin) {
+    constraints::ConstraintSystem Sys;
+    Sys.Vars.varFor(testutil::repIdOf(Reps, "web.read()"),
+                    propgraph::Role::Source);
+    Sys.Vars.varFor(testutil::repIdOf(Reps, "db.run()"),
+                    propgraph::Role::Sink);
+    Sys.Vars.varFor(testutil::repIdOf(Reps, "mid.filter()"),
+                    propgraph::Role::Sanitizer);
+    Sys.Constraints.add({{0, 1.0f}, {1, 1.0f}}, {{2, 1.0f}}, 0.75);
+    Sys.Constraints.add(Lhs, Rhs, C);
+    Sys.Pinned.emplace_back(0, Pin);
+    Sys.NumCandidates = 3;
+    return systemFingerprint(Sys, Reps);
+  };
+  const uint64_t Base = Fingerprint({{2, 0.5f}}, {}, 0.75, 1.0);
+  EXPECT_EQ(Fingerprint({{2, 0.5f}}, {}, 0.75, 1.0), Base) << "same system";
+  EXPECT_NE(Fingerprint({{1, 0.5f}}, {}, 0.75, 1.0), Base) << "a variable";
+  EXPECT_NE(Fingerprint({{2, 0.25f}}, {}, 0.75, 1.0), Base)
+      << "a coefficient";
+  EXPECT_NE(Fingerprint({}, {{2, 0.5f}}, 0.75, 1.0), Base) << "a side";
+  EXPECT_NE(Fingerprint({{2, 0.5f}}, {}, 1.0, 1.0), Base) << "a slack";
+  EXPECT_NE(Fingerprint({{2, 0.5f}}, {}, 0.75, 0.0), Base) << "a pin value";
 }
 
 //===----------------------------------------------------------------------===//

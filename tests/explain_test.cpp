@@ -175,12 +175,12 @@ TEST(ExplainTest, IndexFindsExactlyTheScannedRows) {
 }
 
 TEST(ExplainTest, IndexListsEachRowOncePerVariable) {
-  RepTable Reps;
+  const RepTable Reps = testutil::repTableOf({{"a()"}, {"b()"}, {"idle()"}});
+  auto Id = [&](std::string_view Rep) { return testutil::repIdOf(Reps, Rep); };
   constraints::ConstraintSystem Sys;
-  constraints::VarId A = Sys.Vars.varFor(Reps.intern("a()"), Role::Source);
-  constraints::VarId B = Sys.Vars.varFor(Reps.intern("b()"), Role::Sink);
-  constraints::VarId Idle =
-      Sys.Vars.varFor(Reps.intern("idle()"), Role::Sanitizer);
+  constraints::VarId A = Sys.Vars.varFor(Id("a()"), Role::Source);
+  constraints::VarId B = Sys.Vars.varFor(Id("b()"), Role::Sink);
+  constraints::VarId Idle = Sys.Vars.varFor(Id("idle()"), Role::Sanitizer);
   // Row 0 repeats A within one side; row 1 has A on both sides; row 2
   // mentions only B.
   Sys.Constraints.add({{A, 1.0f}, {A, 0.5f}}, {{B, 1.0f}}, 0.5);
@@ -215,13 +215,14 @@ TEST(ExplainTest, IndexListsEachRowOncePerVariable) {
 
 /// The JSON and text answers, byte for byte, on the scan and on the index.
 TEST(ExplainTest, AnswerBytesArePinnedOnBothPaths) {
-  RepTable Reps;
-  constraints::ConstraintSystem Sys;
   // A rep string holding every kind of byte JSON must escape.
   const std::string Odd = "we\"ird\\rep\x01" "()";
-  constraints::VarId A = Sys.Vars.varFor(Reps.intern(Odd), Role::Source);
-  constraints::VarId B = Sys.Vars.varFor(Reps.intern("b()"), Role::Sink);
-  Sys.Vars.varFor(Reps.intern("idle()"), Role::Sanitizer);
+  const RepTable Reps = testutil::repTableOf({{Odd}, {"b()"}, {"idle()"}});
+  auto Id = [&](std::string_view Rep) { return testutil::repIdOf(Reps, Rep); };
+  constraints::ConstraintSystem Sys;
+  constraints::VarId A = Sys.Vars.varFor(Id(Odd), Role::Source);
+  constraints::VarId B = Sys.Vars.varFor(Id("b()"), Role::Sink);
+  Sys.Vars.varFor(Id("idle()"), Role::Sanitizer);
   // Row 0 repeats A within a side, row 1 demands A through a non-unit
   // coefficient, row 2 has an empty side and does not mention A.
   Sys.Constraints.add({{A, 1.0f}, {A, 0.5f}}, {{B, 1.0f}}, 0.5);

@@ -30,22 +30,23 @@ namespace {
 //===----------------------------------------------------------------------===//
 
 struct TinySystem {
-  propgraph::RepTable Reps;
+  // alpha and beta share one event's surviving backoff set; gamma is
+  // isolated (a singleton backoff set never propagates).
+  propgraph::RepTable Reps = testutil::repTableOf(
+      {{"pkg.alpha()", "pkg.beta()"}, {"pkg.gamma()"}});
   ConstraintSystem Sys;
   propgraph::RepId A, B, C;
   VarId VarASource, VarBSource, VarCSource, VarBSink;
 
   TinySystem() {
-    A = Reps.intern("pkg.alpha()");
-    B = Reps.intern("pkg.beta()");
-    C = Reps.intern("pkg.gamma()");
+    A = testutil::repIdOf(Reps, "pkg.alpha()");
+    B = testutil::repIdOf(Reps, "pkg.beta()");
+    C = testutil::repIdOf(Reps, "pkg.gamma()");
     VarASource = Sys.Vars.varFor(A, propgraph::Role::Source);
     VarBSource = Sys.Vars.varFor(B, propgraph::Role::Source);
     VarCSource = Sys.Vars.varFor(C, propgraph::Role::Source);
     VarBSink = Sys.Vars.varFor(B, propgraph::Role::Sink);
-    // alpha and beta share one event's surviving backoff set; gamma is
-    // isolated (a singleton backoff set never propagates).
-    Sys.EventReps = {{A, B}, {C}};
+    Sys.Kept.assign(Reps.size(), 1);
   }
 };
 

@@ -299,7 +299,11 @@ TEST(FormatGoldenTest, QueryAnswersArePinned) {
   for (propgraph::Role R : {propgraph::Role::Source,
                             propgraph::Role::Sanitizer,
                             propgraph::Role::Sink}) {
-    for (std::span<const propgraph::RepId> Options : Sys.EventReps) {
+    for (const propgraph::Event &E : Passive.Graph->events()) {
+      std::vector<propgraph::RepId> Options;
+      for (propgraph::RepId Id : E.repIds())
+        if (Sys.Kept[Id])
+          Options.push_back(Id);
       constraints::VarId V;
       if (Options.size() < 2 || !Sys.Vars.lookup(Options[0], R, V) ||
           !Sys.Vars.lookup(Options[1], R, V))

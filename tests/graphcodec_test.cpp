@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <span>
 
 using namespace seldon;
@@ -110,9 +111,10 @@ TEST_P(CodecSweepTest, DecodedGraphYieldsIdenticalConstraints) {
       decodeGraph(encodeGraph(Original));
   ASSERT_TRUE(Decoded.ok()) << Decoded.Error;
 
-  RepTable RepsA, RepsB;
-  RepsA.countOccurrences(Original);
-  RepsB.countOccurrences(Decoded.Value);
+  const RepTable RepsA(
+      std::make_shared<const PropagationGraph>(std::move(Original)));
+  const RepTable RepsB(
+      std::make_shared<const PropagationGraph>(std::move(Decoded.Value)));
   ASSERT_EQ(RepsA.size(), RepsB.size());
   for (RepId Id = 0; Id < RepsA.size(); ++Id) {
     EXPECT_EQ(RepsA.repString(Id), RepsB.repString(Id));
@@ -120,9 +122,9 @@ TEST_P(CodecSweepTest, DecodedGraphYieldsIdenticalConstraints) {
   }
 
   constraints::ConstraintSystem SysA =
-      constraints::generateConstraints(Original, RepsA, Data.Seed);
+      constraints::generateConstraints(RepsA.graph(), RepsA, Data.Seed);
   constraints::ConstraintSystem SysB =
-      constraints::generateConstraints(Decoded.Value, RepsB, Data.Seed);
+      constraints::generateConstraints(RepsB.graph(), RepsB, Data.Seed);
   expectSystemsIdentical(SysA, SysB);
 }
 

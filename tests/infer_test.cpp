@@ -7,6 +7,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "infer/Pipeline.h"
+#include "service/QueryResult.h"
 #include "taint/TaintAnalyzer.h"
 #include "TestCorpus.h"
 
@@ -210,11 +211,27 @@ TEST(PipelineTest, ResultsShareTheSessionGraph) {
     EXPECT_EQ(Restored.Graph.get(), &S.graph());
     Events = S.graph().numEvents();
   }
-  // The session is gone; the graph lives on in its results.
+  // The session is gone; the graph lives on in its results, and so do
+  // the strings their representation tables read from it.
   ASSERT_EQ(Solved.Graph, Restored.Graph);
   EXPECT_EQ(Solved.Graph->numEvents(), Events);
+  EXPECT_EQ(&Solved.Reps.graph(), Solved.Graph.get());
   taint::RoleResolver Roles(&Seed.Spec, nullptr);
   EXPECT_EQ(taint::TaintAnalyzer(*Solved.Graph).analyze(Roles).size(), 6u);
+  const constraints::VarTable &Vars = Solved.System.Vars;
+  ASSERT_GT(Vars.numVars(), 0u);
+  for (uint32_t V = 0; V < Vars.numVars(); ++V) {
+    const std::string &Rep = Solved.Reps.repString(Vars.repOf(V));
+    EXPECT_EQ(Rep, Restored.Reps.repString(Vars.repOf(V)));
+    EXPECT_EQ(Solved.Learned.score(Rep, Vars.roleOf(V)),
+              Solved.Solve.X[V]);
+  }
+  service::QueryResult Q =
+      service::queryRep(Solved.System, Solved.Reps, "web.read()",
+                        Role::Source, Solved.Solve.X);
+  EXPECT_TRUE(Q.Found);
+  EXPECT_TRUE(Q.Pinned);
+  EXPECT_FALSE(Q.Constraints.empty());
 }
 
 //===----------------------------------------------------------------------===//

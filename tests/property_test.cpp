@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 using namespace seldon;
 using namespace seldon::propgraph;
 
@@ -65,10 +67,9 @@ TEST_P(CorpusSweepTest, EndToEndInvariants) {
 
   // Constraint system: every term references a live variable; coefficients
   // are positive and at most 1 (backoff averages).
-  RepTable Reps;
-  Reps.countOccurrences(Global);
+  const RepTable Reps(std::make_shared<const PropagationGraph>(Global));
   constraints::ConstraintSystem Sys =
-      constraints::generateConstraints(Global, Reps, Data.Seed);
+      constraints::generateConstraints(Reps.graph(), Reps, Data.Seed);
   for (const solver::LinearConstraint &C : Sys.Constraints) {
     EXPECT_FALSE(C.Lhs.empty());
     EXPECT_DOUBLE_EQ(C.C, 0.75);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <span>
 
 using namespace seldon;
@@ -93,16 +94,18 @@ referenceSearch(const PropagationGraph &G, EventId Start, bool Forward) {
 
 /// \p E's backoff options under \p Keep, most to least specific, as
 /// constraint generation filters them.
-std::vector<RepId> keptOptions(const RepTable &Table,
-                               const std::vector<uint8_t> &Keep,
+std::vector<RepId> keptOptions(const std::vector<uint8_t> &Keep,
                                const Event &E) {
   std::vector<RepId> Out;
-  for (const std::string &Rep : E.Reps) {
-    RepId Id;
-    if (Table.lookup(Rep, Id) && Keep[Id])
+  for (RepId Id : E.repIds())
+    if (Keep[Id])
       Out.push_back(Id);
-  }
   return Out;
+}
+
+/// A representation table over a copy of \p Graph.
+RepTable countedTable(const PropagationGraph &Graph) {
+  return RepTable(std::make_shared<const PropagationGraph>(Graph));
 }
 
 //===----------------------------------------------------------------------===//
@@ -896,16 +899,29 @@ TEST(PropagationGraphTest, IsAcyclicDetectsCycles) {
   EXPECT_FALSE(G.isAcyclic());
 }
 
-/// Asserts that \p G's table ids are the ids a fresh RepTable assigns.
-void expectTableMatchesRepTable(const PropagationGraph &G) {
-  RepTable Fresh;
-  Fresh.countOccurrences(G);
-  ASSERT_EQ(Fresh.size(), G.repStrings().size());
-  for (RepId Id = 0; Id < Fresh.size(); ++Id)
-    EXPECT_EQ(Fresh.repString(Id), G.repStrings()[Id]) << "id " << Id;
+/// Asserts that \p G's events read their strings through its table, and
+/// that lookup() finds each table string at its id.
+void expectConsistentTable(const PropagationGraph &G) {
   for (const Event &E : G.events())
     for (size_t I = 0; I < E.Reps.size(); ++I)
       EXPECT_EQ(G.repStrings()[E.repIds()[I]], E.Reps[I]);
+  for (RepId Id = 0; Id < G.repStrings().size(); ++Id) {
+    RepId Found = ~RepId(0);
+    EXPECT_TRUE(G.lookup(G.repStrings()[Id], Found)) << G.repStrings()[Id];
+    EXPECT_EQ(Found, Id);
+  }
+}
+
+/// Asserts that \p G's table is in first-occurrence order: event order,
+/// then option order.
+void expectFirstOccurrenceOrder(const PropagationGraph &G) {
+  RepId Next = 0;
+  for (const Event &E : G.events())
+    for (RepId Id : E.repIds()) {
+      EXPECT_LE(Id, Next);
+      Next += Id == Next;
+    }
+  EXPECT_EQ(Next, G.repStrings().size());
 }
 
 /// A graph of two files written by hand: "shared()" occurs in both, and
@@ -1040,7 +1056,8 @@ TEST(PropagationGraphTest, AppendRemapsIdsFilesAndOptions) {
     EXPECT_EQ(ids(G.successors(Id)), ids(First.successors(Id)));
     EXPECT_EQ(strings(G.event(Id).Reps), strings(First.event(Id).Reps));
   }
-  expectTableMatchesRepTable(G);
+  expectConsistentTable(G);
+  expectFirstOccurrenceOrder(G);
 }
 
 TEST(PropagationGraphTest, TableIdsAreRepTableIds) {
@@ -1050,23 +1067,75 @@ TEST(PropagationGraphTest, TableIdsAreRepTableIds) {
   GraphFixture F2("import os\nimport web\n"
                   "os.system(web.read())\nweb.read()\n",
                   BuildOptions(), "b.py");
-  expectTableMatchesRepTable(F1.Graph);
-  expectTableMatchesRepTable(F2.Graph);
-  expectTableMatchesRepTable(handWritten());
-
   PropagationGraph Merged;
   Merged.append(F1.Graph);
   Merged.append(F2.Graph);
   Merged.append(handWritten());
-  expectTableMatchesRepTable(Merged);
-
   io::IOResult<PropagationGraph> Decoded = decodeGraph(encodeGraph(Merged));
   ASSERT_TRUE(Decoded.ok()) << Decoded.Error;
-  expectTableMatchesRepTable(Decoded.Value);
   EXPECT_EQ(Decoded.Value.repStrings(), Merged.repStrings());
+  // Built, appended and decoded graphs keep first-occurrence order.
+  for (const PropagationGraph *G :
+       {&F1.Graph, &F2.Graph, &Merged, &Decoded.Value}) {
+    expectConsistentTable(*G);
+    expectFirstOccurrenceOrder(*G);
+  }
+  expectConsistentTable(handWritten());
+  expectFirstOccurrenceOrder(handWritten());
 
-  // A collapsed graph has its own table, in its own first-occurrence order.
-  expectTableMatchesRepTable(Merged.collapseByRep());
+  // A RepTable has no ids of its own: it reads the graph's table.
+  const RepTable Table = countedTable(Merged);
+  ASSERT_EQ(Table.size(), Merged.repStrings().size());
+  for (RepId Id = 0; Id < Table.size(); ++Id) {
+    EXPECT_EQ(Table.repString(Id), Merged.repStrings()[Id]);
+    RepId Found = ~RepId(0);
+    EXPECT_TRUE(Table.lookup(Merged.repStrings()[Id], Found));
+    EXPECT_EQ(Found, Id);
+  }
+  RepId Unused;
+  EXPECT_FALSE(Table.lookup("never.seen()", Unused));
+  EXPECT_FALSE(RepTable().lookup("web.read()", Unused));
+  EXPECT_FALSE(PropagationGraph().lookup("web.read()", Unused));
+  EXPECT_TRUE(Table.sharesTableWith(Table.graph()));
+  EXPECT_TRUE(Table.sharesTableWith(Decoded.Value));
+  EXPECT_FALSE(Table.sharesTableWith(F1.Graph));
+  EXPECT_FALSE(RepTable().sharesTableWith(F1.Graph));
+}
+
+TEST(PropagationGraphTest, CollapseKeepsTheSourceTable) {
+  // Merging the two a() events puts y() before b() in the collapsed
+  // graph's first-occurrence order; the collapsed graph keeps the source's
+  // table instead, so every option id names the same string in both.
+  PropagationGraph G;
+  uint32_t File = G.addFile("f.py");
+  EventId A1 = G.addEvent(EventKind::Call, SourceMask, File, {1, 0},
+                          {"a()", "x()"});
+  EventId B = G.addEvent(EventKind::Call, SinkMask, File, {2, 0}, {"b()"});
+  G.addEvent(EventKind::Call, SanitizerMask, File, {3, 0}, {"a()", "y()"});
+  G.addEdge(A1, B);
+  const std::vector<std::string> Source = {"a()", "x()", "b()", "y()"};
+  ASSERT_EQ(G.repStrings(), Source);
+
+  PropagationGraph Collapsed = G.collapseByRep();
+  ASSERT_EQ(Collapsed.numEvents(), 2u);
+  EXPECT_EQ(Collapsed.repStrings(), Source);
+  expectConsistentTable(Collapsed);
+  // Each node keeps its members' options in first-occurrence order, as
+  // the source's ids.
+  EXPECT_EQ(ids(Collapsed.event(0).repIds()),
+            (std::vector<RepId>{0, 1, 3}));
+  EXPECT_EQ(strings(Collapsed.event(0).Reps),
+            (std::vector<std::string>{"a()", "x()", "y()"}));
+  EXPECT_EQ(ids(Collapsed.event(1).repIds()), (std::vector<RepId>{2}));
+  EXPECT_EQ(Collapsed.event(0).Candidates, SourceMask | SanitizerMask);
+  EXPECT_EQ(ids(Collapsed.successors(0)), (std::vector<EventId>{1}));
+
+  const RepTable Table = countedTable(G);
+  EXPECT_TRUE(Table.sharesTableWith(Collapsed));
+  RepId Y;
+  ASSERT_TRUE(Collapsed.lookup("y()", Y));
+  EXPECT_EQ(Y, 3u);
+  EXPECT_EQ(Table.occurrences(0), 2u) << "counts come from the source";
 }
 
 TEST(PropagationGraphTest, DecodeGivesTheSameViewsTableAndAdjacency) {
@@ -1116,8 +1185,7 @@ TEST(RepTableTest, CountsAndCutoff) {
   Source += "y = rare.api()\n";
   GraphFixture F(Source);
 
-  RepTable Table;
-  Table.countOccurrences(F.Graph);
+  const RepTable Table = countedTable(F.Graph);
   RepId Read;
   ASSERT_TRUE(Table.lookup("web.read()", Read));
   EXPECT_EQ(Table.occurrences(Read), 6u);
@@ -1126,29 +1194,28 @@ TEST(RepTableTest, CountsAndCutoff) {
   const std::vector<uint8_t> AtOne = Table.keepVerdicts(1, GlobSet());
   ASSERT_EQ(AtFive.size(), Table.size());
   const Event &Frequent = F.Graph.event(F.eventsByRep("web.read()").front());
-  EXPECT_EQ(keptOptions(Table, AtFive, Frequent).size(), 1u);
+  EXPECT_EQ(keptOptions(AtFive, Frequent).size(), 1u);
   const Event &Rare = F.Graph.event(F.theEvent("rare.api()"));
-  EXPECT_TRUE(keptOptions(Table, AtFive, Rare).empty())
+  EXPECT_TRUE(keptOptions(AtFive, Rare).empty())
       << "rare events are ignored entirely (§4.3)";
-  EXPECT_EQ(keptOptions(Table, AtOne, Rare).size(), 1u);
+  EXPECT_EQ(keptOptions(AtOne, Rare).size(), 1u);
 
   // The blacklist (§7.2) vetoes a representation however frequent.
   GlobSet Blacklist;
   Blacklist.add("web.*");
   const std::vector<uint8_t> Vetoed = Table.keepVerdicts(1, Blacklist);
   EXPECT_EQ(Vetoed[Read], 0);
-  EXPECT_EQ(keptOptions(Table, Vetoed, Rare).size(), 1u);
+  EXPECT_EQ(keptOptions(Vetoed, Rare).size(), 1u);
 }
 
 TEST(RepTableTest, BackoffOrderPreserved) {
   GraphFixture F("def media(f):\n"
                  "    f.save(p)\n");
-  RepTable Table;
-  Table.countOccurrences(F.Graph);
+  const RepTable Table = countedTable(F.Graph);
   const Event &Call =
       F.Graph.event(F.theEvent("media(param f).save()"));
   std::vector<RepId> Options =
-      keptOptions(Table, Table.keepVerdicts(1, GlobSet()), Call);
+      keptOptions(Table.keepVerdicts(1, GlobSet()), Call);
   ASSERT_EQ(Options.size(), 2u);
   EXPECT_EQ(Table.repString(Options[0]), "media(param f).save()");
   EXPECT_EQ(Table.repString(Options[1]), "f.save()");

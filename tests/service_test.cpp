@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestCorpus.h"
+
 #include "constraints/Explain.h"
 #include "service/Json.h"
 #include "service/Protocol.h"
@@ -167,12 +169,13 @@ TEST(ServiceJsonTest, NumbersIgnoreNumericLocale) {
 TEST(ServiceJsonTest, QueryJsonIgnoresNumericLocale) {
   // One row with a non-unit coefficient, answered under an assignment that
   // satisfies it: every number the query renderers print is fractional.
-  propgraph::RepTable Reps;
+  const propgraph::RepTable Reps =
+      testutil::repTableOf({{"web.read()"}, {"mid.filter()"}});
   constraints::ConstraintSystem Sys;
-  constraints::VarId Src =
-      Sys.Vars.varFor(Reps.intern("web.read()"), propgraph::Role::Source);
-  constraints::VarId San = Sys.Vars.varFor(Reps.intern("mid.filter()"),
-                                           propgraph::Role::Sanitizer);
+  constraints::VarId Src = Sys.Vars.varFor(
+      testutil::repIdOf(Reps, "web.read()"), propgraph::Role::Source);
+  constraints::VarId San = Sys.Vars.varFor(
+      testutil::repIdOf(Reps, "mid.filter()"), propgraph::Role::Sanitizer);
   Sys.Constraints.add({{Src, 0.5f}}, {{San, 1.0f}}, 0.75);
   const std::vector<double> X = {1.0, 0.125};
   auto Render = [&] {

@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 using namespace seldon;
 
@@ -225,8 +226,8 @@ TEST_P(ShardPipelineTest, DeadlineDuringReplayLeavesNoPartialSystem) {
   double Fastest = 0.0;
   while (Fastest < 0.05) {
     Graph.append(propgraph::PropagationGraph(Graph));
-    Reps = propgraph::RepTable();
-    Reps.countOccurrences(Graph);
+    Reps = propgraph::RepTable(
+        std::make_shared<const propgraph::PropagationGraph>(Graph));
     Shard = constraints::extractShard(
         Graph, 0, static_cast<uint32_t>(Graph.files().size()));
     Cached.clear();
@@ -235,7 +236,7 @@ TEST_P(ShardPipelineTest, DeadlineDuringReplayLeavesNoPartialSystem) {
     Fastest = 1e9;
     for (int Run = 0; Run < 2; ++Run) {
       Timer Clock;
-      constraints::generateConstraints(Graph, Reps, Data.Seed,
+      constraints::generateConstraints(Reps.graph(), Reps, Data.Seed,
                                        constraints::GenOptions(), P,
                                        nullptr, Cached);
       Fastest = std::min(Fastest, Clock.seconds());
@@ -246,8 +247,8 @@ TEST_P(ShardPipelineTest, DeadlineDuringReplayLeavesNoPartialSystem) {
   StopAt.arm(Fastest / 4);
   constraints::ConstraintSystem Sys;
   EXPECT_THROW(Sys = constraints::generateConstraints(
-                   Graph, Reps, Data.Seed, constraints::GenOptions(), P,
-                   &StopAt, Cached),
+                   Reps.graph(), Reps, Data.Seed, constraints::GenOptions(),
+                   P, &StopAt, Cached),
                DeadlineError);
   EXPECT_TRUE(Sys.Constraints.empty());
   EXPECT_EQ(Sys.Vars.numVars(), 0u);
