@@ -96,7 +96,11 @@ echo "=== asan+ubsan: service, durability and on-disk format tests ==="
 # surviving options are spans over a buffer its generation task owns.
 # The graph suites run for the same reason: an Event, its Reps and every
 # adjacency span read the propagation graph's flat arrays, which any
-# write (an event, an edge batch, an append) may reallocate. The taint
+# write (an event, an edge batch, an append) may reallocate. So do the
+# points-to solver's tests and the builder's construct matrix: the walk's
+# values, path options and environment history are views into a module
+# arena that is reset for the next module, and the solver's sets are
+# lists inside shared pools that move as they grow. The taint
 # analyzer's tests run too: its searches share one stamp and one parent
 # array per call, both indexed by event id. So do the frontend's suites
 # (lexer, parser, f-string, scope and import resolution) and its seeded
@@ -122,12 +126,12 @@ cmake --build "$ROOT/build-asan" -j "$JOBS" \
            cache_fault_test shard_fault_test shard_pipeline_test \
            constraints_test explain_test feedback_test \
            fault_pipeline_test active_learning_test infer_test \
-           constraint_rows_test propgraph_test lexer_test parser_test \
-           fstring_test pysem_test frontend_fuzz_test protocol_fuzz_test \
-           file_fuzz_test threadpool_test objective_kernel_test \
-           argparser_test shared_flags_test
+           constraint_rows_test propgraph_test pointsto_test lexer_test \
+           parser_test fstring_test pysem_test frontend_fuzz_test \
+           protocol_fuzz_test file_fuzz_test threadpool_test \
+           objective_kernel_test argparser_test shared_flags_test
 ctest --test-dir "$ROOT/build-asan" --output-on-failure -j "$JOBS" \
-  -R 'ThreadPoolTest|ObjectiveTest|CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest|FeedbackTest|UncertaintyTest|^PipelineTest\.|ConstraintRowsTest|KeepVerdictTest|PropagationGraphTest|RepTableTest|GraphBuilderTest|TaintAnalyzerTest|LexerTest|ParserTest|ParserSmokeTest|FStringLexerTest|FStringParserTest|FStringFlowTest|ImportMapTest|ModuleScopeTest|QualifiedNamesTest|FrontendFuzzTest|ProtocolFuzzTest|FileFuzzTest|ArgParserTest|SharedFlagsTest'
+  -R 'ThreadPoolTest|ObjectiveTest|CompileTest|CompiledEquivalenceTest|SimdLayoutTest|SimdEquivalenceTest|SimdDispatchTest|ServiceTest|ServiceJsonTest|ProtocolTest|JournalCodecTest|SnapshotCodecTest|StateStoreTest|RecoveryHarnessTest|FrameCodecTest|FileIOTest|FormatGoldenTest|CodecSweepTest|GraphCodecTest|CodecFaultTest|CacheFaultTest|ShardCodecTest|ShardCodecFaultTest|ShardCacheFaultTest|ShardPipelineTest|ShardStalenessTest|ShardKeyTest|ShardWarmStartTest|ShardFallbackTest|ShardDegradedTest|ShardPipelineComboTest|ConstraintGenTest|ExplainTest|FaultPipelineTest|ActiveLearningTest|FeedbackTest|UncertaintyTest|^PipelineTest\.|ConstraintRowsTest|KeepVerdictTest|PropagationGraphTest|RepTableTest|GraphBuilderTest|ConstructMatrixTest|AndersenSolverTest|TaintAnalyzerTest|LexerTest|ParserTest|ParserSmokeTest|FStringLexerTest|FStringParserTest|FStringFlowTest|ImportMapTest|ModuleScopeTest|QualifiedNamesTest|FrontendFuzzTest|ProtocolFuzzTest|FileFuzzTest|ArgParserTest|SharedFlagsTest'
 # The long fuzz runs are the DISABLED_ instantiations, out of tier-1.
 for FUZZ in frontend_fuzz_test protocol_fuzz_test file_fuzz_test; do
   "$ROOT/build-asan/tests/$FUZZ" --gtest_also_run_disabled_tests \
@@ -181,7 +185,9 @@ if m["gauges"]["solver.rows_after"] > m["gauges"]["solver.rows_before"]:
 obj = m["series"].get("solve.objective", {"count": 0})
 if obj["count"] == 0 or not obj["samples"]:
     sys.exit("FAIL: no solver convergence samples")
-for t in ("lex.file_seconds", "parse.file_seconds", "build.project_seconds"):
+for t in ("lex.file_seconds", "parse.file_seconds", "scope.file_seconds",
+          "walk.file_seconds", "pointsto.file_seconds",
+          "build.project_seconds"):
     if m["timers"].get(t, {"count": 0})["count"] == 0:
         sys.exit(f"FAIL: timer {t} not populated")
 print("OK: metrics snapshot has all expected stages, counters, gauges, "

@@ -1,16 +1,29 @@
 //===- propgraph/GraphBuilder.cpp - AST -> propagation graph --------------===//
+//
+// A module's walk allocates from its thread's workspace, not per
+// expression: values, their event lists and path options, environment
+// history and function summaries are bumped out of an arena that is reset
+// for each module, and the scope, the points-to solver, the environment
+// layers and the edge buffers are reused with their capacity. A project's
+// modules are built straight into one graph.
+//
+//===----------------------------------------------------------------------===//
 
 #include "propgraph/GraphBuilder.h"
 
 #include "pointsto/AndersenSolver.h"
 #include "pysem/ScopeBuilder.h"
+#include "support/Arena.h"
+#include "support/FlatMap.h"
 #include "support/Metrics.h"
-#include "support/StrUtil.h"
+#include "support/Timer.h"
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
+#include <memory>
+#include <new>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace seldon;
 using namespace seldon::propgraph;
@@ -20,51 +33,200 @@ namespace {
 
 constexpr pointsto::VarId InvalidPtVar = ~static_cast<pointsto::VarId>(0);
 
-/// The abstract value of an expression during the dataflow walk.
+/// The abstract value of an expression during the dataflow walk. Its lists
+/// live in the module's arena and its names in the AST or the scope, so a
+/// copy is a few words.
 struct Value {
   /// Events whose information flows out of the expression.
-  std::vector<EventId> Events;
+  std::span<const EventId> Events;
   /// Symbolic path options (most -> least specific) used to render event
   /// representations; empty when the expression has no renderable path.
-  std::vector<std::string> Paths;
+  std::span<const std::string_view> Paths;
+  /// The same-module class this value is an instance of (set for
+  /// constructor-call results and `self`), enabling method inlining.
+  const pysem::ClassInfo *InstanceClass = nullptr;
+  /// Points-to variable holding the objects this value may denote.
+  pointsto::VarId PtVar = InvalidPtVar;
   /// True while the path is a pure import-rooted attribute chain (a module
   /// or class path, not data) — such prefixes do not form events.
   bool PureModulePath = false;
-  /// Name of the same-module class this value is an instance of (set for
-  /// constructor-call results and `self`), enabling method inlining.
-  std::string InstanceClass;
-  /// Points-to variable holding the objects this value may denote.
-  pointsto::VarId PtVar = InvalidPtVar;
 };
-
-/// A variable environment. Function environments start as copies of the
-/// module environment (free names resolve to module globals).
-using Env = StringMap<Value>;
 
 /// Summary of a processed function definition.
 struct FunctionSummary {
-  std::vector<EventId> ParamEvents; // Parallel to Def->Params.
-  std::vector<EventId> ReturnEvents;
+  std::span<EventId> ParamEvents; // Parallel to Def->Params.
+  ArenaList<EventId> ReturnEvents;
   bool InProgress = false;
   bool Processed = false;
 };
 
+/// One binding of a name in an environment layer: a value, or the name's
+/// removal by `del`. Stamp is the walk's clock when it was written; Older
+/// is the binding it replaced, kept while a snapshot may still read it.
+struct Binding {
+  Value V;
+  const Binding *Older = nullptr;
+  uint32_t Stamp = 0;
+  bool Removed = false;
+};
+
+using Layer = FlatMap<std::string_view, Binding>;
+
 /// Deferred field accesses resolved against the points-to solution.
 struct FieldStore {
   pointsto::VarId Base;
-  std::string Field;
-  std::vector<EventId> Events;
+  pointsto::FieldId Field;
+  std::span<const EventId> Events;
 };
 struct FieldLoad {
   pointsto::VarId Base;
-  std::string Field;
+  pointsto::FieldId Field;
   EventId Target;
+};
+
+/// What a thread reuses from module to module. A module's build starts by
+/// clearing what the previous one left (reset()); Edges is the graph's and
+/// is cleared by the graph's build.
+struct Workspace {
+  Arena Mem;
+  pysem::ModuleScope Scope;
+  pointsto::AndersenSolver PT;
+  /// Environment layers, one per nesting depth (environments are made and
+  /// dropped in stack order), and the clock their snapshots read.
+  std::vector<std::unique_ptr<Layer>> Layers;
+  size_t Depth = 0;
+  uint32_t Clock = 0;
+  FlatMap<const FunctionDefStmt *, FunctionSummary *> Summaries;
+  FlatMap<const pysem::ClassInfo *, pointsto::ObjId> ClassInstanceObjs;
+  FlatMap<std::string_view, pointsto::FieldId> Fields;
+  std::vector<FieldStore> Stores;
+  std::vector<FieldLoad> Loads;
+  /// The stores of each field, in recording order (offsets by field id).
+  std::vector<uint32_t> StoreBegin, StoreOrder;
+  /// Open event-list unions, innermost last; a union's events sit above
+  /// those of the unions around it.
+  std::vector<EventId> EventStack;
+  /// A subscript key while it is escaped.
+  std::string Text;
+  /// The graph's flow edges in the order the walk finds them, and a
+  /// buffer to group them by source.
+  std::vector<Edge> Edges, BySource;
+  std::vector<uint32_t> SourceBegin;
+
+  void reset() {
+    assert(Depth == 0 && "an environment outlived its module");
+    Mem.reset();
+    PT.clear();
+    Clock = 0;
+    Summaries.clear();
+    ClassInstanceObjs.clear();
+    Fields.clear();
+    Stores.clear();
+    Loads.clear();
+    EventStack.clear();
+  }
+};
+
+Workspace &workspace() {
+  thread_local Workspace W;
+  return W;
+}
+
+/// A variable environment: a layer of bindings over a snapshot of its
+/// parent, taken when the layer was made. A function's environment is a
+/// layer over the module's, a branch's or a class body's a layer over the
+/// enclosing one, so none copies its parent's entries. A parent written
+/// while a snapshot of it is live keeps the replaced binding in the
+/// binding's history, which the snapshot reads by stamp.
+class Env {
+public:
+  Env(Workspace &W, const Env *Parent)
+      : W(W), Parent(Parent), ParentStamp(W.Clock++) {
+    if (W.Depth == W.Layers.size())
+      W.Layers.push_back(std::make_unique<Layer>());
+    Own = W.Layers[W.Depth++].get();
+  }
+  ~Env() {
+    Own->clear();
+    --W.Depth;
+  }
+  Env(const Env &) = delete;
+  Env &operator=(const Env &) = delete;
+
+  /// The value \p Name is bound to, or null.
+  const Value *find(std::string_view Name) const {
+    const size_t Hash = FlatHash{}(Name);
+    uint32_t At = Now;
+    for (const Env *E = this; E; At = E->ParentStamp, E = E->Parent)
+      if (const Binding *B = at(E->Own->findHashed(Name, Hash), At))
+        return B->Removed ? nullptr : &B->V;
+    return nullptr;
+  }
+
+  void set(std::string_view Name, const Value &V) { write(Name, V, false); }
+
+  /// Unbinds \p Name (`del`).
+  void remove(std::string_view Name) {
+    if (find(Name))
+      write(Name, Value(), true);
+  }
+
+  /// True if this layer itself ever bound \p Name.
+  bool bindsHere(std::string_view Name) const { return Own->find(Name); }
+
+  /// This layer's names with their latest bindings, in first-write order.
+  std::span<const Layer::Entry> layer() const { return Own->entries(); }
+
+  /// Calls \p Fn(Name, Value) for every bound name, each once.
+  template <typename F> void forEachBound(F Fn) const {
+    uint32_t At = Now;
+    for (const Env *E = this; E; At = E->ParentStamp, E = E->Parent)
+      for (const Layer::Entry &Entry : E->Own->entries()) {
+        const Binding *B = at(&Entry.Value, At);
+        if (B && !B->Removed && !boundBelow(E, Entry.Key))
+          Fn(Entry.Key, B->V);
+      }
+  }
+
+private:
+  static constexpr uint32_t Now = ~uint32_t(0);
+
+  /// \p B's binding as of stamp \p At, or null if it came later.
+  static const Binding *at(const Binding *B, uint32_t At) {
+    while (B && B->Stamp > At)
+      B = B->Older;
+    return B;
+  }
+
+  /// True if a layer between this one and \p Upper binds \p Name.
+  bool boundBelow(const Env *Upper, std::string_view Name) const {
+    uint32_t At = Now;
+    for (const Env *E = this; E != Upper; At = E->ParentStamp, E = E->Parent)
+      if (at(E->Own->find(Name), At))
+        return true;
+    return false;
+  }
+
+  void write(std::string_view Name, const Value &V, bool Removed) {
+    auto [B, Inserted] = Own->insert(Name);
+    if (!Inserted && B->Stamp != W.Clock) {
+      // A snapshot taken since may still read the current binding.
+      B->Older = new (W.Mem.allocateArray<Binding>(1)) Binding(*B);
+    }
+    B->V = V;
+    B->Removed = Removed;
+    B->Stamp = W.Clock;
+  }
+
+  Workspace &W;
+  const Env *Parent;
+  uint32_t ParentStamp;
+  Layer *Own;
 };
 
 /// What one module build exports for project-level linking
 /// (BuildOptions::CrossModuleFlows): its top-level functions and its calls
-/// into other modules. Event ids refer to the module's own graph and are
-/// offset when the graphs are appended.
+/// into other modules, with event ids of the project graph.
 struct ModuleArtifacts {
   struct ExportedFn {
     std::vector<std::pair<std::string, EventId>> Params; // (name, event)
@@ -74,69 +236,136 @@ struct ModuleArtifacts {
   std::unordered_map<std::string, ExportedFn> Exports;
 
   struct CallSite {
-    std::string Target;        ///< Qualified callee name (no "()").
-    std::string CallerPackage; ///< For implicit-relative lookup.
+    std::string Target;             ///< Qualified callee name (no "()").
+    std::string_view CallerPackage; ///< For implicit-relative lookup.
     EventId Call;
     std::vector<std::vector<EventId>> Args;
     std::vector<std::pair<std::string, std::vector<EventId>>> Kwargs;
   };
   std::vector<CallSite> Calls;
-
-  /// Shifts every event id by \p Offset (after PropagationGraph::append).
-  void offsetIds(EventId Offset) {
-    for (auto &[Name, Fn] : Exports) {
-      for (auto &[ParamName, Id] : Fn.Params)
-        Id += Offset;
-      for (EventId &Id : Fn.Returns)
-        Id += Offset;
-    }
-    for (CallSite &C : Calls) {
-      C.Call += Offset;
-      for (auto &Events : C.Args)
-        for (EventId &Id : Events)
-          Id += Offset;
-      for (auto &[Kw, Events] : C.Kwargs)
-        for (EventId &Id : Events)
-          Id += Offset;
-    }
-  }
 };
 
-/// Per-module graph construction state.
+/// The seconds since \p Start, and \p Start moved to now; only called
+/// when metrics are on.
+double lap(Timer &Start) {
+  double Seconds = Start.seconds();
+  Start.reset();
+  return Seconds;
+}
+
+/// Per-module graph construction: adds the module's file and events to
+/// \p Graph and its flow edges, in walk order, to the workspace's Edges.
 class ModuleGraphBuilder {
 public:
   /// \p Ast is \p Module's parsed source; it must outlive the builder.
-  ModuleGraphBuilder(const pysem::ModuleInfo &Module, const ModuleNode *Ast,
-                     const BuildOptions &Opts,
+  ModuleGraphBuilder(Workspace &W, const pysem::ModuleInfo &Module,
+                     const ModuleNode *Ast, const BuildOptions &Opts,
+                     PropagationGraph &Graph,
                      ModuleArtifacts *Artifacts = nullptr)
-      : Module(Module), Ast(Ast), Opts(Opts), Artifacts(Artifacts) {
+      : W(W), Module(Module), Ast(Ast), Opts(Opts), Artifacts(Artifacts),
+        Scope(W.Scope), PT(W.PT), Graph(Graph) {}
+
+  void build() {
+    metrics::Registry &Reg = metrics::Registry::global();
+    const bool Timed = Reg.enabled();
+    Timer Clock;
+    W.reset();
     Scope.build(Ast, Module.ModuleName);
     FileIdx = Graph.addFile(Module.Path);
-  }
+    ElemField = fieldId("$elem");
+    if (Timed)
+      Reg.timer("scope.file_seconds").record(lap(Clock));
 
-  PropagationGraph build() {
-    // Pass 1: module-level statements; function bodies are processed on
-    // demand when called, so module-level flow reaches them.
-    runStmts(Ast->Body, ModuleEnv, /*FnCtx=*/nullptr, /*Depth=*/0);
+    {
+      Env TopLevel(W, nullptr);
+      ModuleEnv = &TopLevel;
+      // Pass 1: module-level statements; function bodies are processed on
+      // demand when called, so module-level flow reaches them.
+      runStmts(Ast->Body, TopLevel, /*Fn=*/nullptr, /*Depth=*/0);
 
-    // Pass 2: functions never called from module level still contribute
-    // events and intraprocedural flow.
-    processAllRemaining(Ast->Body, /*EnclosingClass=*/nullptr);
+      // Pass 2: functions never called from module level still contribute
+      // events and intraprocedural flow.
+      processAllRemaining(Ast->Body, /*EnclosingClass=*/nullptr);
+      ModuleEnv = nullptr;
+    }
+    if (Timed)
+      Reg.timer("walk.file_seconds").record(lap(Clock));
 
     // Resolve alias-borne field flows against the points-to solution.
-    if (Opts.UsePointsTo)
+    if (Opts.UsePointsTo) {
       connectFieldFlows();
-    // The module is complete: its adjacency is built once.
-    Graph.addEdges(Edges);
-    return std::move(Graph);
+      if (Timed)
+        Reg.timer("pointsto.file_seconds").record(lap(Clock));
+    }
   }
 
 private:
   //===--------------------------------------------------------------------===//
+  // Arena helpers
+  //===--------------------------------------------------------------------===//
+
+  /// A one-element list in the arena.
+  template <typename T> std::span<const T> one(T Item) {
+    T *Out = W.Mem.allocateArray<T>(1);
+    *Out = Item;
+    return {Out, 1};
+  }
+
+  /// \p N values, default-initialized, in the arena.
+  template <typename T> std::span<T> makeArray(size_t N) {
+    T *Out = W.Mem.allocateArray<T>(N);
+    std::uninitialized_value_construct_n(Out, N);
+    return {Out, N};
+  }
+
+  /// An ordered union of event lists under construction, on the
+  /// workspace's event stack. Unions nest: one opened while another is
+  /// open closes first, and closing pops only its own events.
+  class EventUnion {
+  public:
+    explicit EventUnion(std::vector<EventId> &Stack)
+        : Stack(Stack), Mark(Stack.size()) {}
+    ~EventUnion() { Stack.resize(Mark); }
+    EventUnion(const EventUnion &) = delete;
+    EventUnion &operator=(const EventUnion &) = delete;
+
+    /// Appends \p Events as they are, repeats included.
+    void append(std::span<const EventId> Events) {
+      Stack.insert(Stack.end(), Events.begin(), Events.end());
+    }
+    /// Appends each of \p Events not already in the union.
+    void add(std::span<const EventId> Events) {
+      for (EventId Id : Events)
+        if (std::find(Stack.begin() + Mark, Stack.end(), Id) == Stack.end())
+          Stack.push_back(Id);
+    }
+    size_t size() const { return Stack.size() - Mark; }
+    /// The union so far, copied into \p Mem.
+    std::span<const EventId> copy(Arena &Mem) const {
+      return Mem.copyArray<EventId>(
+          std::span<const EventId>(Stack.data() + Mark, size()));
+    }
+
+  private:
+    std::vector<EventId> &Stack;
+    size_t Mark;
+  };
+
+  /// \p A's events, then \p B's that are not already listed; \p A itself
+  /// when \p B adds nothing.
+  std::span<const EventId> unionEvents(std::span<const EventId> A,
+                                       std::span<const EventId> B) {
+    EventUnion U(W.EventStack);
+    U.append(A);
+    U.add(B);
+    return U.size() == A.size() ? A : U.copy(W.Mem);
+  }
+
+  //===--------------------------------------------------------------------===//
   // Event creation helpers
   //===--------------------------------------------------------------------===//
 
-  EventId makeEvent(EventKind Kind, const std::vector<std::string> &Reps,
+  EventId makeEvent(EventKind Kind, std::span<const std::string_view> Reps,
                     SourceLoc Loc) {
     assert(!Reps.empty());
     RoleMask Candidates;
@@ -150,67 +379,69 @@ private:
       Candidates = SinkMask;
     else
       Candidates = SourceMask;
-    RepViews.assign(Reps.begin(), Reps.end());
-    return Graph.addEvent(Kind, Candidates, FileIdx, Loc, RepViews);
+    return Graph.addEvent(Kind, Candidates, FileIdx, Loc, Reps);
   }
 
-  /// Records the flow edge \p From -> \p To; build() adds the module's
-  /// edges to the graph at once.
-  void addEdge(EventId From, EventId To) { Edges.push_back({From, To}); }
+  /// Records the flow edge \p From -> \p To.
+  void addEdge(EventId From, EventId To) { W.Edges.push_back({From, To}); }
 
-  void flowInto(const std::vector<EventId> &Sources, EventId Target) {
+  void flowInto(std::span<const EventId> Sources, EventId Target) {
     for (EventId S : Sources)
       addEdge(S, Target);
   }
 
-  /// Appends \p Link (".attr", "['k']", or "()") to every path option.
-  static std::vector<std::string>
-  extendPaths(const std::vector<std::string> &Paths, const std::string &Link) {
-    std::vector<std::string> Out;
-    Out.reserve(Paths.size());
-    for (const std::string &P : Paths)
-      Out.push_back(P + Link);
-    return Out;
+  /// Every option of \p Paths with the link \p A \p B \p C (".attr",
+  /// "['k']", "()", ...) appended, or the one option "<unknown>" plus the
+  /// link when \p Paths is empty.
+  std::span<const std::string_view>
+  extendPaths(std::span<const std::string_view> Paths, std::string_view A,
+              std::string_view B = {}, std::string_view C = {}) {
+    if (Paths.empty())
+      return one(W.Mem.concat({"<unknown>", A, B, C}));
+    auto *Out = W.Mem.allocateArray<std::string_view>(Paths.size());
+    for (size_t I = 0; I < Paths.size(); ++I)
+      Out[I] = W.Mem.concat({Paths[I], A, B, C});
+    return {Out, Paths.size()};
   }
 
-  /// Path options for a value with no renderable path.
-  static std::vector<std::string> unknownPath(const std::string &Link) {
-    return {"<unknown>" + Link};
-  }
-
-  /// Root path options for parameter \p ParamName of function \p Fn
-  /// defined in \p Class (may be null). Ordered most -> least specific:
+  /// Path options for parameter \p ParamName of function \p Fn defined in
+  /// \p Class (may be null). Ordered most -> least specific:
   ///   Class::fn(param p), QualifiedBase::fn(param p), ..., fn(param p), p
-  std::vector<std::string> paramRootPaths(const FunctionDefStmt *Fn,
-                                          const pysem::ClassInfo *Class,
-                                          std::string_view ParamName,
-                                          bool IncludeBareName) const {
-    std::vector<std::string> Out;
-    std::string Suffix =
-        std::string(Fn->Name) + "(param " + std::string(ParamName) + ")";
+  /// The event's options are all but the last, the bare name.
+  std::span<const std::string_view>
+  paramRootPaths(const FunctionDefStmt *Fn, const pysem::ClassInfo *Class,
+                 std::string_view ParamName) {
+    std::string_view Suffix =
+        W.Mem.concat({Fn->Name, "(param ", ParamName, ")"});
+    const size_t N = Class ? Class->BaseQualNames.size() + 3 : 2;
+    auto *Out = W.Mem.allocateArray<std::string_view>(N);
+    size_t I = 0;
     if (Class) {
-      Out.push_back(Class->Name + "::" + Suffix);
-      for (const std::string &Base : Class->BaseQualNames)
-        Out.push_back(Base + "::" + Suffix);
+      Out[I++] = W.Mem.concat({Class->Name, "::", Suffix});
+      for (std::string_view Base : Class->BaseQualNames)
+        Out[I++] = W.Mem.concat({Base, "::", Suffix});
     }
-    Out.push_back(Suffix);
-    if (IncludeBareName)
-      Out.emplace_back(ParamName);
-    return Out;
+    Out[I++] = Suffix;
+    Out[I++] = ParamName;
+    return {Out, N};
   }
 
   //===--------------------------------------------------------------------===//
   // Points-to plumbing
   //===--------------------------------------------------------------------===//
 
+  pointsto::FieldId fieldId(std::string_view Name) {
+    return *W.Fields
+                .insert(Name, static_cast<pointsto::FieldId>(W.Fields.size()))
+                .first;
+  }
+
   /// The shared abstract instance object of a same-module class.
-  pointsto::ObjId classInstanceObj(const std::string &ClassName) {
-    auto It = ClassInstanceObjs.find(ClassName);
-    if (It != ClassInstanceObjs.end())
-      return It->second;
-    pointsto::ObjId O = PT.makeObj();
-    ClassInstanceObjs.emplace(ClassName, O);
-    return O;
+  pointsto::ObjId classInstanceObj(const pysem::ClassInfo *Class) {
+    auto [Obj, Inserted] = W.ClassInstanceObjs.insert(Class);
+    if (Inserted)
+      *Obj = PT.makeObj();
+    return *Obj;
   }
 
   pointsto::VarId ptVarOf(Value &V) {
@@ -219,15 +450,26 @@ private:
     return V.PtVar;
   }
 
+  /// Connects every store to every aliasing load of the same field: loads
+  /// in recording order, each one's stores in recording order.
   void connectFieldFlows() {
     PT.solve();
-    for (const FieldLoad &L : Loads) {
-      for (const FieldStore &S : Stores) {
-        if (S.Field != L.Field)
-          continue;
-        if (!PT.mayAlias(S.Base, L.Base))
-          continue;
-        flowInto(S.Events, L.Target);
+    std::vector<uint32_t> &Begin = W.StoreBegin, &Order = W.StoreOrder;
+    Begin.assign(W.Fields.size() + 1, 0);
+    for (const FieldStore &S : W.Stores)
+      ++Begin[S.Field + 1];
+    for (size_t F = 0; F < W.Fields.size(); ++F)
+      Begin[F + 1] += Begin[F];
+    Order.resize(W.Stores.size());
+    for (uint32_t I = 0; I < W.Stores.size(); ++I)
+      Order[Begin[W.Stores[I].Field]++] = I;
+    // Each field's cursor now sits at the next field's first store.
+    for (const FieldLoad &L : W.Loads) {
+      for (uint32_t K = L.Field ? Begin[L.Field - 1] : 0; K < Begin[L.Field];
+           ++K) {
+        const FieldStore &S = W.Stores[Order[K]];
+        if (PT.mayAlias(S.Base, L.Base))
+          flowInto(S.Events, L.Target);
       }
     }
   }
@@ -236,36 +478,59 @@ private:
   // Function processing
   //===--------------------------------------------------------------------===//
 
+  struct FnContext {
+    FunctionSummary *Summary = nullptr;
+    /// Names declared `global` in this function: assignments write through
+    /// to the module environment.
+    ArenaList<std::string_view> Globals;
+
+    bool isGlobal(std::string_view Name) const {
+      std::span<const std::string_view> G = Globals.view();
+      return std::find(G.begin(), G.end(), Name) != G.end();
+    }
+  };
+
+  FunctionSummary &summaryOf(const FunctionDefStmt *Fn) {
+    auto [Summary, Inserted] = W.Summaries.insert(Fn, nullptr);
+    if (Inserted)
+      *Summary = new (W.Mem.allocateArray<FunctionSummary>(1))
+          FunctionSummary();
+    return **Summary;
+  }
+
   /// Processes \p Fn (once), creating its parameter events and recording
   /// its return events. \p Class is the enclosing class for methods.
   FunctionSummary &processFunction(const FunctionDefStmt *Fn,
                                    const pysem::ClassInfo *Class, int Depth) {
-    FunctionSummary &Summary = Summaries[Fn];
+    FunctionSummary &Summary = summaryOf(Fn);
     if (Summary.Processed || Summary.InProgress)
       return Summary;
     Summary.InProgress = true;
 
-    // Function scope: module globals visible, parameters bound.
-    Env FnEnv = ModuleEnv;
-    for (const Param &P : Fn->Params) {
-      std::vector<std::string> EventReps =
-          paramRootPaths(Fn, Class, P.Name, /*IncludeBareName=*/false);
-      EventId PE = makeEvent(EventKind::FormalParam, EventReps, P.Loc);
-      Summary.ParamEvents.push_back(PE);
+    // Function scope: module globals visible as of now, parameters bound.
+    Env FnEnv(W, ModuleEnv);
+    Summary.ParamEvents = makeArray<EventId>(Fn->Params.size());
+    for (size_t I = 0; I < Fn->Params.size(); ++I) {
+      const Param &P = Fn->Params[I];
+      std::span<const std::string_view> Paths =
+          paramRootPaths(Fn, Class, P.Name);
+      EventId PE = makeEvent(EventKind::FormalParam,
+                             Paths.first(Paths.size() - 1), P.Loc);
+      Summary.ParamEvents[I] = PE;
 
       Value V;
-      V.Events.push_back(PE);
-      V.Paths = paramRootPaths(Fn, Class, P.Name, /*IncludeBareName=*/true);
+      V.Events = one(PE);
+      V.Paths = Paths;
       V.PtVar = PT.makeVar();
-      if (Class && &P == &Fn->Params.front()) {
+      if (Class && I == 0) {
         // Every method's `self` denotes the same abstract instance, so
         // fields written in one method are visible in another.
-        V.InstanceClass = Class->Name;
-        PT.addAlloc(V.PtVar, classInstanceObj(Class->Name));
+        V.InstanceClass = Class;
+        PT.addAlloc(V.PtVar, classInstanceObj(Class));
       } else {
         PT.addAlloc(V.PtVar, PT.makeObj());
       }
-      FnEnv[std::string(P.Name)] = std::move(V);
+      FnEnv.set(P.Name, V);
 
       if (P.Default)
         evalExpr(P.Default, FnEnv, nullptr, Depth);
@@ -278,10 +543,10 @@ private:
     // Decorators observe the function's results (e.g. a route handler's
     // response is consumed by the framework).
     for (const Expr *Dec : Fn->Decorators) {
-      Value DV = evalExpr(Dec, ModuleEnv, nullptr, Depth);
+      Value DV = evalExpr(Dec, *ModuleEnv, nullptr, Depth);
       if (DV.Events.empty())
         continue;
-      for (EventId R : Summary.ReturnEvents)
+      for (EventId R : Summary.ReturnEvents.view())
         addEdge(R, DV.Events.front());
     }
 
@@ -294,7 +559,8 @@ private:
       for (size_t I = 0; I < Fn->Params.size(); ++I)
         Exported.Params.emplace_back(Fn->Params[I].Name,
                                      Summary.ParamEvents[I]);
-      Exported.Returns = Summary.ReturnEvents;
+      std::span<const EventId> Returns = Summary.ReturnEvents.view();
+      Exported.Returns.assign(Returns.begin(), Returns.end());
       Artifacts->Exports[Module.ModuleName + "." + std::string(Fn->Name)] =
           std::move(Exported);
     }
@@ -327,13 +593,6 @@ private:
   // Statement walk
   //===--------------------------------------------------------------------===//
 
-  struct FnContext {
-    FunctionSummary *Summary = nullptr;
-    /// Names declared `global` in this function: assignments write through
-    /// to the module environment.
-    std::unordered_set<std::string, StringHash, std::equal_to<>> Globals;
-  };
-
   void runStmts(std::span<Stmt *const> Body, Env &E, FnContext *Fn,
                 int Depth) {
     for (const Stmt *S : Body)
@@ -356,11 +615,17 @@ private:
       const auto *A = cast<AugAssignStmt>(S);
       Value V = evalExpr(A->Value, E, Fn, Depth);
       if (const auto *Name = dyn_cast<NameExpr>(A->Target)) {
-        Value &Old = E[std::string(Name->Id)];
-        for (EventId Id : V.Events)
-          Old.Events.push_back(Id);
-        Old.Paths.clear();
-        Old.PureModulePath = false;
+        // The name keeps its old events and gains the value's, repeats
+        // included; its path no longer renders it.
+        const Value *Old = E.find(Name->Id);
+        Value New = Old ? *Old : Value();
+        EventUnion U(W.EventStack);
+        U.append(New.Events);
+        U.append(V.Events);
+        New.Events = U.copy(W.Mem);
+        New.Paths = {};
+        New.PureModulePath = false;
+        E.set(Name->Id, New);
       } else {
         assignTo(A->Target, V, E, Fn, Depth);
       }
@@ -381,23 +646,25 @@ private:
       Value V = evalExpr(R->Value, E, Fn, Depth);
       if (Fn && Fn->Summary)
         for (EventId Id : V.Events)
-          Fn->Summary->ReturnEvents.push_back(Id);
+          Fn->Summary->ReturnEvents.push(W.Mem, Id);
       return;
     }
     case NodeKind::If: {
       const auto *I = cast<IfStmt>(S);
       evalExpr(I->Cond, E, Fn, Depth);
-      Env ThenEnv = E, ElseEnv = E;
-      runStmts(I->Then, ThenEnv, Fn, Depth);
-      runStmts(I->Else, ElseEnv, Fn, Depth);
-      E = mergeEnvs(ThenEnv, ElseEnv);
+      // Both arms start from E as it is now.
+      const uint32_t Before = W.Clock;
+      Env Then(W, &E), Else(W, &E);
+      runStmts(I->Then, Then, Fn, Depth);
+      runStmts(I->Else, Else, Fn, Depth);
+      mergeBranches(E, Then, Else, Before);
       return;
     }
     case NodeKind::While: {
-      const auto *W = cast<WhileStmt>(S);
-      evalExpr(W->Cond, E, Fn, Depth);
-      runStmts(W->Body, E, Fn, Depth); // Single iteration (§5.2).
-      runStmts(W->Else, E, Fn, Depth);
+      const auto *Wh = cast<WhileStmt>(S);
+      evalExpr(Wh->Cond, E, Fn, Depth);
+      runStmts(Wh->Body, E, Fn, Depth); // Single iteration (§5.2).
+      runStmts(Wh->Else, E, Fn, Depth);
       return;
     }
     case NodeKind::For: {
@@ -408,20 +675,20 @@ private:
                                  // collection yields tainted data.
       Elem.PtVar = PT.makeVar();
       if (Iter.PtVar != InvalidPtVar)
-        PT.addLoad(Elem.PtVar, Iter.PtVar, "$elem");
+        PT.addLoad(Elem.PtVar, Iter.PtVar, ElemField);
       assignTo(F->Target, Elem, E, Fn, Depth);
       runStmts(F->Body, E, Fn, Depth);
       runStmts(F->Else, E, Fn, Depth);
       return;
     }
     case NodeKind::With: {
-      const auto *W = cast<WithStmt>(S);
-      for (const WithItem &Item : W->Items) {
+      const auto *Wi = cast<WithStmt>(S);
+      for (const WithItem &Item : Wi->Items) {
         Value Ctx = evalExpr(Item.ContextExpr, E, Fn, Depth);
         if (Item.OptionalVars)
           assignTo(Item.OptionalVars, Ctx, E, Fn, Depth);
       }
-      runStmts(W->Body, E, Fn, Depth);
+      runStmts(Wi->Body, E, Fn, Depth);
       return;
     }
     case NodeKind::Try: {
@@ -449,12 +716,12 @@ private:
     case NodeKind::Delete:
       for (const Expr *T : cast<DeleteStmt>(S)->Targets)
         if (const auto *Name = dyn_cast<NameExpr>(T))
-          E.erase(std::string(Name->Id));
+          E.remove(Name->Id);
       return;
     case NodeKind::Global:
       if (Fn)
         for (std::string_view Name : cast<GlobalStmt>(S)->Names)
-          Fn->Globals.emplace(Name);
+          Fn->Globals.push(W.Mem, Name);
       return;
     case NodeKind::FunctionDef:
       // Processed on demand at call sites or in pass 2; nothing flows here.
@@ -463,48 +730,106 @@ private:
       // Class-body assignments (class attributes) run in a scratch env; the
       // contained method defs are processed on demand / in pass 2.
       const auto *C = cast<ClassDefStmt>(S);
-      Env ClassEnv = E;
-      for (const Stmt *Member : C->Body)
-        if (!isa<FunctionDefStmt>(Member))
-          runStmt(Member, ClassEnv, Fn, Depth);
+      {
+        Env ClassEnv(W, &E);
+        for (const Stmt *Member : C->Body)
+          if (!isa<FunctionDefStmt>(Member))
+            runStmt(Member, ClassEnv, Fn, Depth);
+      }
       for (const Expr *Base : C->Bases)
         evalExpr(Base, E, Fn, Depth);
       return;
     }
-    default:
-      return; // pass/break/continue/import/global — no dataflow.
+    case NodeKind::Import:
+    case NodeKind::ImportFrom:
+      // Imports bind names in the scope's import map, not in the
+      // environment; a bound name renders through it (evalName).
+      return;
+    case NodeKind::Pass:
+    case NodeKind::Break:
+    case NodeKind::Continue:
+      // No dataflow; loops run their body once (§5.2) whatever the jumps.
+      return;
+    case NodeKind::Name:
+    case NodeKind::NumberLit:
+    case NodeKind::StringLit:
+    case NodeKind::BoolLit:
+    case NodeKind::NoneLit:
+    case NodeKind::Attribute:
+    case NodeKind::Subscript:
+    case NodeKind::Slice:
+    case NodeKind::Call:
+    case NodeKind::Binary:
+    case NodeKind::Unary:
+    case NodeKind::BoolOp:
+    case NodeKind::Compare:
+    case NodeKind::List:
+    case NodeKind::Tuple:
+    case NodeKind::Set:
+    case NodeKind::Dict:
+    case NodeKind::Lambda:
+    case NodeKind::Conditional:
+    case NodeKind::Starred:
+    case NodeKind::Comprehension:
+    case NodeKind::JoinedStr:
+    case NodeKind::Yield:
+    case NodeKind::Module:
+      assert(false && "not a statement");
+      return;
     }
   }
 
-  Env mergeEnvs(const Env &A, const Env &B) {
-    Env Out = A;
-    for (const auto &[Name, VB] : B) {
-      auto It = Out.find(Name);
-      if (It == Out.end()) {
-        Out.emplace(Name, VB);
-        continue;
+  /// Sets \p E to the merge of its two arms, both layered over \p E as it
+  /// was at stamp \p Before: a name either arm bound, or unbound, takes
+  /// the merge of the two arms' values. A `global` write-through to \p E
+  /// during the arms is replaced as well, since the merge stands for the
+  /// whole environment.
+  void mergeBranches(Env &E, const Env &Then, const Env &Else,
+                     uint32_t Before) {
+    auto Merge = [&](std::string_view Name) {
+      const Value *A = Then.find(Name), *B = Else.find(Name);
+      if (!A && !B) {
+        E.remove(Name);
+        return;
       }
-      Value &VA = It->second;
-      for (EventId Id : VB.Events)
-        if (std::find(VA.Events.begin(), VA.Events.end(), Id) ==
-            VA.Events.end())
-          VA.Events.push_back(Id);
-      if (VA.Paths != VB.Paths) {
-        VA.Paths.clear();
-        VA.PureModulePath = false;
-      }
-      if (VA.InstanceClass != VB.InstanceClass)
-        VA.InstanceClass.clear();
-      if (VA.PtVar == InvalidPtVar)
-        VA.PtVar = VB.PtVar;
-      else if (VB.PtVar != InvalidPtVar && VB.PtVar != VA.PtVar) {
-        pointsto::VarId Merged = PT.makeVar();
-        PT.addCopy(Merged, VA.PtVar);
-        PT.addCopy(Merged, VB.PtVar);
-        VA.PtVar = Merged;
-      }
+      Value Out = A ? *A : *B;
+      if (A && B)
+        mergeInto(Out, *B);
+      E.set(Name, Out);
+    };
+    for (const Layer::Entry &Entry : Then.layer())
+      Merge(Entry.Key);
+    for (const Layer::Entry &Entry : Else.layer())
+      if (!Then.bindsHere(Entry.Key))
+        Merge(Entry.Key);
+    // Merging a name E already holds adds no entry to E's layer.
+    for (size_t I = 0; I < E.layer().size(); ++I) {
+      const Layer::Entry &Entry = E.layer()[I];
+      if (Entry.Value.Stamp > Before && !Then.bindsHere(Entry.Key) &&
+          !Else.bindsHere(Entry.Key))
+        Merge(Entry.Key);
     }
-    return Out;
+  }
+
+  /// Merges \p VB into \p VA: the union of their events, and a path,
+  /// instance class or points-to variable only where both agree (two
+  /// different points-to variables are copied into a fresh one).
+  void mergeInto(Value &VA, const Value &VB) {
+    VA.Events = unionEvents(VA.Events, VB.Events);
+    if (!std::ranges::equal(VA.Paths, VB.Paths)) {
+      VA.Paths = {};
+      VA.PureModulePath = false;
+    }
+    if (VA.InstanceClass != VB.InstanceClass)
+      VA.InstanceClass = nullptr;
+    if (VA.PtVar == InvalidPtVar)
+      VA.PtVar = VB.PtVar;
+    else if (VB.PtVar != InvalidPtVar && VB.PtVar != VA.PtVar) {
+      pointsto::VarId Merged = PT.makeVar();
+      PT.addCopy(Merged, VA.PtVar);
+      PT.addCopy(Merged, VB.PtVar);
+      VA.PtVar = Merged;
+    }
   }
 
   void assignTo(const Expr *Target, const Value &V, Env &E, FnContext *Fn,
@@ -512,11 +837,11 @@ private:
     switch (Target->kind()) {
     case NodeKind::Name: {
       std::string_view Name = cast<NameExpr>(Target)->Id;
-      E[std::string(Name)] = V;
+      E.set(Name, V);
       // `global x` makes the assignment visible at module scope, where
       // later-processed functions pick it up through their initial env.
-      if (Fn && Fn->Globals.count(Name))
-        ModuleEnv[std::string(Name)] = V;
+      if (Fn && Fn->isGlobal(Name))
+        ModuleEnv->set(Name, V);
       return;
     }
     case NodeKind::Tuple:
@@ -534,29 +859,71 @@ private:
     case NodeKind::Attribute: {
       const auto *A = cast<AttributeExpr>(Target);
       Value Base = evalExpr(A->Value, E, Fn, Depth);
-      recordFieldStore(Base, A->Attr, V);
+      recordFieldStore(Base, fieldId(A->Attr), V);
       return;
     }
     case NodeKind::Subscript: {
       const auto *Sub = cast<SubscriptExpr>(Target);
       Value Base = evalExpr(Sub->Value, E, Fn, Depth);
       evalExpr(Sub->Index, E, Fn, Depth);
-      recordFieldStore(Base, "$elem", V);
+      recordFieldStore(Base, ElemField, V);
       return;
     }
-    default:
+    case NodeKind::NumberLit:
+    case NodeKind::StringLit:
+    case NodeKind::BoolLit:
+    case NodeKind::NoneLit:
+    case NodeKind::Slice:
+    case NodeKind::Call:
+    case NodeKind::Binary:
+    case NodeKind::Unary:
+    case NodeKind::BoolOp:
+    case NodeKind::Compare:
+    case NodeKind::Set:
+    case NodeKind::Dict:
+    case NodeKind::Lambda:
+    case NodeKind::Conditional:
+    case NodeKind::Comprehension:
+    case NodeKind::JoinedStr:
+    case NodeKind::Yield:
+      // Not assignable: the parser reports the statement, and nothing is
+      // bound or stored.
+      return;
+    case NodeKind::ExprStmt:
+    case NodeKind::Assign:
+    case NodeKind::AugAssign:
+    case NodeKind::AnnAssign:
+    case NodeKind::FunctionDef:
+    case NodeKind::ClassDef:
+    case NodeKind::Return:
+    case NodeKind::If:
+    case NodeKind::While:
+    case NodeKind::For:
+    case NodeKind::Import:
+    case NodeKind::ImportFrom:
+    case NodeKind::Pass:
+    case NodeKind::Break:
+    case NodeKind::Continue:
+    case NodeKind::With:
+    case NodeKind::Try:
+    case NodeKind::Raise:
+    case NodeKind::Global:
+    case NodeKind::Delete:
+    case NodeKind::Assert:
+    case NodeKind::Module:
+      assert(false && "not an expression");
       return;
     }
   }
 
-  void recordFieldStore(Value &Base, std::string_view Field,
+  void recordFieldStore(Value &Base, pointsto::FieldId Field,
                         const Value &V) {
     if (!Opts.UsePointsTo || V.Events.empty())
       return;
     pointsto::VarId BaseVar = ptVarOf(Base);
-    Stores.push_back({BaseVar, std::string(Field), V.Events});
+    W.Stores.push_back({BaseVar, Field, V.Events});
     if (V.PtVar != InvalidPtVar)
-      PT.addStore(BaseVar, std::string(Field), V.PtVar);
+      PT.addStore(BaseVar, Field, V.PtVar);
   }
 
   //===--------------------------------------------------------------------===//
@@ -595,12 +962,14 @@ private:
     case NodeKind::BoolOp: {
       Value Out;
       Out.PtVar = PT.makeVar();
+      EventUnion U(W.EventStack);
       for (const Expr *Op : cast<BoolOpExpr>(Ex)->Operands) {
         Value V = evalExpr(Op, E, Fn, Depth);
-        Out.Events = unionEvents(Out.Events, V.Events);
+        U.add(V.Events);
         if (V.PtVar != InvalidPtVar)
           PT.addCopy(Out.PtVar, V.PtVar);
       }
+      Out.Events = U.copy(W.Mem);
       return Out;
     }
     case NodeKind::Compare: {
@@ -617,12 +986,14 @@ private:
       evalExpr(C->Cond, E, Fn, Depth);
       Value Out;
       Out.PtVar = PT.makeVar();
+      EventUnion U(W.EventStack);
       for (const Expr *Arm : {C->Body, C->OrElse}) {
         Value V = evalExpr(Arm, E, Fn, Depth);
-        Out.Events = unionEvents(Out.Events, V.Events);
+        U.add(V.Events);
         if (V.PtVar != InvalidPtVar)
           PT.addCopy(Out.PtVar, V.PtVar);
       }
+      Out.Events = U.copy(W.Mem);
       return Out;
     }
     case NodeKind::List:
@@ -633,26 +1004,26 @@ private:
     case NodeKind::Comprehension: {
       const auto *C = cast<ComprehensionExpr>(Ex);
       Value Iter = evalExpr(C->Iter, E, Fn, Depth);
-      Env Inner = E;
+      Env Inner(W, &E);
       Value Elem;
       Elem.Events = Iter.Events;
       assignTo(C->Target, Elem, Inner, Fn, Depth);
       if (C->Cond)
         evalExpr(C->Cond, Inner, Fn, Depth);
-      Value Out;
       if (C->KeyElement)
         evalExpr(C->KeyElement, Inner, Fn, Depth);
       Value Body = evalExpr(C->Element, Inner, Fn, Depth);
+      Value Out;
       Out.Events = unionEvents(Body.Events, Iter.Events);
       return Out;
     }
     case NodeKind::JoinedStr: {
       // f-strings propagate every interpolated value (f"q={user_input}").
+      EventUnion U(W.EventStack);
+      for (const Expr *Part : cast<JoinedStrExpr>(Ex)->Interpolations)
+        U.add(evalExpr(Part, E, Fn, Depth).Events);
       Value Out;
-      for (const Expr *Part : cast<JoinedStrExpr>(Ex)->Interpolations) {
-        Value V = evalExpr(Part, E, Fn, Depth);
-        Out.Events = unionEvents(Out.Events, V.Events);
-      }
+      Out.Events = U.copy(W.Mem);
       return Out;
     }
     case NodeKind::Starred:
@@ -667,7 +1038,7 @@ private:
         Value V = evalExpr(Y->Value, E, Fn, Depth);
         if (Fn && Fn->Summary)
           for (EventId Id : V.Events)
-            Fn->Summary->ReturnEvents.push_back(Id);
+            Fn->Summary->ReturnEvents.push(W.Mem, Id);
       }
       return Value{};
     }
@@ -681,25 +1052,47 @@ private:
         evalExpr(S->Step, E, Fn, Depth);
       return Value{};
     }
-    default:
+    case NodeKind::NumberLit:
+    case NodeKind::StringLit:
+    case NodeKind::BoolLit:
+    case NodeKind::NoneLit:
       return Value{}; // Literals carry no taint.
+    case NodeKind::ExprStmt:
+    case NodeKind::Assign:
+    case NodeKind::AugAssign:
+    case NodeKind::AnnAssign:
+    case NodeKind::FunctionDef:
+    case NodeKind::ClassDef:
+    case NodeKind::Return:
+    case NodeKind::If:
+    case NodeKind::While:
+    case NodeKind::For:
+    case NodeKind::Import:
+    case NodeKind::ImportFrom:
+    case NodeKind::Pass:
+    case NodeKind::Break:
+    case NodeKind::Continue:
+    case NodeKind::With:
+    case NodeKind::Try:
+    case NodeKind::Raise:
+    case NodeKind::Global:
+    case NodeKind::Delete:
+    case NodeKind::Assert:
+    case NodeKind::Module:
+      assert(false && "not an expression");
+      return Value{};
     }
+    return Value{};
   }
 
-  Value evalName(const NameExpr *Name, Env &E) {
-    auto It = E.find(Name->Id);
-    if (It != E.end())
-      return It->second;
+  Value evalName(const NameExpr *Name, const Env &E) {
+    if (const Value *Bound = E.find(Name->Id))
+      return *Bound;
+    // Import-bound, or an unknown free name: builtin, star import, or
+    // late-bound global.
     Value V;
-    if (std::optional<std::string> Qual =
-            Scope.imports().resolveRoot(Name->Id)) {
-      V.Paths = {*Qual};
-      V.PureModulePath = true;
-    } else {
-      // Unknown free name: builtin, star import, or late-bound global.
-      V.Paths = {std::string(Name->Id)};
-      V.PureModulePath = true;
-    }
+    V.Paths = one(Scope.imports().resolveRoot(Name->Id).value_or(Name->Id));
+    V.PureModulePath = true;
     return V;
   }
 
@@ -708,9 +1101,10 @@ private:
   /// specs and graph dumps store it: a backslash doubles, newline, tab and
   /// carriage return become \n, \t and \r, any other byte below 0x20 and
   /// 0x7f become \xNN, and every other byte is kept.
-  static std::string subscriptLink(const Expr *Index) {
+  std::string_view subscriptLink(const Expr *Index) {
     if (const auto *S = dyn_cast<StringExpr>(Index)) {
-      std::string Link = "['";
+      std::string &Link = W.Text;
+      Link.assign("['");
       for (char C : S->Value) {
         switch (C) {
         case '\\': Link += "\\\\"; break;
@@ -718,26 +1112,30 @@ private:
         case '\t': Link += "\\t"; break;
         case '\r': Link += "\\r"; break;
         default:
-          if (static_cast<unsigned char>(C) < 0x20 || C == 0x7f)
-            Link += formatString("\\x%02x", static_cast<unsigned char>(C));
-          else
+          if (static_cast<unsigned char>(C) < 0x20 || C == 0x7f) {
+            constexpr char Hex[] = "0123456789abcdef";
+            const auto Byte = static_cast<unsigned char>(C);
+            Link += "\\x";
+            Link += Hex[Byte >> 4];
+            Link += Hex[Byte & 0xf];
+          } else {
             Link += C;
+          }
         }
       }
-      return Link + "']";
+      Link += "']";
+      return W.Mem.copyText(Link);
     }
     if (const auto *N = dyn_cast<NumberExpr>(Index))
-      return "[" + std::string(N->Spelling) + "]";
+      return W.Mem.concat({"[", N->Spelling, "]"});
     return "[]";
   }
 
   Value evalAttribute(const AttributeExpr *A, Env &E, FnContext *Fn,
                       int Depth, bool BasePosition) {
     Value Base = evalExprCtx(A->Value, E, Fn, Depth, /*BasePosition=*/true);
-    std::string Link = "." + std::string(A->Attr);
     Value Out;
-    Out.Paths = Base.Paths.empty() ? unknownPath(Link)
-                                   : extendPaths(Base.Paths, Link);
+    Out.Paths = extendPaths(Base.Paths, ".", A->Attr);
     Out.PureModulePath = Base.PureModulePath;
     Out.InstanceClass = Base.InstanceClass;
 
@@ -748,15 +1146,15 @@ private:
 
     EventId Read = makeEvent(EventKind::ObjectRead, Out.Paths, A->loc());
     flowInto(Base.Events, Read);
-    Out.Events = {Read};
+    Out.Events = one(Read);
     Out.PureModulePath = false;
-    Out.InstanceClass.clear();
+    Out.InstanceClass = nullptr;
     if (Opts.UsePointsTo) {
+      const pointsto::FieldId Field = fieldId(A->Attr);
       Out.PtVar = PT.makeVar();
       if (Base.PtVar != InvalidPtVar)
-        PT.addLoad(Out.PtVar, Base.PtVar, std::string(A->Attr));
-      pointsto::VarId BaseVar = ptVarOf(Base);
-      Loads.push_back({BaseVar, std::string(A->Attr), Read});
+        PT.addLoad(Out.PtVar, Base.PtVar, Field);
+      W.Loads.push_back({ptVarOf(Base), Field, Read});
     }
     return Out;
   }
@@ -764,115 +1162,115 @@ private:
   Value evalSubscript(const SubscriptExpr *S, Env &E, FnContext *Fn,
                       int Depth) {
     Value Base = evalExprCtx(S->Value, E, Fn, Depth, /*BasePosition=*/true);
-    Value Index = evalExpr(S->Index, E, Fn, Depth);
-    std::string Link = subscriptLink(S->Index);
+    evalExpr(S->Index, E, Fn, Depth);
     Value Out;
-    Out.Paths = Base.Paths.empty() ? unknownPath(Link)
-                                   : extendPaths(Base.Paths, Link);
+    Out.Paths = extendPaths(Base.Paths, subscriptLink(S->Index));
 
     EventId Read = makeEvent(EventKind::ObjectRead, Out.Paths, S->loc());
     flowInto(Base.Events, Read);
-    Out.Events = {Read};
+    Out.Events = one(Read);
     if (Opts.UsePointsTo) {
       Out.PtVar = PT.makeVar();
       if (Base.PtVar != InvalidPtVar)
-        PT.addLoad(Out.PtVar, Base.PtVar, "$elem");
-      pointsto::VarId BaseVar = ptVarOf(Base);
-      Loads.push_back({BaseVar, "$elem", Read});
+        PT.addLoad(Out.PtVar, Base.PtVar, ElemField);
+      W.Loads.push_back({ptVarOf(Base), ElemField, Read});
     }
     return Out;
   }
 
   Value evalDisplay(const Expr *Ex, Env &E, FnContext *Fn, int Depth) {
     // Containers: information flows from every entry to the container
-    // (§5.2, Data Structures).
-    std::vector<const Expr *> Parts;
-    if (const auto *S = dyn_cast<SequenceExpr>(Ex))
-      Parts.assign(S->Elements.begin(), S->Elements.end());
-    if (const auto *D = dyn_cast<DictExpr>(Ex)) {
-      for (const Expr *K : D->Keys)
-        if (K)
-          Parts.push_back(K);
-      for (const Expr *V : D->Values)
-        Parts.push_back(V);
-    }
+    // (§5.2, Data Structures), keys before values.
     Value Out;
     if (Opts.UsePointsTo) {
       Out.PtVar = PT.makeVar();
       PT.addAlloc(Out.PtVar, PT.makeObj());
     }
-    for (const Expr *P : Parts) {
+    EventUnion U(W.EventStack);
+    auto Part = [&](const Expr *P) {
       Value V = evalExpr(P, E, Fn, Depth);
-      Out.Events = unionEvents(Out.Events, V.Events);
+      U.add(V.Events);
       if (Opts.UsePointsTo && V.PtVar != InvalidPtVar)
-        PT.addStore(Out.PtVar, "$elem", V.PtVar);
+        PT.addStore(Out.PtVar, ElemField, V.PtVar);
+    };
+    if (const auto *S = dyn_cast<SequenceExpr>(Ex))
+      for (const Expr *P : S->Elements)
+        Part(P);
+    if (const auto *D = dyn_cast<DictExpr>(Ex)) {
+      for (const Expr *K : D->Keys)
+        if (K)
+          Part(K);
+      for (const Expr *V : D->Values)
+        Part(V);
     }
+    Out.Events = U.copy(W.Mem);
     return Out;
   }
 
+  /// A keyword argument's name and value.
+  struct KeywordValue {
+    std::string_view Name;
+    Value V;
+  };
+
   Value evalCall(const CallExpr *C, Env &E, FnContext *Fn, int Depth) {
     // Evaluate arguments first.
-    std::vector<Value> ArgValues;
-    for (const Expr *Arg : C->Args)
-      ArgValues.push_back(evalExpr(Arg, E, Fn, Depth));
-    std::vector<std::pair<std::string, Value>> KwValues;
-    for (const KeywordArg &K : C->Keywords)
-      KwValues.emplace_back(K.Name, evalExpr(K.Value, E, Fn, Depth));
+    std::span<Value> Args = makeArray<Value>(C->Args.size());
+    for (size_t I = 0; I < Args.size(); ++I)
+      Args[I] = evalExpr(C->Args[I], E, Fn, Depth);
+    std::span<KeywordValue> Kws =
+        makeArray<KeywordValue>(C->Keywords.size());
+    for (size_t I = 0; I < Kws.size(); ++I)
+      Kws[I] = {C->Keywords[I].Name,
+                evalExpr(C->Keywords[I].Value, E, Fn, Depth)};
 
     // Identify the callee target and render representation options.
-    Value Receiver;          // For method calls: the object flowed through.
-    std::vector<std::string> RepOptions;
-    std::string CrossModuleTarget; // Import-resolved callee (if any).
+    Value Receiver; // For method calls: the object flowed through.
+    std::span<const std::string_view> RepOptions;
+    // Import-resolved callee, kept only for project-level linking.
+    std::string_view CrossModuleTarget;
     const FunctionDefStmt *LocalTarget = nullptr;
     const pysem::ClassInfo *LocalTargetClass = nullptr;
     const pysem::ClassInfo *ConstructedClass = nullptr;
     bool CalleeIsLocals = false;
 
     if (const auto *Name = dyn_cast<NameExpr>(C->Callee)) {
-      if (E.find(Name->Id) == E.end()) {
-        if (const FunctionDefStmt *Local = Scope.lookupFunction(Name->Id)) {
-          LocalTarget = Local;
-          RepOptions = {Module.ModuleName + "." + std::string(Name->Id) + "()",
-                        std::string(Name->Id) + "()"};
-        } else if (const pysem::ClassInfo *Cls = Scope.lookupClass(Name->Id)) {
-          ConstructedClass = Cls;
-          RepOptions = {Module.ModuleName + "." + std::string(Name->Id) + "()",
-                        std::string(Name->Id) + "()"};
-        } else if (std::optional<std::string> Qual =
-                       Scope.imports().resolveRoot(Name->Id)) {
-          RepOptions = {*Qual + "()"};
-          CrossModuleTarget = *Qual;
-        } else {
-          if (Opts.ModelLocals && Name->Id == "locals")
-            CalleeIsLocals = true;
-          RepOptions = {std::string(Name->Id) + "()"};
-        }
-      } else {
+      std::string_view Id = Name->Id;
+      if (const Value *Bound = E.find(Id)) {
         // Calling a local variable (bound lambda / aliased function).
-        Value V = E[std::string(Name->Id)];
-        Receiver = V;
-        RepOptions = V.Paths.empty() ? unknownPath("()")
-                                     : extendPaths(V.Paths, "()");
+        Receiver = *Bound;
+        RepOptions = extendPaths(Bound->Paths, "()");
+      } else if (const FunctionDefStmt *Local = Scope.lookupFunction(Id)) {
+        LocalTarget = Local;
+        RepOptions = localCallOptions(Id);
+      } else if (const pysem::ClassInfo *Cls = Scope.lookupClass(Id)) {
+        ConstructedClass = Cls;
+        RepOptions = localCallOptions(Id);
+      } else if (std::optional<std::string_view> Qual =
+                     Scope.imports().resolveRoot(Id)) {
+        RepOptions = one(W.Mem.concat({*Qual, "()"}));
+        if (Artifacts)
+          CrossModuleTarget = *Qual;
+      } else {
+        if (Opts.ModelLocals && Id == "locals")
+          CalleeIsLocals = true;
+        RepOptions = one(W.Mem.concat({Id, "()"}));
       }
     } else if (const auto *Attr = dyn_cast<AttributeExpr>(C->Callee)) {
       Receiver = evalExprCtx(Attr->Value, E, Fn, Depth, /*BasePosition=*/true);
-      std::string Link = "." + std::string(Attr->Attr) + "()";
-      RepOptions = Receiver.Paths.empty()
-                       ? unknownPath(Link)
-                       : extendPaths(Receiver.Paths, Link);
-      if (Receiver.PureModulePath && Receiver.Paths.size() == 1)
+      RepOptions = extendPaths(Receiver.Paths, ".", Attr->Attr, "()");
+      if (Artifacts && Receiver.PureModulePath && Receiver.Paths.size() == 1)
         CrossModuleTarget =
-            Receiver.Paths.front() + "." + std::string(Attr->Attr);
+            W.Mem.concat({Receiver.Paths.front(), ".", Attr->Attr});
       // Method call on a known same-module instance (including `self`).
-      if (!Receiver.InstanceClass.empty()) {
-        LocalTarget = Scope.lookupMethod(Receiver.InstanceClass, Attr->Attr);
-        LocalTargetClass = Scope.lookupClass(Receiver.InstanceClass);
+      if (Receiver.InstanceClass) {
+        LocalTarget = pysem::ModuleScope::lookupMethod(Receiver.InstanceClass,
+                                                       Attr->Attr);
+        LocalTargetClass = Receiver.InstanceClass;
       }
     } else {
-      Value V = evalExprCtx(C->Callee, E, Fn, Depth, /*BasePosition=*/true);
-      Receiver = V;
-      RepOptions =
-          V.Paths.empty() ? unknownPath("()") : extendPaths(V.Paths, "()");
+      Receiver = evalExprCtx(C->Callee, E, Fn, Depth, /*BasePosition=*/true);
+      RepOptions = extendPaths(Receiver.Paths, "()");
     }
 
     EventId Call = makeEvent(EventKind::Call, RepOptions, C->loc());
@@ -881,23 +1279,20 @@ private:
     // direct argument edges: a linked call routes its arguments through
     // the callee's parameters instead (falling back to direct edges when
     // no project module exports the target).
-    bool DeferArgEdges = Artifacts && !CrossModuleTarget.empty() &&
-                         !Opts.ArgPositionReps;
+    const bool Linked = !CrossModuleTarget.empty() && !Opts.ArgPositionReps;
+    bool DeferArgEdges = Linked;
     // Precise inlining: a successfully inlined same-module call likewise
     // routes flow only through the callee's body.
     if (Opts.PreciseInlining && !Opts.ArgPositionReps &&
         Depth < MaxInlineDepth) {
       const FunctionDefStmt *Probe = LocalTarget;
-      if (!Probe && ConstructedClass) {
-        auto It = ConstructedClass->Methods.find("__init__");
-        if (It != ConstructedClass->Methods.end())
-          Probe = It->second;
-      }
+      if (!Probe && ConstructedClass)
+        Probe = ConstructedClass->method("__init__");
       if (Probe) {
-        auto It = Summaries.find(Probe);
+        FunctionSummary *const *Summary = W.Summaries.find(Probe);
         // Only defer when the summary is (or will be) usable: a function
         // currently being processed (recursion) keeps direct edges.
-        if (It == Summaries.end() || !It->second.InProgress)
+        if (!Summary || !(*Summary)->InProgress)
           DeferArgEdges = true;
       }
     }
@@ -908,46 +1303,57 @@ private:
     if (DeferArgEdges) {
       // Edges added by the linking pass in buildProjectGraph.
     } else if (Opts.ArgPositionReps) {
-      auto MakeArgEvent = [&](const std::string &Slot,
-                              const std::vector<EventId> &Events) {
-        if (Events.empty())
-          return;
+      auto MakeArgEvent = [&](std::string_view Slot,
+                              std::span<const EventId> Events) {
         EventId AE = makeEvent(EventKind::CallArgument,
                                extendPaths(RepOptions, Slot), C->loc());
         flowInto(Events, AE);
         addEdge(AE, Call);
       };
-      for (size_t I = 0; I < ArgValues.size(); ++I)
-        MakeArgEvent("[arg" + std::to_string(I) + "]", ArgValues[I].Events);
-      for (const auto &[Kw, KV] : KwValues)
-        MakeArgEvent(Kw.empty() ? std::string("[kwargs]") : "[kw:" + Kw + "]",
-                     KV.Events);
+      for (size_t I = 0; I < Args.size(); ++I) {
+        if (Args[I].Events.empty())
+          continue;
+        char Digits[24];
+        auto [End, Ec] = std::to_chars(Digits, Digits + sizeof(Digits), I);
+        (void)Ec;
+        MakeArgEvent(W.Mem.concat({"[arg", {Digits, End}, "]"}),
+                     Args[I].Events);
+      }
+      for (const KeywordValue &K : Kws)
+        if (!K.V.Events.empty())
+          MakeArgEvent(K.Name.empty() ? std::string_view("[kwargs]")
+                                      : W.Mem.concat({"[kw:", K.Name, "]"}),
+                       K.V.Events);
     } else {
-      for (const Value &AV : ArgValues)
+      for (const Value &AV : Args)
         flowInto(AV.Events, Call);
-      for (const auto &[Kw, KV] : KwValues)
-        flowInto(KV.Events, Call);
+      for (const KeywordValue &K : Kws)
+        flowInto(K.V.Events, Call);
     }
     flowInto(Receiver.Events, Call);
 
     if (CalleeIsLocals) {
       // locals() receives flow from every local variable (§5.2).
-      for (const auto &[VarName, VarValue] : E)
-        flowInto(VarValue.Events, Call);
+      E.forEachBound([&](std::string_view, const Value &V) {
+        flowInto(V.Events, Call);
+      });
     }
 
-    if (Artifacts && !CrossModuleTarget.empty() && !Opts.ArgPositionReps) {
+    if (Linked) {
       ModuleArtifacts::CallSite Site;
-      Site.Target = std::move(CrossModuleTarget);
-      std::vector<std::string> Parts =
-          splitString(Module.ModuleName, '.');
-      Parts.pop_back();
-      Site.CallerPackage = joinStrings(Parts, ".");
+      Site.Target = CrossModuleTarget;
+      std::string_view Name = Module.ModuleName;
+      const size_t Dot = Name.rfind('.');
+      Site.CallerPackage = Dot == std::string_view::npos
+                               ? std::string_view()
+                               : Name.substr(0, Dot);
       Site.Call = Call;
-      for (const Value &AV : ArgValues)
-        Site.Args.push_back(AV.Events);
-      for (const auto &[Kw, KV] : KwValues)
-        Site.Kwargs.emplace_back(Kw, KV.Events);
+      for (const Value &AV : Args)
+        Site.Args.emplace_back(AV.Events.begin(), AV.Events.end());
+      for (const KeywordValue &K : Kws)
+        Site.Kwargs.emplace_back(
+            std::string(K.Name),
+            std::vector<EventId>(K.V.Events.begin(), K.V.Events.end()));
       Artifacts->Calls.push_back(std::move(Site));
     }
 
@@ -956,9 +1362,8 @@ private:
     const FunctionDefStmt *InlineFn = LocalTarget;
     const pysem::ClassInfo *InlineClass = LocalTargetClass;
     if (!InlineFn && ConstructedClass) {
-      auto It = ConstructedClass->Methods.find("__init__");
-      if (It != ConstructedClass->Methods.end()) {
-        InlineFn = It->second;
+      if (const FunctionDefStmt *Init = ConstructedClass->method("__init__")) {
+        InlineFn = Init;
         InlineClass = ConstructedClass;
       }
     }
@@ -972,85 +1377,74 @@ private:
         size_t ParamBase = InlineClass ? 1 : 0;
         if (InlineClass && !Summary.ParamEvents.empty())
           flowInto(Receiver.Events, Summary.ParamEvents[0]);
-        for (size_t I = 0; I < ArgValues.size(); ++I) {
+        for (size_t I = 0; I < Args.size(); ++I) {
           size_t ParamIdx = ParamBase + I;
           if (ParamIdx >= Summary.ParamEvents.size())
             break;
-          flowInto(ArgValues[I].Events, Summary.ParamEvents[ParamIdx]);
+          flowInto(Args[I].Events, Summary.ParamEvents[ParamIdx]);
         }
-        for (const auto &[Kw, KV] : KwValues) {
+        for (const KeywordValue &K : Kws) {
           for (size_t P = 0; P < InlineFn->Params.size(); ++P)
-            if (InlineFn->Params[P].Name == Kw)
-              flowInto(KV.Events, Summary.ParamEvents[P]);
+            if (InlineFn->Params[P].Name == K.Name)
+              flowInto(K.V.Events, Summary.ParamEvents[P]);
         }
-        for (EventId R : Summary.ReturnEvents)
+        for (EventId R : Summary.ReturnEvents.view())
           addEdge(R, Call);
       }
     }
     if (Opts.PreciseInlining && !InlinedPrecisely && DeferArgEdges &&
-        !(Artifacts && !CrossModuleTarget.empty())) {
+        !Linked) {
       // Precise-inlining deferral without a usable summary: restore the
       // §5.2 direct edges.
-      for (const Value &AV : ArgValues)
+      for (const Value &AV : Args)
         flowInto(AV.Events, Call);
-      for (const auto &[Kw, KV] : KwValues)
-        flowInto(KV.Events, Call);
+      for (const KeywordValue &K : Kws)
+        flowInto(K.V.Events, Call);
     }
 
+    // The path of a call result is the call rendering itself (the "()" is
+    // already part of each option).
     Value Out;
-    Out.Events = {Call};
-    Out.Paths = extendPathsForResult(RepOptions);
-    if (ConstructedClass)
-      Out.InstanceClass = ConstructedClass->Name;
+    Out.Events = one(Call);
+    Out.Paths = RepOptions;
+    Out.InstanceClass = ConstructedClass;
     if (Opts.UsePointsTo) {
       // Calls with unknown bodies are allocation sites (§5.2); local
       // constructors yield the class's shared abstract instance.
       Out.PtVar = PT.makeVar();
-      if (ConstructedClass)
-        PT.addAlloc(Out.PtVar, classInstanceObj(ConstructedClass->Name));
-      else
-        PT.addAlloc(Out.PtVar, PT.makeObj());
+      PT.addAlloc(Out.PtVar, ConstructedClass
+                                 ? classInstanceObj(ConstructedClass)
+                                 : PT.makeObj());
     }
     return Out;
   }
 
-  /// The path of a call result is the call rendering itself (the "()" is
-  /// already part of each option).
-  static std::vector<std::string>
-  extendPathsForResult(const std::vector<std::string> &RepOptions) {
-    return RepOptions;
-  }
-
-  static std::vector<EventId> unionEvents(const std::vector<EventId> &A,
-                                          const std::vector<EventId> &B) {
-    std::vector<EventId> Out = A;
-    for (EventId Id : B)
-      if (std::find(Out.begin(), Out.end(), Id) == Out.end())
-        Out.push_back(Id);
-    return Out;
+  /// A same-module function's or class's call options: the qualified
+  /// rendering, then the local one.
+  std::span<const std::string_view> localCallOptions(std::string_view Name) {
+    auto *Out = W.Mem.allocateArray<std::string_view>(2);
+    Out[0] = W.Mem.concat({Module.ModuleName, ".", Name, "()"});
+    Out[1] = W.Mem.concat({Name, "()"});
+    return {Out, 2};
   }
 
   //===--------------------------------------------------------------------===//
   // State
   //===--------------------------------------------------------------------===//
 
+  Workspace &W;
   const pysem::ModuleInfo &Module;
   const ModuleNode *Ast;
-  BuildOptions Opts;
+  const BuildOptions &Opts;
   ModuleArtifacts *Artifacts = nullptr;
-  pysem::ModuleScope Scope;
-  PropagationGraph Graph;
-  /// The module's flow edges, in the order the walk finds them.
-  std::vector<Edge> Edges;
-  /// makeEvent()'s options as views, reused across events.
-  std::vector<std::string_view> RepViews;
+  pysem::ModuleScope &Scope;
+  pointsto::AndersenSolver &PT;
+  PropagationGraph &Graph;
   uint32_t FileIdx = 0;
-  Env ModuleEnv;
-  std::unordered_map<const FunctionDefStmt *, FunctionSummary> Summaries;
-  pointsto::AndersenSolver PT;
-  std::unordered_map<std::string, pointsto::ObjId> ClassInstanceObjs;
-  std::vector<FieldStore> Stores;
-  std::vector<FieldLoad> Loads;
+  /// The field a container's elements share.
+  pointsto::FieldId ElemField = 0;
+  /// The module's environment while the walk runs.
+  Env *ModuleEnv = nullptr;
 };
 
 /// Lexes and parses \p Module into \p Ctx (parseSource times the two
@@ -1065,15 +1459,16 @@ const ModuleNode *parseModule(AstContext &Ctx, const pysem::ModuleInfo &Module,
   return Ast;
 }
 
-/// Parses and builds one module; the AST dies with this frame.
-PropagationGraph buildOne(const pysem::ModuleInfo &Module,
-                          const BuildOptions &Opts,
-                          std::vector<ParseError> *Diagnostics,
-                          ModuleArtifacts *Artifacts = nullptr) {
+/// Parses \p Module and builds it into \p Graph; the AST dies with this
+/// frame.
+void buildOne(Workspace &W, const pysem::ModuleInfo &Module,
+              const BuildOptions &Opts, PropagationGraph &Graph,
+              std::vector<ParseError> *Diagnostics,
+              ModuleArtifacts *Artifacts = nullptr) {
   AstContext Ctx;
-  ModuleGraphBuilder Builder(Module, parseModule(Ctx, Module, Diagnostics),
-                             Opts, Artifacts);
-  return Builder.build();
+  ModuleGraphBuilder(W, Module, parseModule(Ctx, Module, Diagnostics), Opts,
+                     Graph, Artifacts)
+      .build();
 }
 
 } // namespace
@@ -1084,41 +1479,61 @@ seldon::propgraph::buildModuleGraph(const pysem::Project &Proj,
                                     const BuildOptions &Opts,
                                     std::vector<ParseError> *Diagnostics) {
   (void)Proj; // Cross-module resolution is per-file in this reproduction.
-  return buildOne(Module, Opts, Diagnostics);
+  Workspace &W = workspace();
+  W.Edges.clear();
+  PropagationGraph Graph;
+  buildOne(W, Module, Opts, Graph, Diagnostics);
+  // The module is complete: its adjacency is built once.
+  Graph.addEdges(W.Edges);
+  return Graph;
 }
 
 PropagationGraph
 seldon::propgraph::buildProjectGraph(const pysem::Project &Proj,
                                      const BuildOptions &Opts,
                                      std::vector<ParseError> *Diagnostics) {
+  Workspace &W = workspace();
+  W.Edges.clear();
   PropagationGraph Out;
-  if (!Opts.CrossModuleFlows) {
-    for (const pysem::ModuleInfo &M : Proj.modules())
-      Out.append(buildOne(M, Opts, Diagnostics));
-    return Out;
-  }
-
-  // Beyond-paper mode: link calls to project-local modules. Build every
-  // module, collect its exports and cross-module call sites, then wire
-  // arguments to parameters and returns to calls.
+  // Beyond-paper mode: link calls to project-local modules. Every module
+  // exports its top-level functions and cross-module call sites, then
+  // arguments are wired to parameters and returns to calls.
   ModuleArtifacts Linked;
   for (const pysem::ModuleInfo &M : Proj.modules()) {
+    if (!Opts.CrossModuleFlows) {
+      buildOne(W, M, Opts, Out, Diagnostics);
+      continue;
+    }
     ModuleArtifacts Artifacts;
-    PropagationGraph G = buildOne(M, Opts, Diagnostics, &Artifacts);
-    Artifacts.offsetIds(static_cast<EventId>(Out.numEvents()));
-    Out.append(std::move(G));
+    buildOne(W, M, Opts, Out, Diagnostics, &Artifacts);
     for (auto &[Name, Fn] : Artifacts.Exports)
       Linked.Exports.emplace(Name, std::move(Fn));
     for (auto &Site : Artifacts.Calls)
       Linked.Calls.push_back(std::move(Site));
   }
 
+  // The modules' edges grouped by source, each source's in walk order, so
+  // every event's predecessors list their sources in id order.
+  const size_t N = Out.numEvents();
+  W.SourceBegin.assign(N + 1, 0);
+  for (const Edge &E : W.Edges)
+    ++W.SourceBegin[E.From + 1];
+  for (size_t V = 0; V < N; ++V)
+    W.SourceBegin[V + 1] += W.SourceBegin[V];
+  W.BySource.resize(W.Edges.size());
+  for (const Edge &E : W.Edges)
+    W.BySource[W.SourceBegin[E.From]++] = E;
+  Out.addEdges(W.BySource);
+  if (!Opts.CrossModuleFlows)
+    return Out;
+
   std::vector<Edge> Links;
   for (const ModuleArtifacts::CallSite &Site : Linked.Calls) {
     auto It = Linked.Exports.find(Site.Target);
     if (It == Linked.Exports.end() && !Site.CallerPackage.empty())
       // `from utils import f` inside pkg.app resolves to pkg.utils.f.
-      It = Linked.Exports.find(Site.CallerPackage + "." + Site.Target);
+      It = Linked.Exports.find(std::string(Site.CallerPackage) + "." +
+                               Site.Target);
     if (It == Linked.Exports.end()) {
       // Unresolved: restore the deferred direct argument edges (§5.2's
       // unknown-body behaviour).

@@ -101,9 +101,9 @@ buildModuleGraph(const pysem::Project &Proj, const pysem::ModuleInfo &Module,
 
 /// Builds one graph covering every module of \p Proj (per-module subgraphs
 /// are disjoint, as in the paper's global graph). Each module is parsed as
-/// in buildModuleGraph, and its AST is freed once its graph is built; the
-/// diagnostics of every module are appended to \p Diagnostics (may be
-/// null) in module order.
+/// in buildModuleGraph and built straight into the graph, and its AST is
+/// freed once its events and edges are made; the diagnostics of every
+/// module are appended to \p Diagnostics (may be null) in module order.
 PropagationGraph
 buildProjectGraph(const pysem::Project &Proj,
                   const BuildOptions &Opts = BuildOptions(),

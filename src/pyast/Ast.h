@@ -23,6 +23,8 @@
 #ifndef SELDON_PYAST_AST_H
 #define SELDON_PYAST_AST_H
 
+#include "support/Arena.h"
+
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -752,13 +754,6 @@ public:
 /// stays valid for the context's lifetime.
 class AstContext {
 public:
-  AstContext() = default;
-  AstContext(const AstContext &) = delete;
-  AstContext &operator=(const AstContext &) = delete;
-  AstContext(AstContext &&Other) noexcept { *this = std::move(Other); }
-  AstContext &operator=(AstContext &&Other) noexcept;
-  ~AstContext() { release(); }
-
   /// Allocates a node of type \p T.
   template <typename T, typename... Args> T *create(Args &&...CtorArgs) {
     static_assert(std::is_trivially_destructible_v<T>,
@@ -770,49 +765,28 @@ public:
 
   /// Returns \p Size bytes aligned to \p Align (a power of two).
   void *allocate(size_t Size, size_t Align) {
-    uintptr_t At = (reinterpret_cast<uintptr_t>(Cur) + Align - 1) &
-                   ~static_cast<uintptr_t>(Align - 1);
-    if (At + Size > reinterpret_cast<uintptr_t>(End))
-      return allocateSlow(Size, Align);
-    Cur = reinterpret_cast<char *>(At + Size);
-    return reinterpret_cast<void *>(At);
+    return Mem.allocate(Size, Align);
   }
 
   /// Copies \p Items into the arena.
   template <typename T> std::span<T> copyArray(std::span<const T> Items) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (Items.empty())
-      return {};
-    T *Out = static_cast<T *>(allocate(Items.size_bytes(), alignof(T)));
-    std::memcpy(Out, Items.data(), Items.size_bytes());
-    return {Out, Items.size()};
+    return Mem.copyArray(Items);
   }
 
   /// Copies \p Text into the arena.
   std::string_view copyText(std::string_view Text) {
-    std::span<const char> Copy = copyArray(std::span(Text));
-    return {Copy.data(), Copy.size()};
+    return Mem.copyText(Text);
   }
 
   size_t numNodes() const { return NumNodes; }
   /// Heap blocks the arena holds; the only allocations a parse makes.
-  size_t numBlocks() const { return NumBlocks; }
+  size_t numBlocks() const { return Mem.numBlocks(); }
   /// True if \p P points into memory this context allocated.
-  bool contains(const void *P) const;
+  bool contains(const void *P) const { return Mem.contains(P); }
 
 private:
-  struct Block {
-    Block *Prev;
-    size_t Bytes;
-  };
-  void *allocateSlow(size_t Size, size_t Align);
-  void release();
-
-  char *Cur = nullptr;
-  char *End = nullptr;
-  Block *Last = nullptr;
+  Arena Mem;
   size_t NumNodes = 0;
-  size_t NumBlocks = 0;
 };
 
 } // namespace pyast

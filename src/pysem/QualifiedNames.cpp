@@ -2,41 +2,42 @@
 
 #include "pysem/QualifiedNames.h"
 
-#include "support/StrUtil.h"
-
 using namespace seldon;
 using namespace seldon::pysem;
 using namespace seldon::pyast;
 
-std::string seldon::pysem::stripRelativeLevels(const std::string &ModuleName,
-                                               unsigned Level) {
-  if (Level == 0)
-    return ModuleName;
-  std::vector<std::string> Parts = splitString(ModuleName, '.');
+std::string_view seldon::pysem::stripRelativeLevels(std::string_view ModuleName,
+                                                    unsigned Level) {
   // One dot refers to the current package, i.e. drops the module component.
-  size_t Drop = std::min<size_t>(Level, Parts.size());
-  Parts.resize(Parts.size() - Drop);
-  return joinStrings(Parts, ".");
+  for (unsigned I = 0; I < Level && !ModuleName.empty(); ++I) {
+    size_t Dot = ModuleName.rfind('.');
+    ModuleName = Dot == std::string_view::npos ? std::string_view()
+                                               : ModuleName.substr(0, Dot);
+  }
+  return ModuleName;
 }
 
-void ImportMap::bind(std::string LocalName, std::string QualifiedPrefix) {
-  Bindings[std::move(LocalName)] = std::move(QualifiedPrefix);
+void ImportMap::bind(std::string_view LocalName,
+                     std::string_view QualifiedPrefix) {
+  std::string_view Local = Text.copyText(LocalName);
+  Bindings[Local] = Text.copyText(QualifiedPrefix);
 }
 
-std::optional<std::string>
+std::optional<std::string_view>
 ImportMap::resolveRoot(std::string_view LocalName) const {
-  auto It = Bindings.find(LocalName);
-  if (It == Bindings.end())
-    return std::nullopt;
-  return It->second;
+  if (const std::string_view *Qual = Bindings.find(LocalName))
+    return *Qual;
+  return std::nullopt;
 }
 
-void ImportMap::build(const ModuleNode *Module, const std::string &ModuleName) {
+void ImportMap::build(const ModuleNode *Module, std::string_view ModuleName) {
+  Text.reset();
+  Bindings.clear();
   scanStatements(Module->Body, ModuleName);
 }
 
 void ImportMap::scanStatements(std::span<Stmt *const> Body,
-                               const std::string &ModuleName) {
+                               std::string_view ModuleName) {
   for (const Stmt *S : Body) {
     switch (S->kind()) {
     case NodeKind::Import: {
@@ -44,11 +45,11 @@ void ImportMap::scanStatements(std::span<Stmt *const> Body,
         if (A.Module.empty())
           continue;
         if (!A.AsName.empty()) {
-          bind(std::string(A.AsName), std::string(A.Module));
+          bind(A.AsName, A.Module);
         } else {
           // `import os.path` binds the name `os`; deeper components resolve
           // through attribute chains.
-          std::string Root = splitString(A.Module, '.').front();
+          std::string_view Root = A.Module.substr(0, A.Module.find('.'));
           bind(Root, Root);
         }
       }
@@ -56,22 +57,22 @@ void ImportMap::scanStatements(std::span<Stmt *const> Body,
     }
     case NodeKind::ImportFrom: {
       const auto *I = cast<ImportFromStmt>(S);
-      std::string Base = I->Level > 0
-                             ? stripRelativeLevels(ModuleName, I->Level)
-                             : std::string();
+      Scratch.assign(I->Level > 0 ? stripRelativeLevels(ModuleName, I->Level)
+                                  : std::string_view());
       if (!I->Module.empty()) {
-        if (!Base.empty())
-          Base += '.';
-        Base += I->Module;
+        if (!Scratch.empty())
+          Scratch += '.';
+        Scratch += I->Module;
       }
+      const size_t BaseSize = Scratch.size();
       for (const ImportAlias &A : I->Names) {
         if (A.Module == "*")
           continue; // Star imports bind unknown names.
-        std::string Qualified = Base.empty()
-                                    ? std::string(A.Module)
-                                    : Base + "." + std::string(A.Module);
-        bind(std::string(A.AsName.empty() ? A.Module : A.AsName),
-             std::move(Qualified));
+        Scratch.resize(BaseSize);
+        if (BaseSize)
+          Scratch += '.';
+        Scratch += A.Module;
+        bind(A.AsName.empty() ? A.Module : A.AsName, Scratch);
       }
       break;
     }
@@ -115,25 +116,26 @@ void ImportMap::scanStatements(std::span<Stmt *const> Body,
 
 std::string seldon::pysem::resolveDottedName(const ImportMap &Imports,
                                              const Expr *E) {
-  // Collect the attribute chain bottom-up, then resolve the root.
-  std::vector<std::string_view> Attrs;
-  const Expr *Cur = E;
-  while (const auto *A = dyn_cast<AttributeExpr>(Cur)) {
-    Attrs.push_back(A->Attr);
-    Cur = A->Value;
+  // The AST links a chain from its outermost attribute in, so the chain is
+  // sized first and its attributes are written back to front.
+  const Expr *Root = E;
+  size_t ChainSize = 0;
+  while (const auto *A = dyn_cast<AttributeExpr>(Root)) {
+    ChainSize += 1 + A->Attr.size();
+    Root = A->Value;
   }
-  const auto *Root = dyn_cast<NameExpr>(Cur);
-  if (!Root)
+  const auto *Name = dyn_cast<NameExpr>(Root);
+  if (!Name)
     return std::string();
-
-  std::string Out;
-  if (std::optional<std::string> Resolved = Imports.resolveRoot(Root->Id))
-    Out = *Resolved;
-  else
-    Out = std::string(Root->Id);
-  for (auto It = Attrs.rbegin(); It != Attrs.rend(); ++It) {
-    Out += '.';
-    Out += *It;
+  std::string Out(Imports.resolveRoot(Name->Id).value_or(Name->Id));
+  size_t At = Out.size() + ChainSize;
+  Out.resize(At);
+  for (const Expr *Cur = E; Cur != Root;
+       Cur = cast<AttributeExpr>(Cur)->Value) {
+    std::string_view Attr = cast<AttributeExpr>(Cur)->Attr;
+    At -= Attr.size();
+    Attr.copy(Out.data() + At, Attr.size());
+    Out[--At] = '.';
   }
   return Out;
 }

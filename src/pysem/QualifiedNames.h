@@ -17,7 +17,8 @@
 #define SELDON_PYSEM_QUALIFIEDNAMES_H
 
 #include "pyast/Ast.h"
-#include "support/StrUtil.h"
+#include "support/Arena.h"
+#include "support/FlatMap.h"
 
 #include <optional>
 #include <string>
@@ -27,27 +28,38 @@ namespace seldon {
 namespace pysem {
 
 /// The import bindings of one module: local alias -> fully qualified prefix.
+/// Both sides live in the map's own arena, so a map reused for module
+/// after module (build() starts over) stops allocating once it has held
+/// the largest.
 class ImportMap {
 public:
-  /// Scans all import statements (at any nesting depth) of \p Module, which
-  /// has the dotted name \p ModuleName (used for relative imports).
-  void build(const pyast::ModuleNode *Module, const std::string &ModuleName);
+  ImportMap() = default;
+  ImportMap(const ImportMap &) = delete;
+  ImportMap &operator=(const ImportMap &) = delete;
 
-  /// Adds one binding explicitly (used by tests and the inliner).
-  void bind(std::string LocalName, std::string QualifiedPrefix);
+  /// Replaces the bindings with those of every import statement (at any
+  /// nesting depth) of \p Module, which has the dotted name \p ModuleName
+  /// (used for relative imports).
+  void build(const pyast::ModuleNode *Module, std::string_view ModuleName);
+
+  /// Adds one binding explicitly; a later binding of a name wins.
+  void bind(std::string_view LocalName, std::string_view QualifiedPrefix);
 
   /// Resolves the root identifier of a dotted expression: returns the
   /// qualified prefix bound to \p LocalName, or std::nullopt if the name is
-  /// not import-bound.
-  std::optional<std::string> resolveRoot(std::string_view LocalName) const;
+  /// not import-bound. The view lives as long as the map's bindings.
+  std::optional<std::string_view> resolveRoot(std::string_view LocalName) const;
 
   size_t size() const { return Bindings.size(); }
 
 private:
   void scanStatements(std::span<pyast::Stmt *const> Body,
-                      const std::string &ModuleName);
+                      std::string_view ModuleName);
 
-  StringMap<std::string> Bindings;
+  Arena Text;
+  FlatMap<std::string_view, std::string_view> Bindings;
+  /// A from-import's qualified name while it is assembled.
+  std::string Scratch;
 };
 
 /// Renders \p E as a dotted path if it is a pure chain of names and
@@ -55,9 +67,11 @@ private:
 /// \p Imports. Returns an empty string for any other expression shape.
 std::string resolveDottedName(const ImportMap &Imports, const pyast::Expr *E);
 
-/// Computes the package prefix for a relative import of \p Level dots
-/// inside \p ModuleName: stripRelative("a.b.c", 1) == "a.b".
-std::string stripRelativeLevels(const std::string &ModuleName, unsigned Level);
+/// The package prefix for a relative import of \p Level dots inside
+/// \p ModuleName: stripRelativeLevels("a.b.c", 1) == "a.b". The result
+/// views \p ModuleName.
+std::string_view stripRelativeLevels(std::string_view ModuleName,
+                                     unsigned Level);
 
 } // namespace pysem
 } // namespace seldon

@@ -17,27 +17,11 @@
 #define SELDON_SUPPORT_STRUTIL_H
 
 #include <charconv>
-#include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace seldon {
-
-/// Transparent string hash, equal to std::hash<std::string>: with
-/// std::equal_to<> it lets a std::string-keyed unordered container be
-/// probed by a std::string_view without building a std::string.
-struct StringHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view Text) const {
-    return std::hash<std::string_view>{}(Text);
-  }
-};
-
-/// A std::string-keyed hash map whose find() and count() take a view.
-template <typename V>
-using StringMap = std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
 
 /// Splits \p Text on \p Sep. Adjacent separators yield empty elements;
 /// splitting the empty string yields one empty element.

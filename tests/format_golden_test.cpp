@@ -525,6 +525,140 @@ TEST(FormatGoldenTest, EveryConstructFrontendIsPinned) {
             "0x1d9f2d953949d66f");
 }
 
+/// A two-module project whose flow runs through what the generated corpus
+/// lacks: branches merged at module and function level, `global`
+/// write-through, `del`, `locals()` in a method, a function and at module
+/// level, a constructed instance and `self`, a decorator, and calls into
+/// the sibling module, imported absolutely and relatively.
+pysem::Project flowsProject() {
+  pysem::Project P("flows");
+  P.addModule("pkg/util.py", R"py(import os
+from flask import request
+
+def scrub(value, mode='strict'):
+    if mode:
+        out = os.path.normpath(value)
+    else:
+        out = value
+    return out
+
+def fetch():
+    return request.args.get('q')
+)py");
+  P.addModule("pkg/app.py", R"py(import db
+from pkg.util import scrub, fetch
+from . import util
+
+counter = 0
+cache = {}
+
+def bump(v):
+    global counter
+    counter = counter + v
+    del v
+    return counter
+
+class Store(Base):
+    kind = 'mem'
+    def __init__(self, conn):
+        self.conn = conn
+        self.items = []
+    def put(self, item):
+        self.items.append(item)
+        self.conn.execute(item)
+        return self
+    def dump(self):
+        ctx = locals()
+        for i in self.items:
+            db.log(i, ctx)
+
+@app.route('/x')
+def view():
+    q = fetch()
+    s = Store(db.connect())
+    if q:
+        r = scrub(q)
+    elif cache:
+        r = cache[q]
+    else:
+        r = util.scrub(q, mode=None)
+        del q
+    s.put(r).dump()
+    rows = [x.strip() for x in r if x]
+    total = bump(len(rows))
+    with open(r) as fh:
+        data = fh.read()
+    try:
+        db.run(data, *rows, **cache)
+    except Exception as e:
+        db.log(e)
+    finally:
+        locals()
+    return {'rows': rows, 'total': total}
+
+x = view()
+if x:
+    y = x['rows']
+else:
+    y = locals()
+db.run(y, counter)
+)py");
+  return P;
+}
+
+/// The project graphs of a generated corpus, of the every-construct
+/// module and of flowsProject() encode to the same bytes under the
+/// default build options and under each non-default mode: one digest per
+/// option set, so a rewrite of the walk that moves an event, an option or
+/// an edge in any mode shows here.
+TEST(FormatGoldenTest, GraphBytesArePinnedUnderEveryBuildOption) {
+  corpus::Corpus Data = testutil::makeCorpus(4242, /*NumProjects=*/6);
+  pysem::Project Every("every-construct");
+  Every.addModule("pkg/every.py", everyConstructSource());
+  const pysem::Project Flows = flowsProject();
+  for (const pysem::ModuleInfo &M : Flows.modules()) {
+    pyast::AstContext Ctx;
+    std::vector<pyast::ParseError> Errors;
+    pyast::parseSource(Ctx, M.Source, &Errors);
+    EXPECT_TRUE(Errors.empty()) << M.Path;
+  }
+  const pysem::Project *const HandWritten[] = {&Every, &Flows};
+  auto GraphsDigest = [&](const propgraph::BuildOptions &Opts) {
+    uint64_t Hash = 0xcbf29ce484222325ull;
+    for (const pysem::Project &P : Data.Projects)
+      codec::hashChunk(Hash, propgraph::encodeGraph(
+                                 propgraph::buildProjectGraph(P, Opts)));
+    for (const pysem::Project *P : HandWritten)
+      codec::hashChunk(Hash, propgraph::encodeGraph(
+                                 propgraph::buildProjectGraph(*P, Opts)));
+    return hex(Hash);
+  };
+  struct Mode {
+    const char *Name;
+    bool propgraph::BuildOptions::*Flag; ///< Flipped from its default.
+    const char *Pinned;
+  };
+  const Mode Modes[] = {
+      {"default", nullptr, "0x423c91821cfa324a"},
+      {"ArgPositionReps", &propgraph::BuildOptions::ArgPositionReps,
+       "0x0770e1ba580b7d0a"},
+      {"PreciseInlining", &propgraph::BuildOptions::PreciseInlining,
+       "0xb43952b5edc5cc77"},
+      {"CrossModuleFlows", &propgraph::BuildOptions::CrossModuleFlows,
+       "0x94f99df76b389810"},
+      {"UsePointsTo", &propgraph::BuildOptions::UsePointsTo,
+       "0x24ce71b419e17e59"},
+      {"ModelLocals", &propgraph::BuildOptions::ModelLocals,
+       "0xca069caeefe0d0fb"},
+  };
+  for (const Mode &M : Modes) {
+    propgraph::BuildOptions Opts;
+    if (M.Flag)
+      Opts.*M.Flag = !(Opts.*M.Flag);
+    EXPECT_EQ(GraphsDigest(Opts), M.Pinned) << M.Name;
+  }
+}
+
 /// Every module of a generated corpus parses to the same dump with the
 /// same diagnostics.
 TEST(FormatGoldenTest, GeneratedCorpusFrontendIsPinned) {

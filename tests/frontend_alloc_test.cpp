@@ -1,17 +1,20 @@
-//===- tests/frontend_alloc_test.cpp - Heap allocations of lex and parse --===//
+//===- tests/frontend_alloc_test.cpp - Heap allocations of the frontend ---===//
 //
 // The frontend's memory contract, counted through a replaced global
 // operator new: lexing a module allocates only its token vector and its
-// indentation stack, and parsing it allocates only the AST arena's blocks
-// plus a constant that does not grow with the module. Counts repeat
-// exactly from run to run, so a regression here shows whatever the host's
-// speed. The counting operator new trips ASan, so this binary stays out of
-// the sanitizer legs.
+// indentation stack, parsing it allocates only the AST arena's blocks
+// plus a constant that does not grow with the module, and the graph walk
+// after the parse allocates a few blocks per event, not one per
+// expression, name lookup or path option. Counts repeat exactly from run
+// to run, so a regression here shows whatever the host's speed. The
+// counting operator new trips ASan, so this binary stays out of the
+// sanitizer legs.
 //
 //===----------------------------------------------------------------------===//
 
 #include "TestCorpus.h"
 
+#include "propgraph/GraphBuilder.h"
 #include "pyast/Lexer.h"
 #include "pyast/Parser.h"
 
@@ -100,6 +103,35 @@ TEST(FrontendAllocTest, ParsingAllocatesOnlyArenaBlocksAndAConstant) {
   // Blocks double up to 1 MiB, so their count grows with the log of the
   // arena's size, not with the node count.
   EXPECT_LE(Large.Blocks, 8u);
+}
+
+TEST(FrontendAllocTest, GraphWalkAllocatesAFewBlocksPerEvent) {
+  // Per module, buildModuleGraph's allocations less those of the same
+  // module's parse: the walk's arena, the graph's own arrays and one
+  // string per table entry too long for the short-string buffer.
+  corpus::Corpus Data = testutil::makeCorpus(31, /*NumProjects=*/200);
+  uint64_t Build = 0, Parse = 0;
+  size_t Events = 0;
+  for (const pysem::Project &P : Data.Projects)
+    for (const pysem::ModuleInfo &M : P.modules()) {
+      uint64_t Start = AllocCount.load();
+      {
+        AstContext Ctx;
+        parseSource(Ctx, M.Source, nullptr);
+      }
+      Parse += AllocCount.load() - Start;
+      Start = AllocCount.load();
+      propgraph::PropagationGraph G = propgraph::buildModuleGraph(P, M);
+      Build += AllocCount.load() - Start;
+      Events += G.numEvents();
+    }
+  ASSERT_GT(Events, 10000u);
+  ASSERT_GE(Build, Parse);
+  const uint64_t Walk = Build - Parse;
+  RecordProperty("walk_allocations", std::to_string(Walk));
+  RecordProperty("events", std::to_string(Events));
+  EXPECT_LE(Walk, 6 * Events) << Walk << " allocations for " << Events
+                              << " events";
 }
 
 } // namespace

@@ -4,10 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace seldon;
 using namespace seldon::pointsto;
 
 namespace {
+
+/// Field ids as a caller numbers its field names.
+constexpr FieldId F = 0, G = 1;
+
+bool contains(std::span<const ObjId> Set, ObjId O) {
+  return std::find(Set.begin(), Set.end(), O) != Set.end();
+}
 
 TEST(AndersenSolverTest, AllocAndCopy) {
   AndersenSolver S;
@@ -16,7 +25,7 @@ TEST(AndersenSolverTest, AllocAndCopy) {
   S.addAlloc(A, O);
   S.addCopy(B, A);
   S.solve();
-  EXPECT_TRUE(S.pointsTo(B).count(O));
+  EXPECT_TRUE(contains(S.pointsTo(B), O));
   EXPECT_TRUE(S.mayAlias(A, B));
 }
 
@@ -30,7 +39,7 @@ TEST(AndersenSolverTest, CopyChain) {
   for (int I = 1; I < 5; ++I)
     S.addCopy(V[I], V[I - 1]);
   S.solve();
-  EXPECT_TRUE(S.pointsTo(V[4]).count(O));
+  EXPECT_TRUE(contains(S.pointsTo(V[4]), O));
 }
 
 TEST(AndersenSolverTest, CopyCycleTerminates) {
@@ -41,8 +50,8 @@ TEST(AndersenSolverTest, CopyCycleTerminates) {
   S.addCopy(B, A);
   S.addCopy(A, B);
   S.solve();
-  EXPECT_TRUE(S.pointsTo(A).count(O));
-  EXPECT_TRUE(S.pointsTo(B).count(O));
+  EXPECT_TRUE(contains(S.pointsTo(A), O));
+  EXPECT_TRUE(contains(S.pointsTo(B), O));
 }
 
 TEST(AndersenSolverTest, FieldStoreLoad) {
@@ -54,11 +63,11 @@ TEST(AndersenSolverTest, FieldStoreLoad) {
   S.addAlloc(Obj, Heap);
   S.addCopy(P, Obj);
   S.addAlloc(Q, Payload);
-  S.addStore(P, "f", Q);
-  S.addLoad(R, Obj, "f");
+  S.addStore(P, F, Q);
+  S.addLoad(R, Obj, F);
   S.solve();
-  EXPECT_TRUE(S.pointsTo(R).count(Payload));
-  EXPECT_TRUE(S.fieldPointsTo(Heap, "f").count(Payload));
+  EXPECT_TRUE(contains(S.pointsTo(R), Payload));
+  EXPECT_TRUE(contains(S.fieldPointsTo(Heap, F), Payload));
 }
 
 TEST(AndersenSolverTest, FieldsAreSeparate) {
@@ -67,8 +76,8 @@ TEST(AndersenSolverTest, FieldsAreSeparate) {
   ObjId Heap = S.makeObj(), Payload = S.makeObj();
   S.addAlloc(Obj, Heap);
   S.addAlloc(Q, Payload);
-  S.addStore(Obj, "f", Q);
-  S.addLoad(R, Obj, "g");
+  S.addStore(Obj, F, Q);
+  S.addLoad(R, Obj, G);
   S.solve();
   EXPECT_TRUE(S.pointsTo(R).empty()) << "field g was never written";
 }
@@ -80,13 +89,13 @@ TEST(AndersenSolverTest, StoreBeforeBasePopulated) {
   VarId Base = S.makeVar(), Src = S.makeVar(),
         Pre = S.makeVar(), Dst = S.makeVar();
   ObjId Heap = S.makeObj(), Payload = S.makeObj();
-  S.addStore(Base, "f", Src);
-  S.addLoad(Dst, Base, "f");
+  S.addStore(Base, F, Src);
+  S.addLoad(Dst, Base, F);
   S.addAlloc(Src, Payload);
   S.addAlloc(Pre, Heap);
   S.addCopy(Base, Pre);
   S.solve();
-  EXPECT_TRUE(S.pointsTo(Dst).count(Payload));
+  EXPECT_TRUE(contains(S.pointsTo(Dst), Payload));
 }
 
 TEST(AndersenSolverTest, IncrementalResolve) {
@@ -110,6 +119,29 @@ TEST(AndersenSolverTest, NoAliasWhenDisjoint) {
   S.addAlloc(B, S.makeObj());
   S.solve();
   EXPECT_FALSE(S.mayAlias(A, B));
+}
+
+TEST(AndersenSolverTest, ClearStartsOver) {
+  // A solver reused after clear() solves as a fresh one does.
+  AndersenSolver S;
+  VarId A = S.makeVar(), B = S.makeVar();
+  S.addAlloc(A, S.makeObj());
+  S.addCopy(B, A);
+  S.addStore(A, F, B);
+  S.solve();
+  S.clear();
+  EXPECT_EQ(S.numVars(), 0u);
+  EXPECT_EQ(S.numObjs(), 0u);
+  VarId Obj = S.makeVar(), Q = S.makeVar(), R = S.makeVar();
+  ObjId Heap = S.makeObj(), Payload = S.makeObj();
+  S.addAlloc(Obj, Heap);
+  S.addAlloc(Q, Payload);
+  S.addStore(Obj, F, Q);
+  S.addLoad(R, Obj, F);
+  S.solve();
+  EXPECT_TRUE(contains(S.pointsTo(R), Payload));
+  EXPECT_FALSE(contains(S.pointsTo(R), Heap));
+  EXPECT_FALSE(S.mayAlias(Obj, Q));
 }
 
 } // namespace
